@@ -16,13 +16,13 @@ BENCH_PKGS = ./internal/obs ./internal/vm ./internal/disk ./internal/bench ./int
 # allocator and scheduler noise enough for a 15% gate.
 BENCH_FLAGS = -bench=. -benchmem -benchtime 200ms -count 3 -run '^$$'
 
-.PHONY: ci fmt-check vet staticcheck build test race fuzz test-faults test-fastpath test-hotpath test-backends test-tenants test-profile bench bench-check bench-baseline
+.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz test-faults test-exec test-backends test-tenants test-profile bench bench-check bench-baseline
 
-# ci is the gate: formatting, static checks, build, tests, the
-# race-detector pass over the concurrent experiment runner, a
-# short-budget fuzz of the fault plane, and the storage-backend
-# conformance and cross-tier equivalence suite.
-ci: fmt-check vet staticcheck build test race fuzz test-backends
+# ci is the gate: formatting, static checks, build, tests (the root
+# module's and the benchmark module's), the race-detector pass over the
+# concurrent surfaces, a short-budget fuzz of the fault plane, and the
+# storage-backend conformance and cross-tier equivalence suite.
+ci: fmt-check vet staticcheck build test test-benchmark race fuzz test-backends
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -51,11 +51,18 @@ build:
 test:
 	$(GO) test ./...
 
-# The experiment runner and the metrics registry are the concurrent
-# surfaces; run them (and the packages they drive) under the race
-# detector.
+# benchmark/ is its own module (it links the repo's internal packages
+# through a replace directive), so the root `go test ./...` never builds
+# it: vet and test it here.
+test-benchmark:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
+# The experiment runner, the metrics registry and a shared exec.Artifact
+# bound from several goroutines are the concurrent surfaces; run them
+# (and the packages they drive) under the race detector.
 race:
-	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... .
+	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/exec/ .
 
 # fuzz runs the fault-schedule fuzzer briefly: arbitrary fault profiles
 # through a small kernel, asserting termination and byte-identical
@@ -102,22 +109,18 @@ test-profile:
 	$(GO) test ./internal/compiler/ -run TestProfile
 	$(GO) test ./internal/fault/harness/ -run 'TestProfileModesByteIdentical|TestProfileCoverageDifferential'
 
-# test-fastpath runs the executor fast-path differential property: every
-# NAS proxy and example kernel must be tick-identical with page-run
-# specialization on and off, fault-free and under fault profiles, plus
-# the exec-level unit differentials.
-test-fastpath:
+# test-exec runs the executor gate (DESIGN.md §9, §11, §14): the
+# bytecode-vs-oracle differential property (every NAS proxy and example
+# kernel tick-identical with NoFastPath on and off, fault-free and under
+# fault profiles, plus the exec-level unit differentials on page-run
+# loops, nest edge cases and unsafe hint shapes), the structural property
+# that no NAS artifact carries a closure call, the compile-once plan
+# cache (hit/miss/cold tick-identical across NAS × tiers × fault
+# profiles, invalidation by key), and the benchdiff allocs/op gate that
+# holds the zero-alloc write-back path.
+test-exec:
 	$(GO) test ./internal/fault/harness/ -run TestFastPathEquivalence
-	$(GO) test ./internal/exec/ -run TestFastPath
-
-# test-hotpath runs the host-time hot-path gate (DESIGN.md §14): exact
-# hint lowering (differential tests on unsafe hint shapes, plus the
-# structural property that no NAS hint site emits a closure call), the
-# compile-once plan cache (hit/miss/cold tick-identical across NAS ×
-# tiers × fault profiles, invalidation by key), and the benchdiff
-# allocs/op gate that holds the zero-alloc write-back path.
-test-hotpath:
-	$(GO) test ./internal/exec/ -run 'TestHint|TestFastPath|TestNest'
+	$(GO) test ./internal/exec/ -run 'TestHint|TestFastPath|TestNest|TestArtifact'
 	$(GO) test ./internal/nas/ -run TestNASHintSitesEmitNoClosureCalls -count 1
 	$(GO) test ./internal/core/ -run TestPlanCache -count 1
 	$(GO) test ./cmd/benchdiff/

@@ -6,6 +6,7 @@
 package oocp_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -30,7 +31,7 @@ func BenchmarkTable2(b *testing.B) {
 
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rs, err := oocp.RunSuite(benchScale, 0, false)
+		rs, err := oocp.RunSuiteContext(context.Background(), oocp.SuiteOptions{Scale: benchScale})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func BenchmarkFig3(b *testing.B) {
 
 func BenchmarkFig4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rs, err := oocp.RunSuite(benchScale, 0, true)
+		rs, err := oocp.RunSuiteContext(context.Background(), oocp.SuiteOptions{Scale: benchScale, WithNoRT: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func BenchmarkFig4(b *testing.B) {
 
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rs, err := oocp.RunSuite(benchScale, 0, false)
+		rs, err := oocp.RunSuiteContext(context.Background(), oocp.SuiteOptions{Scale: benchScale})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func BenchmarkFig5(b *testing.B) {
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rs, err := oocp.RunSuite(benchScale, 0, false)
+		rs, err := oocp.RunSuiteContext(context.Background(), oocp.SuiteOptions{Scale: benchScale})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -34,15 +34,9 @@ func ablatePair(ctx context.Context, r Runner, app *nas.App, scale float64,
 	return a, b, nil
 }
 
-// AblateTwoVersion runs APPBT with and without the two-version-loop
-// extension (§4.1.1's proposed fix for symbolic inner bounds) and prints
-// the coverage and speedup recovery.
-func AblateTwoVersion(w io.Writer, scale float64) error {
-	return AblateTwoVersionContext(context.Background(), w, scale, Runner{})
-}
-
-// AblateTwoVersionContext is AblateTwoVersion with cancellation and a
-// configurable worker pool.
+// AblateTwoVersionContext runs APPBT with and without the
+// two-version-loop extension (§4.1.1's proposed fix for symbolic inner
+// bounds) and prints the coverage and speedup recovery.
 func AblateTwoVersionContext(ctx context.Context, w io.Writer, scale float64, r Runner) error {
 	plain, fixed, err := ablatePair(ctx, r, nas.ByName("APPBT"), scale,
 		"plain", nil,
@@ -60,15 +54,9 @@ func AblateTwoVersionContext(ctx context.Context, w io.Writer, scale float64, r 
 	return nil
 }
 
-// AblatePagesPerFetch sweeps the compiler's block-prefetch size on a
-// streaming application (the paper chose 4 "arbitrarily"; this shows the
-// tradeoff it embodies).
-func AblatePagesPerFetch(w io.Writer, scale float64) error {
-	return AblatePagesPerFetchContext(context.Background(), w, scale, Runner{})
-}
-
-// AblatePagesPerFetchContext is AblatePagesPerFetch with cancellation
-// and a configurable worker pool: every swept value is an independent
+// AblatePagesPerFetchContext sweeps the compiler's block-prefetch size
+// on a streaming application (the paper chose 4 "arbitrarily"; this
+// shows the tradeoff it embodies). Every swept value is an independent
 // job.
 func AblatePagesPerFetchContext(ctx context.Context, w io.Writer, scale float64, r Runner) error {
 	app := nas.ByName("BUK")
@@ -105,14 +93,8 @@ func AblatePagesPerFetchContext(ctx context.Context, w io.Writer, scale float64,
 	return nil
 }
 
-// AblateReleases runs BUK with releases disabled, quantifying what the
-// release hints buy (free memory and write-back avoidance).
-func AblateReleases(w io.Writer, scale float64) error {
-	return AblateReleasesContext(context.Background(), w, scale, Runner{})
-}
-
-// AblateReleasesContext is AblateReleases with cancellation and a
-// configurable worker pool.
+// AblateReleasesContext runs BUK with releases disabled, quantifying
+// what the release hints buy (free memory and write-back avoidance).
 func AblateReleasesContext(ctx context.Context, w io.Writer, scale float64, r Runner) error {
 	with, without, err := ablatePair(ctx, r, nas.ByName("BUK"), scale,
 		"releases", nil,
@@ -134,18 +116,12 @@ func AblateReleasesContext(ctx context.Context, w io.Writer, scale float64, r Ru
 	return nil
 }
 
-// AblateScheduler compares FCFS (the paper's configuration) with SCAN
-// disk scheduling under prefetching.
-func AblateScheduler(w io.Writer, scale float64) error {
-	return AblateSchedulerContext(context.Background(), w, scale, Runner{})
-}
-
-// AblateSchedulerContext is AblateScheduler with cancellation and a
-// configurable worker pool.
+// AblateSchedulerContext compares FCFS (the paper's configuration) with
+// SCAN disk scheduling under prefetching.
 func AblateSchedulerContext(ctx context.Context, w io.Writer, scale float64, r Runner) error {
 	fcfs, scan, err := ablatePair(ctx, r, nas.ByName("CGM"), scale,
 		"fcfs", nil,
-		"elevator", func(cfg *core.Config) { cfg.Elevator = true })
+		"elevator", func(cfg *core.Config) { cfg.Backend = &core.BackendSpec{Sched: "elevator"} })
 	if err != nil {
 		return err
 	}

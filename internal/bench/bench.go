@@ -279,20 +279,6 @@ func RunAppContext(ctx context.Context, app *nas.App, opts RunOptions) (*AppResu
 	return out, nil
 }
 
-// RunApp runs one application at the given problem scale with the data
-// set standing in the given ratio to memory. withNoRT additionally runs
-// the no-run-time-layer configuration.
-//
-// Deprecated: use RunAppContext with RunOptions.
-func RunApp(app *nas.App, scale, ratio float64, withNoRT bool, mutate func(*core.Config)) (*AppResult, error) {
-	return RunAppContext(context.Background(), app, RunOptions{
-		Scale:         scale,
-		Ratio:         ratio,
-		WithNoRT:      withNoRT,
-		ConfigMutator: mutate,
-	})
-}
-
 // RunSuiteContext runs the whole NAS suite, treating every (app,
 // config-variant) tuple as an independent job on the worker pool.
 // Results come back in the paper's presentation order whatever the
@@ -324,19 +310,6 @@ func RunSuiteContext(ctx context.Context, opts SuiteOptions) ([]*AppResult, erro
 		return nil, err
 	}
 	return results, nil
-}
-
-// RunSuite runs the whole NAS suite at the paper's standard out-of-core
-// setting (scale 1, data ≈ 2× memory), including the no-run-time-layer
-// configuration, reusing results across Figures 3–5 and Table 3.
-//
-// Deprecated: use RunSuiteContext with SuiteOptions.
-func RunSuite(scale, ratio float64, withNoRT bool) ([]*AppResult, error) {
-	return RunSuiteContext(context.Background(), SuiteOptions{
-		Scale:    scale,
-		Ratio:    ratio,
-		WithNoRT: withNoRT,
-	})
 }
 
 // RecordProfiles runs pass 1 of the two-pass profile-guided mode over

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -27,7 +28,7 @@ func suite(t *testing.T) []*AppResult {
 		t.Skip("suite shapes are not short")
 	}
 	if suiteCache == nil {
-		rs, err := RunSuite(suiteScale, 0, true)
+		rs, err := RunSuiteContext(context.Background(), SuiteOptions{Scale: suiteScale, WithNoRT: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,9 +234,8 @@ func TestInCoreWarmOverhead(t *testing.T) {
 		t.Skip("not short")
 	}
 	app := nas.ByName("EMBAR")
-	r, err := RunApp(app, testScale, 0.3, false, func(cfg *core.Config) {
-		cfg.WarmStart = true
-	})
+	r, err := RunAppContext(context.Background(), app, RunOptions{Scale: testScale, Ratio: 0.3,
+		ConfigMutator: func(cfg *core.Config) { cfg.WarmStart = true }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,20 +254,19 @@ func TestTwoVersionAblation(t *testing.T) {
 		t.Skip("not short")
 	}
 	var b strings.Builder
-	if err := AblateTwoVersion(&b, testScale); err != nil {
+	if err := AblateTwoVersionContext(context.Background(), &b, testScale, Runner{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "two-version") {
 		t.Fatal("ablation output malformed")
 	}
 	app := nas.ByName("APPBT")
-	plain, err := RunApp(app, testScale, 0, false, nil)
+	plain, err := RunAppContext(context.Background(), app, RunOptions{Scale: testScale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := RunApp(app, testScale, 0, false, func(cfg *core.Config) {
-		cfg.Options = TwoVersionOptions()
-	})
+	fixed, err := RunAppContext(context.Background(), app, RunOptions{Scale: testScale,
+		ConfigMutator: func(cfg *core.Config) { cfg.Options = TwoVersionOptions() }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"repro/internal/compiler"
 	"repro/internal/disk"
@@ -51,21 +52,13 @@ type Config struct {
 	// warm-started bars of Figure 6.
 	WarmStart bool
 
-	// NoFastPath disables the executor's page-run loop specialization,
-	// forcing every array access through the per-element VM path. The two
-	// paths produce identical results, simulated times, and statistics —
-	// the fast path only removes host-side interpretation overhead — so
-	// this is a differential-testing and debugging switch, not a modeling
+	// NoFastPath runs the program on the executor's closure-tree oracle
+	// instead of kernel bytecode (exec.Options.NoFastPath). The two
+	// produce identical results, simulated times, and statistics — the
+	// bytecode only removes host-side interpretation overhead — so this
+	// is a differential-testing and debugging switch, not a modeling
 	// choice.
 	NoFastPath bool
-
-	// NoPlanCache disables the process-wide compile-once plan cache,
-	// forcing this run to analyze, plan, and assemble bytecode from
-	// scratch. Cached and cold compiles are equivalence-tested to be
-	// tick-identical, so this is an escape hatch for differential
-	// testing and for callers that mutate programs between runs in ways
-	// the structural fingerprint should catch but they want to prove.
-	NoPlanCache bool
 
 	// Seed pre-initializes input files; nil if the program needs none.
 	Seed func(prog *ir.Program, file *stripefs.File, pageSize int64)
@@ -77,14 +70,6 @@ type Config struct {
 	// syntax. Nil runs on Machine's own tier (the paper's disks for
 	// hw.Default()).
 	Backend *BackendSpec
-
-	// Elevator selects SCAN disk scheduling instead of the default FCFS
-	// (the paper's disk scheduler treats prefetches like demand reads
-	// under FCFS; the elevator is available for ablations).
-	//
-	// Deprecated: set Backend with Sched: "elevator" instead. Elevator is
-	// honored only when Backend is nil or leaves Sched empty.
-	Elevator bool
 
 	// SamplePeriod, if positive, records a timeline of memory-manager
 	// state every period of simulated time (Result.Timeline).
@@ -210,8 +195,8 @@ type Result struct {
 	ProfileMismatches int64
 
 	// PlanCacheHit reports whether this run reused a previously compiled
-	// plan from the process-wide cache (always false with
-	// Config.NoPlanCache set or in profile-recording runs).
+	// plan from the process-wide cache (always false in
+	// profile-recording runs).
 	PlanCacheHit bool
 }
 
@@ -281,7 +266,7 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 		copts.Profile = cfg.Profile.Use
 	}
 	doPrefetch := cfg.Prefetch && !recording
-	if !recording && !cfg.NoPlanCache {
+	if !recording {
 		// Compile-once path: analysis, planning, and bytecode assembly
 		// are shared across runs with identical (machine, program,
 		// options) keys; only VM binding happens per run. Recording runs
@@ -296,35 +281,34 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 		mismatches = ent.mismatches
 		art = ent.art
 		planCacheHit = hit
-	} else if doPrefetch {
-		res, err := compiler.Compile(prog, machine, copts)
-		if err != nil {
-			return nil, fmt.Errorf("core: compile %s: %w", prog.Name, err)
-		}
-		execProg = res.Prog
-		plan = res.Plan
-		mismatches = res.ProfileMismatches
 	}
 
 	clock := sim.NewClock()
 	if ctx.Done() != nil {
 		clock.SetInterrupt(ctx.Err)
-		defer func() {
-			if r := recover(); r != nil {
-				in, ok := r.(sim.Interrupted)
-				if !ok {
-					panic(r)
-				}
-				res, err = nil, in.Err
+	}
+	// A cancelled run and a trap in the executing program (a subscript
+	// outside its array, an integer division by zero) both unwind the
+	// simulation with a panic; they are the run's error, not the
+	// process's.
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case sim.Interrupted:
+			res, err = nil, r.Err
+		case *exec.TrapError:
+			res, err = nil, fmt.Errorf("core: run %s: %w", prog.Name, r)
+		case runtime.Error:
+			if r.Error() != "runtime error: integer divide by zero" {
+				panic(r)
 			}
-		}()
-	}
-	elevator := cfg.Elevator && (cfg.Backend == nil || cfg.Backend.Sched == "")
-	if cfg.Backend.Elevator() {
-		elevator = true
-	}
+			res, err = nil, fmt.Errorf("core: run %s: %w", prog.Name, exec.DivideTrap())
+		default:
+			panic(r)
+		}
+	}()
 	var mkSched func() disk.Scheduler
-	if elevator {
+	if cfg.Backend.Elevator() {
 		mkSched = func() disk.Scheduler { return &disk.Elevator{} }
 	}
 	if cfg.Backend.QoS() {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/exec"
 	"repro/internal/hw"
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -135,7 +136,7 @@ func TestRunElevator(t *testing.T) {
 	data := int64(1<<17) * 8
 	cfg := DefaultConfig(MachineFor(data, 2))
 	cfg.Seed = seedOnes
-	cfg.Elevator = true
+	cfg.Backend = &BackendSpec{Sched: "elevator"}
 	r, err := Run(mustProg(t), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -263,4 +264,40 @@ func DefaultConfigSeeded(t *testing.T) Config {
 	cfg := DefaultConfig(MachineFor(int64(1<<17)*8, 2))
 	cfg.Seed = seedOnes
 	return cfg
+}
+
+// A trap in the executing program — a subscript outside its array, an
+// integer division by zero — is the run's error, typed and with the same
+// text on both executors, never a panic out of Run.
+func TestRunTrapReturnsTypedError(t *testing.T) {
+	cases := []struct{ name, src, want string }{
+		{"subscript", `
+program oob
+param n = 1000
+array double a[n]
+for i = 0 .. n {
+    a[i + 1] = 1.0
+}
+`, "a subscript 1000 out of range [0,1000) in dim 0"},
+		{"divide", `
+program divz
+param n = 1000
+param z = 0
+array long a[n]
+for i = 0 .. n {
+    a[i] = i / z
+}
+`, "integer divide by zero"},
+	}
+	for _, tc := range cases {
+		for _, oracle := range []bool{false, true} {
+			cfg := DefaultConfig(MachineFor(1000*8, 2))
+			cfg.NoFastPath = oracle
+			_, err := Run(lang.MustParse(tc.src), cfg)
+			var trap *exec.TrapError
+			if !errors.As(err, &trap) || !strings.HasSuffix(err.Error(), tc.want) {
+				t.Errorf("%s (oracle=%v): err = %v, want a TrapError ending %q", tc.name, oracle, err, tc.want)
+			}
+		}
+	}
 }

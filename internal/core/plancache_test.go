@@ -50,16 +50,17 @@ func TestPlanCacheHitTickIdentical(t *testing.T) {
 				cfg := planCacheCfg(t, app, tier, 0.05)
 				cfg.Faults = prof
 
+				// Two cold compiles of the same configuration, each into an
+				// empty cache, then one reuse of the second.
 				ResetPlanCache()
-				coldCfg := cfg
-				coldCfg.NoPlanCache = true
-				cold, err := Run(app.Build(0.05), coldCfg)
+				cold, err := Run(app.Build(0.05), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if cold.PlanCacheHit {
-					t.Fatal("NoPlanCache run reports a cache hit")
+					t.Fatal("run into an empty cache reports a hit")
 				}
+				ResetPlanCache()
 				miss, err := Run(app.Build(0.05), cfg)
 				if err != nil {
 					t.Fatal(err)

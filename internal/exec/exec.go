@@ -1,10 +1,16 @@
 // Package exec runs loop-nest IR programs against the simulated virtual
-// memory system. Programs are compiled to closure trees once (a standard
-// fast-interpreter technique), so per-element dispatch is a function call,
-// not a tree walk. Every array access goes through the VM — faulting,
+// memory system. Every array access goes through the VM — faulting,
 // prefetching, and releasing exactly as a compiled-to-native program
 // would — and every statement charges its operation count to the
 // simulated CPU.
+//
+// There is one production executor and one oracle. Programs compile to a
+// flat register bytecode (kcompile.go, kernel.go, kspan.go) by default.
+// This file holds the reference semantics: a closure tree (a standard
+// fast-interpreter technique: per-element dispatch is a function call,
+// not a tree walk) that Options.NoFastPath selects for differential
+// testing, that profile recording instruments, and whose per-statement
+// operation counts the bytecode compiler charges.
 package exec
 
 import (
@@ -25,14 +31,17 @@ type Env struct {
 	rt     *rt.Layer
 	rngX   uint64 // Randlc stream state (x_k, 46-bit)
 
-	// sites is the page-run fast path's per-access-site state: one entry
-	// per specialized array reference in the program, live only while a
-	// chunk of iterations executes (see fastpath.go).
-	sites []runSite
-
-	// subs holds the page-run driver's incrementally-maintained
-	// per-dimension subscript values, indexed by each site's subBase.
-	subs []int64
+	// Page-run loop state (kspan.go). sites holds one cursor per
+	// specialized array reference in the program, subs the incrementally
+	// maintained per-dimension subscript values (indexed by each site's
+	// subBase). The flags belong to the one page-run loop currently
+	// executing — such loops are innermost, so at most one is — and
+	// opSpanInit resets them on every entry.
+	sites     []runSite
+	subs      []int64
+	spanValid bool  // sites' addr and subs hold the current iteration's values
+	spanShort bool  // this entry's trip count is under spanMinTrip
+	spanLeft  int64 // iterations left in the current chunk
 
 	// ri/rf are the kernel interpreter's register files (kernel.go);
 	// index 0 of each is a permanent zero.
@@ -45,82 +54,89 @@ type iFn func(*Env) int64
 type fFn func(*Env) float64
 type bFn func(*Env) bool
 
+// compiled is what compilation produces. The default compilation lowers
+// the whole nest to kernel bytecode (code != nil, run by runK);
+// Options.NoFastPath, Options.Profile and the register-overflow fallback
+// build the closure tree in body instead. Nothing in it is written after
+// compilation: both forms read run-time state exclusively through the
+// *Env passed at execution.
+type compiled struct {
+	prog *ir.Program
+	body stmtFn
+
+	// kernel bytecode and its tables (kcompile.go / kernel.go / kspan.go)
+	code      []kinstr
+	aux       []auxDim
+	haux      []hintAux
+	spans     []spanLoop
+	nRI, nRF  int
+	nSites    int
+	nSubs     int
+	pageShift int64
+	reports   []LoopReport
+}
+
+// Reports returns the per-loop compilation reports in program order.
+// A closure-tree compilation reports nothing: every loop is the oracle.
+func (c *compiled) Reports() []LoopReport { return c.reports }
+
 // Machine is a compiled, runnable program bound to a VM and run-time
-// layer. The default compilation lowers the whole nest to kernel
-// bytecode (code != nil, run by runK); Options.NoFastPath and the
-// register-overflow fallback keep the closure tree in body instead.
+// layer.
 type Machine struct {
-	prog   *ir.Program
-	vm     *vm.VM
-	rt     *rt.Layer
-	body   stmtFn
-	nSites int
-	nSubs  int
-
-	// kernel bytecode state (kcompile.go / kernel.go)
-	code      []kinstr
-	calls     []stmtFn
-	aux       []auxDim
-	haux      []hintAux
-	nRI, nRF  int
-	pageShift int64
-	reports   []LoopReport
+	compiled
+	vm *vm.VM
+	rt *rt.Layer
 }
 
-// Artifact is a compiled program not yet bound to any VM. Everything in
-// it — the closure tree, the kernel bytecode, the call table — reads
-// run-time state exclusively through the *Env passed at execution, so
-// one Artifact can be Bound to any number of VMs (sequentially or
-// concurrently) as long as each VM has the same page size the program
-// was compiled against. This is what makes a compile-once plan cache
-// sound: compilation happens once, binding is a handful of address-space
-// allocations per run.
+// Artifact is a compiled program not yet bound to any VM. It holds no
+// mutable state, so one Artifact can be Bound to any number of VMs
+// (sequentially or concurrently) as long as each VM has the same page
+// size the program was compiled against. This is what makes a
+// compile-once plan cache sound: compilation happens once, binding is a
+// handful of address-space allocations per run.
 type Artifact struct {
-	prog     *ir.Program
+	compiled
 	pageSize int64
-	body     stmtFn
-	nSites   int
-	nSubs    int
-
-	code      []kinstr
-	calls     []stmtFn
-	aux       []auxDim
-	haux      []hintAux
-	nRI, nRF  int
-	pageShift int64
-	reports   []LoopReport
 }
 
-// Reports returns the per-loop compilation reports in program order,
-// available before any VM binding.
-func (a *Artifact) Reports() []LoopReport { return a.reports }
-
-// CallSites returns how many closure-call slots the kernel bytecode
-// carries. On the kernel path the only opCall emitters are embedded
-// page-run span drivers — exactly one per page-run loop report — so
-// tests assert CallSites equals the page-run loop count to prove no
-// hint (or any other statement) fell back to a closure. Zero for
-// closure-tree artifacts, which have no bytecode at all.
-func (a *Artifact) CallSites() int { return len(a.calls) }
+// CallSites returns how many closure calls the artifact's kernel
+// bytecode can make. It is 0 by construction — page-run loops and hints
+// are bytecode like everything else — and is kept for callers that
+// report it.
+func (a *Artifact) CallSites() int { return 0 }
 
 // Options tunes compilation.
 type Options struct {
-	// NoFastPath disables page-run loop specialization, forcing every
-	// array access through the per-element Load/Store path. The fast path
-	// only removes host-side interpretation overhead — simulated results,
-	// times, and statistics are identical either way — so this exists for
-	// differential testing and debugging, not as a semantic switch.
+	// NoFastPath compiles the program to the closure-tree oracle instead
+	// of kernel bytecode. The bytecode only removes host-side
+	// interpretation overhead — simulated results, times, and statistics
+	// are identical either way — so this exists for differential testing
+	// and debugging, not as a semantic switch.
 	NoFastPath bool
 
 	// Profile, if non-nil, runs the program with observation-only
 	// profiling instrumentation (pass 1 of the two-pass profile-guided
 	// mode). The recorder must have been built from the same *ir.Program.
-	// Instrumentation wraps every array access through the closure-tree
-	// oracle — the bytecode and page-run drivers are bypassed, which by
-	// the differential contract changes nothing simulated — and charges
-	// no operations, so results, times, and statistics are identical to
-	// an unprofiled run.
+	// Instrumentation wraps every array access of the closure-tree
+	// oracle — which by the differential contract changes nothing
+	// simulated — and charges no operations, so results, times, and
+	// statistics are identical to an unprofiled run.
 	Profile *profile.Recorder
+}
+
+// TrapError is the panic value of a run-time trap in the executing
+// program: a subscript outside its array, or an integer division by
+// zero. Both executors raise it at the same point with the same text.
+type TrapError struct{ msg string }
+
+func (e *TrapError) Error() string { return e.msg }
+
+// DivideTrap is the TrapError for an integer division by zero, which the
+// Go runtime detects on the executors' behalf.
+func DivideTrap() *TrapError { return &TrapError{"exec: integer divide by zero"} }
+
+func subscriptTrap(name string, v, dim int64, d int) *TrapError {
+	return &TrapError{fmt.Sprintf("exec: %s subscript %d out of range [0,%d) in dim %d", name, v, dim, d)}
 }
 
 // New compiles prog for execution on v, with compiler-inserted hints
@@ -150,53 +166,31 @@ func Compile(prog *ir.Program, pageSize int64, opts Options) (*Artifact, error) 
 			return nil, err
 		}
 	}
-	c := &compiler{
-		noFast:    opts.NoFastPath,
-		pageWords: pageSize / ir.ElemSize,
+	c := &compiler{}
+	a := &Artifact{compiled: compiled{prog: prog}, pageSize: pageSize}
+	if opts.Profile == nil && !opts.NoFastPath {
+		kc := newKcompiler(c, int64(bits.TrailingZeros64(uint64(pageSize))))
+		if kc.compile(prog.Body) {
+			kc.install(a)
+			return a, nil
+		}
+		if c.err != nil {
+			return nil, c.err
+		}
+		// Register/table pressure exceeded the bytecode's limits: the
+		// program runs on the oracle.
 	}
-	a := &Artifact{prog: prog, pageSize: pageSize}
 	if opts.Profile != nil {
-		// Profiling pass: per-element closure tree with observation
-		// wrappers around every array access. The closures capture the
-		// recorder, so a profiling Artifact is one-shot — never cache it.
-		c.noFast = true
+		// Profiling pass: observation wrappers around every array access.
+		// The closures capture the recorder, so a profiling Artifact is
+		// one-shot — never cache it.
 		c.prof = newProfRec(opts.Profile)
-		a.body = c.stmts(prog.Body)
-		if c.err != nil {
-			return nil, c.err
-		}
-		a.nSites, a.nSubs = c.nSites, c.nSubs
-		return a, nil
 	}
-	if opts.NoFastPath {
-		// Differential oracle: the pure closure tree, byte-for-byte the
-		// reference semantics.
-		a.body = c.stmts(prog.Body)
-		if c.err != nil {
-			return nil, c.err
-		}
-		a.nSites, a.nSubs = c.nSites, c.nSubs
-		return a, nil
-	}
-	shift := int64(bits.TrailingZeros64(uint64(pageSize)))
-	kc := newKcompiler(c, shift)
-	if kc.compile(prog.Body) {
-		a.nSites, a.nSubs = c.nSites, c.nSubs
-		kc.install(a)
-		return a, nil
-	}
+	// The closure tree: byte-for-byte the reference semantics.
+	a.body = c.stmts(prog.Body)
 	if c.err != nil {
 		return nil, c.err
 	}
-	// Register/table pressure exceeded the bytecode's limits: fall back to
-	// the closure interpreter with page-run specialization (a fresh
-	// compiler, since kc consumed site numbering on the shared one).
-	c2 := &compiler{pageWords: c.pageWords}
-	a.body = c2.stmts(prog.Body)
-	if c2.err != nil {
-		return nil, c2.err
-	}
-	a.nSites, a.nSubs = c2.nSites, c2.nSubs
 	return a, nil
 }
 
@@ -220,13 +214,7 @@ func (a *Artifact) Bind(v *vm.VM, layer *rt.Layer) (*Machine, error) {
 			return nil, fmt.Errorf("exec: array %s resolved at %#x but allocated at %#x", arr.Name, arr.Base, base)
 		}
 	}
-	return &Machine{
-		prog: a.prog, vm: v, rt: layer,
-		body: a.body, nSites: a.nSites, nSubs: a.nSubs,
-		code: a.code, calls: a.calls, aux: a.aux, haux: a.haux,
-		nRI: a.nRI, nRF: a.nRF, pageShift: a.pageShift,
-		reports: a.reports,
-	}, nil
+	return &Machine{compiled: a.compiled, vm: v, rt: layer}, nil
 }
 
 // Run executes the program once. The returned Env exposes final scalar
@@ -238,13 +226,13 @@ func (m *Machine) Run() *Env {
 		vm:     m.vm,
 		rt:     m.rt,
 		rngX:   uint64(m.prog.Seed) & ((1 << 46) - 1),
-		sites:  make([]runSite, m.nSites),
-		subs:   make([]int64, m.nSubs),
 	}
 	for _, p := range m.prog.Params {
 		e.Ints[p.Slot] = p.Val
 	}
 	if m.code != nil {
+		e.sites = make([]runSite, m.nSites)
+		e.subs = make([]int64, m.nSubs)
 		e.ri = make([]int64, m.nRI)
 		e.rf = make([]float64, m.nRF)
 		m.runK(e)
@@ -254,17 +242,10 @@ func (m *Machine) Run() *Env {
 	return e
 }
 
-// VM returns the machine's VM.
-func (m *Machine) VM() *vm.VM { return m.vm }
-
 // SpecializedSites returns how many array access sites were compiled to
-// the page-run fast path (zero when Options.NoFastPath was set or no loop
+// page-run cursors (zero for a closure-tree compilation or when no loop
 // qualified). Tests use it to prove specialization actually engaged.
 func (m *Machine) SpecializedSites() int { return m.nSites }
-
-// CallSites returns how many closure-call slots the machine's kernel
-// bytecode carries; see Artifact.CallSites for what tests prove with it.
-func (m *Machine) CallSites() int { return len(m.calls) }
 
 // ---- compilation ---------------------------------------------------------
 
@@ -272,12 +253,8 @@ func (m *Machine) CallSites() int { return len(m.calls) }
 // statement which the closure charges once per execution. Loads, stores
 // and intrinsics carry extra weight; see opCost.
 type compiler struct {
-	err       error
-	noFast    bool
-	pageWords int64    // words per page, for page-run chunk sizing
-	nSites    int      // specialized access sites assigned so far
-	nSubs     int      // maintained-subscript slots assigned so far
-	prof      *profRec // non-nil in the profiling pass (profile.go)
+	err  error
+	prof *profRec // non-nil in the profiling pass (profile.go)
 }
 
 func (c *compiler) fail(format string, args ...interface{}) {
@@ -419,11 +396,6 @@ func (c *compiler) loop(l *ir.Loop) stmtFn {
 	lo, locost := c.iexpr(l.Lo)
 	hi, hicost := c.iexpr(l.Hi)
 	head := locost + hicost
-	if !c.noFast {
-		if fn, ok := c.fastLoop(l, lo, hi, head); ok {
-			return fn
-		}
-	}
 	body := c.stmts(l.Body)
 	slot, step := l.Slot, l.Step
 	return func(e *Env) {
@@ -551,7 +523,7 @@ func (c *compiler) addr(arr *ir.Array, idx []ir.IExpr) (iFn, int64) {
 		for i, f := range fns {
 			v := f(e)
 			if v < 0 || v >= dims[i] {
-				panic(fmt.Sprintf("exec: %s subscript %d out of range [0,%d) in dim %d", name, v, dims[i], i))
+				panic(subscriptTrap(name, v, dims[i], i))
 			}
 			li += v * strides[i]
 		}

@@ -50,7 +50,7 @@ func runDifferential(t *testing.T, mk func() *ir.Program, frames int64,
 
 // runDifferentialSites is runDifferential with the vacuity check made
 // optional, for nests (zero-trip, control flow, scalar-only) where the
-// interesting path is the kernel bytecode rather than a span driver.
+// interesting path is the plain kernel bytecode rather than a span body.
 func runDifferentialSites(t *testing.T, mk func() *ir.Program, frames int64,
 	seed func(*stripefs.File, *ir.Program), requireSites bool) (*Env, *vm.VM) {
 	t.Helper()

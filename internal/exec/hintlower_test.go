@@ -1,7 +1,7 @@
 // Differential tests for the exact (double-evaluation) hint lowering:
 // hint shapes that fail hintSideSafe — multi-load indices, impure pages
 // expressions — must run as kernel bytecode via hintExact, tick-identical
-// to the closure oracle, with no opCall fallback.
+// to the closure oracle, with no closure fallback.
 package exec
 
 import (
@@ -133,8 +133,8 @@ func TestHintExactMixedPrefetchRelease(t *testing.T) {
 // TestHintLoweringNoClosureFallback proves the structural claim behind
 // the differentials: every hint statement is lowered to bytecode (the
 // enclosing loop reports the kernel driver and counts its hints), and
-// the bytecode's only closure-call slots are page-run span drivers —
-// exactly one per page-run loop report, so hint sites contribute none.
+// the bytecode carries no closure-call slot at all — page-run loops are
+// bytecode too.
 func TestHintLoweringNoClosureFallback(t *testing.T) {
 	cases := []struct {
 		name string
@@ -147,14 +147,12 @@ func TestHintLoweringNoClosureFallback(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, _, m := buildWith(t, tc.mk(), 16, Options{})
-			hints, kernels, pageRuns := 0, 0, 0
+			hints, kernels := 0, 0
 			for _, r := range m.Reports() {
 				hints += r.Hints
 				switch r.Driver {
 				case "kernel":
 					kernels++
-				case "page-run":
-					pageRuns++
 				case "closure":
 					t.Errorf("loop %s fell back to the closure driver (%s)", r.Var, r.Reason)
 				}
@@ -165,9 +163,12 @@ func TestHintLoweringNoClosureFallback(t *testing.T) {
 			if kernels == 0 {
 				t.Error("no loop reports the kernel driver — hint lowering never engaged")
 			}
-			if got := m.CallSites(); got != pageRuns {
-				t.Errorf("CallSites = %d, want %d (one per page-run loop, none for hints)",
-					got, pageRuns)
+			art, err := Compile(tc.mk(), hw.Default().PageSize, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := art.CallSites(); got != 0 {
+				t.Errorf("CallSites = %d, want 0", got)
 			}
 		})
 	}

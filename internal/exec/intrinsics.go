@@ -29,13 +29,6 @@ func (e *Env) randlc() float64 {
 func (e *Env) SetSeed(seed int64) { e.rngX = uint64(seed) & randlcMask }
 
 func (c *compiler) call(e ir.FCall) (fFn, int64) {
-	return c.callWith(e, c.fexpr)
-}
-
-// callWith compiles an intrinsic call with fx compiling its arguments, so
-// the page-run fast path (fastpath.go) shares the lowering and cost
-// accounting while substituting span-indexed loads.
-func (c *compiler) callWith(e ir.FCall, fx func(ir.FExpr) (fFn, int64)) (fFn, int64) {
 	cost := intrinsicCost(e.Fn)
 	want := 1
 	if e.Fn == ir.Pow {
@@ -50,7 +43,7 @@ func (c *compiler) callWith(e ir.FCall, fx func(ir.FExpr) (fFn, int64)) (fFn, in
 	}
 	var args []fFn
 	for _, a := range e.Args {
-		f, k := fx(a)
+		f, k := c.fexpr(a)
 		args = append(args, f)
 		cost += k
 	}

@@ -6,12 +6,18 @@ package exec
 // to prove a temporary register dead before eliminating its writer.
 func intReads(in kinstr, f func(r uint16)) {
 	switch in.op {
-	case opJumpGeI, opJCmpI, opHintN, opChargeTrips:
+	case opJumpGeI, opJCmpI, opHintN, opChargeTrips, opSpanInit:
 		f(in.a)
 		f(in.b)
-	case opLoopEnd, opLoopEndS:
+	case opLoopEndS:
 		f(in.dst)
 		f(in.b)
+	case opSpanEnter: // and the loop's seed registers: see peephole
+		f(in.a)
+		f(in.b)
+		f(uint16(in.imm2))
+	case opStoreIS:
+		f(in.dst)
 	case opSetSlot, opSetSlotC, opIMove, opIAddImm, opIMulImm, opFromI,
 		opLoadF1, opLoadI1, opStoreF1, opIdx0, opLoadFA, opLoadIA, opStoreFA,
 		opHintPage, opHint1, opHintLoad1, opFAccDot:
@@ -30,7 +36,7 @@ func intReads(in kinstr, f func(r uint16)) {
 		f(in.a)
 		f(in.dst)
 		f(uint16(in.imm2))
-	case opIdxAcc:
+	case opIdxAcc, opSpanNext, opSpanSlow:
 		f(in.dst)
 		f(in.a)
 	case opStoreI1, opStoreIA:
@@ -53,7 +59,7 @@ func intWrite(in kinstr) (uint16, bool) {
 		opIAdd, opISub, opIMul, opIDiv, opIMod, opIShl, opIShr, opIMin, opIMax,
 		opIAddImm, opIMulImm, opIFromF, opIdx3,
 		opLoadI1, opIdx0, opIdxAcc, opLoadIA, opHintPage, opHintN,
-		opLoopEnd, opLoopEndS:
+		opLoopEndS, opSpanNext, opSpanSlow, opLoadIS:
 		return in.dst, true
 	}
 	return 0, false
@@ -72,7 +78,7 @@ func fltReads(in kinstr, f func(r uint16)) {
 	case opSetF, opFAcc, opFNeg, opSqrt, opAbs, opLog, opExp, opSin, opCos,
 		opIFromF, opFMulI, opFDivI, opCosS, opSinS:
 		f(in.a)
-	case opStoreF1, opStoreFA:
+	case opStoreF1, opStoreFA, opStoreFS:
 		f(in.dst)
 	case opFMAdd, opFMSub, opFMAddS, opFMSubS:
 		f(in.a)
@@ -86,7 +92,7 @@ func fltWrite(in kinstr) (uint16, bool) {
 	switch in.op {
 	case opFConst, opFSlot, opFAdd, opFSub, opFMul, opFDiv, opFMin, opFMax,
 		opFNeg, opFromI, opSqrt, opAbs, opLog, opExp, opSin, opCos, opPow,
-		opRandlc, opLoadF1, opLoadFA,
+		opRandlc, opLoadF1, opLoadFA, opLoadFS,
 		opFMulI, opFDivI, opFMAdd, opFMSub,
 		opFAddS, opFSubS, opFMAddS, opFMSubS, opCosS, opSinS:
 		return in.dst, true
@@ -119,11 +125,20 @@ func setFused(op kop) (kop, bool) {
 // while jump targets are still opLabel markers, so removing instructions
 // cannot skew a target. Temporaries are only eliminated when a whole-code
 // census proves they are written once and read once, by the fused pair.
-func peephole(code []kinstr, nRI, nRF int, haux []hintAux) []kinstr {
-	reads := make([]int32, nRI)
-	writes := make([]int32, nRI)
-	freads := make([]int32, nRF)
-	fwrites := make([]int32, nRF)
+func (kc *kcompiler) peephole(code []kinstr) []kinstr {
+	reads := make([]int32, kc.nRI)
+	writes := make([]int32, kc.nRI)
+	freads := make([]int32, kc.nRF)
+	fwrites := make([]int32, kc.nRF)
+	// spanChunk reads a page-run loop's seed registers through the span
+	// table, not through instruction operands.
+	for i := range kc.spans {
+		for _, s := range kc.spans[i].sites {
+			for _, r := range s.seed {
+				reads[r]++
+			}
+		}
+	}
 	for _, in := range code {
 		intReads(in, func(r uint16) { reads[r]++ })
 		if w, ok := intWrite(in); ok {
@@ -162,7 +177,7 @@ func peephole(code []kinstr, nRI, nRF int, haux []hintAux) []kinstr {
 		if i+1 < len(code) && code[i].op == opIdx3 && code[i+1].op == opHintLoad1 &&
 			code[i+1].a == code[i].dst && dead1(code[i].dst) {
 			h := code[i+1]
-			haux[h.b].dist = code[i].imm
+			kc.haux[h.b].dist = code[i].imm
 			out = append(out, kinstr{op: opHintIdx3, dst: uint16(code[i].imm2),
 				a: code[i].a, b: h.b, imm: h.imm, imm2: int64(code[i].b)})
 			i++
@@ -269,13 +284,8 @@ func otherOperand(in kinstr, r uint16) (uint16, bool) {
 // consisting of exactly these three instructions).
 func fuseDotLoop(code []kinstr) {
 	targets := make(map[int]bool)
-	for _, in := range code {
-		switch in.op {
-		case opJump, opJumpGeI, opJCmpI, opJCmpF:
-			targets[int(in.imm)] = true
-		case opLoopEnd, opLoopEndS:
-			targets[int(in.imm2)] = true
-		}
+	for i := range code {
+		jumpTargets(&code[i], func(t *int64) { targets[int(*t)] = true })
 	}
 	for i := 0; i+2 < len(code); i++ {
 		if code[i].op != opHintIdx3 || code[i+1].op != opFAccDot2 ||
@@ -299,6 +309,19 @@ func fuseDotLoop(code []kinstr) {
 	}
 }
 
+// jumpTargets calls f on each immediate of in that holds a jump target.
+func jumpTargets(in *kinstr, f func(target *int64)) {
+	switch in.op {
+	case opJump, opJumpGeI, opJCmpI, opJCmpF, opSpanInit, opSpanEnter:
+		f(&in.imm)
+	case opLoopEndS:
+		f(&in.imm2)
+	case opSpanNext, opSpanSlow:
+		f(&in.imm)
+		f(&in.imm2)
+	}
+}
+
 // assemble strips opLabel markers and patches every jump's label id to
 // its absolute pc.
 func assemble(code []kinstr, nLabels int) []kinstr {
@@ -316,13 +339,8 @@ func assemble(code []kinstr, nLabels int) []kinstr {
 		if in.op == opLabel {
 			continue
 		}
-		switch in.op {
-		case opJump, opJumpGeI, opJCmpI, opJCmpF:
-			in.imm = int64(pos[in.imm])
-		case opLoopEnd, opLoopEndS:
-			in.imm2 = int64(pos[in.imm2])
-		}
 		out = append(out, in)
+		jumpTargets(&out[len(out)-1], func(t *int64) { *t = int64(pos[*t]) })
 	}
 	return out
 }

@@ -1,9 +1,6 @@
 // The nest compiler: lowers a whole program body — outer loops included —
-// to the flat kernel bytecode of kernel.go. Where the page-run fast path
-// (fastpath.go) specializes an innermost loop, the nest compiler calls it
-// and embeds the resulting span driver behind an opCall; everything else
-// becomes linear instructions, so steady-state iterations make zero
-// closure calls per element.
+// to the flat kernel bytecode of kernel.go, page-run loops (kspan.go)
+// among them, so a compiled program makes no closure call at all.
 //
 // Exactness discipline (see kernel.go's package comment): compile-time
 // operation charges accumulate in kc.pending and are materialized as one
@@ -12,12 +9,13 @@
 // CSE'd, folded, or hoisted out of a loop only when they are trap-free
 // and depend on no slot the loop writes; values bound to registers are
 // dropped at every join point whose dominating instructions might not
-// have executed (loop exits, branch joins, after drivers that write
-// slots). The closure oracle (exec.go) remains the reference semantics.
+// have executed (loop exits, branch joins). The closure oracle (exec.go)
+// remains the reference semantics.
 package exec
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"os"
 
@@ -42,12 +40,12 @@ type cseEnt struct {
 	r uint16
 }
 
-// kmaps is a snapshot of the value-numbering state.
+// kmaps is the value-numbering state.
 type kmaps struct {
-	cse    map[uint64]cseEnt
-	cseDep map[uint64][]int
-	bind   map[int]uint16
-	fbind  map[int]uint16
+	cse    map[uint64]cseEnt // pure int expr -> register holding it
+	cseDep map[uint64][]int  // its slot dependencies, for invalidation
+	bind   map[int]uint16    // int slot -> register mirroring it
+	fbind  map[int]uint16    // float slot -> register mirroring it
 }
 
 type kcompiler struct {
@@ -61,43 +59,44 @@ type kcompiler struct {
 	pending int64 // operation charges not yet materialized
 
 	nRI, nRF int
-	overflow bool // ran out of registers (or call/aux slots)
+	overflow bool // ran out of registers (or aux/span table slots)
 
-	cse    map[uint64]cseEnt // pure int expr -> register holding it
-	cseDep map[uint64][]int  // its slot dependencies, for invalidation
-	bind   map[int]uint16    // int slot -> register mirroring it
-	fbind  map[int]uint16    // float slot -> register mirroring it
+	kmaps
 	iconst map[int64]uint16
 	fconst map[uint64]uint16
 
-	calls  []stmtFn
 	aux    []auxDim
 	auxIdx map[string]int
 	haux   []hintAux
 
-	loops     []*kloop
-	reports   []LoopReport
-	lastHints int // hint count of the most recently compiled loop body
+	// page-run loops (kspan.go)
+	spans    []spanLoop
+	spanNext int // next site id while lowering a span body, else -1
+	nSites   int // access sites assigned so far
+	nSubs    int // maintained-subscript slots assigned so far
+
+	loops   []*kloop
+	reports []LoopReport
 }
 
 func newKcompiler(oc *compiler, shift int64) *kcompiler {
 	kc := &kcompiler{
 		oc: oc, shift: shift,
 		nRI: 1, nRF: 1, // ri[0]/rf[0] are permanent zeros
-		cse:    map[uint64]cseEnt{},
-		cseDep: map[uint64][]int{},
-		bind:   map[int]uint16{},
-		fbind:  map[int]uint16{},
+		kmaps: kmaps{cse: map[uint64]cseEnt{}, cseDep: map[uint64][]int{},
+			bind: map[int]uint16{}, fbind: map[int]uint16{}},
 		iconst: map[int64]uint16{},
 		fconst: map[uint64]uint16{},
 		auxIdx: map[string]int{},
+
+		spanNext: -1,
 	}
 	kc.buf = &kc.code
 	return kc
 }
 
 // compile lowers body; false means the program exceeded the bytecode's
-// register/table limits and the caller should fall back to closures.
+// register/table limits and the caller should fall back to the oracle.
 func (kc *kcompiler) compile(body []ir.Stmt) bool {
 	kc.stmts(body)
 	kc.flush()
@@ -109,7 +108,7 @@ func (kc *kcompiler) compile(body []ir.Stmt) bool {
 	code = append(code, kc.code...)
 	// Two passes: the second fuses across products of the first
 	// (opIdx3 feeding opHintLoad1 becomes a single opHintIdx3).
-	code = peephole(peephole(code, kc.nRI, kc.nRF, kc.haux), kc.nRI, kc.nRF, kc.haux)
+	code = kc.peephole(kc.peephole(code))
 	kc.code = assemble(code, kc.labels)
 	fuseDotLoop(kc.code)
 	return true
@@ -117,11 +116,13 @@ func (kc *kcompiler) compile(body []ir.Stmt) bool {
 
 func (kc *kcompiler) install(m *Artifact) {
 	m.code = kc.code
-	m.calls = kc.calls
 	m.aux = kc.aux
 	m.haux = kc.haux
+	m.spans = kc.spans
 	m.nRI = kc.nRI
 	m.nRF = kc.nRF
+	m.nSites = kc.nSites
+	m.nSubs = kc.nSubs
 	m.pageShift = kc.shift
 	m.reports = kc.reports
 	if os.Getenv("OOC_KDUMP") != "" {
@@ -186,15 +187,6 @@ func (kc *kcompiler) newLabel() int {
 }
 
 func (kc *kcompiler) mark(l int) { kc.emit(kinstr{op: opLabel, imm: int64(l)}) }
-
-func (kc *kcompiler) addCall(fn stmtFn) uint16 {
-	if len(kc.calls) > 0xFFFF {
-		kc.overflow = true
-		return 0
-	}
-	kc.calls = append(kc.calls, fn)
-	return uint16(len(kc.calls) - 1)
-}
 
 func (kc *kcompiler) auxFor(arr *ir.Array, d int) int {
 	key := fmt.Sprintf("%s/%d", arr.Name, d)
@@ -307,42 +299,16 @@ func (kc *kcompiler) invalidateSlot(s int) {
 	}
 }
 
-func cloneIU(m map[int]uint16) map[int]uint16 {
-	out := make(map[int]uint16, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+func (m kmaps) clone() kmaps {
+	return kmaps{cse: maps.Clone(m.cse), cseDep: maps.Clone(m.cseDep),
+		bind: maps.Clone(m.bind), fbind: maps.Clone(m.fbind)}
 }
 
-func cloneSU(m map[uint64]cseEnt) map[uint64]cseEnt {
-	out := make(map[uint64]cseEnt, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
+func (kc *kcompiler) snapshot() kmaps { return kc.kmaps.clone() }
 
-func cloneSD(m map[uint64][]int) map[uint64][]int {
-	out := make(map[uint64][]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func (kc *kcompiler) snapshot() kmaps {
-	return kmaps{cse: cloneSU(kc.cse), cseDep: cloneSD(kc.cseDep),
-		bind: cloneIU(kc.bind), fbind: cloneIU(kc.fbind)}
-}
-
-// restore installs fresh clones so one snapshot can seed several paths.
-func (kc *kcompiler) restore(m kmaps) {
-	kc.cse = cloneSU(m.cse)
-	kc.cseDep = cloneSD(m.cseDep)
-	kc.bind = cloneIU(m.bind)
-	kc.fbind = cloneIU(m.fbind)
-}
+// restore installs m itself: a snapshot that seeds several paths is
+// cloned for all but the last.
+func (kc *kcompiler) restore(m kmaps) { kc.kmaps = m }
 
 // writtenFSlots is WrittenSlots for float scalars.
 func writtenFSlots(body []ir.Stmt, dst map[int]bool) map[int]bool {
@@ -444,7 +410,7 @@ func (kc *kcompiler) ifStmt(x ir.If) {
 		kc.flush()
 		kc.emit(kinstr{op: opJump, imm: int64(lEnd)})
 		kc.mark(lElse)
-		kc.restore(condSnap)
+		kc.restore(condSnap.clone())
 		kc.stmts(x.Else)
 		kc.flush()
 		kc.mark(lEnd)
@@ -529,92 +495,29 @@ func (kc *kcompiler) tryFAccDot(slot int, mul ir.FBin) bool {
 
 // ---- loops ---------------------------------------------------------------
 
-// spanMinTrip is the trip count below which a page-run-eligible loop's
-// guarded dual lowering takes the plain bytecode branch instead of the
-// span driver. Short invocations cannot amortize the driver's entry
-// work (bound evaluation, lazy subscript seeding, chunk sizing) and
-// mostly land in its per-element slow path anyway; strip-mined nests
-// like the FFT butterflies run the same loop at trips from 1 to
-// thousands, so the choice has to be made at run time. Both branches
-// charge and fault identically — the guard only moves host time.
-const spanMinTrip = 8
-
 func (kc *kcompiler) loop(l *ir.Loop) {
 	oc := kc.oc
 	if l.Step <= 0 {
 		oc.fail("loop %s has non-positive step %d", l.Var, l.Step)
 		return
 	}
-	lo, locost := oc.iexpr(l.Lo)
-	hi, hicost := oc.iexpr(l.Hi)
-	head := locost + hicost
+	_, locost := oc.iexpr(l.Lo)
+	_, hicost := oc.iexpr(l.Hi)
 	if oc.err != nil {
 		return
 	}
 	depth := len(kc.loops)
-	before := oc.nSites
-	if fn, ok := oc.fastLoop(l, lo, hi, head); ok {
-		// Page-run span driver: embed it whole. It charges its own head
-		// and per-iteration costs and writes slots directly. When the
-		// bounds are pure, guard it with a runtime trip-count check that
-		// routes short invocations to an inline bytecode copy of the loop.
-		kc.flush()
-		call := kc.addCall(fn)
-		if ir.PureIExpr(l.Lo) && ir.PureIExpr(l.Hi) {
-			// Pure bounds: evaluating them ahead of the driver (which
-			// re-evaluates internally) is unobservable and charge-free.
-			rh := kc.iexpr(l.Hi)
-			rlo := kc.iexpr(l.Lo)
-			rd := kc.iReg()
-			kc.emit(kinstr{op: opISub, dst: rd, a: rh, b: rlo})
-			rT := kc.iconstReg(spanMinTrip * l.Step)
-			lByte, lEnd := kc.newLabel(), kc.newLabel()
-			snap := kc.snapshot()
-			kc.emit(kinstr{op: opJCmpI, dst: cmpSense(ir.Lt, true), a: rd, b: rT, imm: int64(lByte)})
-			kc.emit(kinstr{op: opCall, b: call})
-			kc.emit(kinstr{op: opJump, imm: int64(lEnd)})
-			kc.mark(lByte)
-			kc.restore(snap)
-			kc.kernelLoop(l, depth, head, true, rh, rlo)
-			kc.flush()
-			kc.mark(lEnd)
-			kc.restore(snap)
-		} else {
-			kc.emit(kinstr{op: opCall, b: call})
-		}
-		for s := range ir.WrittenSlots(l.Body, map[int]bool{l.Slot: true}) {
-			kc.invalidateSlot(s)
-		}
-		for s := range writtenFSlots(l.Body, nil) {
-			delete(kc.fbind, s)
-		}
-		kc.reports = append(kc.reports, LoopReport{
-			Var: l.Var, Depth: depth, Driver: "page-run", Sites: oc.nSites - before})
-		return
-	}
+	sites, reason := kc.spanSites(l)
 	ri := len(kc.reports)
 	kc.reports = append(kc.reports, LoopReport{
-		Var: l.Var, Depth: depth, Driver: "kernel",
-		Reason: classifyLoop(l, oc.pageWords)})
+		Var: l.Var, Depth: depth, Driver: "kernel", Reason: reason})
+	if sites != nil {
+		kc.reports[ri].Driver, kc.reports[ri].Sites = "page-run", len(sites)
+	}
 
-	kc.charge(head)
+	kc.charge(locost + hicost)
 	rh := kc.iexpr(l.Hi) // runtime order: hi before lo, like the oracle
 	rlo := kc.iexpr(l.Lo)
-	kc.kernelLoop(l, depth, head, false, rh, rlo)
-	kc.reports[ri].Hints = kc.lastHints
-}
-
-// kernelLoop emits the plain bytecode lowering of l with its bounds
-// already in registers rh/rlo. On the standalone kernel path the caller
-// has charged head; the guarded dual path passes chargeHead because the
-// driver branch charges its own head, so the bytecode branch must carry
-// the charge itself — moving it below the pure bound evaluation is
-// exact, since nothing in between can fault. The direct body's hint
-// count is left in kc.lastHints.
-func (kc *kcompiler) kernelLoop(l *ir.Loop, depth int, head int64, chargeHead bool, rh, rlo uint16) {
-	if chargeHead {
-		kc.charge(head)
-	}
 	rv := kc.iReg()
 	kc.emit(kinstr{op: opIMove, dst: rv, a: rlo})
 	kc.flush()
@@ -626,58 +529,76 @@ func (kc *kcompiler) kernelLoop(l *ir.Loop, depth int, head int64, chargeHead bo
 		hoistCse: map[uint64]cseEnt{},
 	}
 	snap := kc.snapshot()
-	for s := range ctx.written {
-		kc.invalidateSlot(s)
-	}
-	kc.invalidateSlot(l.Slot)
-	for s := range ctx.fwritten {
-		delete(kc.fbind, s)
-	}
+	kc.dropWritten(ctx)
 	kc.bind[l.Slot] = rv
 	kc.loops = append(kc.loops, ctx)
+	var s0 kmaps
+	if sites != nil {
+		s0 = kc.snapshot()
+	}
 
-	var bodyBuf []kinstr
+	// Everything the loop lowers may add to ctx.hoist, which runs before
+	// the trip guard, so the body (and a page-run loop's whole layout)
+	// goes to side buffers first.
+	var bodyBuf, spanBuf []kinstr
 	saved := kc.buf
 	kc.buf = &bodyBuf
 	kc.pending = costLoop
 	kc.stmts(l.Body)
 	kc.flush()
+	lEnd := kc.newLabel()
+	if sites != nil {
+		kc.restore(s0)
+		kc.buf = &spanBuf
+		kc.spanLoop(l, sites, bodyBuf, rv, rh, rlo, lEnd)
+	}
 	kc.buf = saved
 	kc.loops = kc.loops[:depth]
-	kc.lastHints = ctx.hints
+	kc.reports[ri].Hints = ctx.hints
 
 	// Layout: the preheader stores the first induction value; the back
-	// edge (opLoopEndS) stores every subsequent one, so the loop top
-	// costs zero extra dispatches per iteration. A pure-scalar body gets
-	// the promoted layout of kscalar.go: hoisted reads after the guard,
-	// deferred stores and the batched charge on the fall-through exit,
-	// both skipped by the zero-trip jump exactly as the oracle's untaken
-	// loop touches nothing.
-	promo := promoteScalarLoop(bodyBuf, rv)
-	lTop, lEnd := kc.newLabel(), kc.newLabel()
+	// edge stores every subsequent one, so the loop top costs zero extra
+	// dispatches per iteration. A page-run loop continues with kspan.go's
+	// two-body layout. A pure-scalar body gets the promoted layout of
+	// kscalar.go: hoisted reads after the guard, deferred stores and the
+	// batched charge on the fall-through exit, both skipped by the
+	// zero-trip jump exactly as the oracle's untaken loop touches nothing.
 	*kc.buf = append(*kc.buf, ctx.hoist...)
 	kc.emit(kinstr{op: opJumpGeI, a: rv, b: rh, imm: int64(lEnd)})
-	if promo != nil {
-		bodyBuf = promo.body
-		*kc.buf = append(*kc.buf, promo.pre...)
-	}
-	kc.emit(kinstr{op: opSetSlot, a: rv, imm: int64(l.Slot)})
-	kc.mark(lTop)
-	*kc.buf = append(*kc.buf, bodyBuf...)
-	kc.emit(kinstr{op: opLoopEndS, dst: rv, a: uint16(l.Slot), b: rh, imm: l.Step, imm2: int64(lTop)})
-	if promo != nil {
-		*kc.buf = append(*kc.buf, promo.post...)
-		if promo.perIter != 0 {
-			kc.emit(kinstr{op: opChargeTrips, a: rv, b: rlo, imm: promo.perIter, imm2: l.Step})
+	if sites != nil {
+		*kc.buf = append(*kc.buf, spanBuf...)
+	} else {
+		promo := promoteScalarLoop(bodyBuf, rv)
+		if promo != nil {
+			bodyBuf = promo.body
+			*kc.buf = append(*kc.buf, promo.pre...)
+		}
+		kc.emit(kinstr{op: opSetSlot, a: rv, imm: int64(l.Slot)})
+		lTop := kc.newLabel()
+		kc.mark(lTop)
+		*kc.buf = append(*kc.buf, bodyBuf...)
+		kc.emit(kinstr{op: opLoopEndS, dst: rv, a: uint16(l.Slot), b: rh, imm: l.Step, imm2: int64(lTop)})
+		if promo != nil {
+			*kc.buf = append(*kc.buf, promo.post...)
+			if promo.perIter != 0 {
+				kc.emit(kinstr{op: opChargeTrips, a: rv, b: rlo, imm: promo.perIter, imm2: l.Step})
+			}
 		}
 	}
 	kc.mark(lEnd)
 
 	kc.restore(snap)
+	kc.dropWritten(ctx)
+}
+
+// dropWritten forgets every register fact about a slot ctx's loop
+// writes, its induction variable included: such facts hold neither at the
+// top of the body (after a back edge) nor after the loop.
+func (kc *kcompiler) dropWritten(ctx *kloop) {
 	for s := range ctx.written {
 		kc.invalidateSlot(s)
 	}
-	kc.invalidateSlot(l.Slot)
+	kc.invalidateSlot(ctx.slot)
 	for s := range ctx.fwritten {
 		delete(kc.fbind, s)
 	}

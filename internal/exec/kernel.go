@@ -13,14 +13,13 @@
 // crossing. The compiler may therefore merge static charges and move
 // them across instructions that cannot fault, but never across one that
 // can — the pending sum every crossing observes must equal the closure
-// interpreter's. The closure tree (exec.go) is kept byte-for-byte as the
-// differential oracle behind Options.NoFastPath, and the harness
-// equivalence suite holds the two executions to identical fingerprints,
-// tick counts, and fault statistics.
+// interpreter's. The closure tree (exec.go) is the differential oracle
+// behind Options.NoFastPath, and the harness equivalence suite holds the
+// two executions to identical fingerprints, tick counts, and fault
+// statistics.
 package exec
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/ir"
@@ -39,11 +38,9 @@ const (
 	opCharge   // vm.AddUserOps(imm)
 	opJump     // pc = imm
 	opJumpGeI  // if ri[a] >= ri[b]: pc = imm   (loop entry guard)
-	opLoopEnd  // ri[dst] += imm; if ri[dst] < ri[b]: pc = imm2
-	opLoopEndS // opLoopEnd that also stores Ints[a] = ri[dst] on the back edge
+	opLoopEndS // ri[dst] += imm; if ri[dst] < ri[b]: Ints[a] = ri[dst]; pc = imm2
 	opJCmpI    // if cmpI(op(dst), ri[a], ri[b]) == sense(dst): pc = imm
 	opJCmpF    // same over rf
-	opCall     // m.calls[b](e)   (closure fallback / page-run driver)
 	opSetSlot  // Ints[imm] = ri[a]
 	opSetSlotC // Ints[imm] = ri[a]; vm.AddUserOps(imm2)
 	// opChargeTrips charges a promoted scalar loop's deferred
@@ -137,6 +134,19 @@ const (
 	opHintIdx3  // opHintLoad1 with subscript ri[dst] + min(ri[a]+h.dist, ri[imm2])
 	opDotLoop   // whole [opHintIdx3][opFAccDot2][opLoopEndS] loop as one dispatch
 
+	// page-run loops (kspan.go): spans[b] (spans[dst] for opSpanEnter)
+	// describes the loop, dst/a hold the induction and bound registers
+	// as in opLoopEndS
+	opSpanInit  // reset per-entry state; if ri[b]-ri[a] < imm2: short entry, pc = imm
+	opSpanEnter // k = spanChunk(v=ri[a], lo=ri[imm2], h=ri[b]); if declined: pc = imm
+	opSpanNext  // ri[dst] += step; in chunk: pc = imm; else if ri[dst] < ri[a]: pc = imm2
+	opSpanSlow  // ri[dst] += step; if ri[dst] < ri[a]: pc = imm (short entry) or imm2
+	// span-body accesses through the cursor of site imm, advancing it
+	opLoadFS
+	opLoadIS
+	opStoreFS // value in rf[dst]
+	opStoreIS // value in ri[dst]
+
 	// opLabel is a compile-time jump-target marker (imm = label id). It
 	// survives buffer splicing — positions are only fixed when assemble
 	// strips the markers and patches the jumps — and never reaches runK.
@@ -177,7 +187,7 @@ type hintAux struct {
 
 func (m *Machine) panicIdx(ref int, v int64) {
 	a := &m.aux[ref]
-	panic(fmt.Sprintf("exec: %s subscript %d out of range [0,%d) in dim %d", a.name, v, a.dim, a.d))
+	panic(subscriptTrap(a.name, v, a.dim, a.d))
 }
 
 // cmpSense packs a CmpOp and a jump sense into a kinstr dst field.
@@ -212,12 +222,6 @@ func (m *Machine) runK(e *Env) {
 			if ri[in.a] >= ri[in.b] {
 				pc = int(in.imm)
 			}
-		case opLoopEnd:
-			x := ri[in.dst] + in.imm
-			ri[in.dst] = x
-			if x < ri[in.b] {
-				pc = int(in.imm2)
-			}
 		case opLoopEndS:
 			// The induction-slot store rides the back edge (the preheader
 			// stored the first value): between the back edge and the next
@@ -237,8 +241,6 @@ func (m *Machine) runK(e *Env) {
 			if cmpF(irCmpOp(in.dst), rf[in.a], rf[in.b]) == (in.dst&(1<<8) != 0) {
 				pc = int(in.imm)
 			}
-		case opCall:
-			m.calls[in.b](e)
 		case opSetSlot:
 			ints[in.imm] = ri[in.a]
 		case opSetSlotC:
@@ -454,6 +456,66 @@ func (m *Machine) runK(e *Env) {
 			if !v.StoreFast(addr, uint64(ri[in.dst])) {
 				v.Store(addr, uint64(ri[in.dst]))
 			}
+
+		case opSpanInit:
+			e.spanValid = false
+			e.spanShort = ri[in.b]-ri[in.a] < in.imm2
+			if e.spanShort {
+				pc = int(in.imm)
+			}
+		case opSpanEnter:
+			k := spanChunk(e, &m.spans[in.dst], ri, 1<<(shift-3), ri[in.a], ri[uint16(in.imm2)], ri[in.b])
+			if k == 0 {
+				pc = int(in.imm)
+			}
+			e.spanLeft = k
+		case opSpanNext:
+			sp := &m.spans[in.b]
+			x := ri[in.dst] + sp.step
+			ri[in.dst] = x
+			// Nothing reads the induction slot inside a chunk (the body uses
+			// the register), so it is stored when the chunk ends.
+			if e.spanLeft--; e.spanLeft > 0 {
+				pc = int(in.imm)
+			} else if x < ri[in.a] {
+				ints[sp.slot] = x
+				pc = int(in.imm2)
+			} else {
+				ints[sp.slot] = x - sp.step
+			}
+		case opSpanSlow:
+			sp := &m.spans[in.b]
+			x := ri[in.dst] + sp.step
+			ri[in.dst] = x
+			if x < ri[in.a] {
+				ints[sp.slot] = x
+				if e.spanShort {
+					pc = int(in.imm)
+				} else {
+					if e.spanValid {
+						advanceSites(e, sp, 1)
+					}
+					pc = int(in.imm2)
+				}
+			}
+		case opLoadFS:
+			// A span body is straight-line, so each access executes exactly
+			// once per iteration and advances its own cursor.
+			s := &e.sites[in.imm]
+			rf[in.dst] = math.Float64frombits(s.span[s.pos])
+			s.pos += s.delta
+		case opLoadIS:
+			s := &e.sites[in.imm]
+			ri[in.dst] = int64(s.span[s.pos])
+			s.pos += s.delta
+		case opStoreFS:
+			s := &e.sites[in.imm]
+			s.span[s.pos] = math.Float64bits(rf[in.dst])
+			s.pos += s.delta
+		case opStoreIS:
+			s := &e.sites[in.imm]
+			s.span[s.pos] = uint64(ri[in.dst])
+			s.pos += s.delta
 
 		case opHintPage:
 			li := ri[in.a]

@@ -312,7 +312,14 @@ func (kc *kcompiler) linIndexChecked(arr *ir.Array, idx []ir.IExpr) uint16 {
 	return li
 }
 
+// The four accessors below lower one array access. Inside a span body
+// (kspan.go) it is a cursor read or write instead: the subscripts are
+// not evaluated — spanChunk maintains them — and nothing can fault.
+
 func (kc *kcompiler) loadF(arr *ir.Array, idx []ir.IExpr) uint16 {
+	if kc.spanNext >= 0 {
+		return kc.spanAccess(opLoadFS, kc.fReg())
+	}
 	if len(idx) == 1 && len(arr.Strides) == 1 {
 		ix := kc.iexpr(idx[0])
 		kc.flush()
@@ -329,6 +336,9 @@ func (kc *kcompiler) loadF(arr *ir.Array, idx []ir.IExpr) uint16 {
 }
 
 func (kc *kcompiler) loadI(arr *ir.Array, idx []ir.IExpr) uint16 {
+	if kc.spanNext >= 0 {
+		return kc.spanAccess(opLoadIS, kc.iReg())
+	}
 	if len(idx) == 1 && len(arr.Strides) == 1 {
 		ix := kc.iexpr(idx[0])
 		kc.flush()
@@ -345,6 +355,10 @@ func (kc *kcompiler) loadI(arr *ir.Array, idx []ir.IExpr) uint16 {
 }
 
 func (kc *kcompiler) storeF(arr *ir.Array, idx []ir.IExpr, val uint16) {
+	if kc.spanNext >= 0 {
+		kc.spanAccess(opStoreFS, val)
+		return
+	}
 	if len(idx) == 1 && len(arr.Strides) == 1 {
 		ix := kc.iexpr(idx[0])
 		kc.flush()
@@ -358,6 +372,10 @@ func (kc *kcompiler) storeF(arr *ir.Array, idx []ir.IExpr, val uint16) {
 }
 
 func (kc *kcompiler) storeI(arr *ir.Array, idx []ir.IExpr, val uint16) {
+	if kc.spanNext >= 0 {
+		kc.spanAccess(opStoreIS, val)
+		return
+	}
 	if len(idx) == 1 && len(arr.Strides) == 1 {
 		ix := kc.iexpr(idx[0])
 		kc.flush()

@@ -84,7 +84,7 @@ func promoteScalarLoop(body []kinstr, rv uint16) *scalarPromo {
 
 	// A deferred store sources its register at loop exit, after the final
 	// back edge. The φ moves overwrite the registers holding loop-carried
-	// reads, and opLoopEnd advances rv past the last body value, so a
+	// reads, and opLoopEndS advances rv past the last body value, so a
 	// store sourcing either keeps running in the body. (moved is computed
 	// as if every carried slot were promoted; a slot this conservatism
 	// keeps in the body only costs its dispatch, never correctness.)

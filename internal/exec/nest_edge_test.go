@@ -3,17 +3,22 @@ package exec
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/hw"
 	"repro/internal/ir"
+	"repro/internal/rt"
+	"repro/internal/sim"
 	"repro/internal/stripefs"
+	"repro/internal/vm"
 )
 
 // Nest-level edge cases for the kernel compiler, each run differentially
 // against the closure oracle: zero-trip and single-iteration loops,
 // bounds that clamp mid-page-run, reduction initial values, branch
-// joins, NaN min/max semantics, and the register-overflow fallback.
+// joins, NaN min/max semantics, the register-overflow fallback, and the
+// page-run loop's entry guard and chunk edges.
 
 func scalarRef(s ir.FScalar) ir.FExpr { return ir.FScalar{Slot: s.Slot, Name: s.Name} }
 
@@ -233,13 +238,19 @@ func TestNestFMinNaN(t *testing.T) {
 
 func TestNestRegisterOverflowFallback(t *testing.T) {
 	// A body large enough to exhaust the 16-bit register file: NewWith
-	// must fall back to the closure tree (no bytecode installed) and the
-	// program must still run identically to the NoFastPath oracle.
+	// must fall back to the plain closure oracle — no bytecode installed,
+	// and no page-run specialization of the eligible loop either — and
+	// the program must still run identically to the NoFastPath oracle.
 	const n = 70000 // distinct float constants > the 65535-register file
 	mk := func() *ir.Program {
 		p := ir.NewProgram("regflood")
+		np := p.NewParam("n", 2048, true)
+		a := p.NewArrayF("a", np)
 		s := p.NewScalarF("s")
-		body := make([]ir.Stmt, 0, n)
+		i := p.NewLoopVar("i")
+		body := make([]ir.Stmt, 0, n+1)
+		body = append(body, ir.For(i, ir.Int(0), np, 1,
+			ir.StoreF(a, []ir.IExpr{i}, ir.FromInt{X: i})))
 		for c := 0; c < n; c++ {
 			body = append(body, ir.SetF(s, ir.AddF(scalarRef(s), ir.Flt(float64(c)))))
 		}
@@ -247,10 +258,84 @@ func TestNestRegisterOverflowFallback(t *testing.T) {
 		return p
 	}
 	_, _, _, m := buildWith(t, mk(), 8, Options{})
-	if m.code != nil {
-		t.Fatal("register overflow did not fall back to the closure tree")
+	if m.code != nil || m.SpecializedSites() != 0 {
+		t.Fatalf("register overflow did not fall back to the plain oracle (bytecode %v, %d specialized sites)",
+			m.code != nil, m.SpecializedSites())
 	}
 	runDifferentialSites(t, mk, 8, nil, false)
+}
+
+// rowsProgram builds nrows rows of 500 elements, row r running an inner
+// page-run loop of trip(r) iterations that reads a, writes b and reduces
+// into s; the rows straddle pages at varying offsets.
+func rowsProgram(trip func(r ir.IExpr) ir.IExpr, nrows int64) *ir.Program {
+	p := ir.NewProgram("rows")
+	np := p.NewParam("n", nrows*500+128, true)
+	a := p.NewArrayF("a", np)
+	b := p.NewArrayF("b", np)
+	s := p.NewScalarF("s")
+	r := p.NewLoopVar("r")
+	j := p.NewLoopVar("j")
+	at := ir.AddI(ir.MulI(r, ir.Int(500)), j)
+	p.Body = []ir.Stmt{
+		ir.For(r, ir.Int(0), ir.Int(nrows), 1,
+			ir.For(j, ir.Int(0), trip(r), 1,
+				ir.StoreF(b, []ir.IExpr{at}, ir.AddF(ir.MulF(ir.LoadF(a, at), ir.Flt(2)), ir.FromInt{X: j})),
+				ir.SetF(s, ir.AddF(scalarRef(s), ir.LoadF(b, at))))),
+	}
+	return p
+}
+
+func TestNestSpanEntryEdges(t *testing.T) {
+	// The page-run loop's per-entry decisions, each against the oracle:
+	// trip counts on both sides of spanMinTrip, one loop entered short
+	// and then long within a single run (the strip-mined FFT shape — the
+	// per-entry state must reset, and a long entry must reseed its
+	// subscripts from the new base), and negative-stride runs whose last
+	// element sits exactly on a page edge.
+	pageElems := hw.Default().PageSize / ir.ElemSize
+	rows := func(trip func(r ir.IExpr) ir.IExpr, nrows int64) func() *ir.Program {
+		return func() *ir.Program { return rowsProgram(trip, nrows) }
+	}
+	fixed := func(n int64) func(ir.IExpr) ir.IExpr {
+		return func(ir.IExpr) ir.IExpr { return ir.Int(n) }
+	}
+	cases := []struct {
+		name string
+		mk   func() *ir.Program
+	}{
+		{"trip-7", rows(fixed(spanMinTrip-1), 24)},
+		{"trip-8", rows(fixed(spanMinTrip), 24)},
+		{"trip-9", rows(fixed(spanMinTrip+1), 24)},
+		{"short-then-long", rows(func(r ir.IExpr) ir.IExpr { return ir.ShlI(ir.Int(1), r) }, 8)}, // 1, 2, 4, ... 128
+		{"negative-stride-page-edge", func() *ir.Program {
+			p := ir.NewProgram("revedge")
+			np := p.NewParam("n", 6*pageElems, true)
+			a := p.NewArrayF("a", np)
+			b := p.NewArrayF("b", np)
+			s := p.NewScalarF("s")
+			i := p.NewLoopVar("i")
+			p.Body = []ir.Stmt{
+				// a walks down from the last word of page 3 to word 0 of
+				// page 1; b walks down in twos and ends on b[0].
+				ir.For(i, ir.Int(0), ir.Int(3*pageElems), 1,
+					ir.SetF(s, ir.AddF(scalarRef(s), ir.MulF(
+						ir.LoadF(a, ir.SubI(ir.Int(4*pageElems-1), i)),
+						ir.LoadF(b, ir.MulI(ir.SubI(ir.Int(3*pageElems-1), i), ir.Int(2))))))),
+			}
+			return p
+		}},
+	}
+	seed := func(f *stripefs.File, p *ir.Program) {
+		for _, arr := range p.Arrays {
+			SeedF64(f, hw.Default().PageSize, arr, func(i int64) float64 { return float64(i%29) / 4 })
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runDifferential(t, tc.mk, 8, seed)
+		})
+	}
 }
 
 func TestNestReports(t *testing.T) {
@@ -323,5 +408,64 @@ func TestFallbackReasonStrings(t *testing.T) {
 	}
 	if got := FallbackReason(255).String(); got != fmt.Sprintf("reason(%d)", 255) {
 		t.Errorf("out-of-range reason prints %q", got)
+	}
+}
+
+func TestArtifactConcurrentBind(t *testing.T) {
+	// One Artifact, bound to a fresh VM and run by several goroutines at
+	// once: the artifact holds no per-run state, so every run must be
+	// tick-identical to a serial one (and clean under the race detector).
+	// Short and long entries of one page-run loop: trips 1, 2, 4, ... 128.
+	prog := rowsProgram(func(r ir.IExpr) ir.IExpr { return ir.ShlI(ir.Int(1), r) }, 8)
+	p := hw.Default()
+	p.MemoryBytes = 8 * p.PageSize
+	art, err := Compile(prog, p.PageSize, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		sum   float64
+		times vm.TimeStats
+		stats vm.Stats
+		err   error
+	}
+	run := func() (o outcome) {
+		c := sim.NewClock()
+		file, err := stripefs.New(c, p, nil).Create(prog.Name, prog.TotalBytes(p.PageSize)/p.PageSize)
+		if err != nil {
+			return outcome{err: err}
+		}
+		v := vm.New(c, p, file)
+		m, err := art.Bind(v, rt.Register(v, true))
+		if err != nil {
+			return outcome{err: err}
+		}
+		if m.SpecializedSites() == 0 {
+			return outcome{err: fmt.Errorf("nothing specialized — the test is vacuous")}
+		}
+		SeedF64(file, p.PageSize, prog.Arrays[0], func(i int64) float64 { return float64(i%29) / 4 })
+		env := m.Run()
+		v.Finish()
+		return outcome{sum: env.Floats[0], times: v.Times(), stats: v.Stats()}
+	}
+	want := run()
+	if want.err != nil {
+		t.Fatal(want.err)
+	}
+	const workers = 8
+	got := make([]outcome, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = run()
+		}(w)
+	}
+	wg.Wait()
+	for w, o := range got {
+		if o != want {
+			t.Errorf("concurrent run %d = %+v, serial run = %+v", w, o, want)
+		}
 	}
 }

@@ -1,23 +1,19 @@
-// Per-loop compilation reports: which driver each loop of the nest got
-// (page-run span driver, linearized kernel bytecode, or the closure
-// oracle) and, when the page-run fast path was not used, why. The
+// Per-loop compilation reports: how each loop of the nest was lowered
+// (page-run span loop or plain kernel bytecode) and, when the page-run
+// lowering was not used, why. The
 // harness surfaces these through core.Result and `oocbench
 // -explain-fastpath` so a missing specialization is diagnosable instead
 // of a silent slowdown.
 package exec
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/ir"
-)
-
-// FallbackReason says why a loop was not compiled to the page-run span
-// driver. ReasonSpecialized marks the loops that were.
+// FallbackReason says why a loop was not compiled as a page-run span
+// loop (kspan.go). ReasonSpecialized marks the loops that were.
 type FallbackReason uint8
 
 const (
-	// ReasonSpecialized: the loop runs as a page-run span driver.
+	// ReasonSpecialized: the loop runs as a page-run span loop.
 	ReasonSpecialized FallbackReason = iota
 	// ReasonOuterLoop: the loop contains nested loops; only its innermost
 	// descendants are span candidates. It runs as kernel bytecode.
@@ -39,10 +35,10 @@ const (
 	// reaches a full page, so a span never covers two iterations.
 	ReasonPageStride
 	// ReasonScalarOnly: the body touches no arrays; there is nothing for
-	// a span driver to batch.
+	// a span to batch.
 	ReasonScalarOnly
 	// ReasonUnsupportedBody: some statement or expression shape outside
-	// the span driver's straight-line subset.
+	// the span lowering's straight-line subset.
 	ReasonUnsupportedBody
 )
 
@@ -96,123 +92,4 @@ func (r LoopReport) String() string {
 		s += fmt.Sprintf(" (%d hints lowered)", r.Hints)
 	}
 	return s
-}
-
-// Reports returns the per-loop compilation reports in program order.
-// A NoFastPath machine reports nothing: every loop is the oracle.
-func (m *Machine) Reports() []LoopReport {
-	return m.reports
-}
-
-// classifyLoop explains why the page-run driver refused l, mirroring
-// fastpath.go's eligibility checks as diagnoses. It is best-effort: a
-// reason is a human answer, not a second eligibility oracle.
-func classifyLoop(l *ir.Loop, pageWords int64) FallbackReason {
-	s := ir.Summarize(l)
-	switch {
-	case !s.Innermost:
-		return ReasonOuterLoop
-	case s.HasHint:
-		return ReasonHintInBody
-	case s.HasIf:
-		return ReasonControlFlow
-	case s.WritesInductionVar:
-		return ReasonInductionWrite
-	}
-	invariant := func(slot int) bool { return slot != l.Slot && !s.Written[slot] }
-	var refs []arrayRef
-	for _, st := range l.Body {
-		switch x := st.(type) {
-		case ir.AssignF:
-			refs = collectRefsF(x.RHS, refs)
-			refs = append(refs, arrayRef{x.Arr, x.Idx})
-		case ir.AssignI:
-			refs = collectRefsI(x.RHS, refs)
-			refs = append(refs, arrayRef{x.Arr, x.Idx})
-		case ir.SetScalarF:
-			refs = collectRefsF(x.RHS, refs)
-		case ir.SetScalarI:
-			refs = collectRefsI(x.RHS, refs)
-		default:
-			return ReasonUnsupportedBody
-		}
-	}
-	if len(refs) == 0 {
-		return ReasonScalarOnly
-	}
-	for _, r := range refs {
-		var delta int64
-		for d, ix := range r.idx {
-			if hasIndirect(ix) {
-				return ReasonIndirectIndex
-			}
-			coeff, ok := ir.AffineCoeff(ix, l.Slot, invariant)
-			if !ok {
-				return ReasonNonAffineIndex
-			}
-			if d < len(r.arr.Strides) {
-				delta += coeff * r.arr.Strides[d]
-			}
-		}
-		delta *= l.Step
-		if delta >= pageWords || -delta >= pageWords {
-			return ReasonPageStride
-		}
-	}
-	return ReasonUnsupportedBody
-}
-
-type arrayRef struct {
-	arr *ir.Array
-	idx []ir.IExpr
-}
-
-func collectRefsI(x ir.IExpr, refs []arrayRef) []arrayRef {
-	switch e := x.(type) {
-	case ir.IBin:
-		refs = collectRefsI(e.A, refs)
-		refs = collectRefsI(e.B, refs)
-	case ir.ILoad:
-		for _, ix := range e.Idx {
-			refs = collectRefsI(ix, refs)
-		}
-		refs = append(refs, arrayRef{e.Arr, e.Idx})
-	case ir.IFromF:
-		refs = collectRefsF(e.X, refs)
-	}
-	return refs
-}
-
-func collectRefsF(x ir.FExpr, refs []arrayRef) []arrayRef {
-	switch e := x.(type) {
-	case ir.FLoad:
-		for _, ix := range e.Idx {
-			refs = collectRefsI(ix, refs)
-		}
-		refs = append(refs, arrayRef{e.Arr, e.Idx})
-	case ir.FBin:
-		refs = collectRefsF(e.A, refs)
-		refs = collectRefsF(e.B, refs)
-	case ir.FNeg:
-		refs = collectRefsF(e.X, refs)
-	case ir.FromInt:
-		refs = collectRefsI(e.X, refs)
-	case ir.FCall:
-		for _, a := range e.Args {
-			refs = collectRefsF(a, refs)
-		}
-	}
-	return refs
-}
-
-// hasIndirect reports whether a subscript expression goes through
-// memory or a float conversion anywhere.
-func hasIndirect(x ir.IExpr) bool {
-	switch e := x.(type) {
-	case ir.IBin:
-		return hasIndirect(e.A) || hasIndirect(e.B)
-	case ir.ILoad, ir.IFromF:
-		return true
-	}
-	return false
 }

@@ -11,10 +11,9 @@ import (
 
 // TestNASHintSitesEmitNoClosureCalls compiles every NAS proxy through
 // the full prefetching pipeline and asserts the no-fallback property of
-// the hint lowering: the kernel bytecode's only closure-call slots are
-// page-run span drivers (exactly one per page-run loop report), so
-// every compiler-inserted prefetch/release statement runs as bytecode
-// and none costs an opCall dispatch.
+// the lowering: every loop — page-run loops included — and every
+// compiler-inserted prefetch/release statement runs as bytecode, so the
+// artifact carries no closure-call slot.
 func TestNASHintSitesEmitNoClosureCalls(t *testing.T) {
 	machine := hw.Default()
 	for _, app := range nas.Apps() {
@@ -46,9 +45,11 @@ func TestNASHintSitesEmitNoClosureCalls(t *testing.T) {
 			if hints == 0 {
 				t.Fatal("prefetching compile lowered no hints — assertion is vacuous")
 			}
-			if got := art.CallSites(); got != pageRuns {
-				t.Errorf("CallSites = %d, want %d (one per page-run loop; %d hints must add none)",
-					got, pageRuns, hints)
+			if pageRuns == 0 {
+				t.Error("no page-run loop — the span lowering never engaged")
+			}
+			if got := art.CallSites(); got != 0 {
+				t.Errorf("CallSites = %d, want 0", got)
 			}
 		})
 	}

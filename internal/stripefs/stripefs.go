@@ -103,18 +103,6 @@ func (fs *FS) SetFaults(inj *fault.Injector) {
 // Backends exposes the underlying storage devices (for statistics).
 func (fs *FS) Backends() []disk.Backend { return fs.devs }
 
-// Disks exposes the underlying devices as concrete disks. It panics off
-// the disk tier.
-//
-// Deprecated: use Backends, which works on every storage tier.
-func (fs *FS) Disks() []*disk.Disk {
-	out := make([]*disk.Disk, len(fs.devs))
-	for i, d := range fs.devs {
-		out[i] = d.(*disk.Disk)
-	}
-	return out
-}
-
 // Params returns the hardware parameters the file system was built with.
 func (fs *FS) Params() hw.Params { return fs.p }
 

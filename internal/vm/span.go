@@ -28,59 +28,6 @@ func (v *VM) PageSpanW(addr, n int64) ([]uint64, int64, bool) {
 	return v.pageSpan(addr, n, true)
 }
 
-// HotRunLen counts how many consecutive pages starting at page (moving
-// toward higher pages when backward is false, lower when true) are hot,
-// up to max. It is a pure probe: no marking, no faulting, no time — the
-// executor's nest drivers use it to size a multi-page chunk before
-// acquiring the spans, so a partial run never leaves half-marked pages
-// behind.
-func (v *VM) HotRunLen(page, max int64, backward bool) int64 {
-	var n int64
-	if backward {
-		for n < max && page-n >= 0 && v.pt[page-n].state == hot {
-			n++
-		}
-		return n
-	}
-	last := int64(len(v.pt))
-	for n < max && page+n < last && v.pt[page+n].state == hot {
-		n++
-	}
-	return n
-}
-
-// PageRun acquires npages consecutive pages starting at page as frame
-// word slices, appending one slice per page (ascending page order) to
-// segs and returning the extended buffer. Every page must be hot —
-// callers establish that with HotRunLen and perform no VM call in
-// between — and each is marked referenced (and dirty when write is
-// set), exactly as per-word accesses would mark it. ok=false means some
-// page was not hot; in that case NO page has been marked and the caller
-// must use the per-element path.
-//
-// The pinning contract of PageSpan applies to every returned slice:
-// they alias frame memory and are invalidated by any VM call that can
-// advance simulated time or move pages. Acquire, use, drop.
-func (v *VM) PageRun(page, npages int64, write bool, segs [][]uint64) ([][]uint64, bool) {
-	if npages < 1 || page < 0 || page+npages > int64(len(v.pt)) {
-		return segs, false
-	}
-	for p := page; p < page+npages; p++ {
-		if v.pt[p].state != hot {
-			return segs, false
-		}
-	}
-	for p := page; p < page+npages; p++ {
-		e := &v.pt[p]
-		e.referenced = true
-		if write {
-			e.dirty = true
-		}
-		segs = append(segs, v.frameWords(e.frame))
-	}
-	return segs, true
-}
-
 func (v *VM) pageSpan(addr, n int64, write bool) ([]uint64, int64, bool) {
 	page := addr >> v.pageShift
 	off := (addr & v.pageMask) >> 3

@@ -45,104 +45,3 @@ func TestLoadStoreFast(t *testing.T) {
 		t.Fatalf("LoadI64 after StoreFast = %d, want 7", got)
 	}
 }
-
-// TestHotRunLen checks the pure multi-page probe in both directions.
-func TestHotRunLen(t *testing.T) {
-	_, v := newVM(t, 16, 64)
-	ps := v.Params().PageSize
-	base, _ := v.Alloc("a", 8*ps)
-	pg := v.PageOf(base)
-
-	// Touch pages 0,1,2 and 4 of the region; leave 3 cold.
-	for _, off := range []int64{0, 1, 2, 4} {
-		v.StoreI64(base+off*ps, off)
-	}
-
-	if n := v.HotRunLen(pg, 8, false); n != 3 {
-		t.Fatalf("forward run from page 0 = %d, want 3", n)
-	}
-	if n := v.HotRunLen(pg, 2, false); n != 2 {
-		t.Fatalf("forward run capped at 2 = %d, want 2", n)
-	}
-	if n := v.HotRunLen(pg+3, 8, false); n != 0 {
-		t.Fatalf("run starting on a cold page = %d, want 0", n)
-	}
-	if n := v.HotRunLen(pg+2, 8, true); n != 3 {
-		t.Fatalf("backward run from page 2 = %d, want 3", n)
-	}
-	if n := v.HotRunLen(pg+4, 8, true); n != 1 {
-		t.Fatalf("backward run from isolated page 4 = %d, want 1", n)
-	}
-	// The probe must not mark anything.
-	v.pt[pg].referenced = false
-	v.HotRunLen(pg, 1, false)
-	if v.pt[pg].referenced {
-		t.Fatal("HotRunLen marked a page referenced")
-	}
-}
-
-// TestPageRun checks the batch acquisition: all-hot succeeds with
-// per-page marking, any cold page refuses without marking anything.
-func TestPageRun(t *testing.T) {
-	_, v := newVM(t, 16, 64)
-	ps := v.Params().PageSize
-	pw := ps / 8
-	base, _ := v.Alloc("a", 8*ps)
-	pg := v.PageOf(base)
-
-	for off := int64(0); off < 3; off++ {
-		v.StoreI64(base+off*ps, 100+off)
-	}
-	for p := pg; p < pg+3; p++ {
-		v.pt[p].referenced = false
-		v.pt[p].dirty = false
-	}
-
-	var buf [][]uint64
-	segs, ok := v.PageRun(pg, 3, false, buf[:0])
-	if !ok || len(segs) != 3 {
-		t.Fatalf("PageRun = (%d segs, %v), want (3, true)", len(segs), ok)
-	}
-	for i, seg := range segs {
-		if int64(len(seg)) != pw {
-			t.Fatalf("seg %d has %d words, want %d", i, len(seg), pw)
-		}
-		if got := int64(seg[0]); got != 100+int64(i) {
-			t.Fatalf("seg %d word 0 = %d, want %d", i, got, 100+i)
-		}
-		if !v.pt[pg+int64(i)].referenced {
-			t.Fatalf("page %d not marked referenced", i)
-		}
-		if v.pt[pg+int64(i)].dirty {
-			t.Fatalf("read run marked page %d dirty", i)
-		}
-	}
-
-	// Write run marks dirty.
-	segs, ok = v.PageRun(pg, 2, true, segs[:0])
-	if !ok || !v.pt[pg].dirty || !v.pt[pg+1].dirty {
-		t.Fatalf("write PageRun = %v, dirty = %v/%v, want all true",
-			ok, v.pt[pg].dirty, v.pt[pg+1].dirty)
-	}
-	// Mutations through a segment land in frame memory.
-	segs[1][2] = 999
-	if got := v.LoadI64(base + ps + 16); got != 999 {
-		t.Fatalf("LoadI64 after segment store = %d, want 999", got)
-	}
-
-	// A cold page anywhere in the range refuses and marks nothing.
-	v.pt[pg+2].referenced = false
-	if _, ok := v.PageRun(pg, 4, false, nil); ok {
-		t.Fatal("PageRun succeeded across a cold page")
-	}
-	if v.pt[pg+2].referenced {
-		t.Fatal("failed PageRun marked a page")
-	}
-	// Degenerate and out-of-space ranges refuse.
-	if _, ok := v.PageRun(pg, 0, false, nil); ok {
-		t.Fatal("PageRun succeeded for npages = 0")
-	}
-	if _, ok := v.PageRun(int64(len(v.pt))-1, 2, false, nil); ok {
-		t.Fatal("PageRun succeeded past the end of the address space")
-	}
-}

@@ -329,14 +329,10 @@ func (v *VM) PageOf(addr int64) int64 { return addr >> v.pageShift }
 // crossing, which keeps the per-element fast path cheap.
 func (v *VM) AddUserOps(n int64) { v.pendingUserOps += n }
 
-// AddUserTime charges explicit user-mode time (used by the run-time layer
-// for its bit-vector checks).
-func (v *VM) AddUserTime(t sim.Time) { v.pendingUserOps += int64(t) / int64(v.p.OpTime) }
-
 // AddUserTimeN charges n repetitions of a fixed user-mode cost in one
-// call. The per-repetition truncation matches n separate AddUserTime
-// calls bit for bit, so batched callers stay on the same simulated
-// clock as the loop they replaced.
+// call (the run-time layer's bit-vector checks). Each repetition is
+// truncated to whole operations before the multiply, so a batched caller
+// stays on the same simulated clock as n separate charges.
 func (v *VM) AddUserTimeN(t sim.Time, n int64) {
 	v.pendingUserOps += n * (int64(t) / int64(v.p.OpTime))
 }

@@ -304,14 +304,6 @@ func Table1(w io.Writer) { bench.Table1(w, hw.Default()) }
 // Table2 prints the application descriptions and data-set sizes.
 func Table2(w io.Writer, scale float64) { bench.Table2(w, scale) }
 
-// RunSuite runs the whole suite at the given scale; ratio ≤ 0 uses each
-// app's standard out-of-core ratio.
-//
-// Deprecated: use RunSuiteContext with SuiteOptions.
-func RunSuite(scale, ratio float64, withNoRT bool) ([]*AppResult, error) {
-	return RunSuiteContext(context.Background(), SuiteOptions{Scale: scale, Ratio: ratio, WithNoRT: withNoRT})
-}
-
 // RunSuiteContext runs the whole NAS suite on a worker pool, treating
 // every (app, config-variant) tuple as an independent simulated run.
 // Results come back in the paper's presentation order regardless of
