@@ -58,11 +58,12 @@ test-benchmark:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# The experiment runner, the metrics registry and a shared exec.Artifact
-# bound from several goroutines are the concurrent surfaces; run them
+# The experiment runner, the metrics registry, a shared exec.Artifact
+# bound from several goroutines, the multi-tenant server and the profile
+# recorder/artifact are the concurrent or process-wide surfaces; run them
 # (and the packages they drive) under the race detector.
 race:
-	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/exec/ .
+	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/exec/ ./internal/tenant/ ./internal/profile/ .
 
 # fuzz runs the fault-schedule fuzzer briefly: arbitrary fault profiles
 # through a small kernel, asserting termination and byte-identical
@@ -113,14 +114,17 @@ test-profile:
 # bytecode-vs-oracle differential property (every NAS proxy and example
 # kernel tick-identical with NoFastPath on and off, fault-free and under
 # fault profiles, plus the exec-level unit differentials on page-run
-# loops, nest edge cases and unsafe hint shapes), the structural property
-# that no NAS artifact carries a closure call, the compile-once plan
-# cache (hit/miss/cold tick-identical across NAS × tiers × fault
-# profiles, invalidation by key), and the benchdiff allocs/op gate that
-# holds the zero-alloc write-back path.
+# loops, nest edge cases and unsafe hint shapes), the compile-time
+# rejection table (same error text from both executors), recording on
+# the bytecode (the 8 pinned NAS profile artifacts, per-site counts
+# against a plain-Go replay, no closure tree in a default or recording
+# compile), the structural property that no NAS artifact carries a
+# closure call, the compile-once plan cache (hit/miss/cold tick-identical
+# across NAS × tiers × fault profiles, invalidation by key), and the
+# benchdiff allocs/op gate that holds the zero-alloc write-back path.
 test-exec:
-	$(GO) test ./internal/fault/harness/ -run TestFastPathEquivalence
-	$(GO) test ./internal/exec/ -run 'TestHint|TestFastPath|TestNest|TestArtifact'
+	$(GO) test ./internal/fault/harness/ -run 'TestFastPathEquivalence|TestProfileRecordingPinnedArtifacts'
+	$(GO) test ./internal/exec/ -run 'TestHint|TestFastPath|TestNest|TestArtifact|TestCompile|TestRecording'
 	$(GO) test ./internal/nas/ -run TestNASHintSitesEmitNoClosureCalls -count 1
 	$(GO) test ./internal/core/ -run TestPlanCache -count 1
 	$(GO) test ./cmd/benchdiff/

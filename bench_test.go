@@ -76,7 +76,7 @@ func BenchmarkTable3(b *testing.B) {
 
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := oocp.Fig6(io.Discard, benchScale); err != nil {
+		if err := oocp.Fig6Context(context.Background(), io.Discard, benchScale, oocp.Runner{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func BenchmarkFig6(b *testing.B) {
 
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := oocp.Fig7(io.Discard, benchScale); err != nil {
+		if err := oocp.Fig7Context(context.Background(), io.Discard, benchScale, oocp.Runner{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func BenchmarkFig7(b *testing.B) {
 
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := oocp.Fig8(io.Discard, 4<<20); err != nil {
+		if err := oocp.Fig8Context(context.Background(), io.Discard, 4<<20, oocp.Runner{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func BenchmarkFig8(b *testing.B) {
 
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := oocp.AblateAll(io.Discard, benchScale); err != nil {
+		if err := oocp.AblateAllContext(context.Background(), io.Discard, benchScale, oocp.Runner{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -132,16 +132,10 @@ func AblateSchedulerContext(ctx context.Context, w io.Writer, scale float64, r R
 	return nil
 }
 
-// AblateAll runs the four design-choice ablations DESIGN.md calls out:
-// the two-version-loop extension, the pages-per-block-prefetch
-// parameter, release hints, and disk scheduling.
-func AblateAll(w io.Writer, scale float64) error {
-	return AblateAllContext(context.Background(), w, scale, Runner{})
-}
-
-// AblateAllContext is AblateAll with cancellation and a configurable
-// worker pool. The four ablations print in a fixed order; each fans its
-// own runs out across the pool.
+// AblateAllContext runs the four design-choice ablations DESIGN.md calls
+// out: the two-version-loop extension, the pages-per-block-prefetch
+// parameter, release hints, and disk scheduling. They print in a fixed
+// order; each fans its own runs out across the pool.
 func AblateAllContext(ctx context.Context, w io.Writer, scale float64, r Runner) error {
 	parts := []func(context.Context, io.Writer, float64, Runner) error{
 		AblateTwoVersionContext,

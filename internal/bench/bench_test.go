@@ -200,7 +200,7 @@ func TestFig8Cliff(t *testing.T) {
 		t.Skip("not short")
 	}
 	const mem = 3 << 20
-	pts, err := Fig8Sweep(mem, []float64{0.06, 0.125, 0.5, 1.0})
+	pts, err := Fig8SweepContext(context.Background(), mem, []float64{0.06, 0.125, 0.5, 1.0}, Runner{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,17 +27,11 @@ func runAppJob(ctx context.Context, r Runner, label string, app *nas.App, scale,
 	})
 }
 
-// Fig6 reproduces the in-core experiments: data sets a fraction of
-// memory, cold- and warm-started, original vs prefetching, normalized to
-// the original cold-started case.
-func Fig6(w io.Writer, scale float64) error {
-	return Fig6Context(context.Background(), w, scale, Runner{})
-}
-
-// Fig6Context is Fig6 with cancellation and a configurable worker pool:
-// every (app, cold/warm) pair is an independent job; output is printed
-// in app order after all jobs finish, so it is identical to a serial
-// run.
+// Fig6Context reproduces the in-core experiments: data sets a fraction
+// of memory, cold- and warm-started, original vs prefetching, normalized
+// to the original cold-started case. Every (app, cold/warm) pair is an
+// independent job; output is printed in app order after all jobs finish,
+// so it is identical to a serial run.
 func Fig6Context(ctx context.Context, w io.Writer, scale float64, r Runner) error {
 	const ratio = 0.3
 	apps := nas.Apps()
@@ -78,15 +72,10 @@ func Fig6Context(ctx context.Context, w io.Writer, scale float64, r Runner) erro
 	return nil
 }
 
-// Fig7 reproduces the larger out-of-core sizes: three applications at
-// data ≈ 4–10× memory, where speedups grow slightly because there is more
-// latency to hide.
-func Fig7(w io.Writer, scale float64) error {
-	return Fig7Context(context.Background(), w, scale, Runner{})
-}
-
-// Fig7Context is Fig7 with cancellation and a configurable worker pool:
-// each case's standard-size and larger-size runs are independent jobs.
+// Fig7Context reproduces the larger out-of-core sizes: three
+// applications at data ≈ 4–10× memory, where speedups grow slightly
+// because there is more latency to hide. Each case's standard-size and
+// larger-size runs are independent jobs.
 func Fig7Context(ctx context.Context, w io.Writer, scale float64, r Runner) error {
 	cases := []struct {
 		name  string
@@ -139,15 +128,10 @@ type Fig8Point struct {
 	O, P      sim.Time
 }
 
-// Fig8Sweep runs BUK across problem sizes around the memory cliff on a
-// fixed-size machine (the case-study methodology of §4.3.3).
-func Fig8Sweep(memBytes int64, scales []float64) ([]Fig8Point, error) {
-	return Fig8SweepContext(context.Background(), memBytes, scales, Runner{})
-}
-
-// Fig8SweepContext is Fig8Sweep with cancellation and a configurable
-// worker pool: every problem size is an independent job, and points come
-// back in sweep order.
+// Fig8SweepContext runs BUK across problem sizes around the memory cliff
+// on a fixed-size machine (the case-study methodology of §4.3.3). Every
+// problem size is an independent job, and points come back in sweep
+// order.
 func Fig8SweepContext(ctx context.Context, memBytes int64, scales []float64, r Runner) ([]Fig8Point, error) {
 	app := nas.ByName("BUK")
 	out := make([]Fig8Point, len(scales))
@@ -212,14 +196,10 @@ func Fig8SweepContext(ctx context.Context, memBytes int64, scales []float64, r R
 	return out, nil
 }
 
-// Fig8 prints the BUK case study: execution time across problem sizes on
-// a fixed-memory machine. The original version shows a discontinuity at
-// the memory size; the prefetching version keeps growing linearly.
-func Fig8(w io.Writer, memBytes int64) error {
-	return Fig8Context(context.Background(), w, memBytes, Runner{})
-}
-
-// Fig8Context is Fig8 with cancellation and a configurable worker pool.
+// Fig8Context prints the BUK case study: execution time across problem
+// sizes on a fixed-memory machine. The original version shows a
+// discontinuity at the memory size; the prefetching version keeps growing
+// linearly.
 func Fig8Context(ctx context.Context, w io.Writer, memBytes int64, r Runner) error {
 	fmt.Fprintf(w, "Figure 8: BUK across problem sizes (machine memory fixed at %.1f MB)\n",
 		float64(memBytes)/(1<<20))

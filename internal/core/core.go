@@ -118,7 +118,8 @@ type ProfileSpec struct {
 	// ignored) with observation-only instrumentation, and the recorded
 	// profile is returned in Result.Profile. Recording charges no
 	// simulated operations, so results, times, and statistics are
-	// identical to a plain original run.
+	// identical to a plain original run. It runs on the kernel bytecode,
+	// so combining it with NoFastPath is an error.
 	Record bool
 
 	// Use runs pass 2: the profile is fed to the prefetching compiler
@@ -270,8 +271,8 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 		// Compile-once path: analysis, planning, and bytecode assembly
 		// are shared across runs with identical (machine, program,
 		// options) keys; only VM binding happens per run. Recording runs
-		// bypass the cache — their instrumented closures capture the
-		// recorder and must be rebuilt every time.
+		// bypass the cache — their bytecode feeds this run's recorder, and
+		// one recording per program leaves no traffic to cache.
 		ent, hit := cachedPlan(prog, machine, doPrefetch, cfg.NoFastPath, copts)
 		if ent.err != nil {
 			return nil, fmt.Errorf("core: compile %s: %w", prog.Name, ent.err)

@@ -9,8 +9,9 @@
 // CSE'd, folded, or hoisted out of a loop only when they are trap-free
 // and depend on no slot the loop writes; values bound to registers are
 // dropped at every join point whose dominating instructions might not
-// have executed (loop exits, branch joins). The closure oracle (exec.go)
-// remains the reference semantics.
+// have executed (loop exits, branch joins). The closure oracle
+// (oracle.go) remains the reference semantics; both charge the operation
+// counts of cost.go.
 package exec
 
 import (
@@ -20,6 +21,7 @@ import (
 	"os"
 
 	"repro/internal/ir"
+	"repro/internal/profile"
 )
 
 // kloop is the compile-time context of one bytecode loop being built.
@@ -49,8 +51,9 @@ type kmaps struct {
 }
 
 type kcompiler struct {
-	oc    *compiler
-	shift int64 // page shift, for compile-time page arithmetic
+	shift int64    // page shift, for compile-time page arithmetic
+	err   error    // first statement cost.go rejected
+	prof  *profRec // non-nil in a recording compile (profile.go)
 
 	code    []kinstr
 	buf     *[]kinstr // current emission target (body buffers swap in)
@@ -79,10 +82,10 @@ type kcompiler struct {
 	reports []LoopReport
 }
 
-func newKcompiler(oc *compiler, shift int64) *kcompiler {
+func newKcompiler(shift int64, rec *profile.Recorder) *kcompiler {
 	kc := &kcompiler{
-		oc: oc, shift: shift,
-		nRI: 1, nRF: 1, // ri[0]/rf[0] are permanent zeros
+		shift: shift,
+		nRI:   1, nRF: 1, // ri[0]/rf[0] are permanent zeros
 		kmaps: kmaps{cse: map[uint64]cseEnt{}, cseDep: map[uint64][]int{},
 			bind: map[int]uint16{}, fbind: map[int]uint16{}},
 		iconst: map[int64]uint16{},
@@ -92,16 +95,20 @@ func newKcompiler(oc *compiler, shift int64) *kcompiler {
 		spanNext: -1,
 	}
 	kc.buf = &kc.code
+	if rec != nil {
+		kc.prof = newProfRec(rec)
+	}
 	return kc
 }
 
-// compile lowers body; false means the program exceeded the bytecode's
-// register/table limits and the caller should fall back to the oracle.
-func (kc *kcompiler) compile(body []ir.Stmt) bool {
+// compile lowers body. An error is a statement cost.go rejected; ok false
+// without one means the program exceeded the bytecode's register/table
+// limits and the caller should fall back to the oracle.
+func (kc *kcompiler) compile(body []ir.Stmt) (ok bool, err error) {
 	kc.stmts(body)
 	kc.flush()
-	if kc.oc.err != nil || kc.overflow {
-		return false
+	if kc.err != nil || kc.overflow {
+		return false, kc.err
 	}
 	code := make([]kinstr, 0, len(kc.prelude)+len(kc.code))
 	code = append(code, kc.prelude...)
@@ -111,7 +118,7 @@ func (kc *kcompiler) compile(body []ir.Stmt) bool {
 	code = kc.peephole(kc.peephole(code))
 	kc.code = assemble(code, kc.labels)
 	fuseDotLoop(kc.code)
-	return true
+	return true, nil
 }
 
 func (kc *kcompiler) install(m *Artifact) {
@@ -125,6 +132,9 @@ func (kc *kcompiler) install(m *Artifact) {
 	m.nSubs = kc.nSubs
 	m.pageShift = kc.shift
 	m.reports = kc.reports
+	if kc.prof != nil {
+		m.rec = kc.prof.rec
+	}
 	if os.Getenv("OOC_KDUMP") != "" {
 		h := map[kop]int{}
 		for _, in := range m.code {
@@ -333,7 +343,7 @@ func writtenFSlots(body []ir.Stmt, dst map[int]bool) map[int]bool {
 
 func (kc *kcompiler) stmts(list []ir.Stmt) {
 	for _, s := range list {
-		if kc.oc.err != nil || kc.overflow {
+		if kc.err != nil || kc.overflow {
 			return
 		}
 		kc.stmt(s)
@@ -341,36 +351,26 @@ func (kc *kcompiler) stmts(list []ir.Stmt) {
 }
 
 func (kc *kcompiler) stmt(s ir.Stmt) {
-	oc := kc.oc
+	if l, ok := s.(*ir.Loop); ok {
+		kc.loop(l)
+		return
+	}
+	cost, err := stmtCost(s)
+	if err != nil {
+		kc.err = err
+		return
+	}
+	kc.charge(cost)
 	switch x := s.(type) {
-	case *ir.Loop:
-		kc.loop(x)
 	case ir.AssignF:
-		_, acost := oc.addr(x.Arr, x.Idx)
-		_, rcost := oc.fexpr(x.RHS)
-		if oc.err != nil {
-			return
-		}
-		kc.charge(acost + rcost + costStore)
 		rv := kc.fexpr(x.RHS) // RHS first, exactly like the oracle
-		kc.storeF(x.Arr, x.Idx, rv)
+		kc.access(opStoreF1, opStoreFA, opStoreFS, x.Arr, x.Idx, rv)
 	case ir.AssignI:
-		_, acost := oc.addr(x.Arr, x.Idx)
-		_, rcost := oc.iexpr(x.RHS)
-		if oc.err != nil {
-			return
-		}
-		kc.charge(acost + rcost + costStore)
 		rv := kc.iexpr(x.RHS)
-		kc.storeI(x.Arr, x.Idx, rv)
+		kc.access(opStoreI1, opStoreIA, opStoreIS, x.Arr, x.Idx, rv)
 	case ir.SetScalarF:
 		kc.setScalarF(x)
 	case ir.SetScalarI:
-		_, rcost := oc.iexpr(x.RHS)
-		if oc.err != nil {
-			return
-		}
-		kc.charge(rcost + costArith)
 		r := kc.iexpr(x.RHS)
 		kc.emit(kinstr{op: opSetSlot, a: r, imm: int64(x.Slot)})
 		kc.invalidateSlot(x.Slot)
@@ -383,17 +383,10 @@ func (kc *kcompiler) stmt(s ir.Stmt) {
 		kc.hint(nil, nil, nil, x.Arr, x.Idx, x.Pages)
 	case ir.PrefetchRelease:
 		kc.hint(x.PfArr, x.PfIdx, x.PfPages, x.RelArr, x.RelIdx, x.RelPages)
-	default:
-		oc.fail("unknown statement %T", s)
 	}
 }
 
 func (kc *kcompiler) ifStmt(x ir.If) {
-	_, ccost := kc.oc.bexpr(x.Cond)
-	if kc.oc.err != nil {
-		return
-	}
-	kc.charge(ccost + costArith)
 	lEnd := kc.newLabel()
 	if len(x.Else) == 0 {
 		kc.condJump(x.Cond, lEnd, false)
@@ -431,12 +424,6 @@ func (kc *kcompiler) ifStmt(x ir.If) {
 }
 
 func (kc *kcompiler) setScalarF(x ir.SetScalarF) {
-	oc := kc.oc
-	_, rcost := oc.fexpr(x.RHS)
-	if oc.err != nil {
-		return
-	}
-	kc.charge(rcost + costArith)
 	slot := x.Slot
 	if add, ok := x.RHS.(ir.FBin); ok && add.Op == ir.FAdd {
 		if sc, ok := add.A.(ir.FScalar); ok && sc.Slot == slot {
@@ -467,8 +454,12 @@ func (kc *kcompiler) setScalarF(x ir.SetScalarF) {
 // tryFAccDot recognizes s = s + A[t] * X[C[t]] over 1-D arrays with a
 // pure shared subscript — the sparse dot-product step — and emits the
 // fused kernel. The subscript is evaluated once instead of twice, which
-// is exact because it is pure.
+// is exact because it is pure. A recording compile declines: the three
+// loads need their own observation brackets.
 func (kc *kcompiler) tryFAccDot(slot int, mul ir.FBin) bool {
+	if kc.prof != nil {
+		return false
+	}
 	la, isA := mul.A.(ir.FLoad)
 	lx, isX := mul.B.(ir.FLoad)
 	if !isA || !isX || len(la.Idx) != 1 || len(lx.Idx) != 1 ||
@@ -496,14 +487,9 @@ func (kc *kcompiler) tryFAccDot(slot int, mul ir.FBin) bool {
 // ---- loops ---------------------------------------------------------------
 
 func (kc *kcompiler) loop(l *ir.Loop) {
-	oc := kc.oc
-	if l.Step <= 0 {
-		oc.fail("loop %s has non-positive step %d", l.Var, l.Step)
-		return
-	}
-	_, locost := oc.iexpr(l.Lo)
-	_, hicost := oc.iexpr(l.Hi)
-	if oc.err != nil {
+	head, iter, err := loopCost(l)
+	if err != nil {
+		kc.err = err
 		return
 	}
 	depth := len(kc.loops)
@@ -515,7 +501,7 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 		kc.reports[ri].Driver, kc.reports[ri].Sites = "page-run", len(sites)
 	}
 
-	kc.charge(locost + hicost)
+	kc.charge(head)
 	rh := kc.iexpr(l.Hi) // runtime order: hi before lo, like the oracle
 	rlo := kc.iexpr(l.Lo)
 	rv := kc.iReg()
@@ -543,14 +529,14 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 	var bodyBuf, spanBuf []kinstr
 	saved := kc.buf
 	kc.buf = &bodyBuf
-	kc.pending = costLoop
+	kc.pending = iter
 	kc.stmts(l.Body)
 	kc.flush()
 	lEnd := kc.newLabel()
 	if sites != nil {
 		kc.restore(s0)
 		kc.buf = &spanBuf
-		kc.spanLoop(l, sites, bodyBuf, rv, rh, rlo, lEnd)
+		kc.spanLoop(l, sites, bodyBuf, iter, rv, rh, rlo, lEnd)
 	}
 	kc.buf = saved
 	kc.loops = kc.loops[:depth]

@@ -3,7 +3,7 @@
 // The nest compiler (kcompile.go) lowers the entire program body — outer
 // loops included — into one linear instruction slice. The steady-state
 // cost of an iteration is then a handful of switch dispatches over
-// 32-byte instructions instead of a closure call per IR node, and array
+// 24-byte instructions instead of a closure call per IR node, and array
 // accesses go through the VM's inlinable hot probes (LoadFast/StoreFast)
 // with the ordinary faulting path only on the miss branch.
 //
@@ -13,7 +13,7 @@
 // crossing. The compiler may therefore merge static charges and move
 // them across instructions that cannot fault, but never across one that
 // can — the pending sum every crossing observes must equal the closure
-// interpreter's. The closure tree (exec.go) is the differential oracle
+// interpreter's. The closure tree (oracle.go) is the differential oracle
 // behind Options.NoFastPath, and the harness equivalence suite holds the
 // two executions to identical fingerprints, tick counts, and fault
 // statistics.
@@ -146,6 +146,11 @@ const (
 	opLoadIS
 	opStoreFS // value in rf[dst]
 	opStoreIS // value in ri[dst]
+
+	// profile recording (Options.Profile): the pair brackets one array
+	// access; neither charges anything
+	opProfPre  // e.prof = vm.ProfileSnapshot()
+	opProfPost // rec.Access(site imm, element ri[a], e.prof .. vm.ProfileSnapshot())
 
 	// opLabel is a compile-time jump-target marker (imm = label id). It
 	// survives buffer splicing — positions are only fixed when assemble
@@ -516,6 +521,14 @@ func (m *Machine) runK(e *Env) {
 			s := &e.sites[in.imm]
 			s.span[s.pos] = uint64(ri[in.dst])
 			s.pos += s.delta
+
+		case opProfPre:
+			p := &e.prof
+			p.now, p.faults, p.minor, p.hits = v.ProfileSnapshot()
+		case opProfPost:
+			p := &e.prof
+			now, faults, minor, hits := v.ProfileSnapshot()
+			m.rec.Access(int(in.imm), ri[in.a], p.now, now, faults-p.faults, minor-p.minor, hits-p.hits)
 
 		case opHintPage:
 			li := ri[in.a]

@@ -9,7 +9,7 @@ import (
 // ---- integer expressions -------------------------------------------------
 
 func (kc *kcompiler) iexpr(x ir.IExpr) uint16 {
-	if kc.oc.err != nil || kc.overflow {
+	if kc.overflow {
 		return 0
 	}
 	switch e := x.(type) {
@@ -42,15 +42,16 @@ func (kc *kcompiler) iexpr(x ir.IExpr) uint16 {
 		}
 		return kc.compileIBin(e)
 	case ir.ILoad:
-		return kc.loadI(e.Arr, e.Idx)
+		r := kc.iReg()
+		kc.access(opLoadI1, opLoadIA, opLoadIS, e.Arr, e.Idx, r)
+		return r
 	case ir.IFromF:
 		f := kc.fexpr(e.X)
 		r := kc.iReg()
 		kc.emit(kinstr{op: opIFromF, dst: r, a: f})
 		return r
 	}
-	// the oracle's cost pass has already recorded the failure
-	return 0
+	return 0 // unreachable: stmtCost validated the statement
 }
 
 // lookupCse checks the local table, then hoisted invariants of every
@@ -120,39 +121,17 @@ func (kc *kcompiler) compileHoisted(x ir.IExpr, ctx *kloop) uint16 {
 		a := kc.compileHoisted(e.A, ctx)
 		b := kc.compileHoisted(e.B, ctx)
 		r := kc.iReg()
-		op, ok := ibinOp(e.Op)
-		if !ok {
-			return 0
-		}
-		ctx.hoist = append(ctx.hoist, kinstr{op: op, dst: r, a: a, b: b})
+		ctx.hoist = append(ctx.hoist, kinstr{op: ibinOps[e.Op], dst: r, a: a, b: b})
 		ctx.hoistCse[k] = cseEnt{e: e, r: r}
 		return r
 	}
 	return 0 // unreachable: callers check PureIExpr
 }
 
-func ibinOp(op ir.IBinOp) (kop, bool) {
-	switch op {
-	case ir.IAdd:
-		return opIAdd, true
-	case ir.ISub:
-		return opISub, true
-	case ir.IMul:
-		return opIMul, true
-	case ir.IDiv:
-		return opIDiv, true
-	case ir.IMod:
-		return opIMod, true
-	case ir.IShl:
-		return opIShl, true
-	case ir.IShr:
-		return opIShr, true
-	case ir.IMin:
-		return opIMin, true
-	case ir.IMax:
-		return opIMax, true
-	}
-	return opNop, false
+// ibinOps maps a (validated) integer operator to its opcode.
+var ibinOps = [...]kop{
+	ir.IAdd: opIAdd, ir.ISub: opISub, ir.IMul: opIMul, ir.IDiv: opIDiv, ir.IMod: opIMod,
+	ir.IShl: opIShl, ir.IShr: opIShr, ir.IMin: opIMin, ir.IMax: opIMax,
 }
 
 func (kc *kcompiler) compileIBin(e ir.IBin) uint16 {
@@ -186,19 +165,15 @@ func (kc *kcompiler) compileIBin(e ir.IBin) uint16 {
 	}
 	a := kc.iexpr(e.A)
 	b := kc.iexpr(e.B)
-	op, ok := ibinOp(e.Op)
-	if !ok {
-		return 0 // oracle already failed compilation
-	}
 	r := kc.iReg()
-	kc.emit(kinstr{op: op, dst: r, a: a, b: b})
+	kc.emit(kinstr{op: ibinOps[e.Op], dst: r, a: a, b: b})
 	return r
 }
 
 // ---- float expressions ---------------------------------------------------
 
 func (kc *kcompiler) fexpr(x ir.FExpr) uint16 {
-	if kc.oc.err != nil || kc.overflow {
+	if kc.overflow {
 		return 0
 	}
 	switch e := x.(type) {
@@ -213,7 +188,9 @@ func (kc *kcompiler) fexpr(x ir.FExpr) uint16 {
 		kc.fbind[e.Slot] = r
 		return r
 	case ir.FLoad:
-		return kc.loadF(e.Arr, e.Idx)
+		r := kc.fReg()
+		kc.access(opLoadF1, opLoadFA, opLoadFS, e.Arr, e.Idx, r)
+		return r
 	case ir.FBin:
 		a := kc.fexpr(e.A)
 		b := kc.fexpr(e.B)
@@ -280,9 +257,6 @@ func (kc *kcompiler) fcall(e ir.FCall) uint16 {
 	default:
 		return 0
 	}
-	if len(args) != want {
-		return 0 // arity error already recorded by the oracle pass
-	}
 	in := kinstr{op: op, dst: kc.fReg()}
 	if want >= 1 {
 		in.a = args[0]
@@ -312,80 +286,39 @@ func (kc *kcompiler) linIndexChecked(arr *ir.Array, idx []ir.IExpr) uint16 {
 	return li
 }
 
-// The four accessors below lower one array access. Inside a span body
-// (kspan.go) it is a cursor read or write instead: the subscripts are
-// not evaluated — spanChunk maintains them — and nothing can fault.
-
-func (kc *kcompiler) loadF(arr *ir.Array, idx []ir.IExpr) uint16 {
+// access lowers one array access to or from register reg: op1 is the
+// fused 1-D form, opN the N-D form over a checked linear index. Inside a
+// span body (kspan.go) it is the cursor form opS instead: the subscripts
+// are not evaluated — spanChunk maintains them — and nothing can fault.
+//
+// A recording compile brackets every access the recorder knows with
+// opProfPre and opProfPost. The subscripts (nested instrumented loads and
+// their own brackets included) are evaluated and the charges flushed
+// before opProfPre, so the pair observes exactly the access; opProfPost
+// reads the element index back from the access's own index register —
+// the 1-D subscript or the N-D linear index, (addr−base)/ElemSize either
+// way.
+func (kc *kcompiler) access(op1, opN, opS kop, arr *ir.Array, idx []ir.IExpr, reg uint16) {
 	if kc.spanNext >= 0 {
-		return kc.spanAccess(opLoadFS, kc.fReg())
-	}
-	if len(idx) == 1 && len(arr.Strides) == 1 {
-		ix := kc.iexpr(idx[0])
-		kc.flush()
-		r := kc.fReg()
-		kc.emit(kinstr{op: opLoadF1, dst: r, a: ix, b: uint16(kc.auxFor(arr, 0)),
-			imm: arr.Base, imm2: arr.Dims[0]})
-		return r
-	}
-	li := kc.linIndexChecked(arr, idx)
-	kc.flush()
-	r := kc.fReg()
-	kc.emit(kinstr{op: opLoadFA, dst: r, a: li, imm: arr.Base})
-	return r
-}
-
-func (kc *kcompiler) loadI(arr *ir.Array, idx []ir.IExpr) uint16 {
-	if kc.spanNext >= 0 {
-		return kc.spanAccess(opLoadIS, kc.iReg())
-	}
-	if len(idx) == 1 && len(arr.Strides) == 1 {
-		ix := kc.iexpr(idx[0])
-		kc.flush()
-		r := kc.iReg()
-		kc.emit(kinstr{op: opLoadI1, dst: r, a: ix, b: uint16(kc.auxFor(arr, 0)),
-			imm: arr.Base, imm2: arr.Dims[0]})
-		return r
-	}
-	li := kc.linIndexChecked(arr, idx)
-	kc.flush()
-	r := kc.iReg()
-	kc.emit(kinstr{op: opLoadIA, dst: r, a: li, imm: arr.Base})
-	return r
-}
-
-func (kc *kcompiler) storeF(arr *ir.Array, idx []ir.IExpr, val uint16) {
-	if kc.spanNext >= 0 {
-		kc.spanAccess(opStoreFS, val)
+		kc.spanAccess(opS, reg)
 		return
 	}
+	in := kinstr{op: opN, dst: reg, imm: arr.Base}
 	if len(idx) == 1 && len(arr.Strides) == 1 {
-		ix := kc.iexpr(idx[0])
-		kc.flush()
-		kc.emit(kinstr{op: opStoreF1, dst: val, a: ix, b: uint16(kc.auxFor(arr, 0)),
-			imm: arr.Base, imm2: arr.Dims[0]})
-		return
+		in.op, in.a = op1, kc.iexpr(idx[0])
+		in.b, in.imm2 = uint16(kc.auxFor(arr, 0)), arr.Dims[0]
+	} else {
+		in.a = kc.linIndexChecked(arr, idx)
 	}
-	li := kc.linIndexChecked(arr, idx)
 	kc.flush()
-	kc.emit(kinstr{op: opStoreFA, dst: val, a: li, imm: arr.Base})
-}
-
-func (kc *kcompiler) storeI(arr *ir.Array, idx []ir.IExpr, val uint16) {
-	if kc.spanNext >= 0 {
-		kc.spanAccess(opStoreIS, val)
-		return
+	site, recorded := kc.prof.siteFor(idx)
+	if recorded {
+		kc.emit(kinstr{op: opProfPre})
 	}
-	if len(idx) == 1 && len(arr.Strides) == 1 {
-		ix := kc.iexpr(idx[0])
-		kc.flush()
-		kc.emit(kinstr{op: opStoreI1, dst: val, a: ix, b: uint16(kc.auxFor(arr, 0)),
-			imm: arr.Base, imm2: arr.Dims[0]})
-		return
+	kc.emit(in)
+	if recorded {
+		kc.emit(kinstr{op: opProfPost, a: in.a, imm: int64(site)})
 	}
-	li := kc.linIndexChecked(arr, idx)
-	kc.flush()
-	kc.emit(kinstr{op: opStoreIA, dst: val, a: li, imm: arr.Base})
 }
 
 // ---- conditions ----------------------------------------------------------
@@ -394,7 +327,7 @@ func (kc *kcompiler) storeI(arr *ir.Array, idx []ir.IExpr, val uint16) {
 // exactly when x evaluates to sense, with operand evaluation order and
 // short-circuiting identical to the oracle's && / ||.
 func (kc *kcompiler) condJump(x ir.BExpr, target int, sense bool) {
-	if kc.oc.err != nil || kc.overflow {
+	if kc.overflow {
 		return
 	}
 	switch e := x.(type) {
@@ -431,7 +364,6 @@ func (kc *kcompiler) condJump(x ir.BExpr, target int, sense bool) {
 	case ir.Not:
 		kc.condJump(e.X, target, !sense)
 	}
-	// unknown BExpr: the oracle's cost pass recorded the failure
 }
 
 // ---- hints ---------------------------------------------------------------
@@ -480,23 +412,9 @@ func hintSideSafe(idx []ir.IExpr, pages ir.IExpr) bool {
 func (kc *kcompiler) hint(pfArr *ir.Array, pfIdx []ir.IExpr, pfPages ir.IExpr,
 	relArr *ir.Array, relIdx []ir.IExpr, relPages ir.IExpr) {
 
-	oc := kc.oc
-	cost := int64(costArith)
-	if pfArr != nil {
-		_, _, k := oc.hintRange(pfArr, pfIdx, pfPages)
-		cost += k
-	}
-	if relArr != nil {
-		_, _, k := oc.hintRange(relArr, relIdx, relPages)
-		cost += k
-	}
-	if oc.err != nil {
-		return
-	}
 	if n := len(kc.loops); n > 0 {
 		kc.loops[n-1].hints++
 	}
-	kc.charge(cost)
 	if (pfArr != nil && !hintSideSafe(pfIdx, pfPages)) ||
 		(relArr != nil && !hintSideSafe(relIdx, relPages)) {
 		// Single evaluation not provably exact: replay the oracle's double
@@ -586,7 +504,7 @@ func (kc *kcompiler) hintCount(arr *ir.Array, pages ir.IExpr, rp uint16) uint16 
 // page, the pages expression is evaluated, and the index is evaluated a
 // second time for the count clamp — so every load (and any generator
 // call) in the subscripts executes exactly as many times, in exactly
-// the order, the closure oracle's hintRange would, with identical page
+// the order, the oracle's oracleHintRange would, with identical page
 // touches. Pure subexpressions may still CSE across the two
 // evaluations: re-running them is unobservable.
 func (kc *kcompiler) hintExact(pfArr *ir.Array, pfIdx []ir.IExpr, pfPages ir.IExpr,

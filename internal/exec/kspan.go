@@ -74,7 +74,7 @@ type spanSite struct {
 type spanLoop struct {
 	slot    int
 	step    int64
-	perIter int64 // user ops one iteration of the body charges, costLoop included
+	perIter int64 // user ops one iteration charges: loopCost's iter plus the body's statements
 	sites   []spanSite
 }
 
@@ -92,7 +92,10 @@ type spanWalk struct {
 
 // spanSites decides whether l runs as a page-run loop. It returns the
 // loop's access sites and ReasonSpecialized when it does, and the reason
-// it does not otherwise (with the site numbering left untouched).
+// it does not otherwise (with the site numbering left untouched). A
+// recording compile declines every eligible loop: a span body would lower
+// each reference a second time and batch away the per-access fault
+// attribution the recorder exists for.
 func (kc *kcompiler) spanSites(l *ir.Loop) ([]spanSite, FallbackReason) {
 	sum := ir.Summarize(l)
 	switch {
@@ -126,6 +129,9 @@ func (kc *kcompiler) spanSites(l *ir.Loop) ([]spanSite, FallbackReason) {
 	if len(w.sites) == 0 {
 		w.stop(ReasonScalarOnly) // nothing for a span to batch
 	}
+	if kc.prof != nil {
+		w.stop(ReasonRecording)
+	}
 	if w.reason != ReasonSpecialized {
 		kc.nSites, kc.nSubs = nSites, nSubs
 		return nil, w.reason
@@ -150,7 +156,7 @@ func (w *spanWalk) ref(arr *ir.Array, idx []ir.IExpr, write bool) {
 		}
 	}
 	if len(idx) != len(arr.Strides) {
-		w.stop(ReasonUnsupportedBody) // the cost pass reports the arity error
+		w.stop(ReasonUnsupportedBody) // stmtCost reports the arity error
 		return
 	}
 	if indirect {
@@ -232,7 +238,7 @@ func (w *spanWalk) fexpr(x ir.FExpr) {
 //	elem:   <per-element body>
 //	        SpanSlow   trips left -> elem (short entry) or enter
 //	end:
-func (kc *kcompiler) spanLoop(l *ir.Loop, sites []spanSite, elem []kinstr, rv, rh, rlo uint16, lEnd int) {
+func (kc *kcompiler) spanLoop(l *ir.Loop, sites []spanSite, elem []kinstr, iter int64, rv, rh, rlo uint16, lEnd int) {
 	if len(kc.spans) > 0xFFFF {
 		kc.overflow = true
 		return
@@ -262,7 +268,7 @@ func (kc *kcompiler) spanLoop(l *ir.Loop, sites []spanSite, elem []kinstr, rv, r
 	// lowering left pending is the per-iteration cost spanChunk batches.
 	kc.mark(lSpan)
 	kc.spanNext = sites[0].id
-	kc.pending = costLoop
+	kc.pending = iter
 	kc.stmts(l.Body)
 	perIter := kc.takePending()
 	kc.spanNext = -1

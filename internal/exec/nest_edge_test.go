@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/ir"
+	"repro/internal/profile"
 	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/stripefs"
@@ -385,6 +386,24 @@ func TestNestReports(t *testing.T) {
 		if r.String() == "" {
 			t.Errorf("empty String() for %+v", r)
 		}
+	}
+
+	// A recording compile declines exactly the eligible loop, by name.
+	art, err := Compile(p, hw.Default().PageSize, Options{Profile: profile.NewRecorder(p, hw.Default().PageSize)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, r := range art.Reports() {
+		w := want[k].reason
+		if w == ReasonSpecialized {
+			w = ReasonRecording
+		}
+		if r.Driver != "kernel" || r.Reason != w {
+			t.Errorf("recording report %d = %+v, want kernel/%s", k, r, w)
+		}
+	}
+	if got := ReasonRecording.String(); got != "recording" {
+		t.Errorf("ReasonRecording prints %q", got)
 	}
 
 	// NoFastPath: the whole program is the oracle, nothing to report.

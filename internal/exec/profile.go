@@ -5,13 +5,14 @@ import (
 	"repro/internal/profile"
 )
 
-// profRec wires a profile.Recorder into the closure compiler. Each array
-// reference the compiler visits is matched to the recorder's canonical
-// site enumeration by the identity of its subscript slice — both were
-// built from the same *ir.Program, so every reference node appears in
-// both exactly once. References the enumeration does not know (it
-// mirrors the locality analysis, blind spots included) simply run
-// uninstrumented.
+// profRec wires a profile.Recorder into a recording bytecode compile.
+// Each array reference the compiler lowers (kcompiler.access) is matched
+// to the recorder's canonical site enumeration by the identity of its
+// subscript slice — both were built from the same *ir.Program, so every
+// reference node appears in both exactly once, and a recording compile
+// lowers every reference exactly once (no span bodies, no fused
+// templates). References the enumeration does not know (it mirrors the
+// locality analysis, blind spots included) simply run uninstrumented.
 type profRec struct {
 	rec   *profile.Recorder
 	byIdx map[*ir.IExpr][]int // &idx[0] → site IDs, enumeration order
@@ -31,9 +32,10 @@ func newProfRec(rec *profile.Recorder) *profRec {
 
 // siteFor consumes the site ID for one compiled reference. Structurally
 // identical references sharing one subscript node drain the same queue;
-// their order within it is immaterial because their keys coincide.
+// their order within it is immaterial because their keys coincide. A nil
+// profRec (an ordinary compile) knows no site.
 func (pr *profRec) siteFor(idx []ir.IExpr) (int, bool) {
-	if len(idx) == 0 {
+	if pr == nil || len(idx) == 0 {
 		return 0, false
 	}
 	q := pr.byIdx[&idx[0]]
@@ -42,81 +44,4 @@ func (pr *profRec) siteFor(idx []ir.IExpr) (int, bool) {
 	}
 	pr.byIdx[&idx[0]] = q[1:]
 	return q[0], true
-}
-
-// The wrappers below snapshot the VM's user-time clock and fault-class
-// tallies around the access and hand the deltas to the recorder. They
-// charge no user operations of their own, so an instrumented run is
-// tick-identical to an uninstrumented one. Subscript evaluation happens
-// inside addr(e), before the first snapshot, so nested instrumented
-// loads (a[b[i]]) attribute their own faults to their own sites.
-
-func (pr *profRec) loadF(arr *ir.Array, idx []ir.IExpr, addr iFn) (fFn, bool) {
-	id, ok := pr.siteFor(idx)
-	if !ok {
-		return nil, false
-	}
-	rec := pr.rec
-	base := arr.Base
-	return func(e *Env) float64 {
-		a := addr(e)
-		t0, f0, m0, h0 := e.vm.ProfileSnapshot()
-		v := e.vm.LoadF64(a)
-		t1, f1, m1, h1 := e.vm.ProfileSnapshot()
-		rec.Access(id, (a-base)/ir.ElemSize, t0, t1, f1-f0, m1-m0, h1-h0)
-		return v
-	}, true
-}
-
-func (pr *profRec) loadI(arr *ir.Array, idx []ir.IExpr, addr iFn) (iFn, bool) {
-	id, ok := pr.siteFor(idx)
-	if !ok {
-		return nil, false
-	}
-	rec := pr.rec
-	base := arr.Base
-	return func(e *Env) int64 {
-		a := addr(e)
-		t0, f0, m0, h0 := e.vm.ProfileSnapshot()
-		v := e.vm.LoadI64(a)
-		t1, f1, m1, h1 := e.vm.ProfileSnapshot()
-		rec.Access(id, (a-base)/ir.ElemSize, t0, t1, f1-f0, m1-m0, h1-h0)
-		return v
-	}, true
-}
-
-func (pr *profRec) storeF(arr *ir.Array, idx []ir.IExpr, addr iFn, rhs fFn, cost int64) (stmtFn, bool) {
-	id, ok := pr.siteFor(idx)
-	if !ok {
-		return nil, false
-	}
-	rec := pr.rec
-	base := arr.Base
-	return func(e *Env) {
-		e.vm.AddUserOps(cost)
-		v := rhs(e)
-		a := addr(e)
-		t0, f0, m0, h0 := e.vm.ProfileSnapshot()
-		e.vm.StoreF64(a, v)
-		t1, f1, m1, h1 := e.vm.ProfileSnapshot()
-		rec.Access(id, (a-base)/ir.ElemSize, t0, t1, f1-f0, m1-m0, h1-h0)
-	}, true
-}
-
-func (pr *profRec) storeI(arr *ir.Array, idx []ir.IExpr, addr iFn, rhs iFn, cost int64) (stmtFn, bool) {
-	id, ok := pr.siteFor(idx)
-	if !ok {
-		return nil, false
-	}
-	rec := pr.rec
-	base := arr.Base
-	return func(e *Env) {
-		e.vm.AddUserOps(cost)
-		v := rhs(e)
-		a := addr(e)
-		t0, f0, m0, h0 := e.vm.ProfileSnapshot()
-		e.vm.StoreI64(a, v)
-		t1, f1, m1, h1 := e.vm.ProfileSnapshot()
-		rec.Access(id, (a-base)/ir.ElemSize, t0, t1, f1-f0, m1-m0, h1-h0)
-	}, true
 }

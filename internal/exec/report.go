@@ -40,6 +40,9 @@ const (
 	// ReasonUnsupportedBody: some statement or expression shape outside
 	// the span lowering's straight-line subset.
 	ReasonUnsupportedBody
+	// ReasonRecording: the loop qualifies, but this is a profile-recording
+	// compile (Options.Profile), which observes every access one by one.
+	ReasonRecording
 )
 
 var reasonNames = [...]string{
@@ -53,6 +56,7 @@ var reasonNames = [...]string{
 	ReasonPageStride:      "page-stride",
 	ReasonScalarOnly:      "scalar-only",
 	ReasonUnsupportedBody: "unsupported-body",
+	ReasonRecording:       "recording",
 }
 
 func (r FallbackReason) String() string {
@@ -66,7 +70,7 @@ func (r FallbackReason) String() string {
 type LoopReport struct {
 	Var    string         // induction variable name
 	Depth  int            // 0 = top level
-	Driver string         // "page-run", "kernel", or "closure"
+	Driver string         // "page-run" or "kernel"
 	Reason FallbackReason // why not page-run, when Driver != "page-run"
 	Sites  int            // span-specialized access sites (page-run only)
 

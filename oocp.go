@@ -325,46 +325,32 @@ func Fig5(w io.Writer, rs []*bench.AppResult) { bench.Fig5(w, rs) }
 // Table3 prints the memory activity table.
 func Table3(w io.Writer, rs []*bench.AppResult) { bench.Table3(w, rs) }
 
-// Fig6 runs and prints the in-core experiments.
-func Fig6(w io.Writer, scale float64) error { return bench.Fig6(w, scale) }
-
-// Fig6Context is Fig6 with cancellation and a configurable worker pool.
+// Fig6Context runs and prints the in-core experiments.
 func Fig6Context(ctx context.Context, w io.Writer, scale float64, r Runner) error {
 	return bench.Fig6Context(ctx, w, scale, r)
 }
 
-// Fig7 runs and prints the larger out-of-core experiments.
-func Fig7(w io.Writer, scale float64) error { return bench.Fig7(w, scale) }
-
-// Fig7Context is Fig7 with cancellation and a configurable worker pool.
+// Fig7Context runs and prints the larger out-of-core experiments.
 func Fig7Context(ctx context.Context, w io.Writer, scale float64, r Runner) error {
 	return bench.Fig7Context(ctx, w, scale, r)
 }
 
-// Fig8 runs and prints the BUK case study on a machine with the given
-// memory size.
-func Fig8(w io.Writer, memBytes int64) error { return bench.Fig8(w, memBytes) }
-
-// Fig8Context is Fig8 with cancellation and a configurable worker pool.
+// Fig8Context runs and prints the BUK case study on a machine with the
+// given memory size.
 func Fig8Context(ctx context.Context, w io.Writer, memBytes int64, r Runner) error {
 	return bench.Fig8Context(ctx, w, memBytes, r)
 }
 
-// AblateAll runs the design-choice ablations DESIGN.md calls out: the
-// two-version-loop extension, the pages-per-block-prefetch parameter,
+// AblateAllContext runs the design-choice ablations DESIGN.md calls out:
+// the two-version-loop extension, the pages-per-block-prefetch parameter,
 // release hints, and disk scheduling.
-func AblateAll(w io.Writer, scale float64) error { return bench.AblateAll(w, scale) }
-
-// AblateAllContext is AblateAll with cancellation and a configurable
-// worker pool.
 func AblateAllContext(ctx context.Context, w io.Writer, scale float64, r Runner) error {
 	return bench.AblateAllContext(ctx, w, scale, r)
 }
 
 // ExplainFastPath runs every NAS proxy once at the given scale and
-// prints, per loop, which compiled driver ran it (page-run span driver,
-// linearized kernel bytecode, or the closure oracle) and why the
-// compiler fell back when it did.
+// prints, per loop, which bytecode driver ran it (page-run span loop or
+// plain kernel loop) and why the compiler fell back when it did.
 func ExplainFastPath(w io.Writer, scale float64) error {
 	return bench.ExplainFastPath(w, scale)
 }
