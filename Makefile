@@ -6,10 +6,12 @@ STATICCHECK_VERSION ?= 2025.1.1
 # The benchmark gate covers the observability substrate, the VM hot
 # paths (per-element and page-run), the storage backends' fault-free
 # service cycle, the end-to-end kernel host-time figures (static and
-# profile-guided), the multi-tenant scheduler's steady-state step, and
-# the profile recorder's observation step (the latter two must stay
-# zero-alloc) — regressions here mean the tracer/registry layer, a
-# device engine, the executor fast path, the tenant scheduler, or the
+# profile-guided), the multi-tenant scheduler's steady-state step and a
+# tenant's departure (final write-back plus the output hash, itself
+# gated as BenchmarkHashPages), and the profile recorder's observation
+# step (steady-state step, hash and recorder must stay zero-alloc) —
+# regressions here mean the tracer/registry layer, a device engine, the
+# executor fast path, the tenant scheduler, the output hash, or the
 # pass-1 recorder leaked cost into every simulated event.
 BENCH_PKGS = ./internal/obs ./internal/vm ./internal/disk ./internal/bench ./internal/tenant ./internal/profile
 # -count 3 with benchdiff keeping each benchmark's fastest run damps
@@ -59,7 +61,8 @@ test-benchmark:
 	$(GO) -C benchmark test ./...
 
 # The experiment runner, the metrics registry, a shared exec.Artifact
-# bound from several goroutines, the multi-tenant server and the profile
+# bound from several goroutines, the multi-tenant server (every server
+# adopts from stripefs's process-wide recycler) and the profile
 # recorder/artifact are the concurrent or process-wide surfaces; run them
 # (and the packages they drive) under the race detector.
 race:
@@ -90,11 +93,14 @@ test-backends:
 # test-tenants runs the multi-tenant service gate: scheduler determinism
 # (same mix and seed, byte-identical output), tenant isolation (a
 # tenant's final memory image is identical solo and contended), QoS
-# class ordering, quota fair-share reclaim, admission control, and the
-# solo-server tick-for-tick equivalence with a directly driven VM.
+# class ordering, quota fair-share reclaim, admission control, the
+# solo-server tick-for-tick equivalence with a directly driven VM, and
+# the contract of the output hash every one of those equalities rests on
+# (residency-independent, sensitive to any bit, word swap or page swap,
+# equal to its word-at-a-time definition).
 test-tenants:
 	$(GO) test ./internal/tenant/ -count 1
-	$(GO) test ./internal/vm/ -run 'TestReclaim|TestQuota|TestPool'
+	$(GO) test ./internal/vm/ -run 'TestReclaim|TestQuota|TestPool|TestHash|TestFingerprint'
 	$(GO) test ./cmd/benchdiff/
 
 # test-profile runs the two-pass profile-guided gate: the artifact

@@ -7,8 +7,8 @@
 // with the VM's structural invariants intact after both.
 //
 // "Output" means everything the program computed: every word of the
-// allocated address space (read with cost-free vm.Peek, so resident
-// and paged-out data are both covered) and the scalar environment.
+// allocated address space (read at no simulated cost, so resident and
+// paged-out data are both covered) and the scalar environment.
 package harness
 
 import (
@@ -21,6 +21,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/ir"
 	"repro/internal/nas"
+	"repro/internal/vm"
 )
 
 // Kernel is anything the harness can run: a builder returning a fresh
@@ -141,33 +142,15 @@ func CheckBackendAgainst(k Kernel, spec core.BackendSpec, prof *fault.Profile, c
 	return r, nil
 }
 
-// FNV-1a 64-bit parameters.
-const (
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
-)
-
-func fnvWord(h, w uint64) uint64 {
-	for i := 0; i < 64; i += 8 {
-		h = (h ^ (w >> i & 0xff)) * fnvPrime
-	}
-	return h
-}
-
-// Fingerprint hashes a run's complete observable output with FNV-1a:
-// every 8-byte word of the allocated address space, wherever it
-// currently lives (frame memory or the backing file), then the declared
-// scalar environment (parameters and named scalars) in slot order.
+// Fingerprint hashes a run's complete observable output: every 8-byte
+// word of the allocated address space, wherever it currently lives
+// (vm.Fingerprint), then the declared scalar environment (parameters
+// and named scalars) folded on in slot order.
 // Loop variables are excluded: the prefetch transform strip-mines loops
 // with plan-dependent temporaries, and neither their count nor their
 // exit values are part of the program's observable result.
 func Fingerprint(res *core.Result) uint64 {
-	v := res.VM
-	ps := v.Params().PageSize
-	h := uint64(fnvOffset)
-	for addr, end := int64(0), v.AllocatedPages()*ps; addr < end; addr += 8 {
-		h = fnvWord(h, v.Peek(addr))
-	}
+	h := res.VM.Fingerprint()
 	p := res.Prog
 	slots := make([]int, 0, len(p.Params)+len(p.ScalarsI))
 	for _, prm := range p.Params {
@@ -178,7 +161,7 @@ func Fingerprint(res *core.Result) uint64 {
 	}
 	sort.Ints(slots)
 	for _, s := range slots {
-		h = fnvWord(h, uint64(res.Env.Ints[s]))
+		h = vm.HashWord(h, uint64(res.Env.Ints[s]))
 	}
 	fslots := make([]int, 0, len(p.ScalarsF))
 	for _, s := range p.ScalarsF {
@@ -186,7 +169,7 @@ func Fingerprint(res *core.Result) uint64 {
 	}
 	sort.Ints(fslots)
 	for _, s := range fslots {
-		h = fnvWord(h, math.Float64bits(res.Env.Floats[s]))
+		h = vm.HashWord(h, math.Float64bits(res.Env.Floats[s]))
 	}
 	return h
 }

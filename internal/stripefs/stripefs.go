@@ -52,6 +52,10 @@ type FS struct {
 	freeSubReqs  *subReq
 	freeWriteOps *writeOp
 	freePageBufs [][]uint64
+	// slab is the unissued rest of the last slabPages-page allocation:
+	// with the free list empty, a page buffer is a slice of it rather
+	// than its own allocation.
+	slab []uint64
 
 	// Degradation accounting under fault injection. Cold path: these only
 	// move when a disk request exhausts its retry policy.
@@ -141,11 +145,12 @@ func (fs *FS) adopt() {
 	recycleMu.Unlock()
 }
 
-// Recycle donates the file system's request-object free lists to a
-// package-level stash for the next FS to adopt. Call it when a run is
-// over and all I/O has drained; the FS remains usable afterwards (its
-// pools are simply empty). Live requests are never on a free list, so
-// nothing shared escapes.
+// Recycle donates the file system's request-object free lists, and the
+// unissued tail of its page-buffer slab, to a package-level stash for
+// the next FS to adopt. Call it when a run is over and all I/O has
+// drained; the FS remains usable afterwards (its pools are simply
+// empty). Live requests are never on a free list, so nothing shared
+// escapes.
 func (fs *FS) Recycle() {
 	recycleMu.Lock()
 	if fs.freeSubReqs != nil {
@@ -172,8 +177,11 @@ func (fs *FS) Recycle() {
 		tail.next = recycled.writeOps
 		recycled.writeOps, fs.freeWriteOps = fs.freeWriteOps, nil
 	}
+	pw := fs.p.PageSize / 8
+	for ; int64(len(fs.slab)) >= pw; fs.slab = fs.slab[pw:] {
+		fs.freePageBufs = append(fs.freePageBufs, fs.slab[:pw:pw])
+	}
 	if len(fs.freePageBufs) > 0 {
-		pw := fs.p.PageSize / 8
 		if recycled.pageWords != pw {
 			recycled.pageBufs, recycled.pageWords = nil, pw
 		}
@@ -243,13 +251,22 @@ func (fs *FS) putWriteOp(w *writeOp) {
 	fs.freeWriteOps = w
 }
 
+// slabPages is how many page buffers one allocation yields.
+const slabPages = 64
+
 func (fs *FS) getPageBuf() []uint64 {
 	if n := len(fs.freePageBufs); n > 0 {
 		buf := fs.freePageBufs[n-1]
 		fs.freePageBufs = fs.freePageBufs[:n-1]
 		return buf
 	}
-	return make([]uint64, fs.p.PageSize/8)
+	pw := int(fs.p.PageSize / 8)
+	if len(fs.slab) < pw {
+		fs.slab = make([]uint64, slabPages*pw)
+	}
+	buf := fs.slab[:pw:pw]
+	fs.slab = fs.slab[pw:]
+	return buf
 }
 
 func (fs *FS) putPageBuf(buf []uint64) {

@@ -1,6 +1,7 @@
 package stripefs
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -273,5 +274,54 @@ func TestWriteReadRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPageBufSlab: with the free list empty, page buffers are carved out
+// of 64-page slabs — first write-backs cost one allocation per slab, not
+// per page — and no buffer can reach its neighbour; Recycle hands the
+// slab's unissued tail to the next FS.
+func TestPageBufSlab(t *testing.T) {
+	c, fs := newFS()
+	fs.Recycle() // start from an empty free list, whatever earlier tests left
+	fs.freePageBufs, fs.slab = nil, nil
+	recycleMu.Lock()
+	recycled.pageBufs = nil
+	recycleMu.Unlock()
+
+	const pages = 3*slabPages + 5
+	pw := fs.Params().PageSize / 8
+	f, _ := fs.Create("f", pages)
+	src := fillWords(pw, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for p := int64(0); p < pages; p++ {
+		src[0] = uint64(p) + 1
+		f.Write(p, src, nil)
+		c.Drain() // one write in flight at a time: its writeOp is reused
+	}
+	runtime.ReadMemStats(&after)
+	// 4 slabs, one writeOp with its two bound callbacks, queue growth.
+	if allocs := after.Mallocs - before.Mallocs; allocs > 4+16 {
+		t.Errorf("%d first writes made %d allocations; want one per %d-page slab and a few fixed ones", pages, allocs, slabPages)
+	}
+	for p := int64(0); p < pages; p++ {
+		got := f.PeekPage(p)
+		if int64(len(got)) != pw || int64(cap(got)) != pw {
+			t.Fatalf("page %d buffer has len %d cap %d, want both %d", p, len(got), cap(got), pw)
+		}
+		if got[0] != uint64(p)+1 || got[pw-1] != 0 {
+			t.Fatalf("page %d holds %#x … %#x: slab neighbours overlap", p, got[0], got[pw-1])
+		}
+	}
+	tail := int64(len(fs.slab)) / pw
+	if tail != slabPages-5 {
+		t.Fatalf("slab tail holds %d pages, want %d", tail, slabPages-5)
+	}
+	onList := int64(len(fs.freePageBufs))
+	fs.Recycle()
+	_, next := newFS()
+	if got := int64(len(next.freePageBufs)); got != onList+tail {
+		t.Errorf("next FS adopted %d page buffers, want the %d freed plus the %d-page slab tail", got, onList, tail)
 	}
 }

@@ -197,14 +197,3 @@ func splitmix(x uint64) uint64 {
 func mixValue(old, seed uint64, idx int64) uint64 {
 	return splitmix(old ^ (seed + uint64(idx)*0x2545f4914f6cdd1d))
 }
-
-// fnv64 accumulates FNV-1a over one 64-bit word.
-func fnv64(h, w uint64) uint64 {
-	for i := 0; i < 64; i += 8 {
-		h ^= (w >> i) & 0xff
-		h *= 0x100000001b3
-	}
-	return h
-}
-
-const fnvOffset = 0xcbf29ce484222325

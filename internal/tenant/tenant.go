@@ -502,7 +502,7 @@ func (t *Tenant) publish() {
 // jobs).
 func (s *Server) finish(t *Tenant) {
 	t.vm.Finish()
-	t.fingerprint = t.Fingerprint()
+	t.fingerprint = t.vm.Fingerprint()
 	t.vm.Release(0, t.vm.AllocatedPages())
 	t.vm.FlushUser()
 	t.state = stateFinished
@@ -521,21 +521,6 @@ func (s *Server) finish(t *Tenant) {
 	}
 	s.reserved -= t.Spec.MinFrames
 	s.admitQueued()
-}
-
-// Fingerprint hashes the tenant's entire data region (FNV-1a over every
-// word, wherever it currently lives: frame memory or the backing file).
-// After Finish it is the job's durable result; the isolation gate
-// asserts it is identical solo and contended.
-func (t *Tenant) Fingerprint() uint64 {
-	h := uint64(fnvOffset)
-	pageSize := t.srv.p.PageSize
-	for p := int64(0); p < t.vm.AllocatedPages(); p++ {
-		for w := int64(0); w < pageSize/8; w++ {
-			h = fnv64(h, t.vm.Peek(p*pageSize+w*8))
-		}
-	}
-	return h
 }
 
 // State accessors for tests and the bench surface.

@@ -2,6 +2,8 @@ package tenant
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/hw"
@@ -130,7 +132,6 @@ func TestSoloMatchesDirectDrive(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := newKernel(spec.Kernel, cfg.Seed^splitmix(spec.Seed+0), p.PageSize)
-	h := uint64(fnvOffset)
 	for idx := int64(0); idx < k.total; idx++ {
 		if pfPage, pfN, relPage, relN := k.hints(idx); pfN > 0 || relN > 0 {
 			if pfN == 1 && relN == 0 {
@@ -147,11 +148,7 @@ func TestSoloMatchesDirectDrive(t *testing.T) {
 	v.Release(0, v.AllocatedPages())
 	v.FlushUser()
 	directEnd := clock.Now()
-	for pg := int64(0); pg < v.AllocatedPages(); pg++ {
-		for w := int64(0); w < p.PageSize/8; w++ {
-			h = fnv64(h, v.Peek(pg*p.PageSize+w*8))
-		}
-	}
+	h := v.Fingerprint()
 	clock.Drain()
 
 	if reports[0].Fingerprint != h {
@@ -338,6 +335,73 @@ func TestServerInvariants(t *testing.T) {
 	}
 }
 
+// TestConcurrentServers: servers share no state but stripefs's
+// process-wide recycler, which every NewServer adopts from. Two
+// different mixes run from two goroutines, several servers each, and
+// each finished server donates its free lists the way core.RunContext
+// does, so later servers — on either goroutine — run on request objects
+// and page buffers another server retired. Each must reproduce its
+// sequential run exactly. `make race` runs this under the race detector.
+func TestConcurrentServers(t *testing.T) {
+	mixes := [][]JobSpec{
+		{
+			{Name: "scan", Kernel: KernelSpec{Kind: "scan", Pages: 256, Passes: 2}, QuotaFrames: 40},
+			{Name: "zipf", Kernel: KernelSpec{Kind: "zipf", Pages: 200, Accesses: 600}, Class: 1, QuotaFrames: 40, Seed: 7},
+		},
+		{
+			{Name: "stride", Kernel: KernelSpec{Kind: "stride", Pages: 128, Passes: 2}, Class: 2, HintBudget: 16, Seed: 9},
+			{Name: "scan2", Kernel: KernelSpec{Kind: "scan", Pages: 300}, QuotaFrames: 30, Seed: 5},
+		},
+	}
+	type outcome struct {
+		end     sim.Time
+		reports []Report
+		metrics obs.Snapshot
+	}
+	run := func(mix int) (outcome, error) {
+		s, err := NewServer(Config{Machine: testMachine(96), Seed: uint64(31 + mix), Sched: "qos"})
+		if err != nil {
+			return outcome{}, err
+		}
+		for _, j := range mixes[mix] {
+			if _, err := s.Submit(j); err != nil {
+				return outcome{}, err
+			}
+		}
+		if err := s.Run(); err != nil {
+			return outcome{}, err
+		}
+		s.fs.Recycle()
+		return outcome{s.Clock().Now(), s.Reports(), s.Metrics().Snapshot()}, nil
+	}
+	var want [2]outcome
+	for mix := range want {
+		var err error
+		if want[mix], err = run(mix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for mix := range want {
+		wg.Add(1)
+		go func(mix int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				got, err := run(mix)
+				if err != nil {
+					t.Errorf("mix %d round %d: %v", mix, round, err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[mix]) {
+					t.Errorf("mix %d round %d: concurrent run differs from the sequential one:\n  got  %+v\n  want %+v",
+						mix, round, got.reports, want[mix].reports)
+				}
+			}
+		}(mix)
+	}
+	wg.Wait()
+}
+
 // BenchmarkTenantSteadyState measures the scheduler's hot path — slice
 // dispatch, pool-contended touches, reclaim decisions — with three
 // tenants in steady state. The CI bench gate keeps it allocation-free:
@@ -367,5 +431,40 @@ func BenchmarkTenantSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
+	}
+}
+
+// BenchmarkTenantDeparture measures what a finished job costs the
+// server: one 2048-page tenant (the end-to-end benchmark's size, on its
+// share of a contended pool) from its last access through finish — the
+// final write-back, the output fingerprint over the whole region, frame
+// release and metrics merge. Running the job up to that point is
+// untimed.
+func BenchmarkTenantDeparture(b *testing.B) {
+	const pages = 2048
+	b.ReportAllocs()
+	b.SetBytes(pages * hw.Default().PageSize)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := NewServer(Config{Machine: testMachine(pages / 3), Seed: 5, Sched: "qos"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		t, err := s.Submit(JobSpec{Name: "leaver", Kernel: KernelSpec{Kind: "scan", Pages: pages}, Seed: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for t.idx < t.kern.total {
+			s.Step()
+		}
+		b.StartTimer()
+		s.finish(t)
+		b.StopTimer()
+		if !t.Done() || t.Report().Fingerprint == 0 {
+			b.Fatal("tenant did not depart with a fingerprint")
+		}
+		if err := s.Run(); err != nil { // drain the trailing I/O
+			b.Fatal(err)
+		}
 	}
 }

@@ -93,6 +93,29 @@ func BenchmarkPageRunStore(b *testing.B) {
 	}
 }
 
+// BenchmarkHashPages measures the output hash over a departing tenant's
+// address space — 2048 pages, a quarter still in frames and the rest on
+// the backing file — as MB/s of page contents. It must stay at memory
+// speed and allocation-free: every tenant departure and every harness
+// comparison runs it over the whole space.
+func BenchmarkHashPages(b *testing.B) {
+	const pages = 2048
+	c, v := benchVM(b, pages/4, pages)
+	ps := v.Params().PageSize
+	base, _ := v.Alloc("x", pages*ps)
+	for page := int64(0); page < pages; page++ {
+		v.Store(base+page*ps+page%512*8, uint64(page)+1)
+	}
+	v.Finish()
+	c.Drain()
+	b.SetBytes(pages * ps)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = v.Fingerprint()
+	}
+}
+
 func BenchmarkDemandFaultCycle(b *testing.B) {
 	c, v := benchVM(b, 16, 1024)
 	ps := v.Params().PageSize
