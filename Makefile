@@ -10,7 +10,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 # tenant's departure (final write-back plus the output hash, itself
 # gated as BenchmarkHashPages), and the profile recorder's observation
 # step (steady-state step, hash and recorder must stay zero-alloc) —
-# regressions here mean the tracer/registry layer, a device engine, the
+# regressions here mean the tracer/registry layer, the device engine, the
 # executor fast path, the tenant scheduler, the output hash, or the
 # pass-1 recorder leaked cost into every simulated event.
 BENCH_PKGS = ./internal/obs ./internal/vm ./internal/disk ./internal/bench ./internal/tenant ./internal/profile
@@ -61,12 +61,14 @@ test-benchmark:
 	$(GO) -C benchmark test ./...
 
 # The experiment runner, the metrics registry, a shared exec.Artifact
-# bound from several goroutines, the multi-tenant server (every server
-# adopts from stripefs's process-wide recycler) and the profile
+# bound from several goroutines, the multi-tenant server, stripefs's
+# process-wide recycler itself (every run and every server adopts from
+# it; file systems on all three tiers built, driven and recycled from
+# several goroutines) with the device engine under it, and the profile
 # recorder/artifact are the concurrent or process-wide surfaces; run them
 # (and the packages they drive) under the race detector.
 race:
-	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/exec/ ./internal/tenant/ ./internal/profile/ .
+	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/exec/ ./internal/tenant/ ./internal/stripefs/ ./internal/disk/ ./internal/profile/ .
 
 # fuzz runs the fault-schedule fuzzer briefly: arbitrary fault profiles
 # through a small kernel, asserting termination and byte-identical
@@ -81,8 +83,10 @@ fuzz:
 test-faults:
 	$(GO) test ./internal/fault/... ./internal/disk ./internal/stripefs ./internal/vm ./internal/rt
 
-# test-backends runs the storage-backend suite: the per-tier conformance
-# contract (delivery, faults, stats, zero-alloc fast path), the tier
+# test-backends runs the storage-backend suite: the one device engine's
+# conformance contract under each tier's cost model (delivery, submits
+# from callbacks, faults, stats, zero-alloc fast path; batched and
+# unbatched far memory deliver in the same order), the tier
 # parameter/spec plumbing, and the cross-tier property that every NAS
 # proxy fingerprints identically on disks, NVMe, and far memory.
 test-backends:

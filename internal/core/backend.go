@@ -1,6 +1,6 @@
 // Storage backend selection. A BackendSpec names the storage tier a run
 // executes on and optionally overrides the tier's device parameters; it
-// is the configuration-side face of the disk.Backend API, mirroring how
+// is the configuration-side face of the disk.Device API, mirroring how
 // fault.Profile fronts the fault plane. ParseBackendSpec gives the CLI
 // the same comma-separated key=value syntax as fault.ParseSpec.
 package core
@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/disk"
 	"repro/internal/hw"
 	"repro/internal/sim"
 )
@@ -27,12 +28,13 @@ type BackendSpec struct {
 	// Disks, if positive, sets the number of devices in the array.
 	Disks int
 
-	// Sched selects the disk tier's scheduler: "" or "fcfs" for FCFS,
-	// "elevator" for SCAN, "qos" for class-aware QoS ordering (demand
-	// faults first, then writes, then prefetches by tenant class).
-	// Anything but ""/"fcfs"/"qos" is an error off the disk tier, which
-	// has no positional state to schedule around; "qos" orders by request
-	// kind and class only, so it is meaningful on every tier.
+	// Sched selects the disk tier's scheduler by its disk.SchedulerFor
+	// name: "" or "fcfs" for FCFS, "elevator" for SCAN, "qos" for
+	// class-aware QoS ordering (demand faults first, then writes, then
+	// prefetches by tenant class). Only the disk tier honors it: the
+	// flat tiers have no positional state to schedule around and always
+	// service FCFS. Off the disk tier "elevator" is an error; "qos" is
+	// accepted (tenant mixes pass it whatever the tier) and ignored.
 	Sched string
 
 	// Latency overrides the NVMe tier's command latency.
@@ -51,12 +53,6 @@ type BackendSpec struct {
 	Transfer sim.Time
 }
 
-// Elevator reports whether the spec selects SCAN disk scheduling.
-func (s *BackendSpec) Elevator() bool { return s != nil && s.Sched == "elevator" }
-
-// QoS reports whether the spec selects class-aware QoS scheduling.
-func (s *BackendSpec) QoS() bool { return s != nil && s.Sched == "qos" }
-
 // Validate checks the spec's internal consistency (tier known, scheduler
 // meaningful on the tier, overrides positive where set).
 func (s *BackendSpec) Validate() error {
@@ -67,15 +63,12 @@ func (s *BackendSpec) Validate() error {
 		return fmt.Errorf("core: unknown storage tier %d (want one of %s)",
 			int(s.Tier), strings.Join(hw.TierNames(), ", "))
 	}
-	switch s.Sched {
-	case "", "fcfs", "qos":
-	case "elevator":
-		if s.Tier != hw.TierDisk {
-			return fmt.Errorf("core: scheduler %q is meaningless on tier %s (only the disk tier has an arm to schedule)",
-				s.Sched, s.Tier)
-		}
-	default:
-		return fmt.Errorf("core: unknown scheduler %q (want fcfs, elevator, or qos)", s.Sched)
+	if _, err := disk.SchedulerFor(s.Sched); err != nil {
+		return err
+	}
+	if s.Sched == "elevator" && s.Tier != hw.TierDisk {
+		return fmt.Errorf("core: scheduler %q is meaningless on tier %s (only the disk tier has an arm to schedule)",
+			s.Sched, s.Tier)
 	}
 	if s.Disks < 0 {
 		return fmt.Errorf("core: negative device count %d", s.Disks)
@@ -202,12 +195,10 @@ func ParseBackendSpec(spec string) (BackendSpec, error) {
 			}
 			s.Disks = n
 		case "sched":
-			switch val {
-			case "fcfs", "elevator":
-				s.Sched = val
-			default:
-				return BackendSpec{}, fmt.Errorf("core: unknown scheduler %q (want fcfs or elevator)", val)
+			if _, err := disk.SchedulerFor(val); err != nil {
+				return BackendSpec{}, err
 			}
+			s.Sched = val
 		case "latency":
 			t, err := parseSimDuration(val)
 			if err != nil {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/hw"
 	"repro/internal/sim"
 )
@@ -20,6 +22,8 @@ func TestParseBackendSpec(t *testing.T) {
 		{"farmem", BackendSpec{Tier: hw.TierFarMemory}},
 		{"tier=far-memory", BackendSpec{Tier: hw.TierFarMemory}},
 		{"disk,disks=4,sched=elevator", BackendSpec{Tier: hw.TierDisk, Disks: 4, Sched: "elevator"}},
+		{"disk,sched=qos", BackendSpec{Tier: hw.TierDisk, Sched: "qos"}},
+		{"nvme,sched=qos", BackendSpec{Tier: hw.TierNVMe, Sched: "qos"}}, // accepted, ignored: flat tiers are FCFS
 		{"nvme, latency=90us, parallelism=16", BackendSpec{Tier: hw.TierNVMe, Latency: 90 * sim.Microsecond, Parallelism: 16}},
 		{"tier=farmem,rtt=40us,batch=32,transfer=1500ns", BackendSpec{
 			Tier: hw.TierFarMemory, RTT: 40 * sim.Microsecond, Batch: 32, Transfer: 1500 * sim.Nanosecond}},
@@ -55,6 +59,15 @@ func TestParseBackendSpecErrors(t *testing.T) {
 		if _, err := ParseBackendSpec(spec); err == nil {
 			t.Errorf("ParseBackendSpec(%q) accepted an invalid spec", spec)
 		}
+	}
+	// An unknown scheduler is disk's typed error, from the parser and
+	// from a hand-built spec alike.
+	var unknown *disk.UnknownSchedulerError
+	if _, err := ParseBackendSpec("disk,sched=lifo"); !errors.As(err, &unknown) || unknown.Name != "lifo" {
+		t.Errorf("ParseBackendSpec(sched=lifo) = %v, want *disk.UnknownSchedulerError", err)
+	}
+	if err := (&BackendSpec{Tier: hw.TierDisk, Sched: "lifo"}).Validate(); !errors.As(err, &unknown) {
+		t.Errorf("Validate(Sched: lifo) = %v, want *disk.UnknownSchedulerError", err)
 	}
 	if _, err := ParseBackendSpec("tier=tape"); err == nil || !strings.Contains(err.Error(), "disk, farmem, nvme") {
 		t.Errorf("unknown-tier error does not list the tiers: %v", err)

@@ -229,12 +229,14 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 	if machine.PageSize == 0 {
 		machine = hw.Default()
 	}
+	var mkSched func() disk.Scheduler // nil is FCFS
 	if cfg.Backend != nil {
 		m, err := cfg.Backend.Apply(machine)
 		if err != nil {
 			return nil, err
 		}
 		machine = m
+		mkSched, _ = disk.SchedulerFor(cfg.Backend.Sched) // Apply validated the name
 	}
 	if err := machine.Validate(); err != nil {
 		return nil, err
@@ -308,13 +310,6 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 			panic(r)
 		}
 	}()
-	var mkSched func() disk.Scheduler
-	if cfg.Backend.Elevator() {
-		mkSched = func() disk.Scheduler { return &disk.Elevator{} }
-	}
-	if cfg.Backend.QoS() {
-		mkSched = func() disk.Scheduler { return disk.QoS{} }
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()

@@ -1,109 +1,104 @@
 // Storage backends. The paper's platform is an array of rotating disks,
 // but the prefetching question it studies — when do compiler-inserted
 // hints pay for themselves? — re-appears on every storage tier down to
-// far memory reached over a network (3PO). The Backend interface is the
-// device contract the striped file system programs against; each tier
-// supplies its own implementation with its own CostModel, and the layers
-// above (stripefs, vm, fault injection) are tier-oblivious.
+// far memory reached over a network (3PO). One Device engine (device.go)
+// serves every tier; the tier is a CostModel — the service-time
+// arithmetic plus the shape of one service step — and the layers above
+// (stripefs, vm, fault injection) are tier-oblivious.
 package disk
 
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// Backend is one simulated storage device: a request queue serviced on
-// the simulated clock under a tier-specific cost model. The striped file
-// system holds an array of Backends and stripes file pages across them;
-// everything above the interface is tier-oblivious.
-//
-// The contract every implementation must honor (enforced by the
-// conformance suite in conformance_test.go):
-//
-//   - Delivery: every submitted request resolves through exactly one of
-//     Done or Failed, signalled on the simulated clock, never
-//     re-entrantly from Submit.
-//   - Faults: with an Injector attached, each service attempt consults
-//     fault.Injector.Attempt keyed by the device ID; transient failures
-//     retry under the injector's RetryPolicy, and only an exhausted
-//     policy reaches Failed. A nil Failed means the request must not
-//     fail: the device keeps retrying until the attempt succeeds.
-//     Without an injector no request ever fails.
-//   - Stats: Requests/Pages/BusyTime are monotonically non-decreasing
-//     and published to the metrics registry on every Stats/Utilization
-//     read.
-//   - Allocation: the fault-free steady-state submit/service path
-//     allocates nothing.
-//
-// Timing models differ per tier; data movement does not. Backends only
-// decide when completions fire, so a program's results are identical
-// across tiers by construction — a property the fault harness checks
-// end to end.
-type Backend interface {
-	// ID returns the device's index within its array.
-	ID() int
-	// Submit enqueues a request; completion is signalled via r.Done (or
-	// r.Failed) on the simulated clock.
-	Submit(r Request)
-	// Stats snapshots the device's accumulated statistics, publishing
-	// them to the metrics registry as a side effect.
-	Stats() Stats
-	// SetFaults attaches a fault injector (nil detaches) and adopts its
-	// retry policy.
-	SetFaults(inj *fault.Injector)
-	// Utilization returns the busy fraction of the elapsed simulated
-	// time, publishing statistics like Stats does.
-	Utilization(elapsed sim.Time) float64
-	// QueueLen returns the number of requests waiting (not counting
-	// those in service). The OS consults it to drop prefetch hints when
-	// the device is overloaded.
-	QueueLen() int
-	// Busy reports whether the device is currently servicing a request.
-	Busy() bool
-	// Model returns the device's cost model.
-	Model() CostModel
+// CostModel is a storage tier: the service-time model of its devices
+// and the shape of one service step. It owns whatever positional state
+// the tier needs (a disk arm's cylinder, nothing for flat-latency
+// devices); everything else about a device — queue, faults, retries,
+// statistics, tracing — is the Device engine's and is the same on every
+// tier.
+type CostModel interface {
+	// Name identifies the tier ("disk", "nvme", "farmem"); it is also
+	// the trace category of the device's spans.
+	Name() string
+	// Head returns the positional state a Scheduler orders the queue
+	// around: the arm's cylinder on disks, 0 on the flat tiers.
+	Head() int64
+	// Batch returns the most queued requests one service step takes: 1
+	// for a serial server, the round trip's capacity on far memory.
+	Batch() int
+	// ServiceTime returns the time of one service step carrying batch
+	// (never empty; one request on a serial tier) given the device's
+	// queue depth at dispatch (waiting requests, in-service excluded),
+	// and advances the model's positional state past it.
+	ServiceTime(batch []Request, depth int) sim.Time
+	// Span labels one service step for the trace: the span's name and
+	// its one argument.
+	Span(batch []Request) (name, arg string, val int64)
+	// StepBudget reports who owns the retry budget under fault
+	// injection. False: each request owns its own, and a must-not-fail
+	// request (nil Failed) outlives it, retrying in place. True: the
+	// step owns it — an exhausted step is over, its must-not-fail
+	// requests re-enter the queue head and start a fresh budget with
+	// the next step.
+	StepBudget() bool
 }
 
-// CostModel is a device's service-time model. It owns whatever
-// positional state the tier needs (a disk arm's cylinder, nothing for
-// flat-latency devices) and replaces the seek/rotation arithmetic that
-// used to be hard-coded in Disk.ServiceTime.
-type CostModel interface {
-	// Name identifies the model ("disk", "nvme", "farmem").
-	Name() string
-	// ServiceTime returns the time to service r given the device's
-	// queue depth at dispatch (waiting requests, in-service excluded)
-	// and advances the model's positional state past r.
-	ServiceTime(r Request, depth int) sim.Time
+// serial is the step shape of a tier that serves one request at a time:
+// the step is the request, so the span carries the request's kind and
+// block and the retry budget is the request's.
+type serial struct{}
+
+func (serial) Batch() int { return 1 }
+
+func (serial) Span(batch []Request) (name, arg string, val int64) {
+	return batch[0].Kind.String(), "block", batch[0].Block
 }
+
+func (serial) StepBudget() bool { return false }
 
 // NewBackend builds one storage device of p's tier: a striped-array
-// disk, an NVMe-like flat-latency device, or a far-memory tier. sched is
-// honored only on the disk tier (the other tiers have no positional
-// state to schedule around and service FCFS). Counters register in reg
-// as "disk.<id>.*" whatever the tier — the array index, not the
-// technology, names the device — and serviced requests become spans on
-// track (nil disables).
-func NewBackend(clock *sim.Clock, p hw.Params, id int, sched Scheduler, reg *obs.Registry, track *obs.Track) Backend {
+// disk, an NVMe-like flat-latency device, or a far-memory tier; the
+// tier picks the cost model and nothing else. sched (nil means FCFS) is
+// honored only on the disk tier: the flat tiers have no positional
+// state to schedule around and always service FCFS, whatever sched
+// says — "qos" included. Counters register in reg as "disk.<id>.*"
+// whatever the tier — the array index, not the technology, names the
+// device; nil gets a private registry — and service steps become spans
+// on track (nil disables).
+func NewBackend(clock *sim.Clock, p hw.Params, id int, sched Scheduler, reg *obs.Registry, track *obs.Track) *Device {
+	var cost CostModel
 	switch p.Tier {
 	case hw.TierDisk:
-		return NewObserved(clock, p, id, sched, reg, track)
+		cost = NewDiskCost(p)
 	case hw.TierNVMe:
-		return NewNVMe(clock, p, id, reg, track)
+		cost = NewNVMeCost(p)
 	case hw.TierFarMemory:
-		return NewFarMemory(clock, p, id, reg, track)
+		cost = NewFarMemCost(p)
+	default:
+		panic(fmt.Sprintf("disk: unknown storage tier %v", p.Tier))
 	}
-	panic(fmt.Sprintf("disk: unknown storage tier %v", p.Tier))
+	if p.Tier != hw.TierDisk {
+		sched = nil
+	}
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	d := &Device{clock: clock, p: p, id: id, sched: sched, cost: cost,
+		batch: make([]Request, 0, cost.Batch()), c: newCounters(reg, id), track: track}
+	d.stepDoneFn = d.stepDone
+	return d
 }
 
 // DiskCost is the disk tier's positional service-time model: seek
 // proportional to cylinder distance, half a rotation of latency, and a
 // per-page media transfer. Its positional state is the arm's cylinder.
 type DiskCost struct {
+	serial
 	p       hw.Params
 	headCyl int64
 }
@@ -114,8 +109,8 @@ func NewDiskCost(p hw.Params) *DiskCost { return &DiskCost{p: p} }
 // Name implements CostModel.
 func (m *DiskCost) Name() string { return "disk" }
 
-// HeadCyl returns the arm's current cylinder (the scheduler's input).
-func (m *DiskCost) HeadCyl() int64 { return m.headCyl }
+// Head implements CostModel: the arm's current cylinder.
+func (m *DiskCost) Head() int64 { return m.headCyl }
 
 // At returns the positional service time for a request starting with
 // the head at fromCyl, without moving the arm.
@@ -138,7 +133,8 @@ func (m *DiskCost) At(fromCyl int64, r Request) sim.Time {
 // ServiceTime implements CostModel: the positional cost from the current
 // head position, leaving the arm at the request's last cylinder. Queue
 // depth does not matter to a serial arm.
-func (m *DiskCost) ServiceTime(r Request, depth int) sim.Time {
+func (m *DiskCost) ServiceTime(batch []Request, depth int) sim.Time {
+	r := batch[0]
 	t := m.At(m.headCyl, r)
 	m.headCyl = (r.Block + r.Pages - 1) / m.p.PagesPerCyl
 	return t
@@ -148,6 +144,7 @@ func (m *DiskCost) ServiceTime(r Request, depth int) sim.Time {
 // a fixed command latency that amortizes across the device's internal
 // parallelism as the queue deepens, plus a per-page media transfer.
 type NVMeCost struct {
+	serial
 	p hw.Params
 }
 
@@ -157,11 +154,14 @@ func NewNVMeCost(p hw.Params) *NVMeCost { return &NVMeCost{p: p} }
 // Name implements CostModel.
 func (m *NVMeCost) Name() string { return "nvme" }
 
+// Head implements CostModel: flash has no arm.
+func (m *NVMeCost) Head() int64 { return 0 }
+
 // ServiceTime implements CostModel. A deeper queue lets the device
 // overlap command handling across its internal channels, so the
 // effective per-command latency shrinks with depth (down to
 // latency/parallelism); the media transfer does not amortize.
-func (m *NVMeCost) ServiceTime(r Request, depth int) sim.Time {
+func (m *NVMeCost) ServiceTime(batch []Request, depth int) sim.Time {
 	par := depth + 1 // the request itself counts
 	if par > m.p.NVMeParallelism {
 		par = m.p.NVMeParallelism
@@ -169,14 +169,19 @@ func (m *NVMeCost) ServiceTime(r Request, depth int) sim.Time {
 	if par < 1 {
 		par = 1
 	}
-	return m.p.NVMeLatency/sim.Time(par) + sim.Time(int64(m.p.NVMeTransferPerPage)*r.Pages)
+	return m.p.NVMeLatency/sim.Time(par) + sim.Time(int64(m.p.NVMeTransferPerPage)*batch[0].Pages)
 }
 
-// FarMemCost is the far-memory tier's service-time model: every fetch
-// batch is one network round trip carrying one or more coalesced wire
-// requests. For a single request the cost is the full round trip plus
-// one header plus the wire transfer; the FarMemory device amortizes the
-// round trip by batching queued requests (BatchTime).
+// FarMemCost is the far-memory tier's model, in the style of 3PO's
+// programmed far-memory prefetching: every service step is one network
+// round trip carrying up to NetBatchRequests queued requests. While one
+// round trip is in flight, newly submitted requests accumulate and form
+// the next, so the round-trip latency amortizes across the queue.
+//
+// Under fault injection the network is the device: the round trip, not
+// the request, draws the fault verdict (a lost or browned-out link
+// fails the whole batch) and owns the retry budget, so brownout windows
+// read as network partitions.
 type FarMemCost struct {
 	p hw.Params
 }
@@ -187,17 +192,39 @@ func NewFarMemCost(p hw.Params) *FarMemCost { return &FarMemCost{p: p} }
 // Name implements CostModel.
 func (m *FarMemCost) Name() string { return "farmem" }
 
-// ServiceTime implements CostModel: one round trip carrying one wire
-// request. Queue depth does not change a single request's cost — the
-// device amortizes depth through batching instead.
-func (m *FarMemCost) ServiceTime(r Request, depth int) sim.Time {
-	return m.p.NetRTT + m.p.NetPerRequest + sim.Time(int64(m.p.NetTransferPerPage)*r.Pages)
-}
+// Head implements CostModel: remote memory has no arm.
+func (m *FarMemCost) Head() int64 { return 0 }
 
-// BatchTime returns the cost of one round trip carrying wireReqs
-// coalesced requests moving pages pages in total.
-func (m *FarMemCost) BatchTime(wireReqs int, pages int64) sim.Time {
+// Batch implements CostModel: the round trip's request capacity.
+func (m *FarMemCost) Batch() int { return m.p.NetBatchRequests }
+
+// ServiceTime implements CostModel: one round trip, one header per wire
+// request, and the wire transfer of every page. Requests whose block
+// ranges are contiguous coalesce into a single wire request, so a block
+// prefetch costs one header, not one per page run. Queue depth does not
+// enter — depth is amortized by batching instead.
+func (m *FarMemCost) ServiceTime(batch []Request, depth int) sim.Time {
+	wireReqs, pages, prevEnd := int64(0), int64(0), int64(-1)
+	for i := range batch {
+		r := &batch[i]
+		if r.Block != prevEnd {
+			wireReqs++
+		}
+		prevEnd = r.Block + r.Pages
+		pages += r.Pages
+	}
 	return m.p.NetRTT +
-		sim.Time(int64(m.p.NetPerRequest)*int64(wireReqs)) +
+		sim.Time(int64(m.p.NetPerRequest)*wireReqs) +
 		sim.Time(int64(m.p.NetTransferPerPage)*pages)
 }
+
+// Span implements CostModel: a round trip and the pages it moves.
+func (m *FarMemCost) Span(batch []Request) (name, arg string, val int64) {
+	for i := range batch {
+		val += batch[i].Pages
+	}
+	return "round-trip", "pages", val
+}
+
+// StepBudget implements CostModel: the round trip owns the budget.
+func (m *FarMemCost) StepBudget() bool { return true }

@@ -42,7 +42,7 @@ func BenchmarkBackendFarMem(b *testing.B) { benchBackend(b, hw.TierFarMemory) }
 func BenchmarkFarMemoryBatch16(b *testing.B) {
 	c := sim.NewClock()
 	p := hw.ScaledTier(hw.TierFarMemory, 8<<20)
-	d := NewFarMemory(c, p, 0, nil, nil)
+	d := NewBackend(c, p, 0, nil, nil, nil)
 	done := func() {}
 	for i := int64(0); i < 16; i++ {
 		d.Submit(Request{Block: i, Pages: 1, Kind: PrefetchRead, Done: done})

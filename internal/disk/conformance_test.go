@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -8,8 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-// The backend conformance suite: every Backend implementation must honor
-// the contract documented on the interface — delivery exactly once and
+// The backend conformance suite: the Device engine must honor the
+// contract documented on the type under every tier's cost model — delivery exactly once and
 // never re-entrantly from Submit, fault retries and degradation under
 // the injector's policy, monotonic statistics, determinism, and a
 // zero-allocation fault-free steady state. Each test runs once per
@@ -17,7 +18,7 @@ import (
 
 var conformanceTiers = []hw.Tier{hw.TierDisk, hw.TierNVMe, hw.TierFarMemory}
 
-func newTierBackend(c *sim.Clock, tier hw.Tier) Backend {
+func newTierBackend(c *sim.Clock, tier hw.Tier) *Device {
 	return NewBackend(c, hw.ScaledTier(tier, 8<<20), 0, nil, nil, nil)
 }
 
@@ -68,6 +69,57 @@ func TestConformanceDeliveryExactlyOnce(t *testing.T) {
 		}
 		if s.BusyTime <= 0 {
 			t.Fatal("no busy time accumulated")
+		}
+	})
+}
+
+// A request submitted from inside a Done callback queues behind the
+// step in service — it neither starts service re-entrantly nor disturbs
+// the completions the step still has to deliver — and everything
+// completes exactly once.
+func TestConformanceSubmitFromDone(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tier hw.Tier) {
+		c := sim.NewClock()
+		d := newTierBackend(c, tier)
+		const n = 8
+		var order []int
+		count := make([]int, 2*n)
+		for i := 0; i < n; i++ {
+			i := i
+			d.Submit(Request{Block: int64(i), Pages: 1, Kind: FaultRead, Done: func() {
+				count[i]++
+				order = append(order, i)
+				queued := d.QueueLen()
+				d.Submit(Request{Block: int64(100 + i), Pages: 1, Kind: PrefetchRead, Done: func() {
+					count[n+i]++
+					order = append(order, n+i)
+				}})
+				if !d.Busy() || d.QueueLen() != queued+1 || count[n+i] != 0 {
+					t.Fatalf("request %d submitted from Done did not just queue: busy=%v queue %d→%d done=%d",
+						n+i, d.Busy(), queued, d.QueueLen(), count[n+i])
+				}
+			}})
+		}
+		c.Drain()
+		for i, v := range count {
+			if v != 1 {
+				t.Fatalf("request %d completed %d times", i, v)
+			}
+		}
+		// FCFS on every tier here: the first wave in submission order,
+		// each follow-up behind everything queued before it.
+		for i := 0; i < n; i++ {
+			if order[i] != i {
+				t.Fatalf("completion order %v: first wave out of order", order)
+			}
+		}
+		for pos, id := range order {
+			if id >= n && !slices.Contains(order[:pos], id-n) {
+				t.Fatalf("completion order %v: follow-up %d before its parent", order, id)
+			}
+		}
+		if d.Busy() || d.QueueLen() != 0 || d.Stats().RequestsTotal() != 2*n {
+			t.Fatalf("device not drained: busy=%v queue=%d requests=%d", d.Busy(), d.QueueLen(), d.Stats().RequestsTotal())
 		}
 	})
 }
@@ -240,7 +292,7 @@ func TestConformanceCostModel(t *testing.T) {
 		if tier == hw.TierDisk {
 			return
 		}
-		got := d.Model().ServiceTime(Request{Block: 0, Pages: 1, Kind: FaultRead}, 0)
+		got := d.Model().ServiceTime([]Request{{Block: 0, Pages: 1, Kind: FaultRead}}, 0)
 		if want := p.AvgPageRead(); got != want {
 			t.Fatalf("uncontended page read = %v, want AvgPageRead %v", got, want)
 		}
@@ -253,8 +305,8 @@ func TestConformanceCostModel(t *testing.T) {
 func TestNVMeDepthAmortizesLatency(t *testing.T) {
 	p := hw.ScaledTier(hw.TierNVMe, 8<<20)
 	m := NewNVMeCost(p)
-	shallow := m.ServiceTime(Request{Pages: 1}, 0)
-	deep := m.ServiceTime(Request{Pages: 1}, p.NVMeParallelism+5)
+	shallow := m.ServiceTime([]Request{{Pages: 1}}, 0)
+	deep := m.ServiceTime([]Request{{Pages: 1}}, p.NVMeParallelism+5)
 	if deep >= shallow {
 		t.Fatalf("deep-queue service %v not below shallow %v", deep, shallow)
 	}
@@ -270,9 +322,9 @@ func TestNVMeDepthAmortizesLatency(t *testing.T) {
 func TestFarMemoryBatchingAmortizesRTT(t *testing.T) {
 	p := hw.ScaledTier(hw.TierFarMemory, 8<<20)
 
-	elapsedFor := func(submit func(d *FarMemory, done func())) sim.Time {
+	elapsedFor := func(submit func(d *Device, done func())) sim.Time {
 		c := sim.NewClock()
-		d := NewFarMemory(c, p, 0, nil, nil)
+		d := NewBackend(c, p, 0, nil, nil, nil)
 		submit(d, func() {})
 		c.Drain()
 		return c.Now()
@@ -281,7 +333,7 @@ func TestFarMemoryBatchingAmortizesRTT(t *testing.T) {
 	// 8 contiguous single-page requests submitted together: the first
 	// forms its own round trip, the remaining 7 coalesce into one wire
 	// request in the second.
-	batched := elapsedFor(func(d *FarMemory, done func()) {
+	batched := elapsedFor(func(d *Device, done func()) {
 		for i := int64(0); i < 8; i++ {
 			d.Submit(Request{Block: i, Pages: 1, Kind: PrefetchRead, Done: done})
 		}
@@ -298,7 +350,7 @@ func TestFarMemoryBatchingAmortizesRTT(t *testing.T) {
 	// Batch size is bounded: NetBatchRequests+1 queued requests need two
 	// round trips even when all are contiguous.
 	n := int64(p.NetBatchRequests) + 1
-	over := elapsedFor(func(d *FarMemory, done func()) {
+	over := elapsedFor(func(d *Device, done func()) {
 		d.Submit(Request{Block: 1 << 20, Pages: 1, Kind: FaultRead, Done: done}) // occupy the link
 		for i := int64(0); i < n; i++ {
 			d.Submit(Request{Block: i, Pages: 1, Kind: PrefetchRead, Done: done})
@@ -306,6 +358,66 @@ func TestFarMemoryBatchingAmortizesRTT(t *testing.T) {
 	})
 	if min := 3 * p.NetRTT; over < min {
 		t.Fatalf("overfull queue drained in %v, want at least 3 round trips (%v)", over, min)
+	}
+}
+
+// Far-memory-specific: an unbatched link (NetBatchRequests = 1, every
+// step a batch of one) completes the same request stream exactly once
+// each and in the same delivery order as the default batch size, clean
+// and under faults; only the completion times differ.
+func TestFarMemoryUnbatchedSameDeliveryOrder(t *testing.T) {
+	profiles := map[string]*fault.Profile{
+		"clean": nil,
+		"flaky": {Name: "t", Seed: 21, ReadErrorRate: 0.4, WriteErrorRate: 0.4, SlowRate: 0.2, SlowFactor: 3,
+			Retry: fault.RetryPolicy{MaxAttempts: 64, Timeout: 3600 * sim.Second}},
+		// Exhaustion with nothing allowed to fail: every request takes
+		// the requeue-at-head path until its round trip gets through.
+		"exhausting": {Name: "t", Seed: 5, ReadErrorRate: fault.MaxRate, WriteErrorRate: fault.MaxRate,
+			Retry: fault.RetryPolicy{MaxAttempts: 2, Timeout: sim.Microsecond}},
+	}
+	for name, prof := range profiles {
+		t.Run(name, func(t *testing.T) {
+			run := func(batch int) ([]int, sim.Time) {
+				p := hw.ScaledTier(hw.TierFarMemory, 8<<20)
+				if batch > 0 {
+					p.NetBatchRequests = batch
+				}
+				c := sim.NewClock()
+				d := NewBackend(c, p, 0, nil, nil, nil)
+				if prof != nil {
+					d.SetFaults(fault.NewInjector(*prof, nil, nil))
+				}
+				const n = 60
+				var order []int
+				count := make([]int, n)
+				submit := func(i int) {
+					d.Submit(Request{Block: int64(i * 5 % 97), Pages: int64(1 + i%3), Kind: Kind(i % int(numKinds)),
+						Done: func() { count[i]++; order = append(order, i) }})
+				}
+				for i := 0; i < n/2; i++ {
+					submit(i)
+				}
+				c.Advance(sim.Millisecond) // a second wave lands on a device mid-stream
+				for i := n / 2; i < n; i++ {
+					submit(i)
+				}
+				c.Drain()
+				for i, v := range count {
+					if v != 1 {
+						t.Fatalf("batch=%d: request %d completed %d times", batch, i, v)
+					}
+				}
+				return order, c.Now()
+			}
+			batched, tBatched := run(0)
+			unbatched, tUnbatched := run(1)
+			if !slices.Equal(batched, unbatched) {
+				t.Fatalf("delivery order differs:\n  batched   %v\n  unbatched %v", batched, unbatched)
+			}
+			if prof == nil && tUnbatched <= tBatched {
+				t.Fatalf("unbatched drain %v not slower than batched %v", tUnbatched, tBatched)
+			}
+		})
 	}
 }
 

@@ -1,0 +1,224 @@
+package disk
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/fault"
+	"repro/internal/hw"
+	"repro/internal/obs"
+	"repro/internal/sim"
+)
+
+// Device is one simulated storage device: a request queue served one
+// service step at a time on the simulated clock. What a step is — one
+// request on a disk or NVMe device, one network round trip carrying a
+// batch on far memory — and what it costs come from the tier's
+// CostModel; the queue, the completion path, fault
+// retries and statistics below are the same on every tier. The striped
+// file system holds an array of Devices and stripes file pages across
+// them.
+//
+// The contract (enforced per tier by the conformance suite in
+// conformance_test.go):
+//
+//   - Delivery: every submitted request resolves through exactly one of
+//     Done or Failed, signalled on the simulated clock, never
+//     re-entrantly from Submit. A request submitted from inside a
+//     callback queues behind the step in service.
+//   - Faults: with an Injector attached, each service attempt consults
+//     fault.Injector.Attempt keyed by the device ID — once per step, so
+//     per request on a serial tier and per round trip on far memory —
+//     and transient failures retry in place under the injector's
+//     RetryPolicy with exponential backoff; only an exhausted policy
+//     reaches Failed. A nil Failed means the request must not fail: the
+//     device keeps trying until an attempt succeeds. Without an injector
+//     no request ever fails.
+//   - Stats: Requests/Pages/BusyTime are monotonically non-decreasing
+//     and published to the metrics registry on every Stats/Utilization
+//     read.
+//   - Allocation: the fault-free steady-state submit/service path
+//     allocates nothing.
+//
+// Timing models differ per tier; data movement does not. Devices only
+// decide when completions fire, so a program's results are identical
+// across tiers by construction — a property the fault harness checks
+// end to end.
+type Device struct {
+	clock *sim.Clock
+	p     hw.Params
+	id    int
+	sched Scheduler // nil serves in arrival order
+	cost  CostModel
+
+	busy  bool
+	queue []Request
+	batch []Request // requests of the step in service; cap is the tier's batch size
+	n     Stats
+	c     counters
+	track *obs.Track // service-step spans; nil when tracing is off
+
+	// stepDone bound once at construction: a method value per
+	// completion would allocate on the fault-free path.
+	stepDoneFn func()
+
+	flt   *fault.Injector   // nil injects nothing
+	retry fault.RetryPolicy // normalized; zero value only before SetFaults
+}
+
+// ID returns the device's index within its array.
+func (d *Device) ID() int { return d.id }
+
+// Model returns the device's cost model.
+func (d *Device) Model() CostModel { return d.cost }
+
+// SetFaults attaches a fault injector (nil detaches) and adopts its
+// retry policy. Call before submitting requests; mid-run changes would
+// not be wrong, just hard to reason about.
+func (d *Device) SetFaults(inj *fault.Injector) {
+	d.flt = inj
+	d.retry = inj.Retry()
+}
+
+// Stats returns a snapshot of the device's accumulated statistics,
+// publishing them into the metrics registry as a side effect.
+func (d *Device) Stats() Stats {
+	d.c.publish(&d.n)
+	return d.n
+}
+
+// Utilization returns the fraction of the elapsed simulated time the
+// device was busy, publishing statistics as Stats does.
+func (d *Device) Utilization(elapsed sim.Time) float64 {
+	d.c.publish(&d.n)
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(d.n.BusyTime) / float64(elapsed)
+}
+
+// QueueLen returns the number of requests waiting (not counting those
+// in service). The OS consults it to drop prefetch hints when the
+// device is overloaded.
+func (d *Device) QueueLen() int { return len(d.queue) }
+
+// Busy reports whether a service step is in flight.
+func (d *Device) Busy() bool { return d.busy }
+
+// Submit enqueues a request. Completion is signalled by r.Done (or
+// r.Failed) on the simulated clock; the requests of one step complete
+// together.
+func (d *Device) Submit(r Request) {
+	if r.Pages <= 0 {
+		panic(fmt.Sprintf("%s %d: request for %d pages", d.cost.Name(), d.id, r.Pages))
+	}
+	d.queue = append(d.queue, r)
+	if !d.busy {
+		d.startNext()
+	}
+}
+
+// startNext forms the next service step and starts its first attempt.
+// The scheduler picks the request that leads the step and it moves to
+// the queue head; the step then takes up to the tier's batch size of
+// requests off the head, in arrival order.
+func (d *Device) startNext() {
+	if len(d.queue) == 0 {
+		d.busy = false
+		return
+	}
+	d.busy = true
+	if d.sched != nil {
+		if i := d.sched.Next(d.queue, d.cost.Head(), d.p); i > 0 {
+			r := d.queue[i]
+			copy(d.queue[1:i+1], d.queue[:i])
+			d.queue[0] = r
+		}
+	}
+	n := min(cap(d.batch), len(d.queue))
+	d.batch = append(d.batch, d.queue[:n]...)
+	d.queue = d.queue[:copy(d.queue, d.queue[n:])]
+	for i := range d.batch {
+		r := &d.batch[i]
+		d.n.Requests[r.Kind]++
+		d.n.Pages[r.Kind] += r.Pages
+	}
+	d.attempt(1, d.clock.Now())
+}
+
+// attempt services one try of the step in flight. The step draws one
+// fault verdict (a write verdict if it carries any write); on injected
+// failure it retries in place — the step keeps the device and the next
+// attempt starts after the service time plus exponential backoff —
+// until it succeeds or the retry policy is exhausted (attempt count, or
+// the time budget measured from the first attempt). Backoff delays keep
+// the device busy for scheduling purposes but are idle time, not
+// BusyTime.
+func (d *Device) attempt(attempt int, started sim.Time) {
+	t := d.cost.ServiceTime(d.batch, len(d.queue))
+	var v fault.Verdict
+	if d.flt != nil {
+		write := slices.ContainsFunc(d.batch, func(r Request) bool { return r.Kind == Write })
+		v = d.flt.Attempt(d.id, write, d.clock.Now())
+		if v.Slow > 1 {
+			t = sim.Time(float64(t) * v.Slow)
+		}
+	}
+	d.n.BusyTime += t
+	if d.track != nil { // guard: Span is a call even when untraced
+		name, arg, val := d.cost.Span(d.batch)
+		d.track.SpanArg(name, d.cost.Name(), d.clock.Now(), t, arg, val)
+	}
+	if !v.Fail {
+		d.clock.Schedule(t, d.stepDoneFn)
+		return
+	}
+	backoff := d.retry.Backoff(attempt)
+	overBudget := d.retry.Timeout > 0 && d.clock.Now()+t+backoff-started > d.retry.Timeout
+	if (attempt >= d.retry.MaxAttempts || overBudget) && (d.cost.StepBudget() || d.mayFail()) {
+		d.clock.Schedule(t, d.exhausted)
+		return
+	}
+	d.n.Retries++
+	d.clock.Schedule(t+backoff, func() { d.attempt(attempt+1, started) })
+}
+
+// mayFail reports whether any request of the step in flight has a
+// Failed handler.
+func (d *Device) mayFail() bool {
+	return slices.ContainsFunc(d.batch, func(r Request) bool { return r.Failed != nil })
+}
+
+// stepDone completes every request of the step in flight, in step
+// order, then starts the next step. The batch stays stable during the
+// callbacks: completions may Submit new requests, but the device is
+// still busy, so they only enqueue.
+func (d *Device) stepDone() {
+	for i := range d.batch {
+		if done := d.batch[i].Done; done != nil {
+			done()
+		}
+	}
+	d.batch = d.batch[:0]
+	d.startNext()
+}
+
+// exhausted ends a step whose retry policy ran out: requests that may
+// fail permanently fail to their Failed handler; requests that must not
+// (nil Failed — only a tier whose steps own the budget gets here with
+// any) re-enter the queue head in order, keeping their device and
+// getting a fresh budget with the next step.
+func (d *Device) exhausted() {
+	keep := d.batch[:0]
+	for _, r := range d.batch {
+		if r.Failed != nil {
+			d.n.Failures++
+			r.Failed()
+		} else {
+			keep = append(keep, r)
+		}
+	}
+	d.queue = slices.Insert(d.queue, 0, keep...)
+	d.batch = d.batch[:0]
+	d.startNext()
+}

@@ -1,14 +1,15 @@
-// Package disk models the disks of the experimental platform: a simple
-// but faithful positional service-time model (distance-dependent seek,
-// half-rotation latency, per-page media transfer), per-disk request
-// queues, and pluggable scheduling. As in the paper, the disk scheduler
-// treats prefetch reads exactly like demand (fault) reads.
+// Package disk models the storage devices of the experimental platform:
+// per-device request queues on the simulated clock, pluggable
+// scheduling, and a per-tier service-time model — the paper's disks
+// (distance-dependent seek, half-rotation latency, per-page media
+// transfer), NVMe-like flash, and far memory over a network. As in the
+// paper, the scheduler treats prefetch reads exactly like demand (fault)
+// reads unless a QoS scheduler is asked for.
 package disk
 
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -39,20 +40,20 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Request is one I/O operation against a single disk. Block addresses are
-// disk-local page numbers; Pages contiguous pages are transferred in one
-// media pass. Done, if non-nil, runs at completion time.
+// Request is one I/O operation against a single device. Block addresses
+// are device-local page numbers; Pages contiguous pages are transferred
+// in one media pass. Done, if non-nil, runs at completion time.
 //
-// Under fault injection a service attempt may fail transiently; the disk
-// then retries in place with exponential backoff under its
+// Under fault injection a service attempt may fail transiently; the
+// device then retries in place with exponential backoff under its
 // fault.RetryPolicy. When the policy is exhausted (attempt count or the
-// per-request time budget), Failed, if non-nil, runs instead of Done and
-// the request is over — the layer above decides what a permanent failure
-// means (stripefs requeues demand reads and write-backs, abandons
+// time budget), Failed, if non-nil, runs instead of Done and the request
+// is over — the layer above decides what a permanent failure means
+// (stripefs requeues demand reads and write-backs, abandons
 // prefetches). A nil Failed means the request cannot be allowed to fail:
-// the disk keeps retrying with capped backoff until the attempt
-// succeeds, which terminates because injected failure rates are below
-// fault.MaxRate and brownouts end.
+// the device keeps trying until an attempt succeeds, which terminates
+// because injected failure rates are below fault.MaxRate and brownouts
+// end.
 type Request struct {
 	Block  int64
 	Pages  int64
@@ -68,17 +69,17 @@ type Request struct {
 	Class  Class
 }
 
-// Stats accumulates per-disk activity. The service path increments the
-// plain fields directly (a disk is driven by its run's single simulator
-// goroutine); reading them through Disk.Stats or Disk.Utilization
-// publishes them into the disk's metrics-registry counters
+// Stats accumulates per-device activity. The service path increments the
+// plain fields directly (a device is driven by its run's single simulator
+// goroutine); reading them through Device.Stats or Device.Utilization
+// publishes them into the device's metrics-registry counters
 // ("disk.<id>.requests.<kind>", "disk.<id>.pages.<kind>",
 // "disk.<id>.busy_ns"), so registry snapshots taken after a view read
 // are current.
 type Stats struct {
 	Requests [numKinds]int64 // request count by kind (requeues count anew)
 	Pages    [numKinds]int64 // pages moved by kind
-	BusyTime sim.Time        // total time the arm/media was busy
+	BusyTime sim.Time        // total time the arm/media/link was busy
 	Retries  int64           // failed service attempts that were retried
 	Failures int64           // requests permanently failed to their Failed handler
 }
@@ -133,6 +134,30 @@ type Scheduler interface {
 	Name() string
 }
 
+// UnknownSchedulerError reports a scheduler name SchedulerFor does not
+// know.
+type UnknownSchedulerError struct{ Name string }
+
+func (e *UnknownSchedulerError) Error() string {
+	return fmt.Sprintf("disk: unknown scheduler %q (want fcfs, elevator, or qos)", e.Name)
+}
+
+// SchedulerFor maps a scheduler name — "fcfs" (or ""), "elevator",
+// "qos" — to a factory building one scheduler per device (the elevator
+// carries per-device sweep state). It is the one place the names are
+// spelled; an unknown name is an *UnknownSchedulerError.
+func SchedulerFor(name string) (func() Scheduler, error) {
+	switch name {
+	case "", "fcfs":
+		return func() Scheduler { return FCFS{} }, nil
+	case "elevator":
+		return func() Scheduler { return &Elevator{} }, nil
+	case "qos":
+		return func() Scheduler { return QoS{} }, nil
+	}
+	return nil, &UnknownSchedulerError{Name: name}
+}
+
 // FCFS services requests strictly in arrival order.
 type FCFS struct{}
 
@@ -151,8 +176,6 @@ type Elevator struct {
 
 // Next implements Scheduler.
 func (e *Elevator) Next(queue []Request, headCyl int64, p hw.Params) int {
-	best := -1
-	var bestDist int64
 	pick := func(dir bool) int {
 		idx, dist := -1, int64(-1)
 		for i, r := range queue {
@@ -168,15 +191,13 @@ func (e *Elevator) Next(queue []Request, headCyl int64, p hw.Params) int {
 				idx, dist = i, d
 			}
 		}
-		bestDist = dist
 		return idx
 	}
-	best = pick(e.up)
+	best := pick(e.up)
 	if best < 0 {
 		e.up = !e.up
 		best = pick(e.up)
 	}
-	_ = bestDist
 	if best < 0 {
 		best = 0 // unreachable for a non-empty queue, but stay safe
 	}
@@ -185,198 +206,3 @@ func (e *Elevator) Next(queue []Request, headCyl int64, p hw.Params) int {
 
 // Name implements Scheduler.
 func (e *Elevator) Name() string { return "elevator" }
-
-// Disk is one simulated disk: a serial server with a queue. It is the
-// disk-tier Backend; its positional service-time model lives in a
-// DiskCost.
-type Disk struct {
-	clock *sim.Clock
-	p     hw.Params
-	id    int
-	sched Scheduler
-	cost  *DiskCost
-
-	busy    bool
-	queue   []Request
-	n       Stats
-	c       counters
-	track   *obs.Track // service-time spans; nil when tracing is off
-	depthHi int        // high-water queue depth, for diagnostics
-
-	// Fault-free completion state: the disk is a serial server, so one
-	// field holds the in-service request's Done and one bound method
-	// value (created at construction) is scheduled for every completion —
-	// a closure per serviced request would allocate.
-	curDone       func()
-	serviceDoneFn func()
-
-	flt   *fault.Injector   // nil injects nothing
-	retry fault.RetryPolicy // normalized; zero value only before SetFaults
-}
-
-// New returns an idle disk. If sched is nil, FCFS is used. Accounting
-// lands in a private metrics registry and tracing is off; NewObserved
-// shares both with the rest of the system.
-func New(clock *sim.Clock, p hw.Params, id int, sched Scheduler) *Disk {
-	return NewObserved(clock, p, id, sched, nil, nil)
-}
-
-// NewObserved is New with observability sinks attached: the disk's
-// counters register in reg ("disk.<id>.*"; nil gets a private registry)
-// and every serviced request becomes a span on track (nil disables).
-func NewObserved(clock *sim.Clock, p hw.Params, id int, sched Scheduler, reg *obs.Registry, track *obs.Track) *Disk {
-	if sched == nil {
-		sched = FCFS{}
-	}
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	d := &Disk{clock: clock, p: p, id: id, sched: sched, cost: NewDiskCost(p),
-		c: newCounters(reg, id), track: track}
-	d.serviceDoneFn = d.serviceDone
-	return d
-}
-
-// ID returns the disk's index within its array.
-func (d *Disk) ID() int { return d.id }
-
-// Model returns the disk's positional cost model.
-func (d *Disk) Model() CostModel { return d.cost }
-
-// SetFaults attaches a fault injector (nil detaches) and adopts its
-// retry policy. Call before submitting requests; mid-run changes would
-// not be wrong, just hard to reason about.
-func (d *Disk) SetFaults(inj *fault.Injector) {
-	d.flt = inj
-	d.retry = inj.Retry()
-}
-
-// Stats returns a snapshot of the disk's accumulated statistics,
-// publishing them into the metrics registry as a side effect.
-func (d *Disk) Stats() Stats {
-	d.c.publish(&d.n)
-	return d.n
-}
-
-// QueueLen returns the number of requests waiting (not counting the one in
-// service).
-func (d *Disk) QueueLen() int { return len(d.queue) }
-
-// Busy reports whether a request is currently being serviced.
-func (d *Disk) Busy() bool { return d.busy }
-
-// Submit enqueues a request. Completion is signalled by r.Done on the
-// simulated clock.
-func (d *Disk) Submit(r Request) {
-	if r.Pages <= 0 {
-		panic(fmt.Sprintf("disk %d: request for %d pages", d.id, r.Pages))
-	}
-	d.queue = append(d.queue, r)
-	if len(d.queue) > d.depthHi {
-		d.depthHi = len(d.queue)
-	}
-	if !d.busy {
-		d.startNext()
-	}
-}
-
-// ServiceTime returns the positional service time for a request starting
-// with the head at fromCyl: seek proportional to distance, half a rotation
-// of latency, and the media transfer. The arithmetic lives in DiskCost;
-// this form does not move the arm.
-func (d *Disk) ServiceTime(fromCyl int64, r Request) sim.Time {
-	return d.cost.At(fromCyl, r)
-}
-
-func (d *Disk) startNext() {
-	if len(d.queue) == 0 {
-		d.busy = false
-		return
-	}
-	i := d.sched.Next(d.queue, d.cost.HeadCyl(), d.p)
-	r := d.queue[i]
-	d.queue = append(d.queue[:i], d.queue[i+1:]...)
-	d.busy = true
-	d.n.Requests[r.Kind]++
-	d.n.Pages[r.Kind] += r.Pages
-	if d.flt == nil {
-		// Fault-free fast path: service in place so the common case pays
-		// nothing for the retry machinery (no attempt frame, no extra
-		// clock read, no verdict). The cost model advances the arm.
-		t := d.cost.ServiceTime(r, len(d.queue))
-		d.n.BusyTime += t
-		if d.track != nil { // guard: Kind.String is a call even when untraced
-			d.track.SpanArg(r.Kind.String(), "disk", d.clock.Now(), t, "block", r.Block)
-		}
-		d.curDone = r.Done
-		d.clock.Schedule(t, d.serviceDoneFn)
-		return
-	}
-	d.attempt(r, 1, d.clock.Now())
-}
-
-// serviceDone completes the request in service on the fault-free path
-// and starts the next one. The callback is consumed before it runs: it
-// may submit new requests to this disk, which must queue behind the
-// startNext below, not clobber curDone.
-func (d *Disk) serviceDone() {
-	done := d.curDone
-	d.curDone = nil
-	if done != nil {
-		done()
-	}
-	d.startNext()
-}
-
-// attempt services one try of a request. On injected failure it retries
-// in place — the request keeps the disk (a serial server) and the next
-// attempt starts after the positional service time plus exponential
-// backoff — until it succeeds or the retry policy is exhausted (attempt
-// count, or the per-request time budget measured from the first
-// attempt). Backoff delays keep the disk busy for scheduling purposes
-// but are idle time, not BusyTime.
-func (d *Disk) attempt(r Request, attempt int, started sim.Time) {
-	t := d.cost.ServiceTime(r, len(d.queue))
-	v := d.flt.Attempt(d.id, r.Kind == Write, d.clock.Now())
-	if v.Slow > 1 {
-		t = sim.Time(float64(t) * v.Slow)
-	}
-	d.n.BusyTime += t
-	if d.track != nil { // guard: Kind.String is a call even when untraced
-		d.track.SpanArg(r.Kind.String(), "disk", d.clock.Now(), t, "block", r.Block)
-	}
-
-	if !v.Fail {
-		d.clock.Schedule(t, func() {
-			if r.Done != nil {
-				r.Done()
-			}
-			d.startNext()
-		})
-		return
-	}
-	backoff := d.retry.Backoff(attempt)
-	overBudget := d.retry.Timeout > 0 && d.clock.Now()+t+backoff-started > d.retry.Timeout
-	if r.Failed != nil && (attempt >= d.retry.MaxAttempts || overBudget) {
-		d.n.Failures++
-		d.clock.Schedule(t, func() {
-			r.Failed()
-			d.startNext()
-		})
-		return
-	}
-	d.n.Retries++
-	d.clock.Schedule(t+backoff, func() {
-		d.attempt(r, attempt+1, started)
-	})
-}
-
-// Utilization returns the fraction of the elapsed simulated time this disk
-// was busy, publishing the accumulated statistics as Stats does.
-func (d *Disk) Utilization(elapsed sim.Time) float64 {
-	d.c.publish(&d.n)
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(d.n.BusyTime) / float64(elapsed)
-}

@@ -10,9 +10,15 @@ import (
 
 func testParams() hw.Params { return hw.Scaled(8 << 20) }
 
+// newDisk returns an idle disk-tier device with private accounting and
+// tracing off; a nil sched means FCFS.
+func newDisk(c *sim.Clock, p hw.Params, sched Scheduler) *Device {
+	return NewBackend(c, p, 0, sched, nil, nil)
+}
+
 func TestSingleRequestCompletes(t *testing.T) {
 	c := sim.NewClock()
-	d := New(c, testParams(), 0, nil)
+	d := newDisk(c, testParams(), nil)
 	done := false
 	d.Submit(Request{Block: 0, Pages: 1, Kind: FaultRead, Done: func() { done = true }})
 	if !d.Busy() {
@@ -33,19 +39,18 @@ func TestSingleRequestCompletes(t *testing.T) {
 
 func TestServiceTimeComponents(t *testing.T) {
 	p := testParams()
-	c := sim.NewClock()
-	d := New(c, p, 0, nil)
+	d := NewDiskCost(p)
 
 	// Same cylinder: no seek, just rotation/2 + transfer.
-	same := d.ServiceTime(0, Request{Block: 1, Pages: 1})
+	same := d.At(0, Request{Block: 1, Pages: 1})
 	want := p.RotationTime/2 + p.TransferPerPage
 	if same != want {
 		t.Fatalf("same-cylinder service = %v, want %v", same, want)
 	}
 
 	// Far cylinder costs more than near cylinder.
-	near := d.ServiceTime(0, Request{Block: p.PagesPerCyl, Pages: 1})
-	far := d.ServiceTime(0, Request{Block: p.PagesPerCyl * (p.DiskCylinders - 1), Pages: 1})
+	near := d.At(0, Request{Block: p.PagesPerCyl, Pages: 1})
+	far := d.At(0, Request{Block: p.PagesPerCyl * (p.DiskCylinders - 1), Pages: 1})
 	if !(near > same) {
 		t.Fatalf("one-cylinder seek %v not > zero-seek %v", near, same)
 	}
@@ -59,9 +64,9 @@ func TestServiceTimeComponents(t *testing.T) {
 
 func TestMultiPageTransferAmortizesSeek(t *testing.T) {
 	p := testParams()
-	d := New(sim.NewClock(), p, 0, nil)
-	one := d.ServiceTime(0, Request{Block: 100 * p.PagesPerCyl, Pages: 1})
-	four := d.ServiceTime(0, Request{Block: 100 * p.PagesPerCyl, Pages: 4})
+	d := NewDiskCost(p)
+	one := d.At(0, Request{Block: 100 * p.PagesPerCyl, Pages: 1})
+	four := d.At(0, Request{Block: 100 * p.PagesPerCyl, Pages: 4})
 	if four-one != 3*p.TransferPerPage {
 		t.Fatalf("4-page − 1-page = %v, want 3×transfer %v", four-one, 3*p.TransferPerPage)
 	}
@@ -72,7 +77,7 @@ func TestMultiPageTransferAmortizesSeek(t *testing.T) {
 
 func TestFCFSOrder(t *testing.T) {
 	c := sim.NewClock()
-	d := New(c, testParams(), 0, FCFS{})
+	d := newDisk(c, testParams(), FCFS{})
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
@@ -91,7 +96,7 @@ func TestElevatorReducesSeekTime(t *testing.T) {
 	p := testParams()
 	run := func(s Scheduler) sim.Time {
 		c := sim.NewClock()
-		d := New(c, p, 0, s)
+		d := newDisk(c, p, s)
 		// Alternating far/near blocks: pathological for FCFS.
 		blocks := []int64{0, 1900, 10, 1800, 20, 1700, 30, 1600}
 		for _, b := range blocks {
@@ -110,7 +115,7 @@ func TestElevatorReducesSeekTime(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	c := sim.NewClock()
 	p := testParams()
-	d := New(c, p, 0, nil)
+	d := newDisk(c, p, nil)
 	d.Submit(Request{Block: 0, Pages: 1, Kind: FaultRead})
 	c.Drain()
 	busy := d.Stats().BusyTime
@@ -131,7 +136,7 @@ func TestZeroPageRequestPanics(t *testing.T) {
 			t.Fatal("zero-page request did not panic")
 		}
 	}()
-	New(sim.NewClock(), testParams(), 0, nil).Submit(Request{Block: 0, Pages: 0})
+	newDisk(sim.NewClock(), testParams(), nil).Submit(Request{Block: 0, Pages: 0})
 }
 
 func TestKindString(t *testing.T) {
@@ -154,7 +159,7 @@ func TestAllRequestsCompleteProperty(t *testing.T) {
 		if elevator {
 			s = &Elevator{}
 		}
-		d := New(c, p, 0, s)
+		d := newDisk(c, p, s)
 		completed := 0
 		for _, b := range blocks {
 			d.Submit(Request{

@@ -8,10 +8,10 @@ import (
 )
 
 // flakyDisk returns a disk with a transient-error injector attached.
-func flakyDisk(t *testing.T, rate float64, pol fault.RetryPolicy, seed uint64) (*sim.Clock, *Disk) {
+func flakyDisk(t *testing.T, rate float64, pol fault.RetryPolicy, seed uint64) (*sim.Clock, *Device) {
 	t.Helper()
 	c := sim.NewClock()
-	d := New(c, testParams(), 0, nil)
+	d := newDisk(c, testParams(), nil)
 	prof := fault.Profile{
 		Name:          "t",
 		Seed:          seed,
@@ -135,7 +135,7 @@ func TestFaultedDiskDeterministic(t *testing.T) {
 func TestSlowdownStretchesServiceTime(t *testing.T) {
 	elapsed := func(prof fault.Profile) sim.Time {
 		c := sim.NewClock()
-		d := New(c, testParams(), 0, nil)
+		d := newDisk(c, testParams(), nil)
 		if prof.Enabled() {
 			d.SetFaults(fault.NewInjector(prof, nil, nil))
 		}

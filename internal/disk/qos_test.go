@@ -30,7 +30,7 @@ func TestParseClass(t *testing.T) {
 // best-effort regardless of arrival order.
 func TestQoSDemandNeverBehindLowerClassPrefetch(t *testing.T) {
 	c := sim.NewClock()
-	d := New(c, testParams(), 0, QoS{})
+	d := newDisk(c, testParams(), QoS{})
 
 	var order []string
 	mark := func(s string) func() { return func() { order = append(order, s) } }
@@ -60,7 +60,7 @@ func TestQoSDemandNeverBehindLowerClassPrefetch(t *testing.T) {
 // the schedule is deterministic.
 func TestQoSFIFOWithinRank(t *testing.T) {
 	c := sim.NewClock()
-	d := New(c, testParams(), 0, QoS{})
+	d := newDisk(c, testParams(), QoS{})
 
 	var order []string
 	mark := func(s string) func() { return func() { order = append(order, s) } }

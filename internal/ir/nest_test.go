@@ -145,3 +145,49 @@ func TestSummarize(t *testing.T) {
 		t.Fatal("direct induction-variable store missed")
 	}
 }
+
+// TestWalkRefsOrder pins the canonical reference order the locality
+// analysis and the profile's site enumeration share: the written element,
+// then the right-hand side, then the store's own subscripts; a load
+// before the loads inside its subscripts; a condition before its
+// branches; one retained-safe path per loop body.
+func TestWalkRefsOrder(t *testing.T) {
+	_, i, j, s, a, col := nestProgram()
+	inner := For(j, Int(0), Int(4), 1,
+		StoreF(a, []IExpr{LoadI(col, j)}, LoadF(a, LoadI(col, i))),
+	)
+	outer := For(i, Int(0), Int(4), 1,
+		inner,
+		If{
+			Cond: CmpI{Op: Lt, A: LoadI(col, i), B: Int(2)},
+			Then: []Stmt{SetI(s, LoadI(col, Int(1)))},
+			Else: []Stmt{Prefetch{Arr: a}},
+		},
+	)
+	type ref struct {
+		arr   *Array
+		write bool
+		depth int
+	}
+	var got []ref
+	var paths [][]*Loop
+	WalkRefs([]Stmt{outer}, func(arr *Array, idx []IExpr, isWrite bool, path []*Loop) {
+		got = append(got, ref{arr, isWrite, len(path)})
+		paths = append(paths, path)
+	})
+	want := []ref{
+		{a, true, 2}, {a, false, 2}, {col, false, 2}, {col, false, 2}, // store, RHS load, its subscript, store's subscript
+		{col, false, 1}, {col, false, 1}, // condition, then-branch; the hint is not a reference
+	}
+	if len(got) != len(want) {
+		t.Fatalf("walked %d references, want %d: %+v", len(got), len(want), got)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("reference %d = %+v, want %+v", k, got[k], want[k])
+		}
+	}
+	if paths[0][0] != outer || paths[0][1] != inner || paths[4][0] != outer {
+		t.Fatalf("paths not outermost-first: %v", paths)
+	}
+}

@@ -106,7 +106,7 @@ func Analyze(p *ir.Program, pageSize, defaultEstTrip int64) *Analysis {
 		PageSize:       pageSize,
 		DefaultEstTrip: defaultEstTrip,
 	}
-	a.collect(p.Body, nil)
+	ir.WalkRefs(p.Body, a.addRef)
 	a.group()
 	return a
 }
@@ -121,95 +121,12 @@ func knownParams(p *ir.Program) map[int]int64 {
 	return m
 }
 
-// collect walks statements gathering array references.
-func (a *Analysis) collect(stmts []ir.Stmt, path []*ir.Loop) {
-	for _, s := range stmts {
-		switch x := s.(type) {
-		case *ir.Loop:
-			sub := append(append([]*ir.Loop{}, path...), x)
-			a.collect(x.Body, sub)
-		case ir.AssignF:
-			a.addRef(x.Arr, x.Idx, true, path)
-			a.collectF(x.RHS, path)
-			a.collectIdx(x.Idx, path)
-		case ir.AssignI:
-			a.addRef(x.Arr, x.Idx, true, path)
-			a.collectI(x.RHS, path)
-			a.collectIdx(x.Idx, path)
-		case ir.SetScalarF:
-			a.collectF(x.RHS, path)
-		case ir.SetScalarI:
-			a.collectI(x.RHS, path)
-		case ir.If:
-			a.collectB(x.Cond, path)
-			a.collect(x.Then, path)
-			a.collect(x.Else, path)
-		}
-		// Prefetch/Release statements are compiler output, not input refs.
-	}
-}
-
-func (a *Analysis) collectIdx(idx []ir.IExpr, path []*ir.Loop) {
-	for _, e := range idx {
-		a.collectI(e, path)
-	}
-}
-
-func (a *Analysis) collectF(e ir.FExpr, path []*ir.Loop) {
-	switch x := e.(type) {
-	case ir.FLoad:
-		a.addRef(x.Arr, x.Idx, false, path)
-		a.collectIdx(x.Idx, path)
-	case ir.FBin:
-		a.collectF(x.A, path)
-		a.collectF(x.B, path)
-	case ir.FNeg:
-		a.collectF(x.X, path)
-	case ir.FromInt:
-		a.collectI(x.X, path)
-	case ir.FCall:
-		for _, arg := range x.Args {
-			a.collectF(arg, path)
-		}
-	}
-}
-
-func (a *Analysis) collectI(e ir.IExpr, path []*ir.Loop) {
-	switch x := e.(type) {
-	case ir.ILoad:
-		a.addRef(x.Arr, x.Idx, false, path)
-		a.collectIdx(x.Idx, path)
-	case ir.IBin:
-		a.collectI(x.A, path)
-		a.collectI(x.B, path)
-	}
-}
-
-func (a *Analysis) collectB(e ir.BExpr, path []*ir.Loop) {
-	switch x := e.(type) {
-	case ir.CmpI:
-		a.collectI(x.A, path)
-		a.collectI(x.B, path)
-	case ir.CmpF:
-		a.collectF(x.A, path)
-		a.collectF(x.B, path)
-	case ir.And:
-		a.collectB(x.A, path)
-		a.collectB(x.B, path)
-	case ir.Or:
-		a.collectB(x.A, path)
-		a.collectB(x.B, path)
-	case ir.Not:
-		a.collectB(x.X, path)
-	}
-}
-
 func (a *Analysis) addRef(arr *ir.Array, idx []ir.IExpr, isWrite bool, path []*ir.Loop) {
 	r := &Ref{
 		Arr:           arr,
 		Idx:           idx,
 		IsWrite:       isWrite,
-		Path:          append([]*ir.Loop{}, path...),
+		Path:          path,
 		Coeffs:        map[int]int64{},
 		IndirectSlots: map[int]bool{},
 	}

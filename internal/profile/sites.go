@@ -37,100 +37,18 @@ type Site struct {
 }
 
 // SitesOf enumerates a program's array-reference sites in canonical
-// order. The walk mirrors the locality analysis's collect pass exactly —
-// including its blind spots — so site i corresponds 1:1 to the i-th Ref
-// of locality.Analyze on the same program.
+// order: ir.WalkRefs, the walk the locality analysis collects its
+// references with, so site i corresponds 1:1 to the i-th Ref of
+// locality.Analyze on the same program.
 func SitesOf(p *ir.Program) []Site {
 	e := &siteEnum{keys: map[string]int{}}
-	e.stmts(p.Body, nil)
+	ir.WalkRefs(p.Body, e.add)
 	return e.sites
 }
 
 type siteEnum struct {
 	sites []Site
 	keys  map[string]int // base key → occurrences so far
-}
-
-func (e *siteEnum) stmts(stmts []ir.Stmt, path []*ir.Loop) {
-	for _, s := range stmts {
-		switch x := s.(type) {
-		case *ir.Loop:
-			sub := append(append([]*ir.Loop{}, path...), x)
-			e.stmts(x.Body, sub)
-		case ir.AssignF:
-			e.add(x.Arr, x.Idx, true, path)
-			e.fexpr(x.RHS, path)
-			e.idx(x.Idx, path)
-		case ir.AssignI:
-			e.add(x.Arr, x.Idx, true, path)
-			e.iexpr(x.RHS, path)
-			e.idx(x.Idx, path)
-		case ir.SetScalarF:
-			e.fexpr(x.RHS, path)
-		case ir.SetScalarI:
-			e.iexpr(x.RHS, path)
-		case ir.If:
-			e.bexpr(x.Cond, path)
-			e.stmts(x.Then, path)
-			e.stmts(x.Else, path)
-		}
-		// Prefetch/Release statements are compiler output, never input.
-	}
-}
-
-func (e *siteEnum) idx(idx []ir.IExpr, path []*ir.Loop) {
-	for _, ix := range idx {
-		e.iexpr(ix, path)
-	}
-}
-
-func (e *siteEnum) fexpr(x ir.FExpr, path []*ir.Loop) {
-	switch f := x.(type) {
-	case ir.FLoad:
-		e.add(f.Arr, f.Idx, false, path)
-		e.idx(f.Idx, path)
-	case ir.FBin:
-		e.fexpr(f.A, path)
-		e.fexpr(f.B, path)
-	case ir.FNeg:
-		e.fexpr(f.X, path)
-	case ir.FromInt:
-		e.iexpr(f.X, path)
-	case ir.FCall:
-		for _, arg := range f.Args {
-			e.fexpr(arg, path)
-		}
-	}
-}
-
-func (e *siteEnum) iexpr(x ir.IExpr, path []*ir.Loop) {
-	switch i := x.(type) {
-	case ir.ILoad:
-		e.add(i.Arr, i.Idx, false, path)
-		e.idx(i.Idx, path)
-	case ir.IBin:
-		e.iexpr(i.A, path)
-		e.iexpr(i.B, path)
-	}
-}
-
-func (e *siteEnum) bexpr(x ir.BExpr, path []*ir.Loop) {
-	switch b := x.(type) {
-	case ir.CmpI:
-		e.iexpr(b.A, path)
-		e.iexpr(b.B, path)
-	case ir.CmpF:
-		e.fexpr(b.A, path)
-		e.fexpr(b.B, path)
-	case ir.And:
-		e.bexpr(b.A, path)
-		e.bexpr(b.B, path)
-	case ir.Or:
-		e.bexpr(b.A, path)
-		e.bexpr(b.B, path)
-	case ir.Not:
-		e.bexpr(b.X, path)
-	}
 }
 
 func (e *siteEnum) add(arr *ir.Array, idx []ir.IExpr, write bool, path []*ir.Loop) {
@@ -170,6 +88,6 @@ func (e *siteEnum) add(arr *ir.Array, idx []ir.IExpr, write bool, path []*ir.Loo
 		Arr:   arr,
 		Idx:   idx,
 		Write: write,
-		Path:  append([]*ir.Loop{}, path...),
+		Path:  path,
 	})
 }

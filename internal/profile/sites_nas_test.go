@@ -10,8 +10,9 @@ import (
 )
 
 // TestSitesAlignWithLocality is the invariant the whole mode stands on:
-// the canonical enumeration walks the IR in the exact order of the
-// locality analysis's collect pass, so site i corresponds to Refs[i].
+// the canonical enumeration and the locality analysis both collect
+// their references with ir.WalkRefs, one entry per visit, so site i
+// corresponds to Refs[i].
 func TestSitesAlignWithLocality(t *testing.T) {
 	ps := hw.Default().PageSize
 	for _, app := range nas.Apps() {

@@ -4,7 +4,7 @@
 // contiguous device blocks, so sequential access needs no seeks). This
 // mirrors the Hurricane File System configuration used in the paper.
 //
-// The devices are disk.Backends built for the machine's storage tier
+// The devices are disk.Devices built for the machine's storage tier
 // (hw.Params.Tier): the paper's striped disks, NVMe-like flat-latency
 // devices, or a far-memory tier. The layer is tier-oblivious — batching
 // and coalescing live here: Read merges the contiguous pages landing on
@@ -32,7 +32,7 @@ import (
 type FS struct {
 	clock *sim.Clock
 	p     hw.Params
-	devs  []disk.Backend
+	devs  []*disk.Device
 	// next free device-local block on each device (bump allocation:
 	// extents).
 	nextBlock []int64
@@ -105,7 +105,7 @@ func (fs *FS) SetFaults(inj *fault.Injector) {
 }
 
 // Backends exposes the underlying storage devices (for statistics).
-func (fs *FS) Backends() []disk.Backend { return fs.devs }
+func (fs *FS) Backends() []*disk.Device { return fs.devs }
 
 // Params returns the hardware parameters the file system was built with.
 func (fs *FS) Params() hw.Params { return fs.p }

@@ -1,8 +1,10 @@
 package stripefs
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -324,4 +326,69 @@ func TestPageBufSlab(t *testing.T) {
 	if got := int64(len(next.freePageBufs)); got != onList+tail {
 		t.Errorf("next FS adopted %d page buffers, want the %d freed plus the %d-page slab tail", got, onList, tail)
 	}
+}
+
+// TestConcurrentFileSystemsShareRecycler: file systems on every storage
+// tier are built, driven and Recycled from several goroutines at once —
+// the way parallel experiment runs and tenant servers use the package —
+// so each adopts request objects and page buffers another goroutine's
+// file system retired. Every run must read back what it wrote and finish
+// at its tier's sequential time. `make race` runs this under the race
+// detector.
+func TestConcurrentFileSystemsShareRecycler(t *testing.T) {
+	tiers := []hw.Tier{hw.TierDisk, hw.TierNVMe, hw.TierFarMemory}
+	const pages = 96
+	run := func(tier hw.Tier, salt uint64) (sim.Time, error) {
+		c := sim.NewClock()
+		fs := New(c, hw.ScaledTier(tier, 8<<20), nil)
+		defer fs.Recycle()
+		f, err := fs.Create("f", pages)
+		if err != nil {
+			return 0, err
+		}
+		pw := fs.Params().PageSize / 8
+		for p := int64(0); p < pages; p++ {
+			f.Write(p, fillWords(pw, salt+uint64(p)), nil)
+		}
+		c.Drain()
+		got := make([][]uint64, pages)
+		for p := int64(0); p < pages; p += 8 {
+			f.Read(p, 8, disk.PrefetchRead, func(q int64) []uint64 {
+				got[q] = make([]uint64, pw)
+				return got[q]
+			}, nil, nil, nil)
+		}
+		c.Drain()
+		for p := range got {
+			if want := salt + uint64(p); len(got[p]) == 0 || got[p][0] != want || got[p][pw-1] != want {
+				return 0, fmt.Errorf("%v: page %d read back wrong data", tier, p)
+			}
+		}
+		return c.Now(), nil
+	}
+	want := map[hw.Tier]sim.Time{}
+	for _, tier := range tiers {
+		end, err := run(tier, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[tier] = end
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				tier := tiers[(g+round)%len(tiers)]
+				end, err := run(tier, uint64(1000*g+round))
+				if err != nil {
+					t.Error(err)
+				} else if end != want[tier] {
+					t.Errorf("goroutine %d round %d: %v finished at %v, sequentially at %v", g, round, tier, end, want[tier])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

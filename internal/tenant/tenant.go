@@ -1,6 +1,6 @@
 // Package tenant turns the single-run simulator into a long-lived
 // multi-job out-of-core service: N concurrent tenant kernels share one
-// frame pool (vm.Pool) and one disk array (stripefs over disk.Backend),
+// frame pool (vm.Pool) and one disk array (stripefs over disk.Device),
 // under per-tenant residency quotas with fair-share reclaim,
 // prefetch-priority classes (gold / silver / best-effort), and admission
 // control that rejects or queues jobs whose minimum working set the pool
@@ -46,9 +46,11 @@ type Config struct {
 	// SliceOps is the scheduling quantum in kernel accesses; 0 means 64.
 	SliceOps int
 
-	// Sched selects the shared array's request scheduler: "" or "fcfs",
-	// "elevator", or "qos" (class-aware: demand faults first, then
-	// writes, then prefetches by tenant class).
+	// Sched selects the shared array's request scheduler by its
+	// disk.SchedulerFor name: "" or "fcfs", "elevator", or "qos"
+	// (class-aware: demand faults first, then writes, then prefetches
+	// by tenant class). Only a disk-tier Machine honors it; NVMe and
+	// far-memory devices always service FCFS.
 	Sched string
 
 	// Metrics, if non-nil, receives the shared counters — per-tenant
@@ -185,15 +187,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := machine.Validate(); err != nil {
 		return nil, err
 	}
-	var mkSched func() disk.Scheduler
-	switch cfg.Sched {
-	case "", "fcfs":
-	case "elevator":
-		mkSched = func() disk.Scheduler { return &disk.Elevator{} }
-	case "qos":
-		mkSched = func() disk.Scheduler { return disk.QoS{} }
-	default:
-		return nil, fmt.Errorf("tenant: unknown scheduler %q (want fcfs, elevator, or qos)", cfg.Sched)
+	mkSched, err := disk.SchedulerFor(cfg.Sched)
+	if err != nil {
+		return nil, err
 	}
 	reg := cfg.Metrics
 	if reg == nil {

@@ -1,11 +1,13 @@
 package tenant
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/rt"
@@ -46,6 +48,16 @@ func runServer(t *testing.T, cfg Config, jobs []JobSpec) (*Server, []Report) {
 		t.Fatal(err)
 	}
 	return s, s.Reports()
+}
+
+// TestUnknownSchedulerError: a scheduler name disk.SchedulerFor does
+// not know is its typed error, the same one core's BackendSpec returns.
+func TestUnknownSchedulerError(t *testing.T) {
+	_, err := NewServer(Config{Machine: testMachine(96), Sched: "lifo"})
+	var unknown *disk.UnknownSchedulerError
+	if !errors.As(err, &unknown) || unknown.Name != "lifo" {
+		t.Fatalf("NewServer(Sched: lifo) = %v, want *disk.UnknownSchedulerError", err)
+	}
 }
 
 // TestDeterminism: the same job mix and seed produce byte-identical runs
