@@ -18,13 +18,14 @@ BENCH_PKGS = ./internal/obs ./internal/vm ./internal/disk ./internal/bench ./int
 # allocator and scheduler noise enough for a 15% gate.
 BENCH_FLAGS = -bench=. -benchmem -benchtime 200ms -count 3 -run '^$$'
 
-.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz test-faults test-exec test-backends test-tenants test-profile bench bench-check bench-baseline
+.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz test-faults test-exec test-backends test-tenants test-profile loc bench bench-check bench-baseline
 
 # ci is the gate: formatting, static checks, build, tests (the root
 # module's and the benchmark module's), the race-detector pass over the
-# concurrent surfaces, a short-budget fuzz of the fault plane, and the
-# storage-backend conformance and cross-tier equivalence suite.
-ci: fmt-check vet staticcheck build test test-benchmark race fuzz test-backends
+# concurrent surfaces, and a short-budget fuzz of the fault plane. The
+# focused test-* targets below are subsets of `test`, kept for quick
+# stand-alone runs and as separate workflow jobs.
+ci: fmt-check vet staticcheck build test test-benchmark race fuzz
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -98,13 +99,15 @@ test-backends:
 # (same mix and seed, byte-identical output), tenant isolation (a
 # tenant's final memory image is identical solo and contended), QoS
 # class ordering, quota fair-share reclaim, admission control, the
-# solo-server tick-for-tick equivalence with a directly driven VM, and
-# the contract of the output hash every one of those equalities rests on
+# solo-server tick-for-tick equivalence with a directly driven VM, the
+# touch-episode table (every entry state of a fault through the blocking
+# and the non-blocking driver of the one fault path, same ticks), and the
+# contract of the output hash every one of those equalities rests on
 # (residency-independent, sensitive to any bit, word swap or page swap,
 # equal to its word-at-a-time definition).
 test-tenants:
 	$(GO) test ./internal/tenant/ -count 1
-	$(GO) test ./internal/vm/ -run 'TestReclaim|TestQuota|TestPool|TestHash|TestFingerprint'
+	$(GO) test ./internal/vm/ -run 'TestReclaim|TestQuota|TestPool|TestHash|TestFingerprint|TestTouchEpisodeBothDrivers'
 	$(GO) test ./cmd/benchdiff/
 
 # test-profile runs the two-pass profile-guided gate: the artifact
@@ -138,6 +141,15 @@ test-exec:
 	$(GO) test ./internal/nas/ -run TestNASHintSitesEmitNoClosureCalls -count 1
 	$(GO) test ./internal/core/ -run TestPlanCache -count 1
 	$(GO) test ./cmd/benchdiff/
+
+# loc prints the two numbers every simplicity PR reports: lines of
+# non-test Go outside benchmark/, per internal/* package and in total.
+loc:
+	@for d in internal/*/; do \
+		printf '%7d %s\n' $$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) $${d%/}; \
+	done
+	@printf '%7d total (non-test Go outside benchmark/)\n' \
+		$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

@@ -32,8 +32,8 @@ type Job struct {
 type JobMetric struct {
 	Index    int
 	Label    string
-	Wall     time.Duration // total wall clock across attempts
-	Attempts int           // executions of Job.Run (0 = never started)
+	Wall     time.Duration // wall clock of the run
+	Attempts int           // executions of Job.Run (0 = never started, 1 = ran)
 	TimedOut bool          // failed by its own per-job deadline
 	Err      error
 }
@@ -53,7 +53,7 @@ type Progress struct {
 type ProgressFunc func(Progress)
 
 // Runner executes independent jobs on a worker pool. The zero value is
-// ready to use: GOMAXPROCS workers, no timeout, no retries.
+// ready to use: GOMAXPROCS workers, no timeout.
 //
 // Ordering and determinism: results are written by submission index,
 // never by completion order, so a parallel run is byte-identical to a
@@ -72,11 +72,6 @@ type Runner struct {
 	// expired job aborts cleanly (the deadline is threaded down into
 	// the simulator's event loop) without cancelling other jobs.
 	Timeout time.Duration
-	// Retries re-runs a job that failed by its own timeout up to this
-	// many extra times. Simulated runs are deterministic, so this only
-	// helps when the timeout loss was wall-clock noise (GC pause, noisy
-	// neighbor), not when the run is genuinely oversized.
-	Retries int
 	// Progress, if set, observes each job completion.
 	Progress ProgressFunc
 	// Trace, if non-nil, gets a "runner" process with one track per
@@ -185,6 +180,11 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) ([]JobMetric, error) {
 	}
 feed:
 	for i := range jobs {
+		// select picks at random among ready cases; a cancelled run must
+		// not hand out another job just because a worker is also ready.
+		if runCtx.Err() != nil {
+			break
+		}
 		select {
 		case idx <- i:
 		case <-runCtx.Done():
@@ -196,37 +196,26 @@ feed:
 	return metrics, firstError(ctx, metrics)
 }
 
-// runJob executes one job, applying the per-job timeout and retries.
+// runJob executes one job once, applying the per-job timeout. A timed-out
+// job is not retried: simulated runs are deterministic, so the rerun
+// would time out again.
 func (r *Runner) runJob(ctx context.Context, i int, job Job) JobMetric {
-	m := JobMetric{Index: i, Label: job.Label}
-	for attempt := 1; ; attempt++ {
-		m.Attempts = attempt
-		jctx, cancel := ctx, context.CancelFunc(func() {})
-		if r.Timeout > 0 {
-			jctx, cancel = context.WithTimeout(ctx, r.Timeout)
-		}
-		start := time.Now()
-		err := job.Run(jctx)
-		m.Wall += time.Since(start)
-		cancel()
-		if err == nil {
-			m.Err, m.TimedOut = nil, false
-			return m
-		}
-		// The job's own deadline expiring is a timeout; the parent
-		// context going away is a cancellation.
-		m.TimedOut = errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil
-		if m.TimedOut {
-			m.Err = fmt.Errorf("%s: run exceeded %v (attempt %d): %w",
-				job.Label, r.Timeout, attempt, err)
-			if attempt <= r.Retries {
-				continue
-			}
-			return m
-		}
-		m.Err = err
-		return m
+	m := JobMetric{Index: i, Label: job.Label, Attempts: 1}
+	jctx, cancel := ctx, context.CancelFunc(func() {})
+	if r.Timeout > 0 {
+		jctx, cancel = context.WithTimeout(ctx, r.Timeout)
 	}
+	start := time.Now()
+	m.Err = job.Run(jctx)
+	m.Wall = time.Since(start)
+	cancel()
+	// The job's own deadline expiring is a timeout; the parent context
+	// going away is a cancellation.
+	if errors.Is(m.Err, context.DeadlineExceeded) && ctx.Err() == nil {
+		m.TimedOut = true
+		m.Err = fmt.Errorf("%s: run exceeded %v: %w", job.Label, r.Timeout, m.Err)
+	}
+	return m
 }
 
 // firstError picks Run's overall error: the caller's own cancellation

@@ -183,28 +183,6 @@ func TestRunnerFailFastReportsRealError(t *testing.T) {
 	}
 }
 
-// Retries re-run only timeout failures, and the attempt count is
-// recorded.
-func TestRunnerRetries(t *testing.T) {
-	r := &Runner{Parallelism: 1, Timeout: 10 * time.Millisecond, Retries: 2}
-	calls := 0
-	jobs := []Job{{Label: "flaky", Run: func(ctx context.Context) error {
-		calls++
-		if calls < 3 {
-			<-ctx.Done()
-			return ctx.Err()
-		}
-		return nil
-	}}}
-	metrics, err := r.Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatalf("err = %v, want success on the third attempt", err)
-	}
-	if calls != 3 || metrics[0].Attempts != 3 || metrics[0].Err != nil {
-		t.Fatalf("calls = %d, metrics = %+v", calls, metrics[0])
-	}
-}
-
 // Progress reports every completion exactly once with a consistent
 // total.
 func TestRunnerProgressCounts(t *testing.T) {

@@ -90,13 +90,6 @@ type Config struct {
 	// private registry, returned in Result.Metrics either way.
 	Metrics *obs.Registry
 
-	// QoSClass sets the run's prefetch-priority class: every request the
-	// run issues is tagged with it, the VM's prefetch drop thresholds
-	// tighten for lower classes, and a "qos" disk scheduler orders
-	// prefetches by it. The zero value (Gold) is exactly the
-	// single-tenant default and changes nothing.
-	QoSClass disk.Class
-
 	// Faults, if non-nil and enabled, injects deterministic faults into
 	// the run: per-disk transient read/write errors and latency spikes,
 	// whole-disk brownouts, and synthetic memory-pressure spikes that drop
@@ -332,9 +325,6 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 		return nil, err
 	}
 	v := vm.NewObserved(clock, machine, file, o)
-	if cfg.QoSClass != disk.Gold {
-		v.SetClass(cfg.QoSClass)
-	}
 	var inj *fault.Injector
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		if err := cfg.Faults.Validate(); err != nil {

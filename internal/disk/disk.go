@@ -61,12 +61,10 @@ type Request struct {
 	Done   func()
 	Failed func()
 
-	// Tenant and Class tag the request with the issuing tenant and that
-	// tenant's prefetch-priority class, for multi-tenant QoS scheduling
-	// and per-tenant attribution. Single-tenant runs leave them zero
-	// (tenant 0, Gold), which every scheduler treats exactly as before.
-	Tenant int32
-	Class  Class
+	// Class tags the request with the issuing tenant's prefetch-priority
+	// class, for multi-tenant QoS scheduling. Single-tenant runs leave it
+	// zero (Gold), which every scheduler treats exactly as before.
+	Class Class
 }
 
 // Stats accumulates per-device activity. The service path increments the

@@ -33,13 +33,6 @@ func Print(p *Program) string {
 	return b.String()
 }
 
-// PrintStmts renders a statement list (used in tests and error messages).
-func PrintStmts(stmts []Stmt) string {
-	var b strings.Builder
-	printStmts(&b, stmts, 0)
-	return b.String()
-}
-
 func printStmts(b *strings.Builder, stmts []Stmt, depth int) {
 	ind := strings.Repeat("    ", depth)
 	for _, s := range stmts {

@@ -120,9 +120,3 @@ func (r *Recorder) Profile() *Profile {
 	}
 	return p
 }
-
-// ElemOf converts an element address within arr to the linear element
-// index recorders key strides on.
-func ElemOf(arr *ir.Array, addr int64) int64 {
-	return (addr - arr.Base) / ir.ElemSize
-}

@@ -110,17 +110,6 @@ func RegisterObserved(v *vm.VM, enabled bool, reg *obs.Registry) *Layer {
 // disables budgeting entirely.
 func (l *Layer) SetBudget(n int64) { l.budget = n }
 
-// Budget returns the remaining prefetch-page budget (-1 if unlimited).
-func (l *Layer) Budget() int64 { return l.budget }
-
-// Refill adds n pages to the budget, as a scheduler does at the start of
-// a tenant's quantum. It is a no-op on an unlimited layer.
-func (l *Layer) Refill(n int64) {
-	if l.budget >= 0 {
-		l.budget += n
-	}
-}
-
 // spend consumes budget for n prefetch pages about to be issued and
 // reports whether the issue may proceed. A block spends as a unit: it
 // proceeds if any budget remains (the balance may go briefly negative)

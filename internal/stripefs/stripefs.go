@@ -285,12 +285,11 @@ type File struct {
 	// This is the "data on disk": reads copy out of it, writes copy in.
 	store [][]uint64
 
-	// Request tags for multi-tenant QoS: the issuing tenant and its
+	// Request tag for multi-tenant QoS: the issuing tenant's
 	// prefetch-priority class, stamped onto every request for this file.
-	// Zero values (tenant 0, Gold) are what single-tenant runs use and
-	// change nothing.
-	tenant int32
-	class  disk.Class
+	// The zero value (Gold) is what single-tenant runs use and changes
+	// nothing.
+	class disk.Class
 }
 
 // Create allocates a file of the given number of pages, laid out in one
@@ -314,10 +313,9 @@ func (fs *FS) Create(name string, pages int64) (*File, error) {
 func (f *File) Name() string { return f.name }
 
 // SetTag stamps every subsequent request issued for this file with the
-// issuing tenant and that tenant's prefetch-priority class, so a QoS
-// disk scheduler can order prefetches by class and per-tenant
-// attribution survives down to the device queues.
-func (f *File) SetTag(tenant int32, class disk.Class) { f.tenant, f.class = tenant, class }
+// issuing tenant's prefetch-priority class, so a QoS disk scheduler can
+// order prefetches by class.
+func (f *File) SetTag(class disk.Class) { f.class = class }
 
 // Pages returns the file's length in pages.
 func (f *File) Pages() int64 { return f.pages }
@@ -551,8 +549,7 @@ func (f *File) Read(page, n int64, kind disk.Kind, dst func(page int64) []uint64
 		s := fs.getSubReq()
 		s.op, s.first, s.count, s.step = op, first, count, d
 		s.disk, s.block, s.kind = int(dd), startBlock, kind
-		req := disk.Request{Block: startBlock, Pages: count, Kind: kind, Done: s.deliverFn,
-			Tenant: f.tenant, Class: f.class}
+		req := disk.Request{Block: startBlock, Pages: count, Kind: kind, Done: s.deliverFn, Class: f.class}
 		// The degradation handler is attached only under fault injection:
 		// a fault-free disk never fails a request.
 		if fs.flt != nil {
@@ -630,8 +627,7 @@ func (f *File) Write(page int64, src []uint64, done func(page int64)) {
 	}
 	w.file, w.page, w.buf, w.done = f, page, buf, done
 	w.disk, w.block = f.locate(page)
-	req := disk.Request{Block: w.block, Pages: 1, Kind: disk.Write, Done: w.deliverFn,
-		Tenant: f.tenant, Class: f.class}
+	req := disk.Request{Block: w.block, Pages: 1, Kind: disk.Write, Done: w.deliverFn, Class: f.class}
 	if fs.flt != nil {
 		req.Failed = w.failedFn
 	}

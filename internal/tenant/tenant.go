@@ -43,9 +43,6 @@ type Config struct {
 	// own seed, the kernels' access streams.
 	Seed uint64
 
-	// SliceOps is the scheduling quantum in kernel accesses; 0 means 64.
-	SliceOps int
-
 	// Sched selects the shared array's request scheduler by its
 	// disk.SchedulerFor name: "" or "fcfs", "elevator", or "qos"
 	// (class-aware: demand faults first, then writes, then prefetches
@@ -124,8 +121,7 @@ type Tenant struct {
 
 	state      tenantState
 	idx        int64 // next access index in the kernel stream
-	resuming   bool  // the current access already charged its fault
-	waitPage   int64
+	waitPage   int64 // page the current access is parked on, -1 if none
 	blockStart sim.Time
 	stall      sim.Time
 
@@ -161,7 +157,6 @@ type Server struct {
 	inj   *fault.Injector
 
 	seed     uint64
-	sliceOps int
 	capacity int64 // admissible frames: pool size minus daemon headroom
 
 	all      []*Tenant // submission order, including queued and finished
@@ -209,14 +204,10 @@ func NewServer(cfg Config) (*Server, error) {
 		reg:       reg,
 		trace:     cfg.Trace,
 		seed:      cfg.Seed,
-		sliceOps:  cfg.SliceOps,
 		capacity:  machine.Frames() - machine.LowWater(),
 		cAdmitted: reg.Counter("admission.admitted"),
 		cQueued:   reg.Counter("admission.queued"),
 		cRejected: reg.Counter("admission.rejected"),
-	}
-	if s.sliceOps <= 0 {
-		s.sliceOps = 64
 	}
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		if err := cfg.Faults.Validate(); err != nil {
@@ -424,13 +415,16 @@ func (s *Server) Run() error {
 	return nil
 }
 
-// runSlice runs one tenant for up to SliceOps kernel accesses.
+// sliceOps is the scheduling quantum in kernel accesses.
+const sliceOps = 64
+
+// runSlice runs one tenant for up to sliceOps kernel accesses.
 func (s *Server) runSlice(t *Tenant) {
 	if t.Spec.HintBudget > 0 {
 		// Reset, not top up: an idle quantum does not bank hint credit.
 		t.layer.SetBudget(t.Spec.HintBudget)
 	}
-	for i := 0; i < s.sliceOps; i++ {
+	for i := 0; i < sliceOps; i++ {
 		if t.idx >= t.kern.total {
 			s.finish(t)
 			return
@@ -447,12 +441,13 @@ func (s *Server) runSlice(t *Tenant) {
 	t.publish()
 }
 
-// step performs the tenant's next access: its hint (once per access),
-// the touch, and — if the page is immediately usable — the
-// read-modify-write itself. false parks the tenant on t.waitPage.
+// step performs the tenant's next access: its hint (once per access, not
+// again when retrying the access it parked on), the touch, and — if the
+// page is immediately usable — the read-modify-write itself. false parks
+// the tenant on t.waitPage.
 func (t *Tenant) step() bool {
 	idx := t.idx
-	if !t.resuming {
+	if t.waitPage < 0 {
 		if pfPage, pfN, relPage, relN := t.kern.hints(idx); pfN > 0 || relN > 0 {
 			if pfN == 1 && relN == 0 {
 				t.layer.Prefetch1(pfPage)
@@ -462,18 +457,11 @@ func (t *Tenant) step() bool {
 		}
 	}
 	page := t.kern.pageAt(idx)
-	var ok bool
-	if t.resuming {
-		ok = t.vm.TouchResume(page)
-	} else {
-		ok = t.vm.TouchAsync(page)
-	}
-	if !ok {
-		t.resuming = true
+	if !t.vm.TouchAsync(page) {
 		t.waitPage = page
 		return false
 	}
-	t.resuming = false
+	t.waitPage = -1
 	addr := page*t.srv.p.PageSize + t.kern.wordAt(idx)*8
 	old, _ := t.vm.LoadFast(addr)
 	if !t.kern.spec.ReadOnly {

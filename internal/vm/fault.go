@@ -80,139 +80,60 @@ func (v *VM) Resident(page int64) bool {
 	return s == resident || s == hot
 }
 
-// InTransit reports whether a read is in flight for the page — the
-// condition a blocked tenant waits out before retrying with TouchResume
-// (the same condition touchSlow's stall waits on).
+// InTransit reports whether a read is in flight for the page: the
+// condition a touch that could not complete waits out before retrying.
 func (v *VM) InTransit(page int64) bool { return v.pt[page].state == inTransit }
 
-// touchSlow handles every access that is not a hot hit: first touches of
-// a new residency (classification), reclaim (minor) faults, stalls on
-// in-flight reads, and demand (major) faults. It loops until the page is
-// resident, because servicing a fault advances simulated time, during
-// which the page may arrive and even be evicted again under memory
-// pressure.
+// touchSlow is the blocking driver of the fault path, under Load and
+// Store: where the touch must wait on a read, the run's one CPU stalls.
+// It loops because time passes while a fault is serviced, during which
+// the page may arrive and even be evicted again under memory pressure.
 func (v *VM) touchSlow(page int64) {
 	e := &v.pt[page]
-
-	// First touch of an already-resident page: if a prefetch brought it
-	// in, the original fault was fully hidden.
-	if e.state == resident {
-		if e.prefetched {
-			v.n.prefetchedHits++
-			v.trFaults.InstantArg("hit", "fault-class", v.clock.Now(), "page", page)
-			e.prefetched = false
-		}
-		e.touched = true
-		e.state = hot
-		return
+	for !v.touchAsync(page) {
+		v.waitIdle("stall", func() bool { return e.state != inTransit })
 	}
-
-	v.flushUser()
-	classified := false
-	classifyFault := func() {
-		// The touch turned out to be a real (major) fault: either a
-		// prefetch did not do its job or there was none.
-		if classified {
-			return
-		}
-		classified = true
-		if e.prefetched {
-			v.n.prefetchedFaults++
-			v.trFaults.InstantArg("late", "fault-class", v.clock.Now(), "page", page)
-		} else {
-			v.n.nonPrefetchedFault++
-			v.trFaults.InstantArg("unprefetched", "fault-class", v.clock.Now(), "page", page)
-		}
-		e.prefetched = false
-	}
-
-	for e.state != resident {
-		switch e.state {
-		case freeListed:
-			// Reclaim fault: the page is still in memory on the free
-			// list; rescuing it costs a short kernel entry but no I/O.
-			v.chargeSys(&v.n.sysFault, "minor-fault", "fault", v.p.MinorFaultTime)
-			v.n.minorFaults++
-			v.pool.rescueFromFree(e.frame)
-			e.state = resident
-			if !classified && !e.touched && e.prefetched {
-				v.n.prefetchedHits++
-				v.trFaults.InstantArg("hit", "fault-class", v.clock.Now(), "page", page)
-				classified = true
-			}
-			e.prefetched = false
-
-		case inTransit:
-			// A read is in flight but did not complete early enough:
-			// take the fault and stall for the remainder.
-			v.chargeSys(&v.n.sysFault, "fault-service", "fault", v.p.FaultServiceTime)
-			classifyFault()
-			v.waitIdle("stall", func() bool { return e.state != inTransit })
-
-		case unmapped:
-			// Demand (major) fault: the full disk latency is exposed.
-			v.chargeSys(&v.n.sysFault, "fault-service", "fault", v.p.FaultServiceTime)
-			classifyFault()
-			v.startDemandRead(page, e)
-			v.waitIdle("stall", func() bool { return e.state != inTransit })
-		}
-	}
-	e.touched = true
-	e.state = hot
-	e.referenced = true
-	v.bitvec.Set(page)
 }
 
-// startDemandRead takes a frame for page (evicting synchronously under
-// pressure) and issues the demand read that will make it resident.
-func (v *VM) startDemandRead(page int64, e *pte) {
-	f, _ := v.pool.takeFrame(v, page, false)
-	e.frame = f
-	e.state = inTransit
-	v.inTransitCount++
-	v.pool.inTransitCount++
-	v.bitvec.Set(page)
-	v.file.Read(page, 1, disk.FaultRead,
-		v.dstFn, v.arrivedFn,
-		nil, // demand reads never fail permanently (stripefs requeues)
-		nil)
-}
-
-// TouchAsync is the non-blocking form of the access path, for the
-// multi-tenant scheduler: it performs exactly the kernel work touchSlow
-// would — classification, minor-fault rescue, fault-service charges,
-// demand-read issue — but instead of stalling the (shared) CPU on
-// in-flight I/O it returns false. The caller must then park until
-// InTransit(page) turns false and retry with TouchResume; true means the
-// page is hot and the access may proceed through LoadFast/StoreFast.
-//
-// A charge here can advance simulated time, so the method re-examines
-// the page state after every charge, exactly as touchSlow's loop does.
-// takeFrame may still stall inside (the demand path's synchronous
-// reclaim when the free list is empty) — that models the single CPU
-// sweeping for a victim, and is charged to this tenant.
-func (v *VM) TouchAsync(page int64) bool { return v.touchAsync(page, true) }
-
-// TouchResume continues a touch episode TouchAsync began: the fault was
-// already charged and classified when the episode started, so the retry
-// only performs the work touchSlow would after waking — completing the
-// touch if the page arrived, rescuing it if it was evicted to the free
-// list, or re-faulting (a fresh fault-service charge, but no second
-// classification) if it was reclaimed entirely.
-func (v *VM) TouchResume(page int64) bool { return v.touchAsync(page, false) }
-
-func (v *VM) touchAsync(page int64, first bool) bool {
+// TouchAsync is the non-blocking driver of the fault path, for the
+// multi-tenant scheduler: true means the page is hot and the access may
+// proceed through LoadFast/StoreFast; false means the touch waits on an
+// in-flight read, and the caller parks (leaving the shared CPU to other
+// tenants) until InTransit(page) turns false, then calls TouchAsync for
+// the same page again. takeFrame may still stall inside (the demand
+// path's synchronous reclaim when the free list is empty): that models
+// the single CPU sweeping for a victim, and is charged to this tenant.
+func (v *VM) TouchAsync(page int64) bool {
 	e := &v.pt[page]
 	if e.state == hot {
 		return true
 	}
+	for !v.touchAsync(page) {
+		if e.state == inTransit {
+			return false
+		}
+	}
+	return true
+}
+
+// touchAsync is the fault handler (PAPER.md §2.4, Figure 4(a)): one step
+// of the touch episode of a page that is not hot. It classifies the touch
+// (hit, late, unprefetched) when the episode opens, charges the kernel
+// work, rescues the page from the free list or issues the demand read,
+// and returns true once the page is hot. false leaves the episode open in
+// v.faultPage (an address space has at most one: its thread of control
+// retries the access it stopped on), so the next call neither classifies
+// nor charges the same fault again; the driver first waits until the page
+// is out of transit — zero time if it landed during the charge.
+func (v *VM) touchAsync(page int64) bool {
+	e := &v.pt[page]
+	first := v.faultPage != page
 	if first && e.state == resident {
-		// Entry fast case, identical to touchSlow's: the subsequent
-		// access marks the page referenced.
+		// First touch of an already-resident page costs nothing: if a
+		// prefetch brought it in, the original fault was fully hidden.
+		// The access itself marks the page referenced.
 		if e.prefetched {
-			v.n.prefetchedHits++
-			v.trFaults.InstantArg("hit", "fault-class", v.clock.Now(), "page", page)
-			e.prefetched = false
+			v.prefetchedHit(page, e)
 		}
 		e.touched = true
 		e.state = hot
@@ -220,62 +141,75 @@ func (v *VM) touchAsync(page int64, first bool) bool {
 	}
 
 	v.flushUser()
-	classified := !first
-	for e.state != resident {
-		switch e.state {
-		case hot:
-			return true
-		case freeListed:
-			v.chargeSys(&v.n.sysFault, "minor-fault", "fault", v.p.MinorFaultTime)
-			v.n.minorFaults++
-			v.pool.rescueFromFree(e.frame)
-			e.state = resident
-			if !classified && !e.touched && e.prefetched {
-				v.n.prefetchedHits++
-				v.trFaults.InstantArg("hit", "fault-class", v.clock.Now(), "page", page)
-				classified = true
-			}
-			e.prefetched = false
-
-		case inTransit:
-			if !classified {
-				v.chargeSys(&v.n.sysFault, "fault-service", "fault", v.p.FaultServiceTime)
-				classified = true
-				if e.prefetched {
-					v.n.prefetchedFaults++
-					v.trFaults.InstantArg("late", "fault-class", v.clock.Now(), "page", page)
-				} else {
-					v.n.nonPrefetchedFault++
-					v.trFaults.InstantArg("unprefetched", "fault-class", v.clock.Now(), "page", page)
-				}
-				e.prefetched = false
-				// The charge advanced the clock; the read may have landed.
-				continue
-			}
-			return false
-
-		case unmapped:
-			v.chargeSys(&v.n.sysFault, "fault-service", "fault", v.p.FaultServiceTime)
-			if !classified {
-				classified = true
-				if e.prefetched {
-					v.n.prefetchedFaults++
-					v.trFaults.InstantArg("late", "fault-class", v.clock.Now(), "page", page)
-				} else {
-					v.n.nonPrefetchedFault++
-					v.trFaults.InstantArg("unprefetched", "fault-class", v.clock.Now(), "page", page)
-				}
-				e.prefetched = false
-			}
-			v.startDemandRead(page, e)
-			return false
+	switch e.state {
+	case freeListed:
+		// Reclaim fault: the page is still in memory on the free list;
+		// rescuing it costs a short kernel entry but no I/O.
+		v.chargeSys(&v.t.SysFault, "minor-fault", "fault", v.p.MinorFaultTime)
+		v.n.MinorFaults++
+		v.pool.rescueFromFree(e.frame)
+		e.state = resident
+		if first && !e.touched && e.prefetched {
+			v.prefetchedHit(page, e)
 		}
+		e.prefetched = false
+
+	case inTransit:
+		// A read is in flight but did not complete early enough: take
+		// the fault once, and wait for the remainder.
+		if first {
+			v.chargeSys(&v.t.SysFault, "fault-service", "fault", v.p.FaultServiceTime)
+			v.classifyFault(page, e)
+		}
+		v.faultPage = page
+		return false
+
+	case unmapped:
+		// Demand (major) fault: the full disk latency is exposed. On a
+		// retry the page was reclaimed, or its prefetch abandoned, while
+		// the episode waited: a fresh fault, but the same original one.
+		v.chargeSys(&v.t.SysFault, "fault-service", "fault", v.p.FaultServiceTime)
+		if first {
+			v.classifyFault(page, e)
+		}
+		// Take a frame (evicting synchronously under pressure), then read.
+		e.frame, _ = v.pool.takeFrame(v, page, false)
+		e.state = inTransit
+		v.inTransitCount++
+		v.pool.inTransitCount++
+		v.bitvec.Set(page)
+		v.file.Read(page, 1, disk.FaultRead, v.dstFn, v.arrivedFn,
+			nil, // demand reads never fail permanently (stripefs requeues)
+			nil)
+		v.faultPage = page
+		return false
 	}
+	v.faultPage = -1
 	e.touched = true
 	e.state = hot
 	e.referenced = true
 	v.bitvec.Set(page)
 	return true
+}
+
+// prefetchedHit counts a first touch whose fault a prefetch eliminated.
+func (v *VM) prefetchedHit(page int64, e *pte) {
+	v.n.PrefetchedHits++
+	v.trFaults.InstantArg("hit", "fault-class", v.clock.Now(), "page", page)
+	e.prefetched = false
+}
+
+// classifyFault counts a touch that turned out to be a real (major)
+// fault: either a prefetch did not do its job or there was none.
+func (v *VM) classifyFault(page int64, e *pte) {
+	if e.prefetched {
+		v.n.PrefetchedFaults++
+		v.trFaults.InstantArg("late", "fault-class", v.clock.Now(), "page", page)
+	} else {
+		v.n.NonPrefetchedFault++
+		v.trFaults.InstantArg("unprefetched", "fault-class", v.clock.Now(), "page", page)
+	}
+	e.prefetched = false
 }
 
 // finishRead marks an in-flight page as resident once its data has been

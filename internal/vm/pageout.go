@@ -21,7 +21,7 @@ func (v *VM) startClean(page int64, toFree, front bool) {
 	e.front = front
 	v.cleaningCount++
 	v.pool.cleaningCount++
-	v.n.writebacks++
+	v.n.Writebacks++
 	v.file.Write(page, v.frameWords(e.frame), v.cleanedFn)
 }
 

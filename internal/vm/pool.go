@@ -271,7 +271,7 @@ func (pl *Pool) takeFrame(v *VM, vpage int64, mayFail bool) (int32, bool) {
 			fi := &pl.frames[f]
 			if old := fi.vpage; old >= 0 {
 				fi.owner.invalidate(old)
-				v.n.reclaims++
+				v.n.Reclaims++
 			}
 			fi.owner = v
 			fi.vpage = vpage

@@ -22,10 +22,10 @@ func (v *VM) PrefetchRelease(pfPage, pfN, relPage, relN int64) {
 	v.checkRange(relPage, relN)
 	v.flushUser()
 	cost := v.p.PrefetchSyscallTime + sim.Time(relN)*v.p.ReleasePerPageTime
-	v.chargeSys(&v.n.sysPrefetch, "prefetch-release", "prefetch", cost)
-	v.n.prefetchCalls++
+	v.chargeSys(&v.t.SysPrefetch, "prefetch-release", "prefetch", cost)
+	v.n.PrefetchCalls++
 	if relN > 0 {
-		v.n.releaseCalls++
+		v.n.ReleaseCalls++
 	}
 
 	// Releases first: they may free exactly the memory the prefetches in
@@ -91,9 +91,9 @@ func (v *VM) prefetchOne(p int64) bool {
 		if e.cleaning && e.toFree && !e.front {
 			e.toFree = false // cancel a pending daemon eviction
 		}
-		v.n.prefetchUnneeded++
+		v.n.PrefetchUnneeded++
 	case inTransit:
-		v.n.prefetchUnneeded++
+		v.n.PrefetchUnneeded++
 	case freeListed:
 		// The page is in memory but on the free list: reclaiming it is
 		// useful work (the paper's footnote), not an unnecessary prefetch.
@@ -101,7 +101,7 @@ func (v *VM) prefetchOne(p int64) bool {
 		e.state = resident
 		e.prefetched = true
 		e.touched = false
-		v.n.prefetchRescues++
+		v.n.PrefetchRescues++
 		v.bitvec.Set(p)
 	case unmapped:
 		// Hints are non-binding: the OS drops them "if there is not
@@ -138,7 +138,7 @@ func (v *VM) prefetchOne(p int64) bool {
 		v.pool.inTransitCount++
 		e.prefetched = true
 		e.touched = false
-		v.n.prefetchIssued++
+		v.n.PrefetchIssued++
 		v.bitvec.Set(p)
 		return true
 	}
@@ -153,8 +153,8 @@ func (v *VM) prefetchOne(p int64) bool {
 // fault — which retries the read through the must-not-fail path. The
 // pte keeps prefetched=true so that fault classifies as a late
 // prefetched fault, like any other prefetch that failed to hide its
-// latency. Anyone already stalled on the page wakes from waitIdle (the
-// state left inTransit), observes unmapped, and demand-faults.
+// latency. Anyone already waiting on the page, stalled or parked, sees
+// it leave inTransit, finds it unmapped, and demand-faults.
 func (v *VM) abandonPrefetch(page int64) {
 	e := &v.pt[page]
 	if e.state != inTransit {
@@ -173,13 +173,13 @@ func (v *VM) abandonPrefetch(page int64) {
 	v.pool.inTransitCount--
 	v.pool.ioGen++
 	v.bitvec.Clear(page)
-	v.n.prefetchAbandoned++
+	v.n.PrefetchAbandoned++
 	v.trFaults.InstantArg("abandoned", "prefetch", v.clock.Now(), "page", page)
 }
 
 // dropPrefetch records a non-binding prefetch the OS declined.
 func (v *VM) dropPrefetch(e *pte, p int64) {
-	v.n.prefetchDropped++
+	v.n.PrefetchDropped++
 	v.trFaults.InstantArg("dropped", "prefetch", v.clock.Now(), "page", p)
 	e.prefetched = true
 	v.bitvec.Clear(p)
@@ -190,7 +190,7 @@ func (v *VM) dropPrefetch(e *pte, p int64) {
 // if dirty.
 func (v *VM) releaseOne(p int64) {
 	e := &v.pt[p]
-	v.n.releasedPages++
+	v.n.ReleasedPages++
 	v.bitvec.Clear(p)
 	if e.state != resident && e.state != hot {
 		return // absent, in flight, or already free-listed: nothing to do
@@ -252,7 +252,7 @@ func (v *VM) Preload(page, n int64) int64 {
 // timed region is measured.
 func (v *VM) ResetAccounting() {
 	v.flushUser()
-	v.n = tally{}
-	v.c.publish(&v.n)
+	v.n, v.t = Stats{}, TimeStats{}
+	v.publish()
 	v.pool.ResetAccounting()
 }

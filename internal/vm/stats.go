@@ -27,18 +27,27 @@ func (t TimeStats) Total() sim.Time {
 // became a prefetched hit (latency fully hidden), remained a fault despite
 // being prefetched (issued too late, dropped, or evicted before use), or
 // was never prefetched at all.
+//
+// The VM tallies straight into one Stats and one TimeStats: plain fields
+// incremented without synchronization, which is safe because a VM is
+// driven by a single goroutine (each run owns a private simulator). The
+// registry counters below are the export surface; every view read
+// publishes into them first, so registry snapshots taken after Stats() or
+// Times() — which is how runs surface their metrics — are current.
 type Stats struct {
 	// Fault classification (Figure 4(a)). OriginalFaults() is their sum.
 	PrefetchedHits     int64 // prefetched and the fault was eliminated
 	PrefetchedFaults   int64 // prefetched but the application still stalled
 	NonPrefetchedFault int64 // faulted without any prefetch having been issued
 
+	// MajorFaults is derived, not tallied: every classified fault required
+	// disk I/O, so Stats() fills it as PrefetchedFaults + NonPrefetchedFault.
 	MajorFaults int64 // faults that required disk I/O
 	MinorFaults int64 // reclaim faults: page rescued from the free list
 
 	// Prefetch activity at the OS interface.
 	PrefetchCalls     int64 // prefetch/release system calls
-	PrefetchPagesSeen int64 // pages named in those calls
+	PrefetchPagesSeen int64 // pages named in those calls (derived: issued + rescues + unneeded + dropped)
 	PrefetchIssued    int64 // pages for which a disk read was started
 	PrefetchRescues   int64 // pages reclaimed from the free list (useful work)
 	PrefetchUnneeded  int64 // pages already mapped (wasted syscall work)
@@ -57,7 +66,7 @@ type Stats struct {
 
 	// Memory manager activity.
 	Reclaims    int64 // frames taken from one page and given to another
-	DaemonScans int64 // pageout daemon activations
+	DaemonScans int64 // pageout daemon activations (pool-wide, filled by Stats())
 }
 
 // OriginalFaults returns the number of page faults the unmodified program
@@ -84,34 +93,6 @@ func (s Stats) UnnecessaryAtOSFrac() float64 {
 		return 0
 	}
 	return float64(s.PrefetchUnneeded) / float64(s.PrefetchPagesSeen)
-}
-
-// tally is the VM's hot-path accounting: plain fields incremented
-// without synchronization, which is safe because a VM is driven by a
-// single goroutine (each run owns a private simulator). The registry
-// counters below are the export surface; every view read publishes the
-// tally into them first, so registry snapshots taken after Stats() or
-// Times() — which is how runs surface their metrics — are current.
-type tally struct {
-	// Time buckets, the four Figure 3(a) categories.
-	user, sysFault, sysPrefetch, idle sim.Time
-
-	// Fault classification and fault kinds. Major faults are not counted
-	// separately: every classified fault required disk I/O, so the view
-	// derives them as prefetched_fault + non_prefetched.
-	prefetchedHits, prefetchedFaults, nonPrefetchedFault int64
-	minorFaults                                          int64
-
-	// Prefetch activity at the OS interface. Pages seen is likewise
-	// derived: every page named in a hint lands in exactly one of
-	// issued/rescues/unneeded/dropped.
-	prefetchCalls, prefetchIssued                      int64
-	prefetchRescues, prefetchUnneeded, prefetchDropped int64
-	prefetchAbandoned                                  int64
-
-	// Release and memory-manager activity.
-	releaseCalls, releasedPages, writebacks int64
-	reclaims, daemonScans                   int64
 }
 
 // counters is the VM's set of metrics-registry handles. The VM is the
@@ -159,63 +140,30 @@ func newCounters(reg *obs.Registry) counters {
 	}
 }
 
-// publish stores the tally into the registry counters.
-func (c *counters) publish(n *tally) {
-	c.user.Store(int64(n.user))
-	c.sysFault.Store(int64(n.sysFault))
-	c.sysPrefetch.Store(int64(n.sysPrefetch))
-	c.idle.Store(int64(n.idle))
+// publish stores the VM's accounting into its registry counters.
+func (v *VM) publish() {
+	c := &v.c
+	c.user.Store(int64(v.t.User))
+	c.sysFault.Store(int64(v.t.SysFault))
+	c.sysPrefetch.Store(int64(v.t.SysPrefetch))
+	c.idle.Store(int64(v.t.Idle))
 
-	c.prefetchedHits.Store(n.prefetchedHits)
-	c.prefetchedFaults.Store(n.prefetchedFaults)
-	c.nonPrefetchedFault.Store(n.nonPrefetchedFault)
-	c.minorFaults.Store(n.minorFaults)
+	n := &v.n
+	c.prefetchedHits.Store(n.PrefetchedHits)
+	c.prefetchedFaults.Store(n.PrefetchedFaults)
+	c.nonPrefetchedFault.Store(n.NonPrefetchedFault)
+	c.minorFaults.Store(n.MinorFaults)
 
-	c.prefetchCalls.Store(n.prefetchCalls)
-	c.prefetchIssued.Store(n.prefetchIssued)
-	c.prefetchRescues.Store(n.prefetchRescues)
-	c.prefetchUnneeded.Store(n.prefetchUnneeded)
-	c.prefetchDropped.Store(n.prefetchDropped)
-	c.prefetchAbandoned.Store(n.prefetchAbandoned)
+	c.prefetchCalls.Store(n.PrefetchCalls)
+	c.prefetchIssued.Store(n.PrefetchIssued)
+	c.prefetchRescues.Store(n.PrefetchRescues)
+	c.prefetchUnneeded.Store(n.PrefetchUnneeded)
+	c.prefetchDropped.Store(n.PrefetchDropped)
+	c.prefetchAbandoned.Store(n.PrefetchAbandoned)
 
-	c.releaseCalls.Store(n.releaseCalls)
-	c.releasedPages.Store(n.releasedPages)
-	c.writebacks.Store(n.writebacks)
-	c.reclaims.Store(n.reclaims)
-	c.daemonScans.Store(n.daemonScans)
-}
-
-// stats assembles the Stats view. MajorFaults and PrefetchPagesSeen are
-// derived sums (see the tally doc).
-func (n *tally) stats() Stats {
-	s := Stats{
-		PrefetchedHits:     n.prefetchedHits,
-		PrefetchedFaults:   n.prefetchedFaults,
-		NonPrefetchedFault: n.nonPrefetchedFault,
-		MinorFaults:        n.minorFaults,
-		PrefetchCalls:      n.prefetchCalls,
-		PrefetchIssued:     n.prefetchIssued,
-		PrefetchRescues:    n.prefetchRescues,
-		PrefetchUnneeded:   n.prefetchUnneeded,
-		PrefetchDropped:    n.prefetchDropped,
-		PrefetchAbandoned:  n.prefetchAbandoned,
-		ReleaseCalls:       n.releaseCalls,
-		ReleasedPages:      n.releasedPages,
-		Writebacks:         n.writebacks,
-		Reclaims:           n.reclaims,
-		DaemonScans:        n.daemonScans,
-	}
-	s.MajorFaults = s.PrefetchedFaults + s.NonPrefetchedFault
-	s.PrefetchPagesSeen = s.PrefetchIssued + s.PrefetchRescues + s.PrefetchUnneeded + s.PrefetchDropped
-	return s
-}
-
-// times assembles the TimeStats view.
-func (n *tally) times() TimeStats {
-	return TimeStats{
-		User:        n.user,
-		SysFault:    n.sysFault,
-		SysPrefetch: n.sysPrefetch,
-		Idle:        n.idle,
-	}
+	c.releaseCalls.Store(n.ReleaseCalls)
+	c.releasedPages.Store(n.ReleasedPages)
+	c.writebacks.Store(n.Writebacks)
+	c.reclaims.Store(n.Reclaims)
+	c.daemonScans.Store(v.pool.scans)
 }

@@ -92,6 +92,10 @@ type VM struct {
 	cleaningCount  int64 // this space's write-backs in flight
 	inTransitCount int64 // this space's reads in flight
 
+	// faultPage is the page of the open touch episode — a fault already
+	// charged and classified whose read has not landed — or -1.
+	faultPage int64
+
 	// Lazy user-time accounting: the executor adds op counts; they are
 	// converted to clock time at every kernel crossing.
 	pendingUserOps int64
@@ -125,12 +129,14 @@ type VM struct {
 	abandonFn func(page int64)
 	cleanedFn func(page int64)
 
-	// Hot-path accounting (plain fields; see tally in stats.go), the
-	// registry handles it publishes to, and trace tracks. The tracks are
+	// Hot-path accounting (the exported views themselves, as plain
+	// fields; see stats.go), the registry handles they are published
+	// to, and trace tracks. The tracks are
 	// nil when tracing is off: each emission is then one nil check. Last
 	// in the struct so the frequently-touched fields above keep small
 	// offsets.
-	n        tally
+	n        Stats
+	t        TimeStats
 	c        counters
 	trCPU    *obs.Track // kernel/user/idle spans, one per VM core
 	trFaults *obs.Track // fault-classification instants
@@ -179,6 +185,7 @@ func (pl *Pool) Attach(file *stripefs.File, o *obs.RunObs) *VM {
 		wordShift: wordShiftOf(p.PageSize),
 		pt:        make([]pte, file.Pages()),
 		words:     pl.words,
+		faultPage: -1,
 	}
 	v.dstFn = v.framePageWords
 	v.arrivedFn = v.finishRead
@@ -211,17 +218,11 @@ func (v *VM) Clock() *sim.Clock { return v.clock }
 // Pool returns the frame pool serving this address space.
 func (v *VM) Pool() *Pool { return v.pool }
 
-// TenantID returns this address space's index within its pool.
-func (v *VM) TenantID() int32 { return v.tid }
-
 // SetQuota sets this tenant's residency quota in frames; 0 means
 // unlimited (the single-tenant default). A tenant holding more frames
 // than its quota is reclaimed first by the pool's fair-share sweeps;
 // tenants at or under quota are protected while any tenant is over.
 func (v *VM) SetQuota(frames int64) { v.pool.setQuota(v, frames) }
-
-// Quota returns the tenant's residency quota (0 = unlimited).
-func (v *VM) Quota() int64 { return v.quota }
 
 // ResidentFrames returns the number of pool frames this tenant currently
 // holds (mapped and not on the free list; in-transit reads count, since
@@ -253,7 +254,7 @@ func (v *VM) SetClass(c disk.Class) {
 		v.pfQueueMax = maxPrefetchQueue
 		v.pfFreeFloor = 2
 	}
-	v.file.SetTag(v.tid, c)
+	v.file.SetTag(c)
 }
 
 // Class returns the tenant's prefetch-priority class.
@@ -265,19 +266,23 @@ func (v *VM) BitVector() *BitVector { return v.bitvec }
 
 // Stats returns a snapshot of the event counters, publishing them into
 // the metrics registry as a side effect (so a registry snapshot taken
-// after any view read is current). DaemonScans is pool-wide.
+// after any view read is current). MajorFaults and PrefetchPagesSeen are
+// derived sums, and DaemonScans is pool-wide; all three are filled on
+// the returned copy only.
 func (v *VM) Stats() Stats {
-	v.n.daemonScans = v.pool.scans
-	v.c.publish(&v.n)
-	return v.n.stats()
+	v.publish()
+	s := v.n
+	s.MajorFaults = s.PrefetchedFaults + s.NonPrefetchedFault
+	s.PrefetchPagesSeen = s.PrefetchIssued + s.PrefetchRescues + s.PrefetchUnneeded + s.PrefetchDropped
+	s.DaemonScans = v.pool.scans
+	return s
 }
 
 // Times returns a snapshot of the time breakdown, with any pending user
 // compute folded in. Like Stats, it publishes to the metrics registry.
 func (v *VM) Times() TimeStats {
-	v.n.daemonScans = v.pool.scans
-	v.c.publish(&v.n)
-	t := v.n.times()
+	v.publish()
+	t := v.t
 	t.User += sim.Time(v.pendingUserOps) * v.p.OpTime
 	return t
 }
@@ -290,7 +295,7 @@ func (v *VM) Times() TimeStats {
 // safe on the instrumented hot path.
 func (v *VM) ProfileSnapshot() (now, majorFaults, minorFaults, hits int64) {
 	now = int64(v.clock.Now()) + v.pendingUserOps*int64(v.p.OpTime)
-	return now, v.n.prefetchedFaults + v.n.nonPrefetchedFault, v.n.minorFaults, v.n.prefetchedHits
+	return now, v.n.PrefetchedFaults + v.n.NonPrefetchedFault, v.n.MinorFaults, v.n.PrefetchedHits
 }
 
 // FreeFrames returns the current number of frames on the pool's free
@@ -351,12 +356,12 @@ func (v *VM) flushUser() {
 	}
 	t := sim.Time(v.pendingUserOps) * v.p.OpTime
 	v.pendingUserOps = 0
-	v.n.user += t
+	v.t.User += t
 	v.trCPU.Span("user", "user", v.clock.Now(), t)
 	v.clock.Advance(t)
 }
 
-// chargeSys accounts system time to a tally bucket and advances the
+// chargeSys accounts system time to a TimeStats bucket and advances the
 // clock, emitting a span named for the kernel operation.
 func (v *VM) chargeSys(bucket *sim.Time, name, cat string, t sim.Time) {
 	*bucket += t
@@ -369,7 +374,7 @@ func (v *VM) chargeSys(bucket *sim.Time, name, cat string, t sim.Time) {
 func (v *VM) waitIdle(name string, cond func() bool) {
 	start := v.clock.Now()
 	d := v.clock.WaitFor(cond)
-	v.n.idle += d
+	v.t.Idle += d
 	v.trCPU.Span(name, "idle", start, d)
 }
 
