@@ -68,9 +68,12 @@
 // and combining them is a usage error.
 //
 // -explain-fastpath runs every NAS proxy once at -scale and prints, per
-// loop, which bytecode driver ran it (page-run span loop or plain kernel
-// loop) and the fallback reason when a loop missed the page-run path; it
-// ignores -exp and exits afterwards.
+// loop, which bytecode driver ran it (page-run span loop, with how many
+// copies of absorbed inner loops its span body unrolls, or plain kernel
+// loop) and the fallback reason when a loop missed the page-run path —
+// "absorbed" for an inner loop folded into its parent's span body,
+// "short-trip" for one statically too short to ever run spans; it ignores
+// -exp and exits afterwards.
 //
 // -cpuprofile and -memprofile write pprof profiles of the harness itself
 // (host time, not simulated time) for diagnosing executor overhead; see
@@ -114,7 +117,7 @@ func main() {
 	tenants := flag.Int("tenants", 0, "run the multi-tenant service benchmark with N tenants sharing one pool")
 	qosSpec := flag.String("qos", "", `per-tenant QoS classes for -tenants ("gold,silver,be", cycled)`)
 	seed := flag.Uint64("seed", 1, "deterministic scheduling seed for -tenants")
-	explain := flag.Bool("explain-fastpath", false, "print each NAS loop's bytecode driver (page-run or kernel) and fallback reason, then exit")
+	explain := flag.Bool("explain-fastpath", false, "print each NAS loop's bytecode driver (page-run, with its absorbed-loop unroll count, or kernel) and fallback reason, then exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()

@@ -414,6 +414,10 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 	// End-of-run summary metrics: derived values the counters alone do
 	// not carry.
 	reg.Counter("run.elapsed_ns").Store(int64(elapsed))
+	reg.Counter("exec.span_chunks").Store(env.Span.Chunks)
+	reg.Counter("exec.span_declined").Store(env.Span.Declined)
+	reg.Counter("exec.span_iters").Store(env.Span.Iters)
+	reg.Counter("exec.span_user_ops").Store(env.Span.UserOps)
 	reg.Counter("sim.events_scheduled").Store(clock.EventsScheduled())
 	reg.Counter("sim.events_dispatched").Store(clock.EventsDispatched())
 	reg.Gauge("run.avg_free_frac").Set(r.AvgFree)

@@ -30,12 +30,15 @@ type Env struct {
 	rt     *rt.Layer
 	rngX   uint64 // Randlc stream state (x_k, 46-bit)
 
+	// Span tallies what went through spanChunk, per chunk (kspan.go).
+	Span SpanStats
+
 	// Page-run loop state (kspan.go). sites holds one cursor per
 	// specialized array reference in the program, subs the incrementally
 	// maintained per-dimension subscript values (indexed by each site's
 	// subBase). The flags belong to the one page-run loop currently
-	// executing — such loops are innermost, so at most one is — and
-	// opSpanInit resets them on every entry.
+	// executing — whatever loops such a loop contains it has absorbed, so
+	// at most one is — and opSpanInit resets them on every entry.
 	sites     []runSite
 	subs      []int64
 	spanValid bool  // sites' addr and subs hold the current iteration's values
@@ -51,6 +54,11 @@ type Env struct {
 	// follows the access (recording compiles only).
 	prof struct{ now, faults, minor, hits int64 }
 }
+
+// SpanStats counts a run's page-run chunks: how many spanChunk committed
+// and how many it declined to the per-element body, and the iterations and
+// user operations the committed ones charged in one AddUserOps each.
+type SpanStats struct{ Chunks, Declined, Iters, UserOps int64 }
 
 // compiled is what compilation produces: kernel bytecode (code != nil,
 // run by runK), or — under Options.NoFastPath and when the program
@@ -175,7 +183,7 @@ func Compile(prog *ir.Program, pageSize int64, opts Options) (*Artifact, error) 
 			return nil, errors.New("exec: profile recording runs on kernel bytecode: NoFastPath cannot record")
 		}
 	} else {
-		kc := newKcompiler(int64(bits.TrailingZeros64(uint64(pageSize))), opts.Profile)
+		kc := newKcompiler(prog, int64(bits.TrailingZeros64(uint64(pageSize))), opts.Profile)
 		ok, err := kc.compile(prog.Body)
 		if err != nil {
 			return nil, err
@@ -224,9 +232,14 @@ func (a *Artifact) Bind(v *vm.VM, layer *rt.Layer) (*Machine, error) {
 // Run executes the program once. The returned Env exposes final scalar
 // values.
 func (m *Machine) Run() *Env {
+	// One allocation per element type: the scalar slots, then (bytecode
+	// only) the register file and the maintained subscripts behind them.
+	nI, nF := m.prog.NInt, m.prog.NFloat
+	ints := make([]int64, nI+m.nRI+m.nSubs)
+	floats := make([]float64, nF+m.nRF)
 	e := &Env{
-		Ints:   make([]int64, m.prog.NInt),
-		Floats: make([]float64, m.prog.NFloat),
+		Ints:   ints[:nI:nI],
+		Floats: floats[:nF:nF],
 		vm:     m.vm,
 		rt:     m.rt,
 		rngX:   uint64(m.prog.Seed) & ((1 << 46) - 1),
@@ -236,9 +249,8 @@ func (m *Machine) Run() *Env {
 	}
 	if m.code != nil {
 		e.sites = make([]runSite, m.nSites)
-		e.subs = make([]int64, m.nSubs)
-		e.ri = make([]int64, m.nRI)
-		e.rf = make([]float64, m.nRF)
+		e.ri, e.subs = ints[nI:nI+m.nRI:nI+m.nRI], ints[nI+m.nRI:]
+		e.rf = floats[nF:]
 		m.runK(e)
 	} else {
 		m.body(e)

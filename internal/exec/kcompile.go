@@ -19,6 +19,7 @@ import (
 	"maps"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/profile"
@@ -51,12 +52,13 @@ type kmaps struct {
 }
 
 type kcompiler struct {
-	shift int64    // page shift, for compile-time page arithmetic
-	err   error    // first statement cost.go rejected
-	prof  *profRec // non-nil in a recording compile (profile.go)
+	shift  int64         // page shift, for compile-time page arithmetic
+	params map[int]int64 // parameter slots no statement writes -> Param.Val
+	err    error         // first statement cost.go rejected
+	prof   *profRec      // non-nil in a recording compile (profile.go)
 
 	code    []kinstr
-	buf     *[]kinstr // current emission target (body buffers swap in)
+	buf     *[]kinstr // current emission target (a page-run loop's span half swaps in)
 	prelude []kinstr  // constant-pool loads, prepended at assembly
 	labels  int
 	pending int64 // operation charges not yet materialized
@@ -69,32 +71,40 @@ type kcompiler struct {
 	fconst map[uint64]uint16
 
 	aux    []auxDim
-	auxIdx map[string]int
+	auxIdx map[auxKey]int
 	haux   []hintAux
 
 	// page-run loops (kspan.go)
-	spans    []spanLoop
-	spanNext int // next site id while lowering a span body, else -1
-	nSites   int // access sites assigned so far
-	nSubs    int // maintained-subscript slots assigned so far
+	spans      []spanLoop
+	spanNext   int  // next site id while lowering a span body, else -1
+	nSites     int  // access sites assigned so far
+	nSubs      int  // maintained-subscript slots assigned so far
+	inAbsorber bool // lowering the per-element body of a loop that absorbs inner loops
 
 	loops   []*kloop
 	reports []LoopReport
 }
 
-func newKcompiler(shift int64, rec *profile.Recorder) *kcompiler {
+func newKcompiler(prog *ir.Program, shift int64, rec *profile.Recorder) *kcompiler {
 	kc := &kcompiler{
-		shift: shift,
-		nRI:   1, nRF: 1, // ri[0]/rf[0] are permanent zeros
+		shift:  shift,
+		params: map[int]int64{},
+		nRI:    1, nRF: 1, // ri[0]/rf[0] are permanent zeros
 		kmaps: kmaps{cse: map[uint64]cseEnt{}, cseDep: map[uint64][]int{},
 			bind: map[int]uint16{}, fbind: map[int]uint16{}},
 		iconst: map[int64]uint16{},
 		fconst: map[uint64]uint16{},
-		auxIdx: map[string]int{},
+		auxIdx: map[auxKey]int{},
 
 		spanNext: -1,
 	}
 	kc.buf = &kc.code
+	written := ir.WrittenSlots(prog.Body, nil)
+	for _, p := range prog.Params {
+		if !written[p.Slot] {
+			kc.params[p.Slot] = p.Val
+		}
+	}
 	if rec != nil {
 		kc.prof = newProfRec(rec)
 	}
@@ -198,8 +208,14 @@ func (kc *kcompiler) newLabel() int {
 
 func (kc *kcompiler) mark(l int) { kc.emit(kinstr{op: opLabel, imm: int64(l)}) }
 
+// auxKey names one (array, dimension) bounds check.
+type auxKey struct {
+	name string
+	d    int
+}
+
 func (kc *kcompiler) auxFor(arr *ir.Array, d int) int {
-	key := fmt.Sprintf("%s/%d", arr.Name, d)
+	key := auxKey{arr.Name, d}
 	if i, ok := kc.auxIdx[key]; ok {
 		return i
 	}
@@ -352,7 +368,11 @@ func (kc *kcompiler) stmts(list []ir.Stmt) {
 
 func (kc *kcompiler) stmt(s ir.Stmt) {
 	if l, ok := s.(*ir.Loop); ok {
-		kc.loop(l)
+		if kc.spanNext >= 0 {
+			kc.unroll(l)
+		} else {
+			kc.loop(l)
+		}
 		return
 	}
 	cost, err := stmtCost(s)
@@ -493,12 +513,25 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 		return
 	}
 	depth := len(kc.loops)
-	sites, reason := kc.spanSites(l)
+	var w *spanWalk
+	reason := ReasonAbsorbed
+	if kc.inAbsorber {
+		// Env's span state belongs to one page-run loop at a time, so the
+		// per-element body of an absorbing loop may hold no page-run layout:
+		// what it absorbed can never earn one.
+		if _, trip, ok := ir.StaticTrip(l, kc.params); !ok || trip >= spanMinTrip {
+			panic(fmt.Sprintf("exec: loop %s inside an absorbing loop's per-element body is not statically short", l.Var))
+		}
+	} else {
+		w, reason = kc.spanSites(l)
+	}
+	pageRun := reason == ReasonSpecialized
 	ri := len(kc.reports)
 	kc.reports = append(kc.reports, LoopReport{
 		Var: l.Var, Depth: depth, Driver: "kernel", Reason: reason})
-	if sites != nil {
-		kc.reports[ri].Driver, kc.reports[ri].Sites = "page-run", len(sites)
+	if pageRun {
+		r := &kc.reports[ri]
+		r.Driver, r.Sites, r.Unroll = "page-run", len(w.sites), int(w.unroll)
 	}
 
 	kc.charge(head)
@@ -519,28 +552,22 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 	kc.bind[l.Slot] = rv
 	kc.loops = append(kc.loops, ctx)
 	var s0 kmaps
-	if sites != nil {
+	if pageRun {
 		s0 = kc.snapshot()
 	}
 
-	// Everything the loop lowers may add to ctx.hoist, which runs before
-	// the trip guard, so the body (and a page-run loop's whole layout)
-	// goes to side buffers first.
-	var bodyBuf, spanBuf []kinstr
-	saved := kc.buf
-	kc.buf = &bodyBuf
+	// The body is lowered in place. What runs before it — the invariant
+	// code its lowering hoists, the trip guard, a page-run loop's span half
+	// — is only complete afterwards and is spliced in front of it, so no
+	// level of the nest copies its body into a parent's buffer.
+	body, p0 := kc.buf, len(*kc.buf)
 	kc.pending = iter
+	outer := kc.inAbsorber
+	kc.inAbsorber = outer || w != nil && len(w.abs) > 0
 	kc.stmts(l.Body)
+	kc.inAbsorber = outer
 	kc.flush()
-	lEnd := kc.newLabel()
-	if sites != nil {
-		kc.restore(s0)
-		kc.buf = &spanBuf
-		kc.spanLoop(l, sites, bodyBuf, iter, rv, rh, rlo, lEnd)
-	}
-	kc.buf = saved
-	kc.loops = kc.loops[:depth]
-	kc.reports[ri].Hints = ctx.hints
+	lEnd, lTop := kc.newLabel(), kc.newLabel()
 
 	// Layout: the preheader stores the first induction value; the back
 	// edge stores every subsequent one, so the loop top costs zero extra
@@ -549,26 +576,33 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 	// kscalar.go: hoisted reads after the guard, deferred stores and the
 	// batched charge on the fall-through exit, both skipped by the
 	// zero-trip jump exactly as the oracle's untaken loop touches nothing.
-	*kc.buf = append(*kc.buf, ctx.hoist...)
-	kc.emit(kinstr{op: opJumpGeI, a: rv, b: rh, imm: int64(lEnd)})
-	if sites != nil {
-		*kc.buf = append(*kc.buf, spanBuf...)
+	var front []kinstr
+	var promo *scalarPromo
+	var backEdge kinstr
+	kc.buf = &front
+	if pageRun {
+		kc.restore(s0)
+		backEdge = kc.spanLoop(l, w, iter, rv, rh, rlo, lTop, lEnd)
 	} else {
-		promo := promoteScalarLoop(bodyBuf, rv)
-		if promo != nil {
-			bodyBuf = promo.body
-			*kc.buf = append(*kc.buf, promo.pre...)
+		if promo = promoteScalarLoop((*body)[p0:], rv); promo != nil {
+			*body = append((*body)[:p0], promo.body...)
+			front = promo.pre
 		}
 		kc.emit(kinstr{op: opSetSlot, a: rv, imm: int64(l.Slot)})
-		lTop := kc.newLabel()
-		kc.mark(lTop)
-		*kc.buf = append(*kc.buf, bodyBuf...)
-		kc.emit(kinstr{op: opLoopEndS, dst: rv, a: uint16(l.Slot), b: rh, imm: l.Step, imm2: int64(lTop)})
-		if promo != nil {
-			*kc.buf = append(*kc.buf, promo.post...)
-			if promo.perIter != 0 {
-				kc.emit(kinstr{op: opChargeTrips, a: rv, b: rlo, imm: promo.perIter, imm2: l.Step})
-			}
+		backEdge = kinstr{op: opLoopEndS, dst: rv, a: uint16(l.Slot), b: rh, imm: l.Step, imm2: int64(lTop)}
+	}
+	kc.mark(lTop)
+	kc.buf = body
+	kc.loops = kc.loops[:depth]
+	kc.reports[ri].Hints = ctx.hints
+
+	pre := append(ctx.hoist, kinstr{op: opJumpGeI, a: rv, b: rh, imm: int64(lEnd)})
+	*kc.buf = slices.Insert(*kc.buf, p0, append(pre, front...)...)
+	kc.emit(backEdge)
+	if promo != nil {
+		*kc.buf = append(*kc.buf, promo.post...)
+		if promo.perIter != 0 {
+			kc.emit(kinstr{op: opChargeTrips, a: rv, b: rlo, imm: promo.perIter, imm2: l.Step})
 		}
 	}
 	kc.mark(lEnd)

@@ -471,6 +471,7 @@ func (m *Machine) runK(e *Env) {
 		case opSpanEnter:
 			k := spanChunk(e, &m.spans[in.dst], ri, 1<<(shift-3), ri[in.a], ri[uint16(in.imm2)], ri[in.b])
 			if k == 0 {
+				e.Span.Declined++
 				pc = int(in.imm)
 			}
 			e.spanLeft = k

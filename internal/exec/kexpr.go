@@ -299,8 +299,9 @@ func (kc *kcompiler) linIndexChecked(arr *ir.Array, idx []ir.IExpr) uint16 {
 // the 1-D subscript or the N-D linear index, (addr−base)/ElemSize either
 // way.
 func (kc *kcompiler) access(op1, opN, opS kop, arr *ir.Array, idx []ir.IExpr, reg uint16) {
-	if kc.spanNext >= 0 {
-		kc.spanAccess(opS, reg)
+	if kc.spanNext >= 0 { // the next site in first-touch order, as spanSites numbered them
+		kc.emit(kinstr{op: opS, dst: reg, imm: int64(kc.spanNext)})
+		kc.spanNext++
 		return
 	}
 	in := kinstr{op: opN, dst: reg, imm: arr.Base}

@@ -1,11 +1,12 @@
 // Page-run loop specialization, lowered to kernel bytecode.
 //
-// An innermost loop whose body is straight-line assignments with affine,
+// A loop whose body is straight-line assignments with affine,
 // constant-stride subscripts touches each array through runs of
 // consecutive (or constant-stride) words on the same page. The
 // per-element lowering pays a VM probe per element; the span lowering
 // pays one residency check per page run and iterates raw frame-word
-// slices in between.
+// slices in between. Inner loops of a small compile-time trip count do not
+// stand in the way: the loop absorbs them, unrolled, into its span body.
 //
 // An eligible loop is emitted as two bodies. The per-element body is the
 // ordinary kernel lowering; it runs short-trip entries (spanMinTrip),
@@ -29,7 +30,11 @@
 // the per-element iteration makes before its first fault.
 package exec
 
-import "repro/internal/ir"
+import (
+	"slices"
+
+	"repro/internal/ir"
+)
 
 // spanMinTrip is the trip count below which an entry into a page-run
 // loop stays on the per-element body. Short invocations cannot amortize
@@ -39,6 +44,11 @@ import "repro/internal/ir"
 // opSpanInit. Both bodies charge and fault identically — the guard only
 // moves host time.
 const spanMinTrip = 8
+
+// spanMaxUnroll caps the product of the trip counts a page-run loop
+// absorbs: its span body is that many copies of the innermost statements
+// (5 and 5 × 5 are the NAS shapes).
+const spanMaxUnroll = 32
 
 // runSite is the per-execution state of one specialized array access: the
 // frame words of the page the current chunk stays on, the word index of
@@ -62,11 +72,18 @@ type spanSite struct {
 	id      int
 	subBase int // first slot of this site's subscripts in Env.subs
 	write   bool
-	delta   int64      // word advance per iteration: Σ coeff_d·stride_d · step
-	cds     []int64    // per-dimension subscript advance: coeff_d · step
-	seed    []uint16   // registers holding each subscript's value at v = lo
-	idx     []ir.IExpr // the subscripts, lowered into seed by the preheader
+	delta   int64    // word advance per iteration: Σ coeff_d·stride_d · step
+	cds     []int64  // per-dimension subscript advance: coeff_d · step
+	seed    []uint16 // registers holding each subscript's value at v = lo
 	arr     *ir.Array
+}
+
+// absVar is the induction slot of an absorbed inner loop and the constant
+// it holds in the unrolled copy being walked; after the walk, the last
+// copy's: what an iteration of the absorbing loop leaves in the slot.
+type absVar struct {
+	slot int
+	val  int64
 }
 
 // spanLoop is the compile-time description of one page-run loop. It is
@@ -74,33 +91,41 @@ type spanSite struct {
 type spanLoop struct {
 	slot    int
 	step    int64
-	perIter int64 // user ops one iteration charges: loopCost's iter plus the body's statements
+	perIter int64 // user ops one iteration charges: loopCost's iter plus the body's statements, absorbed loops included
 	sites   []spanSite
+	finals  []absVar // absorbed induction slots: a chunk stores each one's final value once
 }
 
-// spanWalk is the page-run eligibility walk over one loop body. It
-// visits every array reference in evaluation (first-touch) order,
-// registering a site for each, and records the reason of the first
-// reference or statement the span lowering cannot take.
+// spanWalk is the page-run eligibility walk over one loop body, absorbed
+// inner loops unrolled. It visits every array reference in evaluation
+// (first-touch) order, registering a site for each and lowering its
+// subscripts at v = lo into the seed table, and records the reason of the
+// first reference or statement the span lowering cannot take.
 type spanWalk struct {
 	kc        *kcompiler
 	l         *ir.Loop
-	invariant func(slot int) bool // no statement of the body writes slot
+	invariant func(slot int) bool // slot holds one value across the loop, or is bound in abs
 	sites     []spanSite
+	cds       []int64  // backing store of every site's cds
+	seed      []uint16 // and of every site's seed
+	seeds     *kloop   // the seed code, lowered like hoisted code: from the slots alone
+	abs       []absVar
+	reads     []int // written slots read while not bound: none may be absorbed later
+	mult      int64 // product of the open absorbed loops' trip counts
+	unroll    int64 // its maximum: copies of the innermost statements in the span body
 	reason    FallbackReason
 }
 
 // spanSites decides whether l runs as a page-run loop. It returns the
-// loop's access sites and ReasonSpecialized when it does, and the reason
-// it does not otherwise (with the site numbering left untouched). A
-// recording compile declines every eligible loop: a span body would lower
-// each reference a second time and batch away the per-access fault
-// attribution the recorder exists for.
-func (kc *kcompiler) spanSites(l *ir.Loop) ([]spanSite, FallbackReason) {
+// finished walk with ReasonSpecialized when it does — or, from a recording
+// compile, with ReasonRecording: a span body would lower each reference a
+// second time and batch away the per-access fault attribution the recorder
+// exists for, but the loop still speaks for the inner loops it would have
+// absorbed — and nil with the reason otherwise (the site numbering left
+// untouched).
+func (kc *kcompiler) spanSites(l *ir.Loop) (*spanWalk, FallbackReason) {
 	sum := ir.Summarize(l)
 	switch {
-	case !sum.Innermost:
-		return nil, ReasonOuterLoop
 	case sum.HasHint:
 		return nil, ReasonHintInBody
 	case sum.HasIf:
@@ -108,9 +133,49 @@ func (kc *kcompiler) spanSites(l *ir.Loop) ([]spanSite, FallbackReason) {
 	case sum.WritesInductionVar:
 		return nil, ReasonInductionWrite
 	}
-	w := &spanWalk{kc: kc, l: l, invariant: func(slot int) bool { return !sum.Written[slot] }}
+	w := &spanWalk{kc: kc, l: l, mult: 1, unroll: 1, seeds: &kloop{hoistCse: map[uint64]cseEnt{}}}
+	w.invariant = func(slot int) bool { return !sum.Written[slot] || w.bound(slot) != nil }
 	nSites, nSubs := kc.nSites, kc.nSubs
-	for _, s := range l.Body {
+	w.stmts(l.Body)
+	if len(w.sites) == 0 {
+		w.stop(ReasonScalarOnly) // nothing for a span to batch
+	}
+	if _, trip, ok := ir.StaticTrip(l, kc.params); ok && trip < spanMinTrip {
+		w.stop(ReasonShortTrip) // every entry would take opSpanInit's short exit
+	}
+	if kc.prof != nil {
+		w.stop(ReasonRecording)
+	}
+	if w.reason != ReasonSpecialized {
+		kc.nSites, kc.nSubs = nSites, nSubs
+		if w.reason != ReasonRecording {
+			return nil, w.reason
+		}
+	}
+	return w, w.reason
+}
+
+func (w *spanWalk) stop(r FallbackReason) {
+	if w.reason == ReasonSpecialized {
+		w.reason = r
+	}
+}
+
+// bound returns the absorbed-variable entry of slot, if it has one.
+func (w *spanWalk) bound(slot int) *absVar {
+	for i := range w.abs {
+		if w.abs[i].slot == slot {
+			return &w.abs[i]
+		}
+	}
+	return nil
+}
+
+func (w *spanWalk) stmts(body []ir.Stmt) {
+	for _, s := range body {
+		if w.reason != ReasonSpecialized {
+			return
+		}
 		switch x := s.(type) {
 		case ir.AssignF:
 			w.fexpr(x.RHS) // RHS sites first: evaluation order
@@ -122,27 +187,40 @@ func (kc *kcompiler) spanSites(l *ir.Loop) ([]spanSite, FallbackReason) {
 			w.fexpr(x.RHS)
 		case ir.SetScalarI:
 			w.iexpr(x.RHS)
+			if w.bound(x.Slot) != nil {
+				w.stop(ReasonInductionWrite)
+			}
+		case *ir.Loop:
+			w.absorb(x)
 		default:
 			w.stop(ReasonUnsupportedBody)
 		}
 	}
-	if len(w.sites) == 0 {
-		w.stop(ReasonScalarOnly) // nothing for a span to batch
-	}
-	if kc.prof != nil {
-		w.stop(ReasonRecording)
-	}
-	if w.reason != ReasonSpecialized {
-		kc.nSites, kc.nSubs = nSites, nSubs
-		return nil, w.reason
-	}
-	return w.sites, ReasonSpecialized
 }
 
-func (w *spanWalk) stop(r FallbackReason) {
-	if w.reason == ReasonSpecialized {
-		w.reason = r
+// absorb walks inner loop x as trip copies of its body, its induction
+// slot bound to each copy's constant — when x has compile-time bounds and
+// a trip count it could never run spans on by itself, within the unroll
+// budget. Nothing may have read the slot earlier in the iteration: the
+// span body never stores it, a chunk only leaves its final value behind.
+func (w *spanWalk) absorb(x *ir.Loop) {
+	lo, trip, ok := ir.StaticTrip(x, w.kc.params)
+	if !ok || trip == 0 || trip >= spanMinTrip || w.mult*trip > spanMaxUnroll || slices.Contains(w.reads, x.Slot) {
+		w.stop(ReasonOuterLoop)
+		return
 	}
+	if w.bound(x.Slot) == nil {
+		w.abs = append(w.abs, absVar{slot: x.Slot})
+	}
+	w.mult *= trip
+	w.unroll = max(w.unroll, w.mult)
+	for c := int64(0); c < trip; c++ {
+		v := lo + c*x.Step
+		w.bound(x.Slot).val = v
+		w.seeds.rebind(x.Slot, w.kc.iconstReg(v))
+		w.stmts(x.Body)
+	}
+	w.mult /= trip
 }
 
 // ref registers an access site for arr[idx...], or stops the walk when a
@@ -164,7 +242,7 @@ func (w *spanWalk) ref(arr *ir.Array, idx []ir.IExpr, write bool) {
 		return
 	}
 	var elemCoeff int64
-	cds := make([]int64, len(idx))
+	nc, ns := len(w.cds), len(w.seed)
 	for d, ix := range idx {
 		coeff, ok := ir.AffineCoeff(ix, w.l.Slot, w.invariant)
 		if !ok {
@@ -172,16 +250,25 @@ func (w *spanWalk) ref(arr *ir.Array, idx []ir.IExpr, write bool) {
 			return
 		}
 		elemCoeff += coeff * arr.Strides[d]
-		cds[d] = coeff * w.l.Step
+		w.cds = append(w.cds, coeff*w.l.Step)
 	}
 	delta := elemCoeff * w.l.Step
 	if pw := int64(1) << (w.kc.shift - 3); delta >= pw || -delta >= pw {
 		w.stop(ReasonPageStride) // every chunk would be a single iteration
 		return
 	}
+	if w.reason != ReasonSpecialized {
+		return
+	}
+	// The seeds only hold at v = lo, so no fact they establish may reach
+	// either body: they go to a table of their own, where an absorbed
+	// variable is its constant (the preheader's slot holds something else).
+	for _, ix := range idx {
+		w.seed = append(w.seed, w.kc.compileHoisted(ix, w.seeds))
+	}
 	w.sites = append(w.sites, spanSite{
-		id: w.kc.nSites, subBase: w.kc.nSubs, write: write,
-		delta: delta, cds: cds, idx: idx, arr: arr,
+		id: w.kc.nSites, subBase: w.kc.nSubs, write: write, delta: delta,
+		cds: w.cds[nc:len(w.cds):len(w.cds)], seed: w.seed[ns:len(w.seed):len(w.seed)], arr: arr,
 	})
 	w.kc.nSites++
 	w.kc.nSubs += len(idx)
@@ -191,6 +278,10 @@ func (w *spanWalk) ref(arr *ir.Array, idx []ir.IExpr, write bool) {
 // memory or a float conversion (which makes it useless as a subscript).
 func (w *spanWalk) iexpr(x ir.IExpr) bool {
 	switch e := x.(type) {
+	case ir.ISlot:
+		if !w.invariant(e.Slot) {
+			w.reads = append(w.reads, e.Slot)
+		}
 	case ir.IBin:
 		a := w.iexpr(e.A)
 		b := w.iexpr(e.B)
@@ -223,10 +314,26 @@ func (w *spanWalk) fexpr(x ir.FExpr) {
 	}
 }
 
-// spanLoop emits a page-run loop around its two bodies. elem is the
-// per-element body, already lowered; the span body is lowered here, from
-// the value-numbering state the caller has reset to the one elem started
-// from (only facts the preheader established). Layout:
+// rebind makes the seed table read slot as register r, dropping every
+// value derived from what it was bound to before.
+func (ctx *kloop) rebind(slot int, r uint16) {
+	for k, ent := range ctx.hoistCse {
+		uses := false
+		ir.IExprSlots(ent.e, func(s int) { uses = uses || s == slot })
+		if uses {
+			delete(ctx.hoistCse, k)
+		}
+	}
+	e := ir.ISlot{Slot: slot}
+	ctx.hoistCse[keyI(e)] = cseEnt{e: e, r: r}
+}
+
+// spanLoop emits the span half of a page-run loop — everything between
+// the trip guard and the per-element body, which the caller has already
+// lowered and marks lElem — and returns the instruction that closes that
+// body. The span body is lowered here, from the value-numbering state the
+// caller has reset to the one the per-element body started from (only
+// facts the preheader established). Layout:
 //
 //	        SetSlot    the first induction value, as in any kernel loop
 //	        SpanInit   short trip -> elem
@@ -238,56 +345,48 @@ func (w *spanWalk) fexpr(x ir.FExpr) {
 //	elem:   <per-element body>
 //	        SpanSlow   trips left -> elem (short entry) or enter
 //	end:
-func (kc *kcompiler) spanLoop(l *ir.Loop, sites []spanSite, elem []kinstr, iter int64, rv, rh, rlo uint16, lEnd int) {
+func (kc *kcompiler) spanLoop(l *ir.Loop, w *spanWalk, iter int64, rv, rh, rlo uint16, lElem, lEnd int) kinstr {
 	if len(kc.spans) > 0xFFFF {
 		kc.overflow = true
-		return
+		return kinstr{}
 	}
 	id := uint16(len(kc.spans))
-	lEnter, lSpan, lElem := kc.newLabel(), kc.newLabel(), kc.newLabel()
+	lEnter, lSpan := kc.newLabel(), kc.newLabel()
 	kc.emit(kinstr{op: opSetSlot, a: rv, imm: int64(l.Slot)})
 	kc.emit(kinstr{op: opSpanInit, a: rv, b: rh, imm: int64(lElem), imm2: spanMinTrip * l.Step})
-
-	// The seeds are only evaluated on the long-trip path and only hold at
-	// v = lo, so no fact they establish may reach either body: they are
-	// lowered like hoisted code, from the slots alone (the preheader has
-	// just stored lo in the induction slot) into a table of their own.
-	seeds := &kloop{hoistCse: map[uint64]cseEnt{}}
-	for i := range sites {
-		s := &sites[i]
-		s.seed = make([]uint16, len(s.idx))
-		for d, ix := range s.idx {
-			s.seed[d] = kc.compileHoisted(ix, seeds)
-		}
-	}
-	*kc.buf = append(*kc.buf, seeds.hoist...)
+	*kc.buf = append(*kc.buf, w.seeds.hoist...)
 	kc.mark(lEnter)
 	kc.emit(kinstr{op: opSpanEnter, dst: id, a: rv, b: rh, imm: int64(lElem), imm2: int64(rlo)})
 
 	// The span body charges nothing itself: whatever the statement
 	// lowering left pending is the per-iteration cost spanChunk batches.
 	kc.mark(lSpan)
-	kc.spanNext = sites[0].id
+	kc.spanNext = w.sites[0].id
 	kc.pending = iter
 	kc.stmts(l.Body)
 	perIter := kc.takePending()
 	kc.spanNext = -1
 	kc.emit(kinstr{op: opSpanNext, dst: rv, a: rh, b: id, imm: int64(lSpan), imm2: int64(lEnter)})
 	kc.emit(kinstr{op: opJump, imm: int64(lEnd)})
-
-	kc.mark(lElem)
-	*kc.buf = append(*kc.buf, elem...)
-	kc.emit(kinstr{op: opSpanSlow, dst: rv, a: rh, b: id, imm: int64(lElem), imm2: int64(lEnter)})
-	kc.spans = append(kc.spans, spanLoop{slot: l.Slot, step: l.Step, perIter: perIter, sites: sites})
+	kc.spans = append(kc.spans, spanLoop{slot: l.Slot, step: l.Step, perIter: perIter, sites: w.sites, finals: w.abs})
+	return kinstr{op: opSpanSlow, dst: rv, a: rh, b: id, imm: int64(lElem), imm2: int64(lEnter)}
 }
 
-// spanAccess emits one span-body array access, to or from register reg,
-// through the next site in first-touch order — the order spanSites
-// registered them in.
-func (kc *kcompiler) spanAccess(op kop, reg uint16) uint16 {
-	kc.emit(kinstr{op: op, dst: reg, imm: int64(kc.spanNext)})
-	kc.spanNext++
-	return reg
+// unroll lowers an absorbed loop inside a span body: trip copies of its
+// statements with the induction slot bound to each copy's constant. The
+// charges stay the original nest's — loopCost's head and iter and every
+// statement's stmtCost price the slot read, not the constant — and the
+// value-numbering facts over the slot are dropped between copies.
+func (kc *kcompiler) unroll(l *ir.Loop) {
+	lo, trip, _ := ir.StaticTrip(l, kc.params)
+	head, iter, _ := loopCost(l)
+	kc.charge(head)
+	for c := int64(0); c < trip; c++ {
+		kc.invalidateSlot(l.Slot)
+		kc.bind[l.Slot] = kc.iconstReg(lo + c*l.Step)
+		kc.charge(iter)
+		kc.stmts(l.Body)
+	}
 }
 
 // spanChunk decides how iteration v (of a loop running lo..h) proceeds.
@@ -327,7 +426,9 @@ func spanChunk(e *Env, sp *spanLoop, ri []int64, pageWords, v, lo, h int64) int6
 	// on this iteration's subscripts: the per-element body runs and traps
 	// at its exact site with the body's partial effects in place. (The
 	// maintained address is only meaningful while subscripts are in
-	// bounds, hence the re-seed flag.)
+	// bounds, hence the re-seed flag.) Then size the chunk: iterations
+	// until any site leaves its page, capped by the iterations left
+	// (including this one).
 	for i := range sp.sites {
 		s := &sp.sites[i]
 		for d, dim := range s.arr.Dims {
@@ -336,12 +437,6 @@ func spanChunk(e *Env, sp *spanLoop, ri []int64, pageWords, v, lo, h int64) int6
 				return 0
 			}
 		}
-	}
-
-	// Size the chunk: iterations until any site leaves its page, capped
-	// by the iterations left (including this one).
-	for i := range sp.sites {
-		s := &sp.sites[i]
 		off := (e.sites[s.id].addr & byteMask) >> 3
 		switch {
 		case s.delta > 0:
@@ -400,7 +495,14 @@ func spanChunk(e *Env, sp *spanLoop, ri []int64, pageWords, v, lo, h int64) int6
 	// Commit: charge the whole chunk in one batch (the pending-ops sum a
 	// crossing observes is what matters, and no crossing can occur inside
 	// the chunk).
-	e.vm.AddUserOps(k * sp.perIter)
+	ops := k * sp.perIter
+	e.vm.AddUserOps(ops)
+	for _, f := range sp.finals {
+		e.Ints[f.slot] = f.val
+	}
+	e.Span.Chunks++
+	e.Span.Iters += k
+	e.Span.UserOps += ops
 	advanceSites(e, sp, k)
 	return k
 }

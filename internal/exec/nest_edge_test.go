@@ -339,6 +339,296 @@ func TestNestSpanEntryEdges(t *testing.T) {
 	}
 }
 
+// absorbNest describes a k-over-rows nest whose inner loop the k loop may
+// absorb: rows of width words in a and b, row k (or n-1-k when rev) read
+// from a and written to b at column m-lo for m = lo; m < hi; m += step,
+// with the inner variable also used as a value, and a reduction over what
+// was stored. fan > 0 adds that many reads of a per element, from rows 128
+// apart (over a page each): more pages per iteration than a small VM has
+// frames.
+type absorbNest struct {
+	n, width     int64
+	lo, hi, step int64
+	rev          bool
+	fan          int64
+	hiExpr       func(p *ir.Program) (pre []ir.Stmt, hi ir.IExpr) // overrides hi
+}
+
+func (c absorbNest) program() *ir.Program {
+	p := ir.NewProgram("absorb")
+	np := p.NewParam("n", c.n, true)
+	a := p.NewArrayF("a", ir.AddI(np, ir.Int(c.fan*128)), ir.Int(c.width))
+	b := p.NewArrayF("b", np, ir.Int(c.width))
+	s := p.NewScalarF("s")
+	last := p.NewScalarI("last")
+	k := p.NewLoopVar("k")
+	m := p.NewLoopVar("m")
+	var pre []ir.Stmt
+	hi := ir.Int(c.hi)
+	if c.hiExpr != nil {
+		pre, hi = c.hiExpr(p)
+	}
+	var row ir.IExpr = k
+	if c.rev {
+		row = ir.SubI(ir.SubI(np, ir.Int(1)), k)
+	}
+	// The column is lo back from m (an expression over the inner variable
+	// unless lo is 0), and m also feeds a value expression.
+	var col ir.IExpr = m
+	if c.lo != 0 {
+		col = ir.SubI(m, ir.Int(c.lo))
+	}
+	at := []ir.IExpr{row, col}
+	val := ir.LoadF(a, at...)
+	for j := int64(1); j <= c.fan; j++ {
+		val = ir.AddF(val, ir.LoadF(a, ir.AddI(row, ir.Int(j*128)), col))
+	}
+	p.Body = append(pre,
+		ir.For(k, ir.Int(0), np, 1,
+			ir.For(m, ir.Int(c.lo), hi, c.step,
+				ir.StoreF(b, at, ir.AddF(ir.MulF(val, ir.Flt(2)), ir.FromInt{X: ir.AddI(ir.MulI(m, ir.Int(3)), k)})),
+				ir.SetF(s, ir.AddF(scalarRef(s), ir.LoadF(b, at...))))),
+		ir.SetI(last, ir.AddI(m, k))) // both induction slots, read after the nest
+	return p
+}
+
+func seedAll(f *stripefs.File, p *ir.Program) {
+	for _, arr := range p.Arrays {
+		SeedF64(f, hw.Default().PageSize, arr, func(i int64) float64 { return float64(i%29) / 4 })
+	}
+}
+
+// loopReport returns the report of the first loop over v.
+func loopReport(t *testing.T, m *Machine, v string) LoopReport {
+	t.Helper()
+	for _, r := range m.Reports() {
+		if r.Var == v {
+			return r
+		}
+	}
+	t.Fatalf("no report for loop %s in %v", v, m.Reports())
+	return LoopReport{}
+}
+
+func TestNestAbsorbedInnerLoops(t *testing.T) {
+	// A page-run loop absorbs its constant-trip inner loops: every shape
+	// runs against the oracle, and the reports say which loop took the
+	// spans. Rows are 5 (or 7) words wide and a page holds 512, so over 1000
+	// rows a row straddles a page boundary at every alignment.
+	type want struct {
+		outer  FallbackReason // the k loop
+		unroll int
+		inner  FallbackReason // the m loop
+	}
+	absorbed := func(u int) want { return want{ReasonSpecialized, u, ReasonAbsorbed} }
+	cases := []struct {
+		name string
+		nest absorbNest
+		want want
+	}{
+		{"trip-1", absorbNest{n: 1000, width: 5, hi: 1, step: 1}, absorbed(1)},
+		{"trip-2", absorbNest{n: 1000, width: 5, hi: 2, step: 1}, absorbed(2)},
+		{"trip-5", absorbNest{n: 1000, width: 5, hi: 5, step: 1}, absorbed(5)},
+		// Under a page of rows, touched beforehand: one chunk runs the whole
+		// loop and no per-element iteration ever stores the inner slot — only
+		// the chunk's commit leaves its final value for the read after the nest.
+		{"single-chunk", absorbNest{n: 100, width: 5, step: 1, hiExpr: func(p *ir.Program) ([]ir.Stmt, ir.IExpr) {
+			w, s0 := p.NewLoopVar("w"), p.NewScalarF("s0")
+			return []ir.Stmt{ir.For(w, ir.Int(0), ir.Int(100), 1, ir.SetF(s0, ir.AddF(scalarRef(s0),
+				ir.AddF(ir.LoadF(p.Arrays[0], w, ir.Int(0)), ir.LoadF(p.Arrays[1], w, ir.Int(0))))))}, ir.Int(5)
+		}}, absorbed(5)},
+		{"trip-7", absorbNest{n: 1000, width: 7, hi: spanMinTrip - 1, step: 1}, absorbed(spanMinTrip - 1)},
+		{"trip-8-not-absorbed", absorbNest{n: 1000, width: 8, hi: spanMinTrip, step: 1},
+			want{ReasonOuterLoop, 0, ReasonSpecialized}},
+		{"lo-1-step-2", absorbNest{n: 1000, width: 7, lo: 1, hi: 6, step: 2}, absorbed(3)},
+		{"negative-outer-coefficient", absorbNest{n: 1000, width: 5, lo: 1, hi: 5, step: 3, rev: true}, absorbed(2)},
+		{"zero-trip-not-absorbed", absorbNest{n: 1000, width: 5, lo: 3, hi: 3, step: 1},
+			want{ReasonOuterLoop, 0, ReasonShortTrip}},
+		{"param-bound", absorbNest{n: 1000, width: 5, step: 1, hiExpr: func(p *ir.Program) ([]ir.Stmt, ir.IExpr) {
+			return nil, p.NewParam("bm", 5, false) // unknown to the prefetch compiler, not to the machine
+		}}, absorbed(5)},
+		{"written-scalar-bound-not-folded", absorbNest{n: 1000, width: 5, step: 1, hiExpr: func(p *ir.Program) ([]ir.Stmt, ir.IExpr) {
+			h := p.NewScalarI("h")
+			return []ir.Stmt{ir.SetI(h, ir.Int(5))}, h
+		}}, want{ReasonOuterLoop, 0, ReasonSpecialized}},
+		// Ten pages an iteration on eight frames: every chunk is declined at
+		// the site whose page is out, and the per-element body faults mid-nest.
+		{"few-frames", absorbNest{n: 400, width: 5, hi: 5, step: 1, fan: 8}, absorbed(5)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, _, m := buildWith(t, tc.nest.program(), 8, Options{})
+			k, in := loopReport(t, m, "k"), loopReport(t, m, "m")
+			if k.Reason != tc.want.outer || in.Reason != tc.want.inner || k.Unroll != tc.want.unroll && tc.want.unroll > 0 {
+				t.Errorf("reports: k = %s, m = %s; want %s ×%d / %s", k, in, tc.want.outer, tc.want.unroll, tc.want.inner)
+			}
+			env, _ := runDifferentialSites(t, tc.nest.program, 8, seedAll, tc.want.inner != ReasonShortTrip)
+			switch {
+			case tc.nest.fan > 0:
+				if env.Span.Declined < 10*env.Span.Chunks {
+					t.Errorf("few frames should decline nearly every chunk: %+v", env.Span)
+				}
+			case tc.want.inner == ReasonAbsorbed && env.Span.UserOps == 0:
+				t.Errorf("the absorbing loop entered no chunk: %+v", env.Span)
+			}
+		})
+	}
+}
+
+func TestNestAbsorbedBlockSolve(t *testing.T) {
+	// APPBT's shape: two absorbed levels (5 × 5 = 25 copies) under a
+	// param-valued bound, a scalar accumulator reset per row, and the
+	// update store after the inner loop. A 7 × 7 block is past the unroll
+	// budget: k stays an outer loop, and m (which could absorb q) and q are
+	// short-trip loops at 7 trips each.
+	mk := func(bm int64) func() *ir.Program {
+		return func() *ir.Program {
+			p := ir.NewProgram("blocksolve")
+			np := p.NewParam("n", 300, true)
+			bmp := p.NewParam("bm", bm, false)
+			blk := p.NewArrayF("blk", np, bmp, bmp)
+			rhs := p.NewArrayF("rhs", np, bmp)
+			acc := p.NewScalarF("acc")
+			k, m, q := p.NewLoopVar("k"), p.NewLoopVar("m"), p.NewLoopVar("q")
+			p.Body = []ir.Stmt{
+				ir.For(k, ir.Int(1), np, 1,
+					ir.For(m, ir.Int(0), bmp, 1,
+						ir.SetF(acc, ir.Flt(0)),
+						ir.For(q, ir.Int(0), bmp, 1,
+							ir.SetF(acc, ir.AddF(scalarRef(acc), ir.MulF(
+								ir.LoadF(blk, k, m, q), ir.LoadF(rhs, ir.SubI(k, ir.Int(1)), q))))),
+						ir.StoreF(rhs, []ir.IExpr{k, m},
+							ir.SubF(ir.LoadF(rhs, k, m), ir.MulF(ir.Flt(0.1), scalarRef(acc)))))),
+			}
+			return p
+		}
+	}
+	_, _, _, m5 := buildWith(t, mk(5)(), 8, Options{})
+	if r := loopReport(t, m5, "k"); r.Driver != "page-run" || r.Unroll != 25 || r.Sites != 60 {
+		t.Errorf("5×5 block: k = %s, want page-run with 60 sites, 25× unrolled", r)
+	}
+	for _, v := range []string{"m", "q"} {
+		if r := loopReport(t, m5, v); r.Reason != ReasonAbsorbed {
+			t.Errorf("5×5 block: %s = %s, want absorbed", v, r)
+		}
+	}
+	if env, _ := runDifferential(t, mk(5), 8, seedAll); env.Span.Chunks == 0 {
+		t.Error("5×5 block entered no chunk")
+	}
+
+	_, _, _, m7 := buildWith(t, mk(7)(), 8, Options{})
+	for v, want := range map[string]FallbackReason{"k": ReasonOuterLoop, "m": ReasonShortTrip, "q": ReasonShortTrip} {
+		if r := loopReport(t, m7, v); r.Driver != "kernel" || r.Reason != want {
+			t.Errorf("7×7 block: %s = %s, want kernel %s", v, r, want)
+		}
+	}
+	runDifferentialSites(t, mk(7), 8, seedAll, false)
+}
+
+func TestNestAbsorbCorners(t *testing.T) {
+	// Shapes the absorbing walk must leave alone, each still tick-identical
+	// to the oracle: the inner variable read before its loop in the same
+	// iteration (the span body never stores it, so that read would see a
+	// stale slot), assigned inside its own loop, and a hint beside the
+	// inner loop (the parent is out; the inner loop reports short-trip).
+	// And one it takes: an absorbed loop nested in another over the same
+	// variable, whose slot the statement after it reads at the inner
+	// loop's final value.
+	build := func(body func(p *ir.Program, a *ir.Array, k, m ir.ISlot, s ir.FScalar) []ir.Stmt) func() *ir.Program {
+		return func() *ir.Program {
+			p := ir.NewProgram("declines")
+			np := p.NewParam("n", 600, true)
+			a := p.NewArrayF("a", np, ir.Int(5))
+			s := p.NewScalarF("s")
+			k, m := p.NewLoopVar("k"), p.NewLoopVar("m")
+			p.Body = []ir.Stmt{ir.For(k, ir.Int(0), np, 1, body(p, a, k, m, s)...)}
+			return p
+		}
+	}
+	inner := func(a *ir.Array, k, m ir.ISlot, s ir.FScalar, extra ...ir.Stmt) ir.Stmt {
+		return ir.For(m, ir.Int(0), ir.Int(5), 1, append([]ir.Stmt{
+			ir.SetF(s, ir.AddF(scalarRef(s), ir.LoadF(a, k, m)))}, extra...)...)
+	}
+	cases := []struct {
+		name     string
+		mk       func() *ir.Program
+		k, m     FallbackReason
+		hasSites bool
+	}{
+		{"read-before-loop", build(func(p *ir.Program, a *ir.Array, k, m ir.ISlot, s ir.FScalar) []ir.Stmt {
+			return []ir.Stmt{ir.SetF(s, ir.AddF(scalarRef(s), ir.FromInt{X: m})), inner(a, k, m, s)}
+		}), ReasonOuterLoop, ReasonShortTrip, false},
+		{"inner-variable-assigned", build(func(p *ir.Program, a *ir.Array, k, m ir.ISlot, s ir.FScalar) []ir.Stmt {
+			return []ir.Stmt{inner(a, k, m, s, ir.SetI(m, ir.AddI(m, ir.Int(1))))}
+		}), ReasonInductionWrite, ReasonInductionWrite, false},
+		{"hint-beside-inner-loop", build(func(p *ir.Program, a *ir.Array, k, m ir.ISlot, s ir.FScalar) []ir.Stmt {
+			return []ir.Stmt{ir.Prefetch{Arr: a, Idx: []ir.IExpr{k, ir.Int(0)}, Pages: ir.Int(1)}, inner(a, k, m, s)}
+		}), ReasonHintInBody, ReasonShortTrip, false},
+		{"nested-same-variable", build(func(p *ir.Program, a *ir.Array, k, m ir.ISlot, s ir.FScalar) []ir.Stmt {
+			return []ir.Stmt{ir.For(m, ir.Int(0), ir.Int(3), 1,
+				ir.For(m, ir.Int(0), ir.Int(2), 1, ir.SetF(s, ir.AddF(scalarRef(s), ir.LoadF(a, k, m)))),
+				ir.SetF(s, ir.AddF(scalarRef(s), ir.LoadF(a, k, ir.AddI(m, ir.Int(3))))))}
+		}), ReasonSpecialized, ReasonAbsorbed, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, _, mach := buildWith(t, tc.mk(), 8, Options{})
+			if k, m := loopReport(t, mach, "k"), loopReport(t, mach, "m"); k.Reason != tc.k || m.Reason != tc.m {
+				t.Errorf("reports: k = %s, m = %s; want %s / %s", k, m, tc.k, tc.m)
+			}
+			runDifferentialSites(t, tc.mk, 8, seedAll, tc.hasSites)
+		})
+	}
+}
+
+func TestNestAbsorbedTrapAtOneCopy(t *testing.T) {
+	// a has 4 columns and the inner loop runs 5: the constant subscript is
+	// out of range at exactly one unrolled position. The chunk is declined,
+	// the per-element nest stores columns 0..3 of row 0 and traps at column
+	// 4 with the oracle's text, leaving the oracle's memory image and faults.
+	mk := func() *ir.Program {
+		p := ir.NewProgram("trapcopy")
+		np := p.NewParam("n", 600, true)
+		a := p.NewArrayF("a", np, ir.Int(4))
+		k, m := p.NewLoopVar("k"), p.NewLoopVar("m")
+		p.Body = []ir.Stmt{ir.For(k, ir.Int(0), np, 1,
+			ir.For(m, ir.Int(0), ir.Int(5), 1,
+				ir.StoreF(a, []ir.IExpr{k, m}, ir.AddF(ir.LoadF(a, k, m), ir.Flt(1)))))}
+		return p
+	}
+	run := func(opts Options) (trap string, v *vm.VM) {
+		_, v, file, m := buildWith(t, mk(), 8, opts)
+		if !opts.NoFastPath && loopReport(t, m, "k").Unroll != 5 {
+			t.Fatalf("k did not absorb m: %v", m.Reports())
+		}
+		seedAll(file, m.prog)
+		defer func() {
+			e, ok := recover().(*TrapError)
+			if !ok {
+				t.Fatalf("run did not trap (NoFastPath=%v)", opts.NoFastPath)
+			}
+			trap = e.Error()
+		}()
+		m.Run()
+		return
+	}
+	fastTrap, vFast := run(Options{})
+	slowTrap, vSlow := run(Options{NoFastPath: true})
+	if fastTrap != slowTrap || fastTrap != "exec: a subscript 4 out of range [0,4) in dim 1" {
+		t.Errorf("trap text: bytecode %q, oracle %q", fastTrap, slowTrap)
+	}
+	for addr := int64(0); addr < 64; addr += 8 {
+		if a, b := vFast.Peek(addr), vSlow.Peek(addr); a != b {
+			t.Errorf("memory diverged at %#x: bytecode %#x, oracle %#x", addr, a, b)
+		}
+	}
+	// (Not Times: the bytecode checks a subscript before it materializes the
+	// statement's charge, so user time at a trap differs on any loop.)
+	if a, b := vFast.Stats(), vSlow.Stats(); a != b {
+		t.Errorf("vm stats at the trap diverged:\nbytecode %+v\noracle   %+v", a, b)
+	}
+}
+
 func TestNestReports(t *testing.T) {
 	// The per-loop reports must name the driver each loop actually got
 	// and a sensible fallback reason for the ones that missed page-run.
@@ -348,15 +638,24 @@ func TestNestReports(t *testing.T) {
 	a := p.NewArrayF("a", np)
 	key := p.NewArrayI("key", np)
 	s := p.NewScalarF("s")
+	c5 := p.NewArrayF("c5", np, ir.Int(5))
 	it := p.NewLoopVar("it")
 	i := p.NewLoopVar("i")
 	j := p.NewLoopVar("j")
+	k := p.NewLoopVar("k")
+	mv := p.NewLoopVar("m")
+	g := p.NewLoopVar("g")
 	p.Body = []ir.Stmt{
 		ir.For(it, ir.Int(0), ir.Int(2), 1,
 			ir.For(i, ir.Int(0), np, 1,
 				ir.SetF(s, ir.AddF(scalarRef(s), ir.LoadF(a, i))))),
 		ir.For(j, ir.Int(0), np, 1,
 			ir.SetF(s, ir.AddF(scalarRef(s), ir.LoadF(a, ir.LoadI(key, j))))),
+		ir.For(k, ir.Int(0), np, 1,
+			ir.For(mv, ir.Int(0), ir.Int(5), 1,
+				ir.SetF(s, ir.AddF(scalarRef(s), ir.LoadF(c5, k, mv))))),
+		ir.For(g, ir.Int(0), ir.Int(5), 1, // eligible, statically short, nobody to absorb it
+			ir.SetF(s, ir.AddF(scalarRef(s), ir.LoadF(a, g)))),
 	}
 	_, _, _, m := buildWith(t, p, 64, Options{})
 	got := m.Reports()
@@ -369,6 +668,9 @@ func TestNestReports(t *testing.T) {
 		{"it", 0, "kernel", ReasonOuterLoop},
 		{"i", 1, "page-run", ReasonSpecialized},
 		{"j", 0, "kernel", ReasonIndirectIndex},
+		{"k", 0, "page-run", ReasonSpecialized},
+		{"m", 1, "kernel", ReasonAbsorbed},
+		{"g", 0, "kernel", ReasonShortTrip},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d reports, want %d: %v", len(got), len(want), got)
@@ -387,6 +689,12 @@ func TestNestReports(t *testing.T) {
 			t.Errorf("empty String() for %+v", r)
 		}
 	}
+	if got, want := got[3].String(), "loop k        page-run (5 sites, 5× unrolled)"; got != want {
+		t.Errorf("absorbing loop prints %q, want %q", got, want)
+	}
+	if got[1].Unroll != 1 {
+		t.Errorf("innermost page-run loop reports %d copies, want 1", got[1].Unroll)
+	}
 
 	// A recording compile declines exactly the eligible loop, by name.
 	art, err := Compile(p, hw.Default().PageSize, Options{Profile: profile.NewRecorder(p, hw.Default().PageSize)})
@@ -402,8 +710,11 @@ func TestNestReports(t *testing.T) {
 			t.Errorf("recording report %d = %+v, want kernel/%s", k, r, w)
 		}
 	}
-	if got := ReasonRecording.String(); got != "recording" {
-		t.Errorf("ReasonRecording prints %q", got)
+	for r, want := range map[FallbackReason]string{
+		ReasonRecording: "recording", ReasonAbsorbed: "absorbed", ReasonShortTrip: "short-trip"} {
+		if got := r.String(); got != want {
+			t.Errorf("reason %d prints %q, want %q", r, got, want)
+		}
 	}
 
 	// NoFastPath: the whole program is the oracle, nothing to report.
@@ -420,7 +731,7 @@ func TestNestReports(t *testing.T) {
 }
 
 func TestFallbackReasonStrings(t *testing.T) {
-	for r := ReasonSpecialized; r <= ReasonUnsupportedBody; r++ {
+	for r := ReasonSpecialized; r <= ReasonShortTrip; r++ {
 		if s := r.String(); s == "" || s[0] == 'r' && s != "reason(255)" && len(s) > 7 && s[:7] == "reason(" {
 			t.Errorf("reason %d has no name: %q", r, s)
 		}

@@ -1,9 +1,8 @@
 // Per-loop compilation reports: how each loop of the nest was lowered
 // (page-run span loop or plain kernel bytecode) and, when the page-run
-// lowering was not used, why. The
-// harness surfaces these through core.Result and `oocbench
-// -explain-fastpath` so a missing specialization is diagnosable instead
-// of a silent slowdown.
+// lowering was not used, why. The harness surfaces these through
+// core.Result and `oocbench -explain-fastpath` so a missing specialization
+// is diagnosable instead of a silent slowdown.
 package exec
 
 import "fmt"
@@ -15,8 +14,10 @@ type FallbackReason uint8
 const (
 	// ReasonSpecialized: the loop runs as a page-run span loop.
 	ReasonSpecialized FallbackReason = iota
-	// ReasonOuterLoop: the loop contains nested loops; only its innermost
-	// descendants are span candidates. It runs as kernel bytecode.
+	// ReasonOuterLoop: the loop contains a nested loop it cannot absorb
+	// (bounds not compile-time constants, trip count of spanMinTrip or
+	// more, or past the unroll budget). It runs as kernel bytecode; the
+	// nested loops are candidates of their own.
 	ReasonOuterLoop
 	// ReasonHintInBody: the body issues prefetch/release hints, a
 	// potential kernel crossing per iteration.
@@ -43,6 +44,13 @@ const (
 	// ReasonRecording: the loop qualifies, but this is a profile-recording
 	// compile (Options.Profile), which observes every access one by one.
 	ReasonRecording
+	// ReasonAbsorbed: the loop's parent folded it, unrolled, into its own
+	// span body; this is the copy the parent's per-element body runs.
+	ReasonAbsorbed
+	// ReasonShortTrip: the loop qualifies but its trip count is statically
+	// under spanMinTrip and no parent could absorb it (a hint or branch
+	// beside it, say), so it gets the plain kernel layout.
+	ReasonShortTrip
 )
 
 var reasonNames = [...]string{
@@ -57,6 +65,8 @@ var reasonNames = [...]string{
 	ReasonScalarOnly:      "scalar-only",
 	ReasonUnsupportedBody: "unsupported-body",
 	ReasonRecording:       "recording",
+	ReasonAbsorbed:        "absorbed",
+	ReasonShortTrip:       "short-trip",
 }
 
 func (r FallbackReason) String() string {
@@ -73,6 +83,7 @@ type LoopReport struct {
 	Driver string         // "page-run" or "kernel"
 	Reason FallbackReason // why not page-run, when Driver != "page-run"
 	Sites  int            // span-specialized access sites (page-run only)
+	Unroll int            // copies of absorbed inner-loop bodies in the span body; 1 = none absorbed
 
 	// Hints counts the prefetch/release statements in the loop's direct
 	// body (nested loops report their own) lowered to kernel bytecode.
@@ -89,7 +100,11 @@ func (r LoopReport) String() string {
 		pad += "  "
 	}
 	if r.Driver == "page-run" {
-		return fmt.Sprintf("%sloop %-8s page-run (%d sites)", pad, r.Var, r.Sites)
+		s := fmt.Sprintf("%sloop %-8s page-run (%d sites", pad, r.Var, r.Sites)
+		if r.Unroll > 1 {
+			s += fmt.Sprintf(", %d× unrolled", r.Unroll)
+		}
+		return s + ")"
 	}
 	s := fmt.Sprintf("%sloop %-8s %-8s %s", pad, r.Var, r.Driver, r.Reason)
 	if r.Hints > 0 {

@@ -123,6 +123,24 @@ func ConstFold(x IExpr) (int64, bool) {
 	return 0, false
 }
 
+// StaticTrip returns l's first induction value and its trip count when
+// both bounds are compile-time constants under env: literals and the slots
+// env binds, combined by operators that cannot trap.
+func StaticTrip(l *Loop, env map[int]int64) (lo, trip int64, ok bool) {
+	if l.Step <= 0 || MayTrapIExpr(l.Lo) || MayTrapIExpr(l.Hi) {
+		return 0, 0, false
+	}
+	lo, okLo := ConstEval(l.Lo, env)
+	hi, okHi := ConstEval(l.Hi, env)
+	if !okLo || !okHi {
+		return 0, 0, false
+	}
+	if hi <= lo {
+		return lo, 0, true
+	}
+	return lo, (hi - lo + l.Step - 1) / l.Step, true
+}
+
 // AffineCoeff reports whether x = coeff·slot + rest, with rest invariant
 // under the given predicate (invariant(s) answers "is slot s unchanged
 // across the loop?"), and returns the compile-time coefficient. Indirect
@@ -170,8 +188,6 @@ func AffineCoeff(x IExpr, slot int, invariant func(int) bool) (int64, bool) {
 // LoopSummary is the nest-level shape of one loop, as the executor's
 // specializer needs it.
 type LoopSummary struct {
-	// Innermost is true when the body contains no nested loop.
-	Innermost bool
 	// HasIf is true when the body contains control flow.
 	HasIf bool
 	// HasHint is true when the body contains a prefetch or release hint
@@ -187,13 +203,12 @@ type LoopSummary struct {
 
 // Summarize computes the LoopSummary of l's body.
 func Summarize(l *Loop) LoopSummary {
-	s := LoopSummary{Innermost: true, Written: WrittenSlots(l.Body, nil)}
+	s := LoopSummary{Written: WrittenSlots(l.Body, nil)}
 	var walk func(body []Stmt)
 	walk = func(body []Stmt) {
 		for _, st := range body {
 			switch x := st.(type) {
 			case *Loop:
-				s.Innermost = false
 				walk(x.Body)
 			case If:
 				s.HasIf = true

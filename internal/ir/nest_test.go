@@ -118,7 +118,7 @@ func TestSummarize(t *testing.T) {
 
 	flat := For(i, Int(0), Int(8), 1, StoreF(a, []IExpr{i}, Flt(1)))
 	sum := Summarize(flat)
-	if !sum.Innermost || sum.HasIf || sum.HasHint || sum.WritesInductionVar {
+	if sum.HasIf || sum.HasHint || sum.WritesInductionVar {
 		t.Fatalf("flat loop summary wrong: %+v", sum)
 	}
 
@@ -130,7 +130,7 @@ func TestSummarize(t *testing.T) {
 		If{Cond: CmpI{Op: Lt, A: i, B: Int(2)}, Then: []Stmt{SetI(s, i)}},
 	)
 	sum = Summarize(nested)
-	if sum.Innermost || !sum.HasIf || !sum.HasHint {
+	if !sum.HasIf || !sum.HasHint {
 		t.Fatalf("nested loop summary wrong: %+v", sum)
 	}
 	if !sum.Written[j.Slot] || !sum.Written[s.Slot] {
@@ -189,5 +189,34 @@ func TestWalkRefsOrder(t *testing.T) {
 	}
 	if paths[0][0] != outer || paths[0][1] != inner || paths[4][0] != outer {
 		t.Fatalf("paths not outermost-first: %v", paths)
+	}
+}
+
+func TestStaticTrip(t *testing.T) {
+	p, i, _, s, _, _ := nestProgram()
+	bm := p.NewParam("bm", 5, false)
+	env := map[int]int64{bm.Slot: 5}
+	cases := []struct {
+		name     string
+		lo, hi   IExpr
+		step     int64
+		wantLo   int64
+		wantTrip int64
+		ok       bool
+	}{
+		{"literals", Int(0), Int(5), 1, 0, 5, true},
+		{"param bound", Int(1), AddI(bm, Int(2)), 2, 1, 3, true},
+		{"empty", Int(3), Int(3), 1, 3, 0, true},
+		{"inverted", Int(9), Int(3), 1, 9, 0, true},
+		{"unbound slot", Int(0), s, 1, 0, 0, false},
+		{"may trap", Int(0), DivI(Int(8), Int(0)), 1, 0, 0, false},
+		{"non-positive step", Int(0), Int(5), -1, 0, 0, false},
+	}
+	for _, c := range cases {
+		l := &Loop{Var: i.Name, Slot: i.Slot, Lo: c.lo, Hi: c.hi, Step: c.step}
+		lo, trip, ok := StaticTrip(l, env)
+		if ok != c.ok || ok && (lo != c.wantLo || trip != c.wantTrip) {
+			t.Errorf("%s: StaticTrip = %d,%d,%v want %d,%d,%v", c.name, lo, trip, ok, c.wantLo, c.wantTrip, c.ok)
+		}
 	}
 }

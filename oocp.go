@@ -350,7 +350,8 @@ func AblateAllContext(ctx context.Context, w io.Writer, scale float64, r Runner)
 
 // ExplainFastPath runs every NAS proxy once at the given scale and
 // prints, per loop, which bytecode driver ran it (page-run span loop or
-// plain kernel loop) and why the compiler fell back when it did.
+// plain kernel loop) and why the compiler fell back when it did; an inner
+// loop folded into its parent's span body reports "absorbed".
 func ExplainFastPath(w io.Writer, scale float64) error {
 	return bench.ExplainFastPath(w, scale)
 }
