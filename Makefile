@@ -128,21 +128,25 @@ test-profile:
 # kernel tick-identical with NoFastPath on and off, fault-free and under
 # fault profiles, plus the exec-level unit differentials on page-run
 # loops, nest edge cases — absorbed constant-trip inner loops among them —
-# and unsafe hint shapes), the structural and run-time proof that
-# absorption engaged (no page-run layout inside a per-element body; the
-# share of APPLU/APPSP/APPBT user time charged through span chunks), the
-# compile-time rejection table (same error text from both executors),
-# recording on the bytecode (the 8 pinned NAS profile artifacts, per-site counts
-# against a plain-Go replay, no closure tree in a default or recording
-# compile), the structural property that no NAS artifact carries a
-# closure call, the compile-once plan cache (hit/miss/cold tick-identical
-# across NAS × tiers × fault profiles, invalidation by key), and the
-# benchdiff allocs/op gate that holds the zero-alloc write-back path.
+# and hints whose subscripts load, fault or draw random numbers, each
+# evaluated once: TestHintSubscriptEvaluatedOnce), the structural and
+# run-time proof that absorption engaged (no page-run layout inside a
+# per-element body; the share of APPLU/APPSP/APPBT user time charged
+# through span chunks), the compile-time rejection table (same error text
+# from both executors) and the bytecode's table limits as a typed
+# *exec.LimitError — from exec.Compile and through core.Run, with and
+# without a recorder — recording on the bytecode (the 8 pinned NAS profile
+# artifacts, per-site counts against a plain-Go replay, no closure tree in
+# a default or recording compile), the structural property that no NAS
+# artifact carries a closure call, the compile-once plan cache
+# (hit/miss/cold tick-identical across NAS × tiers × fault profiles,
+# invalidation by key), and the benchdiff allocs/op gate that holds the
+# zero-alloc write-back path.
 test-exec:
 	$(GO) test ./internal/fault/harness/ -run 'TestFastPathEquivalence|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare'
 	$(GO) test ./internal/exec/ -run 'TestHint|TestFastPath|TestNest|TestNASAbsorbingLoops|TestArtifact|TestCompile|TestRecording'
 	$(GO) test ./internal/nas/ -run TestNASHintSitesEmitNoClosureCalls -count 1
-	$(GO) test ./internal/core/ -run TestPlanCache -count 1
+	$(GO) test ./internal/core/ -run 'TestPlanCache|TestRunLimitReturnsTypedError' -count 1
 	$(GO) test ./cmd/benchdiff/
 
 # loc prints the two numbers every simplicity PR reports: lines of

@@ -43,11 +43,6 @@ type Options struct {
 	// DefaultEstTrip is the assumed trip count for unknown loop bounds.
 	DefaultEstTrip int64
 
-	// MaxDistancePages caps the prefetch lead distance, in pages per
-	// reference, so prefetched data cannot flood memory. Zero derives a
-	// cap from the machine's memory size.
-	MaxDistancePages int64
-
 	// Profile, if non-nil, feeds a recorded execution profile back into
 	// scheduling (pass 2 of the two-pass mode): observed miss latencies
 	// and per-iteration times replace the static hw.AvgPageRead distance
@@ -159,12 +154,9 @@ func Compile(p *ir.Program, machine hw.Params, opt Options) (*Result, error) {
 	if opt.DefaultEstTrip <= 0 {
 		opt.DefaultEstTrip = 1024
 	}
-	if opt.MaxDistancePages <= 0 {
-		opt.MaxDistancePages = machine.Frames() / 8
-		if opt.MaxDistancePages < opt.PagesPerFetch {
-			opt.MaxDistancePages = opt.PagesPerFetch
-		}
-	}
+	// The lead distance is capped, in pages per reference, so prefetched
+	// data cannot flood memory.
+	maxDistPages := max(machine.Frames()/8, opt.PagesPerFetch)
 	if !p.Resolved() {
 		if err := p.Resolve(machine.PageSize); err != nil {
 			return nil, err
@@ -191,6 +183,7 @@ func Compile(p *ir.Program, machine hw.Params, opt Options) (*Result, error) {
 		an:       an,
 		machine:  machine,
 		opt:      opt,
+		maxDist:  maxDistPages,
 		out:      cloneProgram(p),
 		jobs:     map[*ir.Loop][]job{},
 		preloads: map[*ir.Loop][]ir.Stmt{},
@@ -433,7 +426,7 @@ func (t *transform) schedule(g *locality.Group, first *ir.Loop) (job, *ir.Loop, 
 				j.profiled = true
 			}
 			// Cap the lead distance by the memory budget.
-			if maxStrips := t.opt.MaxDistancePages / j.pages; maxStrips >= 1 {
+			if maxStrips := t.maxDist / j.pages; maxStrips >= 1 {
 				if lim := maxStrips * j.stripLen; j.dist > lim {
 					j.dist = lim
 				}
@@ -551,6 +544,7 @@ type transform struct {
 	an       *locality.Analysis
 	machine  hw.Params
 	opt      Options
+	maxDist  int64 // lead-distance cap, pages per reference
 	out      *ir.Program
 	jobs     map[*ir.Loop][]job
 	preloads map[*ir.Loop][]ir.Stmt // whole-array prologs, keyed by top loop

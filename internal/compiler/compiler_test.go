@@ -352,16 +352,20 @@ func TestPagesPerFetchOption(t *testing.T) {
 }
 
 func TestDistanceCapRespected(t *testing.T) {
-	mp := machine()
-	opt := DefaultOptions()
-	opt.MaxDistancePages = 8
-	res, err := Compile(stream(256*512), mp, opt)
-	if err != nil {
-		t.Fatal(err)
+	// The cap is an eighth of the machine's frames: on 64 frames a stream's
+	// lead is held to 8 pages, where a machine with room lets it run longer.
+	lead := func(mp hw.Params) int64 {
+		res, err := Compile(stream(256*512), mp, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := res.Plan[0]
+		return e.Dist / e.StripLen * e.Pages
 	}
-	e := res.Plan[0]
-	if e.Dist/e.StripLen*e.Pages > 8 {
-		t.Fatalf("distance %d strips × %d pages exceeds cap", e.Dist/e.StripLen, e.Pages)
+	ps := hw.Default().PageSize
+	small, roomy := lead(hw.Scaled(64*ps)), lead(hw.Scaled(1024*ps))
+	if small > 8 || roomy <= 8 {
+		t.Fatalf("lead %d pages on 64 frames (cap 8), %d on 1024: the cap does not bind", small, roomy)
 	}
 }
 

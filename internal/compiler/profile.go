@@ -172,7 +172,7 @@ func (t *transform) strideJob(g *locality.Group) (job, *ir.Loop, bool) {
 	// Cap the lead so the hinted address stays within the distance
 	// budget's reach of the demand stream.
 	elemsPerPage := t.machine.PageSize / ir.ElemSize
-	if maxD := t.opt.MaxDistancePages * elemsPerPage / abs; maxD >= 1 && dist > maxD {
+	if maxD := t.maxDist * elemsPerPage / abs; maxD >= 1 && dist > maxD {
 		dist = maxD
 	}
 	trip, _ := t.an.TripCount(plant)

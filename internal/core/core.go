@@ -176,8 +176,9 @@ type Result struct {
 	// Config.Faults was nil or disabled).
 	Faults fault.Counts
 
-	// FastPath reports, per loop, which compiled driver ran it and why
-	// the compiler fell back when it did (empty under NoFastPath).
+	// FastPath reports, per loop, whether it runs as a page-run span loop
+	// or plain kernel bytecode, and why not the former (empty under
+	// NoFastPath).
 	FastPath []exec.LoopReport
 
 	// Profile is the recording from a ProfileSpec.Record run; nil
@@ -344,8 +345,8 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 	var m *exec.Machine
 	if art != nil {
 		m, err = art.Bind(v, layer)
-	} else {
-		m, err = exec.NewWith(execProg, v, layer, exec.Options{NoFastPath: cfg.NoFastPath, Profile: rec})
+	} else if m, err = exec.NewWith(execProg, v, layer, exec.Options{NoFastPath: cfg.NoFastPath, Profile: rec}); err != nil {
+		err = fmt.Errorf("core: compile %s: %w", prog.Name, err)
 	}
 	if err != nil {
 		return nil, err

@@ -301,3 +301,25 @@ for i = 0 .. n {
 		}
 	}
 }
+
+// A program past the bytecode's table limits is the run's compile error,
+// typed, on the cached and on the recording path — never a panic, and no
+// closure tree runs it instead.
+func TestRunLimitReturnsTypedError(t *testing.T) {
+	flood := ir.NewProgram("regflood")
+	s := flood.NewScalarF("s")
+	for c := 0; c < 70000; c++ {
+		flood.Body = append(flood.Body, ir.SetF(s, ir.AddF(ir.FScalar{Slot: s.Slot, Name: s.Name}, ir.Flt(float64(c)))))
+	}
+	for _, record := range []bool{false, true} {
+		cfg := DefaultConfig(MachineFor(8, 2))
+		if record {
+			cfg.Profile = &ProfileSpec{Record: true}
+		}
+		_, err := Run(flood, cfg)
+		var le *exec.LimitError
+		if !errors.As(err, &le) || !strings.HasPrefix(err.Error(), "core: compile regflood: exec: ") {
+			t.Errorf("record=%v: err = %v, want core: compile regflood: *exec.LimitError", record, err)
+		}
+	}
+}

@@ -31,7 +31,7 @@ import (
 // mutated in place by the cache (each entry compiles a private
 // ir.Program.Clone), so a changed scale, tier, or profile simply misses
 // to a new entry. Profile-recording runs bypass the cache entirely —
-// their instrumented closures capture the recorder and are one-shot.
+// their bytecode feeds one run's recorder and is one-shot.
 type planKey struct {
 	machine  hw.Params
 	progFP   uint64
@@ -39,12 +39,11 @@ type planKey struct {
 	noFast   bool
 
 	// compiler.Options, flattened; zero when prefetch is false.
-	pagesPerFetch    int64
-	releases         bool
-	twoVersionLoops  bool
-	defaultEstTrip   int64
-	maxDistancePages int64
-	profileFP        uint64
+	pagesPerFetch   int64
+	releases        bool
+	twoVersionLoops bool
+	defaultEstTrip  int64
+	profileFP       uint64
 }
 
 // planEntry is one cached compilation. The once gate means concurrent
@@ -100,7 +99,6 @@ func newPlanKey(prog *ir.Program, machine hw.Params, prefetch, noFast bool, copt
 		k.releases = copts.Releases
 		k.twoVersionLoops = copts.TwoVersionLoops
 		k.defaultEstTrip = copts.DefaultEstTrip
-		k.maxDistancePages = copts.MaxDistancePages
 		if copts.Profile != nil {
 			k.profileFP = copts.Profile.Fingerprint()
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/hw"
@@ -68,9 +69,10 @@ func TestCompileRejections(t *testing.T) {
 	}
 }
 
-// TestCompileRecordingNeedsBytecode: the oracle cannot record, so the two
-// ways of reaching it with a recorder attached are errors, not silent
-// unrecorded runs.
+// TestCompileRecordingNeedsBytecode: the oracle cannot record, so asking
+// for it with a recorder attached is an error, not a silent unrecorded run;
+// and a program past the bytecode's limits is the same *LimitError with and
+// without a recorder.
 func TestCompileRecordingNeedsBytecode(t *testing.T) {
 	ps := hw.Default().PageSize
 	small, _ := sumProgram(64)
@@ -81,21 +83,15 @@ func TestCompileRecordingNeedsBytecode(t *testing.T) {
 		t.Error("NoFastPath with Profile compiled")
 	}
 
-	// More float constants than the register file has registers (the
-	// shape TestNestRegisterOverflowFallback runs on the oracle).
-	flood := ir.NewProgram("regflood")
-	s := flood.NewScalarF("s")
-	for c := 0; c < 70000; c++ {
-		flood.Body = append(flood.Body, ir.SetF(s, ir.AddF(scalarRef(s), ir.Flt(float64(c)))))
-	}
+	flood := overflowPrograms["float registers"]()
 	if err := flood.Resolve(ps); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(flood, ps, Options{Profile: profile.NewRecorder(flood, ps)}); err == nil {
-		t.Error("register overflow with Profile compiled")
-	}
-	if a, err := Compile(flood, ps, Options{}); err != nil || a.body == nil {
-		t.Errorf("register overflow without Profile: err %v, closure tree built: %v", err, a != nil && a.body != nil)
+	for _, opts := range []Options{{}, {Profile: profile.NewRecorder(flood, ps)}} {
+		var le *LimitError
+		if _, err := Compile(flood, ps, opts); !errors.As(err, &le) || le.Limit != "float registers" {
+			t.Errorf("register overflow (recording %v): %v, want the float-register *LimitError", opts.Profile != nil, err)
+		}
 	}
 }
 

@@ -6,9 +6,10 @@
 //
 // There is one production executor and one oracle. Programs compile to a
 // flat register bytecode (kcompile.go, kernel.go, kspan.go) — profile
-// recording included — charging the operation counts of cost.go. The
-// closure tree of oracle.go is the reference semantics Options.NoFastPath
-// selects for differential testing.
+// recording included — charging the operation counts of cost.go; a program
+// too large for the bytecode's tables is a *LimitError. The closure tree of
+// oracle.go is the reference semantics, built only when Options.NoFastPath
+// asks for it, for differential testing.
 package exec
 
 import (
@@ -61,12 +62,12 @@ type Env struct {
 type SpanStats struct{ Chunks, Declined, Iters, UserOps int64 }
 
 // compiled is what compilation produces: kernel bytecode (code != nil,
-// run by runK), or — under Options.NoFastPath and when the program
-// overflows the bytecode's register file — the closure tree in body.
-// Nothing in it is written after compilation: both forms read run-time
-// state exclusively through the *Env passed at execution. (A recording
-// compile's rec is the exception by design: it accumulates one run's
-// observations, which is why such an artifact is never cached.)
+// run by runK), or — exactly when Options.NoFastPath asked for the oracle —
+// the closure tree in body. Nothing in it is written after compilation:
+// both forms read run-time state exclusively through the *Env passed at
+// execution. (A recording compile's rec is the exception by design: it
+// accumulates one run's observations, which is why such an artifact is
+// never cached.)
 type compiled struct {
 	prog *ir.Program
 	body stmtFn
@@ -85,8 +86,7 @@ type compiled struct {
 }
 
 // Reports returns the per-loop compilation reports in program order: one
-// per loop of a bytecode compilation, none for a closure-tree one (every
-// loop is the oracle).
+// per loop of a bytecode compilation, none under Options.NoFastPath.
 func (c *compiled) Reports() []LoopReport { return c.reports }
 
 // Machine is a compiled, runnable program bound to a VM and run-time
@@ -133,6 +133,16 @@ type Options struct {
 	// recorder: run it once, never cache it. Recording needs the
 	// bytecode, so NoFastPath with Profile is an error.
 	Profile *profile.Recorder
+}
+
+// LimitError is Compile's error for a program that needs more entries than
+// one of the kernel bytecode's 16-bit-indexed tables holds. Limit names the
+// table: "int registers", "float registers", "aux table" (bounds checks),
+// "hint-aux table" (fused templates) or "span table" (page-run loops).
+type LimitError struct{ Limit string }
+
+func (e *LimitError) Error() string {
+	return "exec: program overflows the kernel bytecode's " + e.Limit + " (65536 entries)"
 }
 
 // TrapError is the panic value of a run-time trap in the executing
@@ -182,27 +192,18 @@ func Compile(prog *ir.Program, pageSize int64, opts Options) (*Artifact, error) 
 		if opts.Profile != nil {
 			return nil, errors.New("exec: profile recording runs on kernel bytecode: NoFastPath cannot record")
 		}
-	} else {
-		kc := newKcompiler(prog, int64(bits.TrailingZeros64(uint64(pageSize))), opts.Profile)
-		ok, err := kc.compile(prog.Body)
+		body, err := oracleStmts(prog.Body)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			kc.install(a)
-			return a, nil
-		}
-		// Register/table pressure exceeded the bytecode's limits: the
-		// program runs on the oracle, which cannot record.
-		if opts.Profile != nil {
-			return nil, errors.New("exec: program overflows the kernel register file: cannot record")
-		}
+		a.body = body
+		return a, nil
 	}
-	body, err := oracleStmts(prog.Body)
-	if err != nil {
+	kc := newKcompiler(prog, int64(bits.TrailingZeros64(uint64(pageSize))), opts.Profile)
+	if err := kc.compile(prog.Body); err != nil {
 		return nil, err
 	}
-	a.body = body
+	kc.install(a)
 	return a, nil
 }
 

@@ -1,10 +1,12 @@
-// Differential tests for the exact (double-evaluation) hint lowering:
-// hint shapes that fail hintSideSafe — multi-load indices, impure pages
-// expressions — must run as kernel bytecode via hintExact, tick-identical
-// to the closure oracle, with no closure fallback.
+// Differential tests for hint lowering. A hint side is index -> pages ->
+// clamp, each evaluated once, on both executors; the shapes here — a
+// two-load index, an impure pages expression, a bundle mixing both, a
+// subscript that draws from the generator — are the ones where evaluating
+// anything a second time would show, in page touches or in generator state.
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/hw"
@@ -13,9 +15,8 @@ import (
 )
 
 // twoLoadHintProgram builds the FFT-butterfly-shaped hint: the prefetch
-// index sums two loads from an index array, so a single evaluation is
-// not provably exact (the second load may land on a different page than
-// the first just touched) and the hint must take the hintExact path.
+// index sums two loads from an index array, and the second load may land
+// on a different page than the first just touched.
 func twoLoadHintProgram() *ir.Program {
 	const n = 4096 // 8 pages of float64 + 8 pages of int64
 	p := ir.NewProgram("hint2load")
@@ -45,7 +46,7 @@ func seedTwoLoad(f *stripefs.File, p *ir.Program) {
 	SeedI64(f, ps, p.ArrayByName("c"), func(i int64) int64 { return (i * 709) % 2048 })
 }
 
-func TestHintExactTwoLoadIndex(t *testing.T) {
+func TestHintTwoLoadIndex(t *testing.T) {
 	// The loop's only array traffic besides the hint is a streaming sum;
 	// the hint makes the loop a kernel (not span) candidate, so no
 	// specialized sites are required for the test to be meaningful.
@@ -56,9 +57,8 @@ func TestHintExactTwoLoadIndex(t *testing.T) {
 }
 
 // impurePagesProgram builds a 2-D strided release whose page count is
-// itself loaded from memory: the pages expression is impure, so the
-// oracle evaluates the index, then the pages (which may fault), then the
-// index again — a sequence only hintExact reproduces.
+// itself loaded from memory: the pages expression is impure and may
+// fault between the index and the clamp.
 func impurePagesProgram() *ir.Program {
 	const rows, cols = 32, 512 // 32 pages of float64
 	p := ir.NewProgram("hintimpure")
@@ -90,16 +90,14 @@ func seedImpurePages(f *stripefs.File, p *ir.Program) {
 	SeedI64(f, ps, p.ArrayByName("pg"), func(i int64) int64 { return 1 + i%2 })
 }
 
-func TestHintExactImpurePages(t *testing.T) {
+func TestHintImpurePages(t *testing.T) {
 	// The inner sum loop must still get the span driver (requireSites):
-	// the exact hint lowering lives in the outer kernel loop around it.
+	// the hint lives in the outer kernel loop around it.
 	runDifferentialSites(t, impurePagesProgram, 16, seedImpurePages, true)
 }
 
-// mixedHintProgram bundles a side-safe prefetch with an impure-pages
-// release in one PrefetchRelease. One unsafe side routes the whole
-// bundled hint through hintExact — the two sides share a dispatch, so
-// they cannot split between templates.
+// mixedHintProgram bundles a pure prefetch with an impure-pages release in
+// one PrefetchRelease: the two sides share a dispatch.
 func mixedHintProgram() *ir.Program {
 	const n = 4096
 	p := ir.NewProgram("hintmixed")
@@ -126,8 +124,58 @@ func seedMixed(f *stripefs.File, p *ir.Program) {
 	SeedI64(f, ps, p.ArrayByName("c"), func(i int64) int64 { return i % 3 })
 }
 
-func TestHintExactMixedPrefetchRelease(t *testing.T) {
+func TestHintMixedPrefetchRelease(t *testing.T) {
 	runDifferentialSites(t, mixedHintProgram, 8, seedMixed, false)
+}
+
+// TestHintSubscriptEvaluatedOnce pins the reference semantics itself: a
+// hint computes its address once, like the call it models (PAPER.md §1).
+func TestHintSubscriptEvaluatedOnce(t *testing.T) {
+	// (i) A subscript that draws from the generator: each executed hint
+	// advances it exactly once, on the bytecode and on the oracle.
+	const n = 1000
+	mk := func() *ir.Program {
+		p := ir.NewProgram("hintrand")
+		np := p.NewParam("n", n, true)
+		a := p.NewArrayF("a", np)
+		s := p.NewScalarF("s")
+		i := p.NewLoopVar("i")
+		draw := ir.IFromF{X: ir.MulF(ir.Call(ir.Randlc), ir.Flt(n))}
+		p.Body = []ir.Stmt{
+			ir.For(i, ir.Int(0), np, 1,
+				ir.Prefetch{Arr: a, Idx: []ir.IExpr{draw}, Pages: ir.Int(2)},
+				ir.SetF(s, ir.AddF(scalarRef(s), ir.LoadF(a, i)))),
+		}
+		return p
+	}
+	want := &Env{}
+	want.SetSeed(mk().Seed)
+	for k := 0; k < n; k++ {
+		want.randlc()
+	}
+	for _, opts := range []Options{{}, {NoFastPath: true}} {
+		_, _, _, m := buildWith(t, mk(), 8, opts)
+		if got := m.Run().rngX; got != want.rngX || got == uint64(mk().Seed) {
+			t.Errorf("NoFastPath=%v: generator at %d after %d hints, want %d (one draw each)",
+				opts.NoFastPath, got, n, want.rngX)
+		}
+	}
+
+	// (ii) The two-load index out of core: every load in a subscript runs
+	// once per hint on both executors, so they touch the same pages at the
+	// same ticks.
+	var runs [2]string
+	for i, opts := range []Options{{}, {NoFastPath: true}} {
+		p := twoLoadHintProgram()
+		c, v, file, m := buildWith(t, p, 8, opts)
+		seedTwoLoad(file, p)
+		m.Run()
+		v.Finish()
+		runs[i] = fmt.Sprintf("elapsed %d stats %+v", c.Now(), v.Stats())
+	}
+	if runs[0] != runs[1] {
+		t.Errorf("two-load index diverged:\nbytecode %s\noracle   %s", runs[0], runs[1])
+	}
 }
 
 // TestHintLoweringNoClosureFallback proves the structural claim behind

@@ -6,7 +6,7 @@ package exec
 // to prove a temporary register dead before eliminating its writer.
 func intReads(in kinstr, f func(r uint16)) {
 	switch in.op {
-	case opJumpGeI, opJCmpI, opHintN, opChargeTrips, opSpanInit:
+	case opJumpGeI, opJCmpI, opHintN, opSpanInit:
 		f(in.a)
 		f(in.b)
 	case opLoopEndS:
@@ -20,7 +20,7 @@ func intReads(in kinstr, f func(r uint16)) {
 		f(in.dst)
 	case opSetSlot, opSetSlotC, opIMove, opIAddImm, opIMulImm, opFromI,
 		opLoadF1, opLoadI1, opStoreF1, opIdx0, opLoadFA, opLoadIA, opStoreFA,
-		opHintPage, opHint1, opHintLoad1, opFAccDot, opProfPost:
+		opHintPage, opHintLoad1, opFAccDot, opProfPost:
 		f(in.a)
 	case opIAdd, opISub, opIMul, opIDiv, opIMod, opIShl, opIShr, opIMin, opIMax:
 		f(in.a)

@@ -54,7 +54,7 @@ type kmaps struct {
 type kcompiler struct {
 	shift  int64         // page shift, for compile-time page arithmetic
 	params map[int]int64 // parameter slots no statement writes -> Param.Val
-	err    error         // first statement cost.go rejected
+	err    error         // first statement cost.go rejected, or the *LimitError of the first full table
 	prof   *profRec      // non-nil in a recording compile (profile.go)
 
 	code    []kinstr
@@ -64,7 +64,6 @@ type kcompiler struct {
 	pending int64 // operation charges not yet materialized
 
 	nRI, nRF int
-	overflow bool // ran out of registers (or aux/span table slots)
 
 	kmaps
 	iconst map[int64]uint16
@@ -111,14 +110,13 @@ func newKcompiler(prog *ir.Program, shift int64, rec *profile.Recorder) *kcompil
 	return kc
 }
 
-// compile lowers body. An error is a statement cost.go rejected; ok false
-// without one means the program exceeded the bytecode's register/table
-// limits and the caller should fall back to the oracle.
-func (kc *kcompiler) compile(body []ir.Stmt) (ok bool, err error) {
+// compile lowers body. An error is a statement cost.go rejected or a
+// *LimitError: the program exceeded one of the bytecode's tables.
+func (kc *kcompiler) compile(body []ir.Stmt) error {
 	kc.stmts(body)
 	kc.flush()
-	if kc.err != nil || kc.overflow {
-		return false, kc.err
+	if kc.err != nil {
+		return kc.err
 	}
 	code := make([]kinstr, 0, len(kc.prelude)+len(kc.code))
 	code = append(code, kc.prelude...)
@@ -128,7 +126,7 @@ func (kc *kcompiler) compile(body []ir.Stmt) (ok bool, err error) {
 	code = kc.peephole(kc.peephole(code))
 	kc.code = assemble(code, kc.labels)
 	fuseDotLoop(kc.code)
-	return true, nil
+	return nil
 }
 
 func (kc *kcompiler) install(m *Artifact) {
@@ -162,9 +160,17 @@ func (kc *kcompiler) install(m *Artifact) {
 
 func (kc *kcompiler) emit(in kinstr) { *kc.buf = append(*kc.buf, in) }
 
+// full records that one of the bytecode's 16-bit-indexed tables has no
+// entry left; lowering stops at the next statement.
+func (kc *kcompiler) full(table string) {
+	if kc.err == nil {
+		kc.err = &LimitError{Limit: table}
+	}
+}
+
 func (kc *kcompiler) iReg() uint16 {
 	if kc.nRI > 0xFFFF {
-		kc.overflow = true
+		kc.full("int registers")
 		return 0
 	}
 	r := uint16(kc.nRI)
@@ -174,7 +180,7 @@ func (kc *kcompiler) iReg() uint16 {
 
 func (kc *kcompiler) fReg() uint16 {
 	if kc.nRF > 0xFFFF {
-		kc.overflow = true
+		kc.full("float registers")
 		return 0
 	}
 	r := uint16(kc.nRF)
@@ -220,7 +226,7 @@ func (kc *kcompiler) auxFor(arr *ir.Array, d int) int {
 		return i
 	}
 	if len(kc.aux) > 0xFFFF {
-		kc.overflow = true
+		kc.full("aux table")
 		return 0
 	}
 	kc.aux = append(kc.aux, auxDim{name: arr.Name, dim: arr.Dims[d], d: d})
@@ -230,7 +236,7 @@ func (kc *kcompiler) auxFor(arr *ir.Array, d int) int {
 
 func (kc *kcompiler) hauxAdd(h hintAux) uint16 {
 	if len(kc.haux) > 0xFFFF {
-		kc.overflow = true
+		kc.full("hint-aux table")
 		return 0
 	}
 	kc.haux = append(kc.haux, h)
@@ -359,7 +365,7 @@ func writtenFSlots(body []ir.Stmt, dst map[int]bool) map[int]bool {
 
 func (kc *kcompiler) stmts(list []ir.Stmt) {
 	for _, s := range list {
-		if kc.err != nil || kc.overflow {
+		if kc.err != nil {
 			return
 		}
 		kc.stmt(s)
@@ -572,22 +578,14 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 	// Layout: the preheader stores the first induction value; the back
 	// edge stores every subsequent one, so the loop top costs zero extra
 	// dispatches per iteration. A page-run loop continues with kspan.go's
-	// two-body layout. A pure-scalar body gets the promoted layout of
-	// kscalar.go: hoisted reads after the guard, deferred stores and the
-	// batched charge on the fall-through exit, both skipped by the
-	// zero-trip jump exactly as the oracle's untaken loop touches nothing.
+	// two-body layout.
 	var front []kinstr
-	var promo *scalarPromo
 	var backEdge kinstr
 	kc.buf = &front
 	if pageRun {
 		kc.restore(s0)
 		backEdge = kc.spanLoop(l, w, iter, rv, rh, rlo, lTop, lEnd)
 	} else {
-		if promo = promoteScalarLoop((*body)[p0:], rv); promo != nil {
-			*body = append((*body)[:p0], promo.body...)
-			front = promo.pre
-		}
 		kc.emit(kinstr{op: opSetSlot, a: rv, imm: int64(l.Slot)})
 		backEdge = kinstr{op: opLoopEndS, dst: rv, a: uint16(l.Slot), b: rh, imm: l.Step, imm2: int64(lTop)}
 	}
@@ -599,12 +597,6 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 	pre := append(ctx.hoist, kinstr{op: opJumpGeI, a: rv, b: rh, imm: int64(lEnd)})
 	*kc.buf = slices.Insert(*kc.buf, p0, append(pre, front...)...)
 	kc.emit(backEdge)
-	if promo != nil {
-		*kc.buf = append(*kc.buf, promo.post...)
-		if promo.perIter != 0 {
-			kc.emit(kinstr{op: opChargeTrips, a: rv, b: rlo, imm: promo.perIter, imm2: l.Step})
-		}
-	}
 	kc.mark(lEnd)
 
 	kc.restore(snap)

@@ -2,21 +2,20 @@
 //
 // The nest compiler (kcompile.go) lowers the entire program body — outer
 // loops included — into one linear instruction slice. The steady-state
-// cost of an iteration is then a handful of switch dispatches over
-// 24-byte instructions instead of a closure call per IR node, and array
-// accesses go through the VM's inlinable hot probes (LoadFast/StoreFast)
-// with the ordinary faulting path only on the miss branch.
+// cost of an iteration is a handful of switch dispatches over 24-byte
+// instructions, and array accesses go through the VM's inlinable hot
+// probes (LoadFast/StoreFast) with the ordinary faulting path only on the
+// miss branch.
 //
 // Tick-exactness is the design constraint, not a best effort: simulated
 // time advances only at kernel crossings (faults and hint system calls),
 // and user-op charges are a plain pending sum folded in at the next
 // crossing. The compiler may therefore merge static charges and move
 // them across instructions that cannot fault, but never across one that
-// can — the pending sum every crossing observes must equal the closure
-// interpreter's. The closure tree (oracle.go) is the differential oracle
-// behind Options.NoFastPath, and the harness equivalence suite holds the
-// two executions to identical fingerprints, tick counts, and fault
-// statistics.
+// can — the pending sum every crossing observes must equal the reference
+// semantics'. That reference is the closure tree of oracle.go, built only
+// under Options.NoFastPath; the harness equivalence suite holds the two
+// executions to identical fingerprints, tick counts, and fault statistics.
 package exec
 
 import (
@@ -43,12 +42,6 @@ const (
 	opJCmpF    // same over rf
 	opSetSlot  // Ints[imm] = ri[a]
 	opSetSlotC // Ints[imm] = ri[a]; vm.AddUserOps(imm2)
-	// opChargeTrips charges a promoted scalar loop's deferred
-	// per-iteration costs in one dispatch on the exit path:
-	// vm.AddUserOps(imm * (ri[a]-ri[b])/imm2) with a = the induction
-	// register after the loop, b = the initial bound, imm2 = the step,
-	// so the multiplier is exactly the executed trip count.
-	opChargeTrips
 
 	// integer ALU
 	opIMove // ri[dst] = ri[a]
@@ -125,7 +118,6 @@ const (
 	opHintPage // ri[dst] = (imm + clamp(ri[a], [0,imm2))<<3) >> pageShift
 	opHintN    // n=ri[a], p=ri[b]; if p+n-1 > imm: n = imm-p+1; ri[dst]=n
 	opHint     // pp=ri[a] pn=ri[b] rp=ri[dst] rn=ri[imm]: oracle dispatch
-	opHint1    // rt.Prefetch1(ri[a])
 
 	// fused template kernels (haux[b] describes the arrays)
 	opHintLoad1 // charge imm; li = addrArr[ri[a]] (checked); clamped single/short prefetch
@@ -251,8 +243,6 @@ func (m *Machine) runK(e *Env) {
 		case opSetSlotC:
 			ints[in.imm] = ri[in.a]
 			v.AddUserOps(in.imm2)
-		case opChargeTrips:
-			v.AddUserOps(in.imm * ((ri[in.a] - ri[in.b]) / in.imm2))
 
 		case opIMove:
 			ri[in.dst] = ri[in.a]
@@ -557,8 +547,6 @@ func (m *Machine) runK(e *Env) {
 			case rn > 0:
 				e.rt.Release(rp, rn)
 			}
-		case opHint1:
-			e.rt.Prefetch1(ri[in.a])
 
 		case opDotLoop:
 			// The fused sparse-dot loop: fuseDotLoop proved the loop body

@@ -9,7 +9,7 @@ import (
 // ---- integer expressions -------------------------------------------------
 
 func (kc *kcompiler) iexpr(x ir.IExpr) uint16 {
-	if kc.overflow {
+	if kc.err != nil {
 		return 0
 	}
 	switch e := x.(type) {
@@ -173,7 +173,7 @@ func (kc *kcompiler) compileIBin(e ir.IBin) uint16 {
 // ---- float expressions ---------------------------------------------------
 
 func (kc *kcompiler) fexpr(x ir.FExpr) uint16 {
-	if kc.overflow {
+	if kc.err != nil {
 		return 0
 	}
 	switch e := x.(type) {
@@ -328,7 +328,7 @@ func (kc *kcompiler) access(op1, opN, opS kop, arr *ir.Array, idx []ir.IExpr, re
 // exactly when x evaluates to sense, with operand evaluation order and
 // short-circuiting identical to the oracle's && / ||.
 func (kc *kcompiler) condJump(x ir.BExpr, target int, sense bool) {
-	if kc.overflow {
+	if kc.err != nil {
 		return
 	}
 	switch e := x.(type) {
@@ -369,62 +369,12 @@ func (kc *kcompiler) condJump(x ir.BExpr, target int, sense bool) {
 
 // ---- hints ---------------------------------------------------------------
 
-// hintSideSafe reports whether evaluating one hint side's linear index a
-// single time is provably indistinguishable from the oracle's double
-// evaluation: the pages expression must be pure (no crossing between the
-// two index evaluations) and the index may contain at most one load —
-// whose second execution then hits the page the first just touched, with
-// pure subscripts so it reads the same address. Randlc and float state
-// (IFromF) are never safe to elide.
-//
-// This is a template-selection heuristic, not a correctness gate: a side
-// that fails it is lowered by hintExact, which replays the oracle's
-// double evaluation in bytecode instead of eliding the second one.
-func hintSideSafe(idx []ir.IExpr, pages ir.IExpr) bool {
-	if !ir.PureIExpr(pages) {
-		return false
-	}
-	loads := 0
-	ok := true
-	var scan func(x ir.IExpr)
-	scan = func(x ir.IExpr) {
-		switch e := x.(type) {
-		case ir.IConst, ir.ISlot:
-		case ir.IBin:
-			scan(e.A)
-			scan(e.B)
-		case ir.ILoad:
-			loads++
-			for _, ix := range e.Idx {
-				if !ir.PureIExpr(ix) {
-					ok = false
-				}
-			}
-		default:
-			ok = false
-		}
-	}
-	for _, ix := range idx {
-		scan(ix)
-	}
-	return ok && loads <= 1
-}
-
 func (kc *kcompiler) hint(pfArr *ir.Array, pfIdx []ir.IExpr, pfPages ir.IExpr,
 	relArr *ir.Array, relIdx []ir.IExpr, relPages ir.IExpr) {
 
 	if n := len(kc.loops); n > 0 {
 		kc.loops[n-1].hints++
 	}
-	if (pfArr != nil && !hintSideSafe(pfIdx, pfPages)) ||
-		(relArr != nil && !hintSideSafe(relIdx, relPages)) {
-		// Single evaluation not provably exact: replay the oracle's double
-		// evaluation in bytecode. Hint code writes no scalar slots, so
-		// register facts survive.
-		kc.hintExact(pfArr, pfIdx, pfPages, relArr, relIdx, relPages)
-		return
-	}
-
 	// Fused template: constant-page indirect prefetch (a[col[k]] shape),
 	// no release side — one instruction per hint.
 	if relArr == nil && pfArr != nil && len(pfIdx) == 1 && len(pfArr.Strides) == 1 {
@@ -444,18 +394,13 @@ func (kc *kcompiler) hint(pfArr *ir.Array, pfIdx []ir.IExpr, pfPages ir.IExpr,
 		}
 	}
 
-	// General path: per side, linear index -> clamped page -> clamped
-	// count, then the oracle's dispatch. A clamped single-page prefetch
-	// with no release needs no count register at all: the clamp cannot
-	// shrink a one-page range whose start is already within the array.
+	// General path: per side, linear index -> clamped page -> pages ->
+	// clamped count, each evaluated once in the oracle's order, then the
+	// oracle's dispatch. Hint code writes no scalar slots, so register facts
+	// survive.
 	var rpp, rpn uint16
 	if pfArr != nil {
 		rpp = kc.hintPage(pfArr, pfIdx)
-		if n, ok := ir.ConstFold(pfPages); ok && n == 1 && relArr == nil {
-			kc.flush()
-			kc.emit(kinstr{op: opHint1, a: rpp})
-			return
-		}
 		rpn = kc.hintCount(pfArr, pfPages, rpp)
 	}
 	var rrp, rrn uint16
@@ -496,42 +441,5 @@ func (kc *kcompiler) hintCount(arr *ir.Array, pages ir.IExpr, rp uint16) uint16 
 	rn := kc.iReg()
 	lastPage := (arr.Base + arr.Elems*ir.ElemSize - 1) >> kc.shift
 	kc.emit(kinstr{op: opHintN, dst: rn, a: rn0, b: rp, imm: lastPage})
-	return rn
-}
-
-// hintExact lowers a hint some side of which is not provably safe to
-// evaluate once, by replaying the oracle's exact evaluation order in
-// bytecode. Per side: the linear index is evaluated for the dispatch
-// page, the pages expression is evaluated, and the index is evaluated a
-// second time for the count clamp — so every load (and any generator
-// call) in the subscripts executes exactly as many times, in exactly
-// the order, the oracle's oracleHintRange would, with identical page
-// touches. Pure subexpressions may still CSE across the two
-// evaluations: re-running them is unobservable.
-func (kc *kcompiler) hintExact(pfArr *ir.Array, pfIdx []ir.IExpr, pfPages ir.IExpr,
-	relArr *ir.Array, relIdx []ir.IExpr, relPages ir.IExpr) {
-	var rpp, rpn uint16
-	if pfArr != nil {
-		rpp = kc.hintPage(pfArr, pfIdx)
-		rpn = kc.hintCountExact(pfArr, pfPages, pfIdx)
-	}
-	var rrp, rrn uint16
-	if relArr != nil {
-		rrp = kc.hintPage(relArr, relIdx)
-		rrn = kc.hintCountExact(relArr, relPages, relIdx)
-	}
-	kc.flush()
-	kc.emit(kinstr{op: opHint, a: rpp, b: rpn, dst: rrp, imm: int64(rrn)})
-}
-
-// hintCountExact emits the pages expression, then the second index
-// evaluation, then the clamp of the count against that second page —
-// the oracle's npages order.
-func (kc *kcompiler) hintCountExact(arr *ir.Array, pages ir.IExpr, idx []ir.IExpr) uint16 {
-	rn0 := kc.iexpr(pages)
-	rp2 := kc.hintPage(arr, idx)
-	rn := kc.iReg()
-	lastPage := (arr.Base + arr.Elems*ir.ElemSize - 1) >> kc.shift
-	kc.emit(kinstr{op: opHintN, dst: rn, a: rn0, b: rp2, imm: lastPage})
 	return rn
 }

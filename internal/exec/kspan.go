@@ -347,7 +347,7 @@ func (ctx *kloop) rebind(slot int, r uint16) {
 //	end:
 func (kc *kcompiler) spanLoop(l *ir.Loop, w *spanWalk, iter int64, rv, rh, rlo uint16, lElem, lEnd int) kinstr {
 	if len(kc.spans) > 0xFFFF {
-		kc.overflow = true
+		kc.full("span table")
 		return kinstr{}
 	}
 	id := uint16(len(kc.spans))

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,7 +20,7 @@ import (
 // Nest-level edge cases for the kernel compiler, each run differentially
 // against the closure oracle: zero-trip and single-iteration loops,
 // bounds that clamp mid-page-run, reduction initial values, branch
-// joins, NaN min/max semantics, the register-overflow fallback, and the
+// joins, NaN min/max semantics, the bytecode's table limits, and the
 // page-run loop's entry guard and chunk edges.
 
 func scalarRef(s ir.FScalar) ir.FExpr { return ir.FScalar{Slot: s.Slot, Name: s.Name} }
@@ -237,33 +239,66 @@ func TestNestFMinNaN(t *testing.T) {
 	}
 }
 
-func TestNestRegisterOverflowFallback(t *testing.T) {
-	// A body large enough to exhaust the 16-bit register file: NewWith
-	// must fall back to the plain closure oracle — no bytecode installed,
-	// and no page-run specialization of the eligible loop either — and
-	// the program must still run identically to the NoFastPath oracle.
-	const n = 70000 // distinct float constants > the 65535-register file
-	mk := func() *ir.Program {
+// overflowPrograms are programs past a kernel bytecode table, keyed by the
+// LimitError.Limit each must report. ("span table" has no row: every loop
+// takes an int register for its induction value, so those run out first.)
+var overflowPrograms = map[string]func() *ir.Program{
+	// 70,000 distinct float constants, each pinned in a register.
+	"float registers": func() *ir.Program {
 		p := ir.NewProgram("regflood")
-		np := p.NewParam("n", 2048, true)
-		a := p.NewArrayF("a", np)
 		s := p.NewScalarF("s")
-		i := p.NewLoopVar("i")
-		body := make([]ir.Stmt, 0, n+1)
-		body = append(body, ir.For(i, ir.Int(0), np, 1,
-			ir.StoreF(a, []ir.IExpr{i}, ir.FromInt{X: i})))
-		for c := 0; c < n; c++ {
-			body = append(body, ir.SetF(s, ir.AddF(scalarRef(s), ir.Flt(float64(c)))))
+		for c := 0; c < 70000; c++ {
+			p.Body = append(p.Body, ir.SetF(s, ir.AddF(scalarRef(s), ir.Flt(float64(c)))))
 		}
-		p.Body = body
 		return p
+	},
+	// The same flood of integer constants (an immediate form needs no
+	// register, so each is the right operand of a min).
+	"int registers": func() *ir.Program {
+		p := ir.NewProgram("iregflood")
+		s := p.NewScalarI("s")
+		for c := 1; c <= 70000; c++ {
+			p.Body = append(p.Body, ir.SetI(s, ir.MinI(s, ir.Int(int64(c)))))
+		}
+		return p
+	},
+	// One bounds-check entry per (array, dimension): 33,000 2-D arrays.
+	"aux table": func() *ir.Program {
+		p := ir.NewProgram("auxflood")
+		s := p.NewScalarF("s")
+		for c := 0; c < 33000; c++ {
+			a := p.NewArrayF(fmt.Sprintf("a%d", c), ir.Int(1), ir.Int(1))
+			p.Body = append(p.Body, ir.SetF(s, ir.LoadF(a, ir.Int(0), ir.Int(0))))
+		}
+		return p
+	},
+	// One template entry per indirect constant-page prefetch.
+	"hint-aux table": func() *ir.Program {
+		p := ir.NewProgram("hauxflood")
+		a := p.NewArrayF("a", ir.Int(8))
+		c := p.NewArrayI("c", ir.Int(8))
+		for k := 0; k < 66000; k++ {
+			p.Body = append(p.Body, ir.Prefetch{Arr: a, Idx: []ir.IExpr{ir.LoadI(c, ir.Int(0))}, Pages: ir.Int(1)})
+		}
+		return p
+	},
+}
+
+func TestNestRegisterOverflowIsTypedError(t *testing.T) {
+	// A program past any of the bytecode's 16-bit-indexed tables is refused
+	// with a *LimitError naming the table; no closure tree stands in for it.
+	ps := hw.Default().PageSize
+	for limit, mk := range overflowPrograms {
+		a, err := Compile(mk(), ps, Options{})
+		var le *LimitError
+		if !errors.As(err, &le) || le.Limit != limit || !strings.Contains(err.Error(), limit) {
+			t.Errorf("%s: Compile returned (%v, %v), want a *LimitError naming it", limit, a != nil, err)
+		}
 	}
-	_, _, _, m := buildWith(t, mk(), 8, Options{})
-	if m.code != nil || m.SpecializedSites() != 0 {
-		t.Fatalf("register overflow did not fall back to the plain oracle (bytecode %v, %d specialized sites)",
-			m.code != nil, m.SpecializedSites())
+	// The reference semantics have no such tables.
+	if a, err := Compile(overflowPrograms["float registers"](), ps, Options{NoFastPath: true}); err != nil || a.body == nil {
+		t.Errorf("NoFastPath: %v", err)
 	}
-	runDifferentialSites(t, mk, 8, nil, false)
 }
 
 // rowsProgram builds nrows rows of 500 elements, row r running an inner

@@ -2,9 +2,8 @@
 // differentially tested against. Each IR node becomes a Go closure (a
 // standard fast-interpreter technique: per-element dispatch is a function
 // call, not a tree walk). Compile builds it under Options.NoFastPath and
-// when a program overflows the bytecode's register file, and nowhere
-// else. Statements are validated and costed by cost.go before their
-// closures are built, so the expression builders below cannot fail.
+// nowhere else. Statements are validated and costed by cost.go before
+// their closures are built, so the expression builders below cannot fail.
 package exec
 
 import (
@@ -143,15 +142,12 @@ func oracleLoop(l *ir.Loop) (stmtFn, error) {
 func oracleHint(cost int64, pfArr *ir.Array, pfIdx []ir.IExpr, pfPages ir.IExpr,
 	relArr *ir.Array, relIdx []ir.IExpr, relPages ir.IExpr) stmtFn {
 
-	var pfPage func(*Env) (int64, int64) // returns (page, npages)
+	var pfPage, relPage func(*Env) (page, n int64)
 	if pfArr != nil {
-		f, n := oracleHintRange(pfArr, pfIdx, pfPages)
-		pfPage = func(e *Env) (int64, int64) { return f(e), n(e) }
+		pfPage = oracleHintRange(pfArr, pfIdx, pfPages)
 	}
-	var relPage func(*Env) (int64, int64)
 	if relArr != nil {
-		f, n := oracleHintRange(relArr, relIdx, relPages)
-		relPage = func(e *Env) (int64, int64) { return f(e), n(e) }
+		relPage = oracleHintRange(relArr, relIdx, relPages)
 	}
 	return func(e *Env) {
 		e.vm.AddUserOps(cost)
@@ -173,14 +169,15 @@ func oracleHint(cost int64, pfArr *ir.Array, pfIdx []ir.IExpr, pfPages ir.IExpr,
 	}
 }
 
-// oracleHintRange builds an (array, indices, pages) triple into closures
-// producing a clamped page number and a clamped page count.
-func oracleHintRange(arr *ir.Array, idx []ir.IExpr, pages ir.IExpr) (firstPage, npages iFn) {
+// oracleHintRange builds one side of a hint. Like the call it models, it
+// computes its address once: the index, its clamp into the array and the
+// page, then the page count and its clamp to the array's last page.
+func oracleHintRange(arr *ir.Array, idx []ir.IExpr, pages ir.IExpr) func(*Env) (page, n int64) {
 	lin := oracleLinearIndex(arr, idx)
 	pagesFn := oracleIExpr(pages)
 	base := arr.Base
 	elems := arr.Elems
-	firstPage = func(e *Env) int64 {
+	return func(e *Env) (int64, int64) {
 		li := lin(e)
 		if li < 0 {
 			li = 0
@@ -188,18 +185,13 @@ func oracleHintRange(arr *ir.Array, idx []ir.IExpr, pages ir.IExpr) (firstPage, 
 		if li >= elems {
 			li = elems - 1
 		}
-		return e.vm.PageOf(base + li*ir.ElemSize)
-	}
-	npages = func(e *Env) int64 {
-		lastPage := e.vm.PageOf(base + elems*ir.ElemSize - 1)
+		p := e.vm.PageOf(base + li*ir.ElemSize)
 		n := pagesFn(e)
-		p := firstPage(e)
-		if p+n-1 > lastPage {
+		if lastPage := e.vm.PageOf(base + elems*ir.ElemSize - 1); p+n-1 > lastPage {
 			n = lastPage - p + 1
 		}
-		return n
+		return p, n
 	}
-	return firstPage, npages
 }
 
 // oracleLinearIndex builds a multi-dimensional subscript into a linear

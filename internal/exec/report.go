@@ -86,11 +86,8 @@ type LoopReport struct {
 	Unroll int            // copies of absorbed inner-loop bodies in the span body; 1 = none absorbed
 
 	// Hints counts the prefetch/release statements in the loop's direct
-	// body (nested loops report their own) lowered to kernel bytecode.
-	// The nest compiler lowers every hint it reaches — side-safe shapes
-	// to single-evaluation templates, the rest to the exact
-	// double-evaluation sequence — so on the kernel path this equals the
-	// hint statement count and no hint runs as a closure call.
+	// body (nested loops report their own). The nest compiler lowers every
+	// hint it reaches to kernel bytecode, so this is the statement count.
 	Hints int
 }
 
