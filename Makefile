@@ -6,10 +6,11 @@ STATICCHECK_VERSION ?= 2025.1.1
 # The benchmark gate covers the observability substrate, the VM hot
 # paths (per-element and page-run), the storage backends' fault-free
 # service cycle, the end-to-end kernel host-time figures (static and
-# profile-guided), the multi-tenant scheduler's steady-state step and a
+# profile-guided), the multi-tenant scheduler's steady-state step, a
 # tenant's departure (final write-back plus the output hash, itself
-# gated as BenchmarkHashPages), and the profile recorder's observation
-# step (steady-state step, hash and recorder must stay zero-alloc) —
+# gated as BenchmarkHashPages) and a whole server's life on recycled
+# pages, and the profile recorder's observation step (steady-state
+# step, hash and recorder must stay zero-alloc) —
 # regressions here mean the tracer/registry layer, the device engine, the
 # executor fast path, the tenant scheduler, the output hash, or the
 # pass-1 recorder leaked cost into every simulated event.
@@ -62,12 +63,14 @@ test-benchmark:
 	$(GO) -C benchmark test ./...
 
 # The experiment runner, the metrics registry, a shared exec.Artifact
-# bound from several goroutines, the multi-tenant server, stripefs's
-# process-wide recycler itself (every run and every server adopts from
-# it; file systems on all three tiers built, driven and recycled from
-# several goroutines) with the device engine under it, and the profile
-# recorder/artifact are the concurrent or process-wide surfaces; run them
-# (and the packages they drive) under the race detector.
+# bound from several goroutines, the multi-tenant server (whose every
+# Run donates to, and every NewServer adopts from, vm's frame-slab stash),
+# stripefs's process-wide recycler itself (every run and every server
+# adopts from it; file systems on all three tiers built, driven and
+# recycled from several goroutines) with the device engine under it, and
+# the profile recorder/artifact are the concurrent or process-wide
+# surfaces; run them (and the packages they drive) under the race
+# detector.
 race:
 	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/exec/ ./internal/tenant/ ./internal/stripefs/ ./internal/disk/ ./internal/profile/ .
 
@@ -101,13 +104,18 @@ test-backends:
 # class ordering, quota fair-share reclaim, admission control, the
 # solo-server tick-for-tick equivalence with a directly driven VM, the
 # touch-episode table (every entry state of a fault through the blocking
-# and the non-blocking driver of the one fault path, same ticks), and the
+# and the non-blocking driver of the one fault path, same ticks), the
 # contract of the output hash every one of those equalities rests on
 # (residency-independent, sensitive to any bit, word swap or page swap,
-# equal to its word-at-a-time definition).
+# equal to its word-at-a-time definition), and the page life cycle: a
+# departure with reads in flight pinned to the parent's ticks, a second
+# server allocating under 5 % of the first, use after retirement loud,
+# and the proof that recycled frames and page buffers need no zeroing
+# (a run on poisoned memory equals one on fresh memory).
 test-tenants:
 	$(GO) test ./internal/tenant/ -count 1
 	$(GO) test ./internal/vm/ -run 'TestReclaim|TestQuota|TestPool|TestHash|TestFingerprint|TestTouchEpisodeBothDrivers'
+	$(GO) test ./internal/stripefs/ -run 'TestDiscard|TestFSAdoptsDirtyPageBufs|TestPageBufSlab'
 	$(GO) test ./cmd/benchdiff/
 
 # test-profile runs the two-pass profile-guided gate: the artifact

@@ -283,7 +283,8 @@ type File struct {
 
 	// Backing contents, one word slice per file page; nil means all-zero.
 	// This is the "data on disk": reads copy out of it, writes copy in.
-	store [][]uint64
+	store     [][]uint64
+	discarded bool // Discard handed the contents back; see checkLive
 
 	// Request tag for multi-tenant QoS: the issuing tenant's
 	// prefetch-priority class, stamped onto every request for this file.
@@ -342,9 +343,32 @@ func (f *File) QueueLenOf(page int64) int {
 	return f.fs.devs[d].QueueLen()
 }
 
+// Discard ends the file's life: every backing buffer goes to the FS's
+// free list, where the next write-back (and, after Recycle, the next FS)
+// takes it without allocating or zeroing. Writing or peeking the file
+// afterwards panics. A read still in flight resolves as for a
+// never-written page, and a write-back still in flight completes on
+// schedule with its buffer going straight back to the free list.
+func (f *File) Discard() {
+	for p, buf := range f.store {
+		if buf != nil {
+			f.fs.putPageBuf(buf)
+			f.store[p] = nil
+		}
+	}
+	f.discarded = true
+}
+
+func (f *File) checkLive() {
+	if f.discarded {
+		panic(fmt.Sprintf("stripefs: file %q used after Discard", f.name))
+	}
+}
+
 // storeBufFor returns a zeroed page buffer installed as the backing
 // contents of page, reusing the existing one when present.
 func (f *File) storeBufFor(page int64) []uint64 {
+	f.checkLive()
 	buf := f.store[page]
 	if buf == nil {
 		buf = f.fs.getPageBuf()
@@ -387,6 +411,7 @@ func (f *File) SetPageWords(page int64, data []uint64) {
 // buffer is recycled when the page is next written.
 func (f *File) PeekPage(page int64) []uint64 {
 	f.check(page, 1)
+	f.checkLive()
 	return f.store[page]
 }
 
@@ -589,7 +614,11 @@ func (w *writeOp) deliver() {
 	if old := f.store[w.page]; old != nil {
 		fs.putPageBuf(old)
 	}
-	f.store[w.page] = w.buf
+	if f.discarded {
+		fs.putPageBuf(w.buf)
+	} else {
+		f.store[w.page] = w.buf
+	}
 	w.buf = nil
 	done, page := w.done, w.page
 	fs.putWriteOp(w)
@@ -618,6 +647,7 @@ func (w *writeOp) failed() {
 // backing store only ever changes on success.
 func (f *File) Write(page int64, src []uint64, done func(page int64)) {
 	f.check(page, 1)
+	f.checkLive()
 	fs := f.fs
 	w := fs.getWriteOp()
 	buf := fs.getPageBuf()

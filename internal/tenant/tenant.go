@@ -114,6 +114,7 @@ type Tenant struct {
 	Spec JobSpec
 
 	srv   *Server
+	file  *stripefs.File
 	vm    *vm.VM
 	layer *rt.Layer
 	kern  kernel
@@ -306,7 +307,8 @@ func (s *Server) Submit(spec JobSpec) (*Tenant, error) {
 // runnable.
 func (s *Server) admit(t *Tenant) {
 	spec := &t.Spec
-	file, err := s.fs.Create(fmt.Sprintf("%d-%s", t.ID, spec.Name), spec.Kernel.Pages)
+	var err error
+	t.file, err = s.fs.Create(fmt.Sprintf("%d-%s", t.ID, spec.Name), spec.Kernel.Pages)
 	if err != nil {
 		// Names are made unique above, and sizes were validated; a
 		// create failure is a programming error, not load.
@@ -317,7 +319,7 @@ func (s *Server) admit(t *Tenant) {
 	if s.trace != nil {
 		o.Proc = s.trace.NewProcess(fmt.Sprintf("tenant-%d-%s", t.ID, spec.Name))
 	}
-	t.vm = s.pool.Attach(file, o)
+	t.vm = s.pool.Attach(t.file, o)
 	if spec.QuotaFrames > 0 {
 		t.vm.SetQuota(spec.QuotaFrames)
 	}
@@ -401,7 +403,9 @@ func (s *Server) Step() bool {
 }
 
 // Run drives the server until every submitted job has finished, then
-// drains the event queue (trailing write-backs and daemon activity).
+// drains the event queue (trailing write-backs and daemon activity) and
+// retires the server: its page memory goes to the next one. Reports,
+// metrics and pool invariants stay readable; Submit no more jobs.
 func (s *Server) Run() error {
 	for s.Step() {
 	}
@@ -412,6 +416,9 @@ func (s *Server) Run() error {
 	}
 	s.clock.Drain()
 	s.inj.Counts() // publish final fault tallies into the registry
+	// The departed jobs' backing stores are already on the FS's free list.
+	s.fs.Recycle()
+	s.pool.Recycle()
 	return nil
 }
 
@@ -483,11 +490,14 @@ func (t *Tenant) publish() {
 
 // finish completes a job: final write-back, result fingerprint, frame
 // release, metrics merge, and reservation return (which may admit queued
-// jobs).
+// jobs). The Report carries the hash and nothing reads the region again,
+// so the job's backing store goes back to the array's free list for the
+// jobs still running and the ones admitted next.
 func (s *Server) finish(t *Tenant) {
 	t.vm.Finish()
 	t.fingerprint = t.vm.Fingerprint()
 	t.vm.Release(0, t.vm.AllocatedPages())
+	t.file.Discard()
 	t.vm.FlushUser()
 	t.state = stateFinished
 	t.finished = s.clock.Now()
@@ -515,7 +525,12 @@ func (t *Tenant) Done() bool { return t.state == stateFinished }
 // Queued reports whether the job is still waiting for admission.
 func (t *Tenant) Queued() bool { return t.state == stateQueued }
 
-// VM returns the tenant's address space (nil until admitted).
+// VM returns the tenant's address space (nil until admitted). Once the
+// job is Done its Times, Stats and ResidentFrames stay valid for good;
+// its contents do not: the backing store is discarded at departure and
+// the frames are given away at Run's end, and from then on Peek,
+// Fingerprint and the fast accessors panic rather than read memory that
+// has moved on. The Report carries the hash.
 func (t *Tenant) VM() *vm.VM { return t.vm }
 
 // Report returns the job's accounting so far (final once Done).

@@ -347,13 +347,15 @@ func TestServerInvariants(t *testing.T) {
 	}
 }
 
-// TestConcurrentServers: servers share no state but stripefs's
-// process-wide recycler, which every NewServer adopts from. Two
-// different mixes run from two goroutines, several servers each, and
-// each finished server donates its free lists the way core.RunContext
-// does, so later servers — on either goroutine — run on request objects
-// and page buffers another server retired. Each must reproduce its
-// sequential run exactly. `make race` runs this under the race detector.
+// TestConcurrentServers: servers share no state but the two process-wide
+// recyclers every NewServer adopts from — stripefs's request objects and
+// page buffers, vm's frame slab. Two different mixes run from two
+// goroutines, several servers each; every departure discards a job's
+// backing store and every Run ends by donating the file system's free
+// lists and the pool's slab, so later servers — on either goroutine — run
+// on frames, page buffers and request objects another server retired,
+// none of it zeroed. Each must reproduce its sequential run exactly.
+// `make race` runs this under the race detector.
 func TestConcurrentServers(t *testing.T) {
 	mixes := [][]JobSpec{
 		{
@@ -383,7 +385,6 @@ func TestConcurrentServers(t *testing.T) {
 		if err := s.Run(); err != nil {
 			return outcome{}, err
 		}
-		s.fs.Recycle()
 		return outcome{s.Clock().Now(), s.Reports(), s.Metrics().Snapshot()}, nil
 	}
 	var want [2]outcome
@@ -450,8 +451,9 @@ func BenchmarkTenantSteadyState(b *testing.B) {
 // server: one 2048-page tenant (the end-to-end benchmark's size, on its
 // share of a contended pool) from its last access through finish — the
 // final write-back, the output fingerprint over the whole region, frame
-// release and metrics merge. Running the job up to that point is
-// untimed.
+// release, handing the backing store back and the metrics merge. Running
+// the job up to that point is untimed, and done access by access rather
+// than through Step, whose slice would run on into finish.
 func BenchmarkTenantDeparture(b *testing.B) {
 	const pages = 2048
 	b.ReportAllocs()
@@ -467,8 +469,11 @@ func BenchmarkTenantDeparture(b *testing.B) {
 			b.Fatal(err)
 		}
 		for t.idx < t.kern.total {
-			s.Step()
+			if !t.step() {
+				s.clock.WaitFor(func() bool { return !t.vm.InTransit(t.waitPage) })
+			}
 		}
+		t.vm.FlushUser()
 		b.StartTimer()
 		s.finish(t)
 		b.StopTimer()
@@ -476,6 +481,34 @@ func BenchmarkTenantDeparture(b *testing.B) {
 			b.Fatal("tenant did not depart with a fingerprint")
 		}
 		if err := s.Run(); err != nil { // drain the trailing I/O
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServerLife measures a whole server: built, twelve contending
+// jobs submitted and run to completion, retired. From the second
+// iteration on it runs on the previous server's frame slab and page
+// buffers, so B/op is what a server costs the heap in steady state.
+func BenchmarkServerLife(b *testing.B) {
+	machine, jobs := steadyMix()
+	var data int64
+	for _, j := range jobs {
+		data += j.Kernel.Pages * machine.PageSize
+	}
+	b.ReportAllocs()
+	b.SetBytes(data)
+	for i := 0; i < b.N; i++ {
+		s, err := NewServer(Config{Machine: machine, Seed: 9, Sched: "qos"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, j := range jobs {
+			if _, err := s.Submit(j); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}

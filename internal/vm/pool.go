@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/hw"
 	"repro/internal/sim"
@@ -24,7 +25,7 @@ type Pool struct {
 	p     hw.Params
 
 	frames []frameInfo
-	words  []uint64 // frame storage, Frames() × PageSize/8 words
+	words  []uint64 // frame storage, Frames() × PageSize/8 words; nil once recycled
 
 	// Free queue: a growable ring buffer of frame indices. Entries whose
 	// frame has onFree == false are stale and skipped on pop (lazy
@@ -60,6 +61,47 @@ type Pool struct {
 	highWater int64
 }
 
+// Frame storage outlives its pool the way stripefs's page buffers outlive
+// their FS: Recycle donates it to this one-slot stash (the largest slab
+// seen stays) and NewPool adopts it when the size matches — one mutex
+// operation each, nothing on the I/O path. An adopted slab is not
+// re-zeroed: a frame is filled whole (the read's delivery copies the page
+// or zero-fills it; Preload does the same) before it is mapped, and
+// nothing reads an unmapped frame.
+var (
+	slabMu sync.Mutex
+	slab   []uint64
+)
+
+func adoptSlab(words int64) []uint64 {
+	slabMu.Lock()
+	if w := slab; int64(len(w)) == words {
+		slab = nil
+		slabMu.Unlock()
+		return w
+	}
+	slabMu.Unlock()
+	return make([]uint64, words) // outside the lock: zeroing it takes milliseconds
+}
+
+// Recycle hands the pool's frame storage to the next pool of its size.
+// Call it when the run is over and all I/O has drained. The pool and its
+// address spaces drop the storage, so a later Peek, LoadFast or PageSpan
+// of a mapped page faults instead of reading the next owner's memory;
+// statistics, residency counts and CheckInvariants stay valid.
+func (pl *Pool) Recycle() {
+	w := pl.words
+	pl.words = nil
+	for _, v := range pl.vms {
+		v.words = nil
+	}
+	slabMu.Lock()
+	if len(w) > len(slab) {
+		slab = w
+	}
+	slabMu.Unlock()
+}
+
 // NewPool creates a frame pool of p.Frames() frames with every frame on
 // the free list. Attach address spaces to it with Attach.
 func NewPool(clock *sim.Clock, p hw.Params) *Pool {
@@ -71,7 +113,7 @@ func NewPool(clock *sim.Clock, p hw.Params) *Pool {
 		clock:  clock,
 		p:      p,
 		frames: make([]frameInfo, nf),
-		words:  make([]uint64, nf*(p.PageSize/8)),
+		words:  adoptSlab(nf * (p.PageSize / 8)),
 		freeQ:  make([]int32, nf+1),
 	}
 	pl.daemonRunFn = pl.daemonRun
