@@ -19,7 +19,7 @@ BENCH_PKGS = ./internal/obs ./internal/vm ./internal/disk ./internal/bench ./int
 # allocator and scheduler noise enough for a 15% gate.
 BENCH_FLAGS = -bench=. -benchmem -benchtime 200ms -count 3 -run '^$$'
 
-.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz test-faults test-exec test-backends test-tenants test-profile loc bench bench-check bench-baseline
+.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz test-faults test-exec test-compile test-backends test-tenants test-profile loc bench bench-check bench-baseline
 
 # ci is the gate: formatting, static checks, build, tests (the root
 # module's and the benchmark module's), the race-detector pass over the
@@ -156,6 +156,21 @@ test-exec:
 	$(GO) test ./internal/nas/ -run TestNASHintSitesEmitNoClosureCalls -count 1
 	$(GO) test ./internal/core/ -run 'TestPlanCache|TestRunLimitReturnsTypedError' -count 1
 	$(GO) test ./cmd/benchdiff/
+
+# test-compile runs the compile-path gate (DESIGN.md §11): the printed
+# program and the assembled bytecode of the 8 NAS proxies and the 5
+# example kernels, O and P, pinned to the hashes recorded before the
+# printer became append-style and value numbering moved onto an undo
+# trail; the append-style renderer against the fmt-based reference it
+# replaced, node kind by node kind; the trail itself (after every restore
+# the four maps equal a copy taken at the mark); the per-stage allocation
+# budgets of lang.Parse, Clone, compiler.Compile, exec.Compile and
+# ir.Print; and the compiler driver's usage errors and two input kinds.
+test-compile:
+	$(GO) test ./internal/nas/ -run 'TestPrintPinned|TestCompileAllocBudget' -count 1
+	$(GO) test ./internal/exec/ -run 'TestBytecodePinned|TestValueNumberingTrail' -count 1
+	$(GO) test ./internal/ir/ -run TestStringMatchesReference -count 1
+	$(GO) test ./cmd/ooccc/
 
 # loc prints the two numbers every simplicity PR reports: lines of
 # non-test Go outside benchmark/, per internal/* package and in total.

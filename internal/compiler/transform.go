@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ir"
@@ -248,21 +249,18 @@ func (t *transform) hintIdxAt(ref *locality.Ref, pipe, plant *ir.Loop, target ir
 	}
 	out := make([]ir.IExpr, len(ref.Idx))
 	for i, ix := range ref.Idx {
-		out[i] = substIExpr(ix, repl)
+		out[i], _ = substIExpr(ix, repl)
 	}
 	return out
 }
 
 // substIExpr replaces slot reads according to repl, recursively applying
 // the substitution to the replacement expressions as well (minus the slot
-// being replaced, to avoid cycles).
-func substIExpr(e ir.IExpr, repl map[int]ir.IExpr) ir.IExpr {
-	if len(repl) == 0 {
-		return e
-	}
+// being replaced, to avoid cycles), and reports whether it replaced any. A
+// subtree that reads no replaced slot is returned as it is: expression
+// nodes are immutable values, so the result shares it with e.
+func substIExpr(e ir.IExpr, repl map[int]ir.IExpr) (ir.IExpr, bool) {
 	switch x := e.(type) {
-	case ir.IConst:
-		return x
 	case ir.ISlot:
 		if r, ok := repl[x.Slot]; ok {
 			sub := make(map[int]ir.IExpr, len(repl))
@@ -271,17 +269,28 @@ func substIExpr(e ir.IExpr, repl map[int]ir.IExpr) ir.IExpr {
 					sub[k] = v
 				}
 			}
-			return substIExpr(r, sub)
+			r, _ = substIExpr(r, sub)
+			return r, true
 		}
-		return x
 	case ir.IBin:
-		return ir.IBin{Op: x.Op, A: substIExpr(x.A, repl), B: substIExpr(x.B, repl)}
-	case ir.ILoad:
-		idx := make([]ir.IExpr, len(x.Idx))
-		for i, ix := range x.Idx {
-			idx[i] = substIExpr(ix, repl)
+		a, ca := substIExpr(x.A, repl)
+		b, cb := substIExpr(x.B, repl)
+		if ca || cb {
+			return ir.IBin{Op: x.Op, A: a, B: b}, true
 		}
-		return ir.ILoad{Arr: x.Arr, Idx: idx}
+	case ir.ILoad:
+		var idx []ir.IExpr
+		for i, ix := range x.Idx {
+			if sub, changed := substIExpr(ix, repl); changed {
+				if idx == nil {
+					idx = slices.Clone(x.Idx)
+				}
+				idx[i] = sub
+			}
+		}
+		if idx != nil {
+			return ir.ILoad{Arr: x.Arr, Idx: idx}, true
+		}
 	}
-	return e
+	return e, false
 }

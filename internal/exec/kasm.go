@@ -125,11 +125,14 @@ func setFused(op kop) (kop, bool) {
 // while jump targets are still opLabel markers, so removing instructions
 // cannot skew a target. Temporaries are only eliminated when a whole-code
 // census proves they are written once and read once, by the fused pair.
-func (kc *kcompiler) peephole(code []kinstr) []kinstr {
-	reads := make([]int32, kc.nRI)
-	writes := make([]int32, kc.nRI)
-	freads := make([]int32, kc.nRF)
-	fwrites := make([]int32, kc.nRF)
+// The result is compacted into code itself: a fusion reads the
+// instructions it consumes before it writes its one product, and consumes
+// at least as many as it writes, so the write index never passes the read
+// index. census is room for the four register tallies.
+func (kc *kcompiler) peephole(code []kinstr, census []int32) []kinstr {
+	clear(census)
+	reads, writes := census[:kc.nRI], census[kc.nRI:2*kc.nRI]
+	freads, fwrites := census[2*kc.nRI:2*kc.nRI+kc.nRF], census[2*kc.nRI+kc.nRF:]
 	// spanChunk reads a page-run loop's seed registers through the span
 	// table, not through instruction operands.
 	for i := range kc.spans {
@@ -152,7 +155,7 @@ func (kc *kcompiler) peephole(code []kinstr) []kinstr {
 	dead1 := func(r uint16) bool { return reads[r] == 1 && writes[r] == 1 }
 	fdead1 := func(r uint16) bool { return freads[r] == 1 && fwrites[r] == 1 }
 
-	out := make([]kinstr, 0, len(code))
+	out := code[:0]
 	for i := 0; i < len(code); i++ {
 		// t = a + imm; m = min(t, cap); d = base + m   -->   d = idx3
 		// (the clamped-subscript shape hint planting produces per
@@ -283,21 +286,14 @@ func otherOperand(in kinstr, r uint16) (uint16, bool) {
 // register other than the induction register cannot change inside a body
 // consisting of exactly these three instructions).
 func fuseDotLoop(code []kinstr) {
-	targets := make(map[int]bool)
-	for i := range code {
-		jumpTargets(&code[i], func(t *int64) { targets[int(*t)] = true })
-	}
 	for i := 0; i+2 < len(code); i++ {
 		if code[i].op != opHintIdx3 || code[i+1].op != opFAccDot2 ||
 			code[i+2].op != opLoopEndS {
 			continue
 		}
 		l := code[i+2]
-		if int(l.imm2) != i || targets[i+1] || targets[i+2] {
-			continue
-		}
 		kr := l.dst
-		if code[i].a != kr || code[i].dst == kr ||
+		if int(l.imm2) != i || code[i].a != kr || code[i].dst == kr ||
 			uint16(code[i].imm2) == kr || l.b == kr {
 			continue
 		}
@@ -305,7 +301,13 @@ func fuseDotLoop(code []kinstr) {
 		if (d.a == kr) == (uint16(d.imm2) == kr) { // exactly one k operand
 			continue
 		}
-		code[i].op = opDotLoop
+		inside := false // a jump lands on the body's second or third instruction
+		for j := range code {
+			jumpTargets(&code[j], func(t *int64) { inside = inside || int(*t) == i+1 || int(*t) == i+2 })
+		}
+		if !inside {
+			code[i].op = opDotLoop
+		}
 	}
 }
 
@@ -322,8 +324,9 @@ func jumpTargets(in *kinstr, f func(target *int64)) {
 	}
 }
 
-// assemble strips opLabel markers and patches every jump's label id to
-// its absolute pc.
+// assemble strips opLabel markers, compacting code into itself, and
+// patches every jump's label id to its absolute pc as it goes: a first
+// scan has numbered the survivors.
 func assemble(code []kinstr, nLabels int) []kinstr {
 	pos := make([]int, nLabels)
 	n := 0
@@ -334,13 +337,12 @@ func assemble(code []kinstr, nLabels int) []kinstr {
 			n++
 		}
 	}
-	out := make([]kinstr, 0, n)
+	out := code[:0]
 	for _, in := range code {
-		if in.op == opLabel {
-			continue
+		if in.op != opLabel {
+			out = append(out, in)
+			jumpTargets(&out[len(out)-1], func(t *int64) { *t = int64(pos[*t]) })
 		}
-		out = append(out, in)
-		jumpTargets(&out[len(out)-1], func(t *int64) { *t = int64(pos[*t]) })
 	}
 	return out
 }

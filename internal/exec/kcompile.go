@@ -16,8 +16,8 @@ package exec
 
 import (
 	"fmt"
-	"maps"
 	"math"
+	"math/bits"
 	"os"
 	"slices"
 
@@ -27,12 +27,73 @@ import (
 
 // kloop is the compile-time context of one bytecode loop being built.
 type kloop struct {
-	slot     int
-	written  map[int]bool // int slots the body writes (incl. nested vars)
-	fwritten map[int]bool // float slots the body writes
-	hoist    []kinstr     // loop-invariant code, spliced before the guard
-	hoistCse map[uint64]cseEnt
-	hints    int // hint statements in the direct body lowered to bytecode
+	written  slotSet           // int slots the loop writes: its own variable, nested ones, scalars
+	fwritten slotSet           // float slots the body writes
+	hoist    []kinstr          // loop-invariant code, spliced before the guard
+	hoistCse map[uint64]cseEnt // made by the first setHoist: most loops hoist nothing
+	hints    int               // hint statements in the direct body lowered to bytecode
+}
+
+// emit appends one instruction of loop-invariant code. Loops hoist 0 to 12
+// instructions whatever their size, most of them none: room for 8 is made
+// by the first.
+func (ctx *kloop) emit(in kinstr) {
+	if ctx.hoist == nil {
+		ctx.hoist = make([]kinstr, 0, 8)
+	}
+	ctx.hoist = append(ctx.hoist, in)
+}
+
+func (ctx *kloop) setHoist(k uint64, ent cseEnt) {
+	if ctx.hoistCse == nil {
+		ctx.hoistCse = map[uint64]cseEnt{}
+	}
+	ctx.hoistCse[k] = ent
+}
+
+// slotSet is a set of slot numbers, one bit each, sized from the program's
+// slot count.
+type slotSet []uint64
+
+func (s slotSet) has(i int) bool { return s[i>>6]>>(uint(i)&63)&1 != 0 }
+func (s slotSet) add(i int)      { s[i>>6] |= 1 << (uint(i) & 63) }
+
+// each calls f for every member, in increasing order.
+func (s slotSet) each(f func(slot int)) {
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			f(w<<6 + bits.TrailingZeros64(word))
+		}
+	}
+}
+
+// writtenSlots returns the int and the float slots body assigns: scalar
+// assignments, and the induction variables of nested loops.
+func (kc *kcompiler) writtenSlots(bodies ...[]ir.Stmt) (iw, fw slotSet) {
+	ni, nf := (kc.nInt+63)>>6, (kc.nFloat+63)>>6
+	set := make(slotSet, ni+nf)
+	iw, fw = set[:ni:ni], set[ni:]
+	for _, body := range bodies {
+		addWritten(body, iw, fw)
+	}
+	return iw, fw
+}
+
+func addWritten(body []ir.Stmt, iw, fw slotSet) {
+	for _, s := range body {
+		switch x := s.(type) {
+		case *ir.Loop:
+			iw.add(x.Slot)
+			addWritten(x.Body, iw, fw)
+		case ir.SetScalarI:
+			iw.add(x.Slot)
+		case ir.SetScalarF:
+			fw.add(x.Slot)
+		case ir.If:
+			addWritten(x.Then, iw, fw)
+			addWritten(x.Else, iw, fw)
+		}
+	}
 }
 
 // cseEnt is one value-numbering fact: register r holds expression e. The
@@ -43,22 +104,113 @@ type cseEnt struct {
 	r uint16
 }
 
-// kmaps is the value-numbering state.
+// kmaps is the value-numbering state: one set of maps for the whole
+// compile. Every write goes through a setter below, which first appends
+// what it overwrites to the undo trail, so a scope (a loop body, a branch)
+// is a mark on the trail and leaving it an unwind — never a copy of the
+// maps.
 type kmaps struct {
 	cse    map[uint64]cseEnt // pure int expr -> register holding it
 	cseDep map[uint64][]int  // its slot dependencies, for invalidation
 	bind   map[int]uint16    // int slot -> register mirroring it
 	fbind  map[int]uint16    // float slot -> register mirroring it
+	trail  []undo
+	deps   []int // backing store of every cseDep entry
+}
+
+// undo is what one setter overwrote: the previous entry of key in map m,
+// if it had one.
+type undo struct {
+	m    uint8 // undoCse (cse and cseDep together), undoBind or undoFBind
+	had  bool
+	r    uint16 // bind, fbind
+	key  uint64
+	ent  cseEnt // cse
+	deps []int  // cseDep
+}
+
+const (
+	undoCse uint8 = iota
+	undoBind
+	undoFBind
+)
+
+func (m *kmaps) setCse(k uint64, ent cseEnt, deps []int) {
+	old, had := m.cse[k]
+	m.trail = append(m.trail, undo{m: undoCse, had: had, key: k, ent: old, deps: m.cseDep[k]})
+	m.cse[k], m.cseDep[k] = ent, deps
+}
+
+func (m *kmaps) delCse(k uint64) {
+	m.trail = append(m.trail, undo{m: undoCse, had: true, key: k, ent: m.cse[k], deps: m.cseDep[k]})
+	delete(m.cse, k)
+	delete(m.cseDep, k)
+}
+
+func (m *kmaps) setBind(slot int, r uint16) {
+	old, had := m.bind[slot]
+	m.trail = append(m.trail, undo{m: undoBind, had: had, key: uint64(slot), r: old})
+	m.bind[slot] = r
+}
+
+func (m *kmaps) delBind(slot int) {
+	if old, had := m.bind[slot]; had {
+		m.trail = append(m.trail, undo{m: undoBind, had: true, key: uint64(slot), r: old})
+		delete(m.bind, slot)
+	}
+}
+
+func (m *kmaps) setFBind(slot int, r uint16) {
+	old, had := m.fbind[slot]
+	m.trail = append(m.trail, undo{m: undoFBind, had: had, key: uint64(slot), r: old})
+	m.fbind[slot] = r
+}
+
+func (m *kmaps) delFBind(slot int) {
+	if old, had := m.fbind[slot]; had {
+		m.trail = append(m.trail, undo{m: undoFBind, had: true, key: uint64(slot), r: old})
+		delete(m.fbind, slot)
+	}
+}
+
+// snapshot marks the current state; restore(mark) returns to it. A mark
+// stays valid until a restore to an earlier one, so the two branches of
+// an if restore the same mark twice.
+func (m *kmaps) snapshot() int { return len(m.trail) }
+
+func (m *kmaps) restore(mark int) {
+	for i := len(m.trail) - 1; i >= mark; i-- {
+		u := &m.trail[i]
+		switch {
+		case u.m == undoCse && u.had:
+			m.cse[u.key], m.cseDep[u.key] = u.ent, u.deps
+		case u.m == undoCse:
+			delete(m.cse, u.key)
+			delete(m.cseDep, u.key)
+		case u.m == undoBind && u.had:
+			m.bind[int(u.key)] = u.r
+		case u.m == undoBind:
+			delete(m.bind, int(u.key))
+		case u.had:
+			m.fbind[int(u.key)] = u.r
+		default:
+			delete(m.fbind, int(u.key))
+		}
+	}
+	m.trail = m.trail[:mark]
 }
 
 type kcompiler struct {
-	shift  int64         // page shift, for compile-time page arithmetic
+	shift  int64 // page shift, for compile-time page arithmetic
+	nInt   int   // the program's slot counts, which size a slotSet
+	nFloat int
 	params map[int]int64 // parameter slots no statement writes -> Param.Val
 	err    error         // first statement cost.go rejected, or the *LimitError of the first full table
 	prof   *profRec      // non-nil in a recording compile (profile.go)
 
 	code    []kinstr
-	buf     *[]kinstr // current emission target (a page-run loop's span half swaps in)
+	front   []kinstr  // what a loop runs before its body, built after it; one loop's at a time
+	buf     *[]kinstr // current emission target: code, or front while a loop's front is built
 	prelude []kinstr  // constant-pool loads, prepended at assembly
 	labels  int
 	pending int64 // operation charges not yet materialized
@@ -75,6 +227,9 @@ type kcompiler struct {
 
 	// page-run loops (kspan.go)
 	spans      []spanLoop
+	sites      []spanSite // spare capacity the next loop's spanWalk appends to, and cds and seed likewise
+	cds        []int64
+	seed       []uint16
 	spanNext   int  // next site id while lowering a span body, else -1
 	nSites     int  // access sites assigned so far
 	nSubs      int  // maintained-subscript slots assigned so far
@@ -87,6 +242,8 @@ type kcompiler struct {
 func newKcompiler(prog *ir.Program, shift int64, rec *profile.Recorder) *kcompiler {
 	kc := &kcompiler{
 		shift:  shift,
+		nInt:   prog.NInt,
+		nFloat: prog.NFloat,
 		params: map[int]int64{},
 		nRI:    1, nRF: 1, // ri[0]/rf[0] are permanent zeros
 		kmaps: kmaps{cse: map[uint64]cseEnt{}, cseDep: map[uint64][]int{},
@@ -98,9 +255,9 @@ func newKcompiler(prog *ir.Program, shift int64, rec *profile.Recorder) *kcompil
 		spanNext: -1,
 	}
 	kc.buf = &kc.code
-	written := ir.WrittenSlots(prog.Body, nil)
+	written, _ := kc.writtenSlots(prog.Body)
 	for _, p := range prog.Params {
-		if !written[p.Slot] {
+		if !written.has(p.Slot) {
 			kc.params[p.Slot] = p.Val
 		}
 	}
@@ -110,20 +267,27 @@ func newKcompiler(prog *ir.Program, shift int64, rec *profile.Recorder) *kcompil
 	return kc
 }
 
+// codePerStmt sizes the instruction buffer from the statement count, so
+// that it is allocated once instead of by doubling: the NAS proxies, the
+// example kernels and the benchmark corpus lower to 6 to 17 instructions a
+// statement, labels and constant prelude included (unrolled span bodies
+// are the high end).
+const codePerStmt = 16
+
 // compile lowers body. An error is a statement cost.go rejected or a
 // *LimitError: the program exceeded one of the bytecode's tables.
 func (kc *kcompiler) compile(body []ir.Stmt) error {
+	kc.code = make([]kinstr, 0, codePerStmt*ir.CountStmts(body))
 	kc.stmts(body)
 	kc.flush()
 	if kc.err != nil {
 		return kc.err
 	}
-	code := make([]kinstr, 0, len(kc.prelude)+len(kc.code))
-	code = append(code, kc.prelude...)
-	code = append(code, kc.code...)
+	code := slices.Insert(kc.code, 0, kc.prelude...)
 	// Two passes: the second fuses across products of the first
 	// (opIdx3 feeding opHintLoad1 becomes a single opHintIdx3).
-	code = kc.peephole(kc.peephole(code))
+	census := make([]int32, 2*(kc.nRI+kc.nRF))
+	code = kc.peephole(kc.peephole(code, census), census)
 	kc.code = assemble(code, kc.labels)
 	fuseDotLoop(kc.code)
 	return nil
@@ -305,60 +469,39 @@ func sameI(a, b ir.IExpr) bool {
 	return false
 }
 
-func slotsOf(x ir.IExpr) []int {
-	var deps []int
-	seen := map[int]bool{}
+// slotsOf returns the distinct slots x reads, as a slice of the compile's
+// one dependency arena: an append that moves the arena leaves the slices
+// cut earlier on the old array, which nothing writes again.
+func (kc *kcompiler) slotsOf(x ir.IExpr) []int {
+	n := len(kc.deps)
 	ir.IExprSlots(x, func(s int) {
-		if !seen[s] {
-			seen[s] = true
-			deps = append(deps, s)
+		if !slices.Contains(kc.deps[n:], s) {
+			kc.deps = append(kc.deps, s)
 		}
 	})
-	return deps
+	return kc.deps[n:len(kc.deps):len(kc.deps)]
 }
 
 // invalidateSlot drops every register fact that depended on int slot s.
 func (kc *kcompiler) invalidateSlot(s int) {
-	delete(kc.bind, s)
+	kc.delBind(s)
 	for k, deps := range kc.cseDep {
-		for _, d := range deps {
-			if d == s {
-				delete(kc.cse, k)
-				delete(kc.cseDep, k)
-				break
-			}
+		if slices.Contains(deps, s) {
+			kc.delCse(k)
 		}
 	}
 }
 
-func (m kmaps) clone() kmaps {
-	return kmaps{cse: maps.Clone(m.cse), cseDep: maps.Clone(m.cseDep),
-		bind: maps.Clone(m.bind), fbind: maps.Clone(m.fbind)}
-}
-
-func (kc *kcompiler) snapshot() kmaps { return kc.kmaps.clone() }
-
-// restore installs m itself: a snapshot that seeds several paths is
-// cloned for all but the last.
-func (kc *kcompiler) restore(m kmaps) { kc.kmaps = m }
-
-// writtenFSlots is WrittenSlots for float scalars.
-func writtenFSlots(body []ir.Stmt, dst map[int]bool) map[int]bool {
-	if dst == nil {
-		dst = map[int]bool{}
-	}
-	for _, s := range body {
-		switch x := s.(type) {
-		case ir.SetScalarF:
-			dst[x.Slot] = true
-		case *ir.Loop:
-			writtenFSlots(x.Body, dst)
-		case ir.If:
-			writtenFSlots(x.Then, dst)
-			writtenFSlots(x.Else, dst)
+// invalidate drops every register fact that depended on an int slot in
+// iw or was about a float slot in fw.
+func (kc *kcompiler) invalidate(iw, fw slotSet) {
+	iw.each(kc.delBind)
+	for k, deps := range kc.cseDep {
+		if slices.ContainsFunc(deps, iw.has) {
+			kc.delCse(k)
 		}
 	}
-	return dst
+	fw.each(kc.delFBind)
 }
 
 // ---- statements ----------------------------------------------------------
@@ -400,7 +543,7 @@ func (kc *kcompiler) stmt(s ir.Stmt) {
 		r := kc.iexpr(x.RHS)
 		kc.emit(kinstr{op: opSetSlot, a: r, imm: int64(x.Slot)})
 		kc.invalidateSlot(x.Slot)
-		kc.bind[x.Slot] = r
+		kc.setBind(x.Slot, r)
 	case ir.If:
 		kc.ifStmt(x)
 	case ir.Prefetch:
@@ -429,7 +572,7 @@ func (kc *kcompiler) ifStmt(x ir.If) {
 		kc.flush()
 		kc.emit(kinstr{op: opJump, imm: int64(lEnd)})
 		kc.mark(lElse)
-		kc.restore(condSnap.clone())
+		kc.restore(condSnap)
 		kc.stmts(x.Else)
 		kc.flush()
 		kc.mark(lEnd)
@@ -437,16 +580,7 @@ func (kc *kcompiler) ifStmt(x ir.If) {
 	}
 	// At the join only facts that survived BOTH paths hold: drop anything
 	// either branch may have written.
-	wr := ir.WrittenSlots(x.Then, nil)
-	wr = ir.WrittenSlots(x.Else, wr)
-	for s := range wr {
-		kc.invalidateSlot(s)
-	}
-	fw := writtenFSlots(x.Then, nil)
-	fw = writtenFSlots(x.Else, fw)
-	for s := range fw {
-		delete(kc.fbind, s)
-	}
+	kc.invalidate(kc.writtenSlots(x.Then, x.Else))
 }
 
 func (kc *kcompiler) setScalarF(x ir.SetScalarF) {
@@ -463,18 +597,18 @@ func (kc *kcompiler) setScalarF(x ir.SetScalarF) {
 				p := kc.fexpr(mul.A)
 				q := kc.fexpr(mul.B)
 				kc.emit(kinstr{op: opFAccM, a: p, b: q, imm: int64(slot)})
-				delete(kc.fbind, slot)
+				kc.delFBind(slot)
 				return
 			}
 			r := kc.fexpr(add.B)
 			kc.emit(kinstr{op: opFAcc, a: r, imm: int64(slot)})
-			delete(kc.fbind, slot)
+			kc.delFBind(slot)
 			return
 		}
 	}
 	r := kc.fexpr(x.RHS)
 	kc.emit(kinstr{op: opSetF, a: r, imm: int64(slot)})
-	kc.fbind[slot] = r
+	kc.setFBind(slot, r)
 }
 
 // tryFAccDot recognizes s = s + A[t] * X[C[t]] over 1-D arrays with a
@@ -506,7 +640,7 @@ func (kc *kcompiler) tryFAccDot(slot int, mul ir.FBin) bool {
 		xBase: lx.Arr.Base, xDim: lx.Arr.Dims[0], xRef: kc.auxFor(lx.Arr, 0),
 	}
 	kc.emit(kinstr{op: opFAccDot, dst: uint16(slot), a: t, b: kc.hauxAdd(h), imm: kc.takePending()})
-	delete(kc.fbind, slot)
+	kc.delFBind(slot)
 	return true
 }
 
@@ -547,20 +681,14 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 	kc.emit(kinstr{op: opIMove, dst: rv, a: rlo})
 	kc.flush()
 
-	ctx := &kloop{
-		slot:     l.Slot,
-		written:  ir.WrittenSlots(l.Body, nil),
-		fwritten: writtenFSlots(l.Body, nil),
-		hoistCse: map[uint64]cseEnt{},
-	}
+	ctx := &kloop{}
+	ctx.written, ctx.fwritten = kc.writtenSlots(l.Body)
+	ctx.written.add(l.Slot)
 	snap := kc.snapshot()
-	kc.dropWritten(ctx)
-	kc.bind[l.Slot] = rv
+	kc.invalidate(ctx.written, ctx.fwritten)
+	kc.setBind(l.Slot, rv)
 	kc.loops = append(kc.loops, ctx)
-	var s0 kmaps
-	if pageRun {
-		s0 = kc.snapshot()
-	}
+	s0 := kc.snapshot()
 
 	// The body is lowered in place. What runs before it — the invariant
 	// code its lowering hoists, the trip guard, a page-run loop's span half
@@ -579,9 +707,9 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 	// edge stores every subsequent one, so the loop top costs zero extra
 	// dispatches per iteration. A page-run loop continues with kspan.go's
 	// two-body layout.
-	var front []kinstr
 	var backEdge kinstr
-	kc.buf = &front
+	kc.front = kc.front[:0]
+	kc.buf = &kc.front
 	if pageRun {
 		kc.restore(s0)
 		backEdge = kc.spanLoop(l, w, iter, rv, rh, rlo, lTop, lEnd)
@@ -594,24 +722,17 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 	kc.loops = kc.loops[:depth]
 	kc.reports[ri].Hints = ctx.hints
 
-	pre := append(ctx.hoist, kinstr{op: opJumpGeI, a: rv, b: rh, imm: int64(lEnd)})
-	*kc.buf = slices.Insert(*kc.buf, p0, append(pre, front...)...)
+	code, nh := *body, len(ctx.hoist)
+	n := nh + 1 + len(kc.front)
+	code = slices.Grow(code, n)[:len(code)+n]
+	copy(code[p0+n:], code[p0:])
+	copy(code[p0:], ctx.hoist)
+	code[p0+nh] = kinstr{op: opJumpGeI, a: rv, b: rh, imm: int64(lEnd)}
+	copy(code[p0+nh+1:], kc.front)
+	*body = code
 	kc.emit(backEdge)
 	kc.mark(lEnd)
 
 	kc.restore(snap)
-	kc.dropWritten(ctx)
-}
-
-// dropWritten forgets every register fact about a slot ctx's loop
-// writes, its induction variable included: such facts hold neither at the
-// top of the body (after a back edge) nor after the loop.
-func (kc *kcompiler) dropWritten(ctx *kloop) {
-	for s := range ctx.written {
-		kc.invalidateSlot(s)
-	}
-	kc.invalidateSlot(ctx.slot)
-	for s := range ctx.fwritten {
-		delete(kc.fbind, s)
-	}
+	kc.invalidate(ctx.written, ctx.fwritten)
 }

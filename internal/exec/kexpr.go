@@ -21,23 +21,24 @@ func (kc *kcompiler) iexpr(x ir.IExpr) uint16 {
 		}
 		r := kc.iReg()
 		kc.emit(kinstr{op: opISlot, dst: r, imm: int64(e.Slot)})
-		kc.bind[e.Slot] = r
+		kc.setBind(e.Slot, r)
 		return r
 	case ir.IBin:
-		if v, ok := ir.ConstFold(e); ok {
+		// x, not e, wherever an interface is wanted: boxing e again
+		// allocates.
+		if v, ok := ir.ConstFold(x); ok {
 			return kc.iconstReg(v)
 		}
-		if ir.PureIExpr(e) {
-			k := keyI(e)
-			if r, ok := kc.lookupCse(k, e); ok {
+		if ir.PureIExpr(x) {
+			k := keyI(x)
+			if r, ok := kc.lookupCse(k, x); ok {
 				return r
 			}
-			if r, ok := kc.tryHoist(e, k); ok {
+			if r, ok := kc.tryHoist(x, k); ok {
 				return r
 			}
 			r := kc.compileIBin(e)
-			kc.cse[k] = cseEnt{e: e, r: r}
-			kc.cseDep[k] = slotsOf(e)
+			kc.setCse(k, cseEnt{e: x, r: r}, kc.slotsOf(x))
 			return r
 		}
 		return kc.compileIBin(e)
@@ -72,17 +73,13 @@ func (kc *kcompiler) lookupCse(k uint64, e ir.IExpr) (uint16, bool) {
 // into the innermost enclosing loop's preamble. Hoisted code runs even
 // for zero-trip loops, which is unobservable: it is pure ALU into fresh
 // registers and carries no charge.
-func (kc *kcompiler) tryHoist(e ir.IBin, k uint64) (uint16, bool) {
+func (kc *kcompiler) tryHoist(e ir.IExpr, k uint64) (uint16, bool) {
 	if len(kc.loops) == 0 || ir.MayTrapIExpr(e) {
 		return 0, false
 	}
 	ctx := kc.loops[len(kc.loops)-1]
 	dep := false
-	ir.IExprSlots(e, func(s int) {
-		if s == ctx.slot || ctx.written[s] {
-			dep = true
-		}
-	})
+	ir.IExprSlots(e, func(s int) { dep = dep || ctx.written.has(s) })
 	if dep {
 		return 0, false
 	}
@@ -90,7 +87,7 @@ func (kc *kcompiler) tryHoist(e ir.IBin, k uint64) (uint16, bool) {
 		return ent.r, true
 	}
 	r := kc.compileHoisted(e, ctx)
-	ctx.hoistCse[k] = cseEnt{e: e, r: r}
+	ctx.setHoist(k, cseEnt{e: e, r: r})
 	return r, true
 }
 
@@ -102,27 +99,27 @@ func (kc *kcompiler) compileHoisted(x ir.IExpr, ctx *kloop) uint16 {
 	case ir.IConst:
 		return kc.iconstReg(e.Val)
 	case ir.ISlot:
-		k := keyI(e)
-		if ent, ok := ctx.hoistCse[k]; ok && sameI(ent.e, e) {
+		k := keyI(x)
+		if ent, ok := ctx.hoistCse[k]; ok && sameI(ent.e, x) {
 			return ent.r
 		}
 		r := kc.iReg()
-		ctx.hoist = append(ctx.hoist, kinstr{op: opISlot, dst: r, imm: int64(e.Slot)})
-		ctx.hoistCse[k] = cseEnt{e: e, r: r}
+		ctx.emit(kinstr{op: opISlot, dst: r, imm: int64(e.Slot)})
+		ctx.setHoist(k, cseEnt{e: x, r: r})
 		return r
 	case ir.IBin:
-		if v, ok := ir.ConstFold(e); ok {
+		if v, ok := ir.ConstFold(x); ok {
 			return kc.iconstReg(v)
 		}
-		k := keyI(e)
-		if ent, ok := ctx.hoistCse[k]; ok && sameI(ent.e, e) {
+		k := keyI(x)
+		if ent, ok := ctx.hoistCse[k]; ok && sameI(ent.e, x) {
 			return ent.r
 		}
 		a := kc.compileHoisted(e.A, ctx)
 		b := kc.compileHoisted(e.B, ctx)
 		r := kc.iReg()
-		ctx.hoist = append(ctx.hoist, kinstr{op: ibinOps[e.Op], dst: r, a: a, b: b})
-		ctx.hoistCse[k] = cseEnt{e: e, r: r}
+		ctx.emit(kinstr{op: ibinOps[e.Op], dst: r, a: a, b: b})
+		ctx.setHoist(k, cseEnt{e: x, r: r})
 		return r
 	}
 	return 0 // unreachable: callers check PureIExpr
@@ -185,7 +182,7 @@ func (kc *kcompiler) fexpr(x ir.FExpr) uint16 {
 		}
 		r := kc.fReg()
 		kc.emit(kinstr{op: opFSlot, dst: r, imm: int64(e.Slot)})
-		kc.fbind[e.Slot] = r
+		kc.setFBind(e.Slot, r)
 		return r
 	case ir.FLoad:
 		r := kc.fReg()

@@ -102,19 +102,23 @@ type spanLoop struct {
 // subscripts at v = lo into the seed table, and records the reason of the
 // first reference or statement the span lowering cannot take.
 type spanWalk struct {
-	kc        *kcompiler
-	l         *ir.Loop
-	invariant func(slot int) bool // slot holds one value across the loop, or is bound in abs
-	sites     []spanSite
-	cds       []int64  // backing store of every site's cds
-	seed      []uint16 // and of every site's seed
-	seeds     *kloop   // the seed code, lowered like hoisted code: from the slots alone
-	abs       []absVar
-	reads     []int // written slots read while not bound: none may be absorbed later
-	mult      int64 // product of the open absorbed loops' trip counts
-	unroll    int64 // its maximum: copies of the innermost statements in the span body
-	reason    FallbackReason
+	kc      *kcompiler
+	l       *ir.Loop
+	written map[int]bool // int slots the body writes
+	sites   []spanSite
+	cds     []int64  // backing store of every site's cds
+	seed    []uint16 // and of every site's seed
+	seeds   kloop    // the seed code, lowered like hoisted code: from the slots alone
+	abs     []absVar
+	reads   []int // written slots read while not bound: none may be absorbed later
+	mult    int64 // product of the open absorbed loops' trip counts
+	unroll  int64 // its maximum: copies of the innermost statements in the span body
+	reason  FallbackReason
 }
+
+// invariant reports whether slot holds one value across the loop, or is
+// bound in abs.
+func (w *spanWalk) invariant(slot int) bool { return !w.written[slot] || w.bound(slot) != nil }
 
 // spanSites decides whether l runs as a page-run loop. It returns the
 // finished walk with ReasonSpecialized when it does — or, from a recording
@@ -133,8 +137,10 @@ func (kc *kcompiler) spanSites(l *ir.Loop) (*spanWalk, FallbackReason) {
 	case sum.WritesInductionVar:
 		return nil, ReasonInductionWrite
 	}
-	w := &spanWalk{kc: kc, l: l, mult: 1, unroll: 1, seeds: &kloop{hoistCse: map[uint64]cseEnt{}}}
-	w.invariant = func(slot int) bool { return !sum.Written[slot] || w.bound(slot) != nil }
+	// The walk appends to the compile's spare site storage; what a page-run
+	// loop registers is cut off it for good, anything else is handed back.
+	w := &spanWalk{kc: kc, l: l, written: sum.Written, mult: 1, unroll: 1,
+		sites: kc.sites, cds: kc.cds, seed: kc.seed}
 	nSites, nSubs := kc.nSites, kc.nSubs
 	w.stmts(l.Body)
 	if len(w.sites) == 0 {
@@ -146,7 +152,10 @@ func (kc *kcompiler) spanSites(l *ir.Loop) (*spanWalk, FallbackReason) {
 	if kc.prof != nil {
 		w.stop(ReasonRecording)
 	}
-	if w.reason != ReasonSpecialized {
+	if w.reason == ReasonSpecialized {
+		kc.sites, kc.cds, kc.seed = w.sites[len(w.sites):], w.cds[len(w.cds):], w.seed[len(w.seed):]
+	} else {
+		kc.sites, kc.cds, kc.seed = w.sites[:0], w.cds[:0], w.seed[:0]
 		kc.nSites, kc.nSubs = nSites, nSubs
 		if w.reason != ReasonRecording {
 			return nil, w.reason
@@ -264,7 +273,7 @@ func (w *spanWalk) ref(arr *ir.Array, idx []ir.IExpr, write bool) {
 	// either body: they go to a table of their own, where an absorbed
 	// variable is its constant (the preheader's slot holds something else).
 	for _, ix := range idx {
-		w.seed = append(w.seed, w.kc.compileHoisted(ix, w.seeds))
+		w.seed = append(w.seed, w.kc.compileHoisted(ix, &w.seeds))
 	}
 	w.sites = append(w.sites, spanSite{
 		id: w.kc.nSites, subBase: w.kc.nSubs, write: write, delta: delta,
@@ -324,8 +333,8 @@ func (ctx *kloop) rebind(slot int, r uint16) {
 			delete(ctx.hoistCse, k)
 		}
 	}
-	e := ir.ISlot{Slot: slot}
-	ctx.hoistCse[keyI(e)] = cseEnt{e: e, r: r}
+	var e ir.IExpr = ir.ISlot{Slot: slot}
+	ctx.setHoist(keyI(e), cseEnt{e: e, r: r})
 }
 
 // spanLoop emits the span half of a page-run loop — everything between
@@ -383,7 +392,7 @@ func (kc *kcompiler) unroll(l *ir.Loop) {
 	kc.charge(head)
 	for c := int64(0); c < trip; c++ {
 		kc.invalidateSlot(l.Slot)
-		kc.bind[l.Slot] = kc.iconstReg(lo + c*l.Step)
+		kc.setBind(l.Slot, kc.iconstReg(lo+c*l.Step))
 		kc.charge(iter)
 		kc.stmts(l.Body)
 	}

@@ -13,14 +13,12 @@ import (
 	"repro/internal/profile"
 )
 
-// TestCompileBuildsNoClosureTree is the structural half of "the bytecode
-// compiler stands alone": for every NAS proxy and every example kernel, a
-// default compile and a recording compile both yield kernel bytecode and
-// never build the closure tree on the way.
-func TestCompileBuildsNoClosureTree(t *testing.T) {
+// corpus returns a builder for every NAS proxy at scale and every example
+// kernel, by name.
+func corpus(t *testing.T, scale float64) map[string]func() *ir.Program {
 	progs := map[string]func() *ir.Program{}
 	for _, app := range nas.Apps() {
-		progs[app.Name] = func() *ir.Program { return app.Build(0.05) }
+		progs[app.Name] = func() *ir.Program { return app.Build(scale) }
 	}
 	files, err := filepath.Glob("../../examples/kernels/*.loop")
 	if err != nil || len(files) != 5 {
@@ -39,6 +37,15 @@ func TestCompileBuildsNoClosureTree(t *testing.T) {
 			return p
 		}
 	}
+	return progs
+}
+
+// TestCompileBuildsNoClosureTree is the structural half of "the bytecode
+// compiler stands alone": for every NAS proxy and every example kernel, a
+// default compile and a recording compile both yield kernel bytecode and
+// never build the closure tree on the way.
+func TestCompileBuildsNoClosureTree(t *testing.T) {
+	progs := corpus(t, 0.05)
 	ps := hw.Default().PageSize
 	for name, build := range progs {
 		for _, recording := range []bool{false, true} {

@@ -2,7 +2,8 @@ package ir
 
 // Clone returns a deep copy of the program: fresh Param and Array
 // structs, and a body rebuilt so every array reference points at the
-// copies. A clone is what a compile cache must own — the caller's
+// copies (expression subtrees that name no array are immutable values and
+// are shared). A clone is what a compile cache must own — the caller's
 // program instance can be re-parameterized and re-resolved at will
 // (SetParam, Resolve with another page size) without mutating the array
 // geometry a cached compilation baked into its closures.
@@ -64,35 +65,50 @@ func cloneStmt(s Stmt, am map[*Array]*Array) Stmt {
 	switch x := s.(type) {
 	case *Loop:
 		cl := *x
-		cl.Lo = cloneIExpr(x.Lo, am)
-		cl.Hi = cloneIExpr(x.Hi, am)
+		cl.Lo, _ = cloneIExpr(x.Lo, am)
+		cl.Hi, _ = cloneIExpr(x.Hi, am)
 		cl.Body = cloneStmts(x.Body, am)
 		return &cl
 	case AssignF:
-		return AssignF{Arr: am[x.Arr], Idx: cloneIdx(x.Idx, am), RHS: cloneFExpr(x.RHS, am)}
+		x.Arr, x.Idx = am[x.Arr], cloneIdx(x.Idx, am)
+		x.RHS, _ = cloneFExpr(x.RHS, am)
+		return x
 	case AssignI:
-		return AssignI{Arr: am[x.Arr], Idx: cloneIdx(x.Idx, am), RHS: cloneIExpr(x.RHS, am)}
+		x.Arr, x.Idx = am[x.Arr], cloneIdx(x.Idx, am)
+		x.RHS, _ = cloneIExpr(x.RHS, am)
+		return x
 	case SetScalarF:
-		x.RHS = cloneFExpr(x.RHS, am)
+		rhs, changed := cloneFExpr(x.RHS, am)
+		if !changed {
+			return s
+		}
+		x.RHS = rhs
 		return x
 	case SetScalarI:
-		x.RHS = cloneIExpr(x.RHS, am)
+		rhs, changed := cloneIExpr(x.RHS, am)
+		if !changed {
+			return s
+		}
+		x.RHS = rhs
 		return x
 	case If:
-		return If{
-			Cond: cloneBExpr(x.Cond, am),
-			Then: cloneStmts(x.Then, am),
-			Else: cloneStmts(x.Else, am),
-		}
+		x.Cond, _ = cloneBExpr(x.Cond, am)
+		x.Then, x.Else = cloneStmts(x.Then, am), cloneStmts(x.Else, am)
+		return x
 	case Prefetch:
-		return Prefetch{Arr: am[x.Arr], Idx: cloneIdx(x.Idx, am), Pages: cloneIExpr(x.Pages, am)}
+		x.Arr, x.Idx = am[x.Arr], cloneIdx(x.Idx, am)
+		x.Pages, _ = cloneIExpr(x.Pages, am)
+		return x
 	case Release:
-		return Release{Arr: am[x.Arr], Idx: cloneIdx(x.Idx, am), Pages: cloneIExpr(x.Pages, am)}
+		x.Arr, x.Idx = am[x.Arr], cloneIdx(x.Idx, am)
+		x.Pages, _ = cloneIExpr(x.Pages, am)
+		return x
 	case PrefetchRelease:
-		return PrefetchRelease{
-			PfArr: am[x.PfArr], PfIdx: cloneIdx(x.PfIdx, am), PfPages: cloneIExpr(x.PfPages, am),
-			RelArr: am[x.RelArr], RelIdx: cloneIdx(x.RelIdx, am), RelPages: cloneIExpr(x.RelPages, am),
-		}
+		x.PfArr, x.PfIdx = am[x.PfArr], cloneIdx(x.PfIdx, am)
+		x.RelArr, x.RelIdx = am[x.RelArr], cloneIdx(x.RelIdx, am)
+		x.PfPages, _ = cloneIExpr(x.PfPages, am)
+		x.RelPages, _ = cloneIExpr(x.RelPages, am)
+		return x
 	default:
 		// Unknown statement kinds pass through by reference; the compiler
 		// will reject them with its own diagnostic.
@@ -106,66 +122,99 @@ func cloneIdx(idx []IExpr, am map[*Array]*Array) []IExpr {
 	}
 	out := make([]IExpr, len(idx))
 	for i, e := range idx {
-		out[i] = cloneIExpr(e, am)
+		out[i], _ = cloneIExpr(e, am)
 	}
 	return out
 }
 
-func cloneIExpr(e IExpr, am map[*Array]*Array) IExpr {
+// The expression cloners report whether the copy differs from e.
+// Expression nodes are immutable values and only a load names an array,
+// so a subtree without a load is shared with the original, and a subtree
+// with one is rebuilt along the path from the load to its root.
+
+func cloneIExpr(e IExpr, am map[*Array]*Array) (IExpr, bool) {
 	switch x := e.(type) {
 	case IBin:
-		x.A = cloneIExpr(x.A, am)
-		x.B = cloneIExpr(x.B, am)
-		return x
+		a, ca := cloneIExpr(x.A, am)
+		b, cb := cloneIExpr(x.B, am)
+		if ca || cb {
+			return IBin{Op: x.Op, A: a, B: b}, true
+		}
 	case ILoad:
-		return ILoad{Arr: am[x.Arr], Idx: cloneIdx(x.Idx, am)}
+		return ILoad{Arr: am[x.Arr], Idx: cloneIdx(x.Idx, am)}, true
 	case IFromF:
-		return IFromF{X: cloneFExpr(x.X, am)}
-	default: // IConst, ISlot: pure values
-		return e
+		if f, changed := cloneFExpr(x.X, am); changed {
+			return IFromF{X: f}, true
+		}
 	}
+	return e, false
 }
 
-func cloneFExpr(e FExpr, am map[*Array]*Array) FExpr {
+func cloneFExpr(e FExpr, am map[*Array]*Array) (FExpr, bool) {
 	switch x := e.(type) {
 	case FLoad:
-		return FLoad{Arr: am[x.Arr], Idx: cloneIdx(x.Idx, am)}
+		return FLoad{Arr: am[x.Arr], Idx: cloneIdx(x.Idx, am)}, true
 	case FBin:
-		x.A = cloneFExpr(x.A, am)
-		x.B = cloneFExpr(x.B, am)
-		return x
-	case FNeg:
-		return FNeg{X: cloneFExpr(x.X, am)}
-	case FromInt:
-		return FromInt{X: cloneIExpr(x.X, am)}
-	case FCall:
-		args := make([]FExpr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = cloneFExpr(a, am)
+		a, ca := cloneFExpr(x.A, am)
+		b, cb := cloneFExpr(x.B, am)
+		if ca || cb {
+			return FBin{Op: x.Op, A: a, B: b}, true
 		}
-		return FCall{Fn: x.Fn, Args: args}
-	default: // FConst, FScalar
-		return e
+	case FNeg:
+		if f, changed := cloneFExpr(x.X, am); changed {
+			return FNeg{X: f}, true
+		}
+	case FromInt:
+		if i, changed := cloneIExpr(x.X, am); changed {
+			return FromInt{X: i}, true
+		}
+	case FCall:
+		var args []FExpr
+		for i, a := range x.Args {
+			if c, changed := cloneFExpr(a, am); changed {
+				if args == nil {
+					args = append([]FExpr(nil), x.Args...)
+				}
+				args[i] = c
+			}
+		}
+		if args != nil {
+			return FCall{Fn: x.Fn, Args: args}, true
+		}
 	}
+	return e, false
 }
 
-func cloneBExpr(e BExpr, am map[*Array]*Array) BExpr {
+func cloneBExpr(e BExpr, am map[*Array]*Array) (BExpr, bool) {
 	switch x := e.(type) {
 	case CmpI:
-		x.A = cloneIExpr(x.A, am)
-		x.B = cloneIExpr(x.B, am)
-		return x
+		a, ca := cloneIExpr(x.A, am)
+		b, cb := cloneIExpr(x.B, am)
+		if ca || cb {
+			return CmpI{Op: x.Op, A: a, B: b}, true
+		}
 	case CmpF:
-		x.A = cloneFExpr(x.A, am)
-		x.B = cloneFExpr(x.B, am)
-		return x
+		a, ca := cloneFExpr(x.A, am)
+		b, cb := cloneFExpr(x.B, am)
+		if ca || cb {
+			return CmpF{Op: x.Op, A: a, B: b}, true
+		}
 	case And:
-		return And{A: cloneBExpr(x.A, am), B: cloneBExpr(x.B, am)}
+		a, ca := cloneBExpr(x.A, am)
+		b, cb := cloneBExpr(x.B, am)
+		if ca || cb {
+			return And{A: a, B: b}, true
+		}
 	case Or:
-		return Or{A: cloneBExpr(x.A, am), B: cloneBExpr(x.B, am)}
+		a, ca := cloneBExpr(x.A, am)
+		b, cb := cloneBExpr(x.B, am)
+		if ca || cb {
+			return Or{A: a, B: b}, true
+		}
 	case Not:
-		return Not{X: cloneBExpr(x.X, am)}
-	default:
-		return e
+		if b, changed := cloneBExpr(x.X, am); changed {
+			return Not{X: b}, true
+		}
 	}
+	return e, false
 }

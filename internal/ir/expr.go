@@ -10,8 +10,6 @@
 // keeps subscript analysis exact.
 package ir
 
-import "fmt"
-
 // SlotKind says what an integer slot holds, for printing and analysis.
 type SlotKind uint8
 
@@ -81,16 +79,11 @@ func (IBin) isIExpr()   {}
 func (ILoad) isIExpr()  {}
 func (IFromF) isIExpr() {}
 
-func (e IConst) String() string { return fmt.Sprintf("%d", e.Val) }
+func (e IConst) String() string { return string(appendI(nil, e)) }
 func (e ISlot) String() string  { return e.Name }
-func (e IBin) String() string {
-	if e.Op == IMin || e.Op == IMax {
-		return fmt.Sprintf("%s(%s, %s)", iopNames[e.Op], e.A, e.B)
-	}
-	return fmt.Sprintf("(%s %s %s)", e.A, iopNames[e.Op], e.B)
-}
-func (e ILoad) String() string  { return refString(e.Arr, e.Idx) }
-func (e IFromF) String() string { return fmt.Sprintf("(long)%s", e.X) }
+func (e IBin) String() string   { return string(appendI(nil, e)) }
+func (e ILoad) String() string  { return string(appendI(nil, e)) }
+func (e IFromF) String() string { return string(appendI(nil, e)) }
 
 // FExpr is a float64-valued expression.
 type FExpr interface {
@@ -175,27 +168,13 @@ func (FNeg) isFExpr()    {}
 func (FromInt) isFExpr() {}
 func (FCall) isFExpr()   {}
 
-func (e FConst) String() string  { return fmt.Sprintf("%g", e.Val) }
+func (e FConst) String() string  { return string(appendF(nil, e)) }
 func (e FScalar) String() string { return e.Name }
-func (e FLoad) String() string   { return refString(e.Arr, e.Idx) }
-func (e FBin) String() string {
-	if e.Op == FMinOp || e.Op == FMaxOp {
-		return fmt.Sprintf("%s(%s, %s)", fopNames[e.Op], e.A, e.B)
-	}
-	return fmt.Sprintf("(%s %s %s)", e.A, fopNames[e.Op], e.B)
-}
-func (e FNeg) String() string    { return fmt.Sprintf("(-%s)", e.X) }
-func (e FromInt) String() string { return fmt.Sprintf("(double)%s", e.X) }
-func (e FCall) String() string {
-	s := e.Fn.Name() + "("
-	for i, a := range e.Args {
-		if i > 0 {
-			s += ", "
-		}
-		s += a.String()
-	}
-	return s + ")"
-}
+func (e FLoad) String() string   { return string(appendF(nil, e)) }
+func (e FBin) String() string    { return string(appendF(nil, e)) }
+func (e FNeg) String() string    { return string(appendF(nil, e)) }
+func (e FromInt) String() string { return string(appendF(nil, e)) }
+func (e FCall) String() string   { return string(appendF(nil, e)) }
 
 // BExpr is a boolean expression.
 type BExpr interface {
@@ -245,16 +224,8 @@ func (And) isBExpr()  {}
 func (Or) isBExpr()   {}
 func (Not) isBExpr()  {}
 
-func (e CmpI) String() string { return fmt.Sprintf("(%s %s %s)", e.A, cmpNames[e.Op], e.B) }
-func (e CmpF) String() string { return fmt.Sprintf("(%s %s %s)", e.A, cmpNames[e.Op], e.B) }
-func (e And) String() string  { return fmt.Sprintf("(%s && %s)", e.A, e.B) }
-func (e Or) String() string   { return fmt.Sprintf("(%s || %s)", e.A, e.B) }
-func (e Not) String() string  { return fmt.Sprintf("(!%s)", e.X) }
-
-func refString(a *Array, idx []IExpr) string {
-	s := a.Name
-	for _, ix := range idx {
-		s += "[" + ix.String() + "]"
-	}
-	return s
-}
+func (e CmpI) String() string { return string(appendB(nil, e)) }
+func (e CmpF) String() string { return string(appendB(nil, e)) }
+func (e And) String() string  { return string(appendB(nil, e)) }
+func (e Or) String() string   { return string(appendB(nil, e)) }
+func (e Not) String() string  { return string(appendB(nil, e)) }

@@ -204,44 +204,22 @@ type LoopSummary struct {
 // Summarize computes the LoopSummary of l's body.
 func Summarize(l *Loop) LoopSummary {
 	s := LoopSummary{Written: WrittenSlots(l.Body, nil)}
-	var walk func(body []Stmt)
-	walk = func(body []Stmt) {
-		for _, st := range body {
-			switch x := st.(type) {
-			case *Loop:
-				walk(x.Body)
-			case If:
-				s.HasIf = true
-				walk(x.Then)
-				walk(x.Else)
-			case Prefetch, Release, PrefetchRelease:
-				s.HasHint = true
-			}
+	s.WritesInductionVar = s.Written[l.Slot]
+	s.scan(l.Body)
+	return s
+}
+
+func (s *LoopSummary) scan(body []Stmt) {
+	for _, st := range body {
+		switch x := st.(type) {
+		case *Loop:
+			s.scan(x.Body)
+		case If:
+			s.HasIf = true
+			s.scan(x.Then)
+			s.scan(x.Else)
+		case Prefetch, Release, PrefetchRelease:
+			s.HasHint = true
 		}
 	}
-	walk(l.Body)
-	s.WritesInductionVar = func() bool {
-		var scan func(body []Stmt) bool
-		scan = func(body []Stmt) bool {
-			for _, st := range body {
-				switch x := st.(type) {
-				case SetScalarI:
-					if x.Slot == l.Slot {
-						return true
-					}
-				case *Loop:
-					if x.Slot == l.Slot || scan(x.Body) {
-						return true
-					}
-				case If:
-					if scan(x.Then) || scan(x.Else) {
-						return true
-					}
-				}
-			}
-			return false
-		}
-		return scan(l.Body)
-	}()
-	return s
 }

@@ -2,9 +2,11 @@ package locality
 
 import "repro/internal/ir"
 
-// affineForm is the result of decomposing one integer expression:
+// affineForm accumulates the decomposition of integer expressions:
 // sum(coeffs[slot]·slot) + konst, plus flags for what could not be
-// captured.
+// captured. It is filled in place (affine adds a scaled expression to it),
+// so decomposing a reference allocates no form per expression node; coeffs
+// and indirectSlots are the caller's maps.
 type affineForm struct {
 	coeffs        map[int]int64
 	konst         int64
@@ -13,73 +15,49 @@ type affineForm struct {
 	indirectSlots map[int]bool // loop slots driving indirect loads
 }
 
-func newForm() affineForm {
-	return affineForm{coeffs: map[int]int64{}}
-}
-
-func (f *affineForm) absorbFlags(g affineForm) {
-	f.indirect = f.indirect || g.indirect
-	f.residual = f.residual || g.residual
-	if len(g.indirectSlots) > 0 {
-		if f.indirectSlots == nil {
-			f.indirectSlots = map[int]bool{}
-		}
-		for s := range g.indirectSlots {
-			f.indirectSlots[s] = true
-		}
-	}
-}
-
 // decompose linearizes a reference's subscripts against the array's
 // resolved strides and records the affine form on the ref. Strides along
 // dimensions whose extent was not compile-time-known make the affected
 // terms residual, exactly as a real compiler loses information when a
 // matrix's leading dimensions are symbolic.
 func (a *Analysis) decompose(r *Ref) {
-	loopSlots := map[int]bool{}
-	for _, l := range r.Path {
-		loopSlots[l.Slot] = true
+	inPath := func(slot int) bool {
+		for _, l := range r.Path {
+			if l.Slot == slot {
+				return true
+			}
+		}
+		return false
 	}
 
 	// Which strides does the compiler actually know? The innermost
 	// dimension's stride is always 1; outer strides require the inner
 	// extents to be known.
-	knownStride := make([]bool, len(r.Arr.Strides))
 	prod := true
+	total := affineForm{coeffs: r.Coeffs, indirectSlots: r.IndirectSlots}
 	for d := len(r.Arr.DimExprs) - 1; d >= 0; d-- {
-		knownStride[d] = prod
+		if d < len(r.Idx) {
+			if prod {
+				a.affine(&total, r.Idx[d], r.Arr.Strides[d], inPath)
+			} else {
+				// The compiler cannot scale this dimension's contribution;
+				// treat any variation in it as residual.
+				f := affineForm{coeffs: map[int]int64{}, indirectSlots: r.IndirectSlots}
+				a.affine(&f, r.Idx[d], 1, inPath)
+				total.indirect = total.indirect || f.indirect
+				total.residual = total.residual || f.residual || len(f.coeffs) > 0 || f.konst != 0
+			}
+		}
 		if _, ok := ir.ConstEval(r.Arr.DimExprs[d], a.Known); !ok {
 			prod = false
 		}
 	}
-
-	total := newForm()
-	for d, ix := range r.Idx {
-		f := a.affine(ix, loopSlots)
-		total.absorbFlags(f)
-		if !knownStride[d] {
-			// The compiler cannot scale this dimension's contribution;
-			// treat any variation in it as residual.
-			if len(f.coeffs) > 0 || f.konst != 0 {
-				total.residual = true
-			}
-			continue
-		}
-		stride := r.Arr.Strides[d]
-		for s, c := range f.coeffs {
-			total.coeffs[s] += c * stride
-		}
-		total.konst += f.konst * stride
-	}
-	for s, c := range total.coeffs {
-		if c != 0 {
-			r.Coeffs[s] = c
+	for s, c := range r.Coeffs {
+		if c == 0 {
+			delete(r.Coeffs, s)
 		}
 	}
 	r.Const = total.konst
-	for s := range total.indirectSlots {
-		r.IndirectSlots[s] = true
-	}
 	switch {
 	case total.indirect:
 		r.Kind = Indirect
@@ -90,123 +68,100 @@ func (a *Analysis) decompose(r *Ref) {
 	}
 }
 
-// affine decomposes one subscript expression over the given loop slots.
-func (a *Analysis) affine(e ir.IExpr, loopSlots map[int]bool) affineForm {
+// affine adds scale·e, decomposed over the slots isLoop accepts, to f.
+func (a *Analysis) affine(f *affineForm, e ir.IExpr, scale int64, isLoop func(slot int) bool) {
 	// A fully known expression is a constant, whatever its shape.
 	if v, ok := ir.ConstEval(e, a.Known); ok {
-		f := newForm()
-		f.konst = v
-		return f
+		f.konst += scale * v
+		return
 	}
 	switch x := e.(type) {
 	case ir.ISlot:
-		f := newForm()
-		if loopSlots[x.Slot] {
-			f.coeffs[x.Slot] = 1
-			return f
+		if isLoop(x.Slot) {
+			f.coeffs[x.Slot] += scale
+		} else {
+			f.residual = true // unknown parameter or mutable scalar: not analyzable
 		}
-		// Unknown parameter or mutable scalar: not analyzable.
-		f.residual = true
-		return f
+		return
 	case ir.ILoad:
-		f := newForm()
 		f.indirect = true
-		f.indirectSlots = map[int]bool{}
+		inner := affineForm{coeffs: map[int]int64{}, indirectSlots: f.slots()}
 		for _, ix := range x.Idx {
-			inner := a.affine(ix, loopSlots)
-			for s := range inner.coeffs {
-				f.indirectSlots[s] = true
-			}
-			for s := range inner.indirectSlots {
-				f.indirectSlots[s] = true
-			}
+			a.affine(&inner, ix, 1, isLoop)
 		}
-		return f
+		for s := range inner.coeffs {
+			f.indirectSlots[s] = true
+		}
+		return
 	case ir.IBin:
 		switch x.Op {
-		case ir.IAdd, ir.ISub:
-			fa := a.affine(x.A, loopSlots)
-			fb := a.affine(x.B, loopSlots)
-			out := newForm()
-			out.absorbFlags(fa)
-			out.absorbFlags(fb)
-			for s, c := range fa.coeffs {
-				out.coeffs[s] += c
-			}
-			sign := int64(1)
-			if x.Op == ir.ISub {
-				sign = -1
-			}
-			for s, c := range fb.coeffs {
-				out.coeffs[s] += sign * c
-			}
-			out.konst = fa.konst + sign*fb.konst
-			return out
+		case ir.IAdd:
+			a.affine(f, x.A, scale, isLoop)
+			a.affine(f, x.B, scale, isLoop)
+			return
+		case ir.ISub:
+			a.affine(f, x.A, scale, isLoop)
+			a.affine(f, x.B, -scale, isLoop)
+			return
 		case ir.IMul:
 			// Affine only if one side is a known constant.
 			if v, ok := ir.ConstEval(x.A, a.Known); ok {
-				return a.affine(x.B, loopSlots).scaled(v)
+				a.affine(f, x.B, scale*v, isLoop)
+				return
 			}
 			if v, ok := ir.ConstEval(x.B, a.Known); ok {
-				return a.affine(x.A, loopSlots).scaled(v)
+				a.affine(f, x.A, scale*v, isLoop)
+				return
 			}
 		case ir.IShl:
 			if v, ok := ir.ConstEval(x.B, a.Known); ok && v >= 0 && v < 62 {
-				return a.affine(x.A, loopSlots).scaled(int64(1) << uint(v))
+				a.affine(f, x.A, scale*(int64(1)<<uint(v)), isLoop)
+				return
 			}
 		}
 	}
 	// Division, modulo, variable shifts, products of variables: residual.
-	f := newForm()
 	f.residual = true
-	collectIndirectSlots(e, &f, loopSlots)
-	return f
+	collectIndirectSlots(e, f, isLoop)
+}
+
+// slots returns f's indirect-slot set, made on first use.
+func (f *affineForm) slots() map[int]bool {
+	if f.indirectSlots == nil {
+		f.indirectSlots = map[int]bool{}
+	}
+	return f.indirectSlots
 }
 
 // collectIndirectSlots records indirect loads (and their driving loops)
 // buried inside otherwise non-affine expressions.
-func collectIndirectSlots(e ir.IExpr, f *affineForm, loopSlots map[int]bool) {
+func collectIndirectSlots(e ir.IExpr, f *affineForm, isLoop func(slot int) bool) {
 	switch x := e.(type) {
 	case ir.ILoad:
 		f.indirect = true
-		if f.indirectSlots == nil {
-			f.indirectSlots = map[int]bool{}
-		}
 		for _, ix := range x.Idx {
-			collectSlots(ix, f.indirectSlots, loopSlots)
+			collectSlots(ix, f.slots(), isLoop)
 		}
 	case ir.IBin:
-		collectIndirectSlots(x.A, f, loopSlots)
-		collectIndirectSlots(x.B, f, loopSlots)
+		collectIndirectSlots(x.A, f, isLoop)
+		collectIndirectSlots(x.B, f, isLoop)
 	}
 }
 
-func collectSlots(e ir.IExpr, out map[int]bool, loopSlots map[int]bool) {
+func collectSlots(e ir.IExpr, out map[int]bool, isLoop func(slot int) bool) {
 	switch x := e.(type) {
 	case ir.ISlot:
-		if loopSlots[x.Slot] {
+		if isLoop(x.Slot) {
 			out[x.Slot] = true
 		}
 	case ir.IBin:
-		collectSlots(x.A, out, loopSlots)
-		collectSlots(x.B, out, loopSlots)
+		collectSlots(x.A, out, isLoop)
+		collectSlots(x.B, out, isLoop)
 	case ir.ILoad:
 		for _, ix := range x.Idx {
-			collectSlots(ix, out, loopSlots)
+			collectSlots(ix, out, isLoop)
 		}
 	}
-}
-
-func (f affineForm) scaled(v int64) affineForm {
-	out := newForm()
-	out.konst = f.konst * v
-	out.indirect = f.indirect
-	out.residual = f.residual
-	out.indirectSlots = f.indirectSlots
-	for s, c := range f.coeffs {
-		out.coeffs[s] = c * v
-	}
-	return out
 }
 
 // TripCount returns the compile-time trip count of a loop, or
@@ -229,8 +184,10 @@ func (a *Analysis) TripCount(l *ir.Loop) (int64, bool) {
 	for s := range a.Known {
 		delete(allSlots, s) // known params evaluate, they are not symbols
 	}
-	flo := a.affine(l.Lo, allSlots)
-	fhi := a.affine(l.Hi, allSlots)
+	symbol := func(slot int) bool { return allSlots[slot] }
+	flo, fhi := affineForm{coeffs: map[int]int64{}}, affineForm{coeffs: map[int]int64{}}
+	a.affine(&flo, l.Lo, 1, symbol)
+	a.affine(&fhi, l.Hi, 1, symbol)
 	if !flo.residual && !fhi.residual && !flo.indirect && !fhi.indirect {
 		same := len(flo.coeffs) == len(fhi.coeffs)
 		for s, c := range flo.coeffs {

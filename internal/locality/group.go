@@ -1,6 +1,7 @@
 package locality
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/ir"
@@ -12,28 +13,33 @@ import (
 // other (a stencil's a[i-1], a[i], a[i+1] cluster; unrelated slices do
 // not). Indirect and opaque references form singleton groups.
 func (a *Analysis) group() {
-	type key struct {
+	// Buckets in first-seen order; byNest finds the candidates a ref's
+	// coefficients are compared against without building a signature.
+	type nest struct {
 		arr   *ir.Array
 		inner *ir.Loop
-		sig   string
 	}
-	buckets := map[key][]*Ref{}
-	var order []key
+	var buckets [][]*Ref
+	byNest := map[nest][]int{}
+next:
 	for _, r := range a.Refs {
-		k := key{arr: r.Arr, inner: r.Innermost(), sig: coeffSig(r)}
 		if r.Kind != Dense {
 			// Singleton: use the ref's identity to keep it alone.
 			a.Groups = append(a.Groups, &Group{Arr: r.Arr, Members: []*Ref{r}, Leader: r, Trailer: r})
 			continue
 		}
-		if _, seen := buckets[k]; !seen {
-			order = append(order, k)
+		k := nest{r.Arr, r.Innermost()}
+		for _, b := range byNest[k] {
+			if maps.Equal(buckets[b][0].Coeffs, r.Coeffs) {
+				buckets[b] = append(buckets[b], r)
+				continue next
+			}
 		}
-		buckets[k] = append(buckets[k], r)
+		byNest[k] = append(byNest[k], len(buckets))
+		buckets = append(buckets, []*Ref{r})
 	}
 	window := 2 * a.PageSize / ir.ElemSize
-	for _, k := range order {
-		refs := buckets[k]
+	for _, refs := range buckets {
 		sort.SliceStable(refs, func(i, j int) bool { return refs[i].Const < refs[j].Const })
 		start := 0
 		for i := 1; i <= len(refs); i++ {
@@ -56,34 +62,6 @@ func makeGroup(members []*Ref) *Group {
 	g.Trailer = members[0]
 	g.Leader = members[len(members)-1]
 	return g
-}
-
-// coeffSig builds a canonical signature of a ref's coefficients.
-func coeffSig(r *Ref) string {
-	slots := make([]int, 0, len(r.Coeffs))
-	for s := range r.Coeffs {
-		slots = append(slots, s)
-	}
-	sort.Ints(slots)
-	sig := make([]byte, 0, len(slots)*10)
-	for _, s := range slots {
-		sig = appendInt(sig, int64(s))
-		sig = append(sig, ':')
-		sig = appendInt(sig, r.Coeffs[s])
-		sig = append(sig, ';')
-	}
-	return string(sig)
-}
-
-func appendInt(b []byte, v int64) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	if v >= 10 {
-		b = appendInt(b, v/10)
-	}
-	return append(b, byte('0'+v%10))
 }
 
 // StrideBytes returns a ref's byte stride per iteration of loop l (may be
