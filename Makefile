@@ -19,11 +19,12 @@ BENCH_PKGS = ./internal/obs ./internal/vm ./internal/disk ./internal/bench ./int
 # allocator and scheduler noise enough for a 15% gate.
 BENCH_FLAGS = -bench=. -benchmem -benchtime 200ms -count 3 -run '^$$'
 
-.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz test-faults test-exec test-compile test-backends test-tenants test-profile loc bench bench-check bench-baseline
+.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz test-faults test-exec test-compile test-harness test-backends test-tenants test-profile loc bench bench-check bench-baseline
 
 # ci is the gate: formatting, static checks, build, tests (the root
 # module's and the benchmark module's), the race-detector pass over the
-# concurrent surfaces, and a short-budget fuzz of the fault plane. The
+# concurrent surfaces, and a short-budget fuzz of the fault plane and the
+# front end. The
 # focused test-* targets below are subsets of `test`, kept for quick
 # stand-alone runs and as separate workflow jobs.
 ci: fmt-check vet staticcheck build test test-benchmark race fuzz
@@ -74,12 +75,16 @@ test-benchmark:
 race:
 	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/exec/ ./internal/tenant/ ./internal/stripefs/ ./internal/disk/ ./internal/profile/ .
 
-# fuzz runs the fault-schedule fuzzer briefly: arbitrary fault profiles
-# through a small kernel, asserting termination and byte-identical
-# results (FUZZTIME=5m for a real session).
+# fuzz runs the two fuzzers briefly, each for FUZZTIME: arbitrary fault
+# profiles through a small kernel, asserting termination and
+# byte-identical results; and arbitrary source text through the front
+# end, asserting that lang.Parse returns and that whatever it accepts
+# resolves, compiles and assembles without a panic (FUZZTIME=5m for a
+# real session).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz FuzzFaultSchedule -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lang/ -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 
 # test-faults runs the fault-injection property matrix: the harness
 # (NAS proxies × profiles, example kernels, byte-identical output) plus
@@ -171,6 +176,19 @@ test-compile:
 	$(GO) test ./internal/exec/ -run 'TestBytecodePinned|TestValueNumberingTrail' -count 1
 	$(GO) test ./internal/ir/ -run TestStringMatchesReference -count 1
 	$(GO) test ./cmd/ooccc/
+
+# test-harness runs the experiment-harness gate (DESIGN.md §4): both
+# drivers through their run() entry points — oocbench's usage-error
+# table, -exp all byte-identical on a pool of one and of eight, the
+# tenant service and the two-pass profile mode end to end, one pool job
+# per simulated run; oocsim's clean failure on kernels that trap or do
+# not resolve — the case matrix itself (labels, overlay-then-variant
+# order, sizing, suite cancellation and timeouts, the pool's counters),
+# and the front end's constant-division regressions.
+test-harness:
+	$(GO) test ./cmd/oocbench/ ./cmd/oocsim/ -count 1
+	$(GO) test ./internal/bench/ -run 'TestSuite|TestRunner|TestCase' -count 1
+	$(GO) test ./internal/lang/ -run TestConstantDivisionByZero -count 1
 
 # loc prints the two numbers every simplicity PR reports: lines of
 # non-test Go outside benchmark/, per internal/* package and in total.

@@ -31,7 +31,7 @@ func BenchmarkTable2(b *testing.B) {
 
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rs, err := oocp.RunSuiteContext(context.Background(), oocp.SuiteOptions{Scale: benchScale})
+		rs, err := oocp.RunSuiteContext(context.Background(), oocp.Runner{}, oocp.SuiteOptions{Scale: benchScale})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func BenchmarkFig3(b *testing.B) {
 
 func BenchmarkFig4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rs, err := oocp.RunSuiteContext(context.Background(), oocp.SuiteOptions{Scale: benchScale, WithNoRT: true})
+		rs, err := oocp.RunSuiteContext(context.Background(), oocp.Runner{}, oocp.SuiteOptions{Scale: benchScale, WithNoRT: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func BenchmarkFig4(b *testing.B) {
 
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rs, err := oocp.RunSuiteContext(context.Background(), oocp.SuiteOptions{Scale: benchScale})
+		rs, err := oocp.RunSuiteContext(context.Background(), oocp.Runner{}, oocp.SuiteOptions{Scale: benchScale})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func BenchmarkFig5(b *testing.B) {
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rs, err := oocp.RunSuiteContext(context.Background(), oocp.SuiteOptions{Scale: benchScale})
+		rs, err := oocp.RunSuiteContext(context.Background(), oocp.Runner{}, oocp.SuiteOptions{Scale: benchScale})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,10 +12,12 @@
 //
 // -scale multiplies every application's problem size (1 = standard);
 // -ratio overrides the data:memory ratio (0 = each app's standard);
-// -mem sets the Figure 8 machine memory in MB.
+// -mem sets the Figure 8 machine memory in MB. A non-positive -scale or
+// -mem and a negative -ratio are usage errors.
 //
-// Experiment runs fan out across a worker pool: -parallel sets its size
-// (0 = GOMAXPROCS), -timeout bounds each simulated run's wall-clock
+// Every experiment is a list of cases on one worker pool, and one pool
+// job is one simulated run ("<case>/O", "<case>/P", ...): -parallel sets
+// the pool's size (0 = GOMAXPROCS), -timeout bounds each run's wall-clock
 // time, and -progress reports per-run completions on stderr. Results
 // are collected by index, so parallel output is byte-identical to a
 // serial run; Ctrl-C cancels in-flight runs cleanly. Sub-figure names
@@ -82,6 +84,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -101,83 +104,122 @@ var expAlias = map[string]string{
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, table1, table2, fig3, fig4, fig5, table3, fig6, fig7, fig8, ablate)")
-	scale := flag.Float64("scale", 1.0, "problem-size multiplier")
-	ratio := flag.Float64("ratio", 0, "data:memory ratio (0 = per-app standard)")
-	memMB := flag.Float64("mem", 6, "Figure 8 machine memory, MB")
-	parallel := flag.Int("parallel", 0, "experiment worker-pool size (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "per-run wall-clock timeout (0 = none)")
-	progress := flag.Bool("progress", false, "report per-run progress on stderr")
-	backendSpec := flag.String("backend", "", `storage backend for suite runs ("nvme", "tier=farmem,rtt=40us", ...)`)
-	faultSpec := flag.String("faults", "", `fault profile for suite runs ("brownout", "profile=chaos,seed=7", ...)`)
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file")
-	metricsPath := flag.String("metrics", "", "write a flat JSON metrics snapshot to this file")
-	profileRecord := flag.String("profile-record", "", "record NAS execution profiles (pass 1) into FILE, then exit")
-	profileUse := flag.String("profile-use", "", "guide suite prefetching runs with a recorded profile artifact (pass 2)")
-	tenants := flag.Int("tenants", 0, "run the multi-tenant service benchmark with N tenants sharing one pool")
-	qosSpec := flag.String("qos", "", `per-tenant QoS classes for -tenants ("gold,silver,be", cycled)`)
-	seed := flag.Uint64("seed", 1, "deterministic scheduling seed for -tenants")
-	explain := flag.Bool("explain-fastpath", false, "print each NAS loop's bytecode driver (page-run, with its absorbed-loop unroll count, or kernel) and fallback reason, then exit")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	usage := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "oocbench: "+format+"\n", args...)
-		flag.Usage()
-		os.Exit(2)
+// usageError is a mistake on the command line: exit status 2.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// errFlags is a command line the flag package rejected; it has already
+// printed the reason and the flag list.
+var errFlags = errors.New("bad flags")
+
+func usagef(format string, args ...any) error { return usageError(fmt.Sprintf(format, args...)) }
+
+// run is main with its context, arguments and streams passed in. It
+// returns the exit status: 2 for a usage error (one line on stderr,
+// nothing on stdout), 1 for a run that failed.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	err := execute(ctx, args, stdout, stderr)
+	var usage usageError
+	switch {
+	case err == nil:
+		return 0
+	case err == errFlags:
+		return 2
+	case errors.As(err, &usage):
+		fmt.Fprintln(stderr, "oocbench:", err, "(-h lists the flags)")
+		return 2
 	}
+	fmt.Fprintln(stderr, "oocbench:", err)
+	return 1
+}
+
+func execute(ctx context.Context, args []string, w, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("oocbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to run (all, table1, table2, fig3, fig4, fig5, table3, fig6, fig7, fig8, ablate)")
+	scale := fs.Float64("scale", 1.0, "problem-size multiplier")
+	ratio := fs.Float64("ratio", 0, "data:memory ratio (0 = per-app standard)")
+	memMB := fs.Float64("mem", 6, "Figure 8 machine memory, MB")
+	parallel := fs.Int("parallel", 0, "experiment worker-pool size (0 = GOMAXPROCS)")
+	timeout := fs.Duration("timeout", 0, "per-run wall-clock timeout (0 = none)")
+	progress := fs.Bool("progress", false, "report per-run progress on stderr")
+	backendSpec := fs.String("backend", "", `storage backend for suite runs ("nvme", "tier=farmem,rtt=40us", ...)`)
+	faultSpec := fs.String("faults", "", `fault profile for suite runs ("brownout", "profile=chaos,seed=7", ...)`)
+	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON timeline to this file")
+	metricsPath := fs.String("metrics", "", "write a flat JSON metrics snapshot to this file")
+	profileRecord := fs.String("profile-record", "", "record NAS execution profiles (pass 1) into FILE, then exit")
+	profileUse := fs.String("profile-use", "", "guide suite prefetching runs with a recorded profile artifact (pass 2)")
+	tenants := fs.Int("tenants", 0, "run the multi-tenant service benchmark with N tenants sharing one pool")
+	qosSpec := fs.String("qos", "", `per-tenant QoS classes for -tenants ("gold,silver,be", cycled)`)
+	seed := fs.Uint64("seed", 1, "deterministic scheduling seed for -tenants")
+	explain := fs.Bool("explain-fastpath", false, "print each NAS loop's bytecode driver (page-run, with its absorbed-loop unroll count, or kernel) and fallback reason, then exit")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return errFlags
+	}
+
 	// The zero defaults mean "pick for me" (GOMAXPROCS workers, no
-	// timeout); an explicit non-positive pool or negative timeout is a
-	// mistake and must not silently run nothing.
+	// timeout, each app's ratio); an explicit value the harness cannot
+	// run is a mistake and must not silently run something else.
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		set[f.Name] = true
-		switch f.Name {
-		case "parallel":
-			if *parallel <= 0 {
-				usage("-parallel must be positive, got %d", *parallel)
-			}
-		case "timeout":
-			if *timeout < 0 {
-				usage("-timeout must not be negative, got %v", *timeout)
-			}
-		case "scale":
-			if *scale <= 0 {
-				usage("-scale must be positive, got %g", *scale)
-			}
-		case "tenants":
-			if *tenants <= 0 {
-				usage("-tenants must be positive, got %d", *tenants)
-			}
+		switch {
+		case err != nil:
+		case f.Name == "parallel" && *parallel <= 0:
+			err = usagef("-parallel must be positive, got %d", *parallel)
+		case f.Name == "timeout" && *timeout < 0:
+			err = usagef("-timeout must not be negative, got %v", *timeout)
+		case f.Name == "scale" && !(*scale > 0):
+			err = usagef("-scale must be positive, got %g", *scale)
+		case f.Name == "tenants" && *tenants <= 0:
+			err = usagef("-tenants must be positive, got %d", *tenants)
+		case f.Name == "mem" && !(*memMB > 0):
+			err = usagef("-mem must be positive, got %g", *memMB)
+		case f.Name == "ratio" && !(*ratio >= 0):
+			err = usagef("-ratio must not be negative, got %g", *ratio)
 		}
 	})
-	if *profileRecord != "" && *profileUse != "" {
-		usage("-profile-record and -profile-use are mutually exclusive: record pass 1, then run pass 2")
+	if err != nil {
+		return err
 	}
-	if *profileRecord != "" {
+	// conflict reports the first of names that was set.
+	conflict := func(format string, names ...string) error {
+		for _, name := range names {
+			if set[name] {
+				return usagef(format, name)
+			}
+		}
+		return nil
+	}
+	switch {
+	case *profileRecord != "" && *profileUse != "":
+		err = usagef("-profile-record and -profile-use are mutually exclusive: record pass 1, then run pass 2")
+	case *profileRecord != "":
 		// The record pass is its own run matrix; the experiment
 		// selection has nothing to select.
-		for _, name := range []string{"exp", "mem", "explain-fastpath"} {
-			if set[name] {
-				usage("-%s does not apply to -profile-record", name)
-			}
-		}
+		err = conflict("-%s does not apply to -profile-record", "exp", "mem", "explain-fastpath")
 	}
-	if set["tenants"] {
+	if err == nil && set["tenants"] {
 		// The tenant service is one deterministic simulation; the run
 		// matrix and experiment-selection flags have nothing to select.
-		for _, name := range []string{"exp", "ratio", "mem", "parallel", "timeout", "progress", "explain-fastpath", "profile-record", "profile-use"} {
-			if set[name] {
-				usage("-%s does not apply to the -tenants service benchmark", name)
-			}
-		}
-	} else {
-		for _, name := range []string{"qos", "seed"} {
-			if set[name] {
-				usage("-%s requires -tenants", name)
-			}
-		}
+		err = conflict("-%s does not apply to the -tenants service benchmark",
+			"exp", "ratio", "mem", "parallel", "timeout", "progress", "explain-fastpath", "profile-record", "profile-use")
+	} else if err == nil {
+		err = conflict("-%s requires -tenants", "qos", "seed")
+	}
+	if err != nil {
+		return err
 	}
 
 	if alias, ok := expAlias[*exp]; ok {
@@ -186,96 +228,70 @@ func main() {
 	switch *exp {
 	case "all", "table1", "table2", "fig3", "fig4", "fig5", "table3", "fig6", "fig7", "fig8", "ablate":
 	default:
-		usage("unknown experiment %q (want all, table1, table2, fig3[a|b], fig4[a|b|c], fig5, table3, fig6, fig7, fig8, or ablate)", *exp)
+		return usagef("unknown experiment %q (want all, table1, table2, fig3[a|b], fig4[a|b|c], fig5, table3, fig6, fig7, fig8, or ablate)", *exp)
 	}
+	is := func(name string) bool { return *exp == "all" || *exp == name }
+	// The record pass is a suite run matrix too.
+	suite := *profileRecord != "" || is("fig3") || is("fig4") || is("fig5") || is("table3")
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	fail := func(err error) {
+	var backend *oocp.BackendSpec
+	if *backendSpec != "" {
+		spec, err := oocp.ParseBackendSpec(*backendSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "oocbench:", err)
-			os.Exit(1)
+			return usageError(err.Error())
+		}
+		backend = &spec
+	}
+	var faults *oocp.FaultProfile
+	if *faultSpec != "" {
+		prof, err := oocp.ParseFaultSpec(*faultSpec)
+		if err != nil {
+			return usageError(err.Error())
+		}
+		faults = &prof
+	}
+	var classes []oocp.QoSClass
+	if *qosSpec != "" {
+		if classes, err = oocp.ParseQoSClasses(*qosSpec); err != nil {
+			return usageError(err.Error())
+		}
+	}
+	if !suite && !set["tenants"] && !*explain {
+		if err := conflict("-%s applies to the NAS suite experiments (all, fig3, fig4, fig5, table3), not -exp "+*exp,
+			"backend", "faults", "profile-use"); err != nil {
+			return err
 		}
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
-		fail(err)
-		fail(pprof.StartCPUProfile(f))
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
 		defer func() {
 			pprof.StopCPUProfile()
-			fail(f.Close())
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 		}()
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			fail(err)
 			runtime.GC() // flush recently-freed objects out of the profile
-			fail(pprof.WriteHeapProfile(f))
-			fail(f.Close())
+			if werr := writeFile(*memProfile, pprof.WriteHeapProfile); err == nil {
+				err = werr
+			}
 		}()
 	}
 
 	if *explain {
-		fail(oocp.ExplainFastPath(os.Stdout, *scale))
-		return
+		return oocp.ExplainFastPath(w, *scale)
 	}
 
-	if *tenants > 0 {
-		opts := oocp.TenantOptions{Tenants: *tenants, Scale: *scale, Seed: *seed}
-		if *qosSpec != "" {
-			classes, err := oocp.ParseQoSClasses(*qosSpec)
-			if err != nil {
-				usage("%v", err)
-			}
-			opts.Classes = classes
-		}
-		if *backendSpec != "" {
-			spec, err := oocp.ParseBackendSpec(*backendSpec)
-			if err != nil {
-				usage("%v", err)
-			}
-			opts.Backend = &spec
-		}
-		if *faultSpec != "" {
-			prof, err := oocp.ParseFaultSpec(*faultSpec)
-			if err != nil {
-				usage("%v", err)
-			}
-			opts.Faults = &prof
-		}
-		if *tracePath != "" {
-			opts.Trace = oocp.NewTrace()
-		}
-		if *metricsPath != "" {
-			opts.Metrics = oocp.NewMetrics()
-		}
-		fail(oocp.Tenants(os.Stdout, opts))
-		if opts.Trace != nil {
-			fail(writeFile(*tracePath, opts.Trace.WriteJSON))
-		}
-		if opts.Metrics != nil {
-			fail(writeFile(*metricsPath, opts.Metrics.WriteJSON))
-		}
-		return
-	}
-
-	var progressFn oocp.ProgressFunc
-	if *progress {
-		progressFn = func(p oocp.Progress) {
-			status := "ok"
-			switch {
-			case p.Job.TimedOut:
-				status = "TIMEOUT"
-			case p.Job.Err != nil:
-				status = "ERROR"
-			}
-			fmt.Fprintf(os.Stderr, "oocbench: [%3d/%3d] %-16s %8.2fs  %s\n",
-				p.Done, p.Total, p.Job.Label, p.Job.Wall.Seconds(), status)
-		}
-	}
 	var trace *oocp.Trace
 	if *tracePath != "" {
 		trace = oocp.NewTrace()
@@ -284,148 +300,118 @@ func main() {
 	if *metricsPath != "" {
 		metrics = oocp.NewMetrics()
 	}
-	runner := oocp.Runner{Parallelism: *parallel, Timeout: *timeout, Progress: progressFn,
-		Trace: trace, Metrics: metrics}
-
-	w := os.Stdout
-
-	needSuite := func() bool {
-		if *profileRecord != "" {
-			return true // the record pass is a suite run matrix
+	runner := oocp.Runner{Parallelism: *parallel, Timeout: *timeout, Trace: trace, Metrics: metrics}
+	if *progress {
+		runner.Progress = func(p oocp.Progress) {
+			status := "ok"
+			switch {
+			case p.Job.TimedOut:
+				status = "TIMEOUT"
+			case p.Job.Err != nil:
+				status = "ERROR"
+			}
+			fmt.Fprintf(stderr, "oocbench: [%3d/%3d] %-16s %8.2fs  %s\n",
+				p.Done, p.Total, p.Job.Label, p.Job.Wall.Seconds(), status)
 		}
-		switch *exp {
-		case "all", "fig3", "fig4", "fig5", "table3":
-			return true
-		}
-		return false
 	}
+	// A backend or a fault profile is an overlay on every suite run.
+	opts := oocp.SuiteOptions{Scale: *scale, Ratio: *ratio, WithNoRT: true,
+		ConfigMutator: func(c *oocp.Config) { c.Backend, c.Faults = backend, faults }}
 
-	var backend *oocp.BackendSpec
-	if *backendSpec != "" {
-		spec, err := oocp.ParseBackendSpec(*backendSpec)
-		if err != nil {
-			usage("%v", err)
+	switch {
+	case *tenants > 0:
+		err = oocp.Tenants(w, oocp.TenantOptions{Tenants: *tenants, Classes: classes, Scale: *scale, Seed: *seed,
+			Backend: backend, Faults: faults, Trace: trace, Metrics: metrics})
+	case *profileRecord != "":
+		err = recordProfiles(ctx, w, *profileRecord, runner, opts)
+	default:
+		if *profileUse != "" {
+			data, err := os.ReadFile(*profileUse)
+			if err != nil {
+				return err
+			}
+			if opts.ProfileUse, err = oocp.UnmarshalProfiles(data); err != nil {
+				return err
+			}
 		}
-		if !needSuite() {
-			usage("-backend applies to the NAS suite experiments (all, fig3, fig4, fig5, table3), not -exp %s", *exp)
-		}
-		backend = &spec
+		err = experiments(ctx, w, is, suite, int64(*memMB*(1<<20)), runner, opts)
 	}
-
-	var faults *oocp.FaultProfile
-	if *faultSpec != "" {
-		prof, err := oocp.ParseFaultSpec(*faultSpec)
-		if err != nil {
-			usage("%v", err)
-		}
-		if !needSuite() {
-			usage("-faults applies to the NAS suite experiments (all, fig3, fig4, fig5, table3), not -exp %s", *exp)
-		}
-		faults = &prof
+	if err == nil && trace != nil {
+		err = writeFile(*tracePath, trace.WriteJSON)
 	}
-
-	if *profileRecord != "" {
-		fmt.Fprintln(w, "recording NAS execution profiles (pass 1, original configuration)...")
-		profs, err := oocp.RecordProfiles(ctx, oocp.SuiteOptions{
-			Scale:       *scale,
-			Ratio:       *ratio,
-			Parallelism: *parallel,
-			Timeout:     *timeout,
-			Progress:    progressFn,
-			Trace:       trace,
-			Metrics:     metrics,
-			Faults:      faults,
-			Backend:     backend,
-		})
-		fail(err)
-		data, err := oocp.MarshalProfiles(profs)
-		fail(err)
-		fail(os.WriteFile(*profileRecord, data, 0o644))
-		fmt.Fprintf(w, "wrote %d kernel profiles to %s\n", len(profs.Kernels), *profileRecord)
-		if trace != nil {
-			fail(writeFile(*tracePath, trace.WriteJSON))
-		}
-		if metrics != nil {
-			fail(writeFile(*metricsPath, metrics.WriteJSON))
-		}
-		return
+	if err == nil && metrics != nil {
+		err = writeFile(*metricsPath, metrics.WriteJSON)
 	}
+	return err
+}
 
-	var profiles *oocp.ProfileSet
-	if *profileUse != "" {
-		if !needSuite() {
-			usage("-profile-use applies to the NAS suite experiments (all, fig3, fig4, fig5, table3), not -exp %s", *exp)
-		}
-		data, err := os.ReadFile(*profileUse)
-		fail(err)
-		profiles, err = oocp.UnmarshalProfiles(data)
-		fail(err)
+// recordProfiles is pass 1 of the two-pass mode: it records every NAS
+// app once and writes the artifact to path.
+func recordProfiles(ctx context.Context, w io.Writer, path string, r oocp.Runner, opts oocp.SuiteOptions) error {
+	fmt.Fprintln(w, "recording NAS execution profiles (pass 1, original configuration)...")
+	profs, err := oocp.RecordProfiles(ctx, r, opts)
+	if err != nil {
+		return err
 	}
+	data, err := oocp.MarshalProfiles(profs)
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %d kernel profiles to %s\n", len(profs.Kernels), path)
+	return nil
+}
 
-	if *exp == "all" || *exp == "table1" {
+// experiments prints the selected tables and figures in the paper's
+// order; is reports whether an experiment is selected and suite whether
+// any selected one needs the NAS suite results.
+func experiments(ctx context.Context, w io.Writer, is func(string) bool, suite bool, memBytes int64, r oocp.Runner, opts oocp.SuiteOptions) error {
+	if is("table1") {
 		oocp.Table1(w)
 		fmt.Fprintln(w)
 	}
-	if *exp == "all" || *exp == "table2" {
-		oocp.Table2(w, *scale)
+	if is("table2") {
+		oocp.Table2(w, opts.Scale)
 		fmt.Fprintln(w)
 	}
-	if needSuite() {
+	if suite {
 		fmt.Fprintln(w, "running the NAS suite (original, prefetching, and no-run-time-layer)...")
-		rs, err := oocp.RunSuiteContext(ctx, oocp.SuiteOptions{
-			Scale:       *scale,
-			Ratio:       *ratio,
-			WithNoRT:    true,
-			Parallelism: *parallel,
-			Timeout:     *timeout,
-			Progress:    progressFn,
-			Trace:       trace,
-			Metrics:     metrics,
-			Faults:      faults,
-			Backend:     backend,
-			ProfileUse:  profiles,
-		})
-		fail(err)
+		rs, err := oocp.RunSuiteContext(ctx, r, opts)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintln(w)
-		if *exp == "all" || *exp == "fig3" {
-			oocp.Fig3(w, rs)
-			fmt.Fprintln(w)
-		}
-		if *exp == "all" || *exp == "fig4" {
-			oocp.Fig4(w, rs)
-			fmt.Fprintln(w)
-		}
-		if *exp == "all" || *exp == "fig5" {
-			oocp.Fig5(w, rs)
-			fmt.Fprintln(w)
-		}
-		if *exp == "all" || *exp == "table3" {
-			oocp.Table3(w, rs)
-			fmt.Fprintln(w)
+		for _, fig := range []struct {
+			name  string
+			print func(io.Writer, []*oocp.AppResult)
+		}{{"fig3", oocp.Fig3}, {"fig4", oocp.Fig4}, {"fig5", oocp.Fig5}, {"table3", oocp.Table3}} {
+			if is(fig.name) {
+				fig.print(w, rs)
+				fmt.Fprintln(w)
+			}
 		}
 	}
-	if *exp == "all" || *exp == "fig6" {
-		fail(oocp.Fig6Context(ctx, w, *scale, runner))
-		fmt.Fprintln(w)
+	for _, fig := range []struct {
+		name string
+		run  func() error
+	}{
+		{"fig6", func() error { return oocp.Fig6Context(ctx, w, opts.Scale, r) }},
+		{"fig7", func() error { return oocp.Fig7Context(ctx, w, opts.Scale, r) }},
+		{"fig8", func() error { return oocp.Fig8Context(ctx, w, memBytes, r) }},
+	} {
+		if is(fig.name) {
+			if err := fig.run(); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
+		}
 	}
-	if *exp == "all" || *exp == "fig7" {
-		fail(oocp.Fig7Context(ctx, w, *scale, runner))
-		fmt.Fprintln(w)
+	if is("ablate") {
+		return oocp.AblateAllContext(ctx, w, opts.Scale, r)
 	}
-	if *exp == "all" || *exp == "fig8" {
-		fail(oocp.Fig8Context(ctx, w, int64(*memMB*(1<<20)), runner))
-		fmt.Fprintln(w)
-	}
-	if *exp == "all" || *exp == "ablate" {
-		fail(oocp.AblateAllContext(ctx, w, *scale, runner))
-	}
-
-	if trace != nil {
-		fail(writeFile(*tracePath, trace.WriteJSON))
-	}
-	if metrics != nil {
-		fail(writeFile(*metricsPath, metrics.WriteJSON))
-	}
+	return nil
 }
 
 // writeFile creates path and streams write into it, reporting the first

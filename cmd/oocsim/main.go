@@ -10,47 +10,54 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	oocp "repro"
 )
 
-func main() {
-	ratio := flag.Float64("ratio", 0, "data:memory ratio (0 = app standard, e.g. 2)")
-	scale := flag.Float64("scale", 1.0, "problem-size multiplier")
-	original := flag.Bool("original", false, "run without prefetching (the O configuration)")
-	noRT := flag.Bool("no-rt", false, "disable the run-time filtering layer")
-	warm := flag.Bool("warm", false, "warm-start: preload the data set before timing")
-	timeline := flag.Bool("timeline", false, "print an ASCII timeline of free memory and faults")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: oocsim [flags] <file.loop | APP-NAME>")
-		os.Exit(2)
+// run is main with its arguments and streams passed in. It returns the
+// exit status: 2 for a usage error, 1 for an input that does not read,
+// parse, run or validate.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("oocsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	ratio := fs.Float64("ratio", 0, "data:memory ratio (0 = app standard, e.g. 2)")
+	scale := fs.Float64("scale", 1.0, "problem-size multiplier")
+	original := fs.Bool("original", false, "run without prefetching (the O configuration)")
+	noRT := fs.Bool("no-rt", false, "disable the run-time filtering layer")
+	warm := fs.Bool("warm", false, "warm-start: preload the data set before timing")
+	timeline := fs.Bool("timeline", false, "print an ASCII timeline of free memory and faults")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	arg := flag.Arg(0)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: oocsim [flags] <file.loop | APP-NAME>")
+		return 2
+	}
+	arg := fs.Arg(0)
+	fail := func(what ...any) int {
+		fmt.Fprintln(stderr, append([]any{"oocsim:"}, what...)...)
+		return 1
+	}
 
 	var prog *oocp.Program
-	var cfgSeed func(cfg *oocp.Config)
 	app := oocp.AppByName(arg)
 	if app != nil {
 		prog = app.Build(*scale)
-		cfgSeed = func(cfg *oocp.Config) { cfg.Seed = app.Seed }
 		if *ratio <= 0 {
 			*ratio = app.Ratio()
 		}
 	} else {
 		src, err := os.ReadFile(arg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "oocsim:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		prog, err = oocp.ParseProgram(string(src))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "oocsim:", err)
-			os.Exit(1)
+		if prog, err = oocp.ParseProgram(string(src)); err != nil {
+			return fail(err)
 		}
-		cfgSeed = func(cfg *oocp.Config) {}
 		if *ratio <= 0 {
 			*ratio = 2
 		}
@@ -58,8 +65,7 @@ func main() {
 
 	machine := oocp.DefaultMachine()
 	if err := prog.Resolve(machine.PageSize); err != nil {
-		fmt.Fprintln(os.Stderr, "oocsim:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	data := oocp.DataBytes(prog, machine.PageSize)
 	cfg := oocp.DefaultConfig(oocp.MachineFor(data, *ratio))
@@ -69,53 +75,53 @@ func main() {
 	if *timeline {
 		cfg.SamplePeriod = 20 * 1000 * 1000 // 20ms of simulated time
 	}
-	cfgSeed(&cfg)
+	if app != nil {
+		cfg.Seed = app.Seed
+	}
 
 	res, err := oocp.Run(prog, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "oocsim:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if app != nil {
 		if err := app.Check(prog, res.VM, res.Env); err != nil {
-			fmt.Fprintln(os.Stderr, "oocsim: VALIDATION FAILED:", err)
-			os.Exit(1)
+			return fail("VALIDATION FAILED:", err)
 		}
-		fmt.Println("validation: ok")
+		fmt.Fprintln(stdout, "validation: ok")
 	}
-
-	fmt.Printf("program          %s\n", prog.Name)
-	fmt.Printf("data             %.2f MB (%.2fx memory)\n",
+	fmt.Fprintf(stdout, "program          %s\n", prog.Name)
+	fmt.Fprintf(stdout, "data             %.2f MB (%.2fx memory)\n",
 		float64(data)/(1<<20), float64(data)/float64(cfg.Machine.MemoryBytes))
-	fmt.Printf("execution time   %v\n", res.Elapsed)
+	fmt.Fprintf(stdout, "execution time   %v\n", res.Elapsed)
 	t := res.Times
-	fmt.Printf("  user           %v\n", t.User)
-	fmt.Printf("  sys (faults)   %v\n", t.SysFault)
-	fmt.Printf("  sys (prefetch) %v\n", t.SysPrefetch)
-	fmt.Printf("  idle (stall)   %v\n", t.Idle)
+	fmt.Fprintf(stdout, "  user           %v\n", t.User)
+	fmt.Fprintf(stdout, "  sys (faults)   %v\n", t.SysFault)
+	fmt.Fprintf(stdout, "  sys (prefetch) %v\n", t.SysPrefetch)
+	fmt.Fprintf(stdout, "  idle (stall)   %v\n", t.Idle)
 	m := res.Mem
-	fmt.Printf("faults           %d major, %d minor\n", m.MajorFaults, m.MinorFaults)
-	fmt.Printf("fault classes    %d prefetched-hit, %d prefetched-fault, %d non-prefetched (coverage %.1f%%)\n",
+	fmt.Fprintf(stdout, "faults           %d major, %d minor\n", m.MajorFaults, m.MinorFaults)
+	fmt.Fprintf(stdout, "fault classes    %d prefetched-hit, %d prefetched-fault, %d non-prefetched (coverage %.1f%%)\n",
 		m.PrefetchedHits, m.PrefetchedFaults, m.NonPrefetchedFault, m.CoverageFactor()*100)
-	fmt.Printf("prefetch calls   %d syscalls, %d pages issued, %d unnecessary at OS, %d dropped\n",
+	fmt.Fprintf(stdout, "prefetch calls   %d syscalls, %d pages issued, %d unnecessary at OS, %d dropped\n",
 		m.PrefetchCalls, m.PrefetchIssued, m.PrefetchUnneeded, m.PrefetchDropped)
-	fmt.Printf("run-time layer   %d inserted pages, %.1f%% filtered\n",
+	fmt.Fprintf(stdout, "run-time layer   %d inserted pages, %.1f%% filtered\n",
 		res.RT.InsertedPages, res.RT.UnnecessaryInsertedFrac()*100)
-	fmt.Printf("releases         %d pages; avg memory free %.1f%%\n", m.ReleasedPages, res.AvgFree*100)
-	fmt.Printf("disk utilization %.1f%%\n", res.DiskUtil*100)
+	fmt.Fprintf(stdout, "releases         %d pages; avg memory free %.1f%%\n", m.ReleasedPages, res.AvgFree*100)
+	fmt.Fprintf(stdout, "disk utilization %.1f%%\n", res.DiskUtil*100)
 	if *timeline {
-		fmt.Println()
-		fmt.Print(oocp.RenderTimeline(res, 72))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, oocp.RenderTimeline(res, 72))
 	}
 	if len(res.Plan) > 0 {
-		fmt.Println("\ncompiler plan:")
+		fmt.Fprintln(stdout, "\ncompiler plan:")
 		for _, e := range res.Plan {
 			status := "covered at " + e.Pipeline
 			if !e.Covered {
 				status = "MISSED"
 			}
-			fmt.Printf("  %-10s %-9s %s (strip %d, %d pages, distance %d, release %v)\n",
+			fmt.Fprintf(stdout, "  %-10s %-9s %s (strip %d, %d pages, distance %d, release %v)\n",
 				e.Array, e.Kind, status, e.StripLen, e.Pages, e.Dist, e.Release)
 		}
 	}
+	return 0
 }

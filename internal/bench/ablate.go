@@ -10,28 +10,20 @@ import (
 	"repro/internal/nas"
 )
 
-// ablatePair runs the two configurations of an A/B ablation as
-// independent jobs and returns them in (a, b) order.
+// ablatePair runs the two configurations of an A/B ablation of one app
+// and returns them in (a, b) order.
 func ablatePair(ctx context.Context, r Runner, app *nas.App, scale float64,
-	aLabel string, aMutate func(*core.Config),
-	bLabel string, bMutate func(*core.Config)) (a, b *AppResult, err error) {
+	aLabel string, aConfig func(*core.Config),
+	bLabel string, bConfig func(*core.Config)) (a, b *AppResult, err error) {
 
-	jobs := []Job{
-		{Label: app.Name + "/" + aLabel, Run: func(ctx context.Context) error {
-			res, err := runAppJob(ctx, r, app.Name+"/"+aLabel, app, scale, 0, aMutate)
-			a = res
-			return err
-		}},
-		{Label: app.Name + "/" + bLabel, Run: func(ctx context.Context) error {
-			res, err := runAppJob(ctx, r, app.Name+"/"+bLabel, app, scale, 0, bMutate)
-			b = res
-			return err
-		}},
-	}
-	if _, err := r.Run(ctx, jobs); err != nil {
+	rs, err := r.RunCases(ctx, []Case{
+		{App: app, Scale: scale, Label: app.Name + "/" + aLabel, Config: aConfig},
+		{App: app, Scale: scale, Label: app.Name + "/" + bLabel, Config: bConfig},
+	}, false)
+	if err != nil {
 		return nil, nil, err
 	}
-	return a, b, nil
+	return rs[0], rs[1], nil
 }
 
 // AblateTwoVersionContext runs APPBT with and without the
@@ -56,29 +48,18 @@ func AblateTwoVersionContext(ctx context.Context, w io.Writer, scale float64, r 
 
 // AblatePagesPerFetchContext sweeps the compiler's block-prefetch size
 // on a streaming application (the paper chose 4 "arbitrarily"; this
-// shows the tradeoff it embodies). Every swept value is an independent
-// job.
+// shows the tradeoff it embodies).
 func AblatePagesPerFetchContext(ctx context.Context, w io.Writer, scale float64, r Runner) error {
-	app := nas.ByName("BUK")
 	ppfs := []int64{1, 2, 4, 8, 16}
-	out := make([]*AppResult, len(ppfs))
-	var jobs []Job
+	cases := make([]Case, len(ppfs))
 	for i, ppf := range ppfs {
-		label := fmt.Sprintf("BUK/ppf=%d", ppf)
-		jobs = append(jobs, Job{
-			Label: label,
-			Run: func(ctx context.Context) error {
-				opts := compiler.DefaultOptions()
-				opts.PagesPerFetch = ppf
-				res, err := runAppJob(ctx, r, label, app, scale, 0, func(cfg *core.Config) {
-					cfg.Options = &opts
-				})
-				out[i] = res
-				return err
-			},
-		})
+		opts := compiler.DefaultOptions()
+		opts.PagesPerFetch = ppf
+		cases[i] = Case{App: nas.ByName("BUK"), Scale: scale, Label: fmt.Sprintf("BUK/ppf=%d", ppf),
+			Config: func(cfg *core.Config) { cfg.Options = &opts }}
 	}
-	if _, err := r.Run(ctx, jobs); err != nil {
+	out, err := r.RunCases(ctx, cases, false)
+	if err != nil {
 		return err
 	}
 
@@ -135,7 +116,7 @@ func AblateSchedulerContext(ctx context.Context, w io.Writer, scale float64, r R
 // AblateAllContext runs the four design-choice ablations DESIGN.md calls
 // out: the two-version-loop extension, the pages-per-block-prefetch
 // parameter, release hints, and disk scheduling. They print in a fixed
-// order; each fans its own runs out across the pool.
+// order; each runs its own case list on the pool.
 func AblateAllContext(ctx context.Context, w io.Writer, scale float64, r Runner) error {
 	parts := []func(context.Context, io.Writer, float64, Runner) error{
 		AblateTwoVersionContext,

@@ -14,14 +14,11 @@ package bench
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/nas"
-	"repro/internal/obs"
 	"repro/internal/profile"
 )
 
@@ -48,49 +45,30 @@ func (a *AppResult) StallEliminated() float64 {
 	return float64(saved) / float64(a.O.Times.Idle)
 }
 
-// RunOptions configure a single-application run.
-type RunOptions struct {
+// Case is one cell of an experiment matrix: an application at a problem
+// size, on a machine sized from a data:memory ratio, under a
+// configuration overlay. Every figure, ablation, suite and record pass
+// is a list of cases handed to Runner.RunCases.
+type Case struct {
+	App *nas.App
 	// Scale multiplies the problem size; <= 0 means 1 (the standard
 	// size).
 	Scale float64
-	// Ratio is the data:memory ratio; <= 0 means the app's standard
-	// out-of-core ratio.
+	// Ratio is the data:memory ratio the machine is sized from; <= 0
+	// means the app's standard out-of-core ratio.
 	Ratio float64
-	// WithNoRT additionally runs the no-run-time-layer configuration
-	// (Figure 4(c)).
-	WithNoRT bool
-	// Parallelism is the worker-pool size for the app's configuration
-	// variants; <= 0 means GOMAXPROCS.
-	Parallelism int
-	// Timeout, if positive, bounds each variant's wall-clock time.
-	Timeout time.Duration
-	// ConfigMutator, if set, adjusts the base configuration of every
-	// variant (compiler options, scheduling, warm start, ...).
-	ConfigMutator func(*core.Config)
-	// Trace, if non-nil, collects a Chrome-trace timeline: one process
-	// per variant run, named "<label>/<variant>".
-	Trace *obs.Trace
-	// Metrics, if non-nil, receives each variant run's counters merged
-	// under a "<label>/<variant>/" prefix when the run completes.
-	Metrics *obs.Registry
-	// Label is the trace/metrics prefix for this app's runs; empty means
-	// the app name.
+	// Label prefixes the case's runs in the trace, the metrics and the
+	// progress output ("<label>/<variant>"); empty means the app name.
 	Label string
-	// Faults, if non-nil and enabled, injects the deterministic fault
-	// profile into every variant run (core.Config.Faults). Results are
-	// unchanged by construction; timing and fault counters are not.
-	Faults *fault.Profile
-	// Backend, if non-nil, runs every variant on the spec's storage tier
-	// (core.Config.Backend). Results are identical across tiers by
-	// construction; timing is not.
-	Backend *core.BackendSpec
-	// ProfileUse, if non-nil, feeds each prefetching variant the matching
-	// kernel's recorded execution profile (pass 2 of the two-pass mode;
-	// see RecordProfiles). Kernels absent from the set compile statically.
-	ProfileUse *profile.Set
+	// Config, if set, overlays the sized base configuration of every
+	// variant of the case: compiler options, warm start, the machine
+	// itself, a storage backend (c.Backend) or a fault profile
+	// (c.Faults). The variant's own adjustment is applied after it.
+	Config func(*core.Config)
 }
 
-// SuiteOptions configure a whole-suite run.
+// SuiteOptions configure a whole-suite run: one case per NAS app. The
+// worker pool and the observability sinks are the Runner's.
 type SuiteOptions struct {
 	// Scale multiplies every app's problem size; <= 0 means 1.
 	Scale float64
@@ -99,217 +77,145 @@ type SuiteOptions struct {
 	Ratio float64
 	// WithNoRT additionally runs each app without the run-time layer.
 	WithNoRT bool
-	// Parallelism is the worker-pool size; <= 0 means GOMAXPROCS.
-	Parallelism int
-	// Timeout, if positive, bounds each run's wall-clock time.
-	Timeout time.Duration
-	// Progress, if set, observes each run's completion.
-	Progress ProgressFunc
-	// ConfigMutator, if set, adjusts every run's base configuration.
+	// ConfigMutator, if set, is every case's Config overlay.
 	ConfigMutator func(*core.Config)
-	// Trace, if non-nil, collects a Chrome-trace timeline: one process
-	// per run plus one for the worker pool.
-	Trace *obs.Trace
-	// Metrics, if non-nil, receives every run's counters merged under
-	// "<app>/<variant>/" prefixes plus the pool's own runner.* counters.
-	Metrics *obs.Registry
-	// Faults, if non-nil and enabled, injects the deterministic fault
-	// profile into every run of the suite.
-	Faults *fault.Profile
-	// Backend, if non-nil, runs the whole suite on the spec's storage
-	// tier (core.Config.Backend).
-	Backend *core.BackendSpec
 	// ProfileUse, if non-nil, feeds every prefetching run the matching
 	// kernel's recorded execution profile (pass 2 of the two-pass mode;
 	// see RecordProfiles). Kernels absent from the set compile statically.
 	ProfileUse *profile.Set
 }
 
-func (o SuiteOptions) runner() *Runner {
-	return &Runner{Parallelism: o.Parallelism, Timeout: o.Timeout, Progress: o.Progress,
-		Trace: o.Trace, Metrics: o.Metrics}
+func (o SuiteOptions) cases() []Case {
+	apps := nas.Apps()
+	cases := make([]Case, len(apps))
+	for i, app := range apps {
+		cases[i] = Case{App: app, Scale: o.Scale, Ratio: o.Ratio, Config: o.ConfigMutator}
+	}
+	return cases
 }
 
-// sinks bundles the harness-level observability collectors threaded into
-// every simulated run. The zero value means observability is off.
-type sinks struct {
-	trace   *obs.Trace
-	metrics *obs.Registry
-}
-
-// withFaults composes a config mutator with a fault profile: the profile
-// is applied after the caller's mutator, so a harness-level fault option
-// wins over per-variant adjustments.
-func withFaults(mutate func(*core.Config), prof *fault.Profile) func(*core.Config) {
-	if prof == nil {
-		return mutate
+// ConfigFor sizes one app into its base run configuration — the
+// standard prefetching configuration on a machine holding 1/ratio of the
+// data set at the given scale, seeded by the app — and reports the
+// data-set size. ratio <= 0 means the app's standard ratio.
+func ConfigFor(app *nas.App, scale, ratio float64) (core.Config, int64, error) {
+	if ratio <= 0 {
+		ratio = app.Ratio()
 	}
-	return func(c *core.Config) {
-		if mutate != nil {
-			mutate(c)
-		}
-		c.Faults = prof
-	}
-}
-
-// withBackend composes a config mutator with a backend spec, applied
-// after the caller's mutator like withFaults.
-func withBackend(mutate func(*core.Config), spec *core.BackendSpec) func(*core.Config) {
-	if spec == nil {
-		return mutate
-	}
-	return func(c *core.Config) {
-		if mutate != nil {
-			mutate(c)
-		}
-		c.Backend = spec
-	}
-}
-
-// appConfig resolves one app at (scale, ratio) into its base run
-// configuration and data-set size. ratio must already be resolved
-// (> 0).
-func appConfig(app *nas.App, scale, ratio float64, mutate func(*core.Config)) (*core.Config, int64, error) {
 	prog := app.Build(scale)
 	ps := hw.Default().PageSize
 	if err := prog.Resolve(ps); err != nil {
-		return nil, 0, err
+		return core.Config{}, 0, err
 	}
 	data := nas.DataBytes(prog, ps)
 	cfg := core.DefaultConfig(core.MachineFor(data, ratio))
 	cfg.Seed = app.Seed
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return &cfg, data, nil
+	return cfg, data, nil
 }
 
-// runVariant runs one (app, scale, ratio, config-variant) tuple on a
-// fresh simulated system and validates the result against the kernel's
-// independent reference implementation. The run traces into snk.trace as
-// a process named label, and its counters (which land in a per-run
-// private registry, so concurrent siblings never contend) merge into
-// snk.metrics under "label/" once it completes.
-func runVariant(ctx context.Context, app *nas.App, scale, ratio float64, mutate, adjust func(*core.Config), profiles *profile.Set, snk sinks, label string) (*core.Result, error) {
-	cfg, _, err := appConfig(app, scale, ratio, mutate)
-	if err != nil {
-		return nil, err
-	}
-	if adjust != nil {
-		adjust(cfg)
-	}
-	cfg.Trace = snk.trace
-	cfg.TraceName = label
-	prog := app.Build(scale)
-	// Profiles guide only the prefetching variants (Use requires
-	// Prefetch), and an explicit per-variant ProfileSpec wins.
-	if cfg.Prefetch && cfg.Profile == nil {
-		if p := profiles.For(prog.Name); p != nil {
-			cfg.Profile = &core.ProfileSpec{Use: p}
-		}
-	}
-	res, err := core.RunContext(ctx, prog, *cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", app.Name, err)
-	}
-	if err := app.Check(prog, res.VM, res.Env); err != nil {
-		return nil, fmt.Errorf("%s: %w", app.Name, err)
-	}
-	if snk.metrics != nil {
-		snk.metrics.Merge(label+"/", res.Metrics)
-	}
-	return res, nil
+// variant is one configuration a case runs in: the tag its label ends
+// in, the adjustment it applies over the case's configuration, and the
+// AppResult slot its result fills.
+type variant struct {
+	tag    string
+	adjust func(*core.Config)
+	slot   func(*AppResult) **core.Result
 }
 
-// appVariantJobs returns the runner jobs for one app's configuration
-// variants, writing each result into its slot of out. ratio must
-// already be resolved.
-func appVariantJobs(app *nas.App, scale, ratio float64, mutate func(*core.Config), withNoRT bool, profiles *profile.Set, out *AppResult, snk sinks, base string) []Job {
-	if base == "" {
-		base = app.Name
-	}
-	mk := func(tag string, dst **core.Result, adjust func(*core.Config)) Job {
-		label := base + "/" + tag
-		return Job{
-			Label: label,
-			Run: func(ctx context.Context) error {
-				r, err := runVariant(ctx, app, scale, ratio, mutate, adjust, profiles, snk, label)
-				if err != nil {
-					return err
-				}
-				*dst = r
-				return nil
-			},
-		}
-	}
-	jobs := []Job{
-		mk("O", &out.O, func(c *core.Config) { c.Prefetch = false }),
-		mk("P", &out.P, nil),
-	}
+var (
+	original = variant{"O", func(c *core.Config) { c.Prefetch = false },
+		func(a *AppResult) **core.Result { return &a.O }}
+	prefetching = variant{"P", func(*core.Config) {},
+		func(a *AppResult) **core.Result { return &a.P }}
+	noRuntime = variant{"no-rt", func(c *core.Config) { c.RuntimeFilter = false },
+		func(a *AppResult) **core.Result { return &a.NoRT }}
+	// record is pass 1 of the two-pass mode: the original run with
+	// observation-only instrumentation, its recording in O.Profile.
+	record = variant{"record", func(c *core.Config) {
+		c.Prefetch = false
+		c.Profile = &core.ProfileSpec{Record: true}
+	}, func(a *AppResult) **core.Result { return &a.O }}
+)
+
+// RunCases runs every case in its original and prefetching
+// configurations (and, withNoRT, without the run-time layer). Each
+// (case, variant) pair is one pool job on a private simulated system;
+// results come back in case order whatever the completion order, and
+// cancelling ctx aborts in-flight runs within one simulated event.
+func (r *Runner) RunCases(ctx context.Context, cases []Case, withNoRT bool) ([]*AppResult, error) {
+	return r.runCases(ctx, cases, pairVariants(withNoRT), nil)
+}
+
+func pairVariants(withNoRT bool) []variant {
 	if withNoRT {
-		jobs = append(jobs, mk("no-rt", &out.NoRT, func(c *core.Config) { c.RuntimeFilter = false }))
+		return []variant{original, prefetching, noRuntime}
 	}
-	return jobs
+	return []variant{original, prefetching}
 }
 
-// RunAppContext runs one application's configuration variants (original,
-// prefetching, and optionally no-run-time-layer), each on a private
-// simulated system, in parallel. Cancelling ctx aborts in-flight runs
-// within one simulated event.
-func RunAppContext(ctx context.Context, app *nas.App, opts RunOptions) (*AppResult, error) {
-	scale := opts.Scale
-	if scale <= 0 {
-		scale = 1
+// runCases is the harness's one fan-out. It sizes each case once,
+// applies the case overlay and then the variant adjustment, and submits
+// every (case, variant) as a job that builds the program, runs it,
+// validates the result against the kernel's independent reference
+// implementation and merges the run's counters (which land in a private
+// registry, so concurrent siblings never contend) into r.Metrics under
+// "<label>/<tag>/". The run traces into r.Trace as a process of that
+// name. profiles guide only prefetching runs (Use requires Prefetch),
+// and a ProfileSpec the overlay set wins.
+func (r *Runner) runCases(ctx context.Context, cases []Case, variants []variant, profiles *profile.Set) ([]*AppResult, error) {
+	out := make([]*AppResult, len(cases))
+	var jobs []Job
+	for i, c := range cases {
+		app, scale := c.App, c.Scale
+		if scale <= 0 {
+			scale = 1
+		}
+		base, data, err := ConfigFor(app, scale, c.Ratio)
+		if err != nil {
+			return nil, err
+		}
+		if c.Config != nil {
+			c.Config(&base)
+		}
+		label := c.Label
+		if label == "" {
+			label = app.Name
+		}
+		out[i] = &AppResult{Name: app.Name, DataBytes: data, Machine: base.Machine}
+		for _, v := range variants {
+			cfg, tag, dst := base, label+"/"+v.tag, v.slot(out[i])
+			v.adjust(&cfg)
+			cfg.Trace, cfg.TraceName = r.Trace, tag
+			jobs = append(jobs, Job{Label: tag, Run: func(ctx context.Context) error {
+				prog := app.Build(scale)
+				if p := profiles.For(prog.Name); p != nil && cfg.Prefetch && cfg.Profile == nil {
+					cfg.Profile = &core.ProfileSpec{Use: p}
+				}
+				res, err := core.RunContext(ctx, prog, cfg)
+				if err == nil {
+					err = app.Check(prog, res.VM, res.Env)
+				}
+				if err != nil {
+					return fmt.Errorf("%s: %w", app.Name, err)
+				}
+				if r.Metrics != nil {
+					r.Metrics.Merge(tag+"/", res.Metrics)
+				}
+				*dst = res
+				return nil
+			}})
+		}
 	}
-	ratio := opts.Ratio
-	if ratio <= 0 {
-		ratio = app.Ratio()
-	}
-	mutate := withBackend(withFaults(opts.ConfigMutator, opts.Faults), opts.Backend)
-	cfg, data, err := appConfig(app, scale, ratio, mutate)
-	if err != nil {
-		return nil, err
-	}
-	out := &AppResult{Name: app.Name, DataBytes: data, Machine: cfg.Machine}
-	r := &Runner{Parallelism: opts.Parallelism, Timeout: opts.Timeout}
-	snk := sinks{trace: opts.Trace, metrics: opts.Metrics}
-	if _, err := r.Run(ctx, appVariantJobs(app, scale, ratio, mutate, opts.WithNoRT, opts.ProfileUse, out, snk, opts.Label)); err != nil {
+	if _, err := r.Run(ctx, jobs); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// RunSuiteContext runs the whole NAS suite, treating every (app,
-// config-variant) tuple as an independent job on the worker pool.
-// Results come back in the paper's presentation order whatever the
-// completion order; cancelling ctx aborts in-flight runs within one
-// simulated event and returns ctx.Err().
-func RunSuiteContext(ctx context.Context, opts SuiteOptions) ([]*AppResult, error) {
-	scale := opts.Scale
-	if scale <= 0 {
-		scale = 1
-	}
-	apps := nas.Apps()
-	results := make([]*AppResult, len(apps))
-	snk := sinks{trace: opts.Trace, metrics: opts.Metrics}
-	mutate := withBackend(withFaults(opts.ConfigMutator, opts.Faults), opts.Backend)
-	var jobs []Job
-	for i, app := range apps {
-		ratio := opts.Ratio
-		if ratio <= 0 {
-			ratio = app.Ratio()
-		}
-		cfg, data, err := appConfig(app, scale, ratio, mutate)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = &AppResult{Name: app.Name, DataBytes: data, Machine: cfg.Machine}
-		jobs = append(jobs, appVariantJobs(app, scale, ratio, mutate, opts.WithNoRT, opts.ProfileUse, results[i], snk, "")...)
-	}
-	if _, err := opts.runner().Run(ctx, jobs); err != nil {
-		return nil, err
-	}
-	return results, nil
+// RunSuiteContext runs the whole NAS suite on r. Results come back in
+// the paper's presentation order.
+func RunSuiteContext(ctx context.Context, r Runner, opts SuiteOptions) ([]*AppResult, error) {
+	return r.runCases(ctx, opts.cases(), pairVariants(opts.WithNoRT), opts.ProfileUse)
 }
 
 // RecordProfiles runs pass 1 of the two-pass profile-guided mode over
@@ -318,48 +224,17 @@ func RunSuiteContext(ctx context.Context, opts SuiteOptions) ([]*AppResult, erro
 // tick-identical to a plain run — and the per-reference recordings come
 // back as one artifact set keyed by kernel name. Feed the set back
 // through SuiteOptions.ProfileUse (or oocbench -profile-use) for
-// pass 2. Scale, ratio, backend, and fault options shape what the
+// pass 2. Scale, ratio and the overlay (backend, faults) shape what the
 // recording observes, so record under the configuration you intend to
 // run; WithNoRT and ProfileUse are ignored.
-func RecordProfiles(ctx context.Context, opts SuiteOptions) (*profile.Set, error) {
-	scale := opts.Scale
-	if scale <= 0 {
-		scale = 1
-	}
-	apps := nas.Apps()
-	profs := make([]*profile.Profile, len(apps))
-	snk := sinks{trace: opts.Trace, metrics: opts.Metrics}
-	mutate := withBackend(withFaults(opts.ConfigMutator, opts.Faults), opts.Backend)
-	record := func(c *core.Config) {
-		c.Prefetch = false
-		c.Profile = &core.ProfileSpec{Record: true}
-	}
-	var jobs []Job
-	for i, app := range apps {
-		i, app := i, app
-		ratio := opts.Ratio
-		if ratio <= 0 {
-			ratio = app.Ratio()
-		}
-		label := app.Name + "/record"
-		jobs = append(jobs, Job{
-			Label: label,
-			Run: func(ctx context.Context) error {
-				r, err := runVariant(ctx, app, scale, ratio, mutate, record, nil, snk, label)
-				if err != nil {
-					return err
-				}
-				profs[i] = r.Profile
-				return nil
-			},
-		})
-	}
-	if _, err := opts.runner().Run(ctx, jobs); err != nil {
+func RecordProfiles(ctx context.Context, r Runner, opts SuiteOptions) (*profile.Set, error) {
+	rs, err := r.runCases(ctx, opts.cases(), []variant{record}, nil)
+	if err != nil {
 		return nil, err
 	}
 	set := profile.NewSet()
-	for _, p := range profs {
-		set.Add(p)
+	for _, a := range rs {
+		set.Add(a.O.Profile)
 	}
 	return set, nil
 }

@@ -28,7 +28,7 @@ func suite(t *testing.T) []*AppResult {
 		t.Skip("suite shapes are not short")
 	}
 	if suiteCache == nil {
-		rs, err := RunSuiteContext(context.Background(), SuiteOptions{Scale: suiteScale, WithNoRT: true})
+		rs, err := RunSuiteContext(context.Background(), Runner{}, SuiteOptions{Scale: suiteScale, WithNoRT: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,12 +233,12 @@ func TestInCoreWarmOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("not short")
 	}
-	app := nas.ByName("EMBAR")
-	r, err := RunAppContext(context.Background(), app, RunOptions{Scale: testScale, Ratio: 0.3,
-		ConfigMutator: func(cfg *core.Config) { cfg.WarmStart = true }})
+	rs, err := new(Runner).RunCases(context.Background(), []Case{{App: nas.ByName("EMBAR"), Scale: testScale, Ratio: 0.3,
+		Config: func(cfg *core.Config) { cfg.WarmStart = true }}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	slowdown := float64(r.P.Times.Total()) / float64(r.O.Times.Total())
 	if slowdown < 1.0 {
 		t.Errorf("warm in-core prefetching run faster than original (%.3f)? overhead missing", slowdown)
@@ -261,15 +261,15 @@ func TestTwoVersionAblation(t *testing.T) {
 		t.Fatal("ablation output malformed")
 	}
 	app := nas.ByName("APPBT")
-	plain, err := RunAppContext(context.Background(), app, RunOptions{Scale: testScale})
+	rs, err := new(Runner).RunCases(context.Background(), []Case{
+		{App: app, Scale: testScale},
+		{App: app, Scale: testScale, Label: "APPBT/fixed",
+			Config: func(cfg *core.Config) { cfg.Options = TwoVersionOptions() }},
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := RunAppContext(context.Background(), app, RunOptions{Scale: testScale,
-		ConfigMutator: func(cfg *core.Config) { cfg.Options = TwoVersionOptions() }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, fixed := rs[0], rs[1]
 	if fixed.P.Mem.CoverageFactor() <= plain.P.Mem.CoverageFactor() {
 		t.Errorf("two-version loops did not raise APPBT coverage (%.2f vs %.2f)",
 			fixed.P.Mem.CoverageFactor(), plain.P.Mem.CoverageFactor())

@@ -10,7 +10,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/nas"
 )
 
@@ -18,35 +17,19 @@ import (
 // standard prefetching configuration and prints each loop's compiled
 // driver and fallback reason.
 func ExplainFastPath(w io.Writer, scale float64) error {
-	ps := hw.Default().PageSize
 	for _, app := range nas.Apps() {
-		prog := app.Build(scale)
-		if err := prog.Resolve(ps); err != nil {
+		cfg, _, err := ConfigFor(app, scale, 0)
+		if err != nil {
 			return fmt.Errorf("%s: %w", app.Name, err)
 		}
-		cfg := core.DefaultConfig(core.MachineFor(nas.DataBytes(prog, ps), ratioFor(app)))
-		cfg.Seed = app.Seed
 		res, err := core.Run(app.Build(scale), cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", app.Name, err)
 		}
 		fmt.Fprintf(w, "%s:\n", app.Name)
-		if len(res.FastPath) == 0 {
-			fmt.Fprintln(w, "  (no compiled loops)")
-			continue
-		}
 		for _, r := range res.FastPath {
 			fmt.Fprintf(w, "  %s\n", r)
 		}
 	}
 	return nil
-}
-
-// ratioFor picks the app's standard data:memory ratio (2× unless the
-// paper used something else).
-func ratioFor(app *nas.App) float64 {
-	if app.StdRatio != 0 {
-		return app.StdRatio
-	}
-	return 2
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/nas"
 )
 
@@ -18,13 +17,10 @@ func TestHostMatrixMeasure(t *testing.T) {
 	tiers := []string{"", "nvme", "farmem"}
 	for _, app := range nas.Apps() {
 		const scale = 0.1
-		prog0 := app.Build(scale)
-		ps := hw.Default().PageSize
-		if err := prog0.Resolve(ps); err != nil {
+		cfg0, _, err := ConfigFor(app, scale, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-		cfg0 := core.DefaultConfig(core.MachineFor(nas.DataBytes(prog0, ps), ratioFor(app)))
-		cfg0.Seed = app.Seed
 		fmt.Printf("%-6s", app.Name)
 		for _, tier := range tiers {
 			cfg := cfg0

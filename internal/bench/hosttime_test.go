@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/nas"
 )
 
@@ -26,13 +25,10 @@ func BenchmarkKernelHostTime(b *testing.B) {
 func BenchmarkKernelHostTimeProfileUse(b *testing.B) {
 	app := nas.CGM()
 	const scale, ratio = 0.1, 2
-	prog0 := app.Build(scale)
-	ps := hw.Default().PageSize
-	if err := prog0.Resolve(ps); err != nil {
+	cfg, _, err := ConfigFor(app, scale, ratio)
+	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := core.DefaultConfig(core.MachineFor(nas.DataBytes(prog0, ps), ratio))
-	cfg.Seed = app.Seed
 
 	rcfg := cfg
 	rcfg.Prefetch = false
@@ -60,19 +56,16 @@ func BenchmarkKernelHostTimeProfileUse(b *testing.B) {
 func BenchmarkHostTimeNAS(b *testing.B) {
 	for _, app := range nas.Apps() {
 		b.Run(app.Name, func(b *testing.B) {
-			benchHostTime(b, app, 0.05, ratioFor(app))
+			benchHostTime(b, app, 0.05, 0)
 		})
 	}
 }
 
 func benchHostTime(b *testing.B, app *nas.App, scale, ratio float64) {
-	prog0 := app.Build(scale)
-	ps := hw.Default().PageSize
-	if err := prog0.Resolve(ps); err != nil {
+	cfg, _, err := ConfigFor(app, scale, ratio)
+	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := core.DefaultConfig(core.MachineFor(nas.DataBytes(prog0, ps), ratio))
-	cfg.Seed = app.Seed
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

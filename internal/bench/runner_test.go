@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/ir"
 	"repro/internal/nas"
 	"repro/internal/obs"
 )
@@ -33,13 +35,13 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 		t.Skip("runs the suite twice")
 	}
 	const scale = 0.15
-	serial, err := RunSuiteContext(context.Background(),
-		SuiteOptions{Scale: scale, WithNoRT: true, Parallelism: 1})
+	serial, err := RunSuiteContext(context.Background(), Runner{Parallelism: 1},
+		SuiteOptions{Scale: scale, WithNoRT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunSuiteContext(context.Background(),
-		SuiteOptions{Scale: scale, WithNoRT: true, Parallelism: 8})
+	parallel, err := RunSuiteContext(context.Background(), Runner{Parallelism: 8},
+		SuiteOptions{Scale: scale, WithNoRT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,15 +77,11 @@ func TestSuiteCancellationMidRun(t *testing.T) {
 	// Cancel as soon as the first job completes: the remaining jobs are
 	// either in flight (aborted by the clock interrupt) or never start.
 	completions := 0
-	_, err := RunSuiteContext(ctx, SuiteOptions{
-		Scale:       0.5,
-		WithNoRT:    true,
-		Parallelism: 2,
-		Progress: func(Progress) {
-			completions++
-			cancel()
-		},
-	})
+	r := Runner{Parallelism: 2, Progress: func(Progress) {
+		completions++
+		cancel()
+	}}
+	_, err := RunSuiteContext(ctx, r, SuiteOptions{Scale: 0.5, WithNoRT: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -98,10 +96,7 @@ func TestSuitePreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	started := 0
-	_, err := RunSuiteContext(ctx, SuiteOptions{
-		Scale:    0.1,
-		Progress: func(Progress) { started++ },
-	})
+	_, err := RunSuiteContext(ctx, Runner{Progress: func(Progress) { started++ }}, SuiteOptions{Scale: 0.1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -155,10 +150,8 @@ func TestRunAppTimeoutAborts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("not short")
 	}
-	_, err := RunAppContext(context.Background(), nas.ByName("EMBAR"), RunOptions{
-		Scale:   0.5,
-		Timeout: time.Millisecond,
-	})
+	r := Runner{Timeout: time.Millisecond}
+	_, err := r.RunCases(context.Background(), []Case{{App: nas.ByName("EMBAR"), Scale: 0.5}}, false)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -223,11 +216,9 @@ func TestRunnerFaultProfilesConcurrent(t *testing.T) {
 	prof.Seed = 11
 	run := func() (obs.Snapshot, []*AppResult) {
 		reg := obs.NewRegistry()
-		rs, err := RunSuiteContext(context.Background(), SuiteOptions{
-			Scale:       0.15,
-			Parallelism: 8,
-			Metrics:     reg,
-			Faults:      &prof,
+		rs, err := RunSuiteContext(context.Background(), Runner{Parallelism: 8, Metrics: reg}, SuiteOptions{
+			Scale:         0.15,
+			ConfigMutator: func(c *core.Config) { c.Faults = &prof },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -332,5 +323,77 @@ func TestRunnerObservabilityConcurrent(t *testing.T) {
 	}
 	if workers != 8 {
 		t.Fatalf("%d worker tracks, want 8", workers)
+	}
+}
+
+// One matrix, one fan-out: every (case, variant) pair is one pool job
+// labelled "<label>/<tag>", submitted case-major in variant order; a
+// case is sized once by ConfigFor, its overlay applied before the
+// variant's adjustment (so an overlay cannot turn an original run into a
+// prefetching one), and its counters merged under its label.
+func TestCaseMatrix(t *testing.T) {
+	reg := obs.NewRegistry()
+	var labels []string
+	r := Runner{Parallelism: 1, Metrics: reg, Progress: func(p Progress) { labels = append(labels, p.Job.Label) }}
+	app := nas.ByName("EMBAR")
+	rs, err := r.RunCases(context.Background(), []Case{
+		{App: app, Scale: 0.05},
+		{App: app, Scale: 0.05, Ratio: 0.3, Label: "EMBAR/warm",
+			Config: func(c *core.Config) { c.WarmStart, c.Prefetch = true, true }},
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "EMBAR/O EMBAR/P EMBAR/no-rt EMBAR/warm/O EMBAR/warm/P EMBAR/warm/no-rt"
+	if got := strings.Join(labels, " "); got != want {
+		t.Errorf("jobs ran as %q, want %q", got, want)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["runner.jobs"]; got != 6 {
+		t.Errorf("runner.jobs = %d, want 6", got)
+	}
+	std, warm := rs[0], rs[1]
+	cfg, data, err := ConfigFor(app, 0.05, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if std.Machine != cfg.Machine || std.DataBytes != data || warm.DataBytes != data {
+		t.Errorf("case sized to %d B on %+v, ConfigFor says %d B on %+v", std.DataBytes, std.Machine, data, cfg.Machine)
+	}
+	if warm.Machine.MemoryBytes <= std.Machine.MemoryBytes {
+		t.Errorf("ratio 0.3 memory %d not above the standard ratio's %d", warm.Machine.MemoryBytes, std.Machine.MemoryBytes)
+	}
+	for _, a := range rs {
+		// The run-time layer filters every hint of the warm in-core run.
+		if a.O.Mem.PrefetchCalls != 0 || a.P.RT.InsertedPages == 0 || a.NoRT.Mem.PrefetchCalls == 0 {
+			t.Errorf("%s: prefetch calls O %d, no-rt %d; P inserted %d pages", a.Name,
+				a.O.Mem.PrefetchCalls, a.NoRT.Mem.PrefetchCalls, a.P.RT.InsertedPages)
+		}
+	}
+	if warm.O.Mem.MajorFaults >= std.O.Mem.MajorFaults {
+		t.Errorf("warm in-core run faulted %d times, the out-of-core run %d", warm.O.Mem.MajorFaults, std.O.Mem.MajorFaults)
+	}
+	for _, name := range []string{"EMBAR/O/vm.prefetch.calls", "EMBAR/warm/no-rt/vm.prefetch.calls"} {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("no %s in the merged metrics", name)
+		}
+	}
+	if got := snap.Counters["EMBAR/warm/P/vm.prefetch.calls"]; got != warm.P.Mem.PrefetchCalls {
+		t.Errorf("EMBAR/warm/P/vm.prefetch.calls = %d, the run reported %d", got, warm.P.Mem.PrefetchCalls)
+	}
+}
+
+// A case that cannot be sized fails before anything runs.
+func TestCaseSizingError(t *testing.T) {
+	ran := 0
+	r := Runner{Progress: func(Progress) { ran++ }}
+	bad := &nas.App{Name: "BAD", Build: func(float64) *ir.Program {
+		p := ir.NewProgram("bad")
+		p.NewArrayF("a", ir.DivI(ir.Int(8), ir.Int(0)))
+		return p
+	}}
+	_, err := r.RunCases(context.Background(), []Case{{App: nas.ByName("EMBAR"), Scale: 0.05}, {App: bad}}, false)
+	if err == nil || !strings.Contains(err.Error(), "not evaluable") || ran != 0 {
+		t.Errorf("err = %v after %d runs, want the extent error before any run", err, ran)
 	}
 }

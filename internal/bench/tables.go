@@ -40,14 +40,12 @@ func Table1(w io.Writer, p hw.Params) {
 func Table2(w io.Writer, scale float64) {
 	fmt.Fprintln(w, "Table 2: Applications and data sets")
 	fmt.Fprintln(w, "-----------------------------------")
-	ps := hw.Default().PageSize
 	for _, app := range nas.Apps() {
-		prog := app.Build(scale)
-		if err := prog.Resolve(ps); err != nil {
+		_, data, err := ConfigFor(app, scale, 0)
+		if err != nil {
 			fmt.Fprintf(w, "  %-6s <error: %v>\n", app.Name, err)
 			continue
 		}
-		data := nas.DataBytes(prog, ps)
 		mem := float64(data) / app.Ratio()
 		fmt.Fprintf(w, "  %-6s %5.1f MB data, %4.1f MB memory (%.1fx)  %s\n",
 			app.Name, float64(data)/(1<<20), mem/(1<<20), app.Ratio(), app.Desc)

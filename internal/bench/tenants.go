@@ -45,8 +45,8 @@ type TenantOptions struct {
 	// shared array (the brownout walkthrough in EXPERIMENTS.md).
 	Faults *fault.Profile
 
-	// Trace and Metrics collect the run's timeline and counters, as in
-	// RunOptions.
+	// Trace and Metrics collect the run's timeline and counters, as a
+	// Runner's do.
 	Trace   *obs.Trace
 	Metrics *obs.Registry
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/lang"
 	"repro/internal/profile"
 )
 
@@ -207,5 +208,99 @@ func TestProfileMismatchDegradesToStatic(t *testing.T) {
 				t.Fatalf("mismatched profile changed the plan:\n%s\nvs\n%s", st.PlanString(), pr.PlanString())
 			}
 		})
+	}
+}
+
+// flatSrc is the flattened sweep of benchmark/corpus/multinest.loop: the
+// subscripts k / n and k % n are opaque to the locality analysis, so the
+// static compiler concedes t and a to demand paging, yet at run time the
+// references walk t forwards and a backwards, one element a step.
+const flatSrc = `
+program flat
+param n = 320
+array double a[n][n], t[n][n]
+array double v[n * n]
+for k = 0 .. n * n {
+    v[k] = t[k / n][k % n] + a[(n * n - 1 - k) / n][(n * n - 1 - k) % n]
+}
+`
+
+// TestProfileSelfRelativeStride: a reference static analysis cannot
+// pipeline gets a self-relative hint — its own subscripts, the last one
+// advanced by stride × distance — when the profile shows enough faults
+// and one dominant run-time stride, and nothing otherwise.
+func TestProfileSelfRelativeStride(t *testing.T) {
+	build := func() *ir.Program {
+		p, err := lang.Parse(flatSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	prog := build()
+	mp := machine()
+	if err := prog.Resolve(mp.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	// 1 ms a miss over 2 µs an iteration: 500 iterations, doubled for
+	// contention.
+	stats := profile.SiteProfile{
+		Count: 320 * 320, Faults: 200, StallTicks: 200 * 1_000_000,
+		InterTicks: 1000 * 2000, InterN: 1000,
+		Strides: []profile.StridePair{{Stride: 1, Count: 900}}, StrideOther: 100,
+	}
+	entry := func(r *Result, array string) PlanEntry {
+		for _, e := range r.Plan {
+			if e.Array == array {
+				return e
+			}
+		}
+		t.Fatalf("no plan entry for %s: %+v", array, r.Plan)
+		return PlanEntry{}
+	}
+	// a's record: the same walk backwards, with a column-sized stride
+	// whose lead the distance budget (8 pages of 512 elements) caps at 12.
+	back := stats
+	back.Strides = []profile.StridePair{{Stride: -320, Count: 900}}
+	prof := profFor(t, prog, mp.PageSize, "t[", stats)
+	for i := range prof.Sites {
+		if strings.Contains(prof.Sites[i].Key, "a[") {
+			back.Key = prof.Sites[i].Key
+			prof.Sites[i] = back
+		}
+	}
+
+	st, pr := compileBoth(t, build, prof)
+	if pr.ProfileMismatches != 0 {
+		t.Fatalf("mismatches: %d", pr.ProfileMismatches)
+	}
+	for _, array := range []string{"t", "a"} {
+		if e := entry(st, array); e.Covered {
+			t.Fatalf("static analysis covered %s (vacuous test): %+v", array, e)
+		}
+		// The in-flight budget pass may shrink the distance the plan
+		// reports; the hint addresses below keep the observed lead.
+		if e := entry(pr, array); !e.Covered || !e.Profiled || e.Pipeline != "k" || e.Dist < 1 || e.Dist > 1000 || e.StripLen != 1 || e.Pages != 1 {
+			t.Fatalf("%s not planned as a self-relative per-iteration stream: %+v", array, e)
+		}
+	}
+	text := ir.Print(pr.Prog)
+	for _, hint := range []string{
+		"prefetch_block(&t[(k / n)][((k % n) + 1000)], 1)", // stride 1 × 1000 iterations
+		"[(((((n * n) - 1) - k) % n) + -3840)], 1)",        // stride −320 × 12 iterations
+	} {
+		if !strings.Contains(text, hint) {
+			t.Fatalf("no %q in the output:\n%s", hint, text)
+		}
+	}
+
+	few, scattered := stats, stats
+	few.Faults = minStrideFaults - 1
+	scattered.Strides, scattered.StrideOther = []profile.StridePair{{Stride: 1, Count: 700}}, 300
+	for name, weak := range map[string]profile.SiteProfile{"too few faults": few, "no dominant stride": scattered} {
+		_, pr := compileBoth(t, build, profFor(t, prog, mp.PageSize, "t[", weak))
+		if e := entry(pr, "t"); e.Covered || ir.Print(pr.Prog) != ir.Print(st.Prog) {
+			t.Errorf("%s: the compiler still hinted t: %+v", name, e)
+		}
 	}
 }

@@ -8,8 +8,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/hw"
+	"repro/internal/ir"
+	"repro/internal/lang"
 	"repro/internal/nas"
 	"repro/internal/profile"
+	"repro/internal/vm"
 )
 
 // profileScale sizes the two-pass matrix: small enough to keep the
@@ -80,6 +83,34 @@ func profileRunsFor(t *testing.T, app *nas.App) *profileRuns {
 	return r
 }
 
+// flatApp is the one shape no NAS proxy has: a flattened sweep whose
+// subscripts (k / n, k % n) are opaque to the locality analysis but walk
+// the arrays with a dominant run-time stride, so only a profile can hint
+// them (compiler.strideJob; benchmark/corpus/multinest.loop takes the
+// same path under oocbench -profile-use).
+func flatApp() *nas.App {
+	const src = `
+program flat
+param n = 320
+array double a[n][n], t[n][n]
+array double v[n * n]
+for i = 0 .. n {
+    for j = 0 .. n {
+        a[i][j] = 1.0 * i - 0.5 * j
+        t[i][j] = 0.25 * j
+    }
+}
+for k = 0 .. n * n {
+    v[k] = t[k / n][k % n] + a[(n * n - 1 - k) / n][(n * n - 1 - k) % n]
+}
+`
+	return &nas.App{
+		Name:  "flat",
+		Build: func(float64) *ir.Program { return lang.MustParse(src) },
+		Check: func(*ir.Program, *vm.VM, *exec.Env) error { return nil },
+	}
+}
+
 // TestProfileModesByteIdentical is the two-pass property matrix: for
 // every NAS proxy, the recording pass is tick- and byte-identical to a
 // plain original run (observation costs nothing), and the static and
@@ -94,7 +125,7 @@ func TestProfileModesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		apps = apps[:2]
 	}
-	for _, app := range apps {
+	for _, app := range append(apps, flatApp()) {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			r := profileRunsFor(t, app)
@@ -123,7 +154,7 @@ func TestProfileModesByteIdentical(t *testing.T) {
 			// The indirect kernels are where the profile has information
 			// static analysis lacks; if it never changes a decision there,
 			// the whole matrix is vacuous.
-			if app.Name == "BUK" || app.Name == "CGM" {
+			if app.Name == "BUK" || app.Name == "CGM" || app.Name == "flat" {
 				n := 0
 				for _, e := range r.use.Plan {
 					if e.Profiled {
@@ -133,6 +164,12 @@ func TestProfileModesByteIdentical(t *testing.T) {
 				if n == 0 {
 					t.Fatalf("profile changed no hint decisions on %s — vacuous pass", app.Name)
 				}
+			}
+			// Self-relative stride hints are planted only from a profile,
+			// and they must land: more faults found prefetched.
+			if app.Name == "flat" && r.use.Mem.PrefetchedHits <= r.static.Mem.PrefetchedHits {
+				t.Fatalf("profile-guided hits %d not above static %d",
+					r.use.Mem.PrefetchedHits, r.static.Mem.PrefetchedHits)
 			}
 
 			// The profile-guided program must be engine-independent:

@@ -227,7 +227,8 @@ func (p *Program) TotalBytes(pageSize int64) int64 {
 
 // ConstEval evaluates an integer expression using only the given slot
 // bindings. It reports false if the expression references an unbound slot
-// or an array load.
+// or an array load, or divides by a constant zero (which is the executors'
+// run-time trap, not a value).
 func ConstEval(e IExpr, env map[int]int64) (int64, bool) {
 	switch x := e.(type) {
 	case IConst:
@@ -241,7 +242,7 @@ func ConstEval(e IExpr, env map[int]int64) (int64, bool) {
 			return 0, false
 		}
 		b, ok := ConstEval(x.B, env)
-		if !ok {
+		if !ok || b == 0 && (x.Op == IDiv || x.Op == IMod) {
 			return 0, false
 		}
 		return applyIBin(x.Op, a, b), true

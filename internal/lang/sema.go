@@ -84,7 +84,7 @@ func (s *sema) declare(f *file) error {
 		}
 		v, ok := ir.ConstEval(ie, env)
 		if !ok {
-			return &Error{Line: pd.line, Col: pd.col, Msg: fmt.Sprintf("param %s: value must be constant", pd.name)}
+			return &Error{Line: pd.line, Col: pd.col, Msg: fmt.Sprintf("param %s: value must be constant (no division by zero)", pd.name)}
 		}
 		s.paramsI[pd.name] = s.prog.NewParam(pd.name, v, !pd.unknown)
 	}

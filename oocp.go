@@ -18,9 +18,13 @@
 //	fmt.Println(res.Speedup(base))
 //
 // The eight out-of-core NAS Parallel benchmark kernels the paper
-// evaluates are available through Suite and AppByName, and the experiment
-// harness that regenerates the paper's tables and figures is exposed as
-// the Table*/Fig* functions.
+// evaluates are available through Suite and AppByName. The experiment
+// harness that regenerates the paper's tables and figures is one
+// mechanism: a Runner (worker pool, per-run timeout, progress, trace and
+// metrics sinks) runs a list of Cases — an app, a problem scale, a
+// data:memory ratio and a configuration overlay — in the original and
+// prefetching configurations; the Table*/Fig*/Ablate* functions are case
+// lists plus their printers.
 package oocp
 
 import (
@@ -71,18 +75,23 @@ type App = nas.App
 // optionally no-run-time-layer) under one problem size.
 type AppResult = bench.AppResult
 
-// RunOptions configure a single-application harness run.
-type RunOptions = bench.RunOptions
+// Case is one cell of an experiment matrix: an app at a problem scale
+// and data:memory ratio under a configuration overlay (compiler options,
+// warm start, a storage backend, a fault profile, ...).
+type Case = bench.Case
 
-// SuiteOptions configure a whole-suite harness run: problem scale,
-// data:memory ratio, configuration variants, worker-pool parallelism,
-// per-run timeout, and an optional progress callback.
+// SuiteOptions configure a whole-suite harness run — one Case per NAS
+// app: problem scale, data:memory ratio, the no-run-time-layer variant,
+// the overlay, and a profile set for pass 2 of the two-pass mode.
 type SuiteOptions = bench.SuiteOptions
 
-// Runner is the experiment worker pool: it executes independent
-// simulated runs concurrently, preserves deterministic result ordering
-// (results are collected by index, never by completion order), and
-// threads cancellation and per-job timeouts into each run's event loop.
+// Runner is the experiment worker pool and the harness's sinks: it
+// executes independent simulated runs concurrently, preserves
+// deterministic result ordering (results are collected by index, never
+// by completion order), threads cancellation and per-run timeouts into
+// each run's event loop, and carries the trace and metrics every run
+// reports into. Runner.RunCases runs a case list on it; one pool job is
+// one simulated run.
 type Runner = bench.Runner
 
 // Progress is one progress-callback update of a Runner.
@@ -98,27 +107,27 @@ type JobMetric = bench.JobMetric
 // Trace collects a Chrome-trace-event timeline of simulated runs: one
 // process per run with tracks for the VM core, each disk, and
 // fault-classification instants, plus one process for the worker pool.
-// Attach one via Config.Trace, RunOptions.Trace, or SuiteOptions.Trace
-// and export it with WriteJSON; the file loads in Perfetto or
-// chrome://tracing. A nil *Trace disables tracing at the cost of one nil
-// check per event.
+// Attach one via Config.Trace or Runner.Trace and export it with
+// WriteJSON; the file loads in Perfetto or chrome://tracing. A nil *Trace
+// disables tracing at the cost of one nil check per event.
 type Trace = obs.Trace
 
 // Metrics is the typed metrics registry every layer's counters and
-// gauges register in. Attach one via Config.Metrics, RunOptions.Metrics,
-// or SuiteOptions.Metrics to collect several runs side by side
-// (per-run names gain "<label>/" prefixes), and export a flat JSON
-// snapshot with WriteJSON. The per-run statistics structs (vm, disk,
-// run-time layer) are views assembled from this registry.
+// gauges register in. Attach one via Config.Metrics or Runner.Metrics to
+// collect several runs side by side (per-run names gain
+// "<label>/<variant>/" prefixes), and export a flat JSON snapshot with
+// WriteJSON. The per-run statistics structs (vm, disk, run-time layer)
+// are views assembled from this registry.
 type Metrics = obs.Registry
 
 // FaultProfile describes one deterministic fault workload: per-disk
 // transient read/write error rates, latency-spike rate and factor,
 // prefetch-drop rate under synthetic memory pressure, whole-disk
 // brownout windows, and the disks' retry policy. Attach one via
-// Config.Faults, RunOptions.Faults, or SuiteOptions.Faults. The paper's
-// hints are non-binding, so any profile changes only a run's timing and
-// fault counters — never its results.
+// Config.Faults — in the harness, from a Case.Config or
+// SuiteOptions.ConfigMutator overlay. The paper's hints are non-binding,
+// so any profile changes only a run's timing and fault counters — never
+// its results.
 type FaultProfile = fault.Profile
 
 // FaultCounts tallies what a run's fault plane actually injected
@@ -139,9 +148,9 @@ const (
 )
 
 // BackendSpec selects and parameterizes a run's storage backend. Attach
-// one via Config.Backend, RunOptions.Backend, or SuiteOptions.Backend;
-// results are identical across tiers by construction — only timing and
-// device statistics change.
+// one via Config.Backend — in the harness, from a Case.Config or
+// SuiteOptions.ConfigMutator overlay; results are identical across tiers
+// by construction — only timing and device statistics change.
 type BackendSpec = core.BackendSpec
 
 // TierFor maps a tier name ("disk", "nvme"/"flash",
@@ -284,15 +293,22 @@ func DataBytes(p *Program, pageSize int64) int64 { return nas.DataBytes(p, pageS
 // RunAppPair runs one NAS app at a problem scale and data:memory ratio in
 // both the original and prefetching configurations (ratio ≤ 0 selects the
 // app's standard ratio). Results are validated against the kernel's
-// independent reference implementation.
+// independent reference implementation. It is the one-case convenience
+// over Runner.RunCases.
 func RunAppPair(app *App, scale, ratio float64) (*AppResult, error) {
-	return bench.RunAppContext(context.Background(), app, RunOptions{Scale: scale, Ratio: ratio})
+	rs, err := new(Runner).RunCases(context.Background(), []Case{{App: app, Scale: scale, Ratio: ratio}}, false)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
 }
 
-// RunAppContext runs one NAS app's configuration variants per opts,
-// each on a private simulated system, honoring ctx.
-func RunAppContext(ctx context.Context, app *App, opts RunOptions) (*AppResult, error) {
-	return bench.RunAppContext(ctx, app, opts)
+// ConfigFor sizes one NAS app into its base run configuration (the
+// standard prefetching configuration on a machine holding 1/ratio of the
+// data set; ratio ≤ 0 selects the app's standard ratio) and reports the
+// data-set size.
+func ConfigFor(app *App, scale, ratio float64) (Config, int64, error) {
+	return bench.ConfigFor(app, scale, ratio)
 }
 
 // The experiment harness: each function regenerates one table or figure
@@ -304,13 +320,13 @@ func Table1(w io.Writer) { bench.Table1(w, hw.Default()) }
 // Table2 prints the application descriptions and data-set sizes.
 func Table2(w io.Writer, scale float64) { bench.Table2(w, scale) }
 
-// RunSuiteContext runs the whole NAS suite on a worker pool, treating
-// every (app, config-variant) tuple as an independent simulated run.
-// Results come back in the paper's presentation order regardless of
-// completion order — a parallel suite is byte-identical to a serial
-// one. Cancelling ctx aborts in-flight runs within one simulated event.
-func RunSuiteContext(ctx context.Context, opts SuiteOptions) ([]*AppResult, error) {
-	return bench.RunSuiteContext(ctx, opts)
+// RunSuiteContext runs the whole NAS suite on r, treating every (app,
+// config-variant) tuple as an independent simulated run. Results come
+// back in the paper's presentation order regardless of completion
+// order — a parallel suite is byte-identical to a serial one.
+// Cancelling ctx aborts in-flight runs within one simulated event.
+func RunSuiteContext(ctx context.Context, r Runner, opts SuiteOptions) ([]*AppResult, error) {
+	return bench.RunSuiteContext(ctx, r, opts)
 }
 
 // Fig3 prints the overall-performance figure from suite results.
@@ -376,8 +392,8 @@ type ProfileSpec = core.ProfileSpec
 // observation-only instrumentation (tick-identical to a plain run) and
 // the recordings come back as one ProfileSet. Feed it back through
 // SuiteOptions.ProfileUse for the profile-guided pass 2.
-func RecordProfiles(ctx context.Context, opts SuiteOptions) (*ProfileSet, error) {
-	return bench.RecordProfiles(ctx, opts)
+func RecordProfiles(ctx context.Context, r Runner, opts SuiteOptions) (*ProfileSet, error) {
+	return bench.RecordProfiles(ctx, r, opts)
 }
 
 // MarshalProfiles serializes a ProfileSet into its versioned artifact

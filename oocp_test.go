@@ -150,11 +150,8 @@ func TestRunSuiteContextOptions(t *testing.T) {
 		t.Skip("not short")
 	}
 	var events int
-	rs, err := oocp.RunSuiteContext(context.Background(), oocp.SuiteOptions{
-		Scale:       0.05,
-		Parallelism: 4,
-		Progress:    func(oocp.Progress) { events++ },
-	})
+	r := oocp.Runner{Parallelism: 4, Progress: func(oocp.Progress) { events++ }}
+	rs, err := oocp.RunSuiteContext(context.Background(), r, oocp.SuiteOptions{Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
