@@ -19,12 +19,12 @@ BENCH_PKGS = ./internal/obs ./internal/vm ./internal/disk ./internal/bench ./int
 # allocator and scheduler noise enough for a 15% gate.
 BENCH_FLAGS = -bench=. -benchmem -benchtime 200ms -count 3 -run '^$$'
 
-.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz test-faults test-exec test-compile test-harness test-backends test-tenants test-profile loc bench bench-check bench-baseline
+.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz tally test-faults test-exec test-compile test-harness test-backends test-tenants test-profile loc bench bench-check bench-baseline
 
 # ci is the gate: formatting, static checks, build, tests (the root
 # module's and the benchmark module's), the race-detector pass over the
-# concurrent surfaces, and a short-budget fuzz of the fault plane and the
-# front end. The
+# concurrent surfaces, and a short-budget fuzz of the fault plane, the
+# front end and the lane-wise span chunks. The
 # focused test-* targets below are subsets of `test`, kept for quick
 # stand-alone runs and as separate workflow jobs.
 ci: fmt-check vet staticcheck build test test-benchmark race fuzz
@@ -75,16 +75,26 @@ test-benchmark:
 race:
 	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/exec/ ./internal/tenant/ ./internal/stripefs/ ./internal/disk/ ./internal/profile/ .
 
-# fuzz runs the two fuzzers briefly, each for FUZZTIME: arbitrary fault
+# fuzz runs the three fuzzers briefly, each for FUZZTIME: arbitrary fault
 # profiles through a small kernel, asserting termination and
-# byte-identical results; and arbitrary source text through the front
-# end, asserting that lang.Parse returns and that whatever it accepts
-# resolves, compiles and assembles without a panic (FUZZTIME=5m for a
+# byte-identical results; arbitrary source text through the front end,
+# asserting that lang.Parse returns and that whatever it accepts
+# resolves, compiles and assembles without a panic; and random affine
+# page-run loop bodies on small pages, asserting the bytecode — lane-wise
+# chunks included — is tick-identical to the oracle (FUZZTIME=5m for a
 # real session).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz FuzzFaultSchedule -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lang/ -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzSpanLanes -fuzztime $(FUZZTIME)
+
+# tally builds the executor with its dispatch tally (build tag exectally)
+# and runs the deterministic judge of host work: the bytecode dispatches
+# of the 16 scale-1 NAS runs, pinned per run, with each run's top opcodes
+# printed (DESIGN.md §11).
+tally:
+	$(GO) test -tags exectally ./internal/bench/ -run TestDispatchCorpus -count 1 -v
 
 # test-faults runs the fault-injection property matrix: the harness
 # (NAS proxies × profiles, example kernels, byte-identical output) plus
@@ -142,7 +152,9 @@ test-profile:
 # fault profiles, plus the exec-level unit differentials on page-run
 # loops, nest edge cases — absorbed constant-trip inner loops among them —
 # and hints whose subscripts load, fault or draw random numbers, each
-# evaluated once: TestHintSubscriptEvaluatedOnce), the structural and
+# evaluated once: TestHintSubscriptEvaluatedOnce; lane-wise chunks against
+# recurrences, butterfly offsets, carried scalars, two draws, a zero
+# divisor, NaN min/max and FuzzSpanLanes' seed corpus), the structural and
 # run-time proof that absorption engaged (no page-run layout inside a
 # per-element body; the share of APPLU/APPSP/APPBT user time charged
 # through span chunks), the compile-time rejection table (same error text
@@ -157,7 +169,7 @@ test-profile:
 # zero-alloc write-back path.
 test-exec:
 	$(GO) test ./internal/fault/harness/ -run 'TestFastPathEquivalence|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare'
-	$(GO) test ./internal/exec/ -run 'TestHint|TestFastPath|TestNest|TestNASAbsorbingLoops|TestArtifact|TestCompile|TestRecording'
+	$(GO) test ./internal/exec/ -run 'TestHint|TestFastPath|TestNest|TestNASAbsorbingLoops|TestArtifact|TestCompile|TestRecording|TestLane|FuzzSpanLanes'
 	$(GO) test ./internal/nas/ -run TestNASHintSitesEmitNoClosureCalls -count 1
 	$(GO) test ./internal/core/ -run 'TestPlanCache|TestRunLimitReturnsTypedError' -count 1
 	$(GO) test ./cmd/benchdiff/

@@ -116,11 +116,12 @@ type job struct {
 	// iterations of while the hint itself stays planted per-iteration at
 	// the attach loop (indirect refs whose latency cannot fit the inner
 	// trip count). selfStride, when non-zero, emits self-relative hints
-	// at ref.Idx + selfStride elements (opaque refs with a dominant
-	// observed stride). arrPages caps the in-flight page estimate for
-	// indirect streams, whose distinct target pages cannot exceed the
-	// array. preloadPages, when non-zero, block-prefetches that many
-	// pages of the target array before the top-level nest: a profile
+	// at ref.Idx + selfStride·dist elements (opaque refs with a dominant
+	// observed stride; dist as the budget pass leaves it). arrPages caps
+	// the in-flight page estimate for indirect streams, whose distinct
+	// target pages cannot exceed the array. preloadPages, when non-zero,
+	// block-prefetches that many pages of the target array before the
+	// top-level nest: a profile
 	// whose fault count is on the order of the array's page count shows
 	// cold misses over a small footprint, which cluster early (random
 	// keys touch every page almost immediately) where no steady-state

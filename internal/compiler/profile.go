@@ -188,7 +188,7 @@ func (t *transform) strideJob(g *locality.Group) (job, *ir.Loop, bool) {
 		stripLen:   1,
 		pages:      1,
 		dist:       dist,
-		selfStride: stride * dist,
+		selfStride: stride,
 		profiled:   true,
 		arrPages:   (g.Arr.Bytes() + t.machine.PageSize - 1) / t.machine.PageSize,
 	}

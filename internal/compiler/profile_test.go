@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -278,20 +279,24 @@ func TestProfileSelfRelativeStride(t *testing.T) {
 		if e := entry(st, array); e.Covered {
 			t.Fatalf("static analysis covered %s (vacuous test): %+v", array, e)
 		}
-		// The in-flight budget pass may shrink the distance the plan
-		// reports; the hint addresses below keep the observed lead.
 		if e := entry(pr, array); !e.Covered || !e.Profiled || e.Pipeline != "k" || e.Dist < 1 || e.Dist > 1000 || e.StripLen != 1 || e.Pages != 1 {
 			t.Fatalf("%s not planned as a self-relative per-iteration stream: %+v", array, e)
 		}
 	}
+	// The hint leads by the stride times the distance the plan reports —
+	// the one the in-flight budget pass left (t's 1000 iterations and a's
+	// 12 are both over the budget).
 	text := ir.Print(pr.Prog)
 	for _, hint := range []string{
-		"prefetch_block(&t[(k / n)][((k % n) + 1000)], 1)", // stride 1 × 1000 iterations
-		"[(((((n * n) - 1) - k) % n) + -3840)], 1)",        // stride −320 × 12 iterations
+		fmt.Sprintf("prefetch_block(&t[(k / n)][((k %% n) + %d)], 1)", 1*entry(pr, "t").Dist),
+		fmt.Sprintf("[(((((n * n) - 1) - k) %% n) + %d)], 1)", -320*entry(pr, "a").Dist),
 	} {
 		if !strings.Contains(text, hint) {
 			t.Fatalf("no %q in the output:\n%s", hint, text)
 		}
+	}
+	if entry(pr, "t").Dist >= 1000 || entry(pr, "a").Dist >= 12 {
+		t.Errorf("the budget pass left a lead as observed, so the hints cannot tell the two apart: %+v", pr.Plan)
 	}
 
 	few, scattered := stats, stats

@@ -191,7 +191,8 @@ func (t *transform) steadyState(j job, l *ir.Loop, at ir.ISlot, step int64) []ir
 
 // selfHint emits the per-iteration hint for a self-relative stride job:
 // the reference's own subscripts with the last dimension advanced by the
-// observed stride times the distance. The hint path clamps addresses and
+// observed stride times the distance — the final one, after the in-flight
+// budget, so the hint leads by what the plan reports. The hint path clamps addresses and
 // never bounds-checks, so running past the array is safe, and a hint is
 // non-binding, so a wrongly predicted stride costs only a wasted fetch.
 func (t *transform) selfHint(j job) []ir.Stmt {
@@ -199,7 +200,7 @@ func (t *transform) selfHint(j job) []ir.Stmt {
 	idx := make([]ir.IExpr, len(lead.Idx))
 	copy(idx, lead.Idx)
 	last := len(idx) - 1
-	idx[last] = ir.AddI(idx[last], ir.Int(j.selfStride))
+	idx[last] = ir.AddI(idx[last], ir.Int(j.selfStride*j.dist))
 	return []ir.Stmt{ir.Prefetch{Arr: lead.Arr, Idx: idx, Pages: ir.Int(j.pages)}}
 }
 

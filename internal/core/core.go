@@ -419,6 +419,8 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 	reg.Counter("exec.span_declined").Store(env.Span.Declined)
 	reg.Counter("exec.span_iters").Store(env.Span.Iters)
 	reg.Counter("exec.span_user_ops").Store(env.Span.UserOps)
+	reg.Counter("exec.span_lane_chunks").Store(env.Span.LaneChunks)
+	reg.Counter("exec.span_lane_iters").Store(env.Span.LaneIters)
 	reg.Counter("sim.events_scheduled").Store(clock.EventsScheduled())
 	reg.Counter("sim.events_dispatched").Store(clock.EventsDispatched())
 	reg.Gauge("run.avg_free_frac").Set(r.AvgFree)

@@ -45,6 +45,8 @@ type Env struct {
 	spanValid bool  // sites' addr and subs hold the current iteration's values
 	spanShort bool  // this entry's trip count is under spanMinTrip
 	spanLeft  int64 // iterations left in the current chunk
+	laneW     int64 // this entry's strip width; 0 runs chunks per iteration
+	strip     strip // runLanes' lane file
 
 	// ri/rf are the kernel interpreter's register files (kernel.go);
 	// index 0 of each is a permanent zero.
@@ -57,9 +59,10 @@ type Env struct {
 }
 
 // SpanStats counts a run's page-run chunks: how many spanChunk committed
-// and how many it declined to the per-element body, and the iterations and
-// user operations the committed ones charged in one AddUserOps each.
-type SpanStats struct{ Chunks, Declined, Iters, UserOps int64 }
+// and how many it declined to the per-element body, the iterations and
+// user operations the committed ones charged in one AddUserOps each, and
+// the chunks and iterations of those that ran lane-wise.
+type SpanStats struct{ Chunks, Declined, Iters, UserOps, LaneChunks, LaneIters int64 }
 
 // compiled is what compilation produces: kernel bytecode (code != nil,
 // run by runK), or — exactly when Options.NoFastPath asked for the oracle —
@@ -77,9 +80,12 @@ type compiled struct {
 	aux       []auxDim
 	haux      []hintAux
 	spans     []spanLoop
+	lanes     []laneLoop // per span: its lane-wise form
 	nRI, nRF  int
 	nSites    int
 	nSubs     int
+	laneNI    int // lane slots the lane files hold, per kind
+	laneNF    int
 	pageShift int64
 	reports   []LoopReport
 	rec       *profile.Recorder // opProfPost's sink; nil unless recording
@@ -234,10 +240,11 @@ func (a *Artifact) Bind(v *vm.VM, layer *rt.Layer) (*Machine, error) {
 // values.
 func (m *Machine) Run() *Env {
 	// One allocation per element type: the scalar slots, then (bytecode
-	// only) the register file and the maintained subscripts behind them.
-	nI, nF := m.prog.NInt, m.prog.NFloat
-	ints := make([]int64, nI+m.nRI+m.nSubs)
-	floats := make([]float64, nF+m.nRF)
+	// only) the register file, the maintained subscripts and the lane file
+	// behind them.
+	nI, nF, nR := m.prog.NInt, m.prog.NFloat, m.nRI+m.nSubs
+	ints := make([]int64, nI+nR+m.laneNI*laneW)
+	floats := make([]float64, nF+m.nRF+m.laneNF*laneW)
 	e := &Env{
 		Ints:   ints[:nI:nI],
 		Floats: floats[:nF:nF],
@@ -250,8 +257,8 @@ func (m *Machine) Run() *Env {
 	}
 	if m.code != nil {
 		e.sites = make([]runSite, m.nSites)
-		e.ri, e.subs = ints[nI:nI+m.nRI:nI+m.nRI], ints[nI+m.nRI:]
-		e.rf = floats[nF:]
+		e.ri, e.subs, e.strip.li = ints[nI:nI+m.nRI:nI+m.nRI], ints[nI+m.nRI:nI+nR:nI+nR], ints[nI+nR:]
+		e.rf, e.strip.lf = floats[nF:nF+m.nRF:nF+m.nRF], floats[nF+m.nRF:]
 		m.runK(e)
 	} else {
 		m.body(e)

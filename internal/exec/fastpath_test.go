@@ -16,6 +16,12 @@ func buildWith(t testing.TB, prog *ir.Program, frames int64, opts Options) (*sim
 	t.Helper()
 	p := hw.Default()
 	p.MemoryBytes = frames * p.PageSize
+	return buildOn(t, p, prog, opts)
+}
+
+// buildOn is buildWith on an explicit machine.
+func buildOn(t testing.TB, p hw.Params, prog *ir.Program, opts Options) (*sim.Clock, *vm.VM, *stripefs.File, *Machine) {
+	t.Helper()
 	c := sim.NewClock()
 	fs := stripefs.New(c, p, nil)
 	if err := prog.Resolve(p.PageSize); err != nil {

@@ -235,6 +235,13 @@ type kcompiler struct {
 	nSubs      int  // maintained-subscript slots assigned so far
 	inAbsorber bool // lowering the per-element body of a loop that absorbs inner loops
 
+	// lane-wise span bodies (kspan.go): what their tables are cut from, and
+	// the most lane slots of each kind one loop uses
+	lanes          []laneLoop
+	lslots         []laneSlots
+	lregs          []laneReg
+	laneNI, laneNF int
+
 	loops   []*kloop
 	reports []LoopReport
 }
@@ -290,6 +297,7 @@ func (kc *kcompiler) compile(body []ir.Stmt) error {
 	code = kc.peephole(kc.peephole(code, census), census)
 	kc.code = assemble(code, kc.labels)
 	fuseDotLoop(kc.code)
+	kc.laneLoops(census)
 	return nil
 }
 
@@ -302,6 +310,7 @@ func (kc *kcompiler) install(m *Artifact) {
 	m.nRF = kc.nRF
 	m.nSites = kc.nSites
 	m.nSubs = kc.nSubs
+	m.lanes, m.laneNI, m.laneNF = kc.lanes, kc.laneNI, kc.laneNF
 	m.pageShift = kc.shift
 	m.reports = kc.reports
 	if kc.prof != nil {

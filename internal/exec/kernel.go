@@ -210,6 +210,9 @@ func (m *Machine) runK(e *Env) {
 	for pc := 0; pc < len(code); {
 		in := &code[pc]
 		pc++
+		if tallyOn {
+			tally.ops[in.op]++
+		}
 		switch in.op {
 		case opCharge:
 			v.AddUserOps(in.imm)
@@ -459,10 +462,19 @@ func (m *Machine) runK(e *Env) {
 				pc = int(in.imm)
 			}
 		case opSpanEnter:
-			k := spanChunk(e, &m.spans[in.dst], ri, 1<<(shift-3), ri[in.a], ri[uint16(in.imm2)], ri[in.b])
+			sp, ll := &m.spans[in.dst], &m.lanes[in.dst]
+			k := spanChunk(e, sp, ll, ri, 1<<(shift-3), ri[in.a], ri[uint16(in.imm2)], ri[in.b])
 			if k == 0 {
 				e.Span.Declined++
 				pc = int(in.imm)
+			} else if e.laneW > 0 {
+				// The whole chunk runs here; opSpanNext finds its last
+				// iteration done and moves on exactly as after k passes.
+				m.runLanes(e, sp, ll, ri[in.a], k)
+				ri[in.a] += (k - 1) * sp.step
+				e.Span.LaneChunks++
+				e.Span.LaneIters += k
+				k, pc = 1, int(ll.next)
 			}
 			e.spanLeft = k
 		case opSpanNext:

@@ -31,7 +31,9 @@
 package exec
 
 import (
+	"math"
 	"slices"
+	"strings"
 
 	"repro/internal/ir"
 )
@@ -402,9 +404,10 @@ func (kc *kcompiler) unroll(l *ir.Loop) {
 // It returns 0 when the iteration must run on the per-element body, or
 // the length k >= 2 of a chunk of iterations, v included, whose spans it
 // has acquired and whose user ops it has charged; the maintained
-// subscripts and addresses are then already advanced past the chunk.
-// ri is the register file holding the loop's seed registers.
-func spanChunk(e *Env, sp *spanLoop, ri []int64, pageWords, v, lo, h int64) int64 {
+// subscripts and addresses are then already advanced past the chunk, and
+// e.laneW says how the entry runs its chunks (ll: the loop's lane-wise
+// form). ri is the register file holding the loop's seed registers.
+func spanChunk(e *Env, sp *spanLoop, ll *laneLoop, ri []int64, pageWords, v, lo, h int64) int64 {
 	k := (h - v + sp.step - 1) / sp.step
 	if k < 2 {
 		return 0
@@ -429,6 +432,7 @@ func spanChunk(e *Env, sp *spanLoop, ri []int64, pageWords, v, lo, h int64) int6
 			e.sites[s.id].addr = s.arr.Base + li*ir.ElemSize
 		}
 		e.spanValid = true
+		e.laneW = laneWidth(e, sp, ll)
 	}
 
 	// Bounds at this iteration. A failure means the body itself will trap
@@ -524,6 +528,486 @@ func advanceSites(e *Env, sp *spanLoop, n int64) {
 		e.sites[s.id].addr += s.delta * ir.ElemSize * n
 		for d, c := range s.cds {
 			e.subs[s.subBase+d] += c * n
+		}
+	}
+}
+
+// ---- lane-wise chunks ----------------------------------------------------
+//
+// Nothing inside a committed chunk can fault, trap or cross into the
+// kernel: its pages are hot and its charges paid. runLanes therefore runs
+// the span body once per strip of up to laneW iterations, each instruction
+// one Go loop over the strip's lanes, each register a lane slot. That
+// reorders the chunk's effects from iteration-major to instruction-major
+// within a strip, which is exact when no value flows from an iteration
+// into a later one of the same strip: not through a scalar (ruled out at
+// compile time, laneLoop.reason), not through the generator (one draw an
+// iteration, drawn in lane order), and not through memory — a store and
+// another access of its array meet D/δ iterations apart, so laneWidth caps
+// the entry's strips at |D/δ|, and a cap under laneMinCap (a recurrence
+// along the loop) keeps the entry on the per-iteration span body.
+
+// laneW is the most iterations a strip covers; laneMinCap the narrowest
+// strip worth running lane-wise. Both were chosen on measurements
+// (EXPERIMENTS.md, issue 25).
+const (
+	laneW      = 32
+	laneMinCap = 2
+)
+
+// laneSlots holds one span-body instruction's lane slots, for its dst, a, b
+// and c fields (c: opFMAdd's imm, opIdx3's imm2) — or a site pair: a store
+// site and another site of its array, by index into the loop's sites.
+type laneSlots [4]uint8
+
+// laneReg is a register the span body reads but does not write, broadcast
+// into its lane slot once per entry.
+type laneReg struct {
+	reg  uint16
+	slot uint8
+	flt  bool
+}
+
+// laneLoop is the lane-wise form of the span body that ends at the
+// opSpanNext at pc next: tab holds the npairs site pairs checked at every
+// entry, then one laneSlots per body instruction. tab is nil when the body
+// does not qualify, and reason says why.
+type laneLoop struct {
+	tab    []laneSlots
+	bcast  []laneReg
+	next   int32
+	npairs uint16
+	iv     int16 // lane slot of the induction register; -1 when the body does not read it
+	reason FallbackReason
+}
+
+// laneOp is an opcode the lane interpreter runs. sig gives the register
+// kind of its dst, a, b and c fields: 'i' int, 'f' float, upper case for a
+// dst the op reads, '-' unused. slot is the scalar it touches, if any: how
+// ('r' read, 's' set, 'a' accumulated), kind, and '2' when it is imm2
+// rather than imm. run computes the strip (nil: sets only, done from the
+// chunk's last lane).
+type laneOp struct {
+	sig, slot string
+	run       func(e *Env, x *strip, in *kinstr)
+}
+
+var laneOps = [...]laneOp{
+	opISlot:   {"i", "ri", func(e *Env, x *strip, in *kinstr) { fill(x.i(0), e.Ints[in.imm]) }},
+	opSetSlot: {"-i", "si", nil},
+	opIAdd:    {"iii", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), add[int64]) }},
+	opISub:    {"iii", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), sub[int64]) }},
+	opIMul:    {"iii", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), mul[int64]) }},
+	opIShl:    {"iii", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), shl) }},
+	opIShr:    {"iii", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), shr) }},
+	opIMin:    {"iii", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), imin) }},
+	opIMax:    {"iii", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), imax) }},
+	opIAddImm: {"ii", "", func(_ *Env, x *strip, in *kinstr) {
+		lane1(x.i(0), x.i(1), func(a int64) int64 { return a + in.imm })
+	}},
+	opIMulImm: {"ii", "", func(_ *Env, x *strip, in *kinstr) {
+		lane1(x.i(0), x.i(1), func(a int64) int64 { return a * in.imm })
+	}},
+	opIFromF: {"if", "", func(_ *Env, x *strip, _ *kinstr) { lane1(x.i(0), x.f(1), toInt) }},
+	opIdx3: {"iiii", "", func(_ *Env, x *strip, in *kinstr) {
+		lane3(x.i(0), x.i(1), x.i(2), x.i(3), func(a, b, c int64) int64 { return c + min(a+in.imm, b) })
+	}},
+	opFSlot: {"f", "rf", func(e *Env, x *strip, in *kinstr) { fill(x.f(0), e.Floats[in.imm]) }},
+	opSetF:  {"-f", "sf", nil},
+	opFAcc:  {"-f", "af", func(e *Env, x *strip, in *kinstr) { e.Floats[in.imm] = sum(e.Floats[in.imm], x.f(1)) }},
+	opFAccM: {"-ff", "af", func(e *Env, x *strip, in *kinstr) { e.Floats[in.imm] = dot(e.Floats[in.imm], x.f(1), x.f(2)) }},
+	opFAdd:  {"fff", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.f(0), x.f(1), x.f(2), add[float64]) }},
+	opFSub:  {"fff", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.f(0), x.f(1), x.f(2), sub[float64]) }},
+	opFMul:  {"fff", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.f(0), x.f(1), x.f(2), mul[float64]) }},
+	opFDiv:  {"fff", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.f(0), x.f(1), x.f(2), div) }},
+	opFMin:  {"fff", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.f(0), x.f(1), x.f(2), fmin) }},
+	opFMax:  {"fff", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.f(0), x.f(1), x.f(2), fmax) }},
+	opFNeg:  {"ff", "", func(_ *Env, x *strip, _ *kinstr) { lane1(x.f(0), x.f(1), neg) }},
+	opFromI: {"fi", "", func(_ *Env, x *strip, _ *kinstr) { lane1(x.f(0), x.i(1), toFloat) }},
+	opSqrt:  {"ff", "", func(_ *Env, x *strip, _ *kinstr) { lane1(x.f(0), x.f(1), math.Sqrt) }},
+	opAbs:   {"ff", "", func(_ *Env, x *strip, _ *kinstr) { lane1(x.f(0), x.f(1), math.Abs) }},
+	opLog:   {"ff", "", func(_ *Env, x *strip, _ *kinstr) { lane1(x.f(0), x.f(1), math.Log) }},
+	opExp:   {"ff", "", func(_ *Env, x *strip, _ *kinstr) { lane1(x.f(0), x.f(1), math.Exp) }},
+	opSin:   {"ff", "", func(_ *Env, x *strip, _ *kinstr) { lane1(x.f(0), x.f(1), math.Sin) }},
+	opCos:   {"ff", "", func(_ *Env, x *strip, _ *kinstr) { lane1(x.f(0), x.f(1), math.Cos) }},
+	opPow:   {"fff", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.f(0), x.f(1), x.f(2), math.Pow) }},
+	opRandlc: {"f", "", func(e *Env, x *strip, _ *kinstr) {
+		lane1(x.f(0), x.f(0), func(float64) float64 { return e.randlc() })
+	}},
+	opFMulI:   {"ffi", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.f(0), x.f(1), x.i(2), mulI) }},
+	opFDivI:   {"ffi", "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.f(0), x.f(1), x.i(2), divI) }},
+	opFMAdd:   {"ffff", "", func(_ *Env, x *strip, _ *kinstr) { lane3(x.f(0), x.f(1), x.f(2), x.f(3), madd) }},
+	opFMSub:   {"ffff", "", func(_ *Env, x *strip, _ *kinstr) { lane3(x.f(0), x.f(1), x.f(2), x.f(3), msub) }},
+	opFAddS:   {"fff", "sf2", func(_ *Env, x *strip, _ *kinstr) { lane2(x.f(0), x.f(1), x.f(2), add[float64]) }},
+	opFSubS:   {"fff", "sf2", func(_ *Env, x *strip, _ *kinstr) { lane2(x.f(0), x.f(1), x.f(2), sub[float64]) }},
+	opFMAddS:  {"ffff", "sf2", func(_ *Env, x *strip, _ *kinstr) { lane3(x.f(0), x.f(1), x.f(2), x.f(3), madd) }},
+	opFMSubS:  {"ffff", "sf2", func(_ *Env, x *strip, _ *kinstr) { lane3(x.f(0), x.f(1), x.f(2), x.f(3), msub) }},
+	opCosS:    {"ff", "sf2", func(_ *Env, x *strip, _ *kinstr) { lane1(x.f(0), x.f(1), math.Cos) }},
+	opSinS:    {"ff", "sf2", func(_ *Env, x *strip, _ *kinstr) { lane1(x.f(0), x.f(1), math.Sin) }},
+	opLoadFS:  {"f", "", func(e *Env, x *strip, in *kinstr) { loadLanes(x.f(0), &e.sites[in.imm], math.Float64frombits) }},
+	opLoadIS:  {"i", "", func(e *Env, x *strip, in *kinstr) { loadLanes(x.i(0), &e.sites[in.imm], fromWord) }},
+	opStoreFS: {"F", "", func(e *Env, x *strip, in *kinstr) { storeLanes(x.f(0), &e.sites[in.imm], math.Float64bits) }},
+	opStoreIS: {"I", "", func(e *Env, x *strip, in *kinstr) { storeLanes(x.i(0), &e.sites[in.imm], toWord) }},
+}
+
+// The handlers' scalar operations: runK's expression for each opcode.
+func add[T int64 | float64](a, b T) T { return a + b }
+func sub[T int64 | float64](a, b T) T { return a - b }
+func mul[T int64 | float64](a, b T) T { return a * b }
+func div(a, b float64) float64        { return a / b }
+func shl(a, b int64) int64            { return a << uint(b) }
+func shr(a, b int64) int64            { return a >> uint(b) }
+func imin(a, b int64) int64           { return min(a, b) }
+func imax(a, b int64) int64           { return max(a, b) }
+func neg(a float64) float64           { return -a }
+func toInt(a float64) int64           { return int64(a) }
+func toFloat(a int64) float64         { return float64(a) }
+func mulI(a float64, b int64) float64 { return a * float64(b) }
+func divI(a float64, b int64) float64 { return a / float64(b) }
+func madd(a, b, c float64) float64    { return a + b*c }
+func msub(a, b, c float64) float64    { return a - b*c }
+func fromWord(w uint64) int64         { return int64(w) }
+func toWord(a int64) uint64           { return uint64(a) }
+
+// fmin and fmax are the oracle's x < y ? x : y, NaN included.
+func fmin(a, b float64) float64 {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+func fmax(a, b float64) float64 {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+// sum and dot accumulate lanes into acc in lane order.
+func sum(acc float64, a []float64) float64 {
+	for _, y := range a {
+		acc += y
+	}
+	return acc
+}
+
+func dot(acc float64, a, b []float64) float64 {
+	for t, y := range a[:len(b)] {
+		acc += y * b[t]
+	}
+	return acc
+}
+
+// sitePairs calls f for each store site and every other site of its array
+// (a pair of store sites once), by index into sp.sites.
+func sitePairs(sp *spanLoop, f func(s, x int)) {
+	for i, s := range sp.sites {
+		for j, x := range sp.sites {
+			if s.write && j != i && x.arr == s.arr && !(x.write && j < i) {
+				f(i, j)
+			}
+		}
+	}
+}
+
+// laneReason applies the static rules to a span body: every op in the
+// lane subset, no scalar both read and written, an accumulated scalar
+// touched by its one accumulation only, at most one draw, and equal deltas
+// for the sites of a stored array. It returns the verdict and the number
+// of site pairs.
+func laneReason(body []kinstr, sp *spanLoop) (FallbackReason, uint16) {
+	touch := func(in *kinstr) (how, kind byte, slot int64) { // the scalar in touches
+		if u := laneOps[in.op].slot; len(u) == 3 {
+			return u[0], u[1], in.imm2
+		} else if u != "" {
+			return u[0], u[1], in.imm
+		}
+		return 0, 0, 0
+	}
+	draws := 0
+	for i := range body {
+		in := &body[i]
+		switch {
+		case in.op == opIDiv || in.op == opIMod:
+			return ReasonIntDivide, 0
+		case int(in.op) >= len(laneOps) || laneOps[in.op].sig == "":
+			return ReasonUnsupportedOp, 0
+		case in.op == opRandlc:
+			if draws++; draws > 1 {
+				return ReasonTwoDraws, 0
+			}
+		}
+		how, kind, slot := touch(in)
+		for j := 0; j < len(body) && (how == 'r' || how == 'a'); j++ {
+			h, k, s := touch(&body[j])
+			if (how == 'r' && (h == 's' || h == 'a') || how == 'a' && h != 0 && j != i) && s == slot && k == kind {
+				return ReasonCarriedScalar, 0
+			}
+		}
+	}
+	n, mixed := 0, false
+	sitePairs(sp, func(s, x int) { n, mixed = n+1, mixed || sp.sites[s].delta != sp.sites[x].delta })
+	switch {
+	case mixed:
+		return ReasonMixedDelta, 0
+	case len(sp.sites) > 256:
+		return ReasonUnsupportedOp, 0
+	}
+	return ReasonSpecialized, uint16(n)
+}
+
+// laneLoops gives every page-run loop its lane-wise form, or notes in its
+// report why it has none, from the assembled span bodies; a first pass
+// sizes the one table they are cut from. scratch holds two int32 per
+// register (the peephole census, free again).
+func (kc *kcompiler) laneLoops(scratch []int32) {
+	kc.lanes = make([]laneLoop, len(kc.spans))
+	n := 0
+	for pc, in := range kc.code {
+		if in.op == opSpanNext {
+			ll := &kc.lanes[in.b]
+			ll.next = int32(pc)
+			if ll.reason, ll.npairs = laneReason(kc.code[in.imm:pc], &kc.spans[in.b]); ll.reason == ReasonSpecialized {
+				n += int(ll.npairs) + pc - int(in.imm)
+			}
+		}
+	}
+	kc.lslots, kc.lregs = make([]laneSlots, 0, n), make([]laneReg, 0, 4*len(kc.spans))
+	for i, id := 0, 0; i < len(kc.reports); i++ {
+		if r := &kc.reports[i]; r.Driver == "page-run" { // one per span, in span order
+			ll := &kc.lanes[id]
+			if ll.reason == ReasonSpecialized {
+				kc.laneLoop(ll, &kc.spans[id], scratch)
+			}
+			r.Lanes, r.LaneReason = ll.tab != nil, ll.reason
+			id++
+		}
+	}
+}
+
+// laneLoop numbers the lane slots of a qualifying span body by one
+// last-use scan and cuts its tables from the compile's.
+func (kc *kcompiler) laneLoop(ll *laneLoop, sp *spanLoop, scratch []int32) {
+	next := kc.code[ll.next]
+	body, rv, t0, b0 := kc.code[next.imm:ll.next], next.dst, len(kc.lslots), len(kc.lregs)
+	sitePairs(sp, func(s, x int) { kc.lslots = append(kc.lslots, laneSlots{uint8(s), uint8(x)}) })
+	ll.iv = -1
+
+	// last[k][r] (kind k: 0 int, 1 float) is 1 + the index of the last
+	// instruction reading register r. slot[k][r] is 1 + its lane slot. A
+	// register is written once, before it is read, so one not numbered yet
+	// when read is from outside the body: invariant, or the induction
+	// register.
+	clear(scratch)
+	nI, nF := kc.nRI, kc.nRF
+	last := [2][]int32{scratch[:nI], scratch[nI : nI+nF]}
+	slot := [2][]int32{scratch[nI+nF : 2*nI+nF], scratch[2*nI+nF:]}
+	fields := func(in *kinstr) (string, [4]uint16) {
+		c := uint16(in.imm)
+		if in.op == opIdx3 {
+			c = uint16(in.imm2)
+		}
+		return laneOps[in.op].sig, [4]uint16{in.dst, in.a, in.b, c}
+	}
+	kind := func(c rune) int { return strings.IndexRune("ifIF", c) % 2 }
+	for i := range body {
+		sig, regs := fields(&body[i])
+		for p, c := range sig {
+			if c != '-' && (p > 0 || c < 'a') {
+				last[kind(c)][regs[p]] = int32(i + 1)
+			}
+		}
+	}
+	// ends[k][s] is 1 + the index of the last reader of the value in slot
+	// s. take returns the lowest slot whose value is dead after instruction
+	// from: a value from outside gets a slot of its own (from -1, never
+	// freed), which nothing writes after the entry's broadcast.
+	var ends [2][256]int32
+	var high [2]int
+	take := func(k int, from, end int32) uint8 {
+		s := 0
+		for s < high[k] && ends[k][s] > from {
+			s++
+		}
+		if s == high[k] {
+			high[k]++
+		}
+		if s < len(ends[k]) {
+			ends[k][s] = end
+		}
+		return uint8(s)
+	}
+	for i := range body {
+		sig, regs := fields(&body[i])
+		var ls laneSlots
+		for p, c := range sig {
+			switch k, r := kind(c), regs[p]; {
+			case c == '-' || p == 0 && c >= 'a': // unused, or the value written: numbered below
+			case slot[k][r] == 0:
+				ls[p] = take(k, -1, math.MaxInt32)
+				if slot[k][r] = int32(ls[p]) + 1; k == 0 && r == rv {
+					ll.iv = int16(ls[p])
+				} else {
+					kc.lregs = append(kc.lregs, laneReg{reg: r, slot: ls[p], flt: k == 1})
+				}
+			default:
+				ls[p] = uint8(slot[k][r] - 1)
+			}
+		}
+		if c := rune(sig[0]); c == 'i' || c == 'f' {
+			k, r := kind(c), regs[0]
+			ls[0] = take(k, int32(i+1), last[k][r])
+			slot[k][r] = int32(ls[0]) + 1
+		}
+		kc.lslots = append(kc.lslots, ls)
+	}
+	if high[0] > len(ends[0]) || high[1] > len(ends[1]) {
+		ll.reason, kc.lslots, kc.lregs = ReasonUnsupportedOp, kc.lslots[:t0], kc.lregs[:b0]
+		return
+	}
+	ll.tab, ll.bcast = kc.lslots[t0:len(kc.lslots):len(kc.lslots)], kc.lregs[b0:len(kc.lregs):len(kc.lregs)]
+	kc.laneNI, kc.laneNF = max(kc.laneNI, high[0]), max(kc.laneNF, high[1])
+}
+
+// laneWidth decides, at an entry's first chunk, how its committed chunks
+// run: 0 on the per-iteration span body, else lane-wise in strips of the
+// returned width — laneW capped at |D/δ| for each listed pair whose
+// accesses can meet, D being their address distance in words (constant
+// over the entry: the pair shares δ). A lane-wise entry's invariant
+// registers are broadcast here.
+func laneWidth(e *Env, sp *spanLoop, ll *laneLoop) int64 {
+	if ll.tab == nil {
+		return 0
+	}
+	w := int64(laneW)
+	for _, p := range ll.tab[:ll.npairs] {
+		s := &sp.sites[p[0]]
+		d := (e.sites[sp.sites[p[1]].id].addr - e.sites[s.id].addr) / ir.ElemSize
+		if s.delta != 0 && d != 0 && d%s.delta == 0 {
+			w = min(w, max(d/s.delta, -d/s.delta))
+		}
+		if w < laneMinCap || s.delta == 0 && d == 0 {
+			return 0
+		}
+	}
+	for _, b := range ll.bcast {
+		if b.flt {
+			fill(e.strip.lf[int(b.slot)*laneW:][:w], e.rf[b.reg])
+		} else {
+			fill(e.strip.li[int(b.slot)*laneW:][:w], e.ri[b.reg])
+		}
+	}
+	return w
+}
+
+// strip is the lane file, li and lf, with laneW words per lane slot, and
+// the slots s of the instruction being run over the n lanes of the current
+// strip.
+type strip struct {
+	li []int64
+	lf []float64
+	s  laneSlots
+	n  int
+}
+
+func (x *strip) f(p int) []float64 { return x.lf[int(x.s[p])*laneW:][:x.n] }
+func (x *strip) i(p int) []int64   { return x.li[int(x.s[p])*laneW:][:x.n] }
+
+func fill[T any](d []T, v T) {
+	for t := range d {
+		d[t] = v
+	}
+}
+
+// lane1, lane2 and lane3 compute d from their operands lane by lane, in
+// lane order; each inlines into its handler with f.
+func lane1[D, A any](d []D, a []A, f func(A) D) {
+	a = a[:len(d)]
+	for t := range d {
+		d[t] = f(a[t])
+	}
+}
+
+func lane2[D, A, B any](d []D, a []A, b []B, f func(A, B) D) {
+	a, b = a[:len(d)], b[:len(d)]
+	for t := range d {
+		d[t] = f(a[t], b[t])
+	}
+}
+
+func lane3[D any](d, a, b, c []D, f func(x, y, z D) D) {
+	a, b, c = a[:len(d)], b[:len(d)], c[:len(d)]
+	for t := range d {
+		d[t] = f(a[t], b[t], c[t])
+	}
+}
+
+// loadLanes and storeLanes walk a site's cursor across the strip.
+func loadLanes[D any](d []D, st *runSite, f func(uint64) D) {
+	span, pos, delta := st.span, st.pos, st.delta
+	for t := range d {
+		d[t] = f(span[pos])
+		pos += delta
+	}
+	st.pos = pos
+}
+
+func storeLanes[A any](a []A, st *runSite, f func(A) uint64) {
+	span, pos, delta := st.span, st.pos, st.delta
+	for _, x := range a {
+		span[pos] = f(x)
+		pos += delta
+	}
+	st.pos = pos
+}
+
+// runLanes runs the k iterations of a committed chunk of sp, whose lane-wise
+// form is ll, from induction value v, strip by strip. It leaves memory, the cursors, every scalar the
+// body sets and every body register as k iterations of the span body do;
+// the caller moves the induction register.
+func (m *Machine) runLanes(e *Env, sp *spanLoop, ll *laneLoop, v, k int64) {
+	body, slots := m.code[m.code[ll.next].imm:ll.next], ll.tab[ll.npairs:]
+	x := &e.strip // in Env, not a local the handlers' calls would move to the heap
+	for t0 := int64(0); t0 < k; t0 += e.laneW {
+		x.n = int(min(e.laneW, k-t0))
+		if ll.iv >= 0 {
+			iv := x.li[int(ll.iv)*laneW:][:x.n]
+			for t := range iv {
+				iv[t] = v + (t0+int64(t))*sp.step
+			}
+		}
+		if tallyOn {
+			tally.laneIters += int64(x.n)
+		}
+		for i := range body {
+			in, op := &body[i], &laneOps[body[i].op]
+			x.s = slots[i]
+			if tallyOn {
+				tally.ops[in.op]++
+			}
+			if op.run != nil {
+				op.run(e, x, in)
+			}
+			if t0+int64(x.n) < k {
+				continue
+			}
+			// The chunk's last lane is what the body leaves in slots and
+			// registers.
+			switch last := x.n - 1; {
+			case op.slot == "sf":
+				e.Floats[in.imm] = x.f(1)[last]
+			case op.slot == "si":
+				e.Ints[in.imm] = x.i(1)[last]
+			case op.slot == "sf2":
+				e.Floats[in.imm2] = x.f(0)[last]
+			}
+			switch last := x.n - 1; op.sig[0] {
+			case 'f':
+				e.rf[in.dst] = x.f(0)[last]
+			case 'i':
+				e.ri[in.dst] = x.i(0)[last]
+			}
 		}
 	}
 }

@@ -724,8 +724,13 @@ func TestNestReports(t *testing.T) {
 			t.Errorf("empty String() for %+v", r)
 		}
 	}
-	if got, want := got[3].String(), "loop k        page-run (5 sites, 5× unrolled)"; got != want {
+	// k accumulates s from five unrolled copies: its chunks stay on the
+	// per-iteration span body; i accumulates it from one and runs lanes.
+	if got, want := got[3].String(), "loop k        page-run (5 sites, 5× unrolled; carried-scalar)"; got != want {
 		t.Errorf("absorbing loop prints %q, want %q", got, want)
+	}
+	if got, want := got[1].String(), "  loop i        page-run (1 sites; lanes)"; got != want {
+		t.Errorf("innermost loop prints %q, want %q", got, want)
 	}
 	if got[1].Unroll != 1 {
 		t.Errorf("innermost page-run loop reports %d copies, want 1", got[1].Unroll)
@@ -766,7 +771,7 @@ func TestNestReports(t *testing.T) {
 }
 
 func TestFallbackReasonStrings(t *testing.T) {
-	for r := ReasonSpecialized; r <= ReasonShortTrip; r++ {
+	for r := ReasonSpecialized; r <= ReasonUnsupportedOp; r++ {
 		if s := r.String(); s == "" || s[0] == 'r' && s != "reason(255)" && len(s) > 7 && s[:7] == "reason(" {
 			t.Errorf("reason %d has no name: %q", r, s)
 		}

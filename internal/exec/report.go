@@ -1,6 +1,7 @@
 // Per-loop compilation reports: how each loop of the nest was lowered
 // (page-run span loop or plain kernel bytecode) and, when the page-run
-// lowering was not used, why. The harness surfaces these through
+// lowering was not used, why — and for a page-run loop, whether its chunks
+// run lane-wise or why not. The harness surfaces these through
 // core.Result and `oocbench -explain-fastpath` so a missing specialization
 // is diagnosable instead of a silent slowdown.
 package exec
@@ -51,6 +52,18 @@ const (
 	// under spanMinTrip and no parent could absorb it (a hint or branch
 	// beside it, say), so it gets the plain kernel layout.
 	ReasonShortTrip
+
+	// Why a page-run loop's chunks run the span body per iteration, not
+	// lane-wise (LoopReport.LaneReason): a scalar read and written, or
+	// accumulated from two places; two randlc() draws; an integer division,
+	// which must trap at its iteration after that iteration's earlier
+	// effects; a stored array accessed at two strides; an instruction
+	// outside the lane subset, or more live values than 256 lane slots.
+	ReasonCarriedScalar
+	ReasonTwoDraws
+	ReasonIntDivide
+	ReasonMixedDelta
+	ReasonUnsupportedOp
 )
 
 var reasonNames = [...]string{
@@ -67,6 +80,11 @@ var reasonNames = [...]string{
 	ReasonRecording:       "recording",
 	ReasonAbsorbed:        "absorbed",
 	ReasonShortTrip:       "short-trip",
+	ReasonCarriedScalar:   "carried-scalar",
+	ReasonTwoDraws:        "two-draws",
+	ReasonIntDivide:       "int-divide",
+	ReasonMixedDelta:      "mixed-delta",
+	ReasonUnsupportedOp:   "unsupported-op",
 }
 
 func (r FallbackReason) String() string {
@@ -82,8 +100,12 @@ type LoopReport struct {
 	Depth  int            // 0 = top level
 	Driver string         // "page-run" or "kernel"
 	Reason FallbackReason // why not page-run, when Driver != "page-run"
-	Sites  int            // span-specialized access sites (page-run only)
-	Unroll int            // copies of absorbed inner-loop bodies in the span body; 1 = none absorbed
+	// Lanes: a page-run loop's committed chunks run lane-wise (kspan.go) on
+	// entries whose recurrences allow it; LaneReason says why not.
+	Lanes      bool
+	LaneReason FallbackReason
+	Sites      int // span-specialized access sites (page-run only)
+	Unroll     int // copies of absorbed inner-loop bodies in the span body; 1 = none absorbed
 
 	// Hints counts the prefetch/release statements in the loop's direct
 	// body (nested loops report their own). The nest compiler lowers every
@@ -101,7 +123,10 @@ func (r LoopReport) String() string {
 		if r.Unroll > 1 {
 			s += fmt.Sprintf(", %d× unrolled", r.Unroll)
 		}
-		return s + ")"
+		if r.Lanes {
+			return s + "; lanes)"
+		}
+		return s + "; " + r.LaneReason.String() + ")"
 	}
 	s := fmt.Sprintf("%sloop %-8s %-8s %s", pad, r.Var, r.Driver, r.Reason)
 	if r.Hints > 0 {
