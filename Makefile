@@ -154,7 +154,8 @@ test-profile:
 # and hints whose subscripts load, fault or draw random numbers, each
 # evaluated once: TestHintSubscriptEvaluatedOnce; lane-wise chunks against
 # recurrences, butterfly offsets, carried scalars, two draws, a zero
-# divisor, NaN min/max and FuzzSpanLanes' seed corpus), the structural and
+# divisor, NaN min/max and FuzzSpanLanes' seed corpus; the opcode table,
+# every lane handler against runK under its field roles), the structural and
 # run-time proof that absorption engaged (no page-run layout inside a
 # per-element body; the share of APPLU/APPSP/APPBT user time charged
 # through span chunks), the compile-time rejection table (same error text
@@ -169,7 +170,7 @@ test-profile:
 # zero-alloc write-back path.
 test-exec:
 	$(GO) test ./internal/fault/harness/ -run 'TestFastPathEquivalence|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare'
-	$(GO) test ./internal/exec/ -run 'TestHint|TestFastPath|TestNest|TestNASAbsorbingLoops|TestArtifact|TestCompile|TestRecording|TestLane|FuzzSpanLanes'
+	$(GO) test ./internal/exec/ -run 'TestHint|TestFastPath|TestNest|TestNASAbsorbingLoops|TestArtifact|TestCompile|TestRecording|TestLane|TestOpcodeTable|FuzzSpanLanes'
 	$(GO) test ./internal/nas/ -run TestNASHintSitesEmitNoClosureCalls -count 1
 	$(GO) test ./internal/core/ -run 'TestPlanCache|TestRunLimitReturnsTypedError' -count 1
 	$(GO) test ./cmd/benchdiff/

@@ -17,12 +17,12 @@ import (
 // dispatchPins are the bytecode dispatches of each NAS proxy's run at scale
 // 1 and its standard ratio, O then P, under the dispatch tally. Counts
 // repeat exactly: a change here is a change in how the executor runs the
-// corpus (EXPERIMENTS.md, issue 25).
+// corpus (EXPERIMENTS.md).
 var dispatchPins = map[string][2]int64{
 	"BUK":   {10387723, 15126928},
-	"CGM":   {2850640, 540728},
-	"EMBAR": {16996087, 17019643},
-	"FFT":   {30362182, 31287450},
+	"CGM":   {2850640, 4042808},
+	"EMBAR": {17407536, 17431092},
+	"FFT":   {32668230, 33593498},
 	"MGRID": {1057338, 1045564},
 	"APPLU": {7741203, 7754479},
 	"APPSP": {5530669, 5565968},

@@ -31,8 +31,8 @@ func (a *Artifact) NestedSpanLayouts() (n int) {
 
 // BytecodeHash is a sha256 over everything the nest compiler installs:
 // the assembled instructions, the aux and hint-aux tables, the span
-// tables and the register-file sizes. TestBytecodePinned holds it to the
-// values recorded before the compile path stopped cloning and copying.
+// tables and the register-file sizes. TestBytecodePinned holds it to
+// recorded values.
 func (a *Artifact) BytecodeHash() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "nRI=%d nRF=%d nSites=%d nSubs=%d\n", a.nRI, a.nRF, a.nSites, a.nSubs)

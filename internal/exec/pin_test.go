@@ -12,36 +12,36 @@ import (
 
 // bytecodePins are the BytecodeHash values of the original (O) and the
 // prefetching (P) program of every NAS proxy at scale 0.25 and every
-// example kernel, default machine and compiler options, recorded at the
-// parent of the commit that put value numbering on an undo trail and made
-// peephole and assembly run in place.
+// example kernel, default machine and compiler options, recorded when
+// opDotLoop, opSetSlotC and opFMulI/opFDivI were deleted (which renumbers
+// every opcode after opSetSlot).
 var bytecodePins = map[string]string{
-	"APPBT/O":          "065bac34337a24de9fc8afc6f40bcbfa0220a7929ef285cd603047d9bebd2030",
-	"APPBT/P":          "8740353ce254356e11aedb42703a5af15f5df39abe45cb782e4ca5f9c294eefa",
-	"APPLU/O":          "4c9e17b67aba4bfccd3f4aafe2d2b4543fe6a61ea208495df583ecd5e8ae4390",
-	"APPLU/P":          "ad872f570163e29f8730ab85807f87765d956de2e47c59fb841ae8a8f3d20d53",
-	"APPSP/O":          "308abddd438d97725d5a77384793e6cf10e2a289f78c4aa92bc67ebc45f92f71",
-	"APPSP/P":          "1d5422250f212d841722ca74fc22ff0fc09ed3f938faa209dc326850ebaaf8d3",
-	"BUK/O":            "91367d4bee89a0ae0be652d98cffae2b2bf9f4813617cca4b436fd8745ae418c",
-	"BUK/P":            "42acf353801568b355f225b99f84083d85d53bfbf4270ac8d5ff7ad112cb1389",
-	"CGM/O":            "70ebdf510eb2b684e1d530196b4ed974e3c058c3a71933c9fa370477435e4484",
-	"CGM/P":            "ff8515afb70974d31fb1538ec09d785eea55e1e8ea9ae68a64db6523154e49b9",
-	"EMBAR/O":          "257e91d578b9b910345ade8316584091c6cc709fdd69cbc9c97fb830cde41869",
-	"EMBAR/P":          "8d48b91b3612b2985a634684bedf6afdc962d96dda7790b3b237d862139c3f71",
-	"FFT/O":            "106d0110980f59358d0f242e51a3d7257d46f259dfd3502896844e66510e130c",
-	"FFT/P":            "e0a5c21db831385c37828e0ae1d42ee0baa5473b4dae730f489afad405966d48",
-	"MGRID/O":          "e94c8034e4f1710d9f3ff9674631b64b7b4fc42e51c17c247afd71372e825eca",
-	"MGRID/P":          "a944dcd31ba701b853c4126e02d9cee0d75dcb81c6789e9202fae4abd5647035",
-	"axpy.loop/O":      "9ca06acc7f03401656824d9938fd7f2932d6ebb70ea0c2528acd181de9da69b2",
-	"axpy.loop/P":      "a6fdf433e20526f56fca3eb958b52a1acc599b3de0d1391ad52049c72839cee8",
-	"histogram.loop/O": "7553411cd5b576f4a5a937ba187052aaac5704ad5356f0803402e038e9face98",
-	"histogram.loop/P": "cea68e165accc9017d6424a70a1c1b5e2080e08ef843ba2376d3941050ec354c",
-	"matmul.loop/O":    "cea86b9868f30676d53601b5ff439babd1828f2235b7be3b1fb3718e9ccb660e",
-	"matmul.loop/P":    "c16bcced580aa393227f5ad7de03580e8d71cbd31fc91505d37b50f6e65708ac",
-	"reverse.loop/O":   "5b70f314ce7937d5e57d19f0022b8688422f3446b660b2ec572c5e07498c5442",
-	"reverse.loop/P":   "7229077c9e48d754e7784baddbe1fdb8419ba1c192f875f61709208a44f7ecd4",
-	"scan.loop/O":      "7ff8b36dc76981deb6ecd456ce235c9ea26d707631d3aed111d6aa6c5a5e3857",
-	"scan.loop/P":      "4365ae6a9a29d85e8f29b533a0d4b8be9af71ee2a0708b706a8aa8f844045efa",
+	"APPBT/O":          "03c6ea76efae1d9145d22a06d48e2dccd49280b911141de8d78e27f64a627811",
+	"APPBT/P":          "961466a7e73beb13ec4a6aa6798bf9c82c02968914b8e5f90313f860152b15ca",
+	"APPLU/O":          "44b3f7cf9eb04d05ffdfd9785612fe84bb1b72e6a1c3ed36d65883badd01b8b5",
+	"APPLU/P":          "55abcd25e0f9153c5cfcc7b06de6e7919026acc8865156c6bd242dc60b058e1b",
+	"APPSP/O":          "998b01446ddcb1e90117e02bbc30bc95c97f7aaa75a7e0ffcd4f2f35d53f9528",
+	"APPSP/P":          "954ea50db57e02a94deb325f61882125a0e66e39b40a77c932fcbc1c5eb8f7f9",
+	"BUK/O":            "f4cd4ddbead7edfdc6c4d96f290cc575e9f1a5c499c986315f80b04f6ed8232a",
+	"BUK/P":            "7f76f4c31ed025e4eaa7974be644a4b3575abe98b7c3ceca31aeb62cd84b30e9",
+	"CGM/O":            "aaabd03f7f873dd0e4dabc780b31d910d59c93d00993b2c1cdb45c6839ef4bb2",
+	"CGM/P":            "2a0b4b51308e210b1c8754c9ef0cb285a573e1451646c70f2efa091454d64b20",
+	"EMBAR/O":          "bf3b8e16b064f8fc5efabca57498b0d6f974cfc685468efe415963a67c45b320",
+	"EMBAR/P":          "4f44611ae5457116f7e5ccb69a9bcaaaab290a58acf738cd7f9d20eefdb8032f",
+	"FFT/O":            "0173f7a4760accdcbe9161578da6205671e58e75fa5b6b76dc6e1e1f49d6855e",
+	"FFT/P":            "1c9e78aeb5036dd11f9cf909db1200823f692f6139b2dbcb5f3abd845f78fa7a",
+	"MGRID/O":          "b0cc5f836637a458afb27e7560d2ecc3e3300fcfa5e6facfe60ab885eb918c43",
+	"MGRID/P":          "1886af81513f14591d34be35a1b7de5cee166bc7e4a94c27d072771cd29bacf4",
+	"axpy.loop/O":      "4c12acc2d1fa5e3102faf5617fff4ce1e63f9e4aa5e47a0b0a5bb340b3bcd3c4",
+	"axpy.loop/P":      "e95b816f370534dcd935c465eff0691239d079731418cd2d5b7b56582459a763",
+	"histogram.loop/O": "fa91b3fb83340627e34ac1b9654d2bfdf8af4fdb3871fc75a52617b497d08b1c",
+	"histogram.loop/P": "da7325f36a6b3c94328f51768f85d076d0587e4c1052f8003acbd658f42b7742",
+	"matmul.loop/O":    "ed8d397030fd5cadaf28aa368ef082d800bef264c218b8f7dae4f4ea970f73b6",
+	"matmul.loop/P":    "6bfbbedb8ca510794d5a19980f81fe73fd4efc0589a6675860550fd0b09b33a5",
+	"reverse.loop/O":   "197f11b2b1f942fcdeefd8ba3f1dcb2738918b080f78946f9d3d2d410154e9b6",
+	"reverse.loop/P":   "596dd65af304b274c820cfe58e50635867ca61e957e68e436c7b8414279a6e33",
+	"scan.loop/O":      "8b17d3fdeb7dbe5fe39b3805e37dff56cfa639ac8f76b4d48e614a5efa9be440",
+	"scan.loop/P":      "e0ad9c176f8e44f205cc68a0dc3a6f676862f7005fcf6f5996923ffb5d5c1076",
 }
 
 // TestBytecodePinned: a change to how the nest compiler builds its output
