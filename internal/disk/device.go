@@ -64,6 +64,7 @@ type Device struct {
 
 	flt   *fault.Injector   // nil injects nothing
 	retry fault.RetryPolicy // normalized; zero value only before SetFaults
+	upAt  sim.Time          // end of the last brownout a verdict reported: no attempt starts before it
 }
 
 // ID returns the device's index within its array.
@@ -128,6 +129,10 @@ func (d *Device) startNext() {
 		return
 	}
 	d.busy = true
+	if wait := d.upAt - d.clock.Now(); wait > 0 {
+		d.clock.Schedule(wait, d.startNext)
+		return
+	}
 	if d.sched != nil {
 		if i := d.sched.Next(d.queue, d.cost.Head(), d.p); i > 0 {
 			r := d.queue[i]
@@ -151,36 +156,46 @@ func (d *Device) startNext() {
 // failure it retries in place — the step keeps the device and the next
 // attempt starts after the service time plus exponential backoff —
 // until it succeeds or the retry policy is exhausted (attempt count, or
-// the time budget measured from the first attempt). Backoff delays keep
-// the device busy for scheduling purposes but are idle time, not
-// BusyTime.
+// the time budget measured from the first attempt). A brownout verdict
+// fails the attempt at once, serving nothing, and names when the device
+// is up again: neither the retry nor, after an exhausted step, the next
+// step starts before then. So a step that runs out of budget in a window
+// is followed by an attempt at the window's end, when the device is up,
+// however the service times and backoffs fall against the brownout
+// period. Backoff delays and brownouts keep the device busy for
+// scheduling purposes but are idle time, not BusyTime.
 func (d *Device) attempt(attempt int, started sim.Time) {
-	t := d.cost.ServiceTime(d.batch, len(d.queue))
-	var v fault.Verdict
+	now := d.clock.Now()
+	v := fault.Verdict{Slow: 1}
 	if d.flt != nil {
 		write := slices.ContainsFunc(d.batch, func(r Request) bool { return r.Kind == Write })
-		v = d.flt.Attempt(d.id, write, d.clock.Now())
+		v = d.flt.Attempt(d.id, write, now)
+	}
+	var t sim.Time
+	if v.Until == 0 {
+		t = d.cost.ServiceTime(d.batch, len(d.queue))
 		if v.Slow > 1 {
 			t = sim.Time(float64(t) * v.Slow)
 		}
-	}
-	d.n.BusyTime += t
-	if d.track != nil { // guard: Span is a call even when untraced
-		name, arg, val := d.cost.Span(d.batch)
-		d.track.SpanArg(name, d.cost.Name(), d.clock.Now(), t, arg, val)
+		d.n.BusyTime += t
+		if d.track != nil { // guard: Span is a call even when untraced
+			name, arg, val := d.cost.Span(d.batch)
+			d.track.SpanArg(name, d.cost.Name(), now, t, arg, val)
+		}
 	}
 	if !v.Fail {
 		d.clock.Schedule(t, d.stepDoneFn)
 		return
 	}
-	backoff := d.retry.Backoff(attempt)
-	overBudget := d.retry.Timeout > 0 && d.clock.Now()+t+backoff-started > d.retry.Timeout
+	d.upAt = max(d.upAt, v.Until)
+	wait := max(t+d.retry.Backoff(attempt), d.upAt-now)
+	overBudget := d.retry.Timeout > 0 && now+wait-started > d.retry.Timeout
 	if (attempt >= d.retry.MaxAttempts || overBudget) && (d.cost.StepBudget() || d.mayFail()) {
 		d.clock.Schedule(t, d.exhausted)
 		return
 	}
 	d.n.Retries++
-	d.clock.Schedule(t+backoff, func() { d.attempt(attempt+1, started) })
+	d.clock.Schedule(wait, func() { d.attempt(attempt+1, started) })
 }
 
 // mayFail reports whether any request of the step in flight has a

@@ -320,6 +320,10 @@ type Verdict struct {
 	// Slow multiplies the attempt's positional service time; it is 1
 	// when no latency spike was injected.
 	Slow float64
+	// Until is set when the attempt failed inside a brownout window: the
+	// device is down, serves nothing, and starts no attempt before Until,
+	// when the window ends. Zero otherwise.
+	Until sim.Time
 }
 
 // Injector is one run's fault plane. It is driven by the run's single
@@ -398,30 +402,35 @@ func (i *Injector) devStream(d int) *stream {
 	return &i.devStreams[d]
 }
 
-// brownedOut reports whether disk d is inside a brownout window at now.
-// It is a pure function of (profile, seed, disk, time): each disk's
-// window has a seed-derived phase offset within the period.
-func (i *Injector) brownedOut(d int, now sim.Time) bool {
+// brownoutEnd returns when the brownout window disk d is in at now ends,
+// or 0 when d is up at now. It is a pure function of (profile, seed,
+// disk, time): each disk's window has a seed-derived phase offset within
+// the period.
+func (i *Injector) brownoutEnd(d int, now sim.Time) sim.Time {
 	p := i.prof
 	if p.BrownoutPeriod <= 0 || p.BrownoutDuration <= 0 {
-		return false
+		return 0
 	}
 	off := sim.Time(mix(p.Seed, uint64(d), 0xb12f) % uint64(p.BrownoutPeriod))
-	return (now+off)%p.BrownoutPeriod < p.BrownoutDuration
+	if in := (now + off) % p.BrownoutPeriod; in < p.BrownoutDuration {
+		return now + p.BrownoutDuration - in
+	}
+	return 0
 }
 
-// Attempt decides the fate of one disk service attempt: a brownout or
-// transient failure (Fail), a latency spike (Slow > 1), or a clean pass.
-// Decisions draw from disk d's private stream, so one disk's request
-// sequence determines its fault sequence independently of its siblings.
+// Attempt decides the fate of one disk service attempt: a brownout (Fail,
+// and Until the window's end) or transient failure (Fail), a latency spike
+// (Slow > 1), or a clean pass. Decisions draw from disk d's private
+// stream, so one disk's request sequence determines its fault sequence
+// independently of its siblings.
 func (i *Injector) Attempt(d int, write bool, now sim.Time) Verdict {
 	if i == nil {
 		return Verdict{Slow: 1}
 	}
 	v := Verdict{Slow: 1}
-	if i.brownedOut(d, now) {
+	if end := i.brownoutEnd(d, now); end != 0 {
 		i.n.BrownoutFailures++
-		v.Fail = true
+		v.Fail, v.Until = true, end
 		i.track.InstantArg("brownout", "fault", now, "disk", int64(d))
 		return v
 	}

@@ -97,27 +97,31 @@ func TestBrownoutWindows(t *testing.T) {
 		BrownoutDuration: 20 * sim.Millisecond,
 	}
 	inj := NewInjector(prof, nil, nil)
+	down := func(d int, ts sim.Time) bool { return inj.brownoutEnd(d, ts) != 0 }
 	for d := 0; d < 4; d++ {
-		var down sim.Time
+		var total sim.Time
 		for ts := sim.Time(0); ts < 100*sim.Millisecond; ts += sim.Millisecond {
-			if inj.brownedOut(d, ts) {
-				down += sim.Millisecond
+			if down(d, ts) {
+				total += sim.Millisecond
 			}
 			// Periodicity: the window repeats exactly one period later.
-			if inj.brownedOut(d, ts) != inj.brownedOut(d, ts+prof.BrownoutPeriod) {
+			if down(d, ts) != down(d, ts+prof.BrownoutPeriod) {
 				t.Fatalf("disk %d window not periodic at %v", d, ts)
 			}
 		}
-		if down != 20*sim.Millisecond {
-			t.Fatalf("disk %d down %v of each period, want 20ms", d, down)
+		if total != 20*sim.Millisecond {
+			t.Fatalf("disk %d down %v of each period, want 20ms", d, total)
 		}
 	}
-	// Attempts inside a window fail and are counted.
+	// Attempts inside a window fail, are counted, and name the instant the
+	// window ends: down just before it, up at it.
 	var hit bool
 	for ts := sim.Time(0); ts < 100*sim.Millisecond; ts += sim.Millisecond {
-		if inj.brownedOut(0, ts) {
+		if down(0, ts) {
 			if v := inj.Attempt(0, false, ts); !v.Fail {
 				t.Fatal("attempt inside brownout window did not fail")
+			} else if !down(0, v.Until-1) || down(0, v.Until) {
+				t.Fatalf("window at %v reported to end at %v", ts, v.Until)
 			}
 			hit = true
 			break

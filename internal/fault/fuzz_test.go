@@ -78,6 +78,24 @@ func clampRate(x float64) float64 {
 	return x
 }
 
+// TestBrownoutPhaseLockTerminates: a brownout whose 4 ns period divides
+// the kernel's service time and every back-off. An attempt that starts in
+// a window would be followed only by attempts in later windows, a demand
+// read requeued after its budget runs out included; the run must still
+// finish, with the fault-free output.
+func TestBrownoutPhaseLockTerminates(t *testing.T) {
+	prof := fault.Profile{Name: "phase-lock", Seed: 43, BrownoutPeriod: 4, BrownoutDuration: 2,
+		Retry: fault.RetryPolicy{MaxAttempts: 7, Timeout: 50 * sim.Millisecond}}
+	k, golden := fuzzKernel(t)
+	r, err := harness.CheckAgainst(k, prof, nil, golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Faulted.Faults.BrownoutFailures == 0 {
+		t.Fatal("no attempt browned out: the test is vacuous")
+	}
+}
+
 // FuzzFaultSchedule feeds arbitrary fault schedules — any combination of
 // error rates, latency spikes, drop rates, brownout geometry, and retry
 // policy — into a small kernel run, asserting the run terminates, does

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,16 +55,19 @@ func digest(t *testing.T, s *Server) uint64 {
 // released and will not touch again; under the qos scheduler those reads
 // queue behind the final write-back and outlive the job. Departure must
 // neither panic nor wait for them: makespan, every report and the merged
-// registry are pinned to the values this test recorded at the parent
-// commit, where departure kept the job's backing store. A job queued
-// behind the scan is admitted when it leaves, and from then on the array
-// makes no page-buffer slab: first write-backs take the departed job's
-// pages.
+// registry are pinned to the values this test recorded when departure
+// still kept the job's backing store (the chaos row re-recorded when a
+// brownout began to hold the device's next attempt until the window's
+// end, which moves its timing only: every job's output fingerprint is the
+// clean run's). A job queued behind the scan is admitted when it leaves,
+// and from then on the array makes no page-buffer slab: first write-backs
+// take the departed job's pages.
 func TestDepartureWithReadsInFlight(t *testing.T) {
 	chaos, err := fault.ParseSpec("profile=chaos,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var clean []uint64 // the clean run's output fingerprints, by job
 	for _, tc := range []struct {
 		name     string
 		faults   *fault.Profile
@@ -71,7 +75,7 @@ func TestDepartureWithReadsInFlight(t *testing.T) {
 		digest   uint64
 	}{
 		{"clean", nil, 1428479400, 0xc5386bd96fded2b6},
-		{"chaos", &chaos, 2715604600, 0x58e13e6d28bc93d6},
+		{"chaos", &chaos, 2531598086, 0x9e320462b1da9e18},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			machine := testMachine(160)
@@ -128,10 +132,19 @@ func TestDepartureWithReadsInFlight(t *testing.T) {
 			t.Logf("%d reads in flight at departure; makespan %d, digest %#x, %d B allocated after departure",
 				inFlight, makespan, sum, grown)
 			if makespan != tc.makespan {
-				t.Errorf("makespan %d, want the parent's %d", makespan, tc.makespan)
+				t.Errorf("makespan %d, want the recorded %d", makespan, tc.makespan)
 			}
 			if sum != tc.digest {
-				t.Errorf("reports and registry digest %#x, want the parent's %#x", sum, tc.digest)
+				t.Errorf("reports and registry digest %#x, want the recorded %#x", sum, tc.digest)
+			}
+			var fps []uint64
+			for _, r := range s.Reports() {
+				fps = append(fps, r.Fingerprint)
+			}
+			if tc.faults == nil {
+				clean = fps
+			} else if !slices.Equal(fps, clean) {
+				t.Errorf("output fingerprints %#x, clean run %#x", fps, clean)
 			}
 		})
 	}
