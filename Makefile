@@ -24,7 +24,7 @@ BENCH_FLAGS = -bench=. -benchmem -benchtime 200ms -count 3 -run '^$$'
 # ci is the gate: formatting, static checks, build, tests (the root
 # module's and the benchmark module's), the race-detector pass over the
 # concurrent surfaces, and a short-budget fuzz of the fault plane, the
-# front end and the lane-wise span chunks. The
+# front end, the lane-wise span chunks and the two executors. The
 # focused test-* targets below are subsets of `test`, kept for quick
 # stand-alone runs and as separate workflow jobs.
 ci: fmt-check vet staticcheck build test test-benchmark race fuzz
@@ -71,23 +71,29 @@ test-benchmark:
 # recycled from several goroutines) with the device engine under it, and
 # the profile recorder/artifact are the concurrent or process-wide
 # surfaces; run them (and the packages they drive) under the race
-# detector.
+# detector. internal/exec runs -short: its system-level differentials are
+# one goroutine each and run at full length in test-exec, so the race
+# pass keeps their smoke cells only.
 race:
-	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/exec/ ./internal/tenant/ ./internal/stripefs/ ./internal/disk/ ./internal/profile/ .
+	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/tenant/ ./internal/stripefs/ ./internal/disk/ ./internal/profile/ .
+	$(GO) test -race -short ./internal/exec/
 
-# fuzz runs the three fuzzers briefly, each for FUZZTIME: arbitrary fault
+# fuzz runs the four fuzzers briefly, each for FUZZTIME: arbitrary fault
 # profiles through a small kernel, asserting termination and
 # byte-identical results; arbitrary source text through the front end,
 # asserting that lang.Parse returns and that whatever it accepts
-# resolves, compiles and assembles without a panic; and random affine
+# resolves, compiles and assembles without a panic; random affine
 # page-run loop bodies on small pages, asserting the bytecode — lane-wise
-# chunks included — is tick-identical to the oracle (FUZZTIME=5m for a
-# real session).
+# chunks included — is tick-identical to the oracle; and arbitrary
+# source text that parses into a small program, run original and
+# prefetching on the bytecode and on the oracle, asserting the same
+# simulation or the same trap (FUZZTIME=5m for a real session).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz FuzzFaultSchedule -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lang/ -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzSpanLanes -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzExecutors -fuzztime $(FUZZTIME)
 
 # tally builds the executor with its dispatch tally (build tag exectally)
 # and runs the deterministic judge of host work: the bytecode dispatches
@@ -148,8 +154,10 @@ test-profile:
 
 # test-exec runs the executor gate (DESIGN.md §9, §11, §14): the
 # bytecode-vs-oracle differential property (every NAS proxy and example
-# kernel tick-identical with NoFastPath on and off, fault-free and under
-# fault profiles, plus the exec-level unit differentials on page-run
+# kernel tick-identical on the bytecode and on the oracle, which lives in
+# internal/exec's tests, fault-free and under fault profiles, on every
+# tier, the profile-guided programs, the trap texts, FuzzExecutors' seed
+# corpus, plus the exec-level unit differentials on page-run
 # loops, nest edge cases — absorbed constant-trip inner loops among them —
 # and hints whose subscripts load, fault or draw random numbers, each
 # evaluated once: TestHintSubscriptEvaluatedOnce; lane-wise chunks against
@@ -169,8 +177,8 @@ test-profile:
 # invalidation by key), and the benchdiff allocs/op gate that holds the
 # zero-alloc write-back path.
 test-exec:
-	$(GO) test ./internal/fault/harness/ -run 'TestFastPathEquivalence|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare'
-	$(GO) test ./internal/exec/ -run 'TestHint|TestFastPath|TestNest|TestNASAbsorbingLoops|TestArtifact|TestCompile|TestRecording|TestLane|TestOpcodeTable|FuzzSpanLanes'
+	$(GO) test ./internal/fault/harness/ -run 'TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare'
+	$(GO) test ./internal/exec/ -run 'TestHint|TestFastPath|TestNest|TestNASAbsorbingLoops|TestArtifact|TestCompile|TestRecording|TestLane|TestOpcodeTable|TestProfileGuided|TestTrapText|FuzzSpanLanes|FuzzExecutors'
 	$(GO) test ./internal/nas/ -run TestNASHintSitesEmitNoClosureCalls -count 1
 	$(GO) test ./internal/core/ -run 'TestPlanCache|TestRunLimitReturnsTypedError' -count 1
 	$(GO) test ./cmd/benchdiff/

@@ -52,14 +52,6 @@ type Config struct {
 	// warm-started bars of Figure 6.
 	WarmStart bool
 
-	// NoFastPath runs the program on the executor's closure-tree oracle
-	// instead of kernel bytecode (exec.Options.NoFastPath). The two
-	// produce identical results, simulated times, and statistics — the
-	// bytecode only removes host-side interpretation overhead — so this
-	// is a differential-testing and debugging switch, not a modeling
-	// choice.
-	NoFastPath bool
-
 	// Seed pre-initializes input files; nil if the program needs none.
 	Seed func(prog *ir.Program, file *stripefs.File, pageSize int64)
 
@@ -111,8 +103,7 @@ type ProfileSpec struct {
 	// ignored) with observation-only instrumentation, and the recorded
 	// profile is returned in Result.Profile. Recording charges no
 	// simulated operations, so results, times, and statistics are
-	// identical to a plain original run. It runs on the kernel bytecode,
-	// so combining it with NoFastPath is an error.
+	// identical to a plain original run.
 	Record bool
 
 	// Use runs pass 2: the profile is fed to the prefetching compiler
@@ -177,8 +168,7 @@ type Result struct {
 	Faults fault.Counts
 
 	// FastPath reports, per loop, whether it runs as a page-run span loop
-	// or plain kernel bytecode, and why not the former (empty under
-	// NoFastPath).
+	// or plain kernel bytecode, and why not the former.
 	FastPath []exec.LoopReport
 
 	// Profile is the recording from a ProfileSpec.Record run; nil
@@ -254,6 +244,7 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 	var plan []compiler.PlanEntry
 	var mismatches int64
 	var art *exec.Artifact
+	var rec *profile.Recorder
 	planCacheHit := false
 	copts := compiler.DefaultOptions()
 	if cfg.Options != nil {
@@ -262,14 +253,19 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 	if cfg.Profile != nil && cfg.Profile.Use != nil {
 		copts.Profile = cfg.Profile.Use
 	}
-	doPrefetch := cfg.Prefetch && !recording
-	if !recording {
+	if recording {
+		// A recording compile bypasses the plan cache: its bytecode feeds
+		// this run's recorder, and one recording per program leaves no
+		// traffic to cache.
+		rec = profile.NewRecorder(prog, machine.PageSize)
+		if art, err = exec.Compile(prog, machine.PageSize, exec.Options{Profile: rec}); err != nil {
+			return nil, fmt.Errorf("core: compile %s: %w", prog.Name, err)
+		}
+	} else {
 		// Compile-once path: analysis, planning, and bytecode assembly
 		// are shared across runs with identical (machine, program,
-		// options) keys; only VM binding happens per run. Recording runs
-		// bypass the cache — their bytecode feeds this run's recorder, and
-		// one recording per program leaves no traffic to cache.
-		ent, hit := cachedPlan(prog, machine, doPrefetch, cfg.NoFastPath, copts)
+		// options) keys; only VM binding happens per run.
+		ent, hit := cachedPlan(prog, machine, cfg.Prefetch, copts)
 		if ent.err != nil {
 			return nil, fmt.Errorf("core: compile %s: %w", prog.Name, ent.err)
 		}
@@ -338,16 +334,7 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 		v.SetFaults(inj)
 	}
 	layer := rt.RegisterObserved(v, cfg.RuntimeFilter || !cfg.Prefetch, reg)
-	var rec *profile.Recorder
-	if recording {
-		rec = profile.NewRecorder(execProg, machine.PageSize)
-	}
-	var m *exec.Machine
-	if art != nil {
-		m, err = art.Bind(v, layer)
-	} else if m, err = exec.NewWith(execProg, v, layer, exec.Options{NoFastPath: cfg.NoFastPath, Profile: rec}); err != nil {
-		err = fmt.Errorf("core: compile %s: %w", prog.Name, err)
-	}
+	m, err := art.Bind(v, layer)
 	if err != nil {
 		return nil, err
 	}

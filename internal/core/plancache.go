@@ -24,8 +24,7 @@ import (
 //     covers parameter values and their compile-time visibility),
 //   - whether the prefetching compiler runs at all (Config.Prefetch),
 //   - every plan-affecting compiler option, with a profile guide
-//     reduced to its content fingerprint,
-//   - the executor's NoFastPath switch.
+//     reduced to its content fingerprint.
 //
 // Invalidation is purely by key: programs and machines are never
 // mutated in place by the cache (each entry compiles a private
@@ -36,7 +35,6 @@ type planKey struct {
 	machine  hw.Params
 	progFP   uint64
 	prefetch bool
-	noFast   bool
 
 	// compiler.Options, flattened; zero when prefetch is false.
 	pagesPerFetch   int64
@@ -87,12 +85,11 @@ func ResetPlanCache() {
 	planMisses.Store(0)
 }
 
-func newPlanKey(prog *ir.Program, machine hw.Params, prefetch, noFast bool, copts compiler.Options) planKey {
+func newPlanKey(prog *ir.Program, machine hw.Params, prefetch bool, copts compiler.Options) planKey {
 	k := planKey{
 		machine:  machine,
 		progFP:   prog.Fingerprint(),
 		prefetch: prefetch,
-		noFast:   noFast,
 	}
 	if prefetch {
 		k.pagesPerFetch = copts.PagesPerFetch
@@ -110,8 +107,8 @@ func newPlanKey(prog *ir.Program, machine hw.Params, prefetch, noFast bool, copt
 // compiling at most once per key. hit reports whether a previously
 // compiled entry was reused. The compile runs on a private clone of
 // prog, so the caller's program remains free to be re-parameterized.
-func cachedPlan(prog *ir.Program, machine hw.Params, prefetch, noFast bool, copts compiler.Options) (*planEntry, bool) {
-	key := newPlanKey(prog, machine, prefetch, noFast, copts)
+func cachedPlan(prog *ir.Program, machine hw.Params, prefetch bool, copts compiler.Options) (*planEntry, bool) {
+	key := newPlanKey(prog, machine, prefetch, copts)
 	planMu.Lock()
 	ent, found := planTable[key]
 	if !found {
@@ -122,7 +119,7 @@ func cachedPlan(prog *ir.Program, machine hw.Params, prefetch, noFast bool, copt
 	hit := true
 	ent.once.Do(func() {
 		hit = false
-		compilePlan(ent, prog, machine, prefetch, noFast, copts)
+		compilePlan(ent, prog, machine, prefetch, copts)
 	})
 	if hit {
 		planHits.Add(1)
@@ -132,7 +129,7 @@ func cachedPlan(prog *ir.Program, machine hw.Params, prefetch, noFast bool, copt
 	return ent, hit
 }
 
-func compilePlan(ent *planEntry, prog *ir.Program, machine hw.Params, prefetch, noFast bool, copts compiler.Options) {
+func compilePlan(ent *planEntry, prog *ir.Program, machine hw.Params, prefetch bool, copts compiler.Options) {
 	ent.execProg = prog.Clone()
 	if prefetch {
 		res, err := compiler.Compile(ent.execProg, machine, copts)
@@ -144,7 +141,7 @@ func compilePlan(ent *planEntry, prog *ir.Program, machine hw.Params, prefetch, 
 		ent.plan = res.Plan
 		ent.mismatches = res.ProfileMismatches
 	}
-	art, err := exec.Compile(ent.execProg, machine.PageSize, exec.Options{NoFastPath: noFast})
+	art, err := exec.Compile(ent.execProg, machine.PageSize, exec.Options{})
 	if err != nil {
 		ent.err = err
 		return

@@ -56,33 +56,29 @@ func TestCompileRejections(t *testing.T) {
 	}
 	ps := hw.Default().PageSize
 	for _, c := range cases {
-		for _, opts := range []Options{{}, {NoFastPath: true}} {
+		for _, oracle := range []bool{false, true} {
 			p := ir.NewProgram("bad")
 			n := p.NewParam("n", 16, true)
 			f := fixture{p: p, a2: p.NewArrayF("a", n, n), s: p.NewScalarF("s"), i: p.NewLoopVar("i"), bound: n}
 			p.Body = c.body(f)
-			_, err := Compile(p, ps, opts)
+			var err error
+			if oracle {
+				_, err = compileOracle(p, ps)
+			} else {
+				_, err = Compile(p, ps, Options{})
+			}
 			if err == nil || err.Error() != c.want {
-				t.Errorf("%s (NoFastPath=%v): Compile error %v, want %q", c.name, opts.NoFastPath, err, c.want)
+				t.Errorf("%s (oracle=%v): Compile error %v, want %q", c.name, oracle, err, c.want)
 			}
 		}
 	}
 }
 
-// TestCompileRecordingNeedsBytecode: the oracle cannot record, so asking
-// for it with a recorder attached is an error, not a silent unrecorded run;
-// and a program past the bytecode's limits is the same *LimitError with and
+// TestCompileRecordingNeedsBytecode: recording runs on the bytecode, so a
+// program past the bytecode's limits is the same *LimitError with and
 // without a recorder.
 func TestCompileRecordingNeedsBytecode(t *testing.T) {
 	ps := hw.Default().PageSize
-	small, _ := sumProgram(64)
-	if err := small.Resolve(ps); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compile(small, ps, Options{NoFastPath: true, Profile: profile.NewRecorder(small, ps)}); err == nil {
-		t.Error("NoFastPath with Profile compiled")
-	}
-
 	flood := overflowPrograms["float registers"]()
 	if err := flood.Resolve(ps); err != nil {
 		t.Fatal(err)
@@ -160,9 +156,8 @@ func TestRecordingOnBytecode(t *testing.T) {
 	rec := profile.NewRecorder(recProg, hw.Default().PageSize)
 	_, vRec, fileRec, mRec := buildWith(t, recProg, 8, Options{Profile: rec})
 
-	if mRec.code == nil || mRec.body != nil || mRec.SpecializedSites() != 0 {
-		t.Fatalf("recording machine: bytecode %v, closure tree %v, %d specialized sites",
-			mRec.code != nil, mRec.body != nil, mRec.SpecializedSites())
+	if mRec.SpecializedSites() != 0 {
+		t.Fatalf("recording machine: %d specialized sites", mRec.SpecializedSites())
 	}
 	if len(mRec.Reports()) != len(mPlain.Reports()) || len(mRec.Reports()) == 0 {
 		t.Fatalf("recording machine reports %d loops, plain %d", len(mRec.Reports()), len(mPlain.Reports()))

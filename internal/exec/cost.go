@@ -1,7 +1,7 @@
 // The operation-count model (DESIGN.md §6): what each statement charges
 // the simulated CPU, and which IR neither executor accepts. Both
 // compilers — the bytecode compiler (kcompile.go) and the closure oracle
-// (oracle.go) — call stmtCost or loopCost once per statement, charge what
+// of the tests (oracle_test.go) — call stmtCost or loopCost once per statement, charge what
 // it returns, and lower only what it accepted, so the two cannot disagree
 // on a count or on a rejection.
 package exec

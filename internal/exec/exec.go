@@ -4,16 +4,15 @@
 // would — and every statement charges its operation count to the
 // simulated CPU.
 //
-// There is one production executor and one oracle. Programs compile to a
-// flat register bytecode (kcompile.go, kernel.go, kspan.go) — profile
-// recording included — charging the operation counts of cost.go; a program
-// too large for the bytecode's tables is a *LimitError. The closure tree of
-// oracle.go is the reference semantics, built only when Options.NoFastPath
-// asks for it, for differential testing.
+// There is one executor. Programs compile to a flat register bytecode
+// (kcompile.go, kernel.go, kspan.go) — profile recording included —
+// charging the operation counts of cost.go; a program too large for the
+// bytecode's tables is a *LimitError. The reference semantics it is
+// differentially tested against, a closure tree, lives with its tests
+// (oracle_test.go).
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 
@@ -64,16 +63,13 @@ type Env struct {
 // the chunks and iterations of those that ran lane-wise.
 type SpanStats struct{ Chunks, Declined, Iters, UserOps, LaneChunks, LaneIters int64 }
 
-// compiled is what compilation produces: kernel bytecode (code != nil,
-// run by runK), or — exactly when Options.NoFastPath asked for the oracle —
-// the closure tree in body. Nothing in it is written after compilation:
-// both forms read run-time state exclusively through the *Env passed at
-// execution. (A recording compile's rec is the exception by design: it
-// accumulates one run's observations, which is why such an artifact is
-// never cached.)
+// compiled is what compilation produces: kernel bytecode, run by runK.
+// Nothing in it is written after compilation: the bytecode reads run-time
+// state exclusively through the *Env passed at execution. (A recording
+// compile's rec is the exception by design: it accumulates one run's
+// observations, which is why such an artifact is never cached.)
 type compiled struct {
 	prog *ir.Program
-	body stmtFn
 
 	// kernel bytecode and its tables (kcompile.go / kernel.go / kspan.go)
 	code      []kinstr
@@ -91,8 +87,8 @@ type compiled struct {
 	rec       *profile.Recorder // opProfPost's sink; nil unless recording
 }
 
-// Reports returns the per-loop compilation reports in program order: one
-// per loop of a bytecode compilation, none under Options.NoFastPath.
+// Reports returns the per-loop compilation reports in program order, one
+// per loop.
 func (c *compiled) Reports() []LoopReport { return c.reports }
 
 // Machine is a compiled, runnable program bound to a VM and run-time
@@ -122,13 +118,6 @@ func (a *Artifact) CallSites() int { return 0 }
 
 // Options tunes compilation.
 type Options struct {
-	// NoFastPath compiles the program to the closure-tree oracle instead
-	// of kernel bytecode. The bytecode only removes host-side
-	// interpretation overhead — simulated results, times, and statistics
-	// are identical either way — so this exists for differential testing
-	// and debugging, not as a semantic switch.
-	NoFastPath bool
-
 	// Profile, if non-nil, runs the program with observation-only
 	// profiling instrumentation (pass 1 of the two-pass profile-guided
 	// mode). The recorder must have been built from the same *ir.Program.
@@ -136,8 +125,7 @@ type Options struct {
 	// opProfPre/opProfPost, which read the VM's clock and fault tallies
 	// and charge no operations, so results, times, and statistics are
 	// identical to an unprofiled run. The artifact feeds that one
-	// recorder: run it once, never cache it. Recording needs the
-	// bytecode, so NoFastPath with Profile is an error.
+	// recorder: run it once, never cache it.
 	Profile *profile.Recorder
 }
 
@@ -171,12 +159,7 @@ func subscriptTrap(name string, v, dim int64, d int) *TrapError {
 // are allocated in v's address space (which must be fresh: allocation
 // order defines addresses).
 func New(prog *ir.Program, v *vm.VM, layer *rt.Layer) (*Machine, error) {
-	return NewWith(prog, v, layer, Options{})
-}
-
-// NewWith is New with explicit compilation options.
-func NewWith(prog *ir.Program, v *vm.VM, layer *rt.Layer, opts Options) (*Machine, error) {
-	a, err := Compile(prog, v.Params().PageSize, opts)
+	a, err := Compile(prog, v.Params().PageSize, Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -194,17 +177,6 @@ func Compile(prog *ir.Program, pageSize int64, opts Options) (*Artifact, error) 
 		}
 	}
 	a := &Artifact{compiled: compiled{prog: prog}, pageSize: pageSize}
-	if opts.NoFastPath {
-		if opts.Profile != nil {
-			return nil, errors.New("exec: profile recording runs on kernel bytecode: NoFastPath cannot record")
-		}
-		body, err := oracleStmts(prog.Body)
-		if err != nil {
-			return nil, err
-		}
-		a.body = body
-		return a, nil
-	}
 	kc := newKcompiler(prog, int64(bits.TrailingZeros64(uint64(pageSize))), opts.Profile)
 	if err := kc.compile(prog.Body); err != nil {
 		return nil, err
@@ -239,9 +211,8 @@ func (a *Artifact) Bind(v *vm.VM, layer *rt.Layer) (*Machine, error) {
 // Run executes the program once. The returned Env exposes final scalar
 // values.
 func (m *Machine) Run() *Env {
-	// One allocation per element type: the scalar slots, then (bytecode
-	// only) the register file, the maintained subscripts and the lane file
-	// behind them.
+	// One allocation per element type: the scalar slots, then the register
+	// file, the maintained subscripts and the lane file behind them.
 	nI, nF, nR := m.prog.NInt, m.prog.NFloat, m.nRI+m.nSubs
 	ints := make([]int64, nI+nR+m.laneNI*laneW)
 	floats := make([]float64, nF+m.nRF+m.laneNF*laneW)
@@ -255,18 +226,14 @@ func (m *Machine) Run() *Env {
 	for _, p := range m.prog.Params {
 		e.Ints[p.Slot] = p.Val
 	}
-	if m.code != nil {
-		e.sites = make([]runSite, m.nSites)
-		e.ri, e.subs, e.strip.li = ints[nI:nI+m.nRI:nI+m.nRI], ints[nI+m.nRI:nI+nR:nI+nR], ints[nI+nR:]
-		e.rf, e.strip.lf = floats[nF:nF+m.nRF:nF+m.nRF], floats[nF+m.nRF:]
-		m.runK(e)
-	} else {
-		m.body(e)
-	}
+	e.sites = make([]runSite, m.nSites)
+	e.ri, e.subs, e.strip.li = ints[nI:nI+m.nRI:nI+m.nRI], ints[nI+m.nRI:nI+nR:nI+nR], ints[nI+nR:]
+	e.rf, e.strip.lf = floats[nF:nF+m.nRF:nF+m.nRF], floats[nF+m.nRF:]
+	m.runK(e)
 	return e
 }
 
 // SpecializedSites returns how many array access sites were compiled to
-// page-run cursors (zero for a closure-tree compilation or when no loop
-// qualified). Tests use it to prove specialization actually engaged.
+// page-run cursors (zero when no loop qualified). Tests use it to prove
+// specialization actually engaged.
 func (m *Machine) SpecializedSites() int { return m.nSites }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/ir"
-	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/stripefs"
 	"repro/internal/vm"
@@ -16,23 +15,7 @@ import (
 // of frames and returns everything needed by a test.
 func build(t testing.TB, prog *ir.Program, frames int64) (*sim.Clock, *vm.VM, *stripefs.File, *Machine) {
 	t.Helper()
-	p := hw.Default()
-	p.MemoryBytes = frames * p.PageSize
-	c := sim.NewClock()
-	fs := stripefs.New(c, p, nil)
-	if err := prog.Resolve(p.PageSize); err != nil {
-		t.Fatal(err)
-	}
-	pages := prog.TotalBytes(p.PageSize) / p.PageSize
-	if pages == 0 {
-		pages = 1
-	}
-	file, err := fs.Create(prog.Name, pages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := vm.New(c, p, file)
-	layer := rt.Register(v, true)
+	c, v, file, layer := system(t, framed(frames), prog)
 	m, err := New(prog, v, layer)
 	if err != nil {
 		t.Fatal(err)

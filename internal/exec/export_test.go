@@ -6,9 +6,21 @@ import (
 	"fmt"
 )
 
-// Forms reports which executable forms an artifact carries, for the
-// external structure test (which imports packages that import this one).
-func (a *Artifact) Forms() (bytecode, closureTree bool) { return a.code != nil, a.body != nil }
+// CompileOracle hands the closure-tree oracle (oracle_test.go) to the
+// external differentials, which import packages that import this one. Its
+// Bind and Run mirror Artifact.Bind and Machine.Run.
+var CompileOracle = compileOracle
+
+// ErrOracleBudget is the panic of an oracle run past its budget.
+var ErrOracleBudget = errOracleBudget
+
+// SetBudget bounds each run of the oracle to n loop iterations; 0 removes
+// the bound.
+func (o *oracle) SetBudget(n int64) { o.budget = n }
+
+// HasBytecode reports whether an artifact carries kernel bytecode, for the
+// external structure test.
+func (a *Artifact) HasBytecode() bool { return a.code != nil }
 
 // NestedSpanLayouts counts page-run layout instructions inside the
 // per-element body of a page-run loop: opSpanSlow's imm is that body's

@@ -11,43 +11,83 @@ import (
 	"repro/internal/vm"
 )
 
-// buildWith is build with explicit compilation options.
-func buildWith(t testing.TB, prog *ir.Program, frames int64, opts Options) (*sim.Clock, *vm.VM, *stripefs.File, *Machine) {
-	t.Helper()
+// framed is the default machine with the given number of page frames.
+func framed(frames int64) hw.Params {
 	p := hw.Default()
 	p.MemoryBytes = frames * p.PageSize
-	return buildOn(t, p, prog, opts)
+	return p
 }
 
-// buildOn is buildWith on an explicit machine.
-func buildOn(t testing.TB, p hw.Params, prog *ir.Program, opts Options) (*sim.Clock, *vm.VM, *stripefs.File, *Machine) {
+// system resolves prog for p and builds the fresh simulated system it runs
+// on: clock, backing file, VM and run-time layer.
+func system(t testing.TB, p hw.Params, prog *ir.Program) (*sim.Clock, *vm.VM, *stripefs.File, *rt.Layer) {
 	t.Helper()
 	c := sim.NewClock()
 	fs := stripefs.New(c, p, nil)
 	if err := prog.Resolve(p.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	pages := prog.TotalBytes(p.PageSize) / p.PageSize
-	if pages == 0 {
-		pages = 1
-	}
-	file, err := fs.Create(prog.Name, pages)
+	file, err := fs.Create(prog.Name, max(1, prog.TotalBytes(p.PageSize)/p.PageSize))
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := vm.New(c, p, file)
-	layer := rt.Register(v, true)
-	m, err := NewWith(prog, v, layer, opts)
+	return c, v, file, rt.Register(v, true)
+}
+
+// buildWith is build with explicit compilation options.
+func buildWith(t testing.TB, prog *ir.Program, frames int64, opts Options) (*sim.Clock, *vm.VM, *stripefs.File, *Machine) {
+	t.Helper()
+	return buildOn(t, framed(frames), prog, opts)
+}
+
+// buildOn is buildWith on an explicit machine.
+func buildOn(t testing.TB, p hw.Params, prog *ir.Program, opts Options) (*sim.Clock, *vm.VM, *stripefs.File, *Machine) {
+	t.Helper()
+	c, v, file, layer := system(t, p, prog)
+	a, err := Compile(prog, p.PageSize, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := a.Bind(v, layer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c, v, file, m
 }
 
-// runDifferential executes prog twice on fresh systems — fast path on and
-// off — with identical seeding, and asserts the two simulations are
-// tick-identical: same scalars, same memory image, same time breakdown,
-// same event counts.
+// buildOracleOn is buildOn for the oracle.
+func buildOracleOn(t testing.TB, p hw.Params, prog *ir.Program) (*sim.Clock, *vm.VM, *stripefs.File, *oracleMachine) {
+	t.Helper()
+	c, v, file, layer := system(t, p, prog)
+	o, err := compileOracle(prog, p.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := o.Bind(v, layer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, v, file, m
+}
+
+// runner is what a test runs: a bytecode Machine or an oracle machine.
+type runner interface{ Run() *Env }
+
+// buildEither is buildOn for the bytecode, or buildOracleOn when oracle
+// is set, for tests that hold the two executors to the same behaviour.
+func buildEither(t testing.TB, p hw.Params, prog *ir.Program, oracle bool) (*sim.Clock, *vm.VM, *stripefs.File, runner) {
+	t.Helper()
+	if oracle {
+		return buildOracleOn(t, p, prog)
+	}
+	return buildOn(t, p, prog, Options{})
+}
+
+// runDifferential executes prog twice on fresh systems — on the bytecode
+// and on the oracle — with identical seeding, and asserts the two
+// simulations are tick-identical: same scalars, same memory image, same
+// time breakdown, same event counts.
 func runDifferential(t *testing.T, mk func() *ir.Program, frames int64,
 	seed func(*stripefs.File, *ir.Program)) (*Env, *vm.VM) {
 	t.Helper()
@@ -62,12 +102,9 @@ func runDifferentialSites(t *testing.T, mk func() *ir.Program, frames int64,
 	t.Helper()
 	progFast, progSlow := mk(), mk()
 	_, vFast, fileFast, mFast := buildWith(t, progFast, frames, Options{})
-	_, vSlow, fileSlow, mSlow := buildWith(t, progSlow, frames, Options{NoFastPath: true})
+	_, vSlow, fileSlow, mSlow := buildOracleOn(t, framed(frames), progSlow)
 	if requireSites && mFast.SpecializedSites() == 0 {
 		t.Fatal("fast machine specialized nothing — differential test is vacuous")
-	}
-	if mSlow.SpecializedSites() != 0 {
-		t.Fatal("NoFastPath machine has specialized sites")
 	}
 	if seed != nil {
 		seed(fileFast, progFast)
@@ -325,11 +362,6 @@ func TestFastPathEngages(t *testing.T) {
 	_, _, _, m := build(t, prog, 64)
 	if m.SpecializedSites() == 0 {
 		t.Fatal("streaming sum loop did not specialize")
-	}
-	prog2, _ := sumProgram(2000)
-	_, _, _, m2 := buildWith(t, prog2, 64, Options{NoFastPath: true})
-	if m2.SpecializedSites() != 0 {
-		t.Fatal("NoFastPath machine specialized sites")
 	}
 }
 

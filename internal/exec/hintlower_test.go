@@ -153,11 +153,11 @@ func TestHintSubscriptEvaluatedOnce(t *testing.T) {
 	for k := 0; k < n; k++ {
 		want.randlc()
 	}
-	for _, opts := range []Options{{}, {NoFastPath: true}} {
-		_, _, _, m := buildWith(t, mk(), 8, opts)
+	for _, oracle := range []bool{false, true} {
+		_, _, _, m := buildEither(t, framed(8), mk(), oracle)
 		if got := m.Run().rngX; got != want.rngX || got == uint64(mk().Seed) {
-			t.Errorf("NoFastPath=%v: generator at %d after %d hints, want %d (one draw each)",
-				opts.NoFastPath, got, n, want.rngX)
+			t.Errorf("oracle=%v: generator at %d after %d hints, want %d (one draw each)",
+				oracle, got, n, want.rngX)
 		}
 	}
 
@@ -165,9 +165,9 @@ func TestHintSubscriptEvaluatedOnce(t *testing.T) {
 	// once per hint on both executors, so they touch the same pages at the
 	// same ticks.
 	var runs [2]string
-	for i, opts := range []Options{{}, {NoFastPath: true}} {
+	for i, oracle := range []bool{false, true} {
 		p := twoLoadHintProgram()
-		c, v, file, m := buildWith(t, p, 8, opts)
+		c, v, file, m := buildEither(t, framed(8), p, oracle)
 		seedTwoLoad(file, p)
 		m.Run()
 		v.Finish()

@@ -10,8 +10,8 @@
 // and depend on no slot the loop writes; values bound to registers are
 // dropped at every join point whose dominating instructions might not
 // have executed (loop exits, branch joins). The closure oracle
-// (oracle.go) remains the reference semantics; both charge the operation
-// counts of cost.go.
+// (oracle_test.go) remains the reference semantics; both charge the
+// operation counts of cost.go.
 package exec
 
 import (

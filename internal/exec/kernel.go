@@ -18,9 +18,9 @@
 // crossing. The compiler may therefore merge static charges and move
 // them across instructions that cannot fault, but never across one that
 // can — the pending sum every crossing observes must equal the reference
-// semantics'. That reference is the closure tree of oracle.go, built only
-// under Options.NoFastPath; the harness equivalence suite holds the two
-// executions to identical fingerprints, tick counts, and fault statistics.
+// semantics'. That reference is the closure tree of oracle_test.go; this
+// package's differential tests hold the two executions to identical
+// fingerprints, tick counts, and fault statistics.
 package exec
 
 import (

@@ -30,11 +30,12 @@ func laneDiff(t testing.TB, mk func() *ir.Program, pageSize, frames int64, val f
 	if val == nil {
 		val = func(i int64) float64 { return float64(i%29)/7 - 3 } // sums that round: reordering shows
 	}
-	run := func(opts Options) (r laneRun) {
+	run := func(oracle bool) (r laneRun) {
 		p := hw.Default()
 		p.PageSize, p.MemoryBytes = pageSize, frames*pageSize
-		c, v, file, m := buildOn(t, p, mk(), opts)
-		for _, arr := range m.prog.Arrays {
+		prog := mk()
+		c, v, file, m := buildEither(t, p, prog, oracle)
+		for _, arr := range prog.Arrays {
 			SeedF64(file, pageSize, arr, val)
 		}
 		func() {
@@ -49,7 +50,7 @@ func laneDiff(t testing.TB, mk func() *ir.Program, pageSize, frames int64, val f
 		r.v, r.now = v, c.Now()
 		return r
 	}
-	fast, slow := run(Options{}), run(Options{NoFastPath: true})
+	fast, slow := run(false), run(true)
 	if fast.trap != slow.trap {
 		t.Fatalf("trap: bytecode %q, oracle %q", fast.trap, slow.trap)
 	}

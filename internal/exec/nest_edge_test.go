@@ -296,8 +296,8 @@ func TestNestRegisterOverflowIsTypedError(t *testing.T) {
 		}
 	}
 	// The reference semantics have no such tables.
-	if a, err := Compile(overflowPrograms["float registers"](), ps, Options{NoFastPath: true}); err != nil || a.body == nil {
-		t.Errorf("NoFastPath: %v", err)
+	if _, err := compileOracle(overflowPrograms["float registers"](), ps); err != nil {
+		t.Errorf("oracle: %v", err)
 	}
 }
 
@@ -631,24 +631,25 @@ func TestNestAbsorbedTrapAtOneCopy(t *testing.T) {
 				ir.StoreF(a, []ir.IExpr{k, m}, ir.AddF(ir.LoadF(a, k, m), ir.Flt(1)))))}
 		return p
 	}
-	run := func(opts Options) (trap string, v *vm.VM) {
-		_, v, file, m := buildWith(t, mk(), 8, opts)
-		if !opts.NoFastPath && loopReport(t, m, "k").Unroll != 5 {
-			t.Fatalf("k did not absorb m: %v", m.Reports())
+	run := func(oracle bool) (trap string, v *vm.VM) {
+		prog := mk()
+		_, v, file, m := buildEither(t, framed(8), prog, oracle)
+		if bc, ok := m.(*Machine); ok && loopReport(t, bc, "k").Unroll != 5 {
+			t.Fatalf("k did not absorb m: %v", bc.Reports())
 		}
-		seedAll(file, m.prog)
+		seedAll(file, prog)
 		defer func() {
 			e, ok := recover().(*TrapError)
 			if !ok {
-				t.Fatalf("run did not trap (NoFastPath=%v)", opts.NoFastPath)
+				t.Fatalf("run did not trap (oracle=%v)", oracle)
 			}
 			trap = e.Error()
 		}()
 		m.Run()
 		return
 	}
-	fastTrap, vFast := run(Options{})
-	slowTrap, vSlow := run(Options{NoFastPath: true})
+	fastTrap, vFast := run(false)
+	slowTrap, vSlow := run(true)
 	if fastTrap != slowTrap || fastTrap != "exec: a subscript 4 out of range [0,4) in dim 1" {
 		t.Errorf("trap text: bytecode %q, oracle %q", fastTrap, slowTrap)
 	}
@@ -755,18 +756,6 @@ func TestNestReports(t *testing.T) {
 		if got := r.String(); got != want {
 			t.Errorf("reason %d prints %q, want %q", r, got, want)
 		}
-	}
-
-	// NoFastPath: the whole program is the oracle, nothing to report.
-	p2 := ir.NewProgram("quiet")
-	np2 := p2.NewParam("n", 256, true)
-	a2 := p2.NewArrayF("a", np2)
-	k2 := p2.NewLoopVar("k")
-	p2.Body = []ir.Stmt{ir.For(k2, ir.Int(0), np2, 1,
-		ir.StoreF(a2, []ir.IExpr{k2}, ir.Flt(1)))}
-	_, _, _, m2 := buildWith(t, p2, 64, Options{NoFastPath: true})
-	if n := len(m2.Reports()); n != 0 {
-		t.Fatalf("NoFastPath machine has %d reports, want 0", n)
 	}
 }
 

@@ -1,16 +1,20 @@
 // The closure-tree oracle: the reference semantics the kernel bytecode is
 // differentially tested against. Each IR node becomes a Go closure (a
 // standard fast-interpreter technique: per-element dispatch is a function
-// call, not a tree walk). Compile builds it under Options.NoFastPath and
-// nowhere else. Statements are validated and costed by cost.go before
-// their closures are built, so the expression builders below cannot fail.
+// call, not a tree walk). It exists only in this package's tests; the
+// external tests reach it through export_test.go. Statements are validated
+// and costed by cost.go before their closures are built, so the expression
+// builders below cannot fail.
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/ir"
+	"repro/internal/rt"
+	"repro/internal/vm"
 )
 
 type stmtFn func(*Env)
@@ -18,16 +22,90 @@ type iFn func(*Env) int64
 type fFn func(*Env) float64
 type bFn func(*Env) bool
 
+// oracle is a program compiled to the closure tree for one page size.
+// Like an Artifact it binds to any number of fresh VMs, though to run
+// them one at a time: steps counts the loop iterations of the current run.
+type oracle struct {
+	prog     *ir.Program
+	body     stmtFn
+	pageSize int64
+
+	budget, steps int64 // budget > 0 bounds steps: see errOracleBudget
+}
+
+// errOracleBudget is the panic of a run whose loops iterate past the
+// oracle's budget, the deterministic deadline FuzzExecutors gives an input.
+var errOracleBudget = errors.New("exec: oracle loop budget exhausted")
+
+// step counts one loop iteration against the budget.
+func (o *oracle) step() {
+	if o.steps++; o.budget > 0 && o.steps > o.budget {
+		panic(errOracleBudget)
+	}
+}
+
+// compileOracle is Compile for the oracle: same resolution, same
+// rejections with the same text, and no table limits.
+func compileOracle(prog *ir.Program, pageSize int64) (*oracle, error) {
+	if !prog.Resolved() {
+		if err := prog.Resolve(pageSize); err != nil {
+			return nil, err
+		}
+	}
+	o := &oracle{prog: prog, pageSize: pageSize}
+	body, err := o.stmts(prog.Body)
+	if err != nil {
+		return nil, err
+	}
+	o.body = body
+	return o, nil
+}
+
+// oracleMachine is an oracle bound to a VM and run-time layer.
+type oracleMachine struct {
+	*oracle
+	vm *vm.VM
+	rt *rt.Layer
+}
+
+// Bind allocates the program's arrays in v exactly as Artifact.Bind does,
+// with the same checks.
+func (o *oracle) Bind(v *vm.VM, layer *rt.Layer) (*oracleMachine, error) {
+	a := &Artifact{compiled: compiled{prog: o.prog}, pageSize: o.pageSize}
+	if _, err := a.Bind(v, layer); err != nil {
+		return nil, err
+	}
+	return &oracleMachine{oracle: o, vm: v, rt: layer}, nil
+}
+
+// Run executes the program once from the state Machine.Run starts from:
+// zeroed slots, parameters set, the generator at the program's seed.
+func (m *oracleMachine) Run() *Env {
+	e := &Env{
+		Ints:   make([]int64, m.prog.NInt),
+		Floats: make([]float64, m.prog.NFloat),
+		vm:     m.vm,
+		rt:     m.rt,
+	}
+	e.SetSeed(m.prog.Seed)
+	for _, p := range m.prog.Params {
+		e.Ints[p.Slot] = p.Val
+	}
+	m.steps = 0
+	m.body(e)
+	return e
+}
+
 // unvalidated is the panic for IR that cost.go accepts and a builder
 // below does not know: a bug in this package, never an input error.
 func unvalidated(x interface{}) string {
 	return fmt.Sprintf("exec: oracle cannot build %T %v", x, x)
 }
 
-func oracleStmts(list []ir.Stmt) (stmtFn, error) {
+func (o *oracle) stmts(list []ir.Stmt) (stmtFn, error) {
 	fns := make([]stmtFn, len(list))
 	for i, s := range list {
-		f, err := oracleStmt(s)
+		f, err := o.stmt(s)
 		if err != nil {
 			return nil, err
 		}
@@ -43,9 +121,9 @@ func oracleStmts(list []ir.Stmt) (stmtFn, error) {
 	}, nil
 }
 
-func oracleStmt(s ir.Stmt) (stmtFn, error) {
+func (o *oracle) stmt(s ir.Stmt) (stmtFn, error) {
 	if l, ok := s.(*ir.Loop); ok {
-		return oracleLoop(l)
+		return o.loop(l)
 	}
 	cost, err := stmtCost(s)
 	if err != nil {
@@ -84,13 +162,13 @@ func oracleStmt(s ir.Stmt) (stmtFn, error) {
 		}, nil
 	case ir.If:
 		cond := oracleBExpr(x.Cond)
-		then, err := oracleStmts(x.Then)
+		then, err := o.stmts(x.Then)
 		if err != nil {
 			return nil, err
 		}
 		var els stmtFn
 		if len(x.Else) > 0 {
-			if els, err = oracleStmts(x.Else); err != nil {
+			if els, err = o.stmts(x.Else); err != nil {
 				return nil, err
 			}
 		}
@@ -112,14 +190,14 @@ func oracleStmt(s ir.Stmt) (stmtFn, error) {
 	panic(unvalidated(s))
 }
 
-func oracleLoop(l *ir.Loop) (stmtFn, error) {
+func (o *oracle) loop(l *ir.Loop) (stmtFn, error) {
 	head, iter, err := loopCost(l)
 	if err != nil {
 		return nil, err
 	}
 	lo := oracleIExpr(l.Lo)
 	hi := oracleIExpr(l.Hi)
-	body, err := oracleStmts(l.Body)
+	body, err := o.stmts(l.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -128,6 +206,7 @@ func oracleLoop(l *ir.Loop) (stmtFn, error) {
 		e.vm.AddUserOps(head)
 		h := hi(e)
 		for v := lo(e); v < h; v += step {
+			o.step()
 			e.Ints[slot] = v
 			e.vm.AddUserOps(iter)
 			body(e)

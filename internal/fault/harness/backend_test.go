@@ -30,7 +30,7 @@ var backendSpecs = []core.BackendSpec{
 // tier — the compiler re-derives them from the tier's AvgPageRead — so
 // this also proves hint placement never leaks into results.
 func TestNASBackendsByteIdentical(t *testing.T) {
-	apps := matrixApps()
+	apps := MatrixApps()
 	if testing.Short() {
 		apps = apps[:2]
 	}

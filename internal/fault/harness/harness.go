@@ -14,13 +14,18 @@ package harness
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/ir"
+	"repro/internal/lang"
 	"repro/internal/nas"
+	"repro/internal/stripefs"
 	"repro/internal/vm"
 )
 
@@ -55,6 +60,103 @@ func App(app *nas.App, scale float64) (Kernel, error) {
 			return app.Check(res.Prog, res.VM, res.Env)
 		},
 	}, nil
+}
+
+// MatrixProfiles are the seeded fault workloads of the property matrices,
+// one per injectable fault family plus the everything-at-once profile.
+var MatrixProfiles = []string{"flaky", "slow", "pressure", "brownout", "chaos"}
+
+// MatrixApps picks the NAS proxies of the property matrices: six kernels
+// spanning the paper's access patterns (bucket sort, sparse CG, embar,
+// multigrid, the two dense solvers' representative, and FFT's
+// out-of-core transpose).
+func MatrixApps() []*nas.App {
+	pick := map[string]bool{"BUK": true, "CGM": true, "EMBAR": true,
+		"MGRID": true, "APPLU": true, "FFT": true}
+	var out []*nas.App
+	for _, a := range nas.Apps() {
+		if pick[a.Name] {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// Example adapts a kernel of the examples/kernels corpus, read from path,
+// into a harness kernel: data twice the memory, seeded the way the
+// root-level corpus test seeds it.
+func Example(path string) (Kernel, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return Kernel{}, err
+	}
+	prog, err := lang.Parse(string(src))
+	if err != nil {
+		return Kernel{}, fmt.Errorf("harness: %s: %w", path, err)
+	}
+	ps := hw.Default().PageSize
+	if err := prog.Resolve(ps); err != nil {
+		return Kernel{}, err
+	}
+	cfg := core.DefaultConfig(core.MachineFor(nas.DataBytes(prog, ps), 2))
+	cfg.Seed = exampleSeed
+	return Kernel{
+		Name:  filepath.Base(path),
+		Build: func() *ir.Program { return lang.MustParse(string(src)) },
+		Cfg:   cfg,
+	}, nil
+}
+
+// exampleSeed gives the examples corpus deterministic float inputs, and
+// bounded non-negative values for its one index array ("sample") so
+// gathers stay in range.
+func exampleSeed(prog *ir.Program, file *stripefs.File, pageSize int64) {
+	f64 := map[string]func(int64) float64{
+		"A": func(i int64) float64 { return float64(i%11) / 3 },
+		"B": func(i int64) float64 { return float64(i%7) / 5 },
+		"x": func(i int64) float64 { return float64(i % 5) },
+	}
+	i64 := map[string]func(int64) int64{
+		"sample": func(i int64) int64 { return (i*2654435761 + 7) & ((1 << 30) - 1) },
+	}
+	for name, gen := range f64 {
+		if a := prog.ArrayByName(name); a != nil {
+			exec.SeedF64(file, pageSize, a, gen)
+		}
+	}
+	for name, gen := range i64 {
+		if a := prog.ArrayByName(name); a != nil {
+			exec.SeedI64(file, pageSize, a, gen)
+		}
+	}
+}
+
+// FlatApp is the one shape no NAS proxy has: a flattened sweep whose
+// subscripts (k / n, k % n) are opaque to the locality analysis but walk
+// the arrays with a dominant run-time stride, so only a profile can hint
+// them (compiler.strideJob; benchmark/corpus/multinest.loop takes the
+// same path under oocbench -profile-use).
+func FlatApp() *nas.App {
+	const src = `
+program flat
+param n = 320
+array double a[n][n], t[n][n]
+array double v[n * n]
+for i = 0 .. n {
+    for j = 0 .. n {
+        a[i][j] = 1.0 * i - 0.5 * j
+        t[i][j] = 0.25 * j
+    }
+}
+for k = 0 .. n * n {
+    v[k] = t[k / n][k % n] + a[(n * n - 1 - k) / n][(n * n - 1 - k) % n]
+}
+`
+	return &nas.App{
+		Name:  "flat",
+		Build: func(float64) *ir.Program { return lang.MustParse(src) },
+		Check: func(*ir.Program, *vm.VM, *exec.Env) error { return nil },
+	}
 }
 
 // Run executes the kernel once under the given fault profile (nil =

@@ -1,39 +1,16 @@
 package harness
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/nas"
-	"repro/internal/stripefs"
 )
-
-// matrixProfiles are the seeded fault workloads of the property matrix,
-// one per injectable fault family plus the everything-at-once profile.
-var matrixProfiles = []string{"flaky", "slow", "pressure", "brownout", "chaos"}
-
-// matrixApps picks the NAS proxies of the property matrix: six kernels
-// spanning the paper's access patterns (bucket sort, sparse CG, embar,
-// multigrid, the two dense solvers' representative, and FFT's
-// out-of-core transpose).
-func matrixApps() []*nas.App {
-	pick := map[string]bool{"BUK": true, "CGM": true, "EMBAR": true,
-		"MGRID": true, "APPLU": true, "FFT": true}
-	var out []*nas.App
-	for _, a := range nas.Apps() {
-		if pick[a.Name] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
 
 // TestNASMatrixByteIdentical is the property matrix of ISSUE 4: each
 // kernel runs fault-free once (the golden), then once per seeded
@@ -42,8 +19,8 @@ func matrixApps() []*nas.App {
 // intact. The aggressive profiles must also demonstrably inject — a
 // matrix that never fires proves nothing.
 func TestNASMatrixByteIdentical(t *testing.T) {
-	apps := matrixApps()
-	profiles := matrixProfiles
+	apps := MatrixApps()
+	profiles := MatrixProfiles
 	if testing.Short() {
 		apps = apps[:2]
 		profiles = []string{"flaky", "chaos"}
@@ -82,30 +59,6 @@ func TestNASMatrixByteIdentical(t *testing.T) {
 	}
 }
 
-// exampleSeed seeds the examples/kernels corpus the way the root-level
-// corpus test does: deterministic float inputs, and bounded non-negative
-// values for the one index array ("sample") so gathers stay in range.
-func exampleSeed(prog *ir.Program, file *stripefs.File, pageSize int64) {
-	f64 := map[string]func(int64) float64{
-		"A": func(i int64) float64 { return float64(i%11) / 3 },
-		"B": func(i int64) float64 { return float64(i%7) / 5 },
-		"x": func(i int64) float64 { return float64(i % 5) },
-	}
-	i64 := map[string]func(int64) int64{
-		"sample": func(i int64) int64 { return (i*2654435761 + 7) & ((1 << 30) - 1) },
-	}
-	for name, gen := range f64 {
-		if a := prog.ArrayByName(name); a != nil {
-			exec.SeedF64(file, pageSize, a, gen)
-		}
-	}
-	for name, gen := range i64 {
-		if a := prog.ArrayByName(name); a != nil {
-			exec.SeedI64(file, pageSize, a, gen)
-		}
-	}
-}
-
 // TestExampleKernelsByteIdentical runs every example kernel under the
 // everything-at-once chaos profile and the brownout profile, asserting
 // byte-identical output versus the fault-free run ("every example
@@ -121,25 +74,10 @@ func TestExampleKernelsByteIdentical(t *testing.T) {
 	for fi, path := range files {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			src, err := os.ReadFile(path)
+			k, err := Example(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			build := func() *ir.Program {
-				p, err := lang.Parse(string(src))
-				if err != nil {
-					t.Fatalf("parse: %v", err)
-				}
-				return p
-			}
-			prog := build()
-			ps := hw.Default().PageSize
-			if err := prog.Resolve(ps); err != nil {
-				t.Fatal(err)
-			}
-			cfg := core.DefaultConfig(core.MachineFor(nas.DataBytes(prog, ps), 2))
-			cfg.Seed = exampleSeed
-			k := Kernel{Name: filepath.Base(path), Build: build, Cfg: cfg}
 			clean, cleanSum, err := Run(k, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -8,11 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/hw"
-	"repro/internal/ir"
-	"repro/internal/lang"
 	"repro/internal/nas"
 	"repro/internal/profile"
-	"repro/internal/vm"
 )
 
 // profileScale sizes the two-pass matrix: small enough to keep the
@@ -83,49 +80,21 @@ func profileRunsFor(t *testing.T, app *nas.App) *profileRuns {
 	return r
 }
 
-// flatApp is the one shape no NAS proxy has: a flattened sweep whose
-// subscripts (k / n, k % n) are opaque to the locality analysis but walk
-// the arrays with a dominant run-time stride, so only a profile can hint
-// them (compiler.strideJob; benchmark/corpus/multinest.loop takes the
-// same path under oocbench -profile-use).
-func flatApp() *nas.App {
-	const src = `
-program flat
-param n = 320
-array double a[n][n], t[n][n]
-array double v[n * n]
-for i = 0 .. n {
-    for j = 0 .. n {
-        a[i][j] = 1.0 * i - 0.5 * j
-        t[i][j] = 0.25 * j
-    }
-}
-for k = 0 .. n * n {
-    v[k] = t[k / n][k % n] + a[(n * n - 1 - k) / n][(n * n - 1 - k) % n]
-}
-`
-	return &nas.App{
-		Name:  "flat",
-		Build: func(float64) *ir.Program { return lang.MustParse(src) },
-		Check: func(*ir.Program, *vm.VM, *exec.Env) error { return nil },
-	}
-}
-
 // TestProfileModesByteIdentical is the two-pass property matrix: for
 // every NAS proxy, the recording pass is tick- and byte-identical to a
 // plain original run (observation costs nothing), and the static and
 // profile-guided prefetching runs fingerprint identically to the
 // original on every storage tier. The profile must also demonstrably
-// steer the compiler on the indirect kernels, and the profile-guided
-// program must survive the fast-path differential oracle — a profile
-// that changes nothing, or that only works on one execution engine,
-// proves nothing.
+// steer the compiler on the indirect kernels — a profile that changes
+// nothing proves nothing. (That the profile-guided program runs the same
+// on the closure-tree oracle is internal/exec's
+// TestProfileGuidedEquivalence.)
 func TestProfileModesByteIdentical(t *testing.T) {
-	apps := matrixApps()
+	apps := MatrixApps()
 	if testing.Short() {
 		apps = apps[:2]
 	}
-	for _, app := range append(apps, flatApp()) {
+	for _, app := range append(apps, FlatApp()) {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			r := profileRunsFor(t, app)
@@ -172,29 +141,14 @@ func TestProfileModesByteIdentical(t *testing.T) {
 					r.use.Mem.PrefetchedHits, r.static.Mem.PrefetchedHits)
 			}
 
-			// The profile-guided program must be engine-independent:
-			// the bytecode fast path and the closure-tree oracle agree
-			// tick for tick.
-			k, err := App(app, profileScale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kd := k
-			kd.Cfg.Profile = &core.ProfileSpec{Use: r.prof}
-			kd.Cfg.NoFastPath = true
-			slow, slowSum, err := Run(kd, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if slowSum != r.useSum || slow.Elapsed != r.use.Elapsed {
-				t.Fatalf("profile-guided run differs under NoFastPath: sum %#x vs %#x, elapsed %v vs %v",
-					slowSum, r.useSum, slow.Elapsed, r.use.Elapsed)
-			}
-
 			// Same property with the storage tier swapped underneath,
 			// static and profile-guided both (disk is the default above).
 			if testing.Short() {
 				return
+			}
+			k, err := App(app, profileScale)
+			if err != nil {
+				t.Fatal(err)
 			}
 			ku := k
 			ku.Cfg.Profile = &core.ProfileSpec{Use: r.prof}
@@ -219,7 +173,7 @@ func TestProfileModesByteIdentical(t *testing.T) {
 // more than a 10% elapsed regression (in practice it binds to the same
 // caps and is byte-identical in time too).
 func TestProfileCoverageDifferential(t *testing.T) {
-	apps := matrixApps()
+	apps := MatrixApps()
 	if testing.Short() {
 		apps = apps[:2]
 	}

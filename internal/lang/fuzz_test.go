@@ -15,9 +15,9 @@ import (
 
 // A constant sub-expression that divides by zero is not a constant: as a
 // parameter value or an array extent it is a typed error, and as a loop
-// bound it is the executors' run-time trap — the same one on the
-// bytecode and on the oracle. Each of the four once crashed the process
-// from inside ir.ConstEval.
+// bound it is the executor's run-time trap (the oracle raises the same
+// one: internal/exec's TestTrapTextBothExecutors). Each of the four once
+// crashed the process from inside ir.ConstEval.
 func TestConstantDivisionByZero(t *testing.T) {
 	for _, c := range []struct{ src, want string }{
 		{"program p\nparam n = 8 % 0\narray double a[n]\n", "2:1: param n: value must be constant (no division by zero)"},
@@ -38,19 +38,17 @@ func TestConstantDivisionByZero(t *testing.T) {
 	}
 
 	const bound = "program p\nparam n = 8\narray double a[n]\nfor i = 0 .. n / 0 {\n    a[i] = 1.0\n}\n"
-	for _, oracle := range []bool{false, true} {
-		for _, prefetch := range []bool{false, true} {
-			prog, err := Parse(bound)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := core.DefaultConfig(core.MachineFor(1<<20, 2))
-			cfg.NoFastPath, cfg.Prefetch = oracle, prefetch
-			_, err = core.Run(prog, cfg)
-			var trap *exec.TrapError
-			if !errors.As(err, &trap) || !strings.HasSuffix(err.Error(), "exec: integer divide by zero") {
-				t.Errorf("oracle=%v prefetch=%v: Run = %v, want the divide trap", oracle, prefetch, err)
-			}
+	for _, prefetch := range []bool{false, true} {
+		prog, err := Parse(bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultConfig(core.MachineFor(1<<20, 2))
+		cfg.Prefetch = prefetch
+		_, err = core.Run(prog, cfg)
+		var trap *exec.TrapError
+		if !errors.As(err, &trap) || !strings.HasSuffix(err.Error(), "exec: integer divide by zero") {
+			t.Errorf("prefetch=%v: Run = %v, want the divide trap", prefetch, err)
 		}
 	}
 }
