@@ -3,6 +3,7 @@ package stripefs
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -295,6 +296,13 @@ func TestPageBufSlab(t *testing.T) {
 	pw := fs.Params().PageSize / 8
 	f, _ := fs.Create("f", pages)
 	src := fillWords(pw, 0)
+	// The count is process-wide, so the runtime's own allocations land in
+	// it: a collection starting inside the window, or ReadMemStats waking
+	// an idle P as it restarts the world, makes a new M (allocm, two
+	// goroutine structs, two profiling buffers). Run on one P with
+	// collections held off, as testing.AllocsPerRun does, so only the
+	// write path is counted.
+	procs, gcPercent := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for p := int64(0); p < pages; p++ {
@@ -303,6 +311,8 @@ func TestPageBufSlab(t *testing.T) {
 		c.Drain() // one write in flight at a time: its writeOp is reused
 	}
 	runtime.ReadMemStats(&after)
+	runtime.GOMAXPROCS(procs)
+	debug.SetGCPercent(gcPercent)
 	// 4 slabs, one writeOp with its two bound callbacks, queue growth.
 	if allocs := after.Mallocs - before.Mallocs; allocs > 4+16 {
 		t.Errorf("%d first writes made %d allocations; want one per %d-page slab and a few fixed ones", pages, allocs, slabPages)
