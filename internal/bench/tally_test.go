@@ -20,7 +20,7 @@ import (
 // corpus (EXPERIMENTS.md).
 var dispatchPins = map[string][2]int64{
 	"BUK":   {10387723, 15126928},
-	"CGM":   {2850640, 4042808},
+	"CGM":   {4030288, 8761400},
 	"EMBAR": {17407536, 17431092},
 	"FFT":   {32668230, 33593498},
 	"MGRID": {1057338, 1045564},

@@ -33,78 +33,29 @@ func setFused(op kop) (kop, bool) {
 // The result is compacted into code itself: a fusion reads the
 // instructions it consumes before it writes its one product, and consumes
 // at least as many as it writes, so the write index never passes the read
-// index. census is room for the four register tallies, which the field
-// roles of kops fill.
+// index. census is room for the float register tallies, which the field
+// roles of kops fill: only float temporaries are fused away.
 func (kc *kcompiler) peephole(code []kinstr, census []int32) []kinstr {
-	clear(census)
-	reads, writes := census[:kc.nRI], census[kc.nRI:2*kc.nRI]
-	freads, fwrites := census[2*kc.nRI:2*kc.nRI+kc.nRF], census[2*kc.nRI+kc.nRF:]
-	// spanChunk reads a page-run loop's seed registers through the span
-	// table, not through instruction operands.
-	for i := range kc.spans {
-		for _, s := range kc.spans[i].sites {
-			for _, r := range s.seed {
-				reads[r]++
-			}
-		}
-	}
-	tab := [2][2][]int32{{reads, writes}, {freads, fwrites}}
+	freads, fwrites := census[:kc.nRF], census[kc.nRF:2*kc.nRF]
+	clear(census[:2*kc.nRF])
 	for i := range code {
 		regs := code[i].fields()
 		for p, r := range kops[code[i].op].roles {
+			if r&flt == 0 {
+				continue
+			}
 			if r&rd != 0 {
-				tab[r.kind()][0][regs[p]]++
+				freads[regs[p]]++
 			}
 			if r&wr != 0 {
-				tab[r.kind()][1][regs[p]]++
+				fwrites[regs[p]]++
 			}
 		}
 	}
-	dead1 := func(r uint16) bool { return reads[r] == 1 && writes[r] == 1 }
 	fdead1 := func(r uint16) bool { return freads[r] == 1 && fwrites[r] == 1 }
 
 	out := code[:0]
 	for i := 0; i < len(code); i++ {
-		// t = a + imm; m = min(t, cap); d = base + m   -->   d = idx3
-		// (the clamped-subscript shape hint planting produces per
-		// iteration: base + min(k + dist, last)).
-		if i+2 < len(code) &&
-			code[i].op == opIAddImm && code[i+1].op == opIMin && code[i+2].op == opIAdd {
-			t, m := code[i].dst, code[i+1].dst
-			cap, okm := otherOperand(code[i+1], t)
-			base, okd := otherOperand(code[i+2], m)
-			if okm && okd && t != m && cap != t && base != t && base != m &&
-				dead1(t) && dead1(m) {
-				out = append(out, kinstr{op: opIdx3, dst: code[i+2].dst,
-					a: code[i].a, b: cap, imm: code[i].imm, imm2: int64(base)})
-				i += 2
-				continue
-			}
-		}
-		// d = idx3; HintLoad1(d)   -->   HintIdx3. The clamped subscript
-		// folds into the hint dispatch itself; the displacement rides in
-		// the hint's (per-instruction) aux entry. Matches only on the
-		// second peephole pass, once P1 above has produced the opIdx3.
-		if i+1 < len(code) && code[i].op == opIdx3 && code[i+1].op == opHintLoad1 &&
-			code[i+1].a == code[i].dst && dead1(code[i].dst) {
-			h := code[i+1]
-			kc.haux[h.b].dist = code[i].imm
-			out = append(out, kinstr{op: opHintIdx3, dst: uint16(code[i].imm2),
-				a: code[i].a, b: h.b, imm: h.imm, imm2: int64(code[i].b)})
-			i++
-			continue
-		}
-		// t = p + q; FAccDot(t)   -->   FAccDot2(p, q)
-		if i+1 < len(code) && code[i].op == opIAdd && code[i+1].op == opFAccDot &&
-			code[i+1].a == code[i].dst && dead1(code[i].dst) {
-			fused := code[i+1]
-			fused.op = opFAccDot2
-			fused.a = code[i].a
-			fused.imm2 = int64(code[i].b)
-			out = append(out, fused)
-			i++
-			continue
-		}
 		// t = b·c; d = x ± t   -->   fused multiply-add/subtract (the
 		// butterfly's wre·re ± wim·im pairs). Float arithmetic order is
 		// preserved exactly: the product is still computed first and

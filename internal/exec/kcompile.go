@@ -292,7 +292,7 @@ func (kc *kcompiler) compile(body []ir.Stmt) error {
 	}
 	code := slices.Insert(kc.code, 0, kc.prelude...)
 	// Two passes: the second fuses across products of the first
-	// (opIdx3 feeding opHintLoad1 becomes a single opHintIdx3).
+	// (opFMSub feeding opSetF becomes a single opFMSubS).
 	census := make([]int32, 2*(kc.nRI+kc.nRF))
 	code = kc.peephole(kc.peephole(code, census), census)
 	kc.code = assemble(code, kc.labels)

@@ -63,7 +63,6 @@ const (
 	opIAddImm // ri[dst] = ri[a] + imm
 	opIMulImm // ri[dst] = ri[a] * imm
 	opIFromF  // ri[dst] = int64(rf[a])
-	opIdx3    // ri[dst] = ri[imm2] + min(ri[a]+imm, ri[b])  (fused hint subscript)
 
 	// float ALU
 	opFConst // rf[dst] = frombits(imm)
@@ -123,8 +122,6 @@ const (
 	// fused template kernels (haux[b] describes the arrays)
 	opHintLoad1 // charge imm; li = addrArr[ri[a]] (checked); clamped single/short prefetch
 	opFAccDot   // charge imm; Floats[dst] += A[ri[a]] * X[C[ri[a]]] (all checked)
-	opFAccDot2  // opFAccDot with a two-register subscript ri[a] + ri[imm2]
-	opHintIdx3  // opHintLoad1 with subscript ri[dst] + min(ri[a]+h.dist, ri[imm2])
 
 	// page-run loops (kspan.go): spans[b] (spans[dst] for opSpanEnter)
 	// describes the loop, dst/a hold the induction and bound registers
@@ -193,32 +190,29 @@ type kopInfo struct {
 
 // kops describes every opcode, once.
 var kops = [...]kopInfo{
-	opNop:      {"Nop", roles{}, "", nil},
-	opCharge:   {"Charge", roles{}, "", nil},
-	opJump:     {"Jump", roles{3: lbl}, "", nil},
-	opJumpGeI:  {"JumpGeI", roles{0, iR, iR, lbl}, "", nil},
-	opLoopEndS: {"LoopEndS", roles{iRW, 0, iR, 0, lbl}, "", nil},
-	opJCmpI:    {"JCmpI", roles{0, iR, iR, lbl}, "", nil},
-	opJCmpF:    {"JCmpF", roles{0, fR, fR, lbl}, "", nil},
-	opSetSlot:  {"SetSlot", roles{0, iR}, "si", setOnly},
-	opIMove:    {"IMove", roles{iW, iR}, "", nil},
-	opIConst:   {"IConst", roles{iW}, "", nil},
-	opISlot:    {"ISlot", roles{iW}, "ri", func(e *Env, x *strip, in *kinstr) { fill(x.i(0), e.Ints[in.imm]) }},
-	opIAdd:     {"IAdd", roles{iW, iR, iR}, "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), add[int64]) }},
-	opISub:     {"ISub", roles{iW, iR, iR}, "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), sub[int64]) }},
-	opIMul:     {"IMul", roles{iW, iR, iR}, "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), mul[int64]) }},
-	opIDiv:     {"IDiv", roles{iW, iR, iR}, "", nil},
-	opIMod:     {"IMod", roles{iW, iR, iR}, "", nil},
-	opIShl:     {"IShl", roles{iW, iR, iR}, "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), shl) }},
-	opIShr:     {"IShr", roles{iW, iR, iR}, "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), shr) }},
-	opIMin:     {"IMin", roles{iW, iR, iR}, "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), imin) }},
-	opIMax:     {"IMax", roles{iW, iR, iR}, "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), imax) }},
-	opIAddImm:  {"IAddImm", roles{iW, iR}, "", func(_ *Env, x *strip, in *kinstr) { lane1(x.i(0), x.i(1), func(a int64) int64 { return a + in.imm }) }},
-	opIMulImm:  {"IMulImm", roles{iW, iR}, "", func(_ *Env, x *strip, in *kinstr) { lane1(x.i(0), x.i(1), func(a int64) int64 { return a * in.imm }) }},
-	opIFromF:   {"IFromF", roles{iW, fR}, "", func(_ *Env, x *strip, _ *kinstr) { lane1(x.i(0), x.f(1), toInt) }},
-	opIdx3: {"Idx3", roles{iW, iR, iR, 0, iR}, "", func(_ *Env, x *strip, in *kinstr) {
-		lane3(x.i(0), x.i(1), x.i(2), x.i(4), func(a, b, c int64) int64 { return c + min(a+in.imm, b) })
-	}},
+	opNop:       {"Nop", roles{}, "", nil},
+	opCharge:    {"Charge", roles{}, "", nil},
+	opJump:      {"Jump", roles{3: lbl}, "", nil},
+	opJumpGeI:   {"JumpGeI", roles{0, iR, iR, lbl}, "", nil},
+	opLoopEndS:  {"LoopEndS", roles{iRW, 0, iR, 0, lbl}, "", nil},
+	opJCmpI:     {"JCmpI", roles{0, iR, iR, lbl}, "", nil},
+	opJCmpF:     {"JCmpF", roles{0, fR, fR, lbl}, "", nil},
+	opSetSlot:   {"SetSlot", roles{0, iR}, "si", setOnly},
+	opIMove:     {"IMove", roles{iW, iR}, "", nil},
+	opIConst:    {"IConst", roles{iW}, "", nil},
+	opISlot:     {"ISlot", roles{iW}, "ri", func(e *Env, x *strip, in *kinstr) { fill(x.i(0), e.Ints[in.imm]) }},
+	opIAdd:      {"IAdd", roles{iW, iR, iR}, "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), add[int64]) }},
+	opISub:      {"ISub", roles{iW, iR, iR}, "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), sub[int64]) }},
+	opIMul:      {"IMul", roles{iW, iR, iR}, "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), mul[int64]) }},
+	opIDiv:      {"IDiv", roles{iW, iR, iR}, "", nil},
+	opIMod:      {"IMod", roles{iW, iR, iR}, "", nil},
+	opIShl:      {"IShl", roles{iW, iR, iR}, "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), shl) }},
+	opIShr:      {"IShr", roles{iW, iR, iR}, "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), shr) }},
+	opIMin:      {"IMin", roles{iW, iR, iR}, "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), imin) }},
+	opIMax:      {"IMax", roles{iW, iR, iR}, "", func(_ *Env, x *strip, _ *kinstr) { lane2(x.i(0), x.i(1), x.i(2), imax) }},
+	opIAddImm:   {"IAddImm", roles{iW, iR}, "", func(_ *Env, x *strip, in *kinstr) { lane1(x.i(0), x.i(1), func(a int64) int64 { return a + in.imm }) }},
+	opIMulImm:   {"IMulImm", roles{iW, iR}, "", func(_ *Env, x *strip, in *kinstr) { lane1(x.i(0), x.i(1), func(a int64) int64 { return a * in.imm }) }},
+	opIFromF:    {"IFromF", roles{iW, fR}, "", func(_ *Env, x *strip, _ *kinstr) { lane1(x.i(0), x.f(1), toInt) }},
 	opFConst:    {"FConst", roles{fW}, "", nil},
 	opFSlot:     {"FSlot", roles{fW}, "rf", func(e *Env, x *strip, in *kinstr) { fill(x.f(0), e.Floats[in.imm]) }},
 	opSetF:      {"SetF", roles{0, fR}, "sf", setOnly},
@@ -263,8 +257,6 @@ var kops = [...]kopInfo{
 	opHint:      {"Hint", roles{iR, iR, iR, iR}, "", nil},
 	opHintLoad1: {"HintLoad1", roles{0, iR}, "", nil},
 	opFAccDot:   {"FAccDot", roles{0, iR}, "", nil},
-	opFAccDot2:  {"FAccDot2", roles{0, iR, 0, 0, iR}, "", nil},
-	opHintIdx3:  {"HintIdx3", roles{iR, iR, 0, 0, iR}, "", nil},
 	opSpanInit:  {"SpanInit", roles{0, iR, iR, lbl}, "", nil},
 	opSpanEnter: {"SpanEnter", roles{0, iR, iR, lbl, iR}, "", nil},
 	opSpanNext:  {"SpanNext", roles{iRW, iR, 0, lbl, lbl}, "", nil},
@@ -313,7 +305,6 @@ type hintAux struct {
 	xRef        int
 	lastPage    int64 // last page of x, for the n>1 prefetch clamp
 	pages       int64 // compile-time page count of the prefetch
-	dist        int64 // opHintIdx3's fused subscript displacement
 }
 
 func (m *Machine) panicIdx(ref int, v int64) {
@@ -416,12 +407,6 @@ func (m *Machine) runK(e *Env) {
 			ri[in.dst] = ri[in.a] * in.imm
 		case opIFromF:
 			ri[in.dst] = int64(rf[in.a])
-		case opIdx3:
-			x := ri[in.a] + in.imm
-			if y := ri[in.b]; y < x {
-				x = y
-			}
-			ri[in.dst] = ri[in.imm2] + x
 
 		case opFConst:
 			rf[in.dst] = math.Float64frombits(uint64(in.imm))
@@ -687,17 +672,10 @@ func (m *Machine) runK(e *Env) {
 				e.rt.Release(rp, rn)
 			}
 
-		case opHintLoad1, opHintIdx3:
+		case opHintLoad1:
 			h := &m.haux[in.b]
 			v.AddUserOps(in.imm)
 			ix := ri[in.a]
-			if in.op == opHintIdx3 {
-				x := ix + h.dist
-				if y := ri[uint16(in.imm2)]; y < x {
-					x = y
-				}
-				ix = ri[in.dst] + x
-			}
 			if ix < 0 || ix >= h.cDim {
 				m.panicIdx(h.cRef, ix)
 			}
@@ -723,13 +701,10 @@ func (m *Machine) runK(e *Env) {
 			} else {
 				e.rt.Prefetch(page, n)
 			}
-		case opFAccDot, opFAccDot2:
+		case opFAccDot:
 			h := &m.haux[in.b]
 			v.AddUserOps(in.imm)
 			ix := ri[in.a]
-			if in.op == opFAccDot2 {
-				ix += ri[uint16(in.imm2)]
-			}
 			if ix < 0 || ix >= h.aDim {
 				m.panicIdx(h.aRef, ix)
 			}

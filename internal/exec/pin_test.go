@@ -13,35 +13,35 @@ import (
 // bytecodePins are the BytecodeHash values of the original (O) and the
 // prefetching (P) program of every NAS proxy at scale 0.25 and every
 // example kernel, default machine and compiler options, recorded when
-// opDotLoop, opSetSlotC and opFMulI/opFDivI were deleted (which renumbers
-// every opcode after opSetSlot).
+// opIdx3, opHintIdx3 and opFAccDot2 were deleted (which renumbers the
+// opcodes after opIFromF and drops hintAux's dist field from the hash).
 var bytecodePins = map[string]string{
-	"APPBT/O":          "03c6ea76efae1d9145d22a06d48e2dccd49280b911141de8d78e27f64a627811",
-	"APPBT/P":          "961466a7e73beb13ec4a6aa6798bf9c82c02968914b8e5f90313f860152b15ca",
-	"APPLU/O":          "44b3f7cf9eb04d05ffdfd9785612fe84bb1b72e6a1c3ed36d65883badd01b8b5",
-	"APPLU/P":          "55abcd25e0f9153c5cfcc7b06de6e7919026acc8865156c6bd242dc60b058e1b",
-	"APPSP/O":          "998b01446ddcb1e90117e02bbc30bc95c97f7aaa75a7e0ffcd4f2f35d53f9528",
-	"APPSP/P":          "954ea50db57e02a94deb325f61882125a0e66e39b40a77c932fcbc1c5eb8f7f9",
-	"BUK/O":            "f4cd4ddbead7edfdc6c4d96f290cc575e9f1a5c499c986315f80b04f6ed8232a",
-	"BUK/P":            "7f76f4c31ed025e4eaa7974be644a4b3575abe98b7c3ceca31aeb62cd84b30e9",
-	"CGM/O":            "aaabd03f7f873dd0e4dabc780b31d910d59c93d00993b2c1cdb45c6839ef4bb2",
-	"CGM/P":            "2a0b4b51308e210b1c8754c9ef0cb285a573e1451646c70f2efa091454d64b20",
-	"EMBAR/O":          "bf3b8e16b064f8fc5efabca57498b0d6f974cfc685468efe415963a67c45b320",
-	"EMBAR/P":          "4f44611ae5457116f7e5ccb69a9bcaaaab290a58acf738cd7f9d20eefdb8032f",
-	"FFT/O":            "0173f7a4760accdcbe9161578da6205671e58e75fa5b6b76dc6e1e1f49d6855e",
-	"FFT/P":            "1c9e78aeb5036dd11f9cf909db1200823f692f6139b2dbcb5f3abd845f78fa7a",
-	"MGRID/O":          "b0cc5f836637a458afb27e7560d2ecc3e3300fcfa5e6facfe60ab885eb918c43",
-	"MGRID/P":          "1886af81513f14591d34be35a1b7de5cee166bc7e4a94c27d072771cd29bacf4",
-	"axpy.loop/O":      "4c12acc2d1fa5e3102faf5617fff4ce1e63f9e4aa5e47a0b0a5bb340b3bcd3c4",
-	"axpy.loop/P":      "e95b816f370534dcd935c465eff0691239d079731418cd2d5b7b56582459a763",
-	"histogram.loop/O": "fa91b3fb83340627e34ac1b9654d2bfdf8af4fdb3871fc75a52617b497d08b1c",
-	"histogram.loop/P": "da7325f36a6b3c94328f51768f85d076d0587e4c1052f8003acbd658f42b7742",
-	"matmul.loop/O":    "ed8d397030fd5cadaf28aa368ef082d800bef264c218b8f7dae4f4ea970f73b6",
-	"matmul.loop/P":    "6bfbbedb8ca510794d5a19980f81fe73fd4efc0589a6675860550fd0b09b33a5",
-	"reverse.loop/O":   "197f11b2b1f942fcdeefd8ba3f1dcb2738918b080f78946f9d3d2d410154e9b6",
-	"reverse.loop/P":   "596dd65af304b274c820cfe58e50635867ca61e957e68e436c7b8414279a6e33",
-	"scan.loop/O":      "8b17d3fdeb7dbe5fe39b3805e37dff56cfa639ac8f76b4d48e614a5efa9be440",
-	"scan.loop/P":      "e0ad9c176f8e44f205cc68a0dc3a6f676862f7005fcf6f5996923ffb5d5c1076",
+	"APPBT/O":          "fa34320e02b2ac51c0987cce8b4da2677665ed629861c79a0826c4531b70109d",
+	"APPBT/P":          "8e3e43bef80824fa87e146e7432da818370b0d747214929eeeb68cd185466f35",
+	"APPLU/O":          "b21789aa7b1229afedbae8a76c6322f71a1832aea8ac5d22daafce0e7e52d163",
+	"APPLU/P":          "e59457c33de663f33cfb93976f1fca25d28dfd439acc19ee706abcecea65adb4",
+	"APPSP/O":          "b60301b8bae2b501d0c54e714d6682990654d0aefe6e4683b52b181d1d4732bb",
+	"APPSP/P":          "1c9094b4ca15af69aa3765c534f039617f52bb8cff5a2fc894f575f015a3d2f8",
+	"BUK/O":            "330fd7561786a45d6559f55d7ca2eb00bfca1244f2d5c66d0a6507fc6a50608a",
+	"BUK/P":            "19b1947e4f42d29f5623b28db3c2890faf3aee1848451bc3b3dccbc03bf848f0",
+	"CGM/O":            "bb683009692b6bb8f1ffa4628b1d1ffa3b56cf880463661dfe5606db6f8e2e1a",
+	"CGM/P":            "5d35a93273be76088197d3209058898377bf8c19247309e91f39b3164a34397f",
+	"EMBAR/O":          "95e2b90140fdd5befec9cc07b5668e9105b3636b38116eb2d1d35f2ddf20f2ab",
+	"EMBAR/P":          "a5b1b593bcb0702c590c266aec1cd50fb80cb9745b2e1379505406df1ad540f9",
+	"FFT/O":            "6876b0d5d6954c953bd0229d5e59e6f502f69ff3abeb13d00bfe2f742085e110",
+	"FFT/P":            "411788b47fdbce504d2a2c074e278019db1232cb3bd0ed8ae75f3fc84c3b2671",
+	"MGRID/O":          "43e30c32c3ee872dac93e1dcc74c9e1a83d86b6b5049ed13df1b451521650f17",
+	"MGRID/P":          "9b2147cbaab8ae7cc2e68573c903948b73e4e692d8aa73313464a626b31675aa",
+	"axpy.loop/O":      "bd31f1f4f36a1566c913cc734fed26d6f8dfeaaef78c548209c5d9362294b21d",
+	"axpy.loop/P":      "cfcf53673e95d078c42b5285ba3b52ffe37b8058e5fab53b1baac985d3777aac",
+	"histogram.loop/O": "91fda326a41da65c37f6d2e66d3cf1466235c2eb8aa5e9f88b9c0fb921f5b6ff",
+	"histogram.loop/P": "99756470e6f8f8cbae02bab043f09579beee06122ff1962e42c153c0eb21ddf3",
+	"matmul.loop/O":    "49d1cd325a4155a538a4a21e1165acf8701dae6a0b0151def6da415a3c9996e2",
+	"matmul.loop/P":    "5cdd239f0cfd74d1a86d7ef32015f98cd4483cd453e265effda8357b02d7c8b2",
+	"reverse.loop/O":   "11a3e116532a4c843545461d35f17a81dc53e582460212f4ba6b248792a59767",
+	"reverse.loop/P":   "57da2955f9597d8377125a1f2398943d30bbc5b3b224da9672898eb4d7b02bed",
+	"scan.loop/O":      "d4d536d0a3572917f7571ee424e9b2ab5a5bbfa9432ac9b11d2d86303d583c10",
+	"scan.loop/P":      "8cbcb7534e8c326d3121317cd00510b8b1b6d2be8f817ceb23816d0f6a64a3ba",
 }
 
 // TestBytecodePinned: a change to how the nest compiler builds its output
