@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/compiler"
@@ -388,6 +391,36 @@ func fuzzSeed(prog *ir.Program, file *stripefs.File, pageSize int64) {
 	}
 }
 
+// paramLit matches a shift amount or an integer literal.
+var paramLit = regexp.MustCompile(`<< *\d+|\b\d+\b`)
+
+// shrunk scales a seed's param lines down — shifts of 12 or more by 6,
+// other literals of 256 or more by 8 — so the example and benchmark
+// kernels, sized to run out of core at full scale, fit fuzzData.
+func shrunk(src string) string {
+	lines := strings.Split(src, "\n")
+	for i, l := range lines {
+		if !strings.HasPrefix(strings.TrimSpace(l), "param ") {
+			continue
+		}
+		lines[i] = paramLit.ReplaceAllStringFunc(l, func(m string) string {
+			if k, ok := strings.CutPrefix(m, "<<"); ok {
+				n, _ := strconv.Atoi(strings.TrimSpace(k))
+				if n >= 12 {
+					n -= 6
+				}
+				return "<< " + strconv.Itoa(n)
+			}
+			n, _ := strconv.Atoi(m)
+			if n >= 256 {
+				n /= 8
+			}
+			return strconv.Itoa(n)
+		})
+	}
+	return strings.Join(lines, "\n")
+}
+
 // FuzzExecutors holds the bytecode to the oracle on programs nobody
 // hand-wrote. An input that parses, is at most 2 KB and resolves to at
 // most fuzzData bytes of arrays runs original (O) and prefetching (P) on
@@ -396,7 +429,7 @@ func fuzzSeed(prog *ir.Program, file *stripefs.File, pageSize int64) {
 // memory-manager and run-time layer counts — or fail with the same error:
 // the same trap, or the same compile rejection. An input whose oracle run
 // passes fuzzBudget is skipped, and so is one the bytecode's tables cannot
-// hold. The seeds are FuzzParse's corpus.
+// hold. The seeds are FuzzParse's corpus, each also shrunk.
 func FuzzExecutors(f *testing.F) {
 	for _, glob := range []string{"../../examples/kernels/*.loop", "../../benchmark/corpus/*.loop", "../lang/testdata/nas/*.loop"} {
 		paths, err := filepath.Glob(glob)
@@ -409,6 +442,9 @@ func FuzzExecutors(f *testing.F) {
 				f.Fatal(err)
 			}
 			f.Add(string(src))
+			if small := shrunk(string(src)); small != string(src) {
+				f.Add(small)
+			}
 		}
 	}
 	ps := hw.Default().PageSize
