@@ -121,8 +121,8 @@ func TestPlanCacheHitTickIdentical(t *testing.T) {
 
 // TestPlanCacheInvalidation: everything that can influence compilation
 // must key a separate entry — a changed scale, tier, compiler option, or
-// profile guide misses instead of reusing a stale
-// plan — while a same-key rerun hits.
+// profile guide misses instead of reusing a stale plan — while a same-key
+// rerun hits.
 func TestPlanCacheInvalidation(t *testing.T) {
 	app := nas.Apps()[0]
 	ResetPlanCache()
