@@ -16,7 +16,7 @@ var ErrOracleBudget = errOracleBudget
 
 // SetBudget bounds each run of the oracle to n loop iterations; 0 removes
 // the bound.
-func (o *oracle) SetBudget(n int64) { o.budget = n }
+func (o *oracleTree) SetBudget(n int64) { o.budget = n }
 
 // HasBytecode reports whether an artifact carries kernel bytecode, for the
 // external structure test.

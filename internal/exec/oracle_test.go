@@ -22,10 +22,10 @@ type iFn func(*Env) int64
 type fFn func(*Env) float64
 type bFn func(*Env) bool
 
-// oracle is a program compiled to the closure tree for one page size.
+// oracleTree is a program compiled to the closure tree for one page size.
 // Like an Artifact it binds to any number of fresh VMs, though to run
 // them one at a time: steps counts the loop iterations of the current run.
-type oracle struct {
+type oracleTree struct {
 	prog     *ir.Program
 	body     stmtFn
 	pageSize int64
@@ -38,7 +38,7 @@ type oracle struct {
 var errOracleBudget = errors.New("exec: oracle loop budget exhausted")
 
 // step counts one loop iteration against the budget.
-func (o *oracle) step() {
+func (o *oracleTree) step() {
 	if o.steps++; o.budget > 0 && o.steps > o.budget {
 		panic(errOracleBudget)
 	}
@@ -46,13 +46,13 @@ func (o *oracle) step() {
 
 // compileOracle is Compile for the oracle: same resolution, same
 // rejections with the same text, and no table limits.
-func compileOracle(prog *ir.Program, pageSize int64) (*oracle, error) {
+func compileOracle(prog *ir.Program, pageSize int64) (*oracleTree, error) {
 	if !prog.Resolved() {
 		if err := prog.Resolve(pageSize); err != nil {
 			return nil, err
 		}
 	}
-	o := &oracle{prog: prog, pageSize: pageSize}
+	o := &oracleTree{prog: prog, pageSize: pageSize}
 	body, err := o.stmts(prog.Body)
 	if err != nil {
 		return nil, err
@@ -61,21 +61,21 @@ func compileOracle(prog *ir.Program, pageSize int64) (*oracle, error) {
 	return o, nil
 }
 
-// oracleMachine is an oracle bound to a VM and run-time layer.
+// oracleMachine is an oracleTree bound to a VM and run-time layer.
 type oracleMachine struct {
-	*oracle
+	*oracleTree
 	vm *vm.VM
 	rt *rt.Layer
 }
 
 // Bind allocates the program's arrays in v exactly as Artifact.Bind does,
 // with the same checks.
-func (o *oracle) Bind(v *vm.VM, layer *rt.Layer) (*oracleMachine, error) {
+func (o *oracleTree) Bind(v *vm.VM, layer *rt.Layer) (*oracleMachine, error) {
 	a := &Artifact{compiled: compiled{prog: o.prog}, pageSize: o.pageSize}
 	if _, err := a.Bind(v, layer); err != nil {
 		return nil, err
 	}
-	return &oracleMachine{oracle: o, vm: v, rt: layer}, nil
+	return &oracleMachine{oracleTree: o, vm: v, rt: layer}, nil
 }
 
 // Run executes the program once from the state Machine.Run starts from:
@@ -102,7 +102,7 @@ func unvalidated(x interface{}) string {
 	return fmt.Sprintf("exec: oracle cannot build %T %v", x, x)
 }
 
-func (o *oracle) stmts(list []ir.Stmt) (stmtFn, error) {
+func (o *oracleTree) stmts(list []ir.Stmt) (stmtFn, error) {
 	fns := make([]stmtFn, len(list))
 	for i, s := range list {
 		f, err := o.stmt(s)
@@ -121,7 +121,7 @@ func (o *oracle) stmts(list []ir.Stmt) (stmtFn, error) {
 	}, nil
 }
 
-func (o *oracle) stmt(s ir.Stmt) (stmtFn, error) {
+func (o *oracleTree) stmt(s ir.Stmt) (stmtFn, error) {
 	if l, ok := s.(*ir.Loop); ok {
 		return o.loop(l)
 	}
@@ -190,7 +190,7 @@ func (o *oracle) stmt(s ir.Stmt) (stmtFn, error) {
 	panic(unvalidated(s))
 }
 
-func (o *oracle) loop(l *ir.Loop) (stmtFn, error) {
+func (o *oracleTree) loop(l *ir.Loop) (stmtFn, error) {
 	head, iter, err := loopCost(l)
 	if err != nil {
 		return nil, err
