@@ -12,11 +12,14 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -274,4 +277,37 @@ func Fingerprint(res *core.Result) uint64 {
 		h = vm.HashWord(h, math.Float64bits(res.Env.Floats[s]))
 	}
 	return h
+}
+
+// Digest condenses everything two runs of one cell must share to be the
+// same simulation — the output fingerprint sum, elapsed time, time
+// breakdown, memory-manager and run-time layer counts, injected faults —
+// into 16 hex digits.
+func Digest(res *core.Result, sum uint64) string {
+	t := res.Times
+	h := sha256.New()
+	fmt.Fprintf(h, "%#x %d %d %d %d %d %+v %+v %+v", sum, res.Elapsed,
+		t.User, t.SysFault, t.SysPrefetch, t.Idle, res.Mem, res.RT, res.Faults)
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// ReadRecord parses a record of digests: one "cell digest" pair a line,
+// blank lines and #-comments ignored.
+func ReadRecord(path string) (map[string]string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	rec := map[string]string{}
+	for i, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			return nil, fmt.Errorf("%s:%d: want \"cell digest\", got %q", path, i+1, line)
+		}
+		rec[f[0]] = f[1]
+	}
+	return rec, nil
 }
