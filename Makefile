@@ -64,18 +64,19 @@ test-benchmark:
 	$(GO) -C benchmark test ./...
 
 # The experiment runner, the metrics registry, a shared exec.Artifact
-# bound from several goroutines, the multi-tenant server (whose every
-# Run donates to, and every NewServer adopts from, vm's frame-slab stash),
-# stripefs's process-wide recycler itself (every run and every server
-# adopts from it; file systems on all three tiers built, driven and
-# recycled from several goroutines) with the device engine under it, and
-# the profile recorder/artifact are the concurrent or process-wide
-# surfaces; run them (and the packages they drive) under the race
-# detector. internal/exec runs -short: its system-level differentials are
-# one goroutine each and run at full length in test-exec, so the race
-# pass keeps their smoke cells only.
+# bound from several goroutines, vm's frame-slab stash (every core run and
+# every tenant server donates to it at its end and adopts from it at its
+# start; core runs it from four goroutines at mixed sizes), stripefs's
+# process-wide recycler (every run and every server adopts from it; file
+# systems on all three tiers built, driven and recycled from several
+# goroutines) with the device engine under it, and the profile
+# recorder/artifact are the concurrent or process-wide surfaces; run them
+# (and the packages they drive) under the race detector. internal/exec
+# runs -short: its system-level differentials are one goroutine each and
+# run at full length in test-exec, so the race pass keeps their smoke
+# cells only.
 race:
-	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/tenant/ ./internal/stripefs/ ./internal/disk/ ./internal/profile/ .
+	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/tenant/ ./internal/vm/ ./internal/stripefs/ ./internal/disk/ ./internal/profile/ .
 	$(GO) test -race -short ./internal/exec/
 
 # fuzz runs the four fuzzers briefly, each for FUZZTIME: arbitrary fault

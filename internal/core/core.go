@@ -140,11 +140,17 @@ func MachineFor(dataBytes int64, ratio float64) hw.Params {
 }
 
 // Result carries everything the experiments report about one run.
+//
+// VM is the finished run's address space, and it is read-only: the run
+// handed its frames to the next one. Peek, Fingerprint, the accounting
+// views and CheckInvariants read on — page contents from the backing
+// store, which holds every page once the run has ended — while Load,
+// Store and TouchAsync panic.
 type Result struct {
 	Prog    *ir.Program // the program that actually executed
 	Plan    []compiler.PlanEntry
 	Env     *exec.Env
-	VM      *vm.VM
+	VM      *vm.VM // read-only, served from its backing store
 	Elapsed sim.Time
 
 	Times   vm.TimeStats
@@ -361,9 +367,6 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 	env := m.Run()
 	v.Finish()
 	elapsed := clock.Now() - start
-	// All I/O has drained: hand the run's request-object pools to the
-	// next run's file system.
-	fs.Recycle()
 
 	r := &Result{
 		Prog:    execProg,
@@ -398,6 +401,12 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 		util += d.Utilization(elapsed)
 	}
 	r.DiskUtil = util / float64(len(fs.Backends()))
+	// The run is flushed and every statistic read: it ends the way a
+	// tenant server does, handing its request-object pools and its frame
+	// slab to the next run. The backing file now holds the output image,
+	// and r.VM reads on from there.
+	fs.Recycle()
+	v.Pool().Recycle()
 
 	// End-of-run summary metrics: derived values the counters alone do
 	// not carry.

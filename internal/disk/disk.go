@@ -9,6 +9,7 @@ package disk
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/hw"
 	"repro/internal/obs"
@@ -93,15 +94,49 @@ type counters struct {
 	failures *obs.Counter
 }
 
+// counterNames are one device id's registry names. Every run registers
+// the same few ids, so the names are formatted once per process.
+type counterNames struct {
+	requests, pages         [numKinds]string
+	busy, retries, failures string
+}
+
+var (
+	namesMu sync.Mutex
+	names   []*counterNames // by device id
+)
+
+func namesFor(id int) *counterNames {
+	namesMu.Lock()
+	defer namesMu.Unlock()
+	for len(names) <= id {
+		names = append(names, nil)
+	}
+	if names[id] == nil {
+		n := &counterNames{
+			busy:     fmt.Sprintf("disk.%d.busy_ns", id),
+			retries:  fmt.Sprintf("disk.%d.retries", id),
+			failures: fmt.Sprintf("disk.%d.failures", id),
+		}
+		for k := Kind(0); k < numKinds; k++ {
+			n.requests[k] = fmt.Sprintf("disk.%d.requests.%s", id, k)
+			n.pages[k] = fmt.Sprintf("disk.%d.pages.%s", id, k)
+		}
+		names[id] = n
+	}
+	return names[id]
+}
+
 func newCounters(reg *obs.Registry, id int) counters {
+	n := namesFor(id)
 	var c counters
 	for k := Kind(0); k < numKinds; k++ {
-		c.requests[k] = reg.Counter(fmt.Sprintf("disk.%d.requests.%s", id, k))
-		c.pages[k] = reg.Counter(fmt.Sprintf("disk.%d.pages.%s", id, k))
+		c.requests[k] = reg.Counter(n.requests[k])
+		c.pages[k] = reg.Counter(n.pages[k])
 	}
-	c.busy = reg.Counter(fmt.Sprintf("disk.%d.busy_ns", id))
-	c.retries = reg.Counter(fmt.Sprintf("disk.%d.retries", id))
-	c.failures = reg.Counter(fmt.Sprintf("disk.%d.failures", id))
+	c.busy = reg.Counter(n.busy)
+	c.retries = reg.Counter(n.retries)
+	c.failures = reg.Counter(n.failures)
 	return c
 }
 

@@ -1,10 +1,12 @@
 package disk
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/hw"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -34,6 +36,30 @@ func TestSingleRequestCompletes(t *testing.T) {
 	s := d.Stats()
 	if s.Requests[FaultRead] != 1 || s.Pages[FaultRead] != 1 {
 		t.Fatalf("stats = %+v, want one 1-page fault read", s)
+	}
+}
+
+// TestCounterNames: a device registers exactly its nine names, spelled as
+// they always were, and a later run's device of the same id formats none
+// of them again.
+func TestCounterNames(t *testing.T) {
+	reg := obs.NewRegistry()
+	NewBackend(sim.NewClock(), testParams(), 5, nil, reg, nil)
+	var got []string
+	for name := range reg.Snapshot().Counters {
+		got = append(got, name)
+	}
+	want := []string{"disk.5.busy_ns", "disk.5.retries", "disk.5.failures"}
+	for _, k := range []string{"fault-read", "prefetch-read", "write"} {
+		want = append(want, "disk.5.requests."+k, "disk.5.pages."+k)
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("device 5 registered %q, want %q", got, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { namesFor(5) }); n != 0 {
+		t.Fatalf("naming device 5 again allocated %v times", n)
 	}
 }
 

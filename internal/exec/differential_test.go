@@ -64,7 +64,7 @@ func oracle(budget int64) executor {
 
 // runCell drives core.RunContext's sequence for one run of k, call by
 // call — backend, plan, file system, VM, fault injector, run-time layer,
-// bind, seed, run, Finish — on the executor ex. A trap in the program is
+// bind, seed, run, Finish, recycle — on the executor ex. A trap in the program is
 // the returned *exec.TrapError. Like harness.RunBackend it then checks the
 // VM invariants and the kernel's validation, and fingerprints the output.
 // Every differential also runs core.Run on its cell and holds runCell's
@@ -132,12 +132,13 @@ func runCell(k harness.Kernel, spec *core.BackendSpec, prof *fault.Profile, ex e
 	}
 	v.Finish()
 	elapsed := clock.Now() - start
-	fs.Recycle()
 
 	res := &core.Result{
 		Prog: execProg, Env: env, VM: v, Elapsed: elapsed,
 		Times: v.Times(), Mem: v.Stats(), RT: layer.Stats(), Faults: inj.Counts(),
 	}
+	fs.Recycle()
+	v.Pool().Recycle()
 	if err := v.CheckInvariants(); err != nil {
 		return nil, 0, fmt.Errorf("%s: vm invariants: %w", k.Name, err)
 	}

@@ -178,6 +178,81 @@ func TestHintSubscriptEvaluatedOnce(t *testing.T) {
 	}
 }
 
+// lastPageHintProgram builds the fused indirect-prefetch shape
+// (opHintLoad1): a four-page prefetch of x at x[c[i]], beside a stream
+// over y, which is laid out right after x. Subscripts near x's end make
+// the prefetch clamp at x's last page; one page too many would reach y.
+func lastPageHintProgram() *ir.Program {
+	const n = 4096 // 8 pages per array
+	p := ir.NewProgram("hintlast")
+	np := p.NewParam("n", n, true)
+	c := p.NewArrayI("c", np)
+	x := p.NewArrayF("x", np)
+	y := p.NewArrayF("y", np)
+	s := p.NewScalarF("s")
+	i := p.NewLoopVar("i")
+	p.Body = []ir.Stmt{
+		ir.For(i, ir.Int(0), np, 1,
+			ir.Prefetch{Arr: x, Idx: []ir.IExpr{ir.LoadI(c, i)}, Pages: ir.Int(4)},
+			ir.SetF(s, ir.AddF(scalarRef(s), ir.LoadF(y, i))),
+		),
+	}
+	return p
+}
+
+// lastPageTargets are the subscripts c cycles through: x's last element
+// and its last page's first (clamp to one page), two and three pages from
+// the end (clamp to two and three), exactly four pages from the end (no
+// clamp), and subscripts clamped into x from above and below.
+var lastPageTargets = []int64{4095, 3584, 3583, 2560, 2048, 5000, -3}
+
+func seedLastPage(f *stripefs.File, p *ir.Program) {
+	ps := hw.Default().PageSize
+	SeedI64(f, ps, p.ArrayByName("c"), func(i int64) int64 { return lastPageTargets[i%int64(len(lastPageTargets))] })
+	SeedF64(f, ps, p.ArrayByName("y"), func(i int64) float64 { return float64(i % 7) })
+}
+
+// TestHintLoad1ClampsAtLastPage reaches opHintLoad1's multi-page clamp
+// with the target on the prefetched array's last page, and on the pages
+// before it. The pages the run-time layer is handed are counted against a
+// plain-Go replay of the clamp, and the run is held to the oracle tick for
+// tick: a clamp one page short or one page long fails both.
+func TestHintLoad1ClampsAtLastPage(t *testing.T) {
+	const frames = 8
+	p := framed(frames)
+	prog := lastPageHintProgram()
+	_, v, file, layer := system(t, p, prog)
+	art, err := Compile(prog, p.PageSize, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := art.Bind(v, layer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused := false
+	for _, in := range m.code {
+		fused = fused || (in.op == opHintLoad1 && m.haux[in.b].pages == 4)
+	}
+	if !fused {
+		t.Fatal("the prefetch was not lowered to a four-page opHintLoad1")
+	}
+	seedLastPage(file, prog)
+	m.Run()
+
+	x := prog.ArrayByName("x")
+	perPage := p.PageSize / ir.ElemSize
+	var want int64
+	for i := int64(0); i < x.Elems; i++ {
+		li := min(max(lastPageTargets[i%int64(len(lastPageTargets))], 0), x.Elems-1)
+		want += min(4, x.Elems/perPage-li/perPage)
+	}
+	if got := layer.Stats().InsertedPages; got != want {
+		t.Errorf("hints named %d pages, want %d (clamped at x's last page)", got, want)
+	}
+	runDifferentialSites(t, lastPageHintProgram, frames, seedLastPage, false)
+}
+
 // TestHintLoweringNoClosureFallback proves the structural claim behind
 // the differentials: every hint statement is lowered to bytecode (the
 // enclosing loop reports the kernel driver and counts its hints), and

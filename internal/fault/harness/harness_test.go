@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/nas"
+	"repro/internal/stripefs"
 )
 
 // TestNASMatrixByteIdentical is the property matrix of ISSUE 4: each
@@ -117,19 +119,29 @@ for i = 0 .. n {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig(core.MachineFor(nas.DataBytes(prog, ps), 2))
+	var file *stripefs.File
+	cfg.Seed = func(_ *ir.Program, f *stripefs.File, _ int64) { file = f }
 	k := Kernel{Name: "tiny", Build: build, Cfg: cfg}
 	res, sum, err := Run(k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one word anywhere in the space: the fingerprint must move.
+	// Flip one word anywhere in the space — in the backing store, which a
+	// finished run's VM reads: the fingerprint must move.
 	arr := res.Prog.Arrays[0]
+	setWord := func(i int64, x float64) {
+		addr := arr.Base + i*8
+		page := make([]uint64, ps/8)
+		copy(page, file.PeekPage(addr/ps))
+		page[addr%ps/8] = math.Float64bits(x)
+		file.SetPageWords(addr/ps, page)
+	}
 	for _, i := range []int64{0, arr.Elems / 2, arr.Elems - 1} {
-		res.VM.StoreF64(arr.Base+i*8, 42)
+		setWord(i, 42)
 		if got := Fingerprint(res); got == sum {
 			t.Fatalf("fingerprint blind to word %d", i)
 		}
-		res.VM.StoreF64(arr.Base+i*8, 1)
+		setWord(i, 1)
 		if got := Fingerprint(res); got != sum {
 			t.Fatalf("fingerprint not a pure function of contents at word %d", i)
 		}

@@ -365,17 +365,15 @@ func (f *File) checkLive() {
 	}
 }
 
-// storeBufFor returns a zeroed page buffer installed as the backing
-// contents of page, reusing the existing one when present.
+// storeBufFor returns the page buffer installed as the backing contents
+// of page, reusing the existing one when present. Its words are stale
+// (recycled buffers are not zeroed): the caller writes every one.
 func (f *File) storeBufFor(page int64) []uint64 {
 	f.checkLive()
 	buf := f.store[page]
 	if buf == nil {
 		buf = f.fs.getPageBuf()
 		f.store[page] = buf
-	}
-	for i := range buf {
-		buf[i] = 0
 	}
 	return buf
 }
@@ -390,20 +388,26 @@ func (f *File) SetPage(page int64, data []byte) {
 		panic(fmt.Sprintf("stripefs: page data %d B exceeds page size %d", len(data), f.fs.p.PageSize))
 	}
 	buf := f.storeBufFor(page)
+	for i := range buf {
+		buf[i] = 0
+	}
 	for i, c := range data {
 		buf[i>>3] |= uint64(c) << uint(8*(i&7))
 	}
 }
 
 // SetPageWords is SetPage for word-formatted data, the layer's native
-// page format. The slice is copied.
+// page format. The slice is copied; only the tail past it is zeroed.
 func (f *File) SetPageWords(page int64, data []uint64) {
 	f.check(page, 1)
 	if int64(len(data)) > f.fs.p.PageSize/8 {
 		panic(fmt.Sprintf("stripefs: page data %d words exceeds page size %d", len(data), f.fs.p.PageSize))
 	}
 	buf := f.storeBufFor(page)
-	copy(buf, data)
+	n := copy(buf, data)
+	for i := n; i < len(buf); i++ {
+		buf[i] = 0
+	}
 }
 
 // PeekPage returns the current backing contents of a page as words (nil

@@ -152,10 +152,10 @@ func TestDepartureWithReadsInFlight(t *testing.T) {
 
 // TestUseAfterDeparture: what Tenant.VM's comment promises. A departed
 // job's accounting stays readable for good; its contents are gone, and
-// asking for them panics by name — at departure for pages that lived in
-// the backing store, at Run's end for those still in frames — instead of
-// answering with zeros or with the next server's data
-// (vm.TestPoolRecycleDropsStorage covers pages still hot at Run's end).
+// asking for them panics by name — at departure, and after Run's end too,
+// when a VM whose frames were recycled reads its discarded backing store —
+// instead of answering with zeros or with the next server's data
+// (vm.TestPoolRecycleDropsStorage covers a space whose store was kept).
 func TestUseAfterDeparture(t *testing.T) {
 	s, err := NewServer(Config{Machine: testMachine(64), Seed: 2})
 	if err != nil {
@@ -181,12 +181,12 @@ func TestUseAfterDeparture(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Every page of the region is now either discarded backing store or a
-	// frame of a slab the pool gave away.
+	// The pool gave its slab away, so every page of the region reads the
+	// discarded backing store.
 	for p := int64(0); p < 128; p++ {
 		msg := panicOf(func() { a.VM().Peek(p * s.p.PageSize) })
-		if !strings.Contains(msg, "used after Discard") && !strings.Contains(msg, "out of range") {
-			t.Errorf("Peek of page %d on a finished server: panic %q, want use-after-Discard or out of range", p, msg)
+		if !strings.Contains(msg, `file "0-a" used after Discard`) {
+			t.Errorf("Peek of page %d on a finished server: panic %q, want use-after-Discard", p, msg)
 		}
 	}
 	r := a.Report()

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/disk"
@@ -13,7 +14,7 @@ import (
 func (v *VM) Load(addr int64) uint64 {
 	page := addr >> v.pageShift
 	e := &v.pt[page]
-	if e.state != hot {
+	if e.state != hot || v.words == nil {
 		v.touchSlow(page)
 	}
 	e.referenced = true
@@ -25,7 +26,7 @@ func (v *VM) Load(addr int64) uint64 {
 func (v *VM) Store(addr int64, word uint64) {
 	page := addr >> v.pageShift
 	e := &v.pt[page]
-	if e.state != hot {
+	if e.state != hot || v.words == nil {
 		v.touchSlow(page)
 	}
 	e.referenced = true
@@ -105,7 +106,7 @@ func (v *VM) touchSlow(page int64) {
 // the single CPU sweeping for a victim, and is charged to this tenant.
 func (v *VM) TouchAsync(page int64) bool {
 	e := &v.pt[page]
-	if e.state == hot {
+	if e.state == hot && v.words != nil {
 		return true
 	}
 	for !v.touchAsync(page) {
@@ -126,6 +127,9 @@ func (v *VM) TouchAsync(page int64) bool {
 // nor charges the same fault again; the driver first waits until the page
 // is out of transit — zero time if it landed during the charge.
 func (v *VM) touchAsync(page int64) bool {
+	if v.words == nil {
+		panic(fmt.Sprintf("vm: page %d of %q touched after its run finished and recycled its frames", page, v.file.Name()))
+	}
 	e := &v.pt[page]
 	first := v.faultPage != page
 	if first && e.state == resident {

@@ -52,7 +52,10 @@ func (v *VM) cleaned(page int64) {
 
 // Finish flushes all remaining dirty pages to disk and waits for them, so
 // the program's results are durably "written back out to disk" as in the
-// paper's modified benchmarks. The wait is accounted as idle time.
+// paper's modified benchmarks. The wait is accounted as idle time. A page
+// stored to while a write-back of it was already in flight is skipped and
+// is dirty again once that write lands; Pool.Recycle hands its frame to
+// the backing store.
 func (v *VM) Finish() {
 	v.flushUser()
 	for p := int64(0); p < v.allocPages; p++ {

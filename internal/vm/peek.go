@@ -7,17 +7,16 @@ import (
 
 // pageContents returns a page's current words wherever they live — frame
 // memory if the page is mapped, otherwise the backing file (an in-flight
-// read has not filled its frame yet) — or nil for a never-written,
-// all-zero page. It is instrumentation, free of simulated cost, faults
-// and statistics; the caller must not mutate or retain the slice.
+// read has not filled its frame yet, or the run is over and Recycle,
+// handing its frames on, left the file holding every page) —
+// or nil for a never-written, all-zero page. It is instrumentation, free
+// of simulated cost, faults and statistics; the caller must not mutate or
+// retain the slice.
 func (v *VM) pageContents(page int64) []uint64 {
-	e := &v.pt[page]
-	switch e.state {
-	case resident, hot, freeListed:
+	if e := &v.pt[page]; v.words != nil && (e.state == resident || e.state == hot || e.state == freeListed) {
 		return v.frameWords(e.frame)
-	default:
-		return v.file.PeekPage(page)
 	}
+	return v.file.PeekPage(page)
 }
 
 // Peek reads the 8-byte word at addr without simulated cost, page faults,

@@ -25,7 +25,7 @@ type Pool struct {
 	p     hw.Params
 
 	frames []frameInfo
-	words  []uint64 // frame storage, Frames() × PageSize/8 words; nil once recycled
+	words  []uint64 // frame storage, Frames() × PageSize/8 words (maybe more capacity); nil once recycled
 
 	// Free queue: a growable ring buffer of frame indices. Entries whose
 	// frame has onFree == false are stale and skipped on pop (lazy
@@ -62,12 +62,12 @@ type Pool struct {
 }
 
 // Frame storage outlives its pool the way stripefs's page buffers outlive
-// their FS: Recycle donates it to this one-slot stash (the largest slab
-// seen stays) and NewPool adopts it when the size matches — one mutex
-// operation each, nothing on the I/O path. An adopted slab is not
-// re-zeroed: a frame is filled whole (the read's delivery copies the page
-// or zero-fills it; Preload does the same) before it is mapped, and
-// nothing reads an unmapped frame.
+// their FS: Recycle donates it whole to this one-slot stash (the largest
+// slab seen stays) and NewPool adopts it whenever it is at least the size
+// needed — one mutex operation each, nothing on the I/O path. An adopted
+// slab is not re-zeroed: a frame is filled whole (the read's delivery
+// copies the page or zero-fills it; Preload does the same) before it is
+// mapped, and nothing reads an unmapped frame.
 var (
 	slabMu sync.Mutex
 	slab   []uint64
@@ -75,26 +75,41 @@ var (
 
 func adoptSlab(words int64) []uint64 {
 	slabMu.Lock()
-	if w := slab; int64(len(w)) == words {
+	if w := slab; int64(len(w)) >= words {
 		slab = nil
 		slabMu.Unlock()
-		return w
+		return w[:words]
 	}
 	slabMu.Unlock()
 	return make([]uint64, words) // outside the lock: zeroing it takes milliseconds
 }
 
-// Recycle hands the pool's frame storage to the next pool of its size.
-// Call it when the run is over and all I/O has drained. The pool and its
-// address spaces drop the storage, so a later Peek, LoadFast or PageSpan
-// of a mapped page faults instead of reading the next owner's memory;
-// statistics, residency counts and CheckInvariants stay valid.
+// Recycle hands the pool's frame storage to the next pool that fits in it.
+// Call it when the run is over: every address space flushed (Finish) and
+// all write-backs drained — recycling with a write in flight panics. A
+// page Finish left dirty (see there) is copied into its backing file
+// first, at no simulated cost, so the file holds every page. The pool and
+// its address spaces drop the storage; Peek and Fingerprint then read the
+// file, while Load, Store, TouchAsync, LoadFast and PageSpan panic instead
+// of reaching the next owner's memory. Statistics, residency counts and
+// CheckInvariants stay valid.
 func (pl *Pool) Recycle() {
-	w := pl.words
-	pl.words = nil
 	for _, v := range pl.vms {
+		if v.cleaningCount > 0 {
+			panic(fmt.Sprintf("vm: recycling %q with %d write-backs in flight", v.file.Name(), v.cleaningCount))
+		}
+	}
+	for _, v := range pl.vms {
+		for p := range v.pt {
+			if e := &v.pt[p]; e.dirty {
+				v.file.SetPageWords(int64(p), v.frameWords(e.frame))
+				e.dirty = false
+			}
+		}
 		v.words = nil
 	}
+	w := pl.words[:cap(pl.words)]
+	pl.words = nil
 	slabMu.Lock()
 	if len(w) > len(slab) {
 		slab = w

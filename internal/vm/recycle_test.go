@@ -122,7 +122,8 @@ func runMix(t *testing.T, p hw.Params) (mixOutcome, *Pool) {
 // TestPoolAdoptsDirtySlab is the proof that NewPool may skip zeroing an
 // adopted slab: a mix run on frame storage full of poison leaves the
 // same fingerprints, statistics, times and final clock as one run on
-// fresh memory. A stash of another size is left where it is.
+// fresh memory. A stash at least the pool's size is adopted and, on
+// Recycle, handed back whole; a smaller one is left where it is.
 func TestPoolAdoptsDirtySlab(t *testing.T) {
 	defer setStash(nil)
 	p := mixMachine(4096, 24)
@@ -131,36 +132,43 @@ func TestPoolAdoptsDirtySlab(t *testing.T) {
 	setStash(nil)
 	want, _ := runMix(t, p)
 
-	dirty := poisoned(words)
-	setStash(dirty)
-	got, pl := runMix(t, p)
-	if &pl.words[0] != &dirty[0] {
-		t.Fatal("a stashed slab of the pool's size was not adopted")
-	}
-	if stashLen() != 0 {
-		t.Fatal("the adopted slab is still in the stash")
-	}
-	if got != want {
-		t.Fatalf("a dirty slab changed the run:\n  got  %+v\n  want %+v", got, want)
-	}
-
-	// Wrong sizes: a small-page pool's slab and a larger pool's. Both
-	// stay stashed, the pool makes its own storage, the run is unchanged.
-	for _, other := range []hw.Params{mixMachine(64, 24), mixMachine(4096, 48)} {
-		stale := poisoned(other.Frames() * other.PageSize / 8)
-		setStash(stale)
+	// The pool's own size, and a larger pool's slab: both are adopted,
+	// the pool sees exactly its own words, and Recycle returns the slab
+	// at its full length.
+	for _, other := range []hw.Params{p, mixMachine(4096, 48)} {
+		dirty := poisoned(other.Frames() * other.PageSize / 8)
+		setStash(dirty)
 		got, pl := runMix(t, p)
-		if int64(len(pl.words)) != words || stashLen() != len(stale) {
-			t.Fatalf("a %d-word stash was taken by a %d-word pool", len(stale), words)
+		if &pl.words[0] != &dirty[0] || int64(len(pl.words)) != words {
+			t.Fatalf("a %d-word stash was not adopted as %d words by a %d-word pool", len(dirty), len(pl.words), words)
+		}
+		if stashLen() != 0 {
+			t.Fatal("the adopted slab is still in the stash")
 		}
 		if got != want {
-			t.Fatalf("run beside a %d-word stash differs:\n  got  %+v\n  want %+v", len(stale), got, want)
+			t.Fatalf("a dirty %d-word slab changed the run:\n  got  %+v\n  want %+v", len(dirty), got, want)
 		}
+		pl.Recycle()
+		if stashLen() != len(dirty) {
+			t.Fatalf("Recycle stashed %d words of a %d-word slab", stashLen(), len(dirty))
+		}
+	}
+
+	// A smaller slab, a small-page pool's, stays stashed; the pool makes
+	// its own storage and the run is unchanged.
+	small := mixMachine(64, 24)
+	stale := poisoned(small.Frames() * small.PageSize / 8)
+	setStash(stale)
+	got, pl := runMix(t, p)
+	if int64(len(pl.words)) != words || stashLen() != len(stale) {
+		t.Fatalf("a %d-word stash was taken by a %d-word pool", len(stale), words)
+	}
+	if got != want {
+		t.Fatalf("run beside a %d-word stash differs:\n  got  %+v\n  want %+v", len(stale), got, want)
 	}
 
 	// The same proof at a 64-byte page, where a frame is eight words and
 	// a short copy would show.
-	small := mixMachine(64, 24)
 	setStash(nil)
 	want, _ = runMix(t, small)
 	setStash(poisoned(small.Frames() * small.PageSize / 8))
@@ -204,9 +212,10 @@ func mustPanic(t *testing.T, what, want string, f func()) {
 }
 
 // TestPoolRecycleDropsStorage: after Recycle the pool and every attached
-// address space have let go of the slab, so reading a page that is
-// still mapped faults — it cannot return the next pool's data — while the
-// accounting views stay readable.
+// address space have let go of the slab. Peek and Fingerprint of a
+// flushed single-run space read its backing store and answer exactly as
+// the frames did; touching a page that is still mapped panics — it cannot
+// reach the next pool's data — and the accounting views stay readable.
 func TestPoolRecycleDropsStorage(t *testing.T) {
 	defer setStash(nil)
 	c, v := newVM(t, 16, 64)
@@ -216,24 +225,69 @@ func TestPoolRecycleDropsStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for page := int64(0); page < 8; page++ {
-		v.StoreI64(base+page*ps, page+1)
+		v.StoreI64(base+page*ps+page*8, page+1)
 	}
 	v.Finish()
 	c.Drain()
-	stats, times, resident := v.Stats(), v.Times(), v.ResidentFrames()
+	stats, times, resident, sum := v.Stats(), v.Times(), v.ResidentFrames(), v.Fingerprint()
+	if !v.Resident(7) {
+		t.Fatal("the last page stored is not resident: the test reads nothing from frames")
+	}
 
 	v.Pool().Recycle()
 	if v.words != nil || v.pool.words != nil {
 		t.Fatal("Recycle left a reference to the donated slab")
 	}
-	mustPanic(t, "Peek after Recycle", "out of range", func() { v.Peek(base) })
+	for page := int64(0); page < 8; page++ {
+		if got := v.PeekI64(base + page*ps + page*8); got != page+1 {
+			t.Fatalf("Peek of page %d after Recycle = %d, want %d", page, got, page+1)
+		}
+	}
+	if v.Fingerprint() != sum {
+		t.Fatal("Fingerprint after Recycle differs from the frames' one")
+	}
 	mustPanic(t, "LoadFast after Recycle", "out of range", func() { v.LoadFast(base) })
 	mustPanic(t, "PageSpan after Recycle", "out of range", func() { v.PageSpan(base, 1) })
-	mustPanic(t, "Fingerprint after Recycle", "out of range", func() { v.Fingerprint() })
+	const finished = `of "space" touched after its run finished`
+	mustPanic(t, "Load after Recycle", finished, func() { v.Load(base) })
+	mustPanic(t, "Store after Recycle", finished, func() { v.Store(base, 1) })
+	mustPanic(t, "TouchAsync after Recycle", finished, func() { v.TouchAsync(20) })
 	if v.Stats() != stats || v.Times() != times || v.ResidentFrames() != resident {
 		t.Fatal("Recycle changed the accounting views")
 	}
-	if err := v.Pool().CheckInvariants(); err != nil {
+	if err := v.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPoolRecycleUnflushed: a write-back in flight makes Recycle panic
+// with that reason and keep the slab. A page stored to while its
+// write-back was in flight is dirty after Finish — its frame holds the
+// only copy — and Recycle hands that copy to the backing store, so Peek
+// still reads it and nothing is left dirty.
+func TestPoolRecycleUnflushed(t *testing.T) {
+	defer setStash(nil)
+	_, v := newVM(t, 16, 64)
+	ps := v.Params().PageSize
+	if _, err := v.Alloc("x", 64*ps); err != nil {
+		t.Fatal(err)
+	}
+	v.StoreI64(3*ps, 7)
+	v.Release(3, 1)
+	mustPanic(t, "Recycle with a write in flight", `recycling "space" with 1 write-backs in flight`, v.Pool().Recycle)
+	if v.words == nil {
+		t.Fatal("a refused Recycle dropped the slab")
+	}
+	v.StoreI64(3*ps+8, 9)
+	v.Finish()
+	if !v.pt[3].dirty || v.file.PeekPage(3)[1] == 9 {
+		t.Fatal("page 3 was flushed after its second store: the test covers nothing")
+	}
+	v.Pool().Recycle()
+	if a, b := v.PeekI64(3*ps), v.PeekI64(3*ps+8); a != 7 || b != 9 {
+		t.Fatalf("Peek of page 3 after Recycle = %d, %d, want 7, 9", a, b)
+	}
+	if v.pt[3].dirty {
+		t.Fatal("page 3 still dirty after Recycle stored it")
 	}
 }

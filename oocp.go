@@ -59,7 +59,8 @@ type Machine = hw.Params
 type Config = core.Config
 
 // Result carries a run's timing breakdown and every statistic the
-// paper's evaluation reports.
+// paper's evaluation reports. Its VM is read-only: a finished run hands
+// its frames to the next one, and Peek reads from the backing store.
 type Result = core.Result
 
 // CompilerOptions configure the prefetching pass.
@@ -249,7 +250,8 @@ func Seeder(f64 map[string]func(i int64) float64, i64 map[string]func(i int64) i
 }
 
 // Peek reads a float64 array element of a finished run with no simulated
-// cost (for validating results). It panics if the program has no array
+// cost (for validating results), from the run's backing store, which
+// holds its complete output. It panics if the program has no array
 // of that name or the index is out of range; use PeekE to get an error
 // instead.
 func Peek(res *Result, array string, i int64) float64 {
