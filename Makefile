@@ -192,11 +192,14 @@ test-exec:
 # replaced, node kind by node kind; the trail itself (after every restore
 # the four maps equal a copy taken at the mark); the per-stage allocation
 # budgets of lang.Parse, Clone, compiler.Compile, exec.Compile and
-# ir.Print; and the compiler driver's usage errors and two input kinds.
+# ir.Print; the compiler driver's usage errors and two input kinds; and
+# the analysis both compilers rest on — all of internal/ir (the affine
+# decomposition asked the locality analysis's and the executor's questions,
+# trip counts, the reference walk) and internal/locality.
 test-compile:
 	$(GO) test ./internal/nas/ -run 'TestPrintPinned|TestCompileAllocBudget' -count 1
 	$(GO) test ./internal/exec/ -run 'TestBytecodePinned|TestValueNumberingTrail' -count 1
-	$(GO) test ./internal/ir/ -run TestStringMatchesReference -count 1
+	$(GO) test ./internal/ir/ ./internal/locality/ -count 1
 	$(GO) test ./cmd/ooccc/
 
 # test-harness runs the experiment-harness gate (DESIGN.md §4): both

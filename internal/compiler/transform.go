@@ -94,7 +94,7 @@ func (t *transform) pipeline(l *ir.Loop, body []ir.Stmt, jobs []job) ([]ir.Stmt,
 	}
 
 	build := func(lo, hi ir.IExpr, inner []ir.Stmt) ir.Stmt {
-		nl := &ir.Loop{Var: l.Var, Slot: l.Slot, Lo: lo, Hi: hi, Step: l.Step, EstTrip: l.EstTrip}
+		nl := &ir.Loop{Var: l.Var, Slot: l.Slot, Lo: lo, Hi: hi, Step: l.Step}
 		nl.Body = inner
 		return nl
 	}

@@ -152,7 +152,7 @@ func TierFor(name string) (hw.Tier, error) {
 
 // MachineForTier is MachineFor on the given storage tier: the tier's
 // default platform with memory sized so dataBytes stands in the given
-// ratio to it.
+// ratio to it, rounded down to whole pages with a floor of 16.
 func MachineForTier(t hw.Tier, dataBytes int64, ratio float64) hw.Params {
 	p := hw.DefaultTier(t)
 	mem := int64(float64(dataBytes) / ratio)

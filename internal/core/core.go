@@ -124,19 +124,11 @@ func DefaultConfig(machine hw.Params) Config {
 	}
 }
 
-// MachineFor sizes the default platform so that dataBytes stands in the
-// given ratio to available memory (ratio 2 = data twice as large as
-// memory, the paper's standard out-of-core setting).
+// MachineFor sizes the default platform, the disk tier, so that dataBytes
+// stands in the given ratio to available memory (ratio 2 = data twice as
+// large as memory, the paper's standard out-of-core setting).
 func MachineFor(dataBytes int64, ratio float64) hw.Params {
-	p := hw.Default()
-	mem := int64(float64(dataBytes) / ratio)
-	// Round to whole pages with a sane floor.
-	mem = mem / p.PageSize * p.PageSize
-	if mem < 16*p.PageSize {
-		mem = 16 * p.PageSize
-	}
-	p.MemoryBytes = mem
-	return p
+	return MachineForTier(hw.TierDisk, dataBytes, ratio)
 }
 
 // Result carries everything the experiments report about one run.
@@ -164,9 +156,10 @@ type Result struct {
 	DiskStats []disk.Stats
 	DiskUtil  float64 // mean utilization across disks
 
-	// Metrics is the registry the run's counters live in (Config.Metrics,
-	// or the run's private registry). Times/Mem/RT/DiskStats above are
-	// views assembled from it.
+	// Metrics is the registry the run's counters were published into
+	// (Config.Metrics, or the run's private registry). Times/Mem/RT/
+	// DiskStats above are the layers' own accounting; reading them
+	// published it, so the registry holds the same values.
 	Metrics *obs.Registry
 
 	// Faults tallies what the fault plane injected (all zero when

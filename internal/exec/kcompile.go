@@ -74,26 +74,18 @@ func (kc *kcompiler) writtenSlots(bodies ...[]ir.Stmt) (iw, fw slotSet) {
 	set := make(slotSet, ni+nf)
 	iw, fw = set[:ni:ni], set[ni:]
 	for _, body := range bodies {
-		addWritten(body, iw, fw)
+		ir.WalkStmts(body, func(s ir.Stmt) {
+			switch x := s.(type) {
+			case *ir.Loop:
+				iw.add(x.Slot)
+			case ir.SetScalarI:
+				iw.add(x.Slot)
+			case ir.SetScalarF:
+				fw.add(x.Slot)
+			}
+		})
 	}
 	return iw, fw
-}
-
-func addWritten(body []ir.Stmt, iw, fw slotSet) {
-	for _, s := range body {
-		switch x := s.(type) {
-		case *ir.Loop:
-			iw.add(x.Slot)
-			addWritten(x.Body, iw, fw)
-		case ir.SetScalarI:
-			iw.add(x.Slot)
-		case ir.SetScalarF:
-			fw.add(x.Slot)
-		case ir.If:
-			addWritten(x.Then, iw, fw)
-			addWritten(x.Else, iw, fw)
-		}
-	}
 }
 
 // cseEnt is one value-numbering fact: register r holds expression e. The
@@ -230,10 +222,11 @@ type kcompiler struct {
 	sites      []spanSite // spare capacity the next loop's spanWalk appends to, and cds and seed likewise
 	cds        []int64
 	seed       []uint16
-	spanNext   int  // next site id while lowering a span body, else -1
-	nSites     int  // access sites assigned so far
-	nSubs      int  // maintained-subscript slots assigned so far
-	inAbsorber bool // lowering the per-element body of a loop that absorbs inner loops
+	form       ir.Affine // the spanWalk's subscript decomposition, reused site to site
+	spanNext   int       // next site id while lowering a span body, else -1
+	nSites     int       // access sites assigned so far
+	nSubs      int       // maintained-subscript slots assigned so far
+	inAbsorber bool      // lowering the per-element body of a loop that absorbs inner loops
 
 	// lane-wise span bodies (kspan.go): what their tables are cut from, and
 	// the most lane slots of each kind one loop uses
@@ -661,6 +654,8 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 		return
 	}
 	depth := len(kc.loops)
+	ctx := &kloop{}
+	ctx.written, ctx.fwritten = kc.writtenSlots(l.Body)
 	var w *spanWalk
 	reason := ReasonAbsorbed
 	if kc.inAbsorber {
@@ -671,7 +666,7 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 			panic(fmt.Sprintf("exec: loop %s inside an absorbing loop's per-element body is not statically short", l.Var))
 		}
 	} else {
-		w, reason = kc.spanSites(l)
+		w, reason = kc.spanSites(l, ctx.written)
 	}
 	pageRun := reason == ReasonSpecialized
 	ri := len(kc.reports)
@@ -689,8 +684,6 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 	kc.emit(kinstr{op: opIMove, dst: rv, a: rlo})
 	kc.flush()
 
-	ctx := &kloop{}
-	ctx.written, ctx.fwritten = kc.writtenSlots(l.Body)
 	ctx.written.add(l.Slot)
 	snap := kc.snapshot()
 	kc.invalidate(ctx.written, ctx.fwritten)

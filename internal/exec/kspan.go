@@ -105,7 +105,7 @@ type spanLoop struct {
 type spanWalk struct {
 	kc      *kcompiler
 	l       *ir.Loop
-	written map[int]bool // int slots the body writes
+	written slotSet // int slots the body writes
 	sites   []spanSite
 	cds     []int64  // backing store of every site's cds
 	seed    []uint16 // and of every site's seed
@@ -117,30 +117,39 @@ type spanWalk struct {
 	reason  FallbackReason
 }
 
-// invariant reports whether slot holds one value across the loop, or is
-// bound in abs.
-func (w *spanWalk) invariant(slot int) bool { return !w.written[slot] || w.bound(slot) != nil }
-
-// spanSites decides whether l runs as a page-run loop. It returns the
-// finished walk with ReasonSpecialized when it does — or, from a recording
-// compile, with ReasonRecording: a span body would lower each reference a
-// second time and batch away the per-access fault attribution the recorder
-// exists for, but the loop still speaks for the inner loops it would have
-// absorbed — and nil with the reason otherwise (the site numbering left
-// untouched).
-func (kc *kcompiler) spanSites(l *ir.Loop) (*spanWalk, FallbackReason) {
-	sum := ir.Summarize(l)
+// role is what a subscript's decomposition makes of slot: the loop
+// variable varies; a slot the body does not write, or one bound in abs,
+// holds one value across the loop; any other is opaque.
+func (w *spanWalk) role(slot int) ir.SlotRole {
 	switch {
-	case sum.HasHint:
+	case slot == w.l.Slot:
+		return ir.Var
+	case !w.written.has(slot) || w.bound(slot) != nil:
+		return ir.Fixed
+	}
+	return ir.Opaque
+}
+
+// spanSites decides whether l runs as a page-run loop, given the int slots
+// its body writes. It returns the finished walk with ReasonSpecialized when
+// it does — or, from a recording compile, with ReasonRecording: a span body
+// would lower each reference a second time and batch away the per-access
+// fault attribution the recorder exists for, but the loop still speaks for
+// the inner loops it would have absorbed — and nil with the reason
+// otherwise (the site numbering left untouched).
+func (kc *kcompiler) spanSites(l *ir.Loop, written slotSet) (*spanWalk, FallbackReason) {
+	hint, branch := bodyShape(l.Body)
+	switch {
+	case hint:
 		return nil, ReasonHintInBody
-	case sum.HasIf:
+	case branch:
 		return nil, ReasonControlFlow
-	case sum.WritesInductionVar:
+	case written.has(l.Slot):
 		return nil, ReasonInductionWrite
 	}
 	// The walk appends to the compile's spare site storage; what a page-run
 	// loop registers is cut off it for good, anything else is handed back.
-	w := &spanWalk{kc: kc, l: l, written: sum.Written, mult: 1, unroll: 1,
+	w := &spanWalk{kc: kc, l: l, written: written, mult: 1, unroll: 1,
 		sites: kc.sites, cds: kc.cds, seed: kc.seed}
 	nSites, nSubs := kc.nSites, kc.nSubs
 	w.stmts(l.Body)
@@ -163,6 +172,21 @@ func (kc *kcompiler) spanSites(l *ir.Loop) (*spanWalk, FallbackReason) {
 		}
 	}
 	return w, w.reason
+}
+
+// bodyShape reports whether body, nested loops and branches included,
+// holds a prefetch or release hint (a kernel crossing inside the
+// iteration) and whether it holds control flow.
+func bodyShape(body []ir.Stmt) (hint, branch bool) {
+	ir.WalkStmts(body, func(s ir.Stmt) {
+		switch s.(type) {
+		case ir.If:
+			branch = true
+		case ir.Prefetch, ir.Release, ir.PrefetchRelease:
+			hint = true
+		}
+	})
+	return hint, branch
 }
 
 func (w *spanWalk) stop(r FallbackReason) {
@@ -253,12 +277,14 @@ func (w *spanWalk) ref(arr *ir.Array, idx []ir.IExpr, write bool) {
 	}
 	var elemCoeff int64
 	nc, ns := len(w.cds), len(w.seed)
+	f := &w.kc.form
 	for d, ix := range idx {
-		coeff, ok := ir.AffineCoeff(ix, w.l.Slot, w.invariant)
-		if !ok {
+		f.Decompose(ix, nil, w.role)
+		if f.Residual || f.Indirect {
 			w.stop(ReasonNonAffineIndex)
 			return
 		}
+		coeff := f.Coeff(w.l.Slot)
 		elemCoeff += coeff * arr.Strides[d]
 		w.cds = append(w.cds, coeff*w.l.Step)
 	}
@@ -289,7 +315,7 @@ func (w *spanWalk) ref(arr *ir.Array, idx []ir.IExpr, write bool) {
 func (w *spanWalk) iexpr(x ir.IExpr) bool {
 	switch e := x.(type) {
 	case ir.ISlot:
-		if !w.invariant(e.Slot) {
+		if w.role(e.Slot) == ir.Opaque {
 			w.reads = append(w.reads, e.Slot)
 		}
 	case ir.IBin:

@@ -323,12 +323,16 @@ func TestLaneChunkLengths(t *testing.T) {
 }
 
 // FuzzSpanLanes: random affine loop bodies over one to three arrays —
-// subscripts c·i + o with c in −2..2, steps 1..3, an optional reduction,
-// draw or carried scalar — on small pages and few frames, the bytecode
-// (lane-wise chunks and all) against the oracle.
+// subscripts c·i + o with c in −2..2 (a positive c sometimes written as a
+// shift), steps 1..3, an optional reduction, draw or carried scalar — on
+// small pages and few frames, the bytecode (lane-wise chunks and all)
+// against the oracle. The last two seeds store a[(i << 1) + 5]; the
+// second also sums it.
 func FuzzSpanLanes(f *testing.F) {
 	for _, seed := range []string{"", "\x01\x02\x03\x04\x05\x06\x07\x08", "lanes", "\xff\x00\xff\x10\x20\x30\x40",
-		"\x02\x01\x05\x09\x11\x03\x00\x07\x01\x08\x02", "\x00\x00\x03\x90\x04\x01\x02\x03\x04\x05\x06"} {
+		"\x02\x01\x05\x09\x11\x03\x00\x07\x01\x08\x02", "\x00\x00\x03\x90\x04\x01\x02\x03\x04\x05\x06",
+		"\x00\x00\x00\xc8\x04\x00\x00\x01\x05\x00\x00\x01\x05\x00",
+		"\x00\x00\x00\xc8\x04\x00\x00\x01\x05\x00\x00\x01\x05\x01\x00\x00\x01\x05"} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -367,7 +371,8 @@ func laneProgram(data []byte) *ir.Program {
 	}
 	sub := func(k int64) ir.IExpr {
 		c := coef[k]
-		if pick(4) == 0 {
+		form := pick(4)
+		if form == 0 {
 			c = pick(5) - 2
 		}
 		span := max(c*lo, c*last) - min(c*lo, c*last)
@@ -375,6 +380,9 @@ func laneProgram(data []byte) *ir.Program {
 			c, span = 0, 0
 		}
 		o := pick(n-int(span)) - min(c*lo, c*last)
+		if form == 1 && c > 0 {
+			return ir.AddI(ir.ShlI(i, ir.Int(c-1)), ir.Int(o)) // c is 1 or 2
+		}
 		return ir.AddI(ir.MulI(i, ir.Int(c)), ir.Int(o))
 	}
 	ref := func() (*ir.Array, []ir.IExpr) {

@@ -616,6 +616,46 @@ func TestNestAbsorbCorners(t *testing.T) {
 	}
 }
 
+func TestNestShiftSubscripts(t *testing.T) {
+	// A subscript shifted left by a constant is linear in the loop
+	// variable (i << 2 is 4·i), so these loops run on page spans; each is
+	// tick-identical to the oracle, reading and writing, with and without
+	// an offset.
+	pageElems := hw.Default().PageSize / ir.ElemSize
+	const n = 3000
+	cases := []struct {
+		name string
+		sub  func(i ir.ISlot) ir.IExpr
+	}{
+		{"i<<1", func(i ir.ISlot) ir.IExpr { return ir.ShlI(i, ir.Int(1)) }},
+		{"(i<<2)+3", func(i ir.ISlot) ir.IExpr { return ir.AddI(ir.ShlI(i, ir.Int(2)), ir.Int(3)) }},
+	}
+	for _, tc := range cases {
+		for _, write := range []bool{false, true} {
+			mk := func() *ir.Program {
+				p := ir.NewProgram("shift")
+				a := p.NewArrayF("a", ir.Int(4*n+pageElems))
+				s := p.NewScalarF("s")
+				i := p.NewLoopVar("i")
+				at := tc.sub(i)
+				st := ir.SetF(s, ir.AddF(scalarRef(s), ir.LoadF(a, at)))
+				if write {
+					st = ir.StoreF(a, []ir.IExpr{at}, ir.MulF(ir.LoadF(a, at), ir.Flt(1.5)))
+				}
+				p.Body = []ir.Stmt{ir.For(i, ir.Int(0), ir.Int(n), 1, st)}
+				return p
+			}
+			t.Run(fmt.Sprintf("%s/write=%v", tc.name, write), func(t *testing.T) {
+				_, _, _, mach := buildWith(t, mk(), 8, Options{})
+				if r := loopReport(t, mach, "i"); r.Reason != ReasonSpecialized {
+					t.Fatalf("loop i: %s, want page-run", r.Reason)
+				}
+				runDifferentialSites(t, mk, 8, seedAll, true)
+			})
+		}
+	}
+}
+
 func TestNestAbsorbedTrapAtOneCopy(t *testing.T) {
 	// a has 4 columns and the inner loop runs 5: the constant subscript is
 	// out of range at exactly one unrolled position. The chunk is declined,
@@ -662,6 +702,31 @@ func TestNestAbsorbedTrapAtOneCopy(t *testing.T) {
 	// statement's charge, so user time at a trap differs on any loop.)
 	if a, b := vFast.Stats(), vSlow.Stats(); a != b {
 		t.Errorf("vm stats at the trap diverged:\nbytecode %+v\noracle   %+v", a, b)
+	}
+}
+
+func TestNestBodyShape(t *testing.T) {
+	// The shape checks spanSites makes before walking a body: hints and
+	// control flow anywhere in it, nested loops and branches included.
+	p := ir.NewProgram("shape")
+	i, j, s := p.NewLoopVar("i"), p.NewLoopVar("j"), p.NewScalarI("s")
+	a := p.NewArrayF("a", ir.Int(64))
+	cases := []struct {
+		name         string
+		body         []ir.Stmt
+		hint, branch bool
+	}{
+		{"flat", []ir.Stmt{ir.StoreF(a, []ir.IExpr{i}, ir.Flt(1))}, false, false},
+		{"hint in a nested loop", []ir.Stmt{ir.For(j, ir.Int(0), ir.Int(4), 1,
+			ir.Prefetch{Arr: a, Idx: []ir.IExpr{j}, Pages: ir.Int(1)})}, true, false},
+		{"branch", []ir.Stmt{ir.If{Cond: ir.CmpI{Op: ir.Lt, A: i, B: ir.Int(2)}, Then: []ir.Stmt{ir.SetI(s, i)}}}, false, true},
+		{"release in a branch", []ir.Stmt{ir.If{Cond: ir.CmpI{Op: ir.Lt, A: i, B: ir.Int(2)},
+			Else: []ir.Stmt{ir.Release{Arr: a, Idx: []ir.IExpr{i}, Pages: ir.Int(1)}}}}, true, true},
+	}
+	for _, c := range cases {
+		if hint, branch := bodyShape(c.body); hint != c.hint || branch != c.branch {
+			t.Errorf("%s: bodyShape = %v,%v, want %v,%v", c.name, hint, branch, c.hint, c.branch)
+		}
 	}
 }
 

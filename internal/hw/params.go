@@ -105,11 +105,7 @@ func Default() Params {
 // so scaling memory scales the whole experiment; latencies and CPU speed
 // are left untouched, which preserves the latency-to-compute ratios the
 // paper's results depend on.
-func Scaled(memBytes int64) Params {
-	p := Default()
-	p.MemoryBytes = memBytes
-	return p
-}
+func Scaled(memBytes int64) Params { return ScaledTier(TierDisk, memBytes) }
 
 // Frames returns the number of physical page frames.
 func (p Params) Frames() int64 { return p.MemoryBytes / p.PageSize }

@@ -82,7 +82,6 @@ func (h *fp) stmt(s Stmt) {
 		h.iexpr(x.Lo)
 		h.iexpr(x.Hi)
 		h.word(uint64(x.Step))
-		h.word(uint64(x.EstTrip))
 		h.stmts(x.Body)
 	case AssignF:
 		h.tag(2)

@@ -1,35 +1,16 @@
-// Affine-nest analysis: the shared vocabulary between the prefetching
-// compiler and the executor's nest compiler. A loop nest is summarized
-// by which integer slots its body writes, which expressions are pure
-// (evaluable without touching simulated memory), and which subscripts
-// are affine in an induction variable with a loop-invariant remainder.
-// The executor uses these answers to decide, per loop and per access
-// site, whether a specialized driver is exact — and when it is not, to
-// say why.
+// Affine-nest analysis: the questions the prefetching compiler's locality
+// analysis and the executor's nest compiler both ask of a loop nest. Which
+// expressions are pure (evaluable without touching simulated memory) or
+// may trap, which slots an expression reads, which loops have a
+// compile-time trip count, and — the one decomposition both rest on — what
+// an integer expression is in terms of a chosen set of variable slots.
+// Locality decomposes subscripts over their enclosing loops and loop
+// bounds over every symbol they read; the executor asks whether a
+// subscript is affine in one induction variable with a loop-invariant
+// remainder, to decide per access site whether a page-run driver is exact.
 package ir
 
-// WrittenSlots adds every integer slot the statement list assigns to
-// dst: scalar assignments and the induction variables of nested loops.
-// (Float scalars live in a different slot space and are irrelevant to
-// subscript analysis.) A nil dst allocates a fresh map.
-func WrittenSlots(body []Stmt, dst map[int]bool) map[int]bool {
-	if dst == nil {
-		dst = make(map[int]bool)
-	}
-	for _, s := range body {
-		switch x := s.(type) {
-		case *Loop:
-			dst[x.Slot] = true
-			WrittenSlots(x.Body, dst)
-		case SetScalarI:
-			dst[x.Slot] = true
-		case If:
-			WrittenSlots(x.Then, dst)
-			WrittenSlots(x.Else, dst)
-		}
-	}
-	return dst
-}
+import "slices"
 
 // PureIExpr reports whether x can be evaluated without any simulated
 // memory access or float conversion: only constants, slot reads, and
@@ -125,9 +106,10 @@ func ConstFold(x IExpr) (int64, bool) {
 
 // StaticTrip returns l's first induction value and its trip count when
 // both bounds are compile-time constants under env: literals and the slots
-// env binds, combined by operators that cannot trap.
+// env binds (ConstEval refuses a zero divisor, the one operator that could
+// trap).
 func StaticTrip(l *Loop, env map[int]int64) (lo, trip int64, ok bool) {
-	if l.Step <= 0 || MayTrapIExpr(l.Lo) || MayTrapIExpr(l.Hi) {
+	if l.Step <= 0 {
 		return 0, 0, false
 	}
 	lo, okLo := ConstEval(l.Lo, env)
@@ -141,85 +123,178 @@ func StaticTrip(l *Loop, env map[int]int64) (lo, trip int64, ok bool) {
 	return lo, (hi - lo + l.Step - 1) / l.Step, true
 }
 
-// AffineCoeff reports whether x = coeff·slot + rest, with rest invariant
-// under the given predicate (invariant(s) answers "is slot s unchanged
-// across the loop?"), and returns the compile-time coefficient. Indirect
-// (ILoad) and float-derived (IFromF) subscripts are never affine.
-// Division, modulus, shifts, and min/max preserve affine form only when
-// both operands are invariant (coefficient zero).
-func AffineCoeff(x IExpr, slot int, invariant func(int) bool) (int64, bool) {
-	switch e := x.(type) {
-	case IConst:
-		return 0, true
-	case ISlot:
-		if e.Slot == slot {
-			return 1, true
-		}
-		if invariant != nil && !invariant(e.Slot) {
-			return 0, false
-		}
-		return 0, true
-	case IBin:
-		ca, oka := AffineCoeff(e.A, slot, invariant)
-		cb, okb := AffineCoeff(e.B, slot, invariant)
-		if !oka || !okb {
-			return 0, false
-		}
-		switch e.Op {
-		case IAdd:
-			return ca + cb, true
-		case ISub:
-			return ca - cb, true
-		case IMul:
-			if va, ok := ConstFold(e.A); ok {
-				return va * cb, true
-			}
-			if vb, ok := ConstFold(e.B); ok {
-				return ca * vb, true
-			}
-			return 0, ca == 0 && cb == 0
-		default:
-			return 0, ca == 0 && cb == 0
+// SlotRole is what an affine decomposition makes of a slot it reads
+// (one ConstEval could not fold).
+type SlotRole uint8
+
+const (
+	// Opaque slots may hold anything: a term over one is residual.
+	Opaque SlotRole = iota
+	// Var slots are the form's variables: a term over one gets a
+	// coefficient.
+	Var
+	// Fixed slots are unknown but hold one value wherever the form is
+	// used: a term over one is part of the form's invariant remainder.
+	Fixed
+)
+
+// Term is one variable of an affine form and its coefficient.
+type Term struct {
+	Slot  int
+	Coeff int64
+}
+
+// Affine is an integer expression decomposed over variable slots:
+// Σ Coeff·Slot over Terms, plus Const, plus what could not be captured.
+// Decompose fills it in place, so a form reused across expressions
+// allocates nothing once its slices have grown.
+type Affine struct {
+	Terms    []Term // one per variable read, in first-read order; a coefficient may cancel to 0
+	Const    int64  // the compile-time constant part
+	Rest     bool   // a term over Fixed slots (or an operator ConstEval would not fold) of unknown value
+	Residual bool   // a term that is not affine in the variables
+	Indirect bool   // an array load
+	Loaded   []int  // the variables array loads' subscripts read, each once: what drives an indirect reference
+	base     int    // Terms[base:] belongs to the expression being decomposed
+}
+
+// Decompose resets f to the decomposition of e. A subexpression ConstEval
+// folds under env is a constant, whatever its shape; role says what every
+// other slot read is. Sums, differences, products with a constant and
+// shifts by a constant are linear. Any other operator over operands that
+// do not vary (no variable coefficient, no residual, no load) is part of
+// the invariant remainder; anything else is residual. An array load makes
+// the form indirect, driven by the variables of its subscripts; a float
+// conversion is residual.
+func (f *Affine) Decompose(e IExpr, env map[int]int64, role func(slot int) SlotRole) {
+	*f = Affine{Terms: f.Terms[:0], Loaded: f.Loaded[:0]}
+	f.add(e, 1, env, role)
+}
+
+// Coeff returns the coefficient of slot (0 when f does not read it).
+func (f *Affine) Coeff(slot int) int64 {
+	for _, t := range f.Terms {
+		if t.Slot == slot {
+			return t.Coeff
 		}
 	}
-	return 0, false
+	return 0
 }
 
-// LoopSummary is the nest-level shape of one loop, as the executor's
-// specializer needs it.
-type LoopSummary struct {
-	// HasIf is true when the body contains control flow.
-	HasIf bool
-	// HasHint is true when the body contains a prefetch or release hint
-	// (a potential kernel crossing inside the iteration).
-	HasHint bool
-	// WritesInductionVar is true when the body assigns the loop's own
-	// slot.
-	WritesInductionVar bool
-	// Written holds every integer slot the body writes, including
-	// nested induction variables.
-	Written map[int]bool
-}
-
-// Summarize computes the LoopSummary of l's body.
-func Summarize(l *Loop) LoopSummary {
-	s := LoopSummary{Written: WrittenSlots(l.Body, nil)}
-	s.WritesInductionVar = s.Written[l.Slot]
-	s.scan(l.Body)
-	return s
-}
-
-func (s *LoopSummary) scan(body []Stmt) {
-	for _, st := range body {
-		switch x := st.(type) {
-		case *Loop:
-			s.scan(x.Body)
-		case If:
-			s.HasIf = true
-			s.scan(x.Then)
-			s.scan(x.Else)
-		case Prefetch, Release, PrefetchRelease:
-			s.HasHint = true
+// add adds scale·e to f.
+func (f *Affine) add(e IExpr, scale int64, env map[int]int64, role func(slot int) SlotRole) {
+	if v, ok := ConstEval(e, env); ok {
+		f.Const += scale * v
+		return
+	}
+	switch x := e.(type) {
+	case ISlot:
+		switch role(x.Slot) {
+		case Var:
+			f.term(x.Slot, scale)
+		case Fixed:
+			f.Rest = true
+		default:
+			f.Residual = true
 		}
+		return
+	case ILoad:
+		for _, ix := range x.Idx {
+			terms, _ := f.apart(ix, env, role)
+			for _, t := range terms {
+				f.load(t.Slot)
+			}
+		}
+		f.Indirect = true
+		return
+	case IBin:
+		switch x.Op {
+		case IAdd:
+			f.add(x.A, scale, env, role)
+			f.add(x.B, scale, env, role)
+			return
+		case ISub:
+			f.add(x.A, scale, env, role)
+			f.add(x.B, -scale, env, role)
+			return
+		case IMul:
+			if v, ok := ConstEval(x.A, env); ok {
+				f.add(x.B, scale*v, env, role)
+				return
+			}
+			if v, ok := ConstEval(x.B, env); ok {
+				f.add(x.A, scale*v, env, role)
+				return
+			}
+		case IShl:
+			if v, ok := ConstEval(x.B, env); ok && v >= 0 && v < 62 {
+				f.add(x.A, scale*(int64(1)<<uint(v)), env, role)
+				return
+			}
+		}
+		if f.fixed(x.A, env, role) && f.fixed(x.B, env, role) {
+			f.Rest = true
+			return
+		}
+	}
+	f.Residual = true
+	f.loads(e, role, false)
+}
+
+// term adds c to slot's coefficient.
+func (f *Affine) term(slot int, c int64) {
+	for k := f.base; k < len(f.Terms); k++ {
+		if f.Terms[k].Slot == slot {
+			f.Terms[k].Coeff += c
+			return
+		}
+	}
+	f.Terms = append(f.Terms, Term{slot, c})
+}
+
+// fixed reports whether e does not vary: no variable with a nonzero
+// coefficient, nothing residual, no load.
+func (f *Affine) fixed(e IExpr, env map[int]int64, role func(slot int) SlotRole) bool {
+	terms, opaque := f.apart(e, env, role)
+	return !opaque && !slices.ContainsFunc(terms, func(t Term) bool { return t.Coeff != 0 })
+}
+
+// apart decomposes e beside the form being filled, not into it: it
+// returns e's terms (valid until f next grows) and whether e is residual
+// or loads, and leaves f's constant, flags and terms as they were. What
+// the loads inside e record in Loaded stays.
+func (f *Affine) apart(e IExpr, env map[int]int64, role func(slot int) SlotRole) (terms []Term, opaque bool) {
+	konst, rest, residual, indirect, base := f.Const, f.Rest, f.Residual, f.Indirect, f.base
+	f.Residual, f.Indirect, f.base = false, false, len(f.Terms)
+	f.add(e, 1, env, role)
+	terms, opaque = f.Terms[f.base:], f.Residual || f.Indirect
+	f.Terms = f.Terms[:f.base]
+	f.Const, f.Rest, f.Residual, f.Indirect, f.base = konst, rest, residual, indirect, base
+	return terms, opaque
+}
+
+// loads records the array loads inside a residual term: each makes f
+// indirect, driven by every variable its subscripts read (inLoad: e is
+// one of them).
+func (f *Affine) loads(e IExpr, role func(slot int) SlotRole, inLoad bool) {
+	switch x := e.(type) {
+	case ISlot:
+		if inLoad && role(x.Slot) == Var {
+			f.load(x.Slot)
+		}
+	case IBin:
+		f.loads(x.A, role, inLoad)
+		f.loads(x.B, role, inLoad)
+	case ILoad:
+		f.Indirect = true
+		for _, ix := range x.Idx {
+			f.loads(ix, role, true)
+		}
+	}
+}
+
+func (f *Affine) load(slot int) {
+	if !slices.Contains(f.Loaded, slot) {
+		f.Loaded = append(f.Loaded, slot)
 	}
 }

@@ -12,26 +12,6 @@ func nestProgram() (*Program, ISlot, ISlot, ISlot, *Array, *Array) {
 	return p, i, j, s, a, col
 }
 
-func TestWrittenSlots(t *testing.T) {
-	_, i, j, s, a, _ := nestProgram()
-	body := []Stmt{
-		For(j, Int(0), Int(4), 1,
-			StoreF(a, []IExpr{j}, Flt(0)),
-		),
-		If{
-			Cond: CmpI{Op: Lt, A: i, B: Int(2)},
-			Then: []Stmt{SetI(s, Int(1))},
-		},
-	}
-	w := WrittenSlots(body, nil)
-	if !w[j.Slot] || !w[s.Slot] {
-		t.Fatalf("expected slots %d and %d written, got %v", j.Slot, s.Slot, w)
-	}
-	if w[i.Slot] {
-		t.Fatalf("slot %d (i) is only read, got %v", i.Slot, w)
-	}
-}
-
 func TestPureAndTrap(t *testing.T) {
 	_, i, _, _, _, col := nestProgram()
 	pure := AddI(MulI(i, Int(3)), Int(7))
@@ -79,70 +59,6 @@ func TestConstFold(t *testing.T) {
 	}
 	if _, ok := ConstFold(DivI(Int(6), Int(2))); ok {
 		t.Fatal("division is never folded (trap semantics)")
-	}
-}
-
-func TestAffineCoeff(t *testing.T) {
-	_, i, j, _, _, col := nestProgram()
-	inv := func(s int) bool { return s != j.Slot } // j varies, everything else fixed
-
-	cases := []struct {
-		name  string
-		x     IExpr
-		coeff int64
-		ok    bool
-	}{
-		{"i itself", i, 1, true},
-		{"i*32+k-form", AddI(MulI(i, Int(32)), Int(5)), 32, true},
-		{"const*i", MulI(Int(-4), i), -4, true},
-		{"i-i cancels", SubI(i, i), 0, true},
-		{"invariant j-free", AddI(Int(3), Int(9)), 0, true},
-		{"varying other slot", AddI(i, j), 0, false},
-		{"i*i nonlinear", MulI(i, i), 0, false},
-		{"indirect", LoadI(col, i), 0, false},
-		{"min of varying", MinI(AddI(i, Int(2)), Int(31)), 0, false},
-		{"min of invariants", MinI(Int(7), Int(31)), 0, true},
-		{"div of invariants", DivI(Int(8), Int(2)), 0, true},
-		{"div by i", DivI(Int(8), i), 0, false},
-	}
-	for _, c := range cases {
-		coeff, ok := AffineCoeff(c.x, i.Slot, inv)
-		if ok != c.ok || (ok && coeff != c.coeff) {
-			t.Errorf("%s: AffineCoeff(%s) = %d,%v want %d,%v", c.name, c.x, coeff, ok, c.coeff, c.ok)
-		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	_, i, j, s, a, _ := nestProgram()
-
-	flat := For(i, Int(0), Int(8), 1, StoreF(a, []IExpr{i}, Flt(1)))
-	sum := Summarize(flat)
-	if sum.HasIf || sum.HasHint || sum.WritesInductionVar {
-		t.Fatalf("flat loop summary wrong: %+v", sum)
-	}
-
-	nested := For(i, Int(0), Int(8), 1,
-		For(j, Int(0), Int(4), 1,
-			Prefetch{Arr: a, Idx: []IExpr{j}, Pages: Int(1)},
-			StoreF(a, []IExpr{j}, Flt(1)),
-		),
-		If{Cond: CmpI{Op: Lt, A: i, B: Int(2)}, Then: []Stmt{SetI(s, i)}},
-	)
-	sum = Summarize(nested)
-	if !sum.HasIf || !sum.HasHint {
-		t.Fatalf("nested loop summary wrong: %+v", sum)
-	}
-	if !sum.Written[j.Slot] || !sum.Written[s.Slot] {
-		t.Fatalf("written set wrong: %+v", sum.Written)
-	}
-	if sum.WritesInductionVar {
-		t.Fatal("i is not written by the nested body")
-	}
-
-	selfMod := For(i, Int(0), Int(8), 1, SetI(i, Int(0)))
-	if !Summarize(selfMod).WritesInductionVar {
-		t.Fatal("direct induction-variable store missed")
 	}
 }
 
@@ -209,7 +125,8 @@ func TestStaticTrip(t *testing.T) {
 		{"empty", Int(3), Int(3), 1, 3, 0, true},
 		{"inverted", Int(9), Int(3), 1, 9, 0, true},
 		{"unbound slot", Int(0), s, 1, 0, 0, false},
-		{"may trap", Int(0), DivI(Int(8), Int(0)), 1, 0, 0, false},
+		{"zero divisor", Int(0), DivI(Int(8), Int(0)), 1, 0, 0, false},
+		{"nonzero divisor folds", Int(0), DivI(AddI(bm, Int(3)), Int(2)), 1, 0, 4, true},
 		{"non-positive step", Int(0), Int(5), -1, 0, 0, false},
 	}
 	for _, c := range cases {

@@ -162,18 +162,6 @@ func (p *Program) paramEnv() map[int]int64 {
 	return m
 }
 
-// knownParamEnv returns only compile-time-known bindings (the analyzer's
-// view).
-func (p *Program) knownParamEnv() map[int]int64 {
-	m := make(map[int]int64, len(p.Params))
-	for _, prm := range p.Params {
-		if prm.Known {
-			m[prm.Slot] = prm.Val
-		}
-	}
-	return m
-}
-
 // Resolve computes every array's concrete layout under the current
 // parameter bindings, assigning page-aligned base addresses in
 // declaration order. It must be called (directly or via the executor)

@@ -4,16 +4,13 @@ package ir
 type Stmt interface{ isStmt() }
 
 // Loop is a counted for-loop: for Var = Lo; Var < Hi; Var += Step. The
-// body may contain nested loops. EstTrip is the compiler's trip-count
-// estimate when the bounds are not known at compile time (the paper's
-// compiler "assumes large"); zero means use the analyzer's default.
+// body may contain nested loops.
 type Loop struct {
-	Var     string
-	Slot    int
-	Lo, Hi  IExpr
-	Step    int64
-	Body    []Stmt
-	EstTrip int64
+	Var    string
+	Slot   int
+	Lo, Hi IExpr
+	Step   int64
+	Body   []Stmt
 }
 
 // AssignF stores a float expression to a float64 array element.

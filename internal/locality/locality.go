@@ -79,6 +79,11 @@ type Analysis struct {
 	// DefaultEstTrip is assumed for loops whose trip count is not known
 	// at compile time ("the compiler assumes large bounds").
 	DefaultEstTrip int64
+
+	// Scratch forms, reused so that decomposing allocates nothing once
+	// they have grown: decompose fills lo, TripCount both bounds. They
+	// make an Analysis unsafe for concurrent use.
+	lo, hi ir.Affine
 }
 
 // Group is a set of references with group locality: same array, same
@@ -102,23 +107,18 @@ func Analyze(p *ir.Program, pageSize, defaultEstTrip int64) *Analysis {
 	}
 	a := &Analysis{
 		Prog:           p,
-		Known:          knownParams(p),
+		Known:          map[int]int64{},
 		PageSize:       pageSize,
 		DefaultEstTrip: defaultEstTrip,
+	}
+	for _, prm := range p.Params {
+		if prm.Known {
+			a.Known[prm.Slot] = prm.Val
+		}
 	}
 	ir.WalkRefs(p.Body, a.addRef)
 	a.group()
 	return a
-}
-
-func knownParams(p *ir.Program) map[int]int64 {
-	m := make(map[int]int64)
-	for _, prm := range p.Params {
-		if prm.Known {
-			m[prm.Slot] = prm.Val
-		}
-	}
-	return m
 }
 
 func (a *Analysis) addRef(arr *ir.Array, idx []ir.IExpr, isWrite bool, path []*ir.Loop) {

@@ -8,9 +8,13 @@
 // check per event; and the hot emission path allocates nothing beyond the
 // amortized growth of the event buffer.
 //
-// The registry is the system's single source of truth for event counts:
-// the per-package statistics types (vm.Stats, disk.Stats, rt.Stats) are
-// views assembled from registry counters, not parallel accounting.
+// The registry is where the layers publish their event counts, not where
+// they count them. Each layer counts in plain fields of its own
+// statistics type (vm.Stats, disk.Stats, rt.Stats, fault.Counts) on its
+// run's single goroutine; its Stats, Times or Counts accessor stores those
+// fields into the registry's counters as a side effect, with absolute
+// stores, the layer being their sole writer. A registry snapshot is
+// therefore as current as the last accessor call.
 package obs
 
 import (
@@ -189,8 +193,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // RunObs bundles the observability sinks of one simulated run: the
 // metrics registry every layer registers its counters in, and the trace
 // process the run's tracks hang off. A nil *RunObs (or nil fields) is
-// valid and means "not observed": counters still count (package stats
-// are views over them) in a private registry, and tracing is disabled.
+// valid and means "not observed": the layers still publish their stats
+// into a private registry, and tracing is disabled.
 type RunObs struct {
 	Reg  *Registry
 	Proc *Proc
