@@ -63,7 +63,9 @@ test-benchmark:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# The experiment runner, the metrics registry, a shared exec.Artifact
+# The experiment runner, the metrics registry (core runs merging into one
+# shared registry while another goroutine snapshots it, the runner's
+# pattern), a shared exec.Artifact
 # bound from several goroutines, vm's frame-slab stash (every core run and
 # every tenant server donates to it at its end and adopts from it at its
 # start; core runs it from four goroutines at mixed sizes), stripefs's
@@ -123,7 +125,8 @@ test-backends:
 # test-tenants runs the multi-tenant service gate: scheduler determinism
 # (same mix and seed, byte-identical output), tenant isolation (a
 # tenant's final memory image is identical solo and contended), QoS
-# class ordering, quota fair-share reclaim, admission control, the
+# class ordering (and the scheduler's early stop at the first demand read
+# against a full scan), quota fair-share reclaim, admission control, the
 # solo-server tick-for-tick equivalence with a directly driven VM, the
 # touch-episode table (every entry state of a fault through the blocking
 # and the non-blocking driver of the one fault path, same ticks), the
@@ -131,11 +134,15 @@ test-backends:
 # (residency-independent, sensitive to any bit, word swap or page swap,
 # equal to its word-at-a-time definition), and the page life cycle: a
 # departure with reads in flight pinned to the parent's ticks, a second
-# server allocating under 5 % of the first, use after retirement loud,
-# and the proof that recycled frames and page buffers need no zeroing
-# (a run on poisoned memory equals one on fresh memory).
+# server allocating under 5 % of the first, a job's admission and
+# departure held to an allocation budget (TestTenantAllocBudget), a
+# write-back after retirement charged its time and carrying no bytes,
+# any other use after retirement loud, and the proof that recycled frames
+# and page buffers need no zeroing (a run on poisoned memory equals one
+# on fresh memory).
 test-tenants:
 	$(GO) test ./internal/tenant/ -count 1
+	$(GO) test ./internal/disk/ -run TestQoS
 	$(GO) test ./internal/vm/ -run 'TestReclaim|TestQuota|TestPool|TestHash|TestFingerprint|TestTouchEpisodeBothDrivers'
 	$(GO) test ./internal/stripefs/ -run 'TestDiscard|TestFSAdoptsDirtyPageBufs|TestPageBufSlab'
 	$(GO) test ./cmd/benchdiff/

@@ -221,7 +221,18 @@ func (t *transform) plan(res *Result) {
 		l *ir.Loop
 		i int
 	}
-	emitted := map[string]jobSlot{}
+	// A stream is its attach and pipeline loops, its array and leading
+	// subscripts — numbered by their printed text, printed into one
+	// buffer — and its strip length and self stride.
+	type stream struct {
+		at, pipe             *ir.Loop
+		arr                  *ir.Array
+		idx                  int
+		stripLen, selfStride int64
+	}
+	emitted := map[stream]jobSlot{}
+	subscripts := map[string]int{}
+	var text []byte
 	for _, g := range t.an.Groups {
 		lead := g.Leader
 		entry := PlanEntry{Array: g.Arr.Name, Kind: lead.Kind}
@@ -260,7 +271,13 @@ func (t *transform) plan(res *Result) {
 		entry.Profiled = j.profiled
 		res.Plan = append(res.Plan, entry)
 
-		sig := fmt.Sprintf("%p|%p|%s|%v|%d|%d", at, j.pipe, g.Arr.Name, g.Leader.Idx, j.stripLen, j.selfStride)
+		text = ir.AppendIndex(text[:0], g.Leader.Idx)
+		idx, seen := subscripts[string(text)]
+		if !seen {
+			idx = len(subscripts)
+			subscripts[string(text)] = idx
+		}
+		sig := stream{at, j.pipe, g.Arr, idx, j.stripLen, j.selfStride}
 		if len(g.Leader.Path) > 0 {
 			j.top = g.Leader.Path[0]
 		}
@@ -483,13 +500,17 @@ func (t *transform) sizeIndirect(g *locality.Group, j *job) {
 // genPreloads turns the jobs' preload requests into block prefetches
 // planted before their top-level nests, one per (nest, array).
 func (t *transform) genPreloads() {
-	seen := map[string]bool{}
+	type nestArray struct {
+		top *ir.Loop
+		arr *ir.Array
+	}
+	seen := map[nestArray]bool{}
 	for _, jobs := range t.jobs {
 		for _, j := range jobs {
 			if j.preloadPages == 0 || j.top == nil {
 				continue
 			}
-			key := fmt.Sprintf("%p|%s", j.top, j.group.Arr.Name)
+			key := nestArray{j.top, j.group.Arr}
 			if seen[key] {
 				continue
 			}

@@ -77,9 +77,9 @@ type Config struct {
 	// the program name.
 	TraceName string
 
-	// Metrics, if non-nil, is the registry every layer's counters register
-	// in, so one run's metrics land beside others'. Nil gives the run a
-	// private registry, returned in Result.Metrics either way.
+	// Metrics, if non-nil, is the registry every layer's metrics source
+	// registers in, so one run's metrics land beside others'. Nil gives
+	// the run a private registry, returned in Result.Metrics either way.
 	Metrics *obs.Registry
 
 	// Faults, if non-nil and enabled, injects deterministic faults into
@@ -156,10 +156,10 @@ type Result struct {
 	DiskStats []disk.Stats
 	DiskUtil  float64 // mean utilization across disks
 
-	// Metrics is the registry the run's counters were published into
-	// (Config.Metrics, or the run's private registry). Times/Mem/RT/
-	// DiskStats above are the layers' own accounting; reading them
-	// published it, so the registry holds the same values.
+	// Metrics is the registry the run's layers registered their sources
+	// in (Config.Metrics, or the run's private registry). It reads the
+	// same accounting Times/Mem/RT/DiskStats above copy, when it is read,
+	// plus the end-of-run summary (run.*, exec.span_*, sim.events_*).
 	Metrics *obs.Registry
 
 	// Faults tallies what the fault plane injected (all zero when
@@ -175,7 +175,7 @@ type Result struct {
 	Profile *profile.Profile
 
 	// ProfileMismatches counts profile/program site mismatches from a
-	// ProfileSpec.Use compile (also published as "profile.mismatch").
+	// ProfileSpec.Use compile (also the "profile.mismatch" metric).
 	ProfileMismatches int64
 
 	// PlanCacheHit reports whether this run reused a previously compiled
@@ -382,9 +382,6 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 	if rec != nil {
 		r.Profile = rec.Profile()
 	}
-	if cfg.Profile != nil && cfg.Profile.Use != nil {
-		reg.Counter("profile.mismatch").Store(mismatches)
-	}
 	if smp != nil {
 		r.Timeline = smp.stop()
 	}
@@ -401,18 +398,26 @@ func RunContext(ctx context.Context, prog *ir.Program, cfg Config) (res *Result,
 	fs.Recycle()
 	v.Pool().Recycle()
 
-	// End-of-run summary metrics: derived values the counters alone do
-	// not carry.
-	reg.Counter("run.elapsed_ns").Store(int64(elapsed))
-	reg.Counter("exec.span_chunks").Store(env.Span.Chunks)
-	reg.Counter("exec.span_declined").Store(env.Span.Declined)
-	reg.Counter("exec.span_iters").Store(env.Span.Iters)
-	reg.Counter("exec.span_user_ops").Store(env.Span.UserOps)
-	reg.Counter("exec.span_lane_chunks").Store(env.Span.LaneChunks)
-	reg.Counter("exec.span_lane_iters").Store(env.Span.LaneIters)
-	reg.Counter("sim.events_scheduled").Store(clock.EventsScheduled())
-	reg.Counter("sim.events_dispatched").Store(clock.EventsDispatched())
-	reg.Gauge("run.avg_free_frac").Set(r.AvgFree)
-	reg.Gauge("disk.util_mean").Set(r.DiskUtil)
+	// The end-of-run summary: what the layers' own sources do not carry.
+	names := runCounters[:len(runCounters)-1]
+	if cfg.Profile != nil && cfg.Profile.Use != nil {
+		names = runCounters
+	}
+	sp := &env.Span
+	reg.Register(&obs.Source{Counters: names, Gauges: runGauges, Fill: func(c []int64, g []float64) {
+		copy(c, []int64{int64(r.Elapsed), sp.Chunks, sp.Declined, sp.Iters, sp.UserOps, sp.LaneChunks, sp.LaneIters,
+			clock.EventsScheduled(), clock.EventsDispatched(), r.ProfileMismatches})
+		g[0], g[1] = r.AvgFree, r.DiskUtil
+	}})
 	return r, nil
 }
+
+// runCounters and runGauges are a run's end-of-run metrics table, in the
+// order core's source fills it; profile.mismatch, last, is there only
+// for a profile-guided compile.
+var (
+	runCounters = []string{"run.elapsed_ns", "exec.span_chunks", "exec.span_declined", "exec.span_iters",
+		"exec.span_user_ops", "exec.span_lane_chunks", "exec.span_lane_iters",
+		"sim.events_scheduled", "sim.events_dispatched", "profile.mismatch"}
+	runGauges = []string{"run.avg_free_frac", "disk.util_mean"}
+)

@@ -66,10 +66,10 @@ func (serial) StepBudget() bool { return false }
 // tier picks the cost model and nothing else. sched (nil means FCFS) is
 // honored only on the disk tier: the flat tiers have no positional
 // state to schedule around and always service FCFS, whatever sched
-// says — "qos" included. Counters register in reg as "disk.<id>.*"
-// whatever the tier — the array index, not the technology, names the
-// device; nil gets a private registry — and service steps become spans
-// on track (nil disables).
+// says — "qos" included. The device's metrics register in reg as
+// "disk.<id>.*" whatever the tier — the array index, not the technology,
+// names the device; nil registers nowhere — and service steps become
+// spans on track (nil disables).
 func NewBackend(clock *sim.Clock, p hw.Params, id int, sched Scheduler, reg *obs.Registry, track *obs.Track) *Device {
 	var cost CostModel
 	switch p.Tier {
@@ -85,12 +85,11 @@ func NewBackend(clock *sim.Clock, p hw.Params, id int, sched Scheduler, reg *obs
 	if p.Tier != hw.TierDisk {
 		sched = nil
 	}
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	d := &Device{clock: clock, p: p, id: id, sched: sched, cost: cost,
-		batch: make([]Request, 0, cost.Batch()), c: newCounters(reg, id), track: track}
+		batch: make([]Request, 0, cost.Batch()), track: track}
 	d.stepDoneFn = d.stepDone
+	d.metrics = obs.Source{Prefix: metricPrefix(id), Counters: metricNames, Fill: d.readMetrics}
+	reg.Register(&d.metrics)
 	return d
 }
 

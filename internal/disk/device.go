@@ -34,9 +34,8 @@ import (
 //     reaches Failed. A nil Failed means the request must not fail: the
 //     device keeps trying until an attempt succeeds. Without an injector
 //     no request ever fails.
-//   - Stats: Requests/Pages/BusyTime are monotonically non-decreasing
-//     and published to the metrics registry on every Stats/Utilization
-//     read.
+//   - Stats: Requests/Pages/BusyTime are monotonically non-decreasing,
+//     and the metrics registry reads the same fields Stats returns.
 //   - Allocation: the fault-free steady-state submit/service path
 //     allocates nothing.
 //
@@ -51,12 +50,12 @@ type Device struct {
 	sched Scheduler // nil serves in arrival order
 	cost  CostModel
 
-	busy  bool
-	queue []Request
-	batch []Request // requests of the step in service; cap is the tier's batch size
-	n     Stats
-	c     counters
-	track *obs.Track // service-step spans; nil when tracing is off
+	busy    bool
+	queue   []Request
+	batch   []Request // requests of the step in service; cap is the tier's batch size
+	n       Stats
+	metrics obs.Source
+	track   *obs.Track // service-step spans; nil when tracing is off
 
 	// stepDone bound once at construction: a method value per
 	// completion would allocate on the fault-free path.
@@ -81,17 +80,12 @@ func (d *Device) SetFaults(inj *fault.Injector) {
 	d.retry = inj.Retry()
 }
 
-// Stats returns a snapshot of the device's accumulated statistics,
-// publishing them into the metrics registry as a side effect.
-func (d *Device) Stats() Stats {
-	d.c.publish(&d.n)
-	return d.n
-}
+// Stats returns a snapshot of the device's accumulated statistics.
+func (d *Device) Stats() Stats { return d.n }
 
 // Utilization returns the fraction of the elapsed simulated time the
-// device was busy, publishing statistics as Stats does.
+// device was busy.
 func (d *Device) Utilization(elapsed sim.Time) float64 {
-	d.c.publish(&d.n)
 	if elapsed <= 0 {
 		return 0
 	}

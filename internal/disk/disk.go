@@ -9,10 +9,9 @@ package disk
 
 import (
 	"fmt"
-	"sync"
+	"strconv"
 
 	"repro/internal/hw"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -70,11 +69,9 @@ type Request struct {
 
 // Stats accumulates per-device activity. The service path increments the
 // plain fields directly (a device is driven by its run's single simulator
-// goroutine); reading them through Device.Stats or Device.Utilization
-// publishes them into the device's metrics-registry counters
-// ("disk.<id>.requests.<kind>", "disk.<id>.pages.<kind>",
-// "disk.<id>.busy_ns"), so registry snapshots taken after a view read
-// are current.
+// goroutine); the metrics registry reads them through the device's source
+// as "disk.<id>.requests.<kind>", "disk.<id>.pages.<kind>",
+// "disk.<id>.busy_ns", "disk.<id>.retries" and "disk.<id>.failures".
 type Stats struct {
 	Requests [numKinds]int64 // request count by kind (requeues count anew)
 	Pages    [numKinds]int64 // pages moved by kind
@@ -83,71 +80,36 @@ type Stats struct {
 	Failures int64           // requests permanently failed to their Failed handler
 }
 
-// counters holds a disk's metrics-registry handles. The disk is the sole
-// writer of these names in its run's registry, so publish may use
-// absolute stores.
-type counters struct {
-	requests [numKinds]*obs.Counter
-	pages    [numKinds]*obs.Counter
-	busy     *obs.Counter
-	retries  *obs.Counter
-	failures *obs.Counter
+// metricNames is a device's metrics table under its "disk.<id>." prefix,
+// in readMetrics' order.
+var metricNames = []string{
+	"requests.fault-read", "requests.prefetch-read", "requests.write",
+	"pages.fault-read", "pages.prefetch-read", "pages.write",
+	"busy_ns", "retries", "failures",
 }
 
-// counterNames are one device id's registry names. Every run registers
-// the same few ids, so the names are formatted once per process.
-type counterNames struct {
-	requests, pages         [numKinds]string
-	busy, retries, failures string
+// metricPrefixes holds the "disk.<id>." prefix of the ids every array
+// has, so building a device formats no name.
+var metricPrefixes = func() (p [16]string) {
+	for id := range p {
+		p[id] = "disk." + strconv.Itoa(id) + "."
+	}
+	return p
+}()
+
+func metricPrefix(id int) string {
+	if id < len(metricPrefixes) {
+		return metricPrefixes[id]
+	}
+	return "disk." + strconv.Itoa(id) + "."
 }
 
-var (
-	namesMu sync.Mutex
-	names   []*counterNames // by device id
-)
-
-func namesFor(id int) *counterNames {
-	namesMu.Lock()
-	defer namesMu.Unlock()
-	for len(names) <= id {
-		names = append(names, nil)
-	}
-	if names[id] == nil {
-		n := &counterNames{
-			busy:     fmt.Sprintf("disk.%d.busy_ns", id),
-			retries:  fmt.Sprintf("disk.%d.retries", id),
-			failures: fmt.Sprintf("disk.%d.failures", id),
-		}
-		for k := Kind(0); k < numKinds; k++ {
-			n.requests[k] = fmt.Sprintf("disk.%d.requests.%s", id, k)
-			n.pages[k] = fmt.Sprintf("disk.%d.pages.%s", id, k)
-		}
-		names[id] = n
-	}
-	return names[id]
-}
-
-func newCounters(reg *obs.Registry, id int) counters {
-	n := namesFor(id)
-	var c counters
-	for k := Kind(0); k < numKinds; k++ {
-		c.requests[k] = reg.Counter(n.requests[k])
-		c.pages[k] = reg.Counter(n.pages[k])
-	}
-	c.busy = reg.Counter(n.busy)
-	c.retries = reg.Counter(n.retries)
-	c.failures = reg.Counter(n.failures)
-	return c
-}
-
-func (c *counters) publish(s *Stats) {
-	for k := Kind(0); k < numKinds; k++ {
-		c.requests[k].Store(s.Requests[k])
-		c.pages[k].Store(s.Pages[k])
-	}
-	c.busy.Store(int64(s.BusyTime))
-	c.retries.Store(s.Retries)
-	c.failures.Store(s.Failures)
+// readMetrics is the device's obs.Source.
+func (d *Device) readMetrics(c []int64, _ []float64) {
+	n := &d.n
+	copy(c, n.Requests[:])
+	copy(c[numKinds:], n.Pages[:])
+	copy(c[2*numKinds:], []int64{int64(n.BusyTime), n.Retries, n.Failures})
 }
 
 // RequestsTotal returns the total request count across kinds.

@@ -40,8 +40,7 @@ func TestSingleRequestCompletes(t *testing.T) {
 }
 
 // TestCounterNames: a device registers exactly its nine names, spelled as
-// they always were, and a later run's device of the same id formats none
-// of them again.
+// they always were, and building a device formats none of them.
 func TestCounterNames(t *testing.T) {
 	reg := obs.NewRegistry()
 	NewBackend(sim.NewClock(), testParams(), 5, nil, reg, nil)
@@ -58,8 +57,8 @@ func TestCounterNames(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("device 5 registered %q, want %q", got, want)
 	}
-	if n := testing.AllocsPerRun(10, func() { namesFor(5) }); n != 0 {
-		t.Fatalf("naming device 5 again allocated %v times", n)
+	if n := testing.AllocsPerRun(10, func() { metricPrefix(5) }); n != 0 {
+		t.Fatalf("naming device 5 allocated %v times", n)
 	}
 }
 

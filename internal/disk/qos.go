@@ -65,11 +65,12 @@ func ParseClass(s string) (Class, error) {
 // service is never preempted.
 type QoS struct{}
 
-// Next implements Scheduler.
+// Next implements Scheduler. Rank 0 is the least, so the scan stops at
+// the first demand read.
 func (QoS) Next(queue []Request, headCyl int64, p hw.Params) int {
 	best := 0
 	bestRank := qosRank(&queue[0])
-	for i := 1; i < len(queue); i++ {
+	for i := 1; i < len(queue) && bestRank > 0; i++ {
 		if r := qosRank(&queue[i]); r < bestRank {
 			best, bestRank = i, r
 		}

@@ -1,8 +1,11 @@
 package disk
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
 
-import "repro/internal/sim"
+	"repro/internal/sim"
+)
 
 func TestParseClass(t *testing.T) {
 	cases := map[string]Class{
@@ -75,6 +78,30 @@ func TestQoSFIFOWithinRank(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("service order = %v, want %v", order, want)
+		}
+	}
+}
+
+// TestQoSNextEqualsFullScan: stopping at the first demand read picks what
+// a scan of the whole queue for the first request of least rank picks,
+// on random queues of mixed kinds and classes.
+func TestQoSNextEqualsFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	p := testParams()
+	queue := make([]Request, 0, 40)
+	for n := 0; n < 5000; n++ {
+		queue = queue[:0]
+		for i := 1 + rng.Intn(40); i > 0; i-- {
+			queue = append(queue, Request{Kind: Kind(rng.Intn(int(numKinds))), Class: Class(rng.Intn(3))})
+		}
+		want := 0
+		for i := range queue {
+			if qosRank(&queue[i]) < qosRank(&queue[want]) {
+				want = i
+			}
+		}
+		if got := (QoS{}).Next(queue, 0, p); got != want {
+			t.Fatalf("queue %+v: Next = %d, full scan picks %d", queue, got, want)
 		}
 	}
 }

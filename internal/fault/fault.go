@@ -297,19 +297,16 @@ func (c Counts) Total() int64 {
 	return c.ReadErrors + c.WriteErrors + c.Slowdowns + c.BrownoutFailures + c.PrefetchDrops
 }
 
-// counters holds the injector's metrics-registry handles ("fault.*").
-// The injector is the sole writer of these names in its run's registry,
-// so publish may use absolute stores.
-type counters struct {
-	readErrors, writeErrors, slowdowns, brownouts, drops *obs.Counter
+// metricNames is the injector's metrics table, in readMetrics' order.
+var metricNames = []string{
+	"fault.read_errors", "fault.write_errors", "fault.slowdowns",
+	"fault.brownout_failures", "fault.prefetch_drops",
 }
 
-func (c *counters) publish(n *Counts) {
-	c.readErrors.Store(n.ReadErrors)
-	c.writeErrors.Store(n.WriteErrors)
-	c.slowdowns.Store(n.Slowdowns)
-	c.brownouts.Store(n.BrownoutFailures)
-	c.drops.Store(n.PrefetchDrops)
+// readMetrics is the injector's obs.Source.
+func (i *Injector) readMetrics(c []int64, _ []float64) {
+	n := &i.n
+	copy(c, []int64{n.ReadErrors, n.WriteErrors, n.Slowdowns, n.BrownoutFailures, n.PrefetchDrops})
 }
 
 // Verdict is the injector's decision about one disk service attempt.
@@ -328,8 +325,8 @@ type Verdict struct {
 
 // Injector is one run's fault plane. It is driven by the run's single
 // simulator goroutine, like the disks and the VM, so its accounting uses
-// plain fields published to the registry on view reads. All methods are
-// safe on a nil receiver and then inject nothing.
+// plain fields, which the metrics registry reads through the injector's
+// source. All methods are safe on a nil receiver and then inject nothing.
 type Injector struct {
 	prof  Profile
 	retry RetryPolicy
@@ -337,34 +334,27 @@ type Injector struct {
 	devStreams []stream // per-device decision streams, grown on demand
 	vmStream   stream   // prefetch-drop decisions
 
-	n     Counts
-	c     counters
-	track *obs.Track // injected-fault instants; nil when tracing is off
+	n       Counts
+	metrics obs.Source
+	track   *obs.Track // injected-fault instants; nil when tracing is off
 }
 
-// NewInjector builds an injector for one run. Counters register in reg
-// as "fault.*" (nil gets a private registry); injected faults become
+// NewInjector builds an injector for one run. Its metrics register in
+// reg as "fault.*" (nil registers nowhere); injected faults become
 // instants on track (nil disables). The profile must Validate.
 func NewInjector(p Profile, reg *obs.Registry, track *obs.Track) *Injector {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	return &Injector{
+	i := &Injector{
 		prof:     p,
 		retry:    p.Retry.Normalized(),
 		vmStream: newStream(p.Seed, ^uint64(0)),
-		c: counters{
-			readErrors:  reg.Counter("fault.read_errors"),
-			writeErrors: reg.Counter("fault.write_errors"),
-			slowdowns:   reg.Counter("fault.slowdowns"),
-			brownouts:   reg.Counter("fault.brownout_failures"),
-			drops:       reg.Counter("fault.prefetch_drops"),
-		},
-		track: track,
+		track:    track,
 	}
+	i.metrics = obs.Source{Counters: metricNames, Fill: i.readMetrics}
+	reg.Register(&i.metrics)
+	return i
 }
 
 // Profile returns the profile the injector was built with (zero on nil).
@@ -384,13 +374,11 @@ func (i *Injector) Retry() RetryPolicy {
 	return i.retry
 }
 
-// Counts returns a snapshot of the injected-fault tallies, publishing
-// them into the metrics registry as a side effect (zero on nil).
+// Counts returns a snapshot of the injected-fault tallies (zero on nil).
 func (i *Injector) Counts() Counts {
 	if i == nil {
 		return Counts{}
 	}
-	i.c.publish(&i.n)
 	return i.n
 }
 

@@ -204,7 +204,7 @@ func TestProfileValidate(t *testing.T) {
 	}
 }
 
-// The injector's counters publish into the registry on Counts().
+// The registry reads the injector's tallies as Counts returns them.
 func TestInjectorPublishesCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	prof, _ := ProfileByName("flaky")

@@ -81,7 +81,12 @@ func appendB(b []byte, x BExpr) []byte {
 }
 
 func appendRef(b []byte, a *Array, idx []IExpr) []byte {
-	b = append(b, a.Name...)
+	return AppendIndex(append(b, a.Name...), idx)
+}
+
+// AppendIndex appends a subscript list the way Print renders one after
+// its array's name: "[i][(j + 1)]".
+func AppendIndex(b []byte, idx []IExpr) []byte {
 	for _, ix := range idx {
 		b = append(appendI(append(b, '['), ix), ']')
 	}

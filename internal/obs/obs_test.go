@@ -12,7 +12,6 @@ func TestCounterAndGaugeNilSafe(t *testing.T) {
 	var c *Counter
 	c.Inc()
 	c.Add(5)
-	c.Store(7)
 	if c.Value() != 0 {
 		t.Fatal("nil counter reported a value")
 	}
@@ -104,6 +103,73 @@ func TestMergePrefixes(t *testing.T) {
 		t.Fatalf("merge lost gauge: %+v", s.Gauges)
 	}
 	dst.Merge("x/", nil) // nil source is a no-op
+}
+
+// testSource is a layer's source over two plain fields.
+type testSource struct {
+	hits, misses int64
+	util         float64
+	src          Source
+}
+
+func newTestSource(prefix string) *testSource {
+	l := &testSource{}
+	l.src = Source{Prefix: prefix, Counters: []string{"hits", "misses"}, Gauges: []string{"util"},
+		Fill: func(c []int64, g []float64) { c[0], c[1], g[0] = l.hits, l.misses, l.util }}
+	return l
+}
+
+// TestSourceReadOnDemand: a registered source is read when the registry
+// is — by Snapshot, WriteJSON and a read view's Value — and never
+// written, so every read sees the layer's fields as they stand.
+func TestSourceReadOnDemand(t *testing.T) {
+	r := NewRegistry()
+	l := newTestSource("layer.")
+	r.Register(&l.src)
+	hits := r.Counter("layer.hits")
+	l.hits, l.misses, l.util = 3, 1, 0.5
+	if s := r.Snapshot(); s.Counters["layer.hits"] != 3 || s.Counters["layer.misses"] != 1 || s.Gauges["layer.util"] != 0.5 {
+		t.Fatalf("snapshot %+v does not read the source", s)
+	}
+	l.hits = 9
+	if hits.Value() != 9 || r.Gauge("layer.util").Value() != 0.5 {
+		t.Fatalf("read view = %d, want the source's current 9", hits.Value())
+	}
+	if r.Counter("layer.hit").Value() != 0 || r.Counter("other.hits").Value() != 0 {
+		t.Fatal("a name the source does not serve resolved to it")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("adding to a read view did not panic")
+		}
+	}()
+	hits.Inc()
+}
+
+// TestMergeFreezesSources: Merge reads a source once, so the merged
+// registry keeps the values as of the merge while the source's own
+// registry reads on; Freeze does the same in place.
+func TestMergeFreezesSources(t *testing.T) {
+	src := NewRegistry()
+	l := newTestSource("")
+	src.Register(&l.src)
+	l.hits, l.util = 4, 0.25
+	dst := NewRegistry()
+	dst.Merge("run/", src)
+	dst.Merge("again/", src)
+	l.hits = 5
+	s := dst.Snapshot()
+	if s.Counters["run/hits"] != 4 || s.Counters["again/hits"] != 4 || s.Gauges["run/util"] != 0.25 {
+		t.Fatalf("merged snapshot %+v, want the values as of the merge", s)
+	}
+	if src.Counter("hits").Value() != 5 {
+		t.Fatal("merging froze the source in its own registry")
+	}
+	src.Freeze(&l.src)
+	l.hits = 6
+	if src.Counter("hits").Value() != 5 {
+		t.Fatal("a frozen source read its layer again")
+	}
 }
 
 func TestRegistryWriteJSON(t *testing.T) {

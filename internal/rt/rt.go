@@ -40,24 +40,19 @@ func (s Stats) UnnecessaryInsertedFrac() float64 {
 	return float64(s.FilteredPages) / float64(s.InsertedPages)
 }
 
-// counters holds the layer's metrics-registry handles ("rt.*"). The
-// filter path increments the plain Stats fields directly (the layer runs
-// on its run's single goroutine); Layer.Stats publishes them into these
-// handles with absolute stores, the layer being their sole writer.
-type counters struct {
-	insertedCalls, insertedPages, filteredPages *obs.Counter
-	issuedCalls, issuedPages, releasePages      *obs.Counter
-	budgetDropped                               *obs.Counter
+// metricNames is the layer's metrics table, in readMetrics' order.
+var metricNames = []string{
+	"rt.inserted_calls", "rt.inserted_pages", "rt.filtered_pages",
+	"rt.issued_calls", "rt.issued_pages", "rt.release_pages", "rt.budget_dropped",
 }
 
-func (c *counters) publish(s *Stats) {
-	c.insertedCalls.Store(s.InsertedCalls)
-	c.insertedPages.Store(s.InsertedPages)
-	c.filteredPages.Store(s.FilteredPages)
-	c.issuedCalls.Store(s.IssuedCalls)
-	c.issuedPages.Store(s.IssuedPages)
-	c.releasePages.Store(s.ReleasePages)
-	c.budgetDropped.Store(s.BudgetDropped)
+// readMetrics is the layer's obs.Source: the filter path increments the
+// plain Stats fields directly (the layer runs on its run's single
+// goroutine), and the registry reads them here.
+func (l *Layer) readMetrics(c []int64, _ []float64) {
+	n := &l.n
+	copy(c, []int64{n.InsertedCalls, n.InsertedPages, n.FilteredPages,
+		n.IssuedCalls, n.IssuedPages, n.ReleasePages, n.BudgetDropped})
 }
 
 // Layer is one application's run-time layer instance.
@@ -75,35 +70,27 @@ type Layer struct {
 	// exhausted, prefetch hints are dropped at user level (counted in
 	// BudgetDropped) while releases still pass through — releases free
 	// shared memory and must never be throttled.
-	budget int64
-	n      Stats
-	c      counters
+	budget  int64
+	n       Stats
+	metrics obs.Source
 }
 
 // Register attaches a run-time layer to an address space, sharing the OS
 // bit-vector page. If enabled is false the layer becomes a pass-through
-// (the Figure 4(c) configuration). Accounting lands in a private metrics
-// registry; RegisterObserved shares one with the rest of the system.
+// (the Figure 4(c) configuration). Its metrics register nowhere;
+// RegisterObserved shares a registry with the rest of the system.
 func Register(v *vm.VM, enabled bool) *Layer {
 	return RegisterObserved(v, enabled, nil)
 }
 
-// RegisterObserved is Register with the layer's counters registered in
-// reg ("rt.*"); nil gets a private registry.
+// RegisterObserved is Register with the layer's metrics registered in
+// reg ("rt.*"); nil registers nowhere.
 func RegisterObserved(v *vm.VM, enabled bool, reg *obs.Registry) *Layer {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	return &Layer{vm: v, bv: v.BitVector(), enabled: enabled,
-		filterCheck: v.Params().FilterCheckTime, budget: -1, c: counters{
-			insertedCalls: reg.Counter("rt.inserted_calls"),
-			insertedPages: reg.Counter("rt.inserted_pages"),
-			filteredPages: reg.Counter("rt.filtered_pages"),
-			issuedCalls:   reg.Counter("rt.issued_calls"),
-			issuedPages:   reg.Counter("rt.issued_pages"),
-			releasePages:  reg.Counter("rt.release_pages"),
-			budgetDropped: reg.Counter("rt.budget_dropped"),
-		}}
+	l := &Layer{vm: v, bv: v.BitVector(), enabled: enabled,
+		filterCheck: v.Params().FilterCheckTime, budget: -1}
+	l.metrics = obs.Source{Counters: metricNames, Fill: l.readMetrics}
+	reg.Register(&l.metrics)
+	return l
 }
 
 // SetBudget sets the remaining prefetch-page budget; -1 (the default)
@@ -132,12 +119,8 @@ func (l *Layer) spend(n int64) bool {
 // Enabled reports whether filtering is active.
 func (l *Layer) Enabled() bool { return l.enabled }
 
-// Stats returns a snapshot of the layer's counters, publishing them into
-// the metrics registry as a side effect.
-func (l *Layer) Stats() Stats {
-	l.c.publish(&l.n)
-	return l.n
-}
+// Stats returns a snapshot of the layer's counters.
+func (l *Layer) Stats() Stats { return l.n }
 
 // Prefetch handles a compiler-inserted prefetch of n pages at page.
 func (l *Layer) Prefetch(page, n int64) { l.PrefetchRelease(page, n, 0, 0) }

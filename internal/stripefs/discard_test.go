@@ -27,13 +27,14 @@ func stashedPageBufs() int {
 // TestDiscard: Discard moves every backing buffer of the file to the
 // FS's free list at once; I/O already in flight resolves on schedule —
 // a read as for a never-written page, a write-back with its buffer going
-// to the free list instead of the store — and any later use of the
-// file's contents panics by name.
+// to the free list instead of the store —; a later write-back completes
+// on schedule too, taking no buffer and leaving the store empty; and
+// any other later use of the file's contents panics by name.
 func TestDiscard(t *testing.T) {
 	const pages = 8
 	type outcome struct {
-		readDone, writeDone sim.Time
-		got                 [][]uint64
+		readDone, writeDone, lateWrite sim.Time
+		got                            [][]uint64
 	}
 	run := func(discard bool) (outcome, *FS, *File) {
 		stashPageBufs(nil, 0)
@@ -61,6 +62,9 @@ func TestDiscard(t *testing.T) {
 			}
 		}
 		c.Drain()
+		start := c.Now()
+		f.Write(1, fillWords(pw, 1), func(int64) { out.lateWrite = c.Now() - start })
+		c.Drain()
 		return out, fs, f
 	}
 	kept, _, _ := run(false)
@@ -68,6 +72,9 @@ func TestDiscard(t *testing.T) {
 	if gone.readDone != kept.readDone || gone.writeDone != kept.writeDone || gone.readDone == 0 || gone.writeDone == 0 {
 		t.Fatalf("Discard moved in-flight I/O: read done %v (kept: %v), write done %v (kept: %v)",
 			gone.readDone, kept.readDone, gone.writeDone, kept.writeDone)
+	}
+	if gone.lateWrite != kept.lateWrite || gone.lateWrite == 0 {
+		t.Fatalf("a write-back after Discard took %v, want the %v it takes on a live file", gone.lateWrite, kept.lateWrite)
 	}
 	for p, page := range gone.got {
 		if slices.ContainsFunc(page, func(w uint64) bool { return w != 0 }) {
@@ -84,9 +91,7 @@ func TestDiscard(t *testing.T) {
 		t.Fatal("a discarded file still holds a backing buffer")
 	}
 
-	pw := fs.Params().PageSize / 8
 	for name, use := range map[string]func(){
-		"Write":        func() { f.Write(1, fillWords(pw, 1), nil) },
 		"SetPage":      func() { f.SetPage(1, []byte{1}) },
 		"SetPageWords": func() { f.SetPageWords(1, []uint64{1}) },
 		"PeekPage":     func() { f.PeekPage(1) },

@@ -73,7 +73,7 @@ func New(clock *sim.Clock, p hw.Params, mkSched func() disk.Scheduler) *FS {
 }
 
 // NewObserved is New with the run's observability sinks attached: every
-// device's counters register in o's registry and each device gets its
+// device's metrics register in o's registry and each device gets its
 // own trace track ("disk 0" ... "disk N-1") on o's trace process.
 func NewObserved(clock *sim.Clock, p hw.Params, mkSched func() disk.Scheduler, o *obs.RunObs) *FS {
 	fs := &FS{clock: clock, p: p, nextBlock: make([]int64, p.NumDisks)}
@@ -345,10 +345,11 @@ func (f *File) QueueLenOf(page int64) int {
 
 // Discard ends the file's life: every backing buffer goes to the FS's
 // free list, where the next write-back (and, after Recycle, the next FS)
-// takes it without allocating or zeroing. Writing or peeking the file
+// takes it without allocating or zeroing. Setting or peeking a page
 // afterwards panics. A read still in flight resolves as for a
-// never-written page, and a write-back still in flight completes on
-// schedule with its buffer going straight back to the free list.
+// never-written page, a write-back still in flight completes on
+// schedule with its buffer going straight back to the free list, and a
+// later Write is charged its simulated time but carries no bytes.
 func (f *File) Discard() {
 	for p, buf := range f.store {
 		if buf != nil {
@@ -618,10 +619,10 @@ func (w *writeOp) deliver() {
 	if old := f.store[w.page]; old != nil {
 		fs.putPageBuf(old)
 	}
-	if f.discarded {
-		fs.putPageBuf(w.buf)
-	} else {
+	if !f.discarded {
 		f.store[w.page] = w.buf
+	} else if w.buf != nil {
+		fs.putPageBuf(w.buf)
 	}
 	w.buf = nil
 	done, page := w.done, w.page
@@ -648,16 +649,19 @@ func (w *writeOp) failed() {
 // instead of closing over the page. Dirty data must reach the platter,
 // so a write-back that exhausts its retry policy is resubmitted with a
 // fresh budget ("stripefs.requeued_writes") until it succeeds; the
-// backing store only ever changes on success.
+// backing store only ever changes on success. On a discarded file the
+// write takes its disk time and copies nothing.
 func (f *File) Write(page int64, src []uint64, done func(page int64)) {
 	f.check(page, 1)
-	f.checkLive()
 	fs := f.fs
 	w := fs.getWriteOp()
-	buf := fs.getPageBuf()
-	n := copy(buf, src)
-	for i := n; i < len(buf); i++ {
-		buf[i] = 0
+	var buf []uint64
+	if !f.discarded {
+		buf = fs.getPageBuf()
+		n := copy(buf, src)
+		for i := n; i < len(buf); i++ {
+			buf[i] = 0
+		}
 	}
 	w.file, w.page, w.buf, w.done = f, page, buf, done
 	w.disk, w.block = f.locate(page)

@@ -59,7 +59,9 @@ func digest(t *testing.T, s *Server) uint64 {
 // still kept the job's backing store (the chaos row re-recorded when a
 // brownout began to hold the device's next attempt until the window's
 // end, which moves its timing only: every job's output fingerprint is the
-// clean run's). A job queued behind the scan is admitted when it leaves,
+// clean run's; both rows re-recorded when the registry began reading the
+// array's devices, whose disk.<id>.* it had shown as zeros, and nothing
+// else). A job queued behind the scan is admitted when it leaves,
 // and from then on the array makes no page-buffer slab: first write-backs
 // take the departed job's pages.
 func TestDepartureWithReadsInFlight(t *testing.T) {
@@ -74,8 +76,8 @@ func TestDepartureWithReadsInFlight(t *testing.T) {
 		makespan sim.Time
 		digest   uint64
 	}{
-		{"clean", nil, 1428479400, 0xc5386bd96fded2b6},
-		{"chaos", &chaos, 2531598086, 0x9e320462b1da9e18},
+		{"clean", nil, 1428479400, 0xa1cda148e6aa3ef},
+		{"chaos", &chaos, 2531598086, 0xe0d3813c7840fada},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			machine := testMachine(160)
@@ -256,5 +258,32 @@ func TestServerSteadyStateAlloc(t *testing.T) {
 	t.Logf("six retired servers retain %d B; one server's pages are %d B", retained, pageBytes)
 	if retained > 2*pageBytes {
 		t.Errorf("six retired servers retain %d B, over twice one server's pages (%d B)", retained, pageBytes)
+	}
+}
+
+// TestTenantAllocBudget: a job's admission and departure cost a fixed
+// few dozen allocations — its file, address space and run-time layer,
+// its live metrics source, the freeze of that source and one merge of
+// its vm.* and rt.* sources — not a counter and a formatted name per
+// metric. Jobs run one after another on one long-lived server, where
+// their steps allocate nothing, and the count is held to its measured
+// value plus a tenth; when every name was a counter of its own, a job
+// cost 118.
+func TestTenantAllocBudget(t *testing.T) {
+	s, err := NewServer(Config{Machine: testMachine(96), Seed: 5, Sched: "qos"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Name: "job", Kernel: KernelSpec{Kind: "scan", Pages: 64}, Seed: 8}
+	got := testing.AllocsPerRun(20, func() {
+		tn := mustSubmit(t, s, spec)
+		for !tn.Done() {
+			s.Step()
+		}
+	})
+	const measured = 28
+	t.Logf("a job's admission and departure allocate %.1f objects", got)
+	if got > measured*1.1 {
+		t.Errorf("a job's admission and departure allocate %.1f objects, budget %.1f", got, measured*1.1)
 	}
 }

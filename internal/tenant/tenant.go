@@ -18,6 +18,7 @@ package tenant
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/disk"
 	"repro/internal/fault"
@@ -50,10 +51,12 @@ type Config struct {
 	// far-memory devices always service FCFS.
 	Sched string
 
-	// Metrics, if non-nil, receives the shared counters — per-tenant
-	// tenant.<id>.{faults,residency,prefetch_dropped,stall_ticks},
-	// admission admission.{admitted,queued,rejected}, and the disk
-	// array's counters. Nil gives the server a private registry.
+	// Metrics, if non-nil, receives the server's metrics — per-tenant
+	// tenant.<id>.{faults,residency,prefetch_dropped,stall_ticks} (live
+	// while the job runs, as of its departure after), each departed
+	// job's vm.* and rt.* under tenant.<id>., admission
+	// admission.{admitted,queued,rejected}, and the disk array's
+	// metrics. Nil gives the server a private registry.
 	Metrics *obs.Registry
 
 	// Trace, if non-nil, collects a Chrome-trace timeline: one process
@@ -118,7 +121,7 @@ type Tenant struct {
 	vm    *vm.VM
 	layer *rt.Layer
 	kern  kernel
-	reg   *obs.Registry // private: the tenant's vm.* / rt.* counters
+	reg   *obs.Registry // private: the tenant's vm.* / rt.* sources
 
 	state      tenantState
 	idx        int64 // next access index in the kernel stream
@@ -130,8 +133,9 @@ type Tenant struct {
 	finished    sim.Time
 	fingerprint uint64
 
-	// Shared-registry handles (tenant.<id>.*).
-	cFaults, cResidency, cDropped, cStall *obs.Counter
+	// metrics is the tenant's live source in the shared registry
+	// (tenant.<id>.*), frozen at departure.
+	metrics obs.Source
 }
 
 // Report is one job's final accounting.
@@ -243,8 +247,7 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 func (s *Server) Capacity() int64 { return s.capacity }
 
 // Faults returns the injected-fault tallies (zero when the server was
-// built without a fault profile), publishing them into the metrics
-// registry as a side effect.
+// built without a fault profile).
 func (s *Server) Faults() fault.Counts { return s.inj.Counts() }
 
 func (s *Server) deadlockInfo() string {
@@ -287,11 +290,8 @@ func (s *Server) Submit(spec JobSpec) (*Tenant, error) {
 	}
 	t := &Tenant{ID: len(s.all), Spec: spec, srv: s, waitPage: -1}
 	t.kern = newKernel(spec.Kernel, s.seed^splitmix(spec.Seed+uint64(t.ID)), s.p.PageSize)
-	id := t.ID
-	t.cFaults = s.reg.Counter(fmt.Sprintf("tenant.%d.faults", id))
-	t.cResidency = s.reg.Counter(fmt.Sprintf("tenant.%d.residency", id))
-	t.cDropped = s.reg.Counter(fmt.Sprintf("tenant.%d.prefetch_dropped", id))
-	t.cStall = s.reg.Counter(fmt.Sprintf("tenant.%d.stall_ticks", id))
+	t.metrics = obs.Source{Prefix: "tenant." + strconv.Itoa(t.ID) + ".", Counters: liveMetrics, Fill: t.readMetrics}
+	s.reg.Register(&t.metrics)
 	s.all = append(s.all, t)
 	if s.reserved+spec.MinFrames <= s.capacity && len(s.waitQ) == 0 {
 		s.admit(t)
@@ -382,7 +382,6 @@ func (s *Server) pickNext() *Tenant {
 
 func (t *Tenant) unpark() {
 	t.stall += t.srv.clock.Now() - t.blockStart
-	t.cStall.Store(int64(t.stall))
 	t.state = stateRunnable
 }
 
@@ -415,7 +414,6 @@ func (s *Server) Run() error {
 		return fmt.Errorf("tenant: %d jobs still queued with no tenants running", len(s.waitQ))
 	}
 	s.clock.Drain()
-	s.inj.Counts() // publish final fault tallies into the registry
 	// The departed jobs' backing stores are already on the FS's free list.
 	s.fs.Recycle()
 	s.pool.Recycle()
@@ -445,7 +443,6 @@ func (s *Server) runSlice(t *Tenant) {
 	// The tenant's pending compute lands on the shared clock before the
 	// next tenant runs, so cross-tenant event order is well defined.
 	t.vm.FlushUser()
-	t.publish()
 }
 
 // step performs the tenant's next access: its hint (once per access, not
@@ -479,30 +476,38 @@ func (t *Tenant) step() bool {
 	return true
 }
 
-// publish refreshes the tenant's live shared-registry metrics.
-func (t *Tenant) publish() {
+// liveMetrics is a tenant's live metrics table under its "tenant.<id>."
+// prefix, in readMetrics' order.
+var liveMetrics = []string{"faults", "residency", "prefetch_dropped", "stall_ticks"}
+
+// readMetrics is the tenant's live obs.Source (all zero while queued).
+func (t *Tenant) readMetrics(c []int64, _ []float64) {
+	c[3] = int64(t.stall)
+	if t.vm == nil {
+		return
+	}
 	st := t.vm.Stats()
-	t.cFaults.Store(st.MajorFaults)
-	t.cResidency.Store(t.vm.ResidentFrames())
-	t.cDropped.Store(st.PrefetchDropped + t.layer.Stats().BudgetDropped)
-	t.cStall.Store(int64(t.stall))
+	c[0], c[1], c[2] = st.MajorFaults, t.vm.ResidentFrames(), st.PrefetchDropped+t.layer.Stats().BudgetDropped
 }
 
-// finish completes a job: final write-back, result fingerprint, frame
+// finish completes a job: result fingerprint, final write-back, frame
 // release, metrics merge, and reservation return (which may admit queued
-// jobs). The Report carries the hash and nothing reads the region again,
-// so the job's backing store goes back to the array's free list for the
-// jobs still running and the ones admitted next.
+// jobs). The hash comes first, while every dirty page is still resident
+// (a page with a write-back in flight is too), so its words are the
+// job's output; the Report carries it and nothing reads the region
+// again. The backing store then goes back to the array's free list for
+// the jobs still running and the ones admitted next, and the final
+// write-backs, charged their simulated time as ever, carry no bytes.
 func (s *Server) finish(t *Tenant) {
-	t.vm.Finish()
 	t.fingerprint = t.vm.Fingerprint()
-	t.vm.Release(0, t.vm.AllocatedPages())
 	t.file.Discard()
+	t.vm.Finish()
+	t.vm.Release(0, t.vm.AllocatedPages())
 	t.vm.FlushUser()
 	t.state = stateFinished
 	t.finished = s.clock.Now()
-	t.publish()
-	s.reg.Merge(fmt.Sprintf("tenant.%d.", t.ID), t.reg)
+	s.reg.Freeze(&t.metrics)
+	s.reg.Merge(t.metrics.Prefix, t.reg)
 	for i, r := range s.running {
 		if r == t {
 			copy(s.running[i:], s.running[i+1:])

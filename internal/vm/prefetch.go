@@ -253,6 +253,5 @@ func (v *VM) Preload(page, n int64) int64 {
 func (v *VM) ResetAccounting() {
 	v.flushUser()
 	v.n, v.t = Stats{}, TimeStats{}
-	v.publish()
 	v.pool.ResetAccounting()
 }

@@ -1,9 +1,6 @@
 package vm
 
-import (
-	"repro/internal/obs"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // TimeStats is the four-way execution-time breakdown of Figure 3(a):
 // user-mode compute (including prefetch address generation and run-time
@@ -31,9 +28,8 @@ func (t TimeStats) Total() sim.Time {
 // The VM tallies straight into one Stats and one TimeStats: plain fields
 // incremented without synchronization, which is safe because a VM is
 // driven by a single goroutine (each run owns a private simulator). The
-// registry counters below are the export surface; every view read
-// publishes into them first, so registry snapshots taken after Stats() or
-// Times() — which is how runs surface their metrics — are current.
+// metrics registry reads the same fields through the VM's source
+// (readMetrics) when it is read.
 type Stats struct {
 	// Fault classification (Figure 4(a)). OriginalFaults() is their sum.
 	PrefetchedHits     int64 // prefetched and the fault was eliminated
@@ -95,75 +91,24 @@ func (s Stats) UnnecessaryAtOSFrac() float64 {
 	return float64(s.PrefetchUnneeded) / float64(s.PrefetchPagesSeen)
 }
 
-// counters is the VM's set of metrics-registry handles. The VM is the
-// sole writer of these names in its run's registry, so publish may use
-// absolute stores.
-type counters struct {
-	user, sysFault, sysPrefetch, idle *obs.Counter
-
-	prefetchedHits, prefetchedFaults, nonPrefetchedFault *obs.Counter
-	minorFaults                                          *obs.Counter
-
-	prefetchCalls, prefetchIssued                      *obs.Counter
-	prefetchRescues, prefetchUnneeded, prefetchDropped *obs.Counter
-	prefetchAbandoned                                  *obs.Counter
-
-	releaseCalls, releasedPages, writebacks *obs.Counter
-	reclaims, daemonScans                   *obs.Counter
+// metricNames is the VM's metrics table, in readMetrics' order.
+var metricNames = []string{
+	"vm.time.user_ns", "vm.time.sys_fault_ns", "vm.time.sys_prefetch_ns", "vm.time.idle_ns",
+	"vm.faults.prefetched_hit", "vm.faults.prefetched_fault", "vm.faults.non_prefetched", "vm.faults.minor",
+	"vm.prefetch.calls", "vm.prefetch.issued", "vm.prefetch.rescues",
+	"vm.prefetch.unneeded", "vm.prefetch.dropped", "vm.prefetch.abandoned",
+	"vm.release.calls", "vm.release.pages", "vm.writebacks", "vm.reclaims", "vm.daemon_scans",
 }
 
-// newCounters resolves the VM's counter handles in reg once.
-func newCounters(reg *obs.Registry) counters {
-	return counters{
-		user:        reg.Counter("vm.time.user_ns"),
-		sysFault:    reg.Counter("vm.time.sys_fault_ns"),
-		sysPrefetch: reg.Counter("vm.time.sys_prefetch_ns"),
-		idle:        reg.Counter("vm.time.idle_ns"),
-
-		prefetchedHits:     reg.Counter("vm.faults.prefetched_hit"),
-		prefetchedFaults:   reg.Counter("vm.faults.prefetched_fault"),
-		nonPrefetchedFault: reg.Counter("vm.faults.non_prefetched"),
-		minorFaults:        reg.Counter("vm.faults.minor"),
-
-		prefetchCalls:     reg.Counter("vm.prefetch.calls"),
-		prefetchIssued:    reg.Counter("vm.prefetch.issued"),
-		prefetchRescues:   reg.Counter("vm.prefetch.rescues"),
-		prefetchUnneeded:  reg.Counter("vm.prefetch.unneeded"),
-		prefetchDropped:   reg.Counter("vm.prefetch.dropped"),
-		prefetchAbandoned: reg.Counter("vm.prefetch.abandoned"),
-
-		releaseCalls:  reg.Counter("vm.release.calls"),
-		releasedPages: reg.Counter("vm.release.pages"),
-		writebacks:    reg.Counter("vm.writebacks"),
-		reclaims:      reg.Counter("vm.reclaims"),
-		daemonScans:   reg.Counter("vm.daemon_scans"),
-	}
-}
-
-// publish stores the VM's accounting into its registry counters.
-func (v *VM) publish() {
-	c := &v.c
-	c.user.Store(int64(v.t.User))
-	c.sysFault.Store(int64(v.t.SysFault))
-	c.sysPrefetch.Store(int64(v.t.SysPrefetch))
-	c.idle.Store(int64(v.t.Idle))
-
-	n := &v.n
-	c.prefetchedHits.Store(n.PrefetchedHits)
-	c.prefetchedFaults.Store(n.PrefetchedFaults)
-	c.nonPrefetchedFault.Store(n.NonPrefetchedFault)
-	c.minorFaults.Store(n.MinorFaults)
-
-	c.prefetchCalls.Store(n.PrefetchCalls)
-	c.prefetchIssued.Store(n.PrefetchIssued)
-	c.prefetchRescues.Store(n.PrefetchRescues)
-	c.prefetchUnneeded.Store(n.PrefetchUnneeded)
-	c.prefetchDropped.Store(n.PrefetchDropped)
-	c.prefetchAbandoned.Store(n.PrefetchAbandoned)
-
-	c.releaseCalls.Store(n.ReleaseCalls)
-	c.releasedPages.Store(n.ReleasedPages)
-	c.writebacks.Store(n.Writebacks)
-	c.reclaims.Store(n.Reclaims)
-	c.daemonScans.Store(v.pool.scans)
+// readMetrics is the VM's obs.Source: the accounting fields as they
+// stand, user time without the compute not yet flushed to the clock.
+func (v *VM) readMetrics(c []int64, _ []float64) {
+	t, n := &v.t, &v.n
+	copy(c, []int64{
+		int64(t.User), int64(t.SysFault), int64(t.SysPrefetch), int64(t.Idle),
+		n.PrefetchedHits, n.PrefetchedFaults, n.NonPrefetchedFault, n.MinorFaults,
+		n.PrefetchCalls, n.PrefetchIssued, n.PrefetchRescues,
+		n.PrefetchUnneeded, n.PrefetchDropped, n.PrefetchAbandoned,
+		n.ReleaseCalls, n.ReleasedPages, n.Writebacks, n.Reclaims, v.pool.scans,
+	})
 }

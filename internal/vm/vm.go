@@ -130,14 +130,13 @@ type VM struct {
 	cleanedFn func(page int64)
 
 	// Hot-path accounting (the exported views themselves, as plain
-	// fields; see stats.go), the registry handles they are published
-	// to, and trace tracks. The tracks are
-	// nil when tracing is off: each emission is then one nil check. Last
-	// in the struct so the frequently-touched fields above keep small
-	// offsets.
+	// fields; see stats.go), the metrics source that reads them, and
+	// trace tracks. The tracks are nil when tracing is off: each emission
+	// is then one nil check. Last in the struct so the frequently-touched
+	// fields above keep small offsets.
 	n        Stats
 	t        TimeStats
-	c        counters
+	metrics  obs.Source
 	trCPU    *obs.Track // kernel/user/idle spans, one per VM core
 	trFaults *obs.Track // fault-classification instants
 }
@@ -152,14 +151,14 @@ type Region struct {
 
 // New creates a virtual memory system of p.Frames() frames over the given
 // backing file. The virtual address space is the file: file page i is
-// virtual page i. Accounting lands in a private metrics registry and
-// tracing is off; NewObserved shares both with the rest of the system.
+// virtual page i. Its metrics register in a private registry and tracing
+// is off; NewObserved shares both with the rest of the system.
 func New(clock *sim.Clock, p hw.Params, file *stripefs.File) *VM {
 	return NewObserved(clock, p, file, nil)
 }
 
 // NewObserved is New with the run's observability sinks attached: the
-// VM's counters register in o's registry and its spans and
+// VM's metrics source registers in o's registry and its spans and
 // fault-classification instants go to tracks of o's trace process.
 // The address space gets a private frame pool.
 func NewObserved(clock *sim.Clock, p hw.Params, file *stripefs.File, o *obs.RunObs) *VM {
@@ -170,7 +169,7 @@ func NewObserved(clock *sim.Clock, p hw.Params, file *stripefs.File, o *obs.RunO
 // tenant starts with no residency quota (unlimited) and the Gold
 // prefetch class; set both before running it. Observability sinks work
 // as in NewObserved; in multi-tenant servers each tenant usually gets
-// its own registry and trace process so counter names do not collide.
+// its own registry and trace process so metric names do not collide.
 func (pl *Pool) Attach(file *stripefs.File, o *obs.RunObs) *VM {
 	p := pl.p
 	v := &VM{
@@ -196,7 +195,8 @@ func (pl *Pool) Attach(file *stripefs.File, o *obs.RunObs) *VM {
 	for i := range v.pt {
 		v.pt[i].frame = -1
 	}
-	v.c = newCounters(o.Registry())
+	v.metrics = obs.Source{Counters: metricNames, Fill: v.readMetrics}
+	o.Registry().Register(&v.metrics)
 	v.trCPU = o.Thread("cpu")
 	v.trFaults = o.Thread("faults")
 	v.bitvec = newBitVector(file.Pages())
@@ -264,13 +264,10 @@ func (v *VM) Class() disk.Class { return v.class }
 // this at registration).
 func (v *VM) BitVector() *BitVector { return v.bitvec }
 
-// Stats returns a snapshot of the event counters, publishing them into
-// the metrics registry as a side effect (so a registry snapshot taken
-// after any view read is current). MajorFaults and PrefetchPagesSeen are
-// derived sums, and DaemonScans is pool-wide; all three are filled on
-// the returned copy only.
+// Stats returns a snapshot of the event counters. MajorFaults and
+// PrefetchPagesSeen are derived sums, and DaemonScans is pool-wide; all
+// three are filled on the returned copy only.
 func (v *VM) Stats() Stats {
-	v.publish()
 	s := v.n
 	s.MajorFaults = s.PrefetchedFaults + s.NonPrefetchedFault
 	s.PrefetchPagesSeen = s.PrefetchIssued + s.PrefetchRescues + s.PrefetchUnneeded + s.PrefetchDropped
@@ -279,9 +276,8 @@ func (v *VM) Stats() Stats {
 }
 
 // Times returns a snapshot of the time breakdown, with any pending user
-// compute folded in. Like Stats, it publishes to the metrics registry.
+// compute folded in.
 func (v *VM) Times() TimeStats {
-	v.publish()
 	t := v.t
 	t.User += sim.Time(v.pendingUserOps) * v.p.OpTime
 	return t

@@ -113,12 +113,12 @@ type JobMetric = bench.JobMetric
 // disables tracing at the cost of one nil check per event.
 type Trace = obs.Trace
 
-// Metrics is the typed metrics registry every layer's counters and
-// gauges register in. Attach one via Config.Metrics or Runner.Metrics to
+// Metrics is the typed metrics registry every layer registers its
+// metrics in. Attach one via Config.Metrics or Runner.Metrics to
 // collect several runs side by side (per-run names gain
 // "<label>/<variant>/" prefixes), and export a flat JSON snapshot with
-// WriteJSON. The per-run statistics structs (vm, disk, run-time layer)
-// are views assembled from this registry.
+// WriteJSON. It reads the statistics the layers keep (vm, disk,
+// run-time layer) when it is read.
 type Metrics = obs.Registry
 
 // FaultProfile describes one deterministic fault workload: per-disk
