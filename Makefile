@@ -63,9 +63,10 @@ test-benchmark:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# The experiment runner, the metrics registry (core runs merging into one
-# shared registry while another goroutine snapshots it, the runner's
-# pattern), a shared exec.Artifact
+# The experiment runner, the metrics registry (sources over atomics
+# bumped by eight goroutines while others snapshot and merge; core runs
+# merging into one shared registry while another goroutine snapshots it,
+# the runner's pattern), a shared exec.Artifact
 # bound from several goroutines, vm's frame-slab stash (every core run and
 # every tenant server donates to it at its end and adopts from it at its
 # start; core runs it from four goroutines at mixed sizes), stripefs's
@@ -113,7 +114,8 @@ test-faults:
 
 # test-backends runs the storage-backend suite: the one device engine's
 # conformance contract under each tier's cost model (delivery, submits
-# from callbacks, faults, stats, zero-alloc fast path; batched and
+# from callbacks, faults, an exhausted must-not-fail request requeued at
+# the tail with its class, stats, zero-alloc fast path; batched and
 # unbatched far memory deliver in the same order), the tier
 # parameter/spec plumbing, and the cross-tier property that every NAS
 # proxy fingerprints identically on disks, NVMe, and far memory.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -77,51 +78,52 @@ type Runner struct {
 	// Trace, if non-nil, gets a "runner" process with one track per
 	// worker, spanning every job on the wall clock.
 	Trace *obs.Trace
-	// Metrics, if non-nil, receives the pool's own counters
-	// (runner.jobs, runner.jobs_failed, runner.jobs_timed_out,
-	// runner.attempts, runner.wall_ns), updated concurrently by the
-	// workers.
+	// Metrics, if non-nil, serves the pool's own counters (runner.jobs,
+	// runner.jobs_failed, runner.jobs_timed_out, runner.attempts,
+	// runner.wall_ns): each Run registers one source over atomic fields
+	// its workers add to, so the registry may be read while Run runs,
+	// and the counts of several Runs add up.
 	Metrics *obs.Registry
 }
 
-// poolObs is the runner's own observability state, resolved once per Run.
+// poolObs is the runner's own observability state for one Run.
 type poolObs struct {
 	proc                                   *obs.Proc
-	jobs, failed, timedOut, attempts, wall *obs.Counter
+	jobs, failed, timedOut, attempts, wall atomic.Int64
+	metrics                                obs.Source
 	epoch                                  time.Time
 }
 
-func (r *Runner) observe() poolObs {
-	reg := r.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	var proc *obs.Proc
+// poolMetrics is the pool's metrics table under "runner.", in
+// readMetrics' order.
+var poolMetrics = []string{"jobs", "jobs_failed", "jobs_timed_out", "attempts", "wall_ns"}
+
+// readMetrics is the pool's obs.Source; any goroutine may call it.
+func (po *poolObs) readMetrics(c []int64, _ []float64) {
+	copy(c, []int64{po.jobs.Load(), po.failed.Load(), po.timedOut.Load(), po.attempts.Load(), po.wall.Load()})
+}
+
+func (r *Runner) observe() *poolObs {
+	po := &poolObs{epoch: time.Now()}
 	if r.Trace != nil {
-		proc = r.Trace.NewProcess("runner")
+		po.proc = r.Trace.NewProcess("runner")
 	}
-	return poolObs{
-		proc:     proc,
-		jobs:     reg.Counter("runner.jobs"),
-		failed:   reg.Counter("runner.jobs_failed"),
-		timedOut: reg.Counter("runner.jobs_timed_out"),
-		attempts: reg.Counter("runner.attempts"),
-		wall:     reg.Counter("runner.wall_ns"),
-		epoch:    time.Now(),
-	}
+	po.metrics = obs.Source{Prefix: "runner.", Counters: poolMetrics, Fill: po.readMetrics}
+	r.Metrics.Register(&po.metrics)
+	return po
 }
 
 // record accounts one finished job and, when tracing, spans it on the
 // worker's track from its wall-clock start.
 func (po *poolObs) record(track *obs.Track, label string, started time.Duration, m JobMetric) {
-	po.jobs.Inc()
+	po.jobs.Add(1)
 	po.attempts.Add(int64(m.Attempts))
 	po.wall.Add(int64(m.Wall))
 	if m.TimedOut {
-		po.timedOut.Inc()
+		po.timedOut.Add(1)
 	}
 	if m.Err != nil {
-		po.failed.Inc()
+		po.failed.Add(1)
 	}
 	track.Span(label, "job", sim.Time(started), sim.Time(m.Wall))
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -270,11 +271,14 @@ func TestRunnerFaultProfilesConcurrent(t *testing.T) {
 
 // The runner's pool counters and trace are written by every worker
 // concurrently; this test (run under -race in CI) pins both the totals
-// and the data-race freedom of the shared registry.
+// and the data-race freedom of the shared registry, which a reader
+// snapshots while the jobs run.
 func TestRunnerObservabilityConcurrent(t *testing.T) {
 	trace := obs.NewTrace()
 	reg := obs.NewRegistry()
-	shared := reg.Counter("test.work")
+	var work atomic.Int64
+	reg.Register(&obs.Source{Prefix: "test.", Counters: []string{"work"},
+		Fill: func(c []int64, _ []float64) { c[0] = work.Load() }})
 	r := &Runner{Parallelism: 8, Trace: trace, Metrics: reg}
 	const n = 64
 	var jobs []Job
@@ -282,11 +286,13 @@ func TestRunnerObservabilityConcurrent(t *testing.T) {
 		jobs = append(jobs, Job{
 			Label: fmt.Sprintf("j%d", i),
 			Run: func(ctx context.Context) error {
-				// Jobs also hammer the shared registry directly, like
-				// concurrent suite runs merging their metrics do.
+				// Jobs also bump a field behind the shared registry and
+				// read it, like concurrent suite runs merging their
+				// metrics do.
 				for k := 0; k < 100; k++ {
-					shared.Inc()
+					work.Add(1)
 				}
+				_ = reg.Snapshot()
 				return nil
 			},
 		})

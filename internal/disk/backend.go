@@ -39,18 +39,11 @@ type CostModel interface {
 	// Span labels one service step for the trace: the span's name and
 	// its one argument.
 	Span(batch []Request) (name, arg string, val int64)
-	// StepBudget reports who owns the retry budget under fault
-	// injection. False: each request owns its own, and a must-not-fail
-	// request (nil Failed) outlives it, retrying in place. True: the
-	// step owns it — an exhausted step is over, its must-not-fail
-	// requests re-enter the queue head and start a fresh budget with
-	// the next step.
-	StepBudget() bool
 }
 
 // serial is the step shape of a tier that serves one request at a time:
 // the step is the request, so the span carries the request's kind and
-// block and the retry budget is the request's.
+// block.
 type serial struct{}
 
 func (serial) Batch() int { return 1 }
@@ -58,8 +51,6 @@ func (serial) Batch() int { return 1 }
 func (serial) Span(batch []Request) (name, arg string, val int64) {
 	return batch[0].Kind.String(), "block", batch[0].Block
 }
-
-func (serial) StepBudget() bool { return false }
 
 // NewBackend builds one storage device of p's tier: a striped-array
 // disk, an NVMe-like flat-latency device, or a far-memory tier; the
@@ -224,6 +215,3 @@ func (m *FarMemCost) Span(batch []Request) (name, arg string, val int64) {
 	}
 	return "round-trip", "pages", val
 }
-
-// StepBudget implements CostModel: the round trip owns the budget.
-func (m *FarMemCost) StepBudget() bool { return true }

@@ -206,27 +206,52 @@ func TestConformanceExhaustionDegradation(t *testing.T) {
 	})
 }
 
-// A nil Failed means must-not-fail: the device keeps retrying past the
-// policy until the attempt succeeds, whatever the tier's retry shape
-// (per-request on disk and NVMe, per-round-trip requeue on far memory).
+// A nil Failed means must-not-fail: an exhausted request without one
+// counts once in Failures and once in Requeued[kind] per exhaustion,
+// goes back to the queue behind the requests submitted during its step,
+// keeping its Class, and completes exactly once.
 func TestConformanceNilFailedNeverFails(t *testing.T) {
 	forEachTier(t, func(t *testing.T, tier hw.Tier) {
 		c := sim.NewClock()
 		d := newTierBackend(c, tier)
 		d.SetFaults(fault.NewInjector(fault.Profile{
 			Name: "t", Seed: 5, ReadErrorRate: fault.MaxRate,
-			Retry: fault.RetryPolicy{MaxAttempts: 2, Timeout: sim.Microsecond},
+			Retry: fault.RetryPolicy{MaxAttempts: 1},
 		}, nil, nil))
-		completed := 0
-		for i := int64(0); i < 10; i++ {
-			d.Submit(Request{Block: i, Pages: 1, Kind: FaultRead, Done: func() { completed++ }})
-		}
+		var order []string
+		readDone := 0
+		d.Submit(Request{Block: 1, Pages: 1, Kind: FaultRead, Class: Silver, Done: func() {
+			readDone++
+			order = append(order, "read")
+		}})
+		// The write arrives while the read is in service; writes never
+		// fail under this profile.
+		d.Submit(Request{Block: 2, Pages: 1, Kind: Write, Done: func() {
+			order = append(order, "write")
+			// Far memory serves the two in one round trip.
+			pending := append(slices.Clone(d.batch), d.queue...)
+			i := slices.IndexFunc(pending, func(r Request) bool { return r.Kind == FaultRead })
+			if i < 0 {
+				t.Fatal("the exhausted read is not back in the queue when the write completes")
+			}
+			if r := pending[i]; r.Class != Silver || r.Failed != nil || r.Block != 1 {
+				t.Fatalf("requeued request %+v lost its Class or grew a Failed handler", r)
+			}
+		}})
 		c.Drain()
-		if completed != 10 {
-			t.Fatalf("completed %d of 10 must-not-fail requests", completed)
+		if readDone != 1 || !slices.Equal(order, []string{"write", "read"}) {
+			t.Fatalf("completions %v (read done %d times), want the write, then the read once", order, readDone)
 		}
-		if s := d.Stats(); s.Failures != 0 {
-			t.Fatalf("must-not-fail requests recorded %d failures", s.Failures)
+		s := d.Stats()
+		if s.Requeued[FaultRead] == 0 {
+			t.Fatal("no exhaustion at MaxRate error probability and one attempt")
+		}
+		if s.Failures != s.Requeued[FaultRead] || s.Requeued[Write] != 0 || s.Retries != 0 {
+			t.Fatalf("Failures %d, Requeued %v, Retries %d: want every exhaustion counted once in both, no retries",
+				s.Failures, s.Requeued, s.Retries)
+		}
+		if s.Requests[FaultRead] != 1+s.Requeued[FaultRead] {
+			t.Fatalf("Requests[fault-read] = %d, want 1 + %d requeues", s.Requests[FaultRead], s.Requeued[FaultRead])
 		}
 	})
 }
@@ -364,16 +389,12 @@ func TestFarMemoryBatchingAmortizesRTT(t *testing.T) {
 // Far-memory-specific: an unbatched link (NetBatchRequests = 1, every
 // step a batch of one) completes the same request stream exactly once
 // each and in the same delivery order as the default batch size, clean
-// and under faults; only the completion times differ.
+// and under retried faults; only the completion times differ.
 func TestFarMemoryUnbatchedSameDeliveryOrder(t *testing.T) {
 	profiles := map[string]*fault.Profile{
 		"clean": nil,
 		"flaky": {Name: "t", Seed: 21, ReadErrorRate: 0.4, WriteErrorRate: 0.4, SlowRate: 0.2, SlowFactor: 3,
 			Retry: fault.RetryPolicy{MaxAttempts: 64, Timeout: 3600 * sim.Second}},
-		// Exhaustion with nothing allowed to fail: every request takes
-		// the requeue-at-head path until its round trip gets through.
-		"exhausting": {Name: "t", Seed: 5, ReadErrorRate: fault.MaxRate, WriteErrorRate: fault.MaxRate,
-			Retry: fault.RetryPolicy{MaxAttempts: 2, Timeout: sim.Microsecond}},
 	}
 	for name, prof := range profiles {
 		t.Run(name, func(t *testing.T) {

@@ -30,10 +30,13 @@ import (
 //     fault.Injector.Attempt keyed by the device ID — once per step, so
 //     per request on a serial tier and per round trip on far memory —
 //     and transient failures retry in place under the injector's
-//     RetryPolicy with exponential backoff; only an exhausted policy
-//     reaches Failed. A nil Failed means the request must not fail: the
-//     device keeps trying until an attempt succeeds. Without an injector
-//     no request ever fails.
+//     RetryPolicy with exponential backoff. A step whose policy runs out
+//     is exhausted: each of its requests with a Failed handler fails to
+//     it, and each without one must not fail, so it re-enters the queue
+//     at its tail, behind whatever was submitted during the step, and
+//     gets a fresh budget when it is next served. Both count in
+//     Failures; a requeued request also counts in Requeued[kind]. Without
+//     an injector no request is ever exhausted.
 //   - Stats: Requests/Pages/BusyTime are monotonically non-decreasing,
 //     and the metrics registry reads the same fields Stats returns.
 //   - Allocation: the fault-free steady-state submit/service path
@@ -184,18 +187,12 @@ func (d *Device) attempt(attempt int, started sim.Time) {
 	d.upAt = max(d.upAt, v.Until)
 	wait := max(t+d.retry.Backoff(attempt), d.upAt-now)
 	overBudget := d.retry.Timeout > 0 && now+wait-started > d.retry.Timeout
-	if (attempt >= d.retry.MaxAttempts || overBudget) && (d.cost.StepBudget() || d.mayFail()) {
+	if attempt >= d.retry.MaxAttempts || overBudget {
 		d.clock.Schedule(t, d.exhausted)
 		return
 	}
 	d.n.Retries++
 	d.clock.Schedule(wait, func() { d.attempt(attempt+1, started) })
-}
-
-// mayFail reports whether any request of the step in flight has a
-// Failed handler.
-func (d *Device) mayFail() bool {
-	return slices.ContainsFunc(d.batch, func(r Request) bool { return r.Failed != nil })
 }
 
 // stepDone completes every request of the step in flight, in step
@@ -212,22 +209,21 @@ func (d *Device) stepDone() {
 	d.startNext()
 }
 
-// exhausted ends a step whose retry policy ran out: requests that may
-// fail permanently fail to their Failed handler; requests that must not
-// (nil Failed — only a tier whose steps own the budget gets here with
-// any) re-enter the queue head in order, keeping their device and
-// getting a fresh budget with the next step.
+// exhausted ends a step whose retry policy ran out, request by request
+// in step order: one with a Failed handler fails to it, one without goes
+// back to the queue tail, keeping its Class and its Done. The device is
+// still busy, so whatever the handlers submit queues like any other
+// arrival.
 func (d *Device) exhausted() {
-	keep := d.batch[:0]
 	for _, r := range d.batch {
+		d.n.Failures++
 		if r.Failed != nil {
-			d.n.Failures++
 			r.Failed()
 		} else {
-			keep = append(keep, r)
+			d.n.Requeued[r.Kind]++
+			d.queue = append(d.queue, r)
 		}
 	}
-	d.queue = slices.Insert(d.queue, 0, keep...)
 	d.batch = d.batch[:0]
 	d.startNext()
 }

@@ -44,16 +44,12 @@ func (k Kind) String() string {
 // are device-local page numbers; Pages contiguous pages are transferred
 // in one media pass. Done, if non-nil, runs at completion time.
 //
-// Under fault injection a service attempt may fail transiently; the
-// device then retries in place with exponential backoff under its
-// fault.RetryPolicy. When the policy is exhausted (attempt count or the
-// time budget), Failed, if non-nil, runs instead of Done and the request
-// is over — the layer above decides what a permanent failure means
-// (stripefs requeues demand reads and write-backs, abandons
-// prefetches). A nil Failed means the request cannot be allowed to fail:
-// the device keeps trying until an attempt succeeds, which terminates
-// because injected failure rates are below fault.MaxRate and brownouts
-// end.
+// Failed, if non-nil, runs instead of Done when the request's retry
+// budget runs out under fault injection, and the request is over: the
+// caller may give it up (stripefs abandons prefetches that way). A nil
+// Failed means the request must not fail: the device requeues it with a
+// fresh budget until an attempt succeeds, which terminates because
+// injected failure rates are below fault.MaxRate and brownouts end.
 type Request struct {
 	Block  int64
 	Pages  int64
@@ -71,13 +67,15 @@ type Request struct {
 // plain fields directly (a device is driven by its run's single simulator
 // goroutine); the metrics registry reads them through the device's source
 // as "disk.<id>.requests.<kind>", "disk.<id>.pages.<kind>",
-// "disk.<id>.busy_ns", "disk.<id>.retries" and "disk.<id>.failures".
+// "disk.<id>.busy_ns", "disk.<id>.retries" and "disk.<id>.failures";
+// stripefs publishes Requeued summed over its array.
 type Stats struct {
 	Requests [numKinds]int64 // request count by kind (requeues count anew)
 	Pages    [numKinds]int64 // pages moved by kind
 	BusyTime sim.Time        // total time the arm/media/link was busy
 	Retries  int64           // failed service attempts that were retried
-	Failures int64           // requests permanently failed to their Failed handler
+	Failures int64           // requests whose retry budget ran out
+	Requeued [numKinds]int64 // of Failures, requests without Failed put back in the queue, by kind
 }
 
 // metricNames is a device's metrics table under its "disk.<id>." prefix,

@@ -72,23 +72,6 @@ func TestGiveUpInvokesFailed(t *testing.T) {
 	}
 }
 
-// A nil Failed means the request must not fail: the disk keeps retrying
-// past MaxAttempts until the attempt succeeds.
-func TestNilFailedRetriesForever(t *testing.T) {
-	c, d := flakyDisk(t, fault.MaxRate, fault.RetryPolicy{MaxAttempts: 2, Timeout: sim.Microsecond}, 5)
-	var completed int
-	for i := int64(0); i < 10; i++ {
-		d.Submit(Request{Block: i, Pages: 1, Kind: FaultRead, Done: func() { completed++ }})
-	}
-	c.Drain()
-	if completed != 10 {
-		t.Fatalf("completed %d of 10 must-not-fail requests", completed)
-	}
-	if s := d.Stats(); s.Failures != 0 {
-		t.Fatalf("must-not-fail requests recorded %d failures", s.Failures)
-	}
-}
-
 // The per-request time budget fails a request even when attempts remain.
 func TestTimeoutBudgetFailsRequest(t *testing.T) {
 	// 1ns timeout: the first failed attempt already exceeds the budget, so

@@ -17,10 +17,10 @@
 // The layers consume the injector as follows: each storage backend asks
 // Attempt before servicing a request (transient error / latency
 // multiplier / brownout), keyed by its device ID, and applies the
-// bounded RetryPolicy on failure; stripefs decides what a permanent
-// per-request failure means per request kind (requeue demand reads and
-// write-backs, abandon prefetches); and the VM asks DropPrefetch to
-// model synthetic memory-pressure spikes. A nil *Injector is valid
+// bounded RetryPolicy on failure, requeueing an exhausted request unless
+// it may fail (stripefs lets only prefetches fail, and abandons them);
+// and the VM asks DropPrefetch to model synthetic memory-pressure
+// spikes. A nil *Injector is valid
 // everywhere and injects nothing at the cost of one nil check per
 // decision point.
 //

@@ -4,94 +4,40 @@
 //
 // Observability is free when it is off and cheap when it is on. Trace
 // emission through a nil Track costs one nil check per event. The
-// registry reads the layers rather than being written by them: each
-// layer counts in plain fields of its own statistics type (vm.Stats,
-// disk.Stats, rt.Stats, fault.Counts) on its run's single goroutine and,
-// at construction, registers one Source, which fills a fixed table of
-// names from those fields. Snapshot, WriteJSON, Merge and a Counter's
-// Value call the sources when they run, and prefixed names are built only
-// then. A live source is read by the goroutine that owns its run, or
-// after the run ends; Merge freezes what it reads, so any goroutine may
-// read a registry that only merges. Counts bumped as events happen, from
-// any goroutine, are atomic Counters.
+// registry only reads: each layer counts in plain fields of its own
+// (vm.Stats, disk.Stats, rt.Stats, fault.Counts, a server's admissions)
+// and, at construction, registers one Source, which fills a fixed table
+// of names from those fields. Snapshot, WriteJSON, Merge and a Counter's
+// Value call the sources when they run, and prefixed names are built
+// only then. A source over a run's fields is read by the goroutine that
+// owns the run, or after the run ends; one whose fields several
+// goroutines bump (the experiment runner's) keeps them atomic. Merge
+// freezes what it reads, so any goroutine may read a registry that only
+// merges.
 package obs
 
 import (
 	"encoding/json"
 	"io"
-	"maps"
-	"math"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// Counter is a monotonically increasing integer metric. All methods are
-// safe for concurrent use and safe on a nil receiver (a nil counter
-// silently discards). The Counter a registry returns for a name a Source
-// serves is a read view: Value reads the source, and Add panics.
+// Counter is a read view of one counter name: Value adds up what the
+// registry's sources serve under it, now. A name no source serves reads
+// 0 and creates nothing.
 type Counter struct {
-	v    atomic.Int64
-	view *Registry
+	r    *Registry
 	name string
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	if c.view != nil {
-		panic("obs: " + c.name + " is read from a source; nothing adds to it")
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count (0 on a nil counter).
-func (c *Counter) Value() int64 {
-	if c == nil {
+// Value returns the name's current count (0 on a nil registry).
+func (c Counter) Value() int64 {
+	if c.r == nil {
 		return 0
 	}
-	if c.view != nil {
-		v, _ := c.view.sourced(c.name)
-		return v
-	}
-	return c.v.Load()
-}
-
-// Gauge is a float-valued metric for fractions and utilizations, safe
-// like Counter, and likewise a read view for a name a Source serves.
-type Gauge struct {
-	bits atomic.Uint64
-	view *Registry
-	name string
-}
-
-// Set overwrites the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	if g.view != nil {
-		panic("obs: " + g.name + " is read from a source; nothing sets it")
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the current value (0 on a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	if g.view != nil {
-		_, v := g.view.sourced(g.name)
-		return v
-	}
-	return math.Float64frombits(g.bits.Load())
+	return c.r.sourced(c.name)
 }
 
 // Source is one layer's metrics: tables of counter and gauge names,
@@ -117,20 +63,10 @@ func (s *Source) values() ([]int64, []float64) {
 	return c, g
 }
 
-// serves reports whether name is one of the source's.
-func (s *Source) serves(name string) bool {
-	rest, ok := strings.CutPrefix(name, s.Prefix)
-	return ok && (slices.Contains(s.Counters, rest) || slices.Contains(s.Gauges, rest))
-}
-
-// Registry is a concurrency-safe collection of named metrics: the
-// registered Sources, and atomic counters and gauges created on first
-// use.
+// Registry is a concurrency-safe collection of registered Sources.
 type Registry struct {
-	mu       sync.Mutex
-	sources  []*Source
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
+	mu      sync.Mutex
+	sources []*Source
 }
 
 // NewRegistry returns an empty registry.
@@ -156,9 +92,9 @@ func (r *Registry) Freeze(s *Source) {
 	r.mu.Unlock()
 }
 
-// sourced reads the sources that serve name: counters add up, and the
-// last gauge wins.
-func (r *Registry) sourced(name string) (c int64, g float64) {
+// sourced adds up the counters of name across the sources that serve
+// it.
+func (r *Registry) sourced(name string) (c int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, s := range r.sources {
@@ -166,59 +102,14 @@ func (r *Registry) sourced(name string) (c int64, g float64) {
 			if i := slices.Index(s.Counters, rest); i >= 0 {
 				cs, _ := s.values()
 				c += cs[i]
-			} else if j := slices.Index(s.Gauges, rest); j >= 0 {
-				_, gs := s.values()
-				g = gs[j]
 			}
 		}
 	}
-	return c, g
+	return c
 }
 
-// handle returns m[name], creating it on first use, or false when a
-// source serves name. The caller holds r.mu.
-func handle[T any](r *Registry, m *map[string]*T, name string) (*T, bool) {
-	if h := (*m)[name]; h != nil {
-		return h, true
-	}
-	if slices.ContainsFunc(r.sources, func(s *Source) bool { return s.serves(name) }) {
-		return nil, false
-	}
-	if *m == nil {
-		*m = make(map[string]*T)
-	}
-	h := new(T)
-	(*m)[name] = h
-	return h, true
-}
-
-// Counter returns the named counter, creating it on first use, or a read
-// view when a source serves the name (nil on a nil registry).
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := handle(r, &r.counters, name); ok {
-		return c
-	}
-	return &Counter{view: r, name: name}
-}
-
-// Gauge returns the named gauge, creating it on first use, or a read
-// view when a source serves the name (nil on a nil registry).
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := handle(r, &r.gauges, name); ok {
-		return g
-	}
-	return &Gauge{view: r, name: name}
-}
+// Counter returns the read view of the named counter.
+func (r *Registry) Counter(name string) Counter { return Counter{r, name} }
 
 // Snapshot is a point-in-time copy of a registry's values.
 type Snapshot struct {
@@ -226,21 +117,12 @@ type Snapshot struct {
 	Gauges   map[string]float64
 }
 
-// Snapshot reads every source and copies every metric; counters of one
-// name add up, and of gauges the last read wins.
+// Snapshot reads every source; counters of one name add up, and of
+// gauges the last read wins.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := Snapshot{
-		Counters: make(map[string]int64, len(r.counters)),
-		Gauges:   make(map[string]float64, len(r.gauges)),
-	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
+	s := Snapshot{Counters: map[string]int64{}, Gauges: map[string]float64{}}
 	for _, src := range r.sources {
 		c, g := src.values()
 		for i, name := range src.Counters {
@@ -267,7 +149,6 @@ func (r *Registry) Merge(prefix string, src *Registry) {
 		c, g := s.values()
 		frozen[i] = Source{Prefix: prefix + s.Prefix, Counters: s.Counters, Gauges: s.Gauges, c: c, g: g}
 	}
-	counters, gauges := maps.Clone(src.counters), maps.Clone(src.gauges)
 	src.mu.Unlock()
 
 	r.mu.Lock()
@@ -275,12 +156,6 @@ func (r *Registry) Merge(prefix string, src *Registry) {
 		r.sources = append(r.sources, &frozen[i])
 	}
 	r.mu.Unlock()
-	for name, c := range counters {
-		r.Counter(prefix + name).Add(c.Value())
-	}
-	for name, g := range gauges {
-		r.Gauge(prefix + name).Set(g.Value())
-	}
 }
 
 // WriteJSON writes the registry as one flat JSON object, keys sorted,

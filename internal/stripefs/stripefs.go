@@ -38,11 +38,6 @@ type FS struct {
 	nextBlock []int64
 	files     []*File
 
-	// flt gates the degradation handlers: without an injector the disks
-	// can never fail a request, so Read/Write skip attaching Failed
-	// handlers and the fault-free hot path does no failure bookkeeping.
-	flt *fault.Injector
-
 	// Free lists of request-state objects and page buffers. Every I/O
 	// used to allocate its completion closures and (for writes) a page
 	// copy; recycling them makes the steady-state read and write paths
@@ -57,11 +52,24 @@ type FS struct {
 	// than its own allocation.
 	slab []uint64
 
-	// Degradation accounting under fault injection. Cold path: these only
-	// move when a disk request exhausts its retry policy.
-	requeuedReads  *obs.Counter // demand reads resubmitted with a fresh retry budget
-	requeuedWrites *obs.Counter // write-backs resubmitted with a fresh retry budget
-	abandonedPages *obs.Counter // prefetched pages abandoned to a later demand fault
+	abandonedPages int64 // prefetched pages abandoned to a later demand fault
+	metrics        obs.Source
+}
+
+// metricNames is the file system's metrics table under "stripefs.", in
+// readMetrics' order.
+var metricNames = []string{"requeued_reads", "requeued_writes", "abandoned_prefetch_pages"}
+
+// readMetrics is the file system's obs.Source: the demand reads and
+// write-backs its devices requeued, and the prefetched pages it gave up.
+func (fs *FS) readMetrics(c []int64, _ []float64) {
+	var reads, writes int64
+	for _, d := range fs.devs {
+		n := d.Stats()
+		reads += n.Requeued[disk.FaultRead]
+		writes += n.Requeued[disk.Write]
+	}
+	copy(c, []int64{reads, writes, fs.abandonedPages})
 }
 
 // New creates a file system over p.NumDisks fresh devices of p's
@@ -78,9 +86,8 @@ func New(clock *sim.Clock, p hw.Params, mkSched func() disk.Scheduler) *FS {
 func NewObserved(clock *sim.Clock, p hw.Params, mkSched func() disk.Scheduler, o *obs.RunObs) *FS {
 	fs := &FS{clock: clock, p: p, nextBlock: make([]int64, p.NumDisks)}
 	reg := o.Registry()
-	fs.requeuedReads = reg.Counter("stripefs.requeued_reads")
-	fs.requeuedWrites = reg.Counter("stripefs.requeued_writes")
-	fs.abandonedPages = reg.Counter("stripefs.abandoned_prefetch_pages")
+	fs.metrics = obs.Source{Prefix: "stripefs.", Counters: metricNames, Fill: fs.readMetrics}
+	reg.Register(&fs.metrics)
 	for i := 0; i < p.NumDisks; i++ {
 		var s disk.Scheduler
 		if mkSched != nil {
@@ -94,11 +101,7 @@ func NewObserved(clock *sim.Clock, p hw.Params, mkSched func() disk.Scheduler, o
 }
 
 // SetFaults attaches a fault injector to every device (nil detaches).
-// The file system's own degradation policy — what a *permanent*
-// per-request failure means — is always in place; without an injector
-// the devices never fail, so it simply never runs.
 func (fs *FS) SetFaults(inj *fault.Injector) {
-	fs.flt = inj
 	for _, d := range fs.devs {
 		d.SetFaults(inj)
 	}
@@ -216,7 +219,7 @@ func (fs *FS) getSubReq() *subReq {
 	if s == nil {
 		s = &subReq{fs: fs}
 		s.deliverFn = s.deliver
-		s.failedFn = s.failed
+		s.abandonFn = s.abandon
 		return s
 	}
 	fs.freeSubReqs = s.next
@@ -236,7 +239,6 @@ func (fs *FS) getWriteOp() *writeOp {
 	if w == nil {
 		w = &writeOp{fs: fs}
 		w.deliverFn = w.deliver
-		w.failedFn = w.failed
 		return w
 	}
 	fs.freeWriteOps = w.next
@@ -463,12 +465,9 @@ type subReq struct {
 	first int64
 	count int64
 	step  int64 // page stride on one disk = number of disks
-	disk  int
-	block int64
-	kind  disk.Kind
 
 	deliverFn func()
-	failedFn  func()
+	abandonFn func()
 	next      *subReq
 }
 
@@ -498,31 +497,21 @@ func (s *subReq) deliver() {
 	op.complete()
 }
 
-// failed handles a sub-request whose retry policy is exhausted, per the
-// Read degradation contract: prefetches are abandoned page by page,
-// demand reads are resubmitted with a fresh retry budget.
-func (s *subReq) failed() {
+// abandon gives up a prefetch sub-request whose retry budget ran out:
+// failed(p) runs for each lost page and the pages count as resolved.
+func (s *subReq) abandon() {
 	op := s.op
 	if op == nil {
 		panic("stripefs: read sub-request resolved twice")
 	}
-	fs := s.fs
-	if s.kind == disk.PrefetchRead {
-		fs.abandonedPages.Add(s.count)
+	s.fs.abandonedPages += s.count
+	if op.failed != nil {
 		for i := int64(0); i < s.count; i++ {
-			if op.failed != nil {
-				op.failed(s.first + i*s.step)
-			}
+			op.failed(s.first + i*s.step)
 		}
-		fs.putSubReq(s)
-		op.complete()
-		return
 	}
-	fs.requeuedReads.Inc()
-	fs.devs[s.disk].Submit(disk.Request{
-		Block: s.block, Pages: s.count, Kind: s.kind,
-		Done: s.deliverFn, Failed: s.failedFn,
-	})
+	s.fs.putSubReq(s)
+	op.complete()
 }
 
 // Read issues asynchronous reads of file pages [page, page+n). When a
@@ -533,21 +522,14 @@ func (s *subReq) failed() {
 // delay per disk, not per page.
 //
 // done, if non-nil, runs exactly once, when every page has *resolved* —
-// arrived, or (prefetch reads only) been permanently abandoned. That
-// "exactly once" holds across fault injection: transient per-attempt
-// errors are retried inside the disk and are invisible here, and a
-// sub-request that exhausts its retry policy resolves through exactly
-// one of Done or Failed, never both. The per-kind degradation policy:
-//
-//   - FaultRead (demand): must not fail — the faulting CPU is stalled on
-//     the data. A permanently failed sub-request is resubmitted with a
-//     fresh retry budget ("stripefs.requeued_reads") until it succeeds;
-//     done still fires exactly once, after the retried data arrives.
-//   - PrefetchRead: hints are non-binding, so a permanently failed
-//     sub-request is abandoned: failed(p), if non-nil, is invoked for
-//     each lost page ("stripefs.abandoned_prefetch_pages"), no data is
-//     copied, and the pages count as resolved so done still fires. The
-//     caller recovers later through the normal demand-fault path.
+// arrived, or (prefetch reads only) been abandoned. Under fault
+// injection a demand read must not fail — the faulting CPU is stalled on
+// the data — so it goes with a nil Failed and its device requeues it
+// until it succeeds. Hints are non-binding, so a prefetch sub-request
+// whose retry budget runs out is abandoned: failed(p), if non-nil, runs
+// for each lost page ("stripefs.abandoned_prefetch_pages"), no data is
+// copied, and the pages count as resolved. The caller recovers later
+// through the normal demand-fault path.
 //
 // All request state comes from the FS pools, so a steady-state read —
 // faulted or not — allocates nothing.
@@ -578,33 +560,27 @@ func (f *File) Read(page, n int64, kind disk.Kind, dst func(page int64) []uint64
 		op.remaining++
 		s := fs.getSubReq()
 		s.op, s.first, s.count, s.step = op, first, count, d
-		s.disk, s.block, s.kind = int(dd), startBlock, kind
 		req := disk.Request{Block: startBlock, Pages: count, Kind: kind, Done: s.deliverFn, Class: f.class}
-		// The degradation handler is attached only under fault injection:
-		// a fault-free disk never fails a request.
-		if fs.flt != nil {
-			req.Failed = s.failedFn
+		if kind == disk.PrefetchRead {
+			req.Failed = s.abandonFn
 		}
 		fs.devs[dd].Submit(req)
 	}
 }
 
 // writeOp is the state of one in-flight page write-back: the captured
-// page contents plus the resubmission coordinates. Pooled, with its disk
-// callbacks bound once at allocation. The completion callback receives
-// the page number, so one bound-once method value per caller serves
-// every write-back (the VM's zero-alloc clean path depends on this).
+// page contents. Pooled, with its disk callback bound once at
+// allocation. The completion callback receives the page number, so one
+// bound-once method value per caller serves every write-back (the VM's
+// zero-alloc clean path depends on this).
 type writeOp struct {
-	fs    *FS
-	file  *File
-	page  int64
-	buf   []uint64
-	done  func(page int64)
-	disk  int
-	block int64
+	fs   *FS
+	file *File
+	page int64
+	buf  []uint64
+	done func(page int64)
 
 	deliverFn func()
-	failedFn  func()
 	next      *writeOp
 }
 
@@ -632,25 +608,14 @@ func (w *writeOp) deliver() {
 	}
 }
 
-// failed resubmits a write-back whose retry policy is exhausted: dirty
-// data must reach the platter.
-func (w *writeOp) failed() {
-	w.fs.requeuedWrites.Inc()
-	w.fs.devs[w.disk].Submit(disk.Request{
-		Block: w.block, Pages: 1, Kind: disk.Write,
-		Done: w.deliverFn, Failed: w.failedFn,
-	})
-}
-
 // Write issues an asynchronous write-back of one page of words. The
 // source buffer is captured immediately (the frame may be reused right
 // away); done runs at transfer completion with the page that finished,
 // so callers can share one completion function across every write-back
 // instead of closing over the page. Dirty data must reach the platter,
-// so a write-back that exhausts its retry policy is resubmitted with a
-// fresh budget ("stripefs.requeued_writes") until it succeeds; the
-// backing store only ever changes on success. On a discarded file the
-// write takes its disk time and copies nothing.
+// so the write-back goes with a nil Failed and its device requeues it
+// until it succeeds; the backing store only changes then. On a
+// discarded file the write takes its disk time and copies nothing.
 func (f *File) Write(page int64, src []uint64, done func(page int64)) {
 	f.check(page, 1)
 	fs := f.fs
@@ -664,10 +629,6 @@ func (f *File) Write(page int64, src []uint64, done func(page int64)) {
 		}
 	}
 	w.file, w.page, w.buf, w.done = f, page, buf, done
-	w.disk, w.block = f.locate(page)
-	req := disk.Request{Block: w.block, Pages: 1, Kind: disk.Write, Done: w.deliverFn, Class: f.class}
-	if fs.flt != nil {
-		req.Failed = w.failedFn
-	}
-	fs.devs[w.disk].Submit(req)
+	dev, block := f.locate(page)
+	fs.devs[dev].Submit(disk.Request{Block: block, Pages: 1, Kind: disk.Write, Done: w.deliverFn, Class: f.class})
 }

@@ -171,7 +171,10 @@ type Server struct {
 	rotor    int
 	started  bool
 
-	cAdmitted, cQueued, cRejected *obs.Counter
+	// Admission counts, served under "admission." in admissionMetrics'
+	// order.
+	nAdmitted, nQueued, nRejected int64
+	metrics                       obs.Source
 
 	// unblockFn is the bound WaitFor condition, allocated once so the
 	// all-blocked path stays allocation-free in steady state.
@@ -202,18 +205,18 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	fs := stripefs.NewObserved(clock, machine, mkSched, o)
 	s := &Server{
-		clock:     clock,
-		p:         machine,
-		fs:        fs,
-		pool:      vm.NewPool(clock, machine),
-		reg:       reg,
-		trace:     cfg.Trace,
-		seed:      cfg.Seed,
-		capacity:  machine.Frames() - machine.LowWater(),
-		cAdmitted: reg.Counter("admission.admitted"),
-		cQueued:   reg.Counter("admission.queued"),
-		cRejected: reg.Counter("admission.rejected"),
+		clock:    clock,
+		p:        machine,
+		fs:       fs,
+		pool:     vm.NewPool(clock, machine),
+		reg:      reg,
+		trace:    cfg.Trace,
+		seed:     cfg.Seed,
+		capacity: machine.Frames() - machine.LowWater(),
 	}
+	s.metrics = obs.Source{Prefix: "admission.", Counters: admissionMetrics,
+		Fill: func(c []int64, _ []float64) { copy(c, []int64{s.nAdmitted, s.nQueued, s.nRejected}) }}
+	reg.Register(&s.metrics)
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		if err := cfg.Faults.Validate(); err != nil {
 			return nil, err
@@ -281,7 +284,7 @@ func (s *Server) Submit(spec JobSpec) (*Tenant, error) {
 		return nil, fmt.Errorf("tenant: unknown class %d in job %q", spec.Class, spec.Name)
 	}
 	if spec.MinFrames > s.capacity {
-		s.cRejected.Inc()
+		s.nRejected++
 		return nil, fmt.Errorf("tenant: job %q needs %d frames but only %d are admissible",
 			spec.Name, spec.MinFrames, s.capacity)
 	}
@@ -298,7 +301,7 @@ func (s *Server) Submit(spec JobSpec) (*Tenant, error) {
 	} else {
 		t.state = stateQueued
 		s.waitQ = append(s.waitQ, t)
-		s.cQueued.Inc()
+		s.nQueued++
 	}
 	return t, nil
 }
@@ -335,7 +338,7 @@ func (s *Server) admit(t *Tenant) {
 	t.admitted = s.clock.Now()
 	s.reserved += spec.MinFrames
 	s.running = append(s.running, t)
-	s.cAdmitted.Inc()
+	s.nAdmitted++
 }
 
 // admitQueued admits queued jobs, in strict FIFO order, while the head
@@ -475,6 +478,9 @@ func (t *Tenant) step() bool {
 	t.idx++
 	return true
 }
+
+// admissionMetrics is the server's admission table under "admission.".
+var admissionMetrics = []string{"admitted", "queued", "rejected"}
 
 // liveMetrics is a tenant's live metrics table under its "tenant.<id>."
 // prefix, in readMetrics' order.

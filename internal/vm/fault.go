@@ -183,7 +183,7 @@ func (v *VM) touchAsync(page int64) bool {
 		v.pool.inTransitCount++
 		v.bitvec.Set(page)
 		v.file.Read(page, 1, disk.FaultRead, v.dstFn, v.arrivedFn,
-			nil, // demand reads never fail permanently (stripefs requeues)
+			nil, // a demand read must not fail: its device requeues it
 			nil)
 		v.faultPage = page
 		return false

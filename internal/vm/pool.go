@@ -320,9 +320,9 @@ func (pl *Pool) rescueFromFree(f int32) {
 
 // takeFrame obtains a free frame mapping vpage for v, evicting
 // synchronously if the free list is empty (the demand-fault path). It
-// returns false only in mayFail mode (the prefetch path, where the
-// paper's OS simply drops the request when all memory is in use).
-func (pl *Pool) takeFrame(v *VM, vpage int64, mayFail bool) (int32, bool) {
+// returns false only for a prefetch, which the paper's OS simply drops
+// when all memory is in use.
+func (pl *Pool) takeFrame(v *VM, vpage int64, prefetch bool) (int32, bool) {
 	for {
 		if f, ok := pl.popFree(); ok {
 			fi := &pl.frames[f]
@@ -338,7 +338,7 @@ func (pl *Pool) takeFrame(v *VM, vpage int64, mayFail bool) (int32, bool) {
 			}
 			return f, true
 		}
-		if mayFail {
+		if prefetch {
 			return 0, false
 		}
 		pl.syncReclaim(v)

@@ -54,16 +54,10 @@ func (v *VM) PrefetchRelease(pfPage, pfN, relPage, relN int64) {
 	}
 }
 
-// issueRun starts one coalesced prefetch read of pages [start, end). The
-// abandonment callback is passed only under fault injection — a
-// fault-free read never fails, and stripefs skips its degradation
-// machinery entirely when no injector is attached.
+// issueRun starts one coalesced prefetch read of pages [start, end);
+// abandonFn runs for each page whose read exhausts its retry budget.
 func (v *VM) issueRun(start, end int64) {
-	failed := v.abandonFn
-	if v.flt == nil {
-		failed = nil
-	}
-	v.file.Read(start, end-start, disk.PrefetchRead, v.dstFn, v.arrivedFn, failed, nil)
+	v.file.Read(start, end-start, disk.PrefetchRead, v.dstFn, v.arrivedFn, v.abandonFn, nil)
 }
 
 // Prefetch is the prefetch-only form of the system call.
