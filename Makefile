@@ -19,7 +19,7 @@ BENCH_PKGS = ./internal/obs ./internal/vm ./internal/disk ./internal/bench ./int
 # allocator and scheduler noise enough for a 15% gate.
 BENCH_FLAGS = -bench=. -benchmem -benchtime 200ms -count 3 -run '^$$'
 
-.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz tally test-faults test-exec test-compile test-harness test-backends test-tenants test-profile loc bench bench-check bench-baseline
+.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz tally repin test-faults test-exec test-compile test-harness test-backends test-tenants test-profile loc bench bench-check bench-baseline
 
 # ci is the gate: formatting, static checks, build, tests (the root
 # module's and the benchmark module's), the race-detector pass over the
@@ -101,10 +101,29 @@ fuzz:
 
 # tally builds the executor with its dispatch tally (build tag exectally)
 # and runs the deterministic judge of host work: the bytecode dispatches
-# of the 16 scale-1 NAS runs, pinned per run, with each run's top opcodes
+# of the 16 scale-1 NAS runs, held per run to
+# internal/bench/testdata/dispatch.golden, with each run's top opcodes
 # printed (DESIGN.md §11).
 tally:
 	$(GO) test -tags exectally ./internal/bench/ -run TestDispatchCorpus -count 1 -v
+
+# repin re-records every pinned value: each test that holds its output to
+# a record under internal/*/testdata runs with internal/golden's -update,
+# the one flag that rewrites records. It then prints what moved: the
+# records' `git diff --stat`, and a word diff that shows each moved
+# field's old and new value. Use it only for a change meant to move a
+# pin, and explain every moved cell. The packages are listed because a
+# test binary that does not import internal/golden rejects -update; the
+# exec differentials run first because they write the oracle records the
+# harness's tests read.
+RECORDS = internal/*/testdata internal/fault/harness/testdata
+repin:
+	$(GO) test ./internal/exec/ -run 'TestFastPathEquivalence|TestBytecodePinned' -count 1 -update
+	$(GO) test ./internal/fault/harness/ ./internal/nas/ ./internal/core/ ./internal/bench/ ./internal/tenant/ -count 1 -update \
+		-run 'TestFastPathEquivalence|TestRequeueGolden|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare|TestPrintPinned|TestTraceGolden|TestMetricsGolden|TestDepartureWithReadsInFlight'
+	$(GO) test -tags exectally ./internal/bench/ -run TestDispatchCorpus -count 1 -update
+	@git diff --stat -- $(RECORDS)
+	@git diff -U0 --word-diff -- $(RECORDS)
 
 # test-faults runs the fault-injection property matrix: the harness
 # (NAS proxies × profiles, example kernels, byte-identical output) plus

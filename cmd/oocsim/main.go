@@ -33,8 +33,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: oocsim [flags] <file.loop | APP-NAME>")
+	if fs.NArg() != 1 || !(*scale > 0) || !(*ratio >= 0) {
+		fmt.Fprintf(stderr, "usage: oocsim [flags] <file.loop | APP-NAME>, with -scale > 0 and -ratio >= 0 (got -scale %g -ratio %g)\n", *scale, *ratio)
 		return 2
 	}
 	arg := fs.Arg(0)

@@ -62,10 +62,22 @@ func TestBadKernelsFailCleanly(t *testing.T) {
 	}
 }
 
+// A usage error is exit 2 and nothing on stdout; a problem size that is
+// not positive or a memory ratio that is negative (NaN is neither) is one
+// stderr line naming both flags' values, as oocbench and ooccc refuse them.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{nil, {"BUK", "CGM"}, {"-no-such-flag", "BUK"}} {
 		if code, out, _ := sim(args...); code != 2 || out != "" {
 			t.Errorf("oocsim %v: exit %d, stdout %q; want exit 2 and no output", args, code, out)
+		}
+	}
+	for _, c := range []struct{ flag, value string }{
+		{"-scale", "-1"}, {"-scale", "0"}, {"-scale", "NaN"}, {"-ratio", "-2"}, {"-ratio", "NaN"},
+	} {
+		code, out, errs := sim(c.flag, c.value, "BUK")
+		if code != 2 || out != "" || strings.Count(errs, "\n") != 1 || !strings.Contains(errs, c.flag+" "+c.value) {
+			t.Errorf("oocsim %s %s BUK: exit %d, stdout %q, stderr %q; want exit 2 and one stderr line naming %[1]s %[2]s",
+				c.flag, c.value, code, out, errs)
 		}
 	}
 	if code, _, errs := sim(filepath.Join(t.TempDir(), "missing.loop")); code != 1 || !strings.Contains(errs, "missing.loop") {

@@ -29,16 +29,13 @@ for i = 0 .. n {
 func seedOnes(prog *ir.Program, file *stripefs.File, pageSize int64) {
 	a := prog.ArrayByName("a")
 	// Seed page by page with 1.0 bit patterns.
-	buf := make([]byte, pageSize)
-	one := uint64(0x3FF0000000000000)
-	for off := int64(0); off < pageSize; off += 8 {
-		for b := 0; b < 8; b++ {
-			buf[off+int64(b)] = byte(one >> (8 * uint(b)))
-		}
+	words := make([]uint64, pageSize/8)
+	for i := range words {
+		words[i] = 0x3FF0000000000000
 	}
 	pages := (a.Elems*8 + pageSize - 1) / pageSize
 	for p := int64(0); p < pages; p++ {
-		file.SetPage(a.Base/pageSize+p, buf)
+		file.SetPageWords(a.Base/pageSize+p, words)
 	}
 }
 

@@ -3,17 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
-	"reflect"
+	"fmt"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/lang"
 	"repro/internal/obs"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files from current output")
 
 // goldenSrc is a small fixed workload: big enough to fault, prefetch,
 // and write back through every traced layer, small enough that the
@@ -29,10 +25,9 @@ for i = 0 .. n {
 `
 
 // TestTraceGolden locks down the Chrome trace exporter end to end: a
-// deterministic run must serialize to exactly the committed golden
-// trace. The comparison is over parsed JSON, so it is insensitive to
-// field ordering; regenerate with `go test ./internal/core -run
-// TraceGolden -update` after an intentional format change.
+// deterministic run must serialize to exactly the trace recorded in
+// testdata/trace_stream.golden, one event a cell, as WriteJSON wrote it;
+// re-record it (make repin) after an intentional change.
 func TestTraceGolden(t *testing.T) {
 	prog, err := lang.Parse(goldenSrc)
 	if err != nil {
@@ -52,33 +47,21 @@ func TestTraceGolden(t *testing.T) {
 	if err := trace.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "trace_stream.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	var doc struct {
+		Events []json.RawMessage `json:"traceEvents"`
+		Unit   string            `json:"displayTimeUnit"`
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-
-	var gotV, wantV any
-	if err := json.Unmarshal(buf.Bytes(), &gotV); err != nil {
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("exported trace is not valid JSON: %v", err)
 	}
-	if err := json.Unmarshal(want, &wantV); err != nil {
-		t.Fatalf("golden file is not valid JSON: %v", err)
-	}
-	if !reflect.DeepEqual(gotV, wantV) {
-		t.Fatalf("trace diverged from %s (%d bytes now vs %d golden); run with -update if intentional",
-			golden, buf.Len(), len(want))
+	rec := golden.Open(t, "testdata/trace_stream.golden")
+	defer rec.Close()
+	rec.Check(t, "displayTimeUnit", doc.Unit)
+	for i, e := range doc.Events {
+		rec.Check(t, fmt.Sprintf("event/%04d", i), string(e))
 	}
 
-	// Sanity beyond byte equality: the golden itself must have the track
+	// Sanity beyond the record: the trace itself must have the track
 	// structure the exporter promises.
 	events := trace.Events()
 	tracks := map[string]bool{}

@@ -2,13 +2,11 @@ package exec_test
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,6 +17,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/fault/harness"
+	"repro/internal/golden"
 	"repro/internal/hw"
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -231,67 +230,14 @@ func differential(t *testing.T, k harness.Kernel, spec *core.BackendSpec, prof *
 	return harness.Digest(slow, slowSum)
 }
 
-var update = flag.Bool("update", false, "rewrite the harness's record of the oracle's simulations")
-
-// oracleRecord is the harness's record of the oracle's simulation of every
-// cell of TestFastPathEquivalenceNAS and TestFastPathEquivalenceExamples:
-// the harness tests of those names hold core.Run to it without the oracle,
-// which lives only here. The differentials below hold the oracle to it,
-// and rewrite the cells they ran under -update.
-const oracleRecord = "../fault/harness/testdata/oracle.golden"
-
-// record is oracleRecord read for one test.
-type record map[string]string
-
-func readRecord(t *testing.T) record {
-	t.Helper()
-	rec, err := harness.ReadRecord(oracleRecord)
-	if errors.Is(err, os.ErrNotExist) && *update {
-		return record{}
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec
-}
-
-// check holds the oracle's digest of cell to the record, or records it
-// under -update.
-func (r record) check(t *testing.T, cell, digest string) {
-	t.Helper()
-	switch {
-	case *update:
-		r[cell] = digest
-	case r[cell] != digest:
-		t.Errorf("%s: the oracle's simulation %s is not the one %s records (%q): rerun with -update if the change is meant to move it",
-			cell, digest, oracleRecord, r[cell])
-	}
-}
-
-// save rewrites the record, cells sorted, under -update.
-func (r record) save(t *testing.T) {
-	t.Helper()
-	if !*update {
-		return
-	}
-	cells := make([]string, 0, len(r))
-	for c := range r {
-		cells = append(cells, c)
-	}
-	sort.Strings(cells)
-	var b strings.Builder
-	b.WriteString("# The closure-tree oracle's simulation of each cell of the harness's\n" +
-		"# TestFastPathEquivalence tests, as harness.Digest. Rewritten by\n" +
-		"# go test ./internal/exec -run TestFastPathEquivalence -update\n")
-	for _, c := range cells {
-		fmt.Fprintf(&b, "%s %s\n", c, r[c])
-	}
-	if err := os.MkdirAll(filepath.Dir(oracleRecord), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(oracleRecord, []byte(b.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
+// oracleRecord opens the harness's record of the oracle's simulation of
+// every cell of the test t, a Digest a cell: oracle_nas.golden for
+// TestFastPathEquivalenceNAS, oracle_examples.golden for ...Examples. The
+// harness tests of the same names hold core.Run to it without the oracle,
+// which lives only here; the differentials below hold the oracle to it,
+// and write it under -update.
+func oracleRecord(t *testing.T, name string) *golden.Record {
+	return golden.Open(t, "../fault/harness/testdata/oracle_"+name+".golden")
 }
 
 // TestFastPathEquivalenceNAS: for every NAS proxy of the property matrix,
@@ -299,8 +245,8 @@ func (r record) save(t *testing.T) {
 // fault-free and under every seeded fault profile, on the disk array, NVMe
 // and far memory alike.
 func TestFastPathEquivalenceNAS(t *testing.T) {
-	rec := readRecord(t)
-	defer rec.save(t)
+	rec := oracleRecord(t, "nas")
+	defer rec.Close()
 	apps := harness.MatrixApps()
 	tiers := []string{"", "nvme", "farmem"}
 	if testing.Short() {
@@ -325,7 +271,7 @@ func TestFastPathEquivalenceNAS(t *testing.T) {
 				}
 				cell := app.Name + "/" + label + "/"
 				t.Run(label, func(t *testing.T) {
-					t.Run("clean", func(t *testing.T) { rec.check(t, cell+"clean", differential(t, k, spec, nil)) })
+					t.Run("clean", func(t *testing.T) { rec.Check(t, cell+"clean", differential(t, k, spec, nil)) })
 					for pi, name := range harness.MatrixProfiles {
 						if testing.Short() && name != "chaos" {
 							continue // at its full-length seed: a cell the record holds
@@ -335,7 +281,7 @@ func TestFastPathEquivalenceNAS(t *testing.T) {
 							t.Fatalf("unknown profile %q", name)
 						}
 						p.Seed = uint64(31 + 100*ai + pi) // same family, fresh seeds
-						t.Run(name, func(t *testing.T) { rec.check(t, cell+name, differential(t, k, spec, &p)) })
+						t.Run(name, func(t *testing.T) { rec.Check(t, cell+name, differential(t, k, spec, &p)) })
 					}
 				})
 			}
@@ -349,8 +295,8 @@ func TestFastPathEquivalenceExamples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("example corpus covered at full length only")
 	}
-	rec := readRecord(t)
-	defer rec.save(t)
+	rec := oracleRecord(t, "examples")
+	defer rec.Close()
 	files, err := filepath.Glob("../../examples/kernels/*.loop")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no kernel corpus found: %v", err)
@@ -361,10 +307,10 @@ func TestFastPathEquivalenceExamples(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec.check(t, k.Name+"/clean", differential(t, k, nil, nil))
+			rec.Check(t, k.Name+"/clean", differential(t, k, nil, nil))
 			prof, _ := fault.ProfileByName("chaos")
 			prof.Seed = uint64(61 + fi)
-			rec.check(t, k.Name+"/chaos", differential(t, k, nil, &prof))
+			rec.Check(t, k.Name+"/chaos", differential(t, k, nil, &prof))
 		})
 	}
 }

@@ -6,41 +6,24 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/golden"
 )
 
-// oracleRecord holds the closure-tree oracle's simulation of every cell
-// of the two tests below, as a Digest per cell. The oracle lives in
-// internal/exec's tests, whose differentials of the same names run it and
-// the bytecode live over the same cells, hold the oracle to this file, and
-// rewrite it under -update.
-const oracleRecord = "testdata/oracle.golden"
-
-func readOracleRecord(t *testing.T) map[string]string {
-	t.Helper()
-	rec, err := ReadRecord(oracleRecord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec
-}
+// The closure-tree oracle lives in internal/exec's tests, whose
+// differentials of the same names as the two tests below run it and the
+// bytecode over the same cells and write its simulation of each cell, as a
+// Digest, to testdata/oracle_nas.golden and oracle_examples.golden.
 
 // sameAsOracle runs one cell through core.Run — the bytecode, compiled
-// and bound the one way core has — and asserts it is the simulation the
+// and bound the one way core has — and holds it to the simulation the
 // oracle recorded for that cell, down to the last tick.
-func sameAsOracle(t *testing.T, rec map[string]string, cell string, k Kernel, spec *core.BackendSpec, prof *fault.Profile) {
+func sameAsOracle(t *testing.T, rec *golden.Record, cell string, k Kernel, spec *core.BackendSpec, prof *fault.Profile) {
 	t.Helper()
 	res, sum, err := RunBackend(k, spec, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, ok := rec[cell]
-	switch got := Digest(res, sum); {
-	case !ok:
-		t.Errorf("%s: not in %s (go test ./internal/exec -run TestFastPathEquivalence -update records it)", cell, oracleRecord)
-	case got != want:
-		t.Errorf("%s: core.Run's simulation %s is not the oracle's %s (go test ./internal/exec -run TestFastPathEquivalence names the fields that differ)",
-			cell, got, want)
-	}
+	rec.Check(t, cell, Digest(res, sum))
 }
 
 // TestFastPathEquivalenceNAS: for every NAS proxy of the property matrix,
@@ -48,7 +31,8 @@ func sameAsOracle(t *testing.T, rec map[string]string, cell string, k Kernel, sp
 // and under every seeded fault profile, on the disk array, NVMe and far
 // memory alike.
 func TestFastPathEquivalenceNAS(t *testing.T) {
-	rec := readOracleRecord(t)
+	rec := golden.Read(t, "testdata/oracle_nas.golden")
+	defer rec.Close()
 	apps := MatrixApps()
 	tiers := []string{"", "nvme", "farmem"}
 	if testing.Short() {
@@ -97,7 +81,8 @@ func TestFastPathEquivalenceExamples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("example corpus covered at full length only")
 	}
-	rec := readOracleRecord(t)
+	rec := golden.Read(t, "testdata/oracle_examples.golden")
+	defer rec.Close()
 	files, err := filepath.Glob("../../../examples/kernels/*.loop")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no kernel corpus found: %v", err)

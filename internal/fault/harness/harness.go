@@ -12,8 +12,6 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"os"
@@ -279,35 +277,13 @@ func Fingerprint(res *core.Result) uint64 {
 	return h
 }
 
-// Digest condenses everything two runs of one cell must share to be the
-// same simulation — the output fingerprint sum, elapsed time, time
-// breakdown, memory-manager and run-time layer counts, injected faults —
-// into 16 hex digits.
+// Digest renders everything two runs of one cell must share to be the
+// same simulation — the output fingerprint, elapsed time, time breakdown,
+// memory-manager and run-time layer counts, injected faults — as
+// space-separated Name=value fields, so a record of it shows which moved.
 func Digest(res *core.Result, sum uint64) string {
 	t := res.Times
-	h := sha256.New()
-	fmt.Fprintf(h, "%#x %d %d %d %d %d %+v %+v %+v", sum, res.Elapsed,
-		t.User, t.SysFault, t.SysPrefetch, t.Idle, res.Mem, res.RT, res.Faults)
-	return hex.EncodeToString(h.Sum(nil)[:8])
-}
-
-// ReadRecord parses a record of digests: one "cell digest" pair a line,
-// blank lines and #-comments ignored.
-func ReadRecord(path string) (map[string]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rec := map[string]string{}
-	for i, line := range strings.Split(string(data), "\n") {
-		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) != 2 {
-			return nil, fmt.Errorf("%s:%d: want \"cell digest\", got %q", path, i+1, line)
-		}
-		rec[f[0]] = f[1]
-	}
-	return rec, nil
+	return strings.NewReplacer(":", "=", "{", "", "}", "").Replace(fmt.Sprintf(
+		"Fingerprint:%#x Elapsed:%d User:%d SysFault:%d SysPrefetch:%d Idle:%d %+v %+v %+v",
+		sum, res.Elapsed, t.User, t.SysFault, t.SysPrefetch, t.Idle, res.Mem, res.RT, res.Faults))
 }

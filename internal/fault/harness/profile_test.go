@@ -1,12 +1,13 @@
 package harness
 
 import (
-	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/golden"
 	"repro/internal/hw"
 	"repro/internal/nas"
 	"repro/internal/profile"
@@ -195,28 +196,19 @@ func TestProfileCoverageDifferential(t *testing.T) {
 	}
 }
 
-// recordedArtifactSHA256 pins the pass-1 artifact of every NAS proxy
-// (profileScale, profileRunsFor's record run, profile.Marshal of the
-// one-kernel set), captured from the closure-tree recorder of commit 6b2edc2 before
-// recording moved onto kernel bytecode. Any drift in per-site counts,
-// strides, fault classes, stall or inter-access ticks changes a hash.
-var recordedArtifactSHA256 = map[string]string{
-	"BUK":   "0ef4ecd92421cadbabb211d2c0fa418f766e71a466862e76cf14a3e428a4f73b",
-	"CGM":   "8755d4e6298cf902451693ef9448fbce3364b1ae04ed65226588f907ef38623f",
-	"EMBAR": "cd034990946fab756c9cb53b8417be6165b985dcd09c5bc94ec5fcc9b0ef9859",
-	"FFT":   "c247a52d52167b6e4164418d79a9008f25485b43c24b6a4b09c5a6939b71adb4",
-	"MGRID": "4f93995a389268bd0fec4edd2b05df0f2fa97ccb5e41463440870cd0435c2756",
-	"APPLU": "8cf59e323454464d388dd176714a10cb6389b764835ced51f5bab463ed8bd6a2",
-	"APPSP": "5b78d2124a781563f2d3d83c3984e5a7ae60849e1eb47655719cfe9ac32e8b4b",
-	"APPBT": "c3a8f77618cd8127be6cc77fdc8e31e8cabe7e2bd8d84e1c0d4a24205e4c6d76",
-}
-
 // TestProfileRecordingPinnedArtifacts holds recording on the production
-// executor to the artifacts the closure-tree recorder produced, byte for
-// byte, and checks the recording run really is bytecode: every loop
+// executor to the artifacts the closure-tree recorder of commit 6b2edc2
+// produced before recording moved onto kernel bytecode, byte for byte:
+// testdata/artifacts.golden holds every NAS proxy's pass-1 artifact
+// (profileScale, profileRunsFor's record run, profile.Marshal of the
+// one-kernel set) a line a cell, so a drift in per-site counts, strides,
+// fault classes, stall or inter-access ticks shows as the lines it moves.
+// It also checks the recording run really is bytecode: every loop
 // reports, none runs spans, and exactly the loops a plain compile runs as
 // page-run loops were declined for recording.
 func TestProfileRecordingPinnedArtifacts(t *testing.T) {
+	artifacts := golden.Open(t, "testdata/artifacts.golden")
+	defer artifacts.Close()
 	for _, app := range nas.Apps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
@@ -229,8 +221,8 @@ func TestProfileRecordingPinnedArtifacts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != recordedArtifactSHA256[app.Name] {
-				t.Errorf("artifact sha256 %s, pinned %s", got, recordedArtifactSHA256[app.Name])
+			for i, line := range strings.Split(string(data), "\n") {
+				artifacts.Check(t, fmt.Sprintf("%s/%04d", app.Name, i+1), line)
 			}
 
 			if len(rec.FastPath) == 0 || len(rec.FastPath) != len(plain.FastPath) {

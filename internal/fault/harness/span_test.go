@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/nas"
 )
 
@@ -12,19 +13,18 @@ import (
 // APPLU, APPSP and APPBT spend it in 5-component nests whose k loops
 // absorb the component loops, so nearly all of it must arrive through
 // chunks, original (O) and prefetching (P) build alike; MGRID and CGM
-// never depended on absorption, and their counts are pinned to what the
+// never depended on absorption, and their counts are held to what the
 // same tally read on the commit before absorption (where the three APP*
-// proxies read 0).
+// proxies read 0): testdata/span_user_ops.golden, recorded when MGRID's
+// share was 0.997 (O) and 0.996 (P) of user time and CGM's 0.038 and 0.020.
 func TestSpanUserOpsShare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs five proxies twice at harness scale")
 	}
-	pinned := map[string][2]int64{ // O, P
-		"MGRID": {10316308, 10315948}, // 0.997 / 0.996 of user time
-		"CGM":   {294744, 294786},     // 0.038 / 0.020
-	}
+	rec := golden.Open(t, "testdata/span_user_ops.golden")
+	defer rec.Close()
 	for _, app := range nas.Apps() {
-		pin, isPinned := pinned[app.Name]
+		isPinned := app.Name == "MGRID" || app.Name == "CGM"
 		if !isPinned && app.Name != "APPLU" && app.Name != "APPSP" && app.Name != "APPBT" {
 			continue
 		}
@@ -32,7 +32,7 @@ func TestSpanUserOpsShare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, variant := range []string{"O", "P"} {
+		for _, variant := range []string{"O", "P"} {
 			k.Cfg.Prefetch = variant == "P"
 			res, _, err := Run(k, nil)
 			if err != nil {
@@ -45,9 +45,9 @@ func TestSpanUserOpsShare(t *testing.T) {
 			share := float64(ops) * float64(k.Cfg.Machine.OpTime) / float64(res.Times.User)
 			t.Logf("%s/%s: span_user_ops %d, share of user time %.3f, %+v", app.Name, variant, ops, share, res.Env.Span)
 			switch {
-			case isPinned && ops != pin[i]:
-				t.Errorf("%s/%s: exec.span_user_ops = %d, pinned %d", app.Name, variant, ops, pin[i])
-			case !isPinned && share < 0.8:
+			case isPinned:
+				rec.Check(t, app.Name+"/"+variant, ops)
+			case share < 0.8:
 				t.Errorf("%s/%s: %.3f of user time went through chunks, want ≥ 0.8", app.Name, variant, share)
 			}
 		}

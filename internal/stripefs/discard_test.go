@@ -92,7 +92,6 @@ func TestDiscard(t *testing.T) {
 	}
 
 	for name, use := range map[string]func(){
-		"SetPage":      func() { f.SetPage(1, []byte{1}) },
 		"SetPageWords": func() { f.SetPageWords(1, []uint64{1}) },
 		"PeekPage":     func() { f.PeekPage(1) },
 	} {
@@ -130,7 +129,7 @@ func TestFSAdoptsDirtyPageBufs(t *testing.T) {
 			case 1:
 				f.Write(pg, fillWords(pw/2, uint64(pg)+1), nil) // short: the tail must read zero
 			case 2:
-				f.SetPage(pg, []byte{1, 2, 3})
+				f.SetPageWords(pg, []uint64{0x030201})
 			case 3:
 				f.SetPageWords(pg, []uint64{uint64(pg), 9})
 			}

@@ -381,26 +381,8 @@ func (f *File) storeBufFor(page int64) []uint64 {
 	return buf
 }
 
-// SetPage installs the backing contents of a page from raw bytes
-// (little-endian words) without simulated I/O. It is how experiments
-// pre-initialize input files ("the data now comes from disk"); data may
-// be shorter than a page, the rest is zero. The slice is copied.
-func (f *File) SetPage(page int64, data []byte) {
-	f.check(page, 1)
-	if int64(len(data)) > f.fs.p.PageSize {
-		panic(fmt.Sprintf("stripefs: page data %d B exceeds page size %d", len(data), f.fs.p.PageSize))
-	}
-	buf := f.storeBufFor(page)
-	for i := range buf {
-		buf[i] = 0
-	}
-	for i, c := range data {
-		buf[i>>3] |= uint64(c) << uint(8*(i&7))
-	}
-}
-
-// SetPageWords is SetPage for word-formatted data, the layer's native
-// page format. The slice is copied; only the tail past it is zeroed.
+// SetPageWords installs a page's backing words without simulated I/O, as
+// experiments seed input files. The slice is copied; the tail is zeroed.
 func (f *File) SetPageWords(page int64, data []uint64) {
 	f.check(page, 1)
 	if int64(len(data)) > f.fs.p.PageSize/8 {

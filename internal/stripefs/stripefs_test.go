@@ -119,33 +119,6 @@ func TestReadDeliversStoredData(t *testing.T) {
 	}
 }
 
-// SetPage takes raw bytes and must lay them out as little-endian words,
-// zero-filling the rest of the page — the byte-level view tests and
-// experiment seeding rely on.
-func TestSetPageBytesAreLittleEndianWords(t *testing.T) {
-	_, fs := newFS()
-	f, _ := fs.Create("f", 2)
-	f.SetPage(1, []byte{0x01, 0x02, 0x03, 0, 0, 0, 0, 0, 0xFF})
-	got := f.PeekPage(1)
-	if got[0] != 0x030201 {
-		t.Fatalf("word 0 = %#x, want 0x030201", got[0])
-	}
-	if got[1] != 0xFF {
-		t.Fatalf("word 1 = %#x, want 0xff (partial trailing bytes)", got[1])
-	}
-	for i := 2; i < len(got); i++ {
-		if got[i] != 0 {
-			t.Fatalf("word %d = %#x, want zero fill", i, got[i])
-		}
-	}
-	// Overwriting with fewer bytes must clear what was there before.
-	f.SetPage(1, []byte{0x07})
-	got = f.PeekPage(1)
-	if got[0] != 0x07 || got[1] != 0 {
-		t.Fatalf("after overwrite: words %#x %#x, want 0x07 0", got[0], got[1])
-	}
-}
-
 func TestReadZeroFillsUnwrittenPages(t *testing.T) {
 	c, fs := newFS()
 	f, _ := fs.Create("f", 2)
@@ -242,8 +215,8 @@ func TestOutOfRangePanics(t *testing.T) {
 	_, fs := newFS()
 	f, _ := fs.Create("f", 4)
 	for _, fn := range []func(){
-		func() { f.SetPage(4, nil) },
-		func() { f.SetPage(-1, nil) },
+		func() { f.SetPageWords(4, nil) },
+		func() { f.SetPageWords(-1, nil) },
 		func() { f.Read(3, 2, disk.FaultRead, nil, nil, nil, nil) },
 		func() { f.Write(99, make([]uint64, fs.Params().PageSize/8), nil) },
 	} {

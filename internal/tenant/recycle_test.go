@@ -1,15 +1,14 @@
 package tenant
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/golden"
 	"repro/internal/hw"
 	"repro/internal/sim"
 	"repro/internal/stripefs"
@@ -31,22 +30,6 @@ func totalAlloc() uint64 {
 	return m.TotalAlloc
 }
 
-// digest folds every report and the whole shared registry into one
-// value, so a test can pin a run's complete outcome as a constant.
-func digest(t *testing.T, s *Server) uint64 {
-	t.Helper()
-	h := fnv.New64a()
-	for _, r := range s.Reports() {
-		fmt.Fprintf(h, "%+v\n", r)
-	}
-	var buf bytes.Buffer
-	if err := s.Metrics().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	h.Write(buf.Bytes())
-	return h.Sum64()
-}
-
 // TestDepartureWithReadsInFlight: a job may leave while prefetch reads
 // for its region are still queued at the array. The kernels never do
 // that by themselves (every page a hint names is touched later in the
@@ -55,29 +38,29 @@ func digest(t *testing.T, s *Server) uint64 {
 // released and will not touch again; under the qos scheduler those reads
 // queue behind the final write-back and outlive the job. Departure must
 // neither panic nor wait for them: makespan, every report and the merged
-// registry are pinned to the values this test recorded when departure
-// still kept the job's backing store (the chaos row re-recorded when a
-// brownout began to hold the device's next attempt until the window's
-// end, which moves its timing only: every job's output fingerprint is the
-// clean run's; both rows re-recorded when the registry began reading the
-// array's devices, whose disk.<id>.* it had shown as zeros, and nothing
-// else). A job queued behind the scan is admitted when it leaves,
-// and from then on the array makes no page-buffer slab: first write-backs
-// take the departed job's pages.
+// registry are held to testdata/departure.golden, first recorded when
+// departure still kept the job's backing store (the chaos row re-recorded
+// when a brownout began to hold the device's next attempt until the
+// window's end, which moves its timing only: every job's output
+// fingerprint is the clean run's; both rows re-recorded when the registry
+// began reading the array's devices, whose disk.<id>.* it had shown as
+// zeros, and nothing else). A job queued behind the scan is admitted when
+// it leaves, and from then on the array makes no page-buffer slab: first
+// write-backs take the departed job's pages.
 func TestDepartureWithReadsInFlight(t *testing.T) {
 	chaos, err := fault.ParseSpec("profile=chaos,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := golden.Open(t, "testdata/departure.golden")
+	defer rec.Close()
 	var clean []uint64 // the clean run's output fingerprints, by job
 	for _, tc := range []struct {
-		name     string
-		faults   *fault.Profile
-		makespan sim.Time
-		digest   uint64
+		name   string
+		faults *fault.Profile
 	}{
-		{"clean", nil, 1428479400, 0xa1cda148e6aa3ef},
-		{"chaos", &chaos, 2531598086, 0xe0d3813c7840fada},
+		{"clean", nil},
+		{"chaos", &chaos},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			machine := testMachine(160)
@@ -130,14 +113,20 @@ func TestDepartureWithReadsInFlight(t *testing.T) {
 			if err := s.Pool().CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			makespan, sum := s.Clock().Now(), digest(t, s)
-			t.Logf("%d reads in flight at departure; makespan %d, digest %#x, %d B allocated after departure",
-				inFlight, makespan, sum, grown)
-			if makespan != tc.makespan {
-				t.Errorf("makespan %d, want the recorded %d", makespan, tc.makespan)
+			makespan := s.Clock().Now()
+			t.Logf("%d reads in flight at departure; makespan %d, %d B allocated after departure", inFlight, makespan, grown)
+			rec.Check(t, tc.name+"/makespan", int64(makespan))
+			for _, r := range s.Reports() {
+				rec.Check(t, tc.name+"/report/"+r.Name, strings.NewReplacer(":", "=", "{", "", "}", "").Replace(fmt.Sprintf(
+					"ID:%d Class:%v Fingerprint:%#x Admitted:%d Finished:%d Stall:%d %+v %+v",
+					r.ID, r.Class, r.Fingerprint, int64(r.Admitted), int64(r.Finished), int64(r.Stall), r.Mem, r.RT)))
 			}
-			if sum != tc.digest {
-				t.Errorf("reports and registry digest %#x, want the recorded %#x", sum, tc.digest)
+			m := s.Metrics().Snapshot()
+			for name, v := range m.Counters {
+				rec.Check(t, tc.name+"/"+name, v)
+			}
+			for name, v := range m.Gauges {
+				rec.Check(t, tc.name+"/"+name, v)
 			}
 			var fps []uint64
 			for _, r := range s.Reports() {

@@ -80,7 +80,7 @@ func TestAbandonedPrefetchRecoversViaDemandFault(t *testing.T) {
 
 	// Seed distinctive on-disk contents without simulated I/O.
 	for p := int64(0); p < 128; p++ {
-		v.file.SetPage(p, []byte{byte(p), byte(p >> 1)})
+		v.file.SetPageWords(p, []uint64{uint64(p) | uint64(p>>1)<<8})
 	}
 	for p := int64(0); p < 96; p += 8 {
 		v.Prefetch(p, 8)
