@@ -47,26 +47,30 @@ func TestTraceGolden(t *testing.T) {
 	if err := trace.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Events []json.RawMessage `json:"traceEvents"`
-		Unit   string            `json:"displayTimeUnit"`
-	}
+	var doc map[string]json.RawMessage
+	var events []json.RawMessage
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("exported trace is not valid JSON: %v", err)
 	}
+	if err := json.Unmarshal(doc["traceEvents"], &events); err != nil {
+		t.Fatalf("exported trace's traceEvents is not a list: %v", err)
+	}
 	rec := golden.Open(t, "testdata/trace_stream.golden")
 	defer rec.Close()
-	rec.Check(t, "displayTimeUnit", doc.Unit)
-	for i, e := range doc.Events {
+	for k, v := range doc {
+		if k != "traceEvents" {
+			rec.Check(t, "top/"+k, string(v))
+		}
+	}
+	for i, e := range events {
 		rec.Check(t, fmt.Sprintf("event/%04d", i), string(e))
 	}
 
 	// Sanity beyond the record: the trace itself must have the track
 	// structure the exporter promises.
-	events := trace.Events()
 	tracks := map[string]bool{}
 	classes := map[string]bool{}
-	for _, e := range events {
+	for _, e := range trace.Events() {
 		switch e.Phase {
 		case 'M':
 			if e.Name == "thread_name" {

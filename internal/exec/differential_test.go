@@ -206,7 +206,8 @@ func sameSimulation(a *core.Result, aSum uint64, b *core.Result, bSum uint64) er
 // differential runs one cell three ways — core.Run, then runCell on the
 // bytecode and on the oracle — and holds all three to one simulation. The
 // first pair keeps runCell honest to core; the second is the property. It
-// returns the oracle's run as its Digest.
+// returns the oracle's run as harness's tests digest core.Run's: Fields of
+// its fingerprint and elapsed time, time breakdown, layer counts and faults.
 func differential(t *testing.T, k harness.Kernel, spec *core.BackendSpec, prof *fault.Profile) string {
 	t.Helper()
 	want, wantSum, err := harness.RunBackend(k, spec, prof)
@@ -227,11 +228,15 @@ func differential(t *testing.T, k harness.Kernel, spec *core.BackendSpec, prof *
 	if err := sameSimulation(fast, fastSum, slow, slowSum); err != nil {
 		t.Errorf("bytecode and oracle diverged:\n%v", err)
 	}
-	return harness.Digest(slow, slowSum)
+	run := struct {
+		Fingerprint uint64
+		Elapsed     sim.Time
+	}{slowSum, slow.Elapsed}
+	return golden.Fields(run, slow.Times, slow.Mem, slow.RT, slow.Faults)
 }
 
 // oracleRecord opens the harness's record of the oracle's simulation of
-// every cell of the test t, a Digest a cell: oracle_nas.golden for
+// every cell of the test t, a digest a cell: oracle_nas.golden for
 // TestFastPathEquivalenceNAS, oracle_examples.golden for ...Examples. The
 // harness tests of the same names hold core.Run to it without the oracle,
 // which lives only here; the differentials below hold the oracle to it,

@@ -7,12 +7,26 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/golden"
+	"repro/internal/sim"
 )
 
 // The closure-tree oracle lives in internal/exec's tests, whose
 // differentials of the same names as the two tests below run it and the
 // bytecode over the same cells and write its simulation of each cell, as a
-// Digest, to testdata/oracle_nas.golden and oracle_examples.golden.
+// digest, to testdata/oracle_nas.golden and oracle_examples.golden.
+
+// digest prints everything two runs of one cell must share to be the same
+// simulation as a record's fields, then those of the structs in more: the
+// output fingerprint, elapsed time, time breakdown, memory-manager and
+// run-time layer counts, injected faults. exec's differentials print the
+// oracle's runs the same way.
+func digest(res *core.Result, sum uint64, more ...any) string {
+	run := struct {
+		Fingerprint uint64
+		Elapsed     sim.Time
+	}{sum, res.Elapsed}
+	return golden.Fields(append([]any{run, res.Times, res.Mem, res.RT, res.Faults}, more...)...)
+}
 
 // sameAsOracle runs one cell through core.Run — the bytecode, compiled
 // and bound the one way core has — and holds it to the simulation the
@@ -23,7 +37,7 @@ func sameAsOracle(t *testing.T, rec *golden.Record, cell string, k Kernel, spec 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Check(t, cell, Digest(res, sum))
+	rec.Check(t, cell, digest(res, sum))
 }
 
 // TestFastPathEquivalenceNAS: for every NAS proxy of the property matrix,

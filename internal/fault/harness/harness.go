@@ -17,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -275,15 +274,4 @@ func Fingerprint(res *core.Result) uint64 {
 		h = vm.HashWord(h, math.Float64bits(res.Env.Floats[s]))
 	}
 	return h
-}
-
-// Digest renders everything two runs of one cell must share to be the
-// same simulation — the output fingerprint, elapsed time, time breakdown,
-// memory-manager and run-time layer counts, injected faults — as
-// space-separated Name=value fields, so a record of it shows which moved.
-func Digest(res *core.Result, sum uint64) string {
-	t := res.Times
-	return strings.NewReplacer(":", "=", "{", "", "}", "").Replace(fmt.Sprintf(
-		"Fingerprint:%#x Elapsed:%d User:%d SysFault:%d SysPrefetch:%d Idle:%d %+v %+v %+v",
-		sum, res.Elapsed, t.User, t.SysFault, t.SysPrefetch, t.Idle, res.Mem, res.RT, res.Faults))
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -29,7 +28,7 @@ var exhausting = fault.Profile{
 // takes when its retry budget runs out: every NAS proxy, original and
 // prefetching, on the disk array, NVMe and far memory, under the
 // exhausting profile, held to testdata/requeue.golden: each cell's
-// Digest plus its requeued reads and writes and abandoned prefetch pages.
+// digest plus its requeued reads and writes and abandoned prefetch pages.
 // The fault-free and lightly faulted records do not reach this path.
 func TestRequeueGolden(t *testing.T) {
 	if testing.Short() {
@@ -62,8 +61,8 @@ func TestRequeueGolden(t *testing.T) {
 				m := res.Metrics
 				reads, writes := m.Counter("stripefs.requeued_reads").Value(), m.Counter("stripefs.requeued_writes").Value()
 				requeued += reads + writes
-				rec.Check(t, cell, Digest(res, sum), fmt.Sprintf("RequeuedReads=%d RequeuedWrites=%d AbandonedPrefetchPages=%d",
-					reads, writes, m.Counter("stripefs.abandoned_prefetch_pages").Value()))
+				rec.Check(t, cell, digest(res, sum, struct{ RequeuedReads, RequeuedWrites, AbandonedPrefetchPages int64 }{
+					reads, writes, m.Counter("stripefs.abandoned_prefetch_pages").Value()}))
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -14,22 +15,20 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the testdata records tests compare against (make repin)")
 
-// Record is the cells one test produces, held to the record at path: a
-// header comment, then one "cell value" line a cell, in cell order. Its test
-// opens it with Open and defers Close; a test of another package opens it
-// with Read, which compares under -update too and never writes.
+// Record holds one test's cells to the record at path. Its test Opens it and
+// defers Close; another package's test Reads it, to compare, never to write.
 type Record struct {
 	t         testing.TB
 	path      string
 	write     bool
-	cells     []string // as recorded
 	want, got map[string]string
 }
 
 func Open(t testing.TB, path string) *Record { return open(t, path, *update) }
 func Read(t testing.TB, path string) *Record { return open(t, path, false) }
 
-// open refuses a record whose cells are out of order or repeated: a hand edit.
+// open reads a header comment, then one "cell value" line a cell, in cell
+// order; it refuses any other line, a hand edit.
 func open(t testing.TB, path string, write bool) *Record {
 	t.Helper()
 	r := &Record{t: t, path: path, write: write, want: map[string]string{}, got: map[string]string{}}
@@ -37,10 +36,10 @@ func open(t testing.TB, path string, write bool) *Record {
 	lines := strings.Split(string(data), "\n")
 	for i := 1; err == nil && i < len(lines)-1; i++ {
 		cell, v, ok := strings.Cut(lines[i], " ")
-		if _, dup := r.want[cell]; !ok || dup || lines[i] < lines[i-1] { // a line sorts as its cell
+		if _, dup := r.want[cell]; !ok || v == "" || dup || lines[i] < lines[i-1] { // a line sorts as its cell
 			err = fmt.Errorf("line %d: %q is not a \"cell value\" line in cell order", i+1, lines[i])
 		}
-		r.want[cell], r.cells = v, append(r.cells, cell)
+		r.want[cell] = v
 	}
 	if err != nil && !(write && os.IsNotExist(err)) {
 		t.Fatalf("golden: %s: %v", path, err)
@@ -52,21 +51,21 @@ func open(t testing.TB, path string, write bool) *Record {
 func (r *Record) Check(t testing.TB, cell string, vals ...any) {
 	t.Helper()
 	r.got[cell] = strings.TrimSuffix(fmt.Sprintln(vals...), "\n")
-	if r.want[cell] != r.got[cell] && !r.write {
-		t.Errorf("%s: cell %s: got %s, recorded %s (make repin re-records a deliberate move)", r.path, cell, r.got[cell], cmp.Or(r.want[cell], "(none)"))
+	if want, ok := r.want[cell]; (!ok || want != r.got[cell]) && !r.write {
+		t.Errorf("%s: cell %s: got %s, recorded %s (make repin re-records a deliberate move)", r.path, cell, r.got[cell], cmp.Or(want, "(none)"))
 	}
 }
 
-// Close fails a test that ran its whole matrix (no -short, no -run or -skip
-// pattern selecting subtests) on each recorded cell it did not produce; under
-// -update it rewrites a passing test's record, keeping cells a partial run missed.
+// Close fails a test that ran its whole matrix (no -short, no -run or -skip of
+// a subtest) on each recorded cell it did not produce; -update rewrites a
+// passing test's record, keeping the cells a partial run missed.
 func (r *Record) Close() {
 	whole := !testing.Short() && !strings.Contains(flag.Lookup("test.run").Value.String()+flag.Lookup("test.skip").Value.String(), "/")
-	for _, c := range r.cells {
+	for c, v := range r.want {
 		if _, ok := r.got[c]; !ok && !whole {
-			r.got[c] = r.want[c]
+			r.got[c] = v
 		} else if !ok && !r.write {
-			r.t.Errorf("%s: cell %s: got (none), recorded %s (make repin re-records a deliberate move)", r.path, c, r.want[c])
+			r.t.Errorf("%s: cell %s: got (none), recorded %s (make repin re-records a deliberate move)", r.path, c, v)
 		}
 	}
 	if r.write && !r.t.Failed() {
@@ -79,4 +78,17 @@ func (r *Record) Close() {
 			r.t.Fatalf("golden: %v", err)
 		}
 	}
+}
+
+// Fields prints the fields of each struct in vals as Name=%#v pairs: no String
+// method rounds a value (sim.Time's does), and unsigned words print in hex.
+func Fields(vals ...any) string {
+	var s []string
+	for _, val := range vals {
+		v := reflect.ValueOf(val)
+		for i := range v.NumField() {
+			s = append(s, fmt.Sprintf("%s=%#v", v.Type().Field(i).Name, v.Field(i)))
+		}
+	}
+	return strings.Join(s, " ")
 }

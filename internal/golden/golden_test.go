@@ -96,11 +96,12 @@ func TestChangedMissingAndStaleCellsFail(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "r.golden")
 	pin(path, true, "a 1", "b 2", "c 3")
-	got := strings.Join(pin(path, false, "a 1", "b 5", "d 4"), "\n")
+	got := strings.Join(pin(path, false, "a 1", "b 5", "d 4", "e "), "\n")
 	for _, want := range []string{
 		path + ": cell b: got 5, recorded 2",
 		path + ": cell d: got 4, recorded (none)",
 		path + ": cell c: got (none), recorded 3",
+		path + ": cell e: got , recorded (none)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("reports\n%s\nlack %q", got, want)
@@ -151,6 +152,7 @@ func TestHandEditsAreRefused(t *testing.T) {
 		"unsorted":   "b 1\na 2\n",
 		"duplicated": "a 1\na 1\n",
 		"no value":   "a\n",
+		"empty":      "a \n",
 	} {
 		path := filepath.Join(t.TempDir(), "r.golden")
 		if err := os.WriteFile(path, []byte("# header\n"+body), 0o644); err != nil {
@@ -161,5 +163,21 @@ func TestHandEditsAreRefused(t *testing.T) {
 				t.Errorf("%s (-update %v): reported %q, want the record refused", name, upd, got)
 			}
 		}
+	}
+}
+
+type tick int64
+
+func (tick) String() string { return "rounded" }
+
+func TestFields(t *testing.T) {
+	type counts struct{ Hits, Misses int64 }
+	got := Fields(struct {
+		Fingerprint uint64
+		At          tick
+		Name        string
+	}{0x1f, 7, "a:b {c}"}, counts{3, 4})
+	if want := `Fingerprint=0x1f At=7 Name="a:b {c}" Hits=3 Misses=4`; got != want {
+		t.Errorf("Fields = %s\nwant     %s", got, want)
 	}
 }

@@ -117,9 +117,13 @@ func TestDepartureWithReadsInFlight(t *testing.T) {
 			t.Logf("%d reads in flight at departure; makespan %d, %d B allocated after departure", inFlight, makespan, grown)
 			rec.Check(t, tc.name+"/makespan", int64(makespan))
 			for _, r := range s.Reports() {
-				rec.Check(t, tc.name+"/report/"+r.Name, strings.NewReplacer(":", "=", "{", "", "}", "").Replace(fmt.Sprintf(
-					"ID:%d Class:%v Fingerprint:%#x Admitted:%d Finished:%d Stall:%d %+v %+v",
-					r.ID, r.Class, r.Fingerprint, int64(r.Admitted), int64(r.Finished), int64(r.Stall), r.Mem, r.RT)))
+				rep := struct {
+					ID                        int
+					Class                     string
+					Fingerprint               uint64
+					Admitted, Finished, Stall sim.Time
+				}{r.ID, r.Class.String(), r.Fingerprint, r.Admitted, r.Finished, r.Stall}
+				rec.Check(t, tc.name+"/report/"+r.Name, golden.Fields(rep, r.Mem, r.RT))
 			}
 			m := s.Metrics().Snapshot()
 			for name, v := range m.Counters {
