@@ -24,7 +24,8 @@ BENCH_FLAGS = -bench=. -benchmem -benchtime 200ms -count 3 -run '^$$'
 # ci is the gate: formatting, static checks, build, tests (the root
 # module's and the benchmark module's), the race-detector pass over the
 # concurrent surfaces, and a short-budget fuzz of the fault plane, the
-# front end, the lane-wise span chunks and the two executors. The
+# front end, the lane-wise span chunks, the two executors and the VM's
+# free list. The
 # focused test-* targets below are subsets of `test`, kept for quick
 # stand-alone runs and as separate workflow jobs.
 ci: fmt-check vet staticcheck build test test-benchmark race fuzz
@@ -82,7 +83,7 @@ race:
 	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/tenant/ ./internal/vm/ ./internal/stripefs/ ./internal/disk/ ./internal/profile/ .
 	$(GO) test -race -short ./internal/exec/
 
-# fuzz runs the four fuzzers briefly, each for FUZZTIME: arbitrary fault
+# fuzz runs the five fuzzers briefly, each for FUZZTIME: arbitrary fault
 # profiles through a small kernel, asserting termination and
 # byte-identical results; arbitrary source text through the front end,
 # asserting that lang.Parse returns and that whatever it accepts
@@ -91,13 +92,17 @@ race:
 # chunks included — is tick-identical to the oracle; and arbitrary
 # source text that parses into a small program, run original and
 # prefetching on the bytecode and on the oracle, asserting the same
-# simulation or the same trap (FUZZTIME=5m for a real session).
+# simulation or the same trap; and random pushes at either end, rescues
+# and pops on the VM's free list, asserting the order of a plain slice
+# and the pool's invariants after every step (FUZZTIME=5m for a real
+# session).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz FuzzFaultSchedule -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lang/ -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzSpanLanes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzExecutors -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vm/ -run '^$$' -fuzz FuzzFreeQueue -fuzztime $(FUZZTIME)
 
 # tally builds the executor with its dispatch tally (build tag exectally)
 # and runs the deterministic judge of host work: the bytecode dispatches

@@ -42,10 +42,10 @@ func (v *VM) CheckInvariants() error {
 				return fmt.Errorf("vm: page %d's frame %d maps page %d", p, e.frame, fi.vpage)
 			}
 			if e.state == freeListed && !fi.onFree {
-				return fmt.Errorf("vm: freeListed page %d's frame not on free queue", p)
+				return fmt.Errorf("vm: freeListed page %d's frame not on free list", p)
 			}
 			if (e.state == resident || e.state == hot) && fi.onFree {
-				return fmt.Errorf("vm: resident page %d's frame on free queue", p)
+				return fmt.Errorf("vm: resident page %d's frame on free list", p)
 			}
 		}
 		if e.state == hot && !e.touched {

@@ -10,7 +10,7 @@ import (
 )
 
 // Pool is the machine's physical memory: the frame table, frame storage,
-// free queue, clock hand, and pageout daemon, shared by every address
+// free list, clock hand, and pageout daemon, shared by every address
 // space attached to it. A single-tenant run owns a private pool (New and
 // NewObserved create one implicitly), which behaves tick-for-tick like
 // the pre-pool memory manager. The multi-tenant server attaches many VMs
@@ -27,14 +27,13 @@ type Pool struct {
 	frames []frameInfo
 	words  []uint64 // frame storage, Frames() × PageSize/8 words (maybe more capacity); nil once recycled
 
-	// Free queue: a growable ring buffer of frame indices. Entries whose
-	// frame has onFree == false are stale and skipped on pop (lazy
-	// deletion); the ring grows when stale entries pile up.
-	freeQ     []int32
-	freeHead  int
-	freeTail  int
-	freeSlots int   // occupied slots, live + stale
-	freeCount int64 // live entries
+	// Free list: a doubly linked list threaded through the frames' prev
+	// and next, -1 ending it. Eviction links a frame in at the tail,
+	// release at the head; popFree takes the head and a rescue unlinks a
+	// frame wherever it is, both in O(1).
+	freeHead  int32
+	freeTail  int32
+	freeCount int64
 
 	hand int32 // clock-algorithm hand over frames
 
@@ -125,11 +124,12 @@ func NewPool(clock *sim.Clock, p hw.Params) *Pool {
 	}
 	nf := p.Frames()
 	pl := &Pool{
-		clock:  clock,
-		p:      p,
-		frames: make([]frameInfo, nf),
-		words:  adoptSlab(nf * (p.PageSize / 8)),
-		freeQ:  make([]int32, nf+1),
+		clock:    clock,
+		p:        p,
+		frames:   make([]frameInfo, nf),
+		words:    adoptSlab(nf * (p.PageSize / 8)),
+		freeHead: -1,
+		freeTail: -1,
 	}
 	pl.daemonRunFn = pl.daemonRun
 	pl.lowWater = p.LowWater()
@@ -219,7 +219,7 @@ func (pl *Pool) setQuota(v *VM, quota int64) {
 	}
 }
 
-// ---- free-queue bookkeeping ---------------------------------------------
+// ---- free list ----------------------------------------------------------
 
 func (pl *Pool) sampleFree() {
 	now := pl.clock.Now()
@@ -227,92 +227,83 @@ func (pl *Pool) sampleFree() {
 	pl.lastFreeSample = now
 }
 
+// pushFreeBack links a frame in at the tail of the free list, to be
+// reused last — this is what eviction does.
 func (pl *Pool) pushFreeBack(f int32) {
-	fi := &pl.frames[f]
-	if fi.onFree {
-		return
+	if pl.enterFree(f) {
+		pl.join(pl.freeTail, f)
+		pl.join(f, -1)
 	}
-	if fi.vpage >= 0 {
-		pl.residentDec(fi.owner)
-	}
-	pl.sampleFree()
-	pl.growFreeQ()
-	fi.onFree = true
-	pl.freeQ[pl.freeTail] = f
-	pl.freeTail = (pl.freeTail + 1) % len(pl.freeQ)
-	pl.freeSlots++
-	pl.freeCount++
 }
 
-// pushFreeFront puts a frame at the head of the free queue, so it is
+// pushFreeFront links a frame in at the head of the free list, to be
 // reused first — this is what release does ("a good candidate for
 // replacement").
 func (pl *Pool) pushFreeFront(f int32) {
+	if pl.enterFree(f) {
+		pl.join(f, pl.freeHead)
+		pl.join(-1, f)
+	}
+}
+
+// enterFree counts frame f onto the free list, reporting false if it is
+// already there.
+func (pl *Pool) enterFree(f int32) bool {
 	fi := &pl.frames[f]
 	if fi.onFree {
-		return
+		return false
 	}
 	if fi.vpage >= 0 {
 		pl.residentDec(fi.owner)
 	}
 	pl.sampleFree()
-	pl.growFreeQ()
 	fi.onFree = true
-	pl.freeHead = (pl.freeHead - 1 + len(pl.freeQ)) % len(pl.freeQ)
-	pl.freeQ[pl.freeHead] = f
-	pl.freeSlots++
 	pl.freeCount++
+	return true
 }
 
-// growFreeQ makes room for one more entry, compacting stale slots away
-// when the ring fills.
-func (pl *Pool) growFreeQ() {
-	if pl.freeSlots+1 < len(pl.freeQ) {
-		return
+// join makes frame b follow frame a on the free list, -1 standing for
+// either end.
+func (pl *Pool) join(a, b int32) {
+	if a >= 0 {
+		pl.frames[a].next = b
+	} else {
+		pl.freeHead = b
 	}
-	live := make([]int32, 0, pl.freeCount)
-	for pl.freeHead != pl.freeTail {
-		f := pl.freeQ[pl.freeHead]
-		pl.freeHead = (pl.freeHead + 1) % len(pl.freeQ)
-		if pl.frames[f].onFree {
-			live = append(live, f)
-		}
+	if b >= 0 {
+		pl.frames[b].prev = a
+	} else {
+		pl.freeTail = a
 	}
-	if len(live)+1 >= len(pl.freeQ) {
-		pl.freeQ = make([]int32, 2*len(pl.freeQ))
-	}
-	copy(pl.freeQ, live)
-	pl.freeHead = 0
-	pl.freeTail = len(live)
-	pl.freeSlots = len(live)
 }
 
-// popFree removes and returns the next free frame, skipping stale entries.
-// It reports false when the free list is empty.
-func (pl *Pool) popFree() (int32, bool) {
-	for pl.freeHead != pl.freeTail {
-		f := pl.freeQ[pl.freeHead]
-		pl.freeHead = (pl.freeHead + 1) % len(pl.freeQ)
-		pl.freeSlots--
-		if pl.frames[f].onFree {
-			pl.sampleFree()
-			pl.frames[f].onFree = false
-			pl.freeCount--
-			return f, true
-		}
-	}
-	return 0, false
+// unlinkFree takes frame f off the free list, wherever it is on it.
+func (pl *Pool) unlinkFree(f int32) {
+	fi := &pl.frames[f]
+	pl.join(fi.prev, fi.next)
+	pl.sampleFree()
+	fi.onFree = false
+	pl.freeCount--
 }
 
-// rescueFromFree takes a specific frame off the free queue (lazy removal).
+// popFree removes and returns the frame at the head of the free list, or
+// -1 when the list is empty.
+func (pl *Pool) popFree() int32 {
+	f := pl.freeHead
+	if f >= 0 {
+		pl.unlinkFree(f)
+	}
+	return f
+}
+
+// rescueFromFree takes a specific frame off the free list and back into
+// its owner's resident set.
 func (pl *Pool) rescueFromFree(f int32) {
 	fi := &pl.frames[f]
 	if !fi.onFree {
 		panic("vm: rescue of frame not on free list")
 	}
-	pl.sampleFree()
-	fi.onFree = false
-	pl.freeCount--
+	pl.unlinkFree(f)
 	pl.residentInc(fi.owner)
 }
 
@@ -324,7 +315,7 @@ func (pl *Pool) rescueFromFree(f int32) {
 // when all memory is in use.
 func (pl *Pool) takeFrame(v *VM, vpage int64, prefetch bool) (int32, bool) {
 	for {
-		if f, ok := pl.popFree(); ok {
+		if f := pl.popFree(); f >= 0 {
 			fi := &pl.frames[f]
 			if old := fi.vpage; old >= 0 {
 				fi.owner.invalidate(old)
@@ -466,10 +457,10 @@ func (pl *Pool) syncReclaim(v *VM) {
 
 // CheckInvariants verifies the pool-level structural invariants: the
 // frame table and the owners' page tables form a bijection over mapped
-// frames, free-list accounting agrees with the per-frame flags,
-// per-tenant residency counts and the over-quota census match the frame
-// table, and the pool's in-flight I/O counts equal the sums of the
-// tenants'. It returns the first violation found, or nil.
+// frames, the free list is well linked and agrees with its count and the
+// per-frame flags, per-tenant residency counts and the over-quota census
+// match the frame table, and the pool's in-flight I/O counts equal the
+// sums of the tenants'. It returns the first violation found, or nil.
 func (pl *Pool) CheckInvariants() error {
 	var onFree, mapped int64
 	for fi := range pl.frames {
@@ -488,8 +479,33 @@ func (pl *Pool) CheckInvariants() error {
 			mapped++
 		}
 	}
-	if onFree != pl.freeCount {
-		return fmt.Errorf("vm: freeCount=%d but %d frames flagged onFree", pl.freeCount, onFree)
+	// The free list, walked from its head for at most len(frames) steps:
+	// every member is flagged onFree and its prev names the member before
+	// it, the last member is freeTail, the count is freeCount, and every
+	// frame flagged onFree is on it.
+	var listed int64
+	prev := int32(-1)
+	for f := pl.freeHead; f >= 0; f = pl.frames[f].next {
+		if int(f) >= len(pl.frames) || listed == int64(len(pl.frames)) {
+			return fmt.Errorf("vm: free list leaves the frame table or loops: frame %d after %d members", f, listed)
+		}
+		if !pl.frames[f].onFree {
+			return fmt.Errorf("vm: free-list member %d is not flagged onFree", f)
+		}
+		if p := pl.frames[f].prev; p != prev {
+			return fmt.Errorf("vm: free-list link broken: frame %d has prev %d, but follows %d", f, p, prev)
+		}
+		prev = f
+		listed++
+	}
+	if prev != pl.freeTail {
+		return fmt.Errorf("vm: free list ends at frame %d, but freeTail=%d", prev, pl.freeTail)
+	}
+	if listed != pl.freeCount {
+		return fmt.Errorf("vm: freeCount=%d but %d frames on the free list", pl.freeCount, listed)
+	}
+	if onFree != listed {
+		return fmt.Errorf("vm: %d frames flagged onFree but %d on the free list", onFree, listed)
 	}
 	if mapped > int64(len(pl.frames)) {
 		return fmt.Errorf("vm: more mapped frames (%d) than exist (%d)", mapped, len(pl.frames))

@@ -67,9 +67,10 @@ type pte struct {
 
 // frameInfo describes one physical page frame.
 type frameInfo struct {
-	vpage  int64 // current mapping, -1 if none
-	owner  *VM   // address space of the mapping, nil if never mapped
-	onFree bool  // currently a member of the free queue
+	vpage      int64 // current mapping, -1 if none
+	owner      *VM   // address space of the mapping, nil if never mapped
+	prev, next int32 // free-list neighbours while onFree, -1 at either end
+	onFree     bool  // currently a member of the free list
 }
 
 // VM is one simulated address space: a page table over a backing file,

@@ -260,7 +260,7 @@ func TestReleasedFrameIsReusedFirst(t *testing.T) {
 	v.Release(p0, 1)
 	c.Advance(sim.Second)
 	// Demand-fault another page: it must take page 0's frame (head of the
-	// free queue) even though other frames are free.
+	// free list) even though other frames are free.
 	_ = v.LoadF64(base + 64*ps)
 	if v.Resident(p0) {
 		t.Fatal("released page still resident: its frame was not reused first")
@@ -422,9 +422,9 @@ func TestHintRangeChecked(t *testing.T) {
 }
 
 func TestFreeQueueSurvivesHeavyRescueTraffic(t *testing.T) {
-	// Regression: rescues leave stale entries in the free queue's ring;
-	// the ring must compact/grow rather than overflow. Exercise far more
-	// release→touch cycles than there are frames.
+	// Far more release→touch cycles than there are frames: every
+	// release links a frame in at the free list's head and every rescue
+	// unlinks it again, and no page may lose its data on the way.
 	c, v := newVM(t, 16, 64)
 	ps := v.Params().PageSize
 	base, _ := v.Alloc("x", 8*ps)
