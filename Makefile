@@ -124,8 +124,8 @@ tally:
 RECORDS = internal/*/testdata internal/fault/harness/testdata
 repin:
 	$(GO) test ./internal/exec/ -run 'TestFastPathEquivalence|TestBytecodePinned' -count 1 -update
-	$(GO) test ./internal/fault/harness/ ./internal/nas/ ./internal/core/ ./internal/bench/ ./internal/tenant/ -count 1 -update \
-		-run 'TestFastPathEquivalence|TestRequeueGolden|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare|TestPrintPinned|TestTraceGolden|TestMetricsGolden|TestDepartureWithReadsInFlight'
+	$(GO) test ./internal/fault/harness/ ./internal/nas/ ./internal/core/ ./internal/bench/ ./internal/tenant/ ./internal/locality/ -count 1 -update \
+		-run 'TestFastPathEquivalence|TestRequeueGolden|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare|TestPrintPinned|TestTraceGolden|TestMetricsGolden|TestDepartureWithReadsInFlight|TestRefsGolden'
 	$(GO) test -tags exectally ./internal/bench/ -run TestDispatchCorpus -count 1 -update
 	@git diff --stat -- $(RECORDS)
 	@git diff -U0 --word-diff -- $(RECORDS)
@@ -223,14 +223,18 @@ test-exec:
 # printer became append-style and value numbering moved onto an undo
 # trail; the append-style renderer against the fmt-based reference it
 # replaced, node kind by node kind; the trail itself (after every restore
-# the four maps equal a copy taken at the mark); the per-stage allocation
-# budgets of lang.Parse, Clone, compiler.Compile, exec.Compile and
-# ir.Print; the compiler driver's usage errors and two input kinds; and
-# the analysis both compilers rest on — all of internal/ir (the affine
-# decomposition asked the locality analysis's and the executor's questions,
-# trip counts, the reference walk) and internal/locality.
+# the live facts equal a copy taken at the mark); the per-stage
+# allocation counts of lang.Parse, Clone, locality.Analyze,
+# compiler.Compile, exec.Compile and ir.Print, held exactly on the Go
+# minor they were measured on; a clone's independence from its original
+# and between its own lists; the compiler driver's usage errors and two
+# input kinds; and the analysis both compilers rest on — all of
+# internal/ir (the affine decomposition asked the locality analysis's and
+# the executor's questions, trip counts, the reference walk) and
+# internal/locality, whose answer for every reference of the 13 inputs is
+# the record testdata/refs.golden.
 test-compile:
-	$(GO) test ./internal/nas/ -run 'TestPrintPinned|TestCompileAllocBudget' -count 1
+	$(GO) test ./internal/nas/ -run 'TestPrintPinned|TestCompileAllocBudget|TestCloneIsIndependent' -count 1
 	$(GO) test ./internal/exec/ -run 'TestBytecodePinned|TestValueNumberingTrail' -count 1
 	$(GO) test ./internal/ir/ ./internal/locality/ -count 1
 	$(GO) test ./cmd/ooccc/

@@ -14,6 +14,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/hw"
@@ -196,6 +197,7 @@ func Compile(p *ir.Program, machine hw.Params, opt Options) (*Result, error) {
 	}
 	t.plan(res)
 	t.budget(res)
+	t.sizeArenas(p.Body)
 	t.genPreloads()
 	t.out.Body = t.rebuild(p.Body)
 	if t.err != nil {
@@ -233,7 +235,9 @@ func (t *transform) plan(res *Result) {
 	emitted := map[stream]jobSlot{}
 	subscripts := map[string]int{}
 	var text []byte
-	for _, g := range t.an.Groups {
+	res.Plan = make([]PlanEntry, 0, len(t.an.Groups))
+	for i := range t.an.Groups {
+		g := &t.an.Groups[i]
 		lead := g.Leader
 		entry := PlanEntry{Array: g.Arr.Name, Kind: lead.Kind}
 		var (
@@ -357,7 +361,8 @@ func (t *transform) schedule(g *locality.Group, first *ir.Loop) (job, *ir.Loop, 
 	ps := t.machine.PageSize
 
 	// Build the outward candidate list starting at the analysis's choice.
-	var candidates []*ir.Loop
+	var buf [8]*ir.Loop
+	candidates := buf[:0]
 	started := false
 	for i := len(lead.Path) - 1; i >= 0; i-- {
 		l := lead.Path[i]
@@ -375,10 +380,10 @@ func (t *transform) schedule(g *locality.Group, first *ir.Loop) (job, *ir.Loop, 
 			// hint stays planted where the index is computed, but the
 			// distance counts iterations of the outer loop, which is how
 			// a latency larger than the inner trip gets hidden.
-			if _, sp := t.guide.groupRec(g); lead.IndirectSlots[l.Slot] && (len(candidates) == 0 || sp != nil) {
+			if _, sp := t.guide.groupRec(g); slices.Contains(lead.IndirectSlots, l.Slot) && (len(candidates) == 0 || sp != nil) {
 				candidates = append(candidates, l)
 			}
-		} else if lead.Coeffs[l.Slot] != 0 {
+		} else if lead.Coeff(l.Slot) != 0 {
 			candidates = append(candidates, l)
 		}
 	}
@@ -515,7 +520,7 @@ func (t *transform) genPreloads() {
 				continue
 			}
 			seen[key] = true
-			idx := make([]ir.IExpr, len(j.group.Leader.Idx))
+			idx := take(&t.idx, len(j.group.Leader.Idx))
 			for i := range idx {
 				idx[i] = ir.Int(0)
 			}
@@ -526,6 +531,40 @@ func (t *transform) genPreloads() {
 			})
 		}
 	}
+}
+
+// sizeArenas sizes the arenas the rebuilt program is cut from: t.idx
+// holds every subscript list the jobs' hints take (a prolog's, a
+// steady-state prefetch's or a per-iteration hint's, a bundled release's
+// and a preload's), t.stmts every statement list rebuild copies with the
+// preloads and prologs it adds, and t.loops every loop it copies.
+func (t *transform) sizeArenas(body []ir.Stmt) {
+	idx, stmts, loops := 0, ir.CountStmts(body), 0
+	for _, jobs := range t.jobs {
+		stmts += prologs(jobs)
+		for _, j := range jobs {
+			lists := 1
+			if j.kind != locality.Indirect && j.selfStride == 0 {
+				lists++ // prolog
+			}
+			if j.release {
+				lists++
+			}
+			if j.preloadPages != 0 {
+				lists++
+				stmts++
+			}
+			idx += lists * len(j.group.Leader.Idx)
+		}
+	}
+	ir.WalkStmts(body, func(s ir.Stmt) {
+		if _, ok := s.(*ir.Loop); ok {
+			loops++
+		}
+	})
+	t.idx = make([]ir.IExpr, 0, idx)
+	t.stmts = make([]ir.Stmt, 0, stmts)
+	t.loops = make([]ir.Loop, 0, loops)
 }
 
 // latencyIters returns the prefetch lead distance, in pipeline-loop
@@ -571,5 +610,8 @@ type transform struct {
 	jobs     map[*ir.Loop][]job
 	preloads map[*ir.Loop][]ir.Stmt // whole-array prologs, keyed by top loop
 	guide    *guide                 // non-nil under Options.Profile
+	idx      []ir.IExpr             // the arenas the rebuilt program is cut from (sizeArenas)
+	stmts    []ir.Stmt
+	loops    []ir.Loop
 	err      error
 }

@@ -36,7 +36,7 @@ func newGuide(p *ir.Program, prof *profile.Profile, an *locality.Analysis, machi
 	used := make(map[string]bool, len(sites))
 	for i, s := range sites {
 		if sp := recs[s.Key]; sp != nil {
-			g.byRef[an.Refs[i]] = sp
+			g.byRef[&an.Refs[i]] = sp
 			used[s.Key] = true
 		} else {
 			g.mismatches++

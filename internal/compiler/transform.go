@@ -1,9 +1,9 @@
 package compiler
 
 import (
-	"fmt"
+	"cmp"
 	"slices"
-	"sort"
+	"strconv"
 
 	"repro/internal/ir"
 	"repro/internal/locality"
@@ -11,24 +11,32 @@ import (
 
 // rebuild copies a statement list, recursively transforming every loop
 // that has prefetch jobs attached. Statements without loops are shared
-// with the original program (they are immutable values).
+// with the original program (they are immutable values). The lists are
+// cut from t.stmts, and the copies of loops without jobs from t.loops.
 func (t *transform) rebuild(stmts []ir.Stmt) []ir.Stmt {
-	var out []ir.Stmt
+	if len(stmts) == 0 {
+		return nil
+	}
+	n := len(stmts)
+	for _, s := range stmts {
+		if x, ok := s.(*ir.Loop); ok {
+			n += len(t.preloads[x]) + prologs(t.jobs[x])
+		}
+	}
+	out := take(&t.stmts, n)[:0]
 	for _, s := range stmts {
 		switch x := s.(type) {
 		case *ir.Loop:
 			out = append(out, t.preloads[x]...)
 			body := t.rebuild(x.Body)
-			jobs := t.jobs[x]
-			if len(jobs) == 0 {
-				nl := *x
-				nl.Body = body
-				out = append(out, &nl)
+			if jobs := t.jobs[x]; len(jobs) > 0 {
+				out = t.pipeline(out, x, body, jobs)
 				continue
 			}
-			prolog, loop := t.pipeline(x, body, jobs)
-			out = append(out, prolog...)
-			out = append(out, loop)
+			nl := &take(&t.loops, 1)[0]
+			*nl = *x
+			nl.Body = body
+			out = append(out, nl)
 		case ir.If:
 			out = append(out, ir.If{Cond: x.Cond, Then: t.rebuild(x.Then), Else: t.rebuild(x.Else)})
 		default:
@@ -38,15 +46,42 @@ func (t *transform) rebuild(stmts []ir.Stmt) []ir.Stmt {
 	return out
 }
 
+// take cuts the next n entries off an arena, capped so that an append to
+// them cannot write into the next cut; an arena too short for them is
+// replaced.
+func take[T any](arena *[]T, n int) []T {
+	if cap(*arena)-len(*arena) < n {
+		*arena = make([]T, 0, n)
+	}
+	*arena = (*arena)[:len(*arena)+n]
+	return (*arena)[len(*arena)-n : len(*arena) : len(*arena)]
+}
+
+// prologs returns how many prolog prefetches pipeline emits for jobs.
+func prologs(jobs []job) int {
+	n := 0
+	for _, j := range jobs {
+		if j.kind != locality.Indirect && j.selfStride == 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // pipeline software-pipelines the jobs along loop l (whose body has
-// already been rebuilt): it emits prolog block prefetches covering the
-// first dist iterations of each stream, strip-mines the loop once per
-// distinct fetch rate, and plants steady-state prefetch (and bundled
-// release) calls at the strip heads. Per-iteration jobs (indirect
-// references) are planted at the top of the innermost body.
-func (t *transform) pipeline(l *ir.Loop, body []ir.Stmt, jobs []job) ([]ir.Stmt, ir.Stmt) {
+// already been rebuilt) and appends the result to out: prolog block
+// prefetches covering the first dist iterations of each stream, then the
+// loop, strip-mined once per distinct fetch rate, with steady-state
+// prefetch (and bundled release) calls planted at the strip heads.
+// Per-iteration jobs (indirect references) are planted at the top of the
+// innermost body.
+func (t *transform) pipeline(out []ir.Stmt, l *ir.Loop, body []ir.Stmt, jobs []job) []ir.Stmt {
+	// The last value l's variable takes, which every hint subscript of
+	// its jobs clamps its target to; expression nodes are immutable
+	// values, so the hints share it.
+	last := ir.SubI(l.Hi, ir.Int(l.Step))
+
 	// Prolog: block prefetches for the pipeline startup, before the loop.
-	var prolog []ir.Stmt
 	for _, j := range jobs {
 		if j.kind == locality.Indirect || j.selfStride != 0 {
 			continue // no addresses to prefetch without running the loop
@@ -58,72 +93,71 @@ func (t *transform) pipeline(l *ir.Loop, body []ir.Stmt, jobs []job) ([]ir.Stmt,
 			// lowest address is at the last of those iterations.
 			start = ir.AddI(l.Lo, ir.Int((j.dist-1)*l.Step))
 		}
-		prolog = append(prolog, ir.Prefetch{
+		out = append(out, ir.Prefetch{
 			Arr:   j.group.Leader.Arr,
-			Idx:   t.hintIdx(j.group.Leader, l, start),
+			Idx:   t.hintIdx(j.group.Leader, l, l, ir.MinI(start, last)),
 			Pages: ir.Int(pages),
 		})
 	}
 
 	// Distinct strip spans (in loop-variable units), widest first.
 	spanOf := func(j job) int64 { return j.stripLen * l.Step }
-	var spans []int64
-	seen := map[int64]bool{}
+	var spanBuf [4]int64
+	spans := spanBuf[:0]
 	for _, j := range jobs {
-		if j.stripLen > 1 && !seen[spanOf(j)] {
-			seen[spanOf(j)] = true
+		if j.stripLen > 1 && !slices.Contains(spans, spanOf(j)) {
 			spans = append(spans, spanOf(j))
 		}
 	}
-	sort.Slice(spans, func(i, k int) bool { return spans[i] > spans[k] })
+	slices.SortFunc(spans, func(a, b int64) int { return cmp.Compare(b, a) })
 
 	// Innermost: the original loop variable running over one strip (or
 	// the whole range when no strip mining happens), with per-iteration
 	// jobs planted first.
-	var perIter []ir.Stmt
+	innerBody := make([]ir.Stmt, 0, len(jobs)+len(body))
 	for _, j := range jobs {
 		switch {
 		case j.stripLen != 1:
 		case j.selfStride != 0:
-			perIter = append(perIter, t.selfHint(j)...)
+			innerBody = append(innerBody, t.selfHint(j))
 		case j.pipe != nil && j.pipe != l:
-			perIter = append(perIter, t.outerHint(j, l)...)
+			innerBody = append(innerBody, t.outerHint(j, l))
 		default:
-			perIter = append(perIter, t.steadyState(j, l, ir.ISlot{Slot: l.Slot, Name: l.Var}, l.Step)...)
+			innerBody = append(innerBody, t.steadyState(j, l, last, ir.ISlot{Slot: l.Slot, Name: l.Var}, l.Step))
 		}
 	}
+	innerBody = append(innerBody, body...)
 
 	build := func(lo, hi ir.IExpr, inner []ir.Stmt) ir.Stmt {
 		nl := &ir.Loop{Var: l.Var, Slot: l.Slot, Lo: lo, Hi: hi, Step: l.Step}
 		nl.Body = inner
 		return nl
 	}
-
-	innerBody := append(append([]ir.Stmt{}, perIter...), body...)
 	if len(spans) == 0 {
-		return prolog, build(l.Lo, l.Hi, innerBody)
+		return append(out, build(l.Lo, l.Hi, innerBody))
 	}
 
 	// Nest strip loops from widest (outermost) to narrowest. Each strip
 	// level gets a fresh loop variable; the jobs firing at that rate are
-	// planted at its head.
+	// planted at its head, ahead of the level nested in it.
 	curLo, curHi := l.Lo, l.Hi
 	type level struct {
-		v        ir.ISlot
-		span     int64
-		lo, hi   ir.IExpr
-		prefetch []ir.Stmt
+		v      ir.ISlot
+		span   int64
+		lo, hi ir.IExpr
+		body   []ir.Stmt
 	}
-	var levels []level
+	var levelBuf [4]level
+	levels := levelBuf[:0]
 	for d, span := range spans {
-		v := t.out.NewLoopVar(fmt.Sprintf("%s%d", l.Var, d))
-		var pf []ir.Stmt
+		v := t.out.NewLoopVar(l.Var + strconv.Itoa(d))
+		body := make([]ir.Stmt, 0, len(jobs)+1) // the hints of its jobs, then the level it holds
 		for _, j := range jobs {
 			if j.stripLen > 1 && spanOf(j) == span {
-				pf = append(pf, t.steadyState(j, l, v, l.Step)...)
+				body = append(body, t.steadyState(j, l, last, v, l.Step))
 			}
 		}
-		levels = append(levels, level{v: v, span: span, lo: curLo, hi: curHi, prefetch: pf})
+		levels = append(levels, level{v: v, span: span, lo: curLo, hi: curHi, body: body})
 		curLo = v
 		// Each nested segment clamps to the END OF ITS ENCLOSING STRIP,
 		// not the original loop bound: strip spans at different levels
@@ -136,25 +170,25 @@ func (t *transform) pipeline(l *ir.Loop, body []ir.Stmt, jobs []job) ([]ir.Stmt,
 	stmt := build(curLo, curHi, innerBody)
 	for i := len(levels) - 1; i >= 0; i-- {
 		lv := levels[i]
-		nested := append(append([]ir.Stmt{}, lv.prefetch...), stmt)
 		sl := &ir.Loop{Var: lv.v.Name, Slot: lv.v.Slot, Lo: lv.lo, Hi: lv.hi, Step: lv.span}
-		sl.Body = nested
+		sl.Body = append(lv.body, stmt)
 		stmt = sl
 	}
-	return prolog, stmt
+	return append(out, stmt)
 }
 
 // steadyState emits the strip-head (or per-iteration) prefetch for a job,
 // issued dist iterations ahead, with the trailing release one strip
 // behind bundled into the same call when enabled. The release is guarded
-// so the pipeline's first strips do not release live data.
+// so the pipeline's first strips do not release live data. last is l's
+// last value, which the hint targets clamp to.
 //
 // Block prefetches always fetch pages forward from their start address,
 // so for a negative-stride reference (a backward sweep) the start must be
 // the far end of the target strip: the variable offset gains an extra
 // strip span minus one step, and the release strip's start is one step
 // behind rather than one span.
-func (t *transform) steadyState(j job, l *ir.Loop, at ir.ISlot, step int64) []ir.Stmt {
+func (t *transform) steadyState(j job, l *ir.Loop, last ir.IExpr, at ir.ISlot, step int64) ir.Stmt {
 	lead := j.group.Leader
 	span := j.stripLen * step
 	neg := lead.StrideBytes(l) < 0
@@ -165,11 +199,11 @@ func (t *transform) steadyState(j job, l *ir.Loop, at ir.ISlot, step int64) []ir
 	target := ir.AddI(at, ir.Int(distSpan))
 	pf := ir.Prefetch{
 		Arr:   lead.Arr,
-		Idx:   t.hintIdx(lead, l, target),
+		Idx:   t.hintIdx(lead, l, l, ir.MinI(target, last)),
 		Pages: ir.Int(j.pages),
 	}
 	if !j.release {
-		return []ir.Stmt{pf}
+		return pf
 	}
 	trail := j.group.Trailer
 	relOff := span
@@ -179,14 +213,15 @@ func (t *transform) steadyState(j job, l *ir.Loop, at ir.ISlot, step int64) []ir
 	rel := ir.SubI(at, ir.Int(relOff))
 	bundled := ir.PrefetchRelease{
 		PfArr: pf.Arr, PfIdx: pf.Idx, PfPages: pf.Pages,
-		RelArr: trail.Arr, RelIdx: t.hintIdx(trail, l, rel), RelPages: ir.Int(j.pages),
+		RelArr: trail.Arr, RelIdx: t.hintIdx(trail, l, l, ir.MinI(rel, last)), RelPages: ir.Int(j.pages),
 	}
 	// if (at >= lo + span) prefetch_release else prefetch
-	return []ir.Stmt{ir.If{
+	branches := []ir.Stmt{bundled, pf}
+	return ir.If{
 		Cond: ir.CmpI{Op: ir.Ge, A: at, B: ir.AddI(l.Lo, ir.Int(span))},
-		Then: []ir.Stmt{bundled},
-		Else: []ir.Stmt{pf},
-	}}
+		Then: branches[:1:1],
+		Else: branches[1:],
+	}
 }
 
 // selfHint emits the per-iteration hint for a self-relative stride job:
@@ -195,13 +230,13 @@ func (t *transform) steadyState(j job, l *ir.Loop, at ir.ISlot, step int64) []ir
 // budget, so the hint leads by what the plan reports. The hint path clamps addresses and
 // never bounds-checks, so running past the array is safe, and a hint is
 // non-binding, so a wrongly predicted stride costs only a wasted fetch.
-func (t *transform) selfHint(j job) []ir.Stmt {
+func (t *transform) selfHint(j job) ir.Stmt {
 	lead := j.group.Leader
-	idx := make([]ir.IExpr, len(lead.Idx))
+	idx := take(&t.idx, len(lead.Idx))
 	copy(idx, lead.Idx)
 	last := len(idx) - 1
 	idx[last] = ir.AddI(idx[last], ir.Int(j.selfStride*j.dist))
-	return []ir.Stmt{ir.Prefetch{Arr: lead.Arr, Idx: idx, Pages: ir.Int(j.pages)}}
+	return ir.Prefetch{Arr: lead.Arr, Idx: idx, Pages: ir.Int(j.pages)}
 }
 
 // outerHint emits the per-iteration hint for an indirect job pipelined
@@ -210,34 +245,28 @@ func (t *transform) selfHint(j job) []ir.Stmt {
 // to its last value), while the loops between the outer loop and the
 // plant point stay live — e.g. x[col[(i+dist)*nz+k]] hinted from the
 // (i, k) body when the latency does not fit k's trip count.
-func (t *transform) outerHint(j job, plant *ir.Loop) []ir.Stmt {
+func (t *transform) outerHint(j job, plant *ir.Loop) ir.Stmt {
 	lead := j.group.Leader
 	pipe := j.pipe
 	target := ir.AddI(ir.ISlot{Slot: pipe.Slot, Name: pipe.Var}, ir.Int(j.dist*pipe.Step))
-	return []ir.Stmt{ir.Prefetch{
+	last := ir.SubI(pipe.Hi, ir.Int(pipe.Step))
+	return ir.Prefetch{
 		Arr:   lead.Arr,
-		Idx:   t.hintIdxAt(lead, pipe, plant, target),
+		Idx:   t.hintIdx(lead, pipe, plant, ir.MinI(target, last)),
 		Pages: ir.Int(j.pages),
-	}}
+	}
 }
 
 // hintIdx builds the subscript list for a hint derived from ref, with the
-// pipeline loop's variable replaced by target (clamped to the loop's last
-// valid value so indirect loads in the subscript stay in bounds) and the
-// variables of loops nested inside the pipeline loop replaced by their
-// lower bounds (their value at the start of the target iteration).
-func (t *transform) hintIdx(ref *locality.Ref, l *ir.Loop, target ir.IExpr) []ir.IExpr {
-	return t.hintIdxAt(ref, l, l, target)
-}
-
-// hintIdxAt is hintIdx with distinct pipeline and plant loops: loop
-// variables between the two remain live at the plant point and are kept;
-// only loops nested inside the plant loop fall back to their lower
-// bounds.
-func (t *transform) hintIdxAt(ref *locality.Ref, pipe, plant *ir.Loop, target ir.IExpr) []ir.IExpr {
-	last := ir.SubI(pipe.Hi, ir.Int(pipe.Step)) // last value the variable takes
-	clamped := ir.MinI(target, last)
-	repl := map[int]ir.IExpr{pipe.Slot: clamped}
+// pipeline loop pipe's variable replaced by clamped (the target value,
+// clamped to the loop's last valid value so indirect loads in the
+// subscript stay in bounds) and the variables of loops nested inside the
+// plant loop replaced by their lower bounds (their value at the start of
+// the target iteration). Loop variables between pipe and plant remain
+// live at the plant point and are kept.
+func (t *transform) hintIdx(ref *locality.Ref, pipe, plant *ir.Loop, clamped ir.IExpr) []ir.IExpr {
+	var buf [8]slotExpr
+	repl := append(buf[:0], slotExpr{pipe.Slot, clamped})
 	inner := false
 	for _, pl := range ref.Path {
 		if pl == plant {
@@ -245,14 +274,20 @@ func (t *transform) hintIdxAt(ref *locality.Ref, pipe, plant *ir.Loop, target ir
 			continue
 		}
 		if inner {
-			repl[pl.Slot] = pl.Lo
+			repl = append(repl, slotExpr{pl.Slot, pl.Lo})
 		}
 	}
-	out := make([]ir.IExpr, len(ref.Idx))
+	out := take(&t.idx, len(ref.Idx))
 	for i, ix := range ref.Idx {
 		out[i], _ = substIExpr(ix, repl)
 	}
 	return out
+}
+
+// slotExpr is one substitution: reads of slot become e.
+type slotExpr struct {
+	slot int
+	e    ir.IExpr
 }
 
 // substIExpr replaces slot reads according to repl, recursively applying
@@ -260,18 +295,20 @@ func (t *transform) hintIdxAt(ref *locality.Ref, pipe, plant *ir.Loop, target ir
 // being replaced, to avoid cycles), and reports whether it replaced any. A
 // subtree that reads no replaced slot is returned as it is: expression
 // nodes are immutable values, so the result shares it with e.
-func substIExpr(e ir.IExpr, repl map[int]ir.IExpr) (ir.IExpr, bool) {
+func substIExpr(e ir.IExpr, repl []slotExpr) (ir.IExpr, bool) {
 	switch x := e.(type) {
 	case ir.ISlot:
-		if r, ok := repl[x.Slot]; ok {
-			sub := make(map[int]ir.IExpr, len(repl))
-			for k, v := range repl {
-				if k != x.Slot {
-					sub[k] = v
-				}
+		for i, r := range repl {
+			if r.slot == x.Slot {
+				// Leave the slot out of the substitution into its own
+				// replacement: swap it to the end, recurse on the rest,
+				// swap it back.
+				n := len(repl) - 1
+				repl[i], repl[n] = repl[n], repl[i]
+				sub, _ := substIExpr(r.e, repl[:n])
+				repl[i], repl[n] = repl[n], repl[i]
+				return sub, true
 			}
-			r, _ = substIExpr(r, sub)
-			return r, true
 		}
 	case ir.IBin:
 		a, ca := substIExpr(x.A, repl)

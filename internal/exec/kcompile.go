@@ -25,13 +25,22 @@ import (
 	"repro/internal/profile"
 )
 
-// kloop is the compile-time context of one bytecode loop being built.
+// kloop is the compile-time context of one bytecode loop being built. The
+// compile keeps one per nesting depth and resets it on entry to each loop
+// at that depth.
 type kloop struct {
-	written  slotSet           // int slots the loop writes: its own variable, nested ones, scalars
-	fwritten slotSet           // float slots the body writes
-	hoist    []kinstr          // loop-invariant code, spliced before the guard
-	hoistCse map[uint64]cseEnt // made by the first setHoist: most loops hoist nothing
-	hints    int               // hint statements in the direct body lowered to bytecode
+	written  slotSet    // int slots the loop writes: its own variable, nested ones, scalars
+	fwritten slotSet    // float slots the body writes
+	hoist    []kinstr   // loop-invariant code, spliced before the guard
+	hoistCse []hoistEnt // what the hoisted code holds, one entry a key
+	hints    int        // hint statements in the direct body lowered to bytecode
+	walk     *spanWalk  // the page-run walk of the loop, made by the first at this depth
+}
+
+// hoistEnt is one fact of a hoist table: cseEnt under its keyI key.
+type hoistEnt struct {
+	k uint64
+	cseEnt
 }
 
 // emit appends one instruction of loop-invariant code. Loops hoist 0 to 12
@@ -44,11 +53,29 @@ func (ctx *kloop) emit(in kinstr) {
 	ctx.hoist = append(ctx.hoist, in)
 }
 
-func (ctx *kloop) setHoist(k uint64, ent cseEnt) {
-	if ctx.hoistCse == nil {
-		ctx.hoistCse = map[uint64]cseEnt{}
+// hoisted returns the hoist-table fact under k.
+func (ctx *kloop) hoisted(k uint64) (cseEnt, bool) {
+	for _, h := range ctx.hoistCse {
+		if h.k == k {
+			return h.cseEnt, true
+		}
 	}
-	ctx.hoistCse[k] = ent
+	return cseEnt{}, false
+}
+
+func (ctx *kloop) setHoist(k uint64, ent cseEnt) {
+	for i := range ctx.hoistCse {
+		if ctx.hoistCse[i].k == k {
+			ctx.hoistCse[i].cseEnt = ent
+			return
+		}
+	}
+	ctx.hoistCse = append(ctx.hoistCse, hoistEnt{k, ent})
+}
+
+// reset empties ctx for the next loop, keeping its storage.
+func (ctx *kloop) reset() {
+	ctx.hoist, ctx.hoistCse, ctx.hints = ctx.hoist[:0], ctx.hoistCse[:0], 0
 }
 
 // slotSet is a set of slot numbers, one bit each, sized from the program's
@@ -57,6 +84,13 @@ type slotSet []uint64
 
 func (s slotSet) has(i int) bool { return s[i>>6]>>(uint(i)&63)&1 != 0 }
 func (s slotSet) add(i int)      { s[i>>6] |= 1 << (uint(i) & 63) }
+
+// or adds every member of t, a set of the same size.
+func (s slotSet) or(t slotSet) {
+	for i, w := range t {
+		s[i] |= w
+	}
+}
 
 // each calls f for every member, in increasing order.
 func (s slotSet) each(f func(slot int)) {
@@ -67,25 +101,97 @@ func (s slotSet) each(f func(slot int)) {
 	}
 }
 
-// writtenSlots returns the int and the float slots body assigns: scalar
-// assignments, and the induction variables of nested loops.
-func (kc *kcompiler) writtenSlots(bodies ...[]ir.Stmt) (iw, fw slotSet) {
-	ni, nf := (kc.nInt+63)>>6, (kc.nFloat+63)>>6
-	set := make(slotSet, ni+nf)
-	iw, fw = set[:ni:ni], set[ni:]
-	for _, body := range bodies {
-		ir.WalkStmts(body, func(s ir.Stmt) {
-			switch x := s.(type) {
-			case *ir.Loop:
-				iw.add(x.Slot)
-			case ir.SetScalarI:
-				iw.add(x.Slot)
-			case ir.SetScalarF:
-				fw.add(x.Slot)
-			}
-		})
+// Written sets. A write set is the int slots a piece of code assigns —
+// scalar assignments and the induction variables of the loops in it — in
+// its first iw words, then the float slots it assigns.
+
+// facts records in kc.written the write set of every loop body in body,
+// in one bottom-up walk whose sets are cut from one arena, and returns
+// body's own.
+func (kc *kcompiler) facts(body []ir.Stmt) slotSet {
+	loops := 0
+	ir.WalkStmts(body, func(s ir.Stmt) {
+		if _, ok := s.(*ir.Loop); ok {
+			loops++
+		}
+	})
+	n := len(kc.joins)
+	arena := make(slotSet, (loops+1)*n)
+	if kc.written == nil {
+		kc.written = make(map[*ir.Loop]slotSet, loops)
 	}
-	return iw, fw
+	kc.collect(body, arena[:n:n], arena[n:])
+	return arena[:n:n]
+}
+
+// writes returns the write set of l's body. The walk of the program body
+// found every loop a compile lowers; one lowered outside it is walked now.
+func (kc *kcompiler) writes(l *ir.Loop) slotSet {
+	set, ok := kc.written[l]
+	if !ok {
+		set = kc.facts(l.Body)
+		kc.written[l] = set
+	}
+	return set
+}
+
+// collect adds what body writes to set. With an arena, it cuts each loop's
+// write set from it and records it in kc.written; without one, it reads
+// the recorded sets. It returns what is left of the arena.
+func (kc *kcompiler) collect(body []ir.Stmt, set, arena slotSet) slotSet {
+	for _, s := range body {
+		switch x := s.(type) {
+		case *ir.Loop:
+			var own slotSet
+			if arena != nil {
+				own, arena = arena[:len(set):len(set)], arena[len(set):]
+				kc.written[x] = own
+				arena = kc.collect(x.Body, own, arena)
+			} else {
+				own = kc.writes(x)
+			}
+			set.or(own)
+			set.add(x.Slot)
+		case ir.SetScalarI:
+			set.add(x.Slot)
+		case ir.SetScalarF:
+			set.add(kc.iw<<6 + x.Slot)
+		case ir.If:
+			arena = kc.collect(x.Then, set, arena)
+			arena = kc.collect(x.Else, set, arena)
+		}
+	}
+	return arena
+}
+
+// nesting returns how deep the loops of body nest.
+func nesting(body []ir.Stmt) int {
+	d := 0
+	for _, s := range body {
+		switch x := s.(type) {
+		case *ir.Loop:
+			d = max(d, 1+nesting(x.Body))
+		case ir.If:
+			d = max(d, nesting(x.Then), nesting(x.Else))
+		}
+	}
+	return d
+}
+
+// newCtxs adds n loop contexts, for the next n depths, cut from one block.
+func (kc *kcompiler) newCtxs(n int) {
+	w := len(kc.joins)
+	ctxs, sets := make([]kloop, n), make(slotSet, n*w)
+	kc.ctxs = slices.Grow(kc.ctxs, n)
+	for i := range ctxs {
+		ctxs[i].written, ctxs[i].fwritten = kc.split(sets[i*w : (i+1)*w : (i+1)*w])
+		kc.ctxs = append(kc.ctxs, &ctxs[i])
+	}
+}
+
+// split returns a write set's int and float halves.
+func (kc *kcompiler) split(set slotSet) (iw, fw slotSet) {
+	return set[:kc.iw:kc.iw], set[kc.iw:]
 }
 
 // cseEnt is one value-numbering fact: register r holds expression e. The
@@ -96,29 +202,37 @@ type cseEnt struct {
 	r uint16
 }
 
-// kmaps is the value-numbering state: one set of maps for the whole
-// compile. Every write goes through a setter below, which first appends
-// what it overwrites to the undo trail, so a scope (a loop body, a branch)
-// is a mark on the trail and leaving it an unwind — never a copy of the
-// maps.
+// kmaps is the value-numbering state: one table for the whole compile.
+// Every write goes through a setter below, which first appends what it
+// overwrites to the undo trail, so a scope (a loop body, a branch) is a
+// mark on the trail and leaving it an unwind — never a copy of the table.
+// The cse map only ever gains keys: a dropped fact stays in vn as the zero
+// value, which no lookup matches. A map that deletes leaves tombstones
+// where its hash seed puts them, and they bring its growth forward, so
+// the compile's allocation count would vary from run to run.
 type kmaps struct {
-	cse    map[uint64]cseEnt // pure int expr -> register holding it
-	cseDep map[uint64][]int  // its slot dependencies, for invalidation
-	bind   map[int]uint16    // int slot -> register mirroring it
-	fbind  map[int]uint16    // float slot -> register mirroring it
-	trail  []undo
-	deps   []int // backing store of every cseDep entry
+	cse   map[uint64]int32 // pure int expr key -> its fact in vn
+	vn    []cseFact        // the facts, in the order their keys were first numbered
+	bind  []int32          // int slot -> register mirroring it, or -1
+	fbind []int32          // float slot -> register mirroring it, or -1
+	trail []undo
+	deps  []int // backing store of every fact's deps
 }
 
-// undo is what one setter overwrote: the previous entry of key in map m,
-// if it had one.
+// cseFact is a numbered expression with its slot dependencies, for
+// invalidation.
+type cseFact struct {
+	cseEnt
+	deps []int
+}
+
+// undo is what one setter overwrote: fact vn[key], or the binding of slot
+// key.
 type undo struct {
-	m    uint8 // undoCse (cse and cseDep together), undoBind or undoFBind
-	had  bool
-	r    uint16 // bind, fbind
-	key  uint64
-	ent  cseEnt // cse
-	deps []int  // cseDep
+	m   uint8 // undoCse, undoBind or undoFBind
+	r   int32 // bind, fbind
+	key int
+	old cseFact // cse
 }
 
 const (
@@ -128,40 +242,42 @@ const (
 )
 
 func (m *kmaps) setCse(k uint64, ent cseEnt, deps []int) {
-	old, had := m.cse[k]
-	m.trail = append(m.trail, undo{m: undoCse, had: had, key: k, ent: old, deps: m.cseDep[k]})
-	m.cse[k], m.cseDep[k] = ent, deps
+	i, ok := m.cse[k]
+	if !ok {
+		i = int32(len(m.vn))
+		m.vn = append(m.vn, cseFact{})
+		m.cse[k] = i
+	}
+	m.trail = append(m.trail, undo{m: undoCse, key: int(i), old: m.vn[i]})
+	m.vn[i] = cseFact{ent, deps}
 }
 
-func (m *kmaps) delCse(k uint64) {
-	m.trail = append(m.trail, undo{m: undoCse, had: true, key: k, ent: m.cse[k], deps: m.cseDep[k]})
-	delete(m.cse, k)
-	delete(m.cseDep, k)
+func (m *kmaps) delCse(i int) {
+	m.trail = append(m.trail, undo{m: undoCse, key: i, old: m.vn[i]})
+	m.vn[i] = cseFact{}
 }
 
 func (m *kmaps) setBind(slot int, r uint16) {
-	old, had := m.bind[slot]
-	m.trail = append(m.trail, undo{m: undoBind, had: had, key: uint64(slot), r: old})
-	m.bind[slot] = r
+	m.trail = append(m.trail, undo{m: undoBind, key: slot, r: m.bind[slot]})
+	m.bind[slot] = int32(r)
 }
 
 func (m *kmaps) delBind(slot int) {
-	if old, had := m.bind[slot]; had {
-		m.trail = append(m.trail, undo{m: undoBind, had: true, key: uint64(slot), r: old})
-		delete(m.bind, slot)
+	if old := m.bind[slot]; old >= 0 {
+		m.trail = append(m.trail, undo{m: undoBind, key: slot, r: old})
+		m.bind[slot] = -1
 	}
 }
 
 func (m *kmaps) setFBind(slot int, r uint16) {
-	old, had := m.fbind[slot]
-	m.trail = append(m.trail, undo{m: undoFBind, had: had, key: uint64(slot), r: old})
-	m.fbind[slot] = r
+	m.trail = append(m.trail, undo{m: undoFBind, key: slot, r: m.fbind[slot]})
+	m.fbind[slot] = int32(r)
 }
 
 func (m *kmaps) delFBind(slot int) {
-	if old, had := m.fbind[slot]; had {
-		m.trail = append(m.trail, undo{m: undoFBind, had: true, key: uint64(slot), r: old})
-		delete(m.fbind, slot)
+	if old := m.fbind[slot]; old >= 0 {
+		m.trail = append(m.trail, undo{m: undoFBind, key: slot, r: old})
+		m.fbind[slot] = -1
 	}
 }
 
@@ -173,32 +289,28 @@ func (m *kmaps) snapshot() int { return len(m.trail) }
 func (m *kmaps) restore(mark int) {
 	for i := len(m.trail) - 1; i >= mark; i-- {
 		u := &m.trail[i]
-		switch {
-		case u.m == undoCse && u.had:
-			m.cse[u.key], m.cseDep[u.key] = u.ent, u.deps
-		case u.m == undoCse:
-			delete(m.cse, u.key)
-			delete(m.cseDep, u.key)
-		case u.m == undoBind && u.had:
-			m.bind[int(u.key)] = u.r
-		case u.m == undoBind:
-			delete(m.bind, int(u.key))
-		case u.had:
-			m.fbind[int(u.key)] = u.r
+		switch u.m {
+		case undoCse:
+			m.vn[u.key] = u.old
+		case undoBind:
+			m.bind[u.key] = u.r
 		default:
-			delete(m.fbind, int(u.key))
+			m.fbind[u.key] = u.r
 		}
 	}
 	m.trail = m.trail[:mark]
 }
 
 type kcompiler struct {
-	shift  int64 // page shift, for compile-time page arithmetic
-	nInt   int   // the program's slot counts, which size a slotSet
-	nFloat int
-	params map[int]int64 // parameter slots no statement writes -> Param.Val
-	err    error         // first statement cost.go rejected, or the *LimitError of the first full table
-	prof   *profRec      // non-nil in a recording compile (profile.go)
+	shift   int64 // page shift, for compile-time page arithmetic
+	nInt    int   // the program's slot counts, which size a slotSet
+	nFloat  int
+	iw      int                  // words of a write set's int half
+	written map[*ir.Loop]slotSet // each loop body's write set (facts)
+	joins   slotSet              // the write set of an if's branches, rebuilt at each join
+	params  map[int]int64        // parameter slots no statement writes -> Param.Val
+	err     error                // first statement cost.go rejected, or the *LimitError of the first full table
+	prof    *profRec             // non-nil in a recording compile (profile.go)
 
 	code    []kinstr
 	front   []kinstr  // what a loop runs before its body, built after it; one loop's at a time
@@ -235,7 +347,8 @@ type kcompiler struct {
 	lregs          []laneReg
 	laneNI, laneNF int
 
-	loops   []*kloop
+	loops   []*kloop // the open loops' contexts, outermost first: a prefix of ctxs
+	ctxs    []*kloop // a context per depth, reused loop to loop
 	reports []LoopReport
 }
 
@@ -246,8 +359,7 @@ func newKcompiler(prog *ir.Program, shift int64, rec *profile.Recorder) *kcompil
 		nFloat: prog.NFloat,
 		params: map[int]int64{},
 		nRI:    1, nRF: 1, // ri[0]/rf[0] are permanent zeros
-		kmaps: kmaps{cse: map[uint64]cseEnt{}, cseDep: map[uint64][]int{},
-			bind: map[int]uint16{}, fbind: map[int]uint16{}},
+		kmaps:  kmaps{cse: map[uint64]int32{}},
 		iconst: map[int64]uint16{},
 		fconst: map[uint64]uint16{},
 		auxIdx: map[auxKey]int{},
@@ -255,7 +367,15 @@ func newKcompiler(prog *ir.Program, shift int64, rec *profile.Recorder) *kcompil
 		spanNext: -1,
 	}
 	kc.buf = &kc.code
-	written, _ := kc.writtenSlots(prog.Body)
+	binds := make([]int32, kc.nInt+kc.nFloat)
+	for i := range binds {
+		binds[i] = -1
+	}
+	kc.bind, kc.fbind = binds[:kc.nInt:kc.nInt], binds[kc.nInt:]
+	kc.iw = (kc.nInt + 63) >> 6
+	kc.joins = make(slotSet, kc.iw+(kc.nFloat+63)>>6)
+	written, _ := kc.split(kc.facts(prog.Body))
+	kc.newCtxs(nesting(prog.Body))
 	for _, p := range prog.Params {
 		if !written.has(p.Slot) {
 			kc.params[p.Slot] = p.Val
@@ -278,6 +398,7 @@ const codePerStmt = 16
 // *LimitError: the program exceeded one of the bytecode's tables.
 func (kc *kcompiler) compile(body []ir.Stmt) error {
 	kc.code = make([]kinstr, 0, codePerStmt*ir.CountStmts(body))
+	kc.reports = make([]LoopReport, 0, len(kc.written))
 	kc.stmts(body)
 	kc.flush()
 	if kc.err != nil {
@@ -486,9 +607,9 @@ func (kc *kcompiler) slotsOf(x ir.IExpr) []int {
 // invalidateSlot drops every register fact that depended on int slot s.
 func (kc *kcompiler) invalidateSlot(s int) {
 	kc.delBind(s)
-	for k, deps := range kc.cseDep {
-		if slices.Contains(deps, s) {
-			kc.delCse(k)
+	for i, f := range kc.vn {
+		if slices.Contains(f.deps, s) {
+			kc.delCse(i)
 		}
 	}
 }
@@ -497,9 +618,9 @@ func (kc *kcompiler) invalidateSlot(s int) {
 // iw or was about a float slot in fw.
 func (kc *kcompiler) invalidate(iw, fw slotSet) {
 	iw.each(kc.delBind)
-	for k, deps := range kc.cseDep {
-		if slices.ContainsFunc(deps, iw.has) {
-			kc.delCse(k)
+	for i, f := range kc.vn {
+		if slices.ContainsFunc(f.deps, iw.has) {
+			kc.delCse(i)
 		}
 	}
 	fw.each(kc.delFBind)
@@ -581,7 +702,10 @@ func (kc *kcompiler) ifStmt(x ir.If) {
 	}
 	// At the join only facts that survived BOTH paths hold: drop anything
 	// either branch may have written.
-	kc.invalidate(kc.writtenSlots(x.Then, x.Else))
+	clear(kc.joins)
+	kc.collect(x.Then, kc.joins, nil)
+	kc.collect(x.Else, kc.joins, nil)
+	kc.invalidate(kc.split(kc.joins))
 }
 
 func (kc *kcompiler) setScalarF(x ir.SetScalarF) {
@@ -654,8 +778,14 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 		return
 	}
 	depth := len(kc.loops)
-	ctx := &kloop{}
-	ctx.written, ctx.fwritten = kc.writtenSlots(l.Body)
+	if depth == len(kc.ctxs) { // a loop lowered outside the program body
+		kc.newCtxs(1)
+	}
+	ctx := kc.ctxs[depth]
+	ctx.reset()
+	iw, fw := kc.split(kc.writes(l))
+	copy(ctx.written, iw)
+	copy(ctx.fwritten, fw)
 	var w *spanWalk
 	reason := ReasonAbsorbed
 	if kc.inAbsorber {
@@ -666,7 +796,7 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 			panic(fmt.Sprintf("exec: loop %s inside an absorbing loop's per-element body is not statically short", l.Var))
 		}
 	} else {
-		w, reason = kc.spanSites(l, ctx.written)
+		w, reason = kc.spanSites(l, ctx)
 	}
 	pageRun := reason == ReasonSpecialized
 	ri := len(kc.reports)
@@ -688,7 +818,7 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 	snap := kc.snapshot()
 	kc.invalidate(ctx.written, ctx.fwritten)
 	kc.setBind(l.Slot, rv)
-	kc.loops = append(kc.loops, ctx)
+	kc.loops = kc.ctxs[:depth+1]
 	s0 := kc.snapshot()
 
 	// The body is lowered in place. What runs before it — the invariant

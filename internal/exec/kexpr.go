@@ -16,8 +16,8 @@ func (kc *kcompiler) iexpr(x ir.IExpr) uint16 {
 	case ir.IConst:
 		return kc.iconstReg(e.Val)
 	case ir.ISlot:
-		if r, ok := kc.bind[e.Slot]; ok {
-			return r
+		if r := kc.bind[e.Slot]; r >= 0 {
+			return uint16(r)
 		}
 		r := kc.iReg()
 		kc.emit(kinstr{op: opISlot, dst: r, imm: int64(e.Slot)})
@@ -58,11 +58,11 @@ func (kc *kcompiler) iexpr(x ir.IExpr) uint16 {
 // lookupCse checks the local table, then hoisted invariants of every
 // enclosing loop (their code dominates the current position).
 func (kc *kcompiler) lookupCse(k uint64, e ir.IExpr) (uint16, bool) {
-	if ent, ok := kc.cse[k]; ok && sameI(ent.e, e) {
-		return ent.r, true
+	if i, ok := kc.cse[k]; ok && sameI(kc.vn[i].e, e) {
+		return kc.vn[i].r, true
 	}
 	for i := len(kc.loops) - 1; i >= 0; i-- {
-		if ent, ok := kc.loops[i].hoistCse[k]; ok && sameI(ent.e, e) {
+		if ent, ok := kc.loops[i].hoisted(k); ok && sameI(ent.e, e) {
 			return ent.r, true
 		}
 	}
@@ -83,7 +83,7 @@ func (kc *kcompiler) tryHoist(e ir.IExpr, k uint64) (uint16, bool) {
 	if dep {
 		return 0, false
 	}
-	if ent, ok := ctx.hoistCse[k]; ok && sameI(ent.e, e) {
+	if ent, ok := ctx.hoisted(k); ok && sameI(ent.e, e) {
 		return ent.r, true
 	}
 	r := kc.compileHoisted(e, ctx)
@@ -100,7 +100,7 @@ func (kc *kcompiler) compileHoisted(x ir.IExpr, ctx *kloop) uint16 {
 		return kc.iconstReg(e.Val)
 	case ir.ISlot:
 		k := keyI(x)
-		if ent, ok := ctx.hoistCse[k]; ok && sameI(ent.e, x) {
+		if ent, ok := ctx.hoisted(k); ok && sameI(ent.e, x) {
 			return ent.r
 		}
 		r := kc.iReg()
@@ -112,7 +112,7 @@ func (kc *kcompiler) compileHoisted(x ir.IExpr, ctx *kloop) uint16 {
 			return kc.iconstReg(v)
 		}
 		k := keyI(x)
-		if ent, ok := ctx.hoistCse[k]; ok && sameI(ent.e, x) {
+		if ent, ok := ctx.hoisted(k); ok && sameI(ent.e, x) {
 			return ent.r
 		}
 		a := kc.compileHoisted(e.A, ctx)
@@ -177,8 +177,8 @@ func (kc *kcompiler) fexpr(x ir.FExpr) uint16 {
 	case ir.FConst:
 		return kc.fconstReg(e.Val)
 	case ir.FScalar:
-		if r, ok := kc.fbind[e.Slot]; ok {
-			return r
+		if r := kc.fbind[e.Slot]; r >= 0 {
+			return uint16(r)
 		}
 		r := kc.fReg()
 		kc.emit(kinstr{op: opFSlot, dst: r, imm: int64(e.Slot)})

@@ -130,27 +130,36 @@ func (w *spanWalk) role(slot int) ir.SlotRole {
 	return ir.Opaque
 }
 
-// spanSites decides whether l runs as a page-run loop, given the int slots
-// its body writes. It returns the finished walk with ReasonSpecialized when
-// it does — or, from a recording compile, with ReasonRecording: a span body
-// would lower each reference a second time and batch away the per-access
-// fault attribution the recorder exists for, but the loop still speaks for
-// the inner loops it would have absorbed — and nil with the reason
-// otherwise (the site numbering left untouched).
-func (kc *kcompiler) spanSites(l *ir.Loop, written slotSet) (*spanWalk, FallbackReason) {
+// spanSites decides whether l runs as a page-run loop, given its context,
+// which holds the int slots its body writes. It returns the finished walk
+// with ReasonSpecialized when it does — or, from a recording compile, with
+// ReasonRecording: a span body would lower each reference a second time
+// and batch away the per-access fault attribution the recorder exists
+// for, but the loop still speaks for the inner loops it would have
+// absorbed — and nil with the reason otherwise (the site numbering left
+// untouched).
+func (kc *kcompiler) spanSites(l *ir.Loop, ctx *kloop) (*spanWalk, FallbackReason) {
 	hint, branch := bodyShape(l.Body)
 	switch {
 	case hint:
 		return nil, ReasonHintInBody
 	case branch:
 		return nil, ReasonControlFlow
-	case written.has(l.Slot):
+	case ctx.written.has(l.Slot):
 		return nil, ReasonInductionWrite
 	}
 	// The walk appends to the compile's spare site storage; what a page-run
 	// loop registers is cut off it for good, anything else is handed back.
-	w := &spanWalk{kc: kc, l: l, written: written, mult: 1, unroll: 1,
-		sites: kc.sites, cds: kc.cds, seed: kc.seed}
+	// The walk itself, its seed table and its reads are the depth's, which
+	// the last loop there left; abs becomes the loop's finals, so it is new.
+	w := ctx.walk
+	if w == nil {
+		w = &spanWalk{}
+		ctx.walk = w
+	}
+	w.seeds.reset()
+	*w = spanWalk{kc: kc, l: l, written: ctx.written, mult: 1, unroll: 1,
+		sites: kc.sites, cds: kc.cds, seed: kc.seed, seeds: w.seeds, reads: w.reads[:0]}
 	nSites, nSubs := kc.nSites, kc.nSubs
 	w.stmts(l.Body)
 	if len(w.sites) == 0 {
@@ -353,13 +362,11 @@ func (w *spanWalk) fexpr(x ir.FExpr) {
 // rebind makes the seed table read slot as register r, dropping every
 // value derived from what it was bound to before.
 func (ctx *kloop) rebind(slot int, r uint16) {
-	for k, ent := range ctx.hoistCse {
+	ctx.hoistCse = slices.DeleteFunc(ctx.hoistCse, func(h hoistEnt) bool {
 		uses := false
-		ir.IExprSlots(ent.e, func(s int) { uses = uses || s == slot })
-		if uses {
-			delete(ctx.hoistCse, k)
-		}
-	}
+		ir.IExprSlots(h.e, func(s int) { uses = uses || s == slot })
+		return uses
+	})
 	var e ir.IExpr = ir.ISlot{Slot: slot}
 	ctx.setHoist(keyI(e), cseEnt{e: e, r: r})
 }

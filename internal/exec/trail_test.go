@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"maps"
 	"reflect"
 	"testing"
 
@@ -9,17 +8,32 @@ import (
 	"repro/internal/ir"
 )
 
-// vnState is a copy of the four value-numbering maps: what snapshot used
-// to return, kept here as the reference a restore is compared against.
+// vnState is a copy of the live value-numbering facts, keyed like the
+// maps snapshot used to return: the reference a restore is compared
+// against.
 type vnState struct {
-	cse    map[uint64]cseEnt
-	cseDep map[uint64][]int
-	bind   map[int]uint16
-	fbind  map[int]uint16
+	cse         map[uint64]cseFact
+	bind, fbind map[int]int32
 }
 
 func cloneVN(m *kmaps) vnState {
-	return vnState{maps.Clone(m.cse), maps.Clone(m.cseDep), maps.Clone(m.bind), maps.Clone(m.fbind)}
+	s := vnState{map[uint64]cseFact{}, map[int]int32{}, map[int]int32{}}
+	for k, i := range m.cse {
+		if f := m.vn[i]; f.e != nil {
+			s.cse[k] = f
+		}
+	}
+	for slot, r := range m.bind {
+		if r >= 0 {
+			s.bind[slot] = r
+		}
+	}
+	for slot, r := range m.fbind {
+		if r >= 0 {
+			s.fbind[slot] = r
+		}
+	}
+	return s
 }
 
 // TestValueNumberingTrail plays the enclosing scope of real lowerings: it
@@ -77,8 +91,8 @@ func TestValueNumberingTrail(t *testing.T) {
 	facts := func() {
 		t.Helper()
 		kc.stmts([]ir.Stmt{ir.SetI(k, ir.Int(1)), ir.SetF(s, ir.LoadF(a, idx(k))), ir.SetF(s, ir.LoadF(a, idx(ir.Int(3))))})
-		if _, bound := kc.bind[k.Slot]; !bound || len(kc.cse) == 0 || len(kc.fbind) == 0 {
-			t.Fatalf("no facts to restore: k bound %v, cse %d, fbind %d", bound, len(kc.cse), len(kc.fbind))
+		if st := cloneVN(&kc.kmaps); kc.bind[k.Slot] < 0 || len(st.cse) == 0 || len(st.fbind) == 0 {
+			t.Fatalf("no facts to restore: k bound %v, cse %d, fbind %d", kc.bind[k.Slot] >= 0, len(st.cse), len(st.fbind))
 		}
 	}
 	facts()

@@ -12,22 +12,25 @@ package ir
 // which both consumers must agree on, whatever they are.
 //
 // path is the enclosing loops within stmts, outermost first. Each loop
-// body gets one freshly built slice that is never modified afterwards,
-// so visit may retain it.
+// body gets its own slice, cut from one arena with its capacity capped and
+// never modified afterwards, so visit may retain it.
 func WalkRefs(stmts []Stmt, visit func(arr *Array, idx []IExpr, isWrite bool, path []*Loop)) {
-	w := refWalk{visit}
+	w := refWalk{visit: visit}
 	w.stmts(stmts, nil)
 }
 
 type refWalk struct {
 	visit func(arr *Array, idx []IExpr, isWrite bool, path []*Loop)
+	paths []*Loop // the arena the paths are cut from
 }
 
-func (w refWalk) stmts(stmts []Stmt, path []*Loop) {
+func (w *refWalk) stmts(stmts []Stmt, path []*Loop) {
 	for _, s := range stmts {
 		switch x := s.(type) {
 		case *Loop:
-			w.stmts(x.Body, append(path[:len(path):len(path)], x))
+			n := len(w.paths)
+			w.paths = append(append(w.paths, path...), x)
+			w.stmts(x.Body, w.paths[n:len(w.paths):len(w.paths)])
 		case AssignF:
 			w.visit(x.Arr, x.Idx, true, path)
 			w.fexpr(x.RHS, path)
@@ -48,13 +51,13 @@ func (w refWalk) stmts(stmts []Stmt, path []*Loop) {
 	}
 }
 
-func (w refWalk) idx(idx []IExpr, path []*Loop) {
+func (w *refWalk) idx(idx []IExpr, path []*Loop) {
 	for _, e := range idx {
 		w.iexpr(e, path)
 	}
 }
 
-func (w refWalk) fexpr(e FExpr, path []*Loop) {
+func (w *refWalk) fexpr(e FExpr, path []*Loop) {
 	switch x := e.(type) {
 	case FLoad:
 		w.visit(x.Arr, x.Idx, false, path)
@@ -73,7 +76,7 @@ func (w refWalk) fexpr(e FExpr, path []*Loop) {
 	}
 }
 
-func (w refWalk) iexpr(e IExpr, path []*Loop) {
+func (w *refWalk) iexpr(e IExpr, path []*Loop) {
 	switch x := e.(type) {
 	case ILoad:
 		w.visit(x.Arr, x.Idx, false, path)
@@ -84,7 +87,7 @@ func (w refWalk) iexpr(e IExpr, path []*Loop) {
 	}
 }
 
-func (w refWalk) bexpr(e BExpr, path []*Loop) {
+func (w *refWalk) bexpr(e BExpr, path []*Loop) {
 	switch x := e.(type) {
 	case CmpI:
 		w.iexpr(x.A, path)

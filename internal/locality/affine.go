@@ -1,6 +1,11 @@
 package locality
 
-import "repro/internal/ir"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/ir"
+)
 
 // decompose linearizes a reference's subscripts against the array's
 // resolved strides and records the affine form on the ref: the
@@ -26,18 +31,21 @@ func (a *Analysis) decompose(r *Ref) {
 	prod := true
 	indirect, residual := false, false
 	f := &a.lo
+	t0, s0 := len(a.terms), len(a.slots)
 	for d := len(r.Arr.DimExprs) - 1; d >= 0; d-- {
 		if d < len(r.Idx) {
 			f.Decompose(r.Idx[d], a.Known, role)
 			indirect = indirect || f.Indirect
 			residual = residual || f.Residual || f.Rest
 			for _, s := range f.Loaded {
-				r.IndirectSlots[s] = true
+				if !slices.Contains(a.slots[s0:], s) {
+					a.slots = append(a.slots, s)
+				}
 			}
 			if prod {
 				stride := r.Arr.Strides[d]
 				for _, t := range f.Terms {
-					r.Coeffs[t.Slot] += t.Coeff * stride
+					a.addTerm(t0, t.Slot, t.Coeff*stride)
 				}
 				r.Const += f.Const * stride
 			} else {
@@ -50,11 +58,11 @@ func (a *Analysis) decompose(r *Ref) {
 			prod = false
 		}
 	}
-	for s, c := range r.Coeffs {
-		if c == 0 {
-			delete(r.Coeffs, s)
-		}
-	}
+	terms := slices.DeleteFunc(a.terms[t0:], func(t ir.Term) bool { return t.Coeff == 0 })
+	slices.SortFunc(terms, func(x, y ir.Term) int { return cmp.Compare(x.Slot, y.Slot) })
+	a.terms = a.terms[:t0+len(terms)]
+	r.Terms = a.terms[t0:len(a.terms):len(a.terms)]
+	r.IndirectSlots = a.slots[s0:len(a.slots):len(a.slots)]
 	switch {
 	case indirect:
 		r.Kind = Indirect
@@ -63,6 +71,18 @@ func (a *Analysis) decompose(r *Ref) {
 	default:
 		r.Kind = Dense
 	}
+}
+
+// addTerm adds coeff·slot to the terms a.terms[t0:] of the ref being
+// decomposed.
+func (a *Analysis) addTerm(t0, slot int, coeff int64) {
+	for i := t0; i < len(a.terms); i++ {
+		if a.terms[i].Slot == slot {
+			a.terms[i].Coeff += coeff
+			return
+		}
+	}
+	a.terms = append(a.terms, ir.Term{Slot: slot, Coeff: coeff})
 }
 
 // TripCount returns the compile-time trip count of a loop, or

@@ -1,8 +1,8 @@
 package locality
 
 import (
-	"maps"
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -11,63 +11,71 @@ import (
 // to the same group when they name the same array from the same loop nest
 // with identical coefficients and constants within two pages of each
 // other (a stencil's a[i-1], a[i], a[i+1] cluster; unrelated slices do
-// not). Indirect and opaque references form singleton groups.
+// not). Indirect and opaque references form singleton groups, which come
+// first, in reference order; the dense groups follow, their buckets in
+// first-seen order. Every group's members are cut from one slice.
 func (a *Analysis) group() {
-	// Buckets in first-seen order; byNest finds the candidates a ref's
-	// coefficients are compared against without building a signature.
-	type nest struct {
-		arr   *ir.Array
-		inner *ir.Loop
-	}
-	var buckets [][]*Ref
-	byNest := map[nest][]int{}
-next:
-	for _, r := range a.Refs {
-		if r.Kind != Dense {
-			// Singleton: use the ref's identity to keep it alone.
-			a.Groups = append(a.Groups, &Group{Arr: r.Arr, Members: []*Ref{r}, Leader: r, Trailer: r})
-			continue
+	members := make([]*Ref, 0, len(a.Refs))
+	a.Groups = make([]Group, 0, len(a.Refs))
+	for i := range a.Refs {
+		if r := &a.Refs[i]; r.Kind != Dense {
+			members = append(members, r)
+			a.Groups = append(a.Groups, makeGroup(members[len(members)-1:]))
 		}
-		k := nest{r.Arr, r.Innermost()}
-		for _, b := range byNest[k] {
-			if maps.Equal(buckets[b][0].Coeffs, r.Coeffs) {
-				buckets[b] = append(buckets[b], r)
-				continue next
-			}
-		}
-		byNest[k] = append(byNest[k], len(buckets))
-		buckets = append(buckets, []*Ref{r})
 	}
 	window := 2 * a.PageSize / ir.ElemSize
-	for _, refs := range buckets {
-		sort.SliceStable(refs, func(i, j int) bool { return refs[i].Const < refs[j].Const })
+next:
+	for i := range a.Refs {
+		r := &a.Refs[i]
+		if r.Kind != Dense {
+			continue
+		}
+		for k := range i {
+			if sameBucket(&a.Refs[k], r) {
+				continue next // the bucket r belongs to is made
+			}
+		}
+		b := len(members)
+		for j := i; j < len(a.Refs); j++ {
+			if q := &a.Refs[j]; sameBucket(q, r) {
+				members = append(members, q)
+			}
+		}
+		refs := members[b:]
+		slices.SortStableFunc(refs, func(x, y *Ref) int { return cmp.Compare(x.Const, y.Const) })
 		start := 0
-		for i := 1; i <= len(refs); i++ {
-			if i == len(refs) || refs[i].Const-refs[i-1].Const > window {
-				a.Groups = append(a.Groups, makeGroup(refs[start:i]))
-				start = i
+		for k := 1; k <= len(refs); k++ {
+			if k == len(refs) || refs[k].Const-refs[k-1].Const > window {
+				a.Groups = append(a.Groups, makeGroup(refs[start:k]))
+				start = k
 			}
 		}
 	}
 }
 
-func makeGroup(members []*Ref) *Group {
-	g := &Group{Arr: members[0].Arr, Members: members}
-	// members are sorted by Const ascending. With a positive stride the
-	// largest constant touches new data first (the leading reference);
-	// the smallest constant is the last to touch it (the trailing
-	// reference, the address to release). Negative strides flip this;
-	// our kernels' strides are positive (backward sweeps are expressed
-	// with reversed index arithmetic), so positive orientation is used.
-	g.Trailer = members[0]
-	g.Leader = members[len(members)-1]
-	return g
+// sameBucket reports whether dense references q and r name the same
+// array from the same innermost loop with identical coefficients.
+func sameBucket(q, r *Ref) bool {
+	return q.Kind == Dense && q.Arr == r.Arr && q.Innermost() == r.Innermost() && slices.Equal(q.Terms, r.Terms)
+}
+
+// makeGroup makes the group of members, which must be sorted by Const
+// ascending, and caps them so that nothing appends into the next group's.
+func makeGroup(members []*Ref) Group {
+	members = members[:len(members):len(members)]
+	// With a positive stride the largest constant touches new data first
+	// (the leading reference); the smallest constant is the last to touch
+	// it (the trailing reference, the address to release). Negative
+	// strides flip this; our kernels' strides are positive (backward
+	// sweeps are expressed with reversed index arithmetic), so positive
+	// orientation is used.
+	return Group{Arr: members[0].Arr, Members: members, Leader: members[len(members)-1], Trailer: members[0]}
 }
 
 // StrideBytes returns a ref's byte stride per iteration of loop l (may be
 // negative or zero).
 func (r *Ref) StrideBytes(l *ir.Loop) int64 {
-	return r.Coeffs[l.Slot] * l.Step * ir.ElemSize
+	return r.Coeff(l.Slot) * l.Step * ir.ElemSize
 }
 
 // FootprintUpTo returns the number of distinct bytes the ref touches
@@ -118,7 +126,7 @@ func (a *Analysis) PipelineLoop(r *Ref) *ir.Loop {
 				// array; footprints only grow at loops with non-zero
 				// stride, so scan outward to the first such loop.
 				for j := i; j >= 0; j-- {
-					if r.Coeffs[r.Path[j].Slot] != 0 {
+					if r.Coeff(r.Path[j].Slot) != 0 {
 						return r.Path[j]
 					}
 				}
@@ -129,7 +137,7 @@ func (a *Analysis) PipelineLoop(r *Ref) *ir.Loop {
 		// Prefetches are driven per-iteration of the innermost loop that
 		// feeds the indirect subscript.
 		for i := len(r.Path) - 1; i >= 0; i-- {
-			if r.IndirectSlots[r.Path[i].Slot] {
+			if slices.Contains(r.IndirectSlots, r.Path[i].Slot) {
 				return r.Path[i]
 			}
 		}

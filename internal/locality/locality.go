@@ -48,13 +48,26 @@ type Ref struct {
 	Path    []*ir.Loop // enclosing loops, outermost first
 	Kind    RefKind
 
-	// Affine decomposition of the linearized subscript, in elements.
-	Coeffs map[int]int64 // loop slot → coefficient
-	Const  int64         // known constant part (0 if unknown)
+	// Affine decomposition of the linearized subscript, in elements:
+	// Σ Coeff·slot over Terms, plus Const. Terms are sorted by slot and
+	// none has a zero coefficient.
+	Terms []ir.Term
+	Const int64 // known constant part (0 if unknown)
 
 	// For Indirect refs: the loop slots the indirect load itself varies
 	// with (the i of b[i]), used to pick the prefetch-driving loop.
-	IndirectSlots map[int]bool
+	IndirectSlots []int
+}
+
+// Coeff returns the coefficient of slot in the ref's subscript (0 when
+// the subscript does not vary with it).
+func (r *Ref) Coeff(slot int) int64 {
+	for _, t := range r.Terms {
+		if t.Slot == slot {
+			return t.Coeff
+		}
+	}
+	return 0
 }
 
 // Innermost returns the innermost enclosing loop, or nil.
@@ -69,8 +82,8 @@ func (r *Ref) Innermost() *ir.Loop {
 type Analysis struct {
 	Prog   *ir.Program
 	Known  map[int]int64 // compile-time-known parameter bindings
-	Refs   []*Ref
-	Groups []*Group
+	Refs   []Ref
+	Groups []Group // Members, Leader and Trailer point into Refs
 
 	// PageSize is the memory-model page size (the paper's analogue of
 	// the cache line size in the original algorithm).
@@ -84,6 +97,12 @@ type Analysis struct {
 	// they have grown: decompose fills lo, TripCount both bounds. They
 	// make an Analysis unsafe for concurrent use.
 	lo, hi ir.Affine
+
+	// The arenas every Ref's Terms and IndirectSlots are cut from, each
+	// cut a full slice expression: an append that moves an arena leaves
+	// the cuts made earlier on the old array, which nothing writes again.
+	terms []ir.Term
+	slots []int
 }
 
 // Group is a set of references with group locality: same array, same
@@ -93,7 +112,7 @@ type Analysis struct {
 // to release.
 type Group struct {
 	Arr     *ir.Array
-	Members []*Ref
+	Members []*Ref // sorted by Const ascending
 	Leader  *Ref
 	Trailer *Ref
 }
@@ -122,14 +141,6 @@ func Analyze(p *ir.Program, pageSize, defaultEstTrip int64) *Analysis {
 }
 
 func (a *Analysis) addRef(arr *ir.Array, idx []ir.IExpr, isWrite bool, path []*ir.Loop) {
-	r := &Ref{
-		Arr:           arr,
-		Idx:           idx,
-		IsWrite:       isWrite,
-		Path:          path,
-		Coeffs:        map[int]int64{},
-		IndirectSlots: map[int]bool{},
-	}
-	a.decompose(r)
-	a.Refs = append(a.Refs, r)
+	a.Refs = append(a.Refs, Ref{Arr: arr, Idx: idx, IsWrite: isWrite, Path: path})
+	a.decompose(&a.Refs[len(a.Refs)-1])
 }

@@ -38,9 +38,9 @@ func figure2(nKnown bool) (*ir.Program, *ir.Loop, *ir.Loop) {
 }
 
 func findRef(a *Analysis, arr string, write bool) *Ref {
-	for _, r := range a.Refs {
+	for i, r := range a.Refs {
 		if r.Arr.Name == arr && r.IsWrite == write {
-			return r
+			return &a.Refs[i]
 		}
 	}
 	return nil
@@ -65,15 +65,15 @@ func TestCoefficients(t *testing.T) {
 	p, outer, inner := figure2(true)
 	a := Analyze(p, pageSize, 0)
 	c := findRef(a, "c", false)
-	if c.Coeffs[outer.Slot] != 64 {
-		t.Fatalf("c coeff along i = %d, want 64 (row length)", c.Coeffs[outer.Slot])
+	if c.Coeff(outer.Slot) != 64 {
+		t.Fatalf("c coeff along i = %d, want 64 (row length)", c.Coeff(outer.Slot))
 	}
-	if c.Coeffs[inner.Slot] != 1 {
-		t.Fatalf("c coeff along j = %d, want 1", c.Coeffs[inner.Slot])
+	if c.Coeff(inner.Slot) != 1 {
+		t.Fatalf("c coeff along j = %d, want 1", c.Coeff(inner.Slot))
 	}
 	b := findRef(a, "b", false)
-	if b.Coeffs[outer.Slot] != 1 || b.Coeffs[inner.Slot] != 0 {
-		t.Fatalf("b coeffs wrong: %v", b.Coeffs)
+	if b.Coeff(outer.Slot) != 1 || b.Coeff(inner.Slot) != 0 {
+		t.Fatalf("b coeffs wrong: %v", b.Terms)
 	}
 }
 
@@ -140,12 +140,12 @@ func TestGroupLocalityStencil(t *testing.T) {
 	a := Analyze(p, pageSize, 0)
 
 	var ug *Group
-	for _, g := range a.Groups {
+	for i, g := range a.Groups {
 		if g.Arr == u {
 			if ug != nil {
 				t.Fatal("u refs split into multiple groups")
 			}
-			ug = g
+			ug = &a.Groups[i]
 		}
 	}
 	if ug == nil || len(ug.Members) != 3 {
@@ -213,8 +213,8 @@ func TestOpaqueButterflyUsableAtRowLoop(t *testing.T) {
 	if got := a.PipelineLoop(r); got != rowLoop {
 		t.Fatalf("opaque ref pipelined at %v, want row loop", got)
 	}
-	if r.Coeffs[rowLoop.Slot] != 1024 {
-		t.Fatalf("row coefficient %d, want 1024", r.Coeffs[rowLoop.Slot])
+	if r.Coeff(rowLoop.Slot) != 1024 {
+		t.Fatalf("row coefficient %d, want 1024", r.Coeff(rowLoop.Slot))
 	}
 }
 
