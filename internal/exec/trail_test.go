@@ -37,11 +37,11 @@ func cloneVN(m *kmaps) vnState {
 }
 
 // TestValueNumberingTrail plays the enclosing scope of real lowerings: it
-// marks the trail, copies the maps, lowers statements whose own scopes
+// marks the trail, copies the live facts, lowers statements whose own scopes
 // mark and restore inside — a loop in an if in a loop, an if with an else
 // (one mark restored twice), a page-run loop (its span-body mark inside its
 // loop mark), a slot invalidated and re-bound — and after each restore the
-// four maps must equal the copy taken at the mark.
+// live facts must equal the copy taken at the mark.
 func TestValueNumberingTrail(t *testing.T) {
 	p := ir.NewProgram("trail")
 	n := p.NewParam("n", 4096, true)
