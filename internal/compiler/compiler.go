@@ -110,6 +110,7 @@ type job struct {
 	pages    int64 // pages per prefetch
 	dist     int64 // lead distance in iterations (multiple of stripLen)
 	release  bool
+	at       *ir.Loop // the loop the job is attached to
 	top      *ir.Loop // outermost enclosing loop (budget domain)
 
 	// Profile-guided extensions (all zero in a static compile):
@@ -182,13 +183,11 @@ func Compile(p *ir.Program, machine hw.Params, opt Options) (*Result, error) {
 	}
 
 	t := &transform{
-		an:       an,
-		machine:  machine,
-		opt:      opt,
-		maxDist:  maxDistPages,
-		out:      cloneProgram(p),
-		jobs:     map[*ir.Loop][]job{},
-		preloads: map[*ir.Loop][]ir.Stmt{},
+		an:      an,
+		machine: machine,
+		opt:     opt,
+		maxDist: maxDistPages,
+		out:     cloneProgram(p),
 	}
 	res := &Result{Prog: t.out}
 	if opt.Profile != nil {
@@ -219,22 +218,13 @@ func cloneProgram(p *ir.Program) *ir.Program {
 // prefetch for the same address stream at the same loop (e.g. the read
 // and write halves of count[key[i]]++) are deduplicated.
 func (t *transform) plan(res *Result) {
-	type jobSlot struct {
-		l *ir.Loop
-		i int
-	}
 	// A stream is its attach and pipeline loops, its array and leading
-	// subscripts — numbered by their printed text, printed into one
-	// buffer — and its strip length and self stride.
-	type stream struct {
-		at, pipe             *ir.Loop
-		arr                  *ir.Array
-		idx                  int
-		stripLen, selfStride int64
-	}
-	emitted := map[stream]jobSlot{}
-	subscripts := map[string]int{}
-	var text []byte
+	// subscripts — compared by their printed text, printed into one buffer
+	// each side when all else matches — and its strip length and self
+	// stride.
+	bufs := make([]byte, 256)
+	text, other := bufs[:0:128], bufs[128:128]
+	t.jobs = make([]job, 0, len(t.an.Groups))
 	res.Plan = make([]PlanEntry, 0, len(t.an.Groups))
 	for i := range t.an.Groups {
 		g := &t.an.Groups[i]
@@ -275,29 +265,53 @@ func (t *transform) plan(res *Result) {
 		entry.Profiled = j.profiled
 		res.Plan = append(res.Plan, entry)
 
-		text = ir.AppendIndex(text[:0], g.Leader.Idx)
-		idx, seen := subscripts[string(text)]
-		if !seen {
-			idx = len(subscripts)
-			subscripts[string(text)] = idx
-		}
-		sig := stream{at, j.pipe, g.Arr, idx, j.stripLen, j.selfStride}
+		j.at = at
 		if len(g.Leader.Path) > 0 {
 			j.top = g.Leader.Path[0]
 		}
-		if s, ok := emitted[sig]; ok {
-			// Another group already prefetches this stream here (e.g. the
-			// write half of count[key[i]]++). A profile-guided schedule
-			// supersedes a static duplicate: the group carrying the fault
-			// evidence is not always the one planned first.
-			if old := &t.jobs[s.l][s.i]; j.profiled && !old.profiled {
-				*old = j
+		// The jobs at one loop stay together, in plan order: j goes after
+		// the last at its loop, unless another group already prefetches
+		// its stream there (e.g. the write half of count[key[i]]++). A
+		// profile-guided schedule supersedes a static duplicate: the group
+		// carrying the fault evidence is not always the one planned first.
+		pos, printed := len(t.jobs), false
+		for k := range t.jobs {
+			old := &t.jobs[k]
+			if old.at != at {
+				continue
 			}
-			continue
+			pos = k + 1
+			if old.pipe != j.pipe || old.group.Arr != g.Arr || old.stripLen != j.stripLen || old.selfStride != j.selfStride {
+				continue
+			}
+			if !printed {
+				text, printed = ir.AppendIndex(text[:0], g.Leader.Idx), true
+			}
+			if other = ir.AppendIndex(other[:0], old.group.Leader.Idx); string(other) == string(text) {
+				if j.profiled && !old.profiled {
+					*old = j
+				}
+				pos = -1
+				break
+			}
 		}
-		t.jobs[at] = append(t.jobs[at], j)
-		emitted[sig] = jobSlot{at, len(t.jobs[at]) - 1}
+		if pos >= 0 {
+			t.jobs = slices.Insert(t.jobs, pos, j)
+		}
 	}
+}
+
+// jobsAt returns the jobs attached to loop l, which plan keeps together.
+func (t *transform) jobsAt(l *ir.Loop) []job {
+	i := 0
+	for i < len(t.jobs) && t.jobs[i].at != l {
+		i++
+	}
+	n := i
+	for n < len(t.jobs) && t.jobs[n].at == l {
+		n++
+	}
+	return t.jobs[i:n]
 }
 
 // budget enforces a global memory budget on prefetch lead distances: the
@@ -306,45 +320,46 @@ func (t *transform) plan(res *Result) {
 // prefetched pages would evict each other before use. Each stream keeps
 // at least one strip of lead.
 func (t *transform) budget(res *Result) {
-	byTop := map[*ir.Loop][]*job{}
-	for _, jobs := range t.jobs {
-		for i := range jobs {
-			j := &jobs[i]
-			byTop[j.top] = append(byTop[j.top], j)
-		}
-	}
 	limit := t.machine.Frames() / 4
 	if limit < t.opt.PagesPerFetch {
 		limit = t.opt.PagesPerFetch
 	}
-	for _, jobs := range byTop {
+	// One domain a top loop: the first job under it totals the domain and
+	// scales every job in it.
+	for i := range t.jobs {
+		top := t.jobs[i].top
+		if slices.IndexFunc(t.jobs[:i], func(j job) bool { return j.top == top }) >= 0 {
+			continue
+		}
 		var total int64
-		for _, j := range jobs {
-			total += j.inFlightPages()
+		for k := i; k < len(t.jobs); k++ {
+			if t.jobs[k].top == top {
+				total += t.jobs[k].inFlightPages()
+			}
 		}
 		if total <= limit {
 			continue
 		}
 		factor := float64(limit) / float64(total)
-		for _, j := range jobs {
-			strips := j.dist / j.stripLen
-			scaled := int64(float64(strips) * factor)
-			if scaled < 1 {
-				scaled = 1
+		for k := i; k < len(t.jobs); k++ {
+			if j := &t.jobs[k]; j.top == top {
+				strips := j.dist / j.stripLen
+				scaled := int64(float64(strips) * factor)
+				if scaled < 1 {
+					scaled = 1
+				}
+				j.dist = scaled * j.stripLen
 			}
-			j.dist = scaled * j.stripLen
 		}
 	}
 	// Reflect the final distances in the plan (entries are matched by
 	// array name and strip length; close enough for reporting).
 	for i := range res.Plan {
 		e := &res.Plan[i]
-		for _, jobs := range t.jobs {
-			for k := range jobs {
-				j := &jobs[k]
-				if j.group.Arr.Name == e.Array && j.stripLen == e.StripLen && j.dist < e.Dist {
-					e.Dist = j.dist
-				}
+		for k := range t.jobs {
+			j := &t.jobs[k]
+			if j.group.Arr.Name == e.Array && j.stripLen == e.StripLen && j.dist < e.Dist {
+				e.Dist = j.dist
 			}
 		}
 	}
@@ -510,26 +525,27 @@ func (t *transform) genPreloads() {
 		arr *ir.Array
 	}
 	seen := map[nestArray]bool{}
-	for _, jobs := range t.jobs {
-		for _, j := range jobs {
-			if j.preloadPages == 0 || j.top == nil {
-				continue
-			}
-			key := nestArray{j.top, j.group.Arr}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			idx := take(&t.idx, len(j.group.Leader.Idx))
-			for i := range idx {
-				idx[i] = ir.Int(0)
-			}
-			t.preloads[j.top] = append(t.preloads[j.top], ir.Prefetch{
-				Arr:   j.group.Arr,
-				Idx:   idx,
-				Pages: ir.Int(j.preloadPages),
-			})
+	for _, j := range t.jobs {
+		if j.preloadPages == 0 || j.top == nil {
+			continue
 		}
+		key := nestArray{j.top, j.group.Arr}
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		idx := take(&t.idx, len(j.group.Leader.Idx))
+		for i := range idx {
+			idx[i] = ir.Int(0)
+		}
+		if t.preloads == nil {
+			t.preloads = map[*ir.Loop][]ir.Stmt{}
+		}
+		t.preloads[j.top] = append(t.preloads[j.top], ir.Prefetch{
+			Arr:   j.group.Arr,
+			Idx:   idx,
+			Pages: ir.Int(j.preloadPages),
+		})
 	}
 }
 
@@ -540,22 +556,20 @@ func (t *transform) genPreloads() {
 // preloads and prologs it adds, and t.loops every loop it copies.
 func (t *transform) sizeArenas(body []ir.Stmt) {
 	idx, stmts, loops := 0, ir.CountStmts(body), 0
-	for _, jobs := range t.jobs {
-		stmts += prologs(jobs)
-		for _, j := range jobs {
-			lists := 1
-			if j.kind != locality.Indirect && j.selfStride == 0 {
-				lists++ // prolog
-			}
-			if j.release {
-				lists++
-			}
-			if j.preloadPages != 0 {
-				lists++
-				stmts++
-			}
-			idx += lists * len(j.group.Leader.Idx)
+	stmts += prologs(t.jobs)
+	for _, j := range t.jobs {
+		lists := 1
+		if j.kind != locality.Indirect && j.selfStride == 0 {
+			lists++ // prolog
 		}
+		if j.release {
+			lists++
+		}
+		if j.preloadPages != 0 {
+			lists++
+			stmts++
+		}
+		idx += lists * len(j.group.Leader.Idx)
 	}
 	ir.WalkStmts(body, func(s ir.Stmt) {
 		if _, ok := s.(*ir.Loop); ok {
@@ -607,8 +621,8 @@ type transform struct {
 	opt      Options
 	maxDist  int64 // lead-distance cap, pages per reference
 	out      *ir.Program
-	jobs     map[*ir.Loop][]job
-	preloads map[*ir.Loop][]ir.Stmt // whole-array prologs, keyed by top loop
+	jobs     []job                  // every loop's jobs, one loop's together (plan)
+	preloads map[*ir.Loop][]ir.Stmt // whole-array prologs, keyed by top loop; nil without any
 	guide    *guide                 // non-nil under Options.Profile
 	idx      []ir.IExpr             // the arenas the rebuilt program is cut from (sizeArenas)
 	stmts    []ir.Stmt

@@ -20,7 +20,7 @@ func (t *transform) rebuild(stmts []ir.Stmt) []ir.Stmt {
 	n := len(stmts)
 	for _, s := range stmts {
 		if x, ok := s.(*ir.Loop); ok {
-			n += len(t.preloads[x]) + prologs(t.jobs[x])
+			n += len(t.preloads[x]) + prologs(t.jobsAt(x))
 		}
 	}
 	out := take(&t.stmts, n)[:0]
@@ -29,7 +29,7 @@ func (t *transform) rebuild(stmts []ir.Stmt) []ir.Stmt {
 		case *ir.Loop:
 			out = append(out, t.preloads[x]...)
 			body := t.rebuild(x.Body)
-			if jobs := t.jobs[x]; len(jobs) > 0 {
+			if jobs := t.jobsAt(x); len(jobs) > 0 {
 				out = t.pipeline(out, x, body, jobs)
 				continue
 			}

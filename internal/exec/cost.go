@@ -8,6 +8,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ir"
 )
@@ -53,7 +54,11 @@ func intrinsicCost(fn ir.Intrinsic) int64 {
 // their own. The error is the first construct the walk rejects.
 func stmtCost(s ir.Stmt) (int64, error) {
 	var w costWalk
-	var n int64
+	n := w.stmt(s)
+	return n, w.err
+}
+
+func (w *costWalk) stmt(s ir.Stmt) (n int64) {
 	switch x := s.(type) {
 	case ir.AssignF:
 		n = w.index(x.Arr, x.Idx) + w.fexpr(x.RHS) + costStore
@@ -75,7 +80,7 @@ func stmtCost(s ir.Stmt) (int64, error) {
 	default:
 		w.fail("unknown statement %T", s)
 	}
-	return n, w.err
+	return n
 }
 
 // loopCost returns a loop's two charges: head once per entry (its bound
@@ -90,8 +95,13 @@ func loopCost(l *ir.Loop) (head, iter int64, err error) {
 }
 
 // costWalk sums operation counts over expressions, keeping the first
-// rejection.
-type costWalk struct{ err error }
+// rejection. With z set it is the sizing walk (kcompile.go) too, and
+// counts what it walks into z: each array reference w times.
+type costWalk struct {
+	err error
+	z   *sizes
+	w   int
+}
 
 func (w *costWalk) fail(format string, args ...interface{}) {
 	if w.err == nil {
@@ -103,6 +113,10 @@ func (w *costWalk) fail(format string, args ...interface{}) {
 // operation to fold it into the address. Application accesses and hint
 // addresses compute the same index (only the former bounds-check it).
 func (w *costWalk) index(arr *ir.Array, idx []ir.IExpr) int64 {
+	if w.z != nil {
+		w.z.refs += w.w
+		w.z.dims += w.w * len(idx)
+	}
 	if len(idx) != len(arr.Strides) {
 		w.fail("array %s: %d subscripts for %d dims", arr.Name, len(idx), len(arr.Strides))
 		return 0
@@ -121,6 +135,9 @@ func (w *costWalk) hintSide(arr *ir.Array, idx []ir.IExpr, pages ir.IExpr) int64
 }
 
 func (w *costWalk) iexpr(x ir.IExpr) int64 {
+	if w.z != nil {
+		w.z.iexpr(x)
+	}
 	switch e := x.(type) {
 	case ir.IConst:
 		return 0
@@ -144,6 +161,9 @@ func (w *costWalk) iexpr(x ir.IExpr) int64 {
 func (w *costWalk) fexpr(x ir.FExpr) int64 {
 	switch e := x.(type) {
 	case ir.FConst:
+		if w.z != nil {
+			w.z.literal(1, math.Float64bits(e.Val))
+		}
 		return 0
 	case ir.FScalar:
 		return costArith

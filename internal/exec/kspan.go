@@ -150,16 +150,13 @@ func (kc *kcompiler) spanSites(l *ir.Loop, ctx *kloop) (*spanWalk, FallbackReaso
 	}
 	// The walk appends to the compile's spare site storage; what a page-run
 	// loop registers is cut off it for good, anything else is handed back.
-	// The walk itself, its seed table and its reads are the depth's, which
-	// the last loop there left; abs becomes the loop's finals, so it is new.
-	w := ctx.walk
-	if w == nil {
-		w = &spanWalk{}
-		ctx.walk = w
-	}
+	// The walk itself, its seed table and its reads are the compile's: one
+	// walk is live at a time, as a page-run loop absorbs its inner loops,
+	// which walk nothing of their own.
+	w := &kc.walk
 	w.seeds.reset()
 	*w = spanWalk{kc: kc, l: l, written: ctx.written, mult: 1, unroll: 1,
-		sites: kc.sites, cds: kc.cds, seed: kc.seed, seeds: w.seeds, reads: w.reads[:0]}
+		sites: kc.sites, cds: kc.cds, seed: kc.seed, abs: kc.abs, seeds: w.seeds, reads: w.reads[:0]}
 	nSites, nSubs := kc.nSites, kc.nSubs
 	w.stmts(l.Body)
 	if len(w.sites) == 0 {
@@ -172,9 +169,9 @@ func (kc *kcompiler) spanSites(l *ir.Loop, ctx *kloop) (*spanWalk, FallbackReaso
 		w.stop(ReasonRecording)
 	}
 	if w.reason == ReasonSpecialized {
-		kc.sites, kc.cds, kc.seed = w.sites[len(w.sites):], w.cds[len(w.cds):], w.seed[len(w.seed):]
+		kc.sites, kc.cds, kc.seed, kc.abs = w.sites[len(w.sites):], w.cds[len(w.cds):], w.seed[len(w.seed):], w.abs[len(w.abs):]
 	} else {
-		kc.sites, kc.cds, kc.seed = w.sites[:0], w.cds[:0], w.seed[:0]
+		kc.sites, kc.cds, kc.seed, kc.abs = w.sites[:0], w.cds[:0], w.seed[:0], w.abs[:0]
 		kc.nSites, kc.nSubs = nSites, nSubs
 		if w.reason != ReasonRecording {
 			return nil, w.reason
@@ -257,10 +254,11 @@ func (w *spanWalk) absorb(x *ir.Loop) {
 	}
 	w.mult *= trip
 	w.unroll = max(w.unroll, w.mult)
+	e := ir.IExpr(ir.ISlot{Slot: x.Slot}) // boxed once for every copy
 	for c := int64(0); c < trip; c++ {
 		v := lo + c*x.Step
 		w.bound(x.Slot).val = v
-		w.seeds.rebind(x.Slot, w.kc.iconstReg(v))
+		w.seeds.rebind(e, x.Slot, w.kc.iconstReg(v))
 		w.stmts(x.Body)
 	}
 	w.mult /= trip
@@ -359,15 +357,15 @@ func (w *spanWalk) fexpr(x ir.FExpr) {
 	}
 }
 
-// rebind makes the seed table read slot as register r, dropping every
-// value derived from what it was bound to before.
-func (ctx *kloop) rebind(slot int, r uint16) {
+// rebind makes the seed table read slot, whose expression is e, as
+// register r, dropping every value derived from what it was bound to
+// before.
+func (ctx *kloop) rebind(e ir.IExpr, slot int, r uint16) {
 	ctx.hoistCse = slices.DeleteFunc(ctx.hoistCse, func(h hoistEnt) bool {
 		uses := false
 		ir.IExprSlots(h.e, func(s int) { uses = uses || s == slot })
 		return uses
 	})
-	var e ir.IExpr = ir.ISlot{Slot: slot}
 	ctx.setHoist(keyI(e), cseEnt{e: e, r: r})
 }
 
@@ -397,7 +395,7 @@ func (kc *kcompiler) spanLoop(l *ir.Loop, w *spanWalk, iter int64, rv, rh, rlo u
 	lEnter, lSpan := kc.newLabel(), kc.newLabel()
 	kc.emit(kinstr{op: opSetSlot, a: rv, imm: int64(l.Slot)})
 	kc.emit(kinstr{op: opSpanInit, a: rv, b: rh, imm: int64(lElem), imm2: spanMinTrip * l.Step})
-	*kc.buf = append(*kc.buf, w.seeds.hoist...)
+	kc.code = append(kc.code, w.seeds.hoist...)
 	kc.mark(lEnter)
 	kc.emit(kinstr{op: opSpanEnter, dst: id, a: rv, b: rh, imm: int64(lElem), imm2: int64(rlo)})
 

@@ -153,30 +153,40 @@ func (p *Program) ArrayByName(name string) *Array {
 	return nil
 }
 
-// paramEnv returns a slot→value map of the current parameter bindings.
-func (p *Program) paramEnv() map[int]int64 {
-	m := make(map[int]int64, len(p.Params))
-	for _, prm := range p.Params {
-		m[prm.Slot] = prm.Val
-	}
-	return m
-}
-
 // Resolve computes every array's concrete layout under the current
 // parameter bindings, assigning page-aligned base addresses in
 // declaration order. It must be called (directly or via the executor)
-// before running or analyzing the program.
+// before running or analyzing the program. The extents are refilled in
+// place; the arrays without room for theirs share one new block.
 func (p *Program) Resolve(pageSize int64) error {
 	if pageSize <= 0 || pageSize&(pageSize-1) != 0 {
 		return fmt.Errorf("ir: bad page size %d", pageSize)
 	}
-	env := p.paramEnv()
+	need := 0
+	for _, a := range p.Arrays {
+		if n := len(a.DimExprs); cap(a.Dims) < n || cap(a.Strides) < n {
+			need += 2 * n
+		}
+	}
+	block := make([]int64, need)
+	param := func(slot int) (int64, bool) {
+		for _, prm := range p.Params {
+			if prm.Slot == slot {
+				return prm.Val, true
+			}
+		}
+		return 0, false
+	}
 	var next int64
 	for _, a := range p.Arrays {
-		a.Dims = a.Dims[:0]
+		n := len(a.DimExprs)
+		if cap(a.Dims) < n || cap(a.Strides) < n {
+			a.Dims, a.Strides, block = block[:0:n], block[n:2*n:2*n], block[2*n:]
+		}
+		a.Dims, a.Strides = a.Dims[:0], a.Strides[:n]
 		a.Elems = 1
 		for _, de := range a.DimExprs {
-			v, ok := ConstEval(de, env)
+			v, ok := constEval(de, param)
 			if !ok {
 				return fmt.Errorf("ir: array %s: extent %s not evaluable from parameters", a.Name, de)
 			}
@@ -186,9 +196,8 @@ func (p *Program) Resolve(pageSize int64) error {
 			a.Dims = append(a.Dims, v)
 			a.Elems *= v
 		}
-		a.Strides = make([]int64, len(a.Dims))
 		s := int64(1)
-		for d := len(a.Dims) - 1; d >= 0; d-- {
+		for d := n - 1; d >= 0; d-- {
 			a.Strides[d] = s
 			s *= a.Dims[d]
 		}
@@ -218,18 +227,25 @@ func (p *Program) TotalBytes(pageSize int64) int64 {
 // or an array load, or divides by a constant zero (which is the executors'
 // run-time trap, not a value).
 func ConstEval(e IExpr, env map[int]int64) (int64, bool) {
+	return constEval(e, func(slot int) (int64, bool) {
+		v, ok := env[slot]
+		return v, ok
+	})
+}
+
+// constEval is ConstEval over the bindings value looks up.
+func constEval(e IExpr, value func(slot int) (int64, bool)) (int64, bool) {
 	switch x := e.(type) {
 	case IConst:
 		return x.Val, true
 	case ISlot:
-		v, ok := env[x.Slot]
-		return v, ok
+		return value(x.Slot)
 	case IBin:
-		a, ok := ConstEval(x.A, env)
+		a, ok := constEval(x.A, value)
 		if !ok {
 			return 0, false
 		}
-		b, ok := ConstEval(x.B, env)
+		b, ok := constEval(x.B, value)
 		if !ok || b == 0 && (x.Op == IDiv || x.Op == IMod) {
 			return 0, false
 		}
