@@ -19,16 +19,16 @@ BENCH_PKGS = ./internal/obs ./internal/vm ./internal/disk ./internal/bench ./int
 # allocator and scheduler noise enough for a 15% gate.
 BENCH_FLAGS = -bench=. -benchmem -benchtime 200ms -count 3 -run '^$$'
 
-.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz tally repin test-faults test-exec test-compile test-harness test-backends test-tenants test-profile loc bench bench-check bench-baseline
+.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz tally repin test-faults test-exec test-compile test-harness test-backends test-tenants test-profile loc loc-check bench bench-check bench-baseline
 
-# ci is the gate: formatting, static checks, build, tests (the root
-# module's and the benchmark module's), the race-detector pass over the
-# concurrent surfaces, and a short-budget fuzz of the fault plane, the
-# front end, the lane-wise span chunks, the two executors and the VM's
-# free list. The
+# ci is the gate: formatting, static checks, the executor's line cap,
+# build, tests (the root module's and the benchmark module's), the
+# race-detector pass over the concurrent surfaces, and a short-budget fuzz
+# of the fault plane, the front end, the lane-wise span chunks, the two
+# executors and the VM's free list. The
 # focused test-* targets below are subsets of `test`, kept for quick
 # stand-alone runs and as separate workflow jobs.
-ci: fmt-check vet staticcheck build test test-benchmark race fuzz
+ci: fmt-check vet staticcheck loc-check build test test-benchmark race fuzz
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -260,6 +260,17 @@ loc:
 	done
 	@printf '%7d total (non-test Go outside benchmark/)\n' \
 		$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)
+
+# loc-check fails when internal/exec holds more than EXEC_LOC_MAX lines of
+# non-test Go, counted the way loc counts them: the cap ROADMAP items 2
+# and 9 set on the executor.
+EXEC_LOC_MAX = 4000
+loc-check:
+	@n=$$(find internal/exec -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
+	if [ $$n -gt $(EXEC_LOC_MAX) ]; then \
+		echo "internal/exec: $$n lines of non-test Go, over the cap of $(EXEC_LOC_MAX)"; exit 1; \
+	fi; \
+	echo "internal/exec: $$n lines of non-test Go (cap $(EXEC_LOC_MAX))"
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

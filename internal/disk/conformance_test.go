@@ -229,7 +229,7 @@ func TestConformanceNilFailedNeverFails(t *testing.T) {
 		d.Submit(Request{Block: 2, Pages: 1, Kind: Write, Done: func() {
 			order = append(order, "write")
 			// Far memory serves the two in one round trip.
-			pending := append(slices.Clone(d.batch), d.queue...)
+			pending := append(slices.Clone(d.batch), d.queue[d.head:]...)
 			i := slices.IndexFunc(pending, func(r Request) bool { return r.Kind == FaultRead })
 			if i < 0 {
 				t.Fatal("the exhausted read is not back in the queue when the write completes")

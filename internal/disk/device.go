@@ -54,7 +54,8 @@ type Device struct {
 	cost  CostModel
 
 	busy    bool
-	queue   []Request
+	queue   []Request // queue[head:] waits, in arrival order
+	head    int
 	batch   []Request // requests of the step in service; cap is the tier's batch size
 	n       Stats
 	metrics obs.Source
@@ -98,7 +99,7 @@ func (d *Device) Utilization(elapsed sim.Time) float64 {
 // QueueLen returns the number of requests waiting (not counting those
 // in service). The OS consults it to drop prefetch hints when the
 // device is overloaded.
-func (d *Device) QueueLen() int { return len(d.queue) }
+func (d *Device) QueueLen() int { return len(d.queue) - d.head }
 
 // Busy reports whether a service step is in flight.
 func (d *Device) Busy() bool { return d.busy }
@@ -110,10 +111,20 @@ func (d *Device) Submit(r Request) {
 	if r.Pages <= 0 {
 		panic(fmt.Sprintf("%s %d: request for %d pages", d.cost.Name(), d.id, r.Pages))
 	}
-	d.queue = append(d.queue, r)
+	d.push(r)
 	if !d.busy {
 		d.startNext()
 	}
+}
+
+// push appends r to the queue. Steps leave from the head by moving it, so
+// the live part moves down only when an append finds the array full.
+func (d *Device) push(r Request) {
+	if len(d.queue) == cap(d.queue) && d.head > 0 {
+		d.queue = d.queue[:copy(d.queue, d.queue[d.head:])]
+		d.head = 0
+	}
+	d.queue = append(d.queue, r)
 }
 
 // startNext forms the next service step and starts its first attempt.
@@ -121,8 +132,8 @@ func (d *Device) Submit(r Request) {
 // the queue head; the step then takes up to the tier's batch size of
 // requests off the head, in arrival order.
 func (d *Device) startNext() {
-	if len(d.queue) == 0 {
-		d.busy = false
+	if d.head == len(d.queue) {
+		d.queue, d.head, d.busy = d.queue[:0], 0, false
 		return
 	}
 	d.busy = true
@@ -130,16 +141,17 @@ func (d *Device) startNext() {
 		d.clock.Schedule(wait, d.startNext)
 		return
 	}
+	q := d.queue[d.head:]
 	if d.sched != nil {
-		if i := d.sched.Next(d.queue, d.cost.Head(), d.p); i > 0 {
-			r := d.queue[i]
-			copy(d.queue[1:i+1], d.queue[:i])
-			d.queue[0] = r
+		if i := d.sched.Next(q, d.cost.Head(), d.p); i > 0 {
+			r := q[i]
+			copy(q[1:i+1], q[:i])
+			q[0] = r
 		}
 	}
-	n := min(cap(d.batch), len(d.queue))
-	d.batch = append(d.batch, d.queue[:n]...)
-	d.queue = d.queue[:copy(d.queue, d.queue[n:])]
+	n := min(cap(d.batch), len(q))
+	d.batch = append(d.batch, q[:n]...)
+	d.head += n
 	for i := range d.batch {
 		r := &d.batch[i]
 		d.n.Requests[r.Kind]++
@@ -170,7 +182,7 @@ func (d *Device) attempt(attempt int, started sim.Time) {
 	}
 	var t sim.Time
 	if v.Until == 0 {
-		t = d.cost.ServiceTime(d.batch, len(d.queue))
+		t = d.cost.ServiceTime(d.batch, d.QueueLen())
 		if v.Slow > 1 {
 			t = sim.Time(float64(t) * v.Slow)
 		}
@@ -221,7 +233,7 @@ func (d *Device) exhausted() {
 			r.Failed()
 		} else {
 			d.n.Requeued[r.Kind]++
-			d.queue = append(d.queue, r)
+			d.push(r)
 		}
 	}
 	d.batch = d.batch[:0]
