@@ -124,8 +124,8 @@ tally:
 RECORDS = internal/*/testdata internal/fault/harness/testdata
 repin:
 	$(GO) test ./internal/exec/ -run 'TestFastPathEquivalence|TestBytecodePinned' -count 1 -update
-	$(GO) test ./internal/fault/harness/ ./internal/nas/ ./internal/core/ ./internal/bench/ ./internal/tenant/ ./internal/locality/ -count 1 -update \
-		-run 'TestFastPathEquivalence|TestRequeueGolden|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare|TestPrintPinned|TestTraceGolden|TestMetricsGolden|TestDepartureWithReadsInFlight|TestRefsGolden'
+	$(GO) test ./internal/fault/harness/ ./internal/nas/ ./internal/core/ ./internal/bench/ ./internal/tenant/ ./internal/locality/ ./internal/lang/ -count 1 -update \
+		-run 'TestFastPathEquivalence|TestRequeueGolden|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare|TestPrintPinned|TestTraceGolden|TestMetricsGolden|TestDepartureWithReadsInFlight|TestRefsGolden|TestParseRecord'
 	$(GO) test -tags exectally ./internal/bench/ -run TestDispatchCorpus -count 1 -update
 	@git diff --stat -- $(RECORDS)
 	@git diff -U0 --word-diff -- $(RECORDS)
@@ -228,15 +228,19 @@ test-exec:
 # compiler.Compile, exec.Compile and ir.Print, held exactly on the Go
 # minor they were measured on; a clone's independence from its original
 # and between its own lists; the compiler driver's usage errors and two
-# input kinds; and the analysis both compilers rest on — all of
+# input kinds; the analysis both compilers rest on — all of
 # internal/ir (the affine decomposition asked the locality analysis's and
 # the executor's questions, trip counts, the reference walk) and
 # internal/locality, whose answer for every reference of the 13 inputs is
-# the record testdata/refs.golden.
+# the record testdata/refs.golden; and all of the front end, internal/lang,
+# whose answer for every source of its corpus (the checked-in programs,
+# the error tables, and one-token deletions and type-changing
+# substitutions of the example kernels and the benchmark corpus) is the
+# record testdata/parse.golden.
 test-compile:
 	$(GO) test ./internal/nas/ -run 'TestPrintPinned|TestCompileAllocBudget|TestCloneIsIndependent' -count 1
 	$(GO) test ./internal/exec/ -run 'TestBytecodePinned|TestValueNumberingTrail' -count 1
-	$(GO) test ./internal/ir/ ./internal/locality/ -count 1
+	$(GO) test ./internal/ir/ ./internal/locality/ ./internal/lang/ -count 1
 	$(GO) test ./cmd/ooccc/
 
 # test-harness runs the experiment-harness gate (DESIGN.md §4): both

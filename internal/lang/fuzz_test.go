@@ -13,16 +13,20 @@ import (
 	"repro/internal/hw"
 )
 
+// divisionCases are parameters whose value divides by a constant zero,
+// each with its error.
+var divisionCases = []struct{ src, want string }{
+	{"program p\nparam n = 8 % 0\narray double a[n]\n", "2:1: param n: value must be constant (no division by zero)"},
+	{"program p\nparam n = 8 / 0\narray double a[n]\n", "2:1: param n: value must be constant (no division by zero)"},
+}
+
 // A constant sub-expression that divides by zero is not a constant: as a
 // parameter value or an array extent it is a typed error, and as a loop
 // bound it is the executor's run-time trap (the oracle raises the same
 // one: internal/exec's TestTrapTextBothExecutors). Each of the four once
 // crashed the process from inside ir.ConstEval.
 func TestConstantDivisionByZero(t *testing.T) {
-	for _, c := range []struct{ src, want string }{
-		{"program p\nparam n = 8 % 0\narray double a[n]\n", "2:1: param n: value must be constant (no division by zero)"},
-		{"program p\nparam n = 8 / 0\narray double a[n]\n", "2:1: param n: value must be constant (no division by zero)"},
-	} {
+	for _, c := range divisionCases {
 		if _, err := Parse(c.src); err == nil || err.Error() != c.want {
 			t.Errorf("Parse(%q) = %v, want %q", c.src, err, c.want)
 		}

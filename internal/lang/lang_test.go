@@ -224,25 +224,59 @@ s = 1.0 // done
 	}
 }
 
+// errorCases are sources the front end rejects, each with a substring of
+// its error: among them every error text the front end can report.
+var errorCases = []struct {
+	src  string
+	want string
+}{
+	{`x`, "program"},
+	{`program p stray = 1.0`, "undeclared scalar"},
+	{`program p array double`, "identifier"},
+	{`program p array double a`, "dimension"},
+	{`program p scalar double s s = q`, "undeclared identifier"},
+	{`program p scalar long k k = 1.5`, "float literal in integer context"},
+	{`program p array long a[10] scalar double s s = a[0][1]`, "dimensions"},
+	{`program p scalar double s for i = 0 .. 10 step 0 { s = 1.0 }`, "step"},
+	{`program p scalar double s s = nosuch(1.0)`, "unknown function"},
+	{`program p param n = m`, "undeclared"},
+	{`program p scalar double s if 1 + 2 { s = 1.0 }`, "comparison"},
+	{`program p scalar double s { }`, "statement"},
+	{`program p /* open`, "unterminated block comment"},
+	{`program p param n = 1e`, "bad float literal"},
+	{`program p param n = 99999999999999999999`, "bad integer literal"},
+	{`program p scalar double s s = 1.0 $`, "unexpected character"},
+	{`program p param n 4`, `expected "="`},
+	{`program p seed x`, "seed needs an integer literal"},
+	{`program p scalar int x`, "expected 'double' or 'long'"},
+	{`program p scalar double s for i = 0 .. 3 { s = 1.0`, "unterminated block"},
+	{`program p scalar double s for i = 0 .. 3 step n { s = 1.0 }`, "step needs an integer literal"},
+	{`program p scalar double s s = )`, "expected expression"},
+	{`program p param n = 1 scalar double n`, `scalar "n" redeclares param`},
+	{`program p param n = 4 array double a[n], n[n]`, `array "n" redeclares param`},
+	{`program p param n = 4 / 0`, "value must be constant"},
+	{`program p scalar long k a[0] = 1`, "store to undeclared array"},
+	{`program p array long a[10] a[0][1] = 1`, "dimensions"},
+	{`program p scalar double x scalar long k k = x`, "float scalar \"x\" in integer context"},
+	{`program p array double a[4] scalar long k k = a[0]`, "double array \"a\" in integer context"},
+	{`program p scalar long k k = int(1.0, 2.0)`, "int() takes 1 argument"},
+	{`program p scalar long k k = min(1)`, "min takes 2 arguments"},
+	{`program p scalar long k k = sqrt(4.0)`, "call sqrt() in integer context"},
+	{`program p scalar long k k = 1 < 2`, "boolean expression in integer context"},
+	{`program p scalar long k k = !1`, "operator \"!\" in integer context"},
+	{`program p scalar double s s = float(1, 2)`, "float() takes 1 argument"},
+	{`program p scalar double s s = fmax(1.0)`, "fmax takes 2 arguments"},
+	{`program p scalar double s s = pow(2.0)`, "pow takes 2 argument(s), got 1"},
+	{`program p scalar double s s = 1.0 % 2.0`, "operator \"%\" not valid on floats"},
+	{`program p scalar double s s = !1.0`, "operator \"!\" in float context"},
+	{`program p scalar double s if s { s = 1.0 }`, "expected boolean expression"},
+	{`program p scalar double s s = b[0]`, "undeclared array"},
+	{"program p\nscalar double s, x\nx = 0.5\ns = (x < 1.0) + 1.0\n", "4:8: operator \"<\" not valid on floats"},
+	{`program p scalar long k k = sqrt(q)`, "call sqrt() in integer context"},
+}
+
 func TestErrorMessages(t *testing.T) {
-	cases := []struct {
-		src  string
-		want string
-	}{
-		{`x`, "program"},
-		{`program p stray = 1.0`, "undeclared scalar"},
-		{`program p array double`, "identifier"},
-		{`program p array double a`, "dimension"},
-		{`program p scalar double s s = q`, "undeclared identifier"},
-		{`program p scalar long k k = 1.5`, "float literal in integer context"},
-		{`program p array long a[10] scalar double s s = a[0][1]`, "dimensions"},
-		{`program p scalar double s for i = 0 .. 10 step 0 { s = 1.0 }`, "step"},
-		{`program p scalar double s s = nosuch(1.0)`, "unknown function"},
-		{`program p param n = m`, "undeclared"},
-		{`program p scalar double s if 1 + 2 { s = 1.0 }`, "comparison"},
-		{`program p scalar double s { }`, "statement"},
-	}
-	for _, c := range cases {
+	for _, c := range errorCases {
 		_, err := Parse(c.src)
 		if err == nil {
 			t.Errorf("Parse(%q) succeeded, want error containing %q", c.src, c.want)
