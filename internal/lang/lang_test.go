@@ -289,16 +289,24 @@ func TestErrorMessages(t *testing.T) {
 }
 
 func TestErrorsHavePositions(t *testing.T) {
-	_, err := Parse("program p\nscalar double s\ns = q\n")
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	le, ok := err.(*Error)
-	if !ok {
-		t.Fatalf("error type %T, want *Error", err)
-	}
-	if le.Line != 3 {
-		t.Fatalf("error line %d, want 3", le.Line)
+	for _, c := range []struct {
+		src       string
+		line, col int
+	}{
+		{"program p\nscalar double s\ns = q\n", 3, 5},
+		// A bad literal is reported where it starts.
+		{"program p\nparam n = 99999999999999999999\n", 2, 11},
+		{"program p\nparam n = 1e999\n", 2, 11},
+	} {
+		_, err := Parse(c.src)
+		le, ok := err.(*Error)
+		if !ok {
+			t.Errorf("Parse(%q) error %v of type %T, want a *Error", c.src, err, err)
+			continue
+		}
+		if le.Line != c.line || le.Col != c.col {
+			t.Errorf("Parse(%q) error at %d:%d, want %d:%d", c.src, le.Line, le.Col, c.line, c.col)
+		}
 	}
 }
 

@@ -90,8 +90,14 @@ func lex(src string) ([]token, error) {
 	}
 }
 
+// errorf reports an error at the lexer's position; a literal's error is
+// at the literal's start instead (errorAt).
 func (l *lexer) errorf(format string, args ...interface{}) error {
-	return &Error{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
+	return errorAt(l.line, l.col, format, args...)
+}
+
+func errorAt(line, col int, format string, args ...interface{}) error {
+	return &Error{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (l *lexer) peekByte() byte {
@@ -187,13 +193,13 @@ content:
 		if isFloat {
 			f, err := strconv.ParseFloat(text, 64)
 			if err != nil {
-				return token{}, l.errorf("bad float literal %q", text)
+				return token{}, errorAt(line, col, "bad float literal %q", text)
 			}
 			return token{kind: tFloat, text: text, fval: f, line: line, col: col}, nil
 		}
 		v, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
-			return token{}, l.errorf("bad integer literal %q", text)
+			return token{}, errorAt(line, col, "bad integer literal %q", text)
 		}
 		return token{kind: tInt, text: text, ival: v, line: line, col: col}, nil
 	}
