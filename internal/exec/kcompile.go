@@ -389,13 +389,14 @@ type kcompiler struct {
 	shift    int64 // page shift, for compile-time page arithmetic
 	nInt     int   // the program's slot counts, which size a slotSet
 	nFloat   int
-	iw       int           // words of a write set's int half
-	written  []loopSet     // each loop body's write set, in the order of the walk
-	nextLoop int           // the entry of the next loop lowered
-	joins    slotSet       // scratch: an if's write set at its join, or the slot invalidateSlot drops
-	params   map[int]int64 // parameter slots no statement writes -> Param.Val
-	err      error         // first statement cost.go rejected, or the *LimitError of the first full table
-	prof     *profRec      // non-nil in a recording compile (profile.go)
+	iw       int         // words of a write set's int half
+	written  []loopSet   // each loop body's write set, in the order of the walk
+	nextLoop int         // the entry of the next loop lowered
+	joins    slotSet     // scratch: an if's write set at its join, or the slot invalidateSlot drops
+	prog     *ir.Program // param binds its parameters no statement writes
+	pwritten slotSet     // the int slots the program body writes
+	err      error       // first statement cost.go rejected, or the *LimitError of the first full table
+	prof     *profRec    // non-nil in a recording compile (profile.go)
 
 	code    []kinstr
 	prelude []kinstr // constant-pool loads, prepended at assembly
@@ -444,17 +445,14 @@ func newKcompiler(prog *ir.Program, shift int64, rec *profile.Recorder) *kcompil
 	kc := &kcompiler{
 		shift:  shift,
 		nInt:   prog.NInt,
-		nFloat: prog.NFloat,
-		params: map[int]int64{},
-		nRI:    1, nRF: 1, // ri[0]/rf[0] are permanent zeros
+		nFloat: prog.NFloat, prog: prog,
+		nRI: 1, nRF: 1, // ri[0]/rf[0] are permanent zeros
 		spanNext: -1,
 	}
-	kc.code = make([]kinstr, 0, codePerStmt*z.stmts)
-	kc.reports = make([]LoopReport, 0, z.loops)
+	kc.code, kc.reports = make([]kinstr, 0, codePerStmt*z.stmts), make([]LoopReport, 0, z.loops)
 	kc.prelude = make([]kinstr, 0, z.consts[0]+z.consts[1])
-	kc.spans = make([]spanLoop, 0, z.loops)
 	kc.sites, kc.cds, kc.seed = make([]spanSite, 0, z.refs), make([]int64, 0, z.dims), make([]uint16, 0, z.dims)
-	kc.abs = make([]absVar, 0, z.loops)
+	kc.spans, kc.abs = make([]spanLoop, 0, z.loops), make([]absVar, 0, z.loops)
 	dims := 0
 	for _, a := range prog.Arrays {
 		dims += len(a.Dims)
@@ -479,20 +477,21 @@ func newKcompiler(prog *ir.Program, shift int64, rec *profile.Recorder) *kcompil
 	sets := make(slotSet, (2+z.loops+z.depth)*w)
 	kc.joins, kc.written = sets[:w:w], make([]loopSet, 0, z.loops)
 	kc.collect(prog.Body, sets[w:2*w], sets[2*w:(2+z.loops)*w])
-	written, _ := kc.split(sets[w : 2*w])
+	kc.pwritten, _ = kc.split(sets[w : 2*w])
 	kc.ctxs, sets = make([]kloop, z.depth), sets[(2+z.loops)*w:]
 	for i := range kc.ctxs {
 		kc.ctxs[i].written, kc.ctxs[i].fwritten = kc.split(sets[i*w : (i+1)*w : (i+1)*w])
-	}
-	for _, p := range prog.Params {
-		if !written.has(p.Slot) {
-			kc.params[p.Slot] = p.Val
-		}
 	}
 	if rec != nil {
 		kc.prof = newProfRec(rec)
 	}
 	return kc
+}
+
+// param binds each parameter slot no statement writes to its value.
+func (kc *kcompiler) param(slot int) (int64, bool) {
+	v, ok := kc.prog.Binding(slot)
+	return v, ok && !kc.pwritten.has(slot)
 }
 
 // codePerStmt sizes the instruction buffer from the statement count, so
@@ -883,7 +882,7 @@ func (kc *kcompiler) loop(l *ir.Loop) {
 		// Env's span state belongs to one page-run loop at a time, so the
 		// per-element body of an absorbing loop may hold no page-run layout:
 		// what it absorbed can never earn one.
-		if _, trip, ok := ir.StaticTrip(l, kc.params); !ok || trip >= spanMinTrip {
+		if _, trip, ok := ir.StaticTrip(l, kc.param); !ok || trip >= spanMinTrip {
 			panic(fmt.Sprintf("exec: loop %s inside an absorbing loop's per-element body is not statically short", l.Var))
 		}
 	} else {

@@ -162,7 +162,7 @@ func (kc *kcompiler) spanSites(l *ir.Loop, ctx *kloop) (*spanWalk, FallbackReaso
 	if len(w.sites) == 0 {
 		w.stop(ReasonScalarOnly) // nothing for a span to batch
 	}
-	if _, trip, ok := ir.StaticTrip(l, kc.params); ok && trip < spanMinTrip {
+	if _, trip, ok := ir.StaticTrip(l, kc.param); ok && trip < spanMinTrip {
 		w.stop(ReasonShortTrip) // every entry would take opSpanInit's short exit
 	}
 	if kc.prof != nil {
@@ -244,7 +244,7 @@ func (w *spanWalk) stmts(body []ir.Stmt) {
 // budget. Nothing may have read the slot earlier in the iteration: the
 // span body never stores it, a chunk only leaves its final value behind.
 func (w *spanWalk) absorb(x *ir.Loop) {
-	lo, trip, ok := ir.StaticTrip(x, w.kc.params)
+	lo, trip, ok := ir.StaticTrip(x, w.kc.param)
 	if !ok || trip == 0 || trip >= spanMinTrip || w.mult*trip > spanMaxUnroll || slices.Contains(w.reads, x.Slot) {
 		w.stop(ReasonOuterLoop)
 		return
@@ -419,7 +419,7 @@ func (kc *kcompiler) spanLoop(l *ir.Loop, w *spanWalk, iter int64, rv, rh, rlo u
 // statement's stmtCost price the slot read, not the constant — and the
 // value-numbering facts over the slot are dropped between copies.
 func (kc *kcompiler) unroll(l *ir.Loop) {
-	lo, trip, _ := ir.StaticTrip(l, kc.params)
+	lo, trip, _ := ir.StaticTrip(l, kc.param)
 	head, iter, _ := loopCost(l)
 	kc.charge(head)
 	for c := int64(0); c < trip; c++ {

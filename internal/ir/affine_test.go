@@ -22,7 +22,7 @@ func TestAffineBothQuestions(t *testing.T) {
 	s := p.NewScalarI("s") // the loop body writes it
 	col := p.NewArrayI("col", Int(64))
 	fa := p.NewArrayF("fa", Int(64))
-	known := map[int]int64{n.Slot: 10}
+	known := bind(map[int]int64{n.Slot: 10})
 	loops := func(slot int) SlotRole {
 		if slot == i.Slot || slot == j.Slot {
 			return Var

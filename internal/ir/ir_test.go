@@ -6,8 +6,16 @@ import (
 	"testing/quick"
 )
 
+// bind is the lookup of the slot bindings env holds.
+func bind(env map[int]int64) func(slot int) (int64, bool) {
+	return func(slot int) (int64, bool) {
+		v, ok := env[slot]
+		return v, ok
+	}
+}
+
 func TestConstEval(t *testing.T) {
-	env := map[int]int64{0: 10, 1: 3}
+	env := bind(map[int]int64{0: 10, 1: 3})
 	s0 := ISlot{Slot: 0, Name: "n"}
 	s1 := ISlot{Slot: 1, Name: "m"}
 	cases := []struct {
@@ -185,13 +193,12 @@ func TestForRejectsBadStep(t *testing.T) {
 // Property: ConstEval is consistent with itself under add/mul composition.
 func TestConstEvalAlgebraProperty(t *testing.T) {
 	f := func(a, b, c int16) bool {
-		env := map[int]int64{}
 		ea := Int(int64(a))
 		eb := Int(int64(b))
 		ec := Int(int64(c))
 		// (a+b)*c == a*c + b*c
-		l, _ := ConstEval(MulI(AddI(ea, eb), ec), env)
-		r, _ := ConstEval(AddI(MulI(ea, ec), MulI(eb, ec)), env)
+		l, _ := ConstEval(MulI(AddI(ea, eb), ec), nil)
+		r, _ := ConstEval(AddI(MulI(ea, ec), MulI(eb, ec)), nil)
 		return l == r
 	}
 	if err := quick.Check(f, nil); err != nil {

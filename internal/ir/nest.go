@@ -105,15 +105,15 @@ func ConstFold(x IExpr) (int64, bool) {
 }
 
 // StaticTrip returns l's first induction value and its trip count when
-// both bounds are compile-time constants under env: literals and the slots
-// env binds (ConstEval refuses a zero divisor, the one operator that could
-// trap).
-func StaticTrip(l *Loop, env map[int]int64) (lo, trip int64, ok bool) {
+// both bounds are compile-time constants under value: literals and the
+// slots value binds (ConstEval refuses a zero divisor, the one operator
+// that could trap).
+func StaticTrip(l *Loop, value func(slot int) (int64, bool)) (lo, trip int64, ok bool) {
 	if l.Step <= 0 {
 		return 0, 0, false
 	}
-	lo, okLo := ConstEval(l.Lo, env)
-	hi, okHi := ConstEval(l.Hi, env)
+	lo, okLo := ConstEval(l.Lo, value)
+	hi, okHi := ConstEval(l.Hi, value)
 	if !okLo || !okHi {
 		return 0, 0, false
 	}
@@ -159,16 +159,16 @@ type Affine struct {
 }
 
 // Decompose resets f to the decomposition of e. A subexpression ConstEval
-// folds under env is a constant, whatever its shape; role says what every
+// folds under value is a constant, whatever its shape; role says what every
 // other slot read is. Sums, differences, products with a constant and
 // shifts by a constant are linear. Any other operator over operands that
 // do not vary (no variable coefficient, no residual, no load) is part of
 // the invariant remainder; anything else is residual. An array load makes
 // the form indirect, driven by the variables of its subscripts; a float
 // conversion is residual.
-func (f *Affine) Decompose(e IExpr, env map[int]int64, role func(slot int) SlotRole) {
+func (f *Affine) Decompose(e IExpr, value func(slot int) (int64, bool), role func(slot int) SlotRole) {
 	*f = Affine{Terms: f.Terms[:0], Loaded: f.Loaded[:0]}
-	f.add(e, 1, env, role)
+	f.add(e, 1, value, role)
 }
 
 // Coeff returns the coefficient of slot (0 when f does not read it).
@@ -182,8 +182,8 @@ func (f *Affine) Coeff(slot int) int64 {
 }
 
 // add adds scale·e to f.
-func (f *Affine) add(e IExpr, scale int64, env map[int]int64, role func(slot int) SlotRole) {
-	if v, ok := ConstEval(e, env); ok {
+func (f *Affine) add(e IExpr, scale int64, value func(slot int) (int64, bool), role func(slot int) SlotRole) {
+	if v, ok := ConstEval(e, value); ok {
 		f.Const += scale * v
 		return
 	}
@@ -200,7 +200,7 @@ func (f *Affine) add(e IExpr, scale int64, env map[int]int64, role func(slot int
 		return
 	case ILoad:
 		for _, ix := range x.Idx {
-			terms, _ := f.apart(ix, env, role)
+			terms, _ := f.apart(ix, value, role)
 			for _, t := range terms {
 				f.load(t.Slot)
 			}
@@ -210,29 +210,29 @@ func (f *Affine) add(e IExpr, scale int64, env map[int]int64, role func(slot int
 	case IBin:
 		switch x.Op {
 		case IAdd:
-			f.add(x.A, scale, env, role)
-			f.add(x.B, scale, env, role)
+			f.add(x.A, scale, value, role)
+			f.add(x.B, scale, value, role)
 			return
 		case ISub:
-			f.add(x.A, scale, env, role)
-			f.add(x.B, -scale, env, role)
+			f.add(x.A, scale, value, role)
+			f.add(x.B, -scale, value, role)
 			return
 		case IMul:
-			if v, ok := ConstEval(x.A, env); ok {
-				f.add(x.B, scale*v, env, role)
+			if v, ok := ConstEval(x.A, value); ok {
+				f.add(x.B, scale*v, value, role)
 				return
 			}
-			if v, ok := ConstEval(x.B, env); ok {
-				f.add(x.A, scale*v, env, role)
+			if v, ok := ConstEval(x.B, value); ok {
+				f.add(x.A, scale*v, value, role)
 				return
 			}
 		case IShl:
-			if v, ok := ConstEval(x.B, env); ok && v >= 0 && v < 62 {
-				f.add(x.A, scale*(int64(1)<<uint(v)), env, role)
+			if v, ok := ConstEval(x.B, value); ok && v >= 0 && v < 62 {
+				f.add(x.A, scale*(int64(1)<<uint(v)), value, role)
 				return
 			}
 		}
-		if f.fixed(x.A, env, role) && f.fixed(x.B, env, role) {
+		if f.fixed(x.A, value, role) && f.fixed(x.B, value, role) {
 			f.Rest = true
 			return
 		}
@@ -254,8 +254,8 @@ func (f *Affine) term(slot int, c int64) {
 
 // fixed reports whether e does not vary: no variable with a nonzero
 // coefficient, nothing residual, no load.
-func (f *Affine) fixed(e IExpr, env map[int]int64, role func(slot int) SlotRole) bool {
-	terms, opaque := f.apart(e, env, role)
+func (f *Affine) fixed(e IExpr, value func(slot int) (int64, bool), role func(slot int) SlotRole) bool {
+	terms, opaque := f.apart(e, value, role)
 	return !opaque && !slices.ContainsFunc(terms, func(t Term) bool { return t.Coeff != 0 })
 }
 
@@ -263,10 +263,10 @@ func (f *Affine) fixed(e IExpr, env map[int]int64, role func(slot int) SlotRole)
 // returns e's terms (valid until f next grows) and whether e is residual
 // or loads, and leaves f's constant, flags and terms as they were. What
 // the loads inside e record in Loaded stays.
-func (f *Affine) apart(e IExpr, env map[int]int64, role func(slot int) SlotRole) (terms []Term, opaque bool) {
+func (f *Affine) apart(e IExpr, value func(slot int) (int64, bool), role func(slot int) SlotRole) (terms []Term, opaque bool) {
 	konst, rest, residual, indirect, base := f.Const, f.Rest, f.Residual, f.Indirect, f.base
 	f.Residual, f.Indirect, f.base = false, false, len(f.Terms)
-	f.add(e, 1, env, role)
+	f.add(e, 1, value, role)
 	terms, opaque = f.Terms[f.base:], f.Residual || f.Indirect
 	f.Terms = f.Terms[:f.base]
 	f.Const, f.Rest, f.Residual, f.Indirect, f.base = konst, rest, residual, indirect, base

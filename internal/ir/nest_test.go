@@ -111,7 +111,7 @@ func TestWalkRefsOrder(t *testing.T) {
 func TestStaticTrip(t *testing.T) {
 	p, i, _, s, _, _ := nestProgram()
 	bm := p.NewParam("bm", 5, false)
-	env := map[int]int64{bm.Slot: 5}
+	env := bind(map[int]int64{bm.Slot: 5})
 	cases := []struct {
 		name     string
 		lo, hi   IExpr

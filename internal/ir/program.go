@@ -169,14 +169,6 @@ func (p *Program) Resolve(pageSize int64) error {
 		}
 	}
 	block := make([]int64, need)
-	param := func(slot int) (int64, bool) {
-		for _, prm := range p.Params {
-			if prm.Slot == slot {
-				return prm.Val, true
-			}
-		}
-		return 0, false
-	}
 	var next int64
 	for _, a := range p.Arrays {
 		n := len(a.DimExprs)
@@ -186,7 +178,7 @@ func (p *Program) Resolve(pageSize int64) error {
 		a.Dims, a.Strides = a.Dims[:0], a.Strides[:n]
 		a.Elems = 1
 		for _, de := range a.DimExprs {
-			v, ok := constEval(de, param)
+			v, ok := ConstEval(de, p.Binding)
 			if !ok {
 				return fmt.Errorf("ir: array %s: extent %s not evaluable from parameters", a.Name, de)
 			}
@@ -222,30 +214,36 @@ func (p *Program) TotalBytes(pageSize int64) int64 {
 	return total
 }
 
-// ConstEval evaluates an integer expression using only the given slot
-// bindings. It reports false if the expression references an unbound slot
-// or an array load, or divides by a constant zero (which is the executors'
-// run-time trap, not a value).
-func ConstEval(e IExpr, env map[int]int64) (int64, bool) {
-	return constEval(e, func(slot int) (int64, bool) {
-		v, ok := env[slot]
-		return v, ok
-	})
+// Binding returns the value of the parameter in slot: the bindings Resolve
+// evaluates extents under.
+func (p *Program) Binding(slot int) (int64, bool) {
+	for _, prm := range p.Params {
+		if prm.Slot == slot {
+			return prm.Val, true
+		}
+	}
+	return 0, false
 }
 
-// constEval is ConstEval over the bindings value looks up.
-func constEval(e IExpr, value func(slot int) (int64, bool)) (int64, bool) {
+// ConstEval evaluates an integer expression using only the slot bindings
+// value looks up; a nil value binds nothing. It reports false if the
+// expression references an unbound slot or an array load, or divides by a
+// constant zero (which is the executors' run-time trap, not a value).
+func ConstEval(e IExpr, value func(slot int) (int64, bool)) (int64, bool) {
 	switch x := e.(type) {
 	case IConst:
 		return x.Val, true
 	case ISlot:
+		if value == nil {
+			return 0, false
+		}
 		return value(x.Slot)
 	case IBin:
-		a, ok := constEval(x.A, value)
+		a, ok := ConstEval(x.A, value)
 		if !ok {
 			return 0, false
 		}
-		b, ok := constEval(x.B, value)
+		b, ok := ConstEval(x.B, value)
 		if !ok || b == 0 && (x.Op == IDiv || x.Op == IMod) {
 			return 0, false
 		}

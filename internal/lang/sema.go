@@ -78,11 +78,7 @@ func (s *sema) declare(f *file) error {
 		if err != nil {
 			return err
 		}
-		env := map[int]int64{}
-		for _, prm := range s.prog.Params {
-			env[prm.Slot] = prm.Val
-		}
-		v, ok := ir.ConstEval(ie, env)
+		v, ok := ir.ConstEval(ie, s.prog.Binding)
 		if !ok {
 			return &Error{Line: pd.line, Col: pd.col, Msg: fmt.Sprintf("param %s: value must be constant (no division by zero)", pd.name)}
 		}

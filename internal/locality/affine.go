@@ -34,7 +34,7 @@ func (a *Analysis) decompose(r *Ref) {
 	t0, s0 := len(a.terms), len(a.slots)
 	for d := len(r.Arr.DimExprs) - 1; d >= 0; d-- {
 		if d < len(r.Idx) {
-			f.Decompose(r.Idx[d], a.Known, role)
+			f.Decompose(r.Idx[d], a.known, role)
 			indirect = indirect || f.Indirect
 			residual = residual || f.Residual || f.Rest
 			for _, s := range f.Loaded {
@@ -54,7 +54,7 @@ func (a *Analysis) decompose(r *Ref) {
 				residual = residual || len(f.Terms) > 0 || f.Const != 0
 			}
 		}
-		if _, ok := ir.ConstEval(r.Arr.DimExprs[d], a.Known); !ok {
+		if _, ok := ir.ConstEval(r.Arr.DimExprs[d], a.known); !ok {
 			prod = false
 		}
 	}
@@ -91,13 +91,13 @@ func (a *Analysis) addTerm(t0, slot int, coeff int64) {
 // (i+1)*w .. i*w pattern of blocked codes — are handled by symbolic
 // differencing.
 func (a *Analysis) TripCount(l *ir.Loop) (int64, bool) {
-	if _, n, ok := ir.StaticTrip(l, a.Known); ok {
+	if _, n, ok := ir.StaticTrip(l, a.known); ok {
 		return n, true
 	}
 	// Symbolic differencing: every slot the bounds read is a symbol.
 	flo, fhi := &a.lo, &a.hi
-	flo.Decompose(l.Lo, a.Known, symbol)
-	fhi.Decompose(l.Hi, a.Known, symbol)
+	flo.Decompose(l.Lo, a.known, symbol)
+	fhi.Decompose(l.Hi, a.known, symbol)
 	if linear(flo) && linear(fhi) && len(flo.Terms) == len(fhi.Terms) {
 		same := true
 		for _, t := range flo.Terms {

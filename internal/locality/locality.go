@@ -81,7 +81,6 @@ func (r *Ref) Innermost() *ir.Loop {
 // Analysis is the result of analyzing a program.
 type Analysis struct {
 	Prog   *ir.Program
-	Known  map[int]int64 // compile-time-known parameter bindings
 	Refs   []Ref
 	Groups []Group // Members, Leader and Trailer point into Refs
 
@@ -126,18 +125,23 @@ func Analyze(p *ir.Program, pageSize, defaultEstTrip int64) *Analysis {
 	}
 	a := &Analysis{
 		Prog:           p,
-		Known:          map[int]int64{},
 		PageSize:       pageSize,
 		DefaultEstTrip: defaultEstTrip,
-	}
-	for _, prm := range p.Params {
-		if prm.Known {
-			a.Known[prm.Slot] = prm.Val
-		}
 	}
 	ir.WalkRefs(p.Body, a.addRef)
 	a.group()
 	return a
+}
+
+// known binds the parameters the compiler may see (Param.Known) to their
+// values.
+func (a *Analysis) known(slot int) (int64, bool) {
+	for _, prm := range a.Prog.Params {
+		if prm.Slot == slot && prm.Known {
+			return prm.Val, true
+		}
+	}
+	return 0, false
 }
 
 func (a *Analysis) addRef(arr *ir.Array, idx []ir.IExpr, isWrite bool, path []*ir.Loop) {

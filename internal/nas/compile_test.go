@@ -73,15 +73,15 @@ func TestPrintPinned(t *testing.T) {
 // compileAllocBudget is, per input, the allocations of one call of each
 // compile stage — lang.Parse, Program.Resolve of a resolved program,
 // Program.Clone, locality.Analyze, compiler.Compile, exec.Compile,
-// ir.Print — as measured on budgetGo when exec.Compile sized its tables
-// from one walk, the compiler kept its jobs in one slice and Resolve
-// refilled the extents in place (before: FFT 2152, 7, 102, 34, 669, 204
-// and 2; APPBT 434, 3, 36, 26, 110, 183 and 2).
+// ir.Print — as measured on budgetGo when the analysis and the
+// executor's compile looked their parameter bindings up in the program
+// instead of copying them into maps (before: FFT 2152, 0, 102, 34, 581, 50
+// and 2; APPBT 434, 0, 36, 26, 92, 45 and 2).
 var compileAllocBudget = map[string][7]float64{
-	"FFT":         {2152, 0, 102, 34, 581, 50, 2},
-	"APPBT":       {434, 0, 36, 26, 92, 45, 2},
-	"BUK":         {135, 0, 24, 23, 107, 30, 2},
-	"matmul.loop": {138, 0, 18, 21, 84, 28, 2},
+	"FFT":         {2152, 0, 102, 29, 576, 45, 2},
+	"APPBT":       {434, 0, 36, 24, 90, 43, 2},
+	"BUK":         {135, 0, 24, 21, 105, 28, 2},
+	"matmul.loop": {138, 0, 18, 19, 82, 26, 2},
 }
 
 // budgetGo is the Go minor the budgets were measured on. There every count
