@@ -1,10 +1,6 @@
 package lang
 
-import (
-	"fmt"
-
-	"repro/internal/ir"
-)
+import "repro/internal/ir"
 
 var intrinsics = map[string]ir.Intrinsic{
 	"sqrt":   ir.Sqrt,
@@ -30,316 +26,361 @@ var cmpOps = map[string]ir.CmpOp{
 	"<": ir.Lt, "<=": ir.Le, ">": ir.Gt, ">=": ir.Ge, "==": ir.Eq, "!=": ir.Ne,
 }
 
-// isFloatExpr decides whether an expression is float-typed: a float
-// literal, a float scalar/array, a math intrinsic, or any operator over a
-// float operand.
-func (s *sema) isFloatExpr(e expr) bool {
-	switch x := e.(type) {
-	case numLit:
-		return x.isFloat
-	case identExpr:
-		_, ok := s.scalarF[x.name]
-		return ok
-	case indexExpr:
-		if a, ok := s.arrays[x.name]; ok {
-			return a.Kind == ir.F64
-		}
-		return false
-	case callExpr:
-		if x.name == "int" {
-			return false
-		}
-		if x.name == "min" || x.name == "max" {
-			for _, a := range x.args {
-				if s.isFloatExpr(a) {
-					return true
-				}
-			}
-			return false
-		}
-		// All intrinsics (and float()) produce floats.
-		return true
-	case binExpr:
-		return s.isFloatExpr(x.a) || s.isFloatExpr(x.b)
-	case unExpr:
-		return s.isFloatExpr(x.x)
-	}
-	return false
+var binPrec = map[string]int{
+	"||": 1,
+	"&&": 2,
+	"==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+	"+": 4, "-": 4,
+	"*": 5, "/": 5, "%": 5, "<<": 5, ">>": 5,
 }
 
-// intExpr lowers an expression in integer context.
-func (s *sema) intExpr(e expr) (ir.IExpr, error) {
-	switch x := e.(type) {
-	case numLit:
-		if x.isFloat {
-			return nil, errAt(x, "float literal in integer context")
-		}
-		return ir.Int(x.i), nil
-	case identExpr:
-		if slot, ok := s.lookupLoop(x.name); ok {
-			return slot, nil
-		}
-		if slot, ok := s.paramsI[x.name]; ok {
-			return slot, nil
-		}
-		if slot, ok := s.scalarI[x.name]; ok {
-			return slot, nil
-		}
-		if _, ok := s.scalarF[x.name]; ok {
-			return nil, errAt(x, "float scalar %q in integer context", x.name)
-		}
-		return nil, errAt(x, "undeclared identifier %q", x.name)
-	case indexExpr:
-		arr, idx, err := s.subscripts(x)
-		if err != nil {
-			return nil, err
-		}
-		if arr.Kind != ir.I64 {
-			return nil, errAt(x, "double array %q in integer context", x.name)
-		}
-		return ir.ILoad{Arr: arr, Idx: idx}, nil
-	case callExpr:
-		if x.name == "int" {
-			if len(x.args) != 1 {
-				return nil, errAt(x, "int() takes 1 argument")
-			}
-			fe, err := s.floatExpr(x.args[0])
-			if err != nil {
-				return nil, err
-			}
-			return ir.IFromF{X: fe}, nil
-		}
-		if x.name == "min" || x.name == "max" {
-			if len(x.args) != 2 {
-				return nil, errAt(x, "%s takes 2 arguments", x.name)
-			}
-			a, err := s.intExpr(x.args[0])
-			if err != nil {
-				return nil, err
-			}
-			b, err := s.intExpr(x.args[1])
-			if err != nil {
-				return nil, err
-			}
-			if x.name == "min" {
-				return ir.MinI(a, b), nil
-			}
-			return ir.MaxI(a, b), nil
-		}
-		return nil, errAt(x, "call %s() in integer context", x.name)
-	case binExpr:
-		if _, ok := cmpOps[x.op]; ok || x.op == "&&" || x.op == "||" {
-			return nil, errAt(x, "boolean expression in integer context")
-		}
-		op, ok := iBinOps[x.op]
-		if !ok {
-			return nil, errAt(x, "operator %q not valid on integers", x.op)
-		}
-		a, err := s.intExpr(x.a)
-		if err != nil {
-			return nil, err
-		}
-		b, err := s.intExpr(x.b)
-		if err != nil {
-			return nil, err
-		}
-		return ir.IBin{Op: op, A: a, B: b}, nil
-	case unExpr:
-		if x.op != "-" {
-			return nil, errAt(x, "operator %q in integer context", x.op)
-		}
-		v, err := s.intExpr(x.x)
-		if err != nil {
-			return nil, err
-		}
-		return ir.SubI(ir.Int(0), v), nil
-	}
-	return nil, fmt.Errorf("lang: unknown expression %T", e)
+// A fault is a semantic error held as a value: an operand carries one for
+// each context that would reject it, and most are never reported, so
+// making one allocates nothing. msg is a format whose one verb, if it has
+// one, takes arg.
+type fault struct {
+	line, col int
+	msg, arg  string
 }
 
-// floatExpr lowers an expression in float context; integer subexpressions
-// are converted.
-func (s *sema) floatExpr(e expr) (ir.FExpr, error) {
-	if !s.isFloatExpr(e) {
-		ie, err := s.intExpr(e)
-		if err != nil {
-			return nil, err
-		}
-		return ir.FromInt{X: ie}, nil
+func at(t token, msg, arg string) fault { return fault{t.line, t.col, msg, arg} }
+
+func (f fault) ok() bool { return f.msg == "" }
+
+// or is f, or g if f is no fault.
+func (f fault) or(g fault) fault {
+	if f.ok() {
+		return g
 	}
-	switch x := e.(type) {
-	case numLit:
-		return ir.Flt(x.f), nil
-	case identExpr:
-		if fs, ok := s.scalarF[x.name]; ok {
-			return fs, nil
+	return f
+}
+
+func (f fault) err() error {
+	if f.arg == "" {
+		return &Error{Line: f.line, Col: f.col, Msg: f.msg}
+	}
+	return errorAt(f.line, f.col, f.msg, f.arg)
+}
+
+// An operand is an expression read so far, lowered for each context it may
+// yet be used in — integer, float and boolean — to IR or to the fault that
+// context reports. flt says whether it is float-typed: a float literal,
+// scalar or array, a call of anything but int() (min and max only over a
+// float), or an operator over such an operand, comparisons included. In
+// float context an operand that is not converts at use: its integer IR
+// under one FromInt.
+type operand struct {
+	flt              bool
+	i                ir.IExpr
+	f                ir.FExpr // only when flt
+	b                ir.BExpr
+	ierr, ferr, berr fault
+}
+
+func (o *operand) int() (ir.IExpr, fault) { return o.i, o.ierr }
+
+func (o *operand) bool() (ir.BExpr, fault) { return o.b, o.berr }
+
+func (o *operand) float() (ir.FExpr, fault) {
+	switch {
+	case o.flt:
+		return o.f, o.ferr
+	case !o.ierr.ok():
+		return nil, o.ierr
+	}
+	return ir.FromInt{X: o.i}, fault{}
+}
+
+// ints lowers operands in integer context into a slice of their own, and
+// returns the first fault among them.
+func ints(ops []operand) ([]ir.IExpr, fault) {
+	out := make([]ir.IExpr, len(ops))
+	var first fault
+	for k := range ops {
+		var f fault
+		out[k], f = ops[k].int()
+		first = first.or(f)
+	}
+	return out, first
+}
+
+// Expression parsing: precedence climbing. A semantic error is a fault of
+// the operand, reported only if the operand is used where it faults.
+
+func (p *parser) expr() operand { return p.binary(1) }
+
+func (p *parser) binary(minPrec int) operand {
+	x := p.unary()
+	for {
+		t := p.cur()
+		if t.kind != tPunct {
+			return x
 		}
-		return nil, errAt(x, "identifier %q is not a float scalar", x.name)
-	case indexExpr:
-		arr, idx, err := s.subscripts(x)
-		if err != nil {
-			return nil, err
+		prec, ok := binPrec[t.text]
+		if !ok || prec < minPrec {
+			return x
 		}
-		if arr.Kind != ir.F64 {
-			return nil, errAt(x, "long array %q in float context", x.name)
+		p.pos++
+		y := p.binary(prec + 1)
+		x = binOp(t, &x, &y)
+	}
+}
+
+func (p *parser) unary() operand {
+	t := p.cur()
+	if t.kind != tPunct || t.text != "-" && t.text != "!" {
+		return p.primary()
+	}
+	p.pos++
+	x := p.unary()
+	o := operand{flt: x.flt}
+	if t.text == "-" {
+		o.berr = at(t, "expected boolean expression", "")
+		v, f := x.int()
+		if o.ierr = f; f.ok() {
+			o.i = ir.SubI(ir.Int(0), v)
 		}
-		return ir.FLoad{Arr: arr, Idx: idx}, nil
-	case callExpr:
-		switch x.name {
-		case "float":
-			if len(x.args) != 1 {
-				return nil, errAt(x, "float() takes 1 argument")
+		if o.flt {
+			v, f := x.float()
+			if o.ferr = f; f.ok() {
+				o.f = ir.FNeg{X: v}
 			}
-			ie, err := s.intExpr(x.args[0])
-			if err != nil {
-				return nil, err
-			}
-			return ir.FromInt{X: ie}, nil
-		case "min", "max", "fmin", "fmax":
-			if len(x.args) != 2 {
-				return nil, errAt(x, "%s takes 2 arguments", x.name)
-			}
-			a, err := s.floatExpr(x.args[0])
-			if err != nil {
-				return nil, err
-			}
-			b, err := s.floatExpr(x.args[1])
-			if err != nil {
-				return nil, err
-			}
-			op := ir.FMinOp
-			if x.name == "max" || x.name == "fmax" {
-				op = ir.FMaxOp
-			}
-			return ir.FBin{Op: op, A: a, B: b}, nil
 		}
-		fn, ok := intrinsics[x.name]
-		if !ok {
-			return nil, errAt(x, "unknown function %q", x.name)
+		return o
+	}
+	o.ierr, o.ferr = at(t, "operator %q in integer context", "!"), at(t, "operator %q in float context", "!")
+	if !o.flt {
+		o.ferr = o.ierr
+	}
+	v, f := x.bool()
+	if o.berr = f; f.ok() {
+		o.b = ir.Not{X: v}
+	}
+	return o
+}
+
+func (p *parser) primary() operand {
+	t := p.cur()
+	notBool := at(t, "expected boolean expression", "")
+	switch {
+	case t.kind == tInt:
+		p.pos++
+		return operand{i: ir.Int(t.ival), berr: notBool}
+	case t.kind == tFloat:
+		p.pos++
+		return operand{flt: true, f: ir.Flt(t.fval), ierr: at(t, "float literal in integer context", ""), berr: notBool}
+	case t.kind == tPunct && t.text == "(":
+		p.pos++
+		x := p.expr()
+		p.expect(")")
+		return x
+	case t.kind != tIdent:
+		p.fail(t, "expected expression, found %s", t)
+	}
+	p.pos++
+	base := len(p.ops)
+	var o operand
+	if p.accept("(") {
+		for more := !p.accept(")"); more; {
+			p.ops = append(p.ops, p.expr())
+			if more = !p.accept(")"); more {
+				p.expect(",")
+			}
 		}
+		o = call(t, p.ops[base:], notBool)
+	} else if p.subscripts(); len(p.ops) > base {
+		o = p.index(t, p.ops[base:], notBool)
+	} else {
+		o = p.ident(t, notBool)
+	}
+	p.ops = p.ops[:base]
+	return o
+}
+
+// binOp is "x t y".
+func binOp(t token, x, y *operand) operand {
+	o := operand{flt: x.flt || y.flt}
+	if op, ok := iBinOps[t.text]; ok {
+		o.berr = at(t, "expected comparison, found %q", t.text)
+		a, fa := x.int()
+		b, fb := y.int()
+		if o.ierr = fa.or(fb); o.ierr.ok() {
+			o.i = ir.IBin{Op: op, A: a, B: b}
+		}
+		if fop, ok := fBinOps[t.text]; o.flt && !ok {
+			o.ferr = at(t, "operator %q not valid on floats", t.text)
+		} else if o.flt {
+			a, fa := x.float()
+			b, fb := y.float()
+			if o.ferr = fa.or(fb); o.ferr.ok() {
+				o.f = ir.FBin{Op: fop, A: a, B: b}
+			}
+		}
+		return o
+	}
+	// && || and the comparisons are boolean.
+	o.ierr = at(t, "boolean expression in integer context", "")
+	o.ferr = o.ierr
+	if o.flt {
+		o.ferr = at(t, "operator %q not valid on floats", t.text)
+	}
+	op, cmp := cmpOps[t.text]
+	switch {
+	case !cmp:
+		a, fa := x.bool()
+		b, fb := y.bool()
+		if o.berr = fa.or(fb); o.berr.ok() && t.text == "&&" {
+			o.b = ir.And{A: a, B: b}
+		} else if o.berr.ok() {
+			o.b = ir.Or{A: a, B: b}
+		}
+	case o.flt:
+		a, fa := x.float()
+		b, fb := y.float()
+		if o.berr = fa.or(fb); o.berr.ok() {
+			o.b = ir.CmpF{Op: op, A: a, B: b}
+		}
+	default:
+		a, fa := x.int()
+		b, fb := y.int()
+		if o.berr = fa.or(fb); o.berr.ok() {
+			o.b = ir.CmpI{Op: op, A: a, B: b}
+		}
+	}
+	return o
+}
+
+// ident is a name without subscripts: a loop variable, a parameter or a
+// scalar. A loop variable shadows a name only in integer context.
+func (p *parser) ident(t token, notBool fault) operand {
+	s := p.syms[t.text]
+	o := operand{flt: s.f != nil, f: s.f, i: s.i, berr: notBool}
+	for k := len(p.loops) - 1; k >= 0; k-- {
+		if p.loops[k].name == t.text {
+			o.i = p.loops[k].slot
+			return o
+		}
+	}
+	switch {
+	case s.f != nil:
+		o.ierr = at(t, "float scalar %q in integer context", t.text)
+	case s.i == nil:
+		o.ierr = at(t, "undeclared identifier %q", t.text)
+	}
+	return o
+}
+
+// index is an array reference. Its subscripts are a slice of its own.
+func (p *parser) index(t token, subs []operand, notBool fault) operand {
+	arr := p.syms[t.text].arr
+	var idx []ir.IExpr
+	var f fault
+	switch {
+	case arr == nil:
+		f = at(t, "undeclared array %q", t.text)
+	case len(subs) != len(arr.DimExprs):
+		f = dimsFault(t, arr, len(subs))
+	default:
+		idx, f = ints(subs)
+	}
+	o := operand{berr: notBool, ierr: f}
+	switch {
+	case arr != nil && arr.Kind == ir.F64:
+		o.flt, o.ferr = true, f
+		if o.ierr = f.or(at(t, "double array %q in integer context", t.text)); f.ok() {
+			o.f = ir.FLoad{Arr: arr, Idx: idx}
+		}
+	case f.ok():
+		o.i = ir.ILoad{Arr: arr, Idx: idx}
+	}
+	return o
+}
+
+// call is a call of name t: int(), min and max, or a float function.
+func call(t token, args []operand, notBool fault) operand {
+	o := operand{berr: notBool}
+	switch t.text {
+	case "int":
+		if len(args) != 1 {
+			o.ierr = at(t, "int() takes 1 argument", "")
+		} else if v, f := args[0].float(); f.ok() {
+			o.i = ir.IFromF{X: v}
+		} else {
+			o.ierr = f
+		}
+		return o
+	case "min", "max":
+		for k := range args {
+			o.flt = o.flt || args[k].flt
+		}
+		if len(args) != 2 {
+			o.ierr = at(t, "%s takes 2 arguments", t.text)
+			o.ferr = o.ierr
+			return o
+		}
+		a, fa := args[0].int()
+		b, fb := args[1].int()
+		if o.ierr = fa.or(fb); o.ierr.ok() && t.text == "min" {
+			o.i = ir.MinI(a, b)
+		} else if o.ierr.ok() {
+			o.i = ir.MaxI(a, b)
+		}
+		if !o.flt {
+			return o
+		}
+	default:
+		o.flt, o.ierr = true, at(t, "call %s() in integer context", t.text)
+	}
+	var f fault
+	switch t.text {
+	case "float":
+		if len(args) != 1 {
+			f = at(t, "float() takes 1 argument", "")
+		} else if v, g := args[0].int(); g.ok() {
+			o.f = ir.FromInt{X: v}
+		} else {
+			f = g
+		}
+	case "min", "max", "fmin", "fmax":
+		if len(args) != 2 {
+			f = at(t, "%s takes 2 arguments", t.text)
+			break
+		}
+		a, fa := args[0].float()
+		b, fb := args[1].float()
+		op := ir.FMinOp
+		if t.text == "max" || t.text == "fmax" {
+			op = ir.FMaxOp
+		}
+		if f = fa.or(fb); f.ok() {
+			o.f = ir.FBin{Op: op, A: a, B: b}
+		}
+	default:
+		fn, ok := intrinsics[t.text]
 		want := 1
-		if fn == ir.Pow {
+		switch fn {
+		case ir.Pow:
 			want = 2
-		}
-		if fn == ir.Randlc {
+		case ir.Randlc:
 			want = 0
 		}
-		if len(x.args) != want {
-			return nil, errAt(x, "%s takes %d argument(s), got %d", x.name, want, len(x.args))
-		}
-		args := make([]ir.FExpr, len(x.args))
-		for i, a := range x.args {
-			fa, err := s.floatExpr(a)
-			if err != nil {
-				return nil, err
+		switch {
+		case !ok:
+			f = at(t, "unknown function %q", t.text)
+		case len(args) != want:
+			f = faultf(t, "%s takes %d argument(s), got %d", t.text, want, len(args))
+		default:
+			fargs := make([]ir.FExpr, len(args))
+			for k := range args {
+				var g fault
+				fargs[k], g = args[k].float()
+				f = f.or(g)
 			}
-			args[i] = fa
-		}
-		return ir.FCall{Fn: fn, Args: args}, nil
-	case binExpr:
-		op, ok := fBinOps[x.op]
-		if !ok {
-			return nil, errAt(x, "operator %q not valid on floats", x.op)
-		}
-		a, err := s.floatExpr(x.a)
-		if err != nil {
-			return nil, err
-		}
-		b, err := s.floatExpr(x.b)
-		if err != nil {
-			return nil, err
-		}
-		return ir.FBin{Op: op, A: a, B: b}, nil
-	case unExpr:
-		if x.op != "-" {
-			return nil, errAt(x, "operator %q in float context", x.op)
-		}
-		v, err := s.floatExpr(x.x)
-		if err != nil {
-			return nil, err
-		}
-		return ir.FNeg{X: v}, nil
-	}
-	return nil, fmt.Errorf("lang: unknown expression %T", e)
-}
-
-func (s *sema) boolExpr(e expr) (ir.BExpr, error) {
-	switch x := e.(type) {
-	case binExpr:
-		switch x.op {
-		case "&&":
-			a, err := s.boolExpr(x.a)
-			if err != nil {
-				return nil, err
+			if f.ok() {
+				o.f = ir.FCall{Fn: fn, Args: fargs}
 			}
-			b, err := s.boolExpr(x.b)
-			if err != nil {
-				return nil, err
-			}
-			return ir.And{A: a, B: b}, nil
-		case "||":
-			a, err := s.boolExpr(x.a)
-			if err != nil {
-				return nil, err
-			}
-			b, err := s.boolExpr(x.b)
-			if err != nil {
-				return nil, err
-			}
-			return ir.Or{A: a, B: b}, nil
-		}
-		op, ok := cmpOps[x.op]
-		if !ok {
-			return nil, errAt(x, "expected comparison, found %q", x.op)
-		}
-		if s.isFloatExpr(x.a) || s.isFloatExpr(x.b) {
-			a, err := s.floatExpr(x.a)
-			if err != nil {
-				return nil, err
-			}
-			b, err := s.floatExpr(x.b)
-			if err != nil {
-				return nil, err
-			}
-			return ir.CmpF{Op: op, A: a, B: b}, nil
-		}
-		a, err := s.intExpr(x.a)
-		if err != nil {
-			return nil, err
-		}
-		b, err := s.intExpr(x.b)
-		if err != nil {
-			return nil, err
-		}
-		return ir.CmpI{Op: op, A: a, B: b}, nil
-	case unExpr:
-		if x.op == "!" {
-			b, err := s.boolExpr(x.x)
-			if err != nil {
-				return nil, err
-			}
-			return ir.Not{X: b}, nil
 		}
 	}
-	return nil, errAt(e, "expected boolean expression")
-}
-
-func (s *sema) subscripts(x indexExpr) (*ir.Array, []ir.IExpr, error) {
-	arr, ok := s.arrays[x.name]
-	if !ok {
-		return nil, nil, errAt(x, "undeclared array %q", x.name)
-	}
-	if len(x.idx) != len(arr.DimExprs) {
-		return nil, nil, errAt(x, "array %s has %d dimensions, got %d subscripts",
-			x.name, len(arr.DimExprs), len(x.idx))
-	}
-	idx := make([]ir.IExpr, len(x.idx))
-	for i, d := range x.idx {
-		ie, err := s.intExpr(d)
-		if err != nil {
-			return nil, nil, err
-		}
-		idx[i] = ie
-	}
-	return arr, idx, nil
+	o.ferr = f
+	return o
 }

@@ -1,8 +1,8 @@
 // Package lang is the front end of the prefetching compiler: a small
 // Fortran-flavoured loop language (counted loops, multi-dimensional
 // arrays of double/long, scalars, conditionals, math intrinsics) with a
-// lexer, recursive-descent parser, and semantic analysis that lowers
-// source text to the loop-nest IR the compiler pass operates on.
+// lexer and a recursive-descent parser that types source text and lowers
+// it, as it reads it, to the loop-nest IR the compiler pass operates on.
 //
 // Grammar sketch:
 //
