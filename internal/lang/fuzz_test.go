@@ -58,12 +58,20 @@ func TestConstantDivisionByZero(t *testing.T) {
 }
 
 // FuzzParse holds the front end's contract on inputs its authors did not
-// write: Parse returns (a program or a typed error), and a program it
-// accepts resolves, goes through the prefetching pass and assembles to
-// bytecode, before and after the pass, without panicking. The compile
-// stages run only on inputs up to 2 KB to keep an execution cheap.
+// write: Parse returns a program or a *Error positioned at line and column
+// 1 or later, and a program it accepts resolves, goes through the
+// prefetching pass and assembles to bytecode, before and after the pass,
+// without panicking. The compile stages run only on inputs up to 2 KB to
+// keep an execution cheap. The seeds are the checked-in programs and the
+// sources of the error tables.
 func FuzzParse(f *testing.F) {
-	for _, glob := range []string{"../../examples/kernels/*.loop", "../../benchmark/corpus/*.loop", "testdata/nas/*.loop"} {
+	for _, c := range errorCases {
+		f.Add(c.src)
+	}
+	for _, c := range divisionCases {
+		f.Add(c.src)
+	}
+	for _, glob := range sourceGlobs {
 		paths, err := filepath.Glob(glob)
 		if err != nil || len(paths) == 0 {
 			f.Fatalf("no seeds under %s (%v)", glob, err)
@@ -79,7 +87,13 @@ func FuzzParse(f *testing.F) {
 	machine := hw.Default()
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse(src)
-		if err != nil || len(src) > 2<<10 {
+		if err != nil {
+			if le, ok := err.(*Error); !ok || le.Line < 1 || le.Col < 1 {
+				t.Fatalf("Parse error %v (%T) is not a positioned *Error", err, err)
+			}
+			return
+		}
+		if len(src) > 2<<10 {
 			return
 		}
 		if prog.Resolve(machine.PageSize) != nil {
