@@ -386,14 +386,12 @@ type loopSet struct {
 }
 
 type kcompiler struct {
-	shift    int64 // page shift, for compile-time page arithmetic
-	nInt     int   // the program's slot counts, which size a slotSet
-	nFloat   int
+	shift    int64       // page shift, for compile-time page arithmetic
+	prog     *ir.Program // param binds its parameters no statement writes
 	iw       int         // words of a write set's int half
 	written  []loopSet   // each loop body's write set, in the order of the walk
 	nextLoop int         // the entry of the next loop lowered
 	joins    slotSet     // scratch: an if's write set at its join, or the slot invalidateSlot drops
-	prog     *ir.Program // param binds its parameters no statement writes
 	pwritten slotSet     // the int slots the program body writes
 	err      error       // first statement cost.go rejected, or the *LimitError of the first full table
 	prof     *profRec    // non-nil in a recording compile (profile.go)
@@ -443,16 +441,17 @@ func newKcompiler(prog *ir.Program, shift int64, rec *profile.Recorder) *kcompil
 	var z sizes
 	z.walk(prog.Body, 0, 1)
 	kc := &kcompiler{
-		shift:  shift,
-		nInt:   prog.NInt,
-		nFloat: prog.NFloat, prog: prog,
-		nRI: 1, nRF: 1, // ri[0]/rf[0] are permanent zeros
+		shift: shift,
+		prog:  prog,
+		nRI:   1, nRF: 1, // ri[0]/rf[0] are permanent zeros
 		spanNext: -1,
 	}
-	kc.code, kc.reports = make([]kinstr, 0, codePerStmt*z.stmts), make([]LoopReport, 0, z.loops)
+	kc.code = make([]kinstr, 0, codePerStmt*z.stmts)
+	kc.reports = make([]LoopReport, 0, z.loops)
 	kc.prelude = make([]kinstr, 0, z.consts[0]+z.consts[1])
+	kc.spans = make([]spanLoop, 0, z.loops)
 	kc.sites, kc.cds, kc.seed = make([]spanSite, 0, z.refs), make([]int64, 0, z.dims), make([]uint16, 0, z.dims)
-	kc.spans, kc.abs = make([]spanLoop, 0, z.loops), make([]absVar, 0, z.loops)
+	kc.abs = make([]absVar, 0, z.loops)
 	dims := 0
 	for _, a := range prog.Arrays {
 		dims += len(a.Dims)
@@ -465,15 +464,15 @@ func newKcompiler(prog *ir.Program, shift int64, rec *profile.Recorder) *kcompil
 		t.e, block = block[:ns[i]:ns[i]], block[ns[i]:]
 	}
 	kc.vn, kc.trail = make([]cseFact, 0, z.ops), make([]undo, 0, z.top)
-	binds := make([]int32, kc.nInt+kc.nFloat)
+	binds := make([]int32, prog.NInt+prog.NFloat)
 	for i := range binds {
 		binds[i] = -1
 	}
-	kc.bind, kc.fbind = binds[:kc.nInt:kc.nInt], binds[kc.nInt:]
+	kc.bind, kc.fbind = binds[:prog.NInt:prog.NInt], binds[prog.NInt:]
 
 	// One block holds the join set and the body's, each loop's and each depth's write set.
-	kc.iw = (kc.nInt + 63) >> 6
-	w := kc.iw + (kc.nFloat+63)>>6
+	kc.iw = (prog.NInt + 63) >> 6
+	w := kc.iw + (prog.NFloat+63)>>6
 	sets := make(slotSet, (2+z.loops+z.depth)*w)
 	kc.joins, kc.written = sets[:w:w], make([]loopSet, 0, z.loops)
 	kc.collect(prog.Body, sets[w:2*w], sets[2*w:(2+z.loops)*w])
