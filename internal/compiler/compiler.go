@@ -168,6 +168,8 @@ func Compile(p *ir.Program, machine hw.Params, opt Options) (*Result, error) {
 
 	// The two-version extension: analysis sees run-time bounds (the
 	// emitted code corresponds to the version the run-time test selects).
+	// The analysis reads Param.Known whenever it binds a slot, so the
+	// parameters stay known until the pass is done with it.
 	restore := []*ir.Param{}
 	if opt.TwoVersionLoops {
 		for _, prm := range p.Params {
@@ -177,10 +179,12 @@ func Compile(p *ir.Program, machine hw.Params, opt Options) (*Result, error) {
 			}
 		}
 	}
+	defer func() {
+		for _, prm := range restore {
+			prm.Known = false
+		}
+	}()
 	an := locality.Analyze(p, machine.PageSize, opt.DefaultEstTrip)
-	for _, prm := range restore {
-		prm.Known = false
-	}
 
 	t := &transform{
 		an:      an,

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -292,6 +293,35 @@ func TestSymbolicBoundsHurtCoverageAndTwoVersionFixes(t *testing.T) {
 	}
 	if covFix < 0.8 {
 		t.Fatalf("fixed coverage %.3f, want ≥0.8", covFix)
+	}
+}
+
+// TestTwoVersionCompilesAsIfKnown: with two-version loops, a parameter
+// unknown at compile time is planned for as if it were known — every
+// stage of the pass, not only the analysis, sees its value — and is
+// unknown again once the pass returns.
+func TestTwoVersionCompilesAsIfKnown(t *testing.T) {
+	mp := machine()
+	opt := DefaultOptions()
+	opt.TwoVersionLoops = true
+	unknown := figure2(100000, 4, false)
+	tv, err := Compile(unknown, mp, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	known, err := Compile(figure2(100000, 4, true), mp, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unknown.Params[0].Known {
+		t.Fatal("N is still known after the two-version compile")
+	}
+	if !reflect.DeepEqual(tv.Plan, known.Plan) {
+		t.Fatalf("two-version plan\n%+v\nknown-N plan\n%+v", tv.Plan, known.Plan)
+	}
+	got := strings.Replace(ir.Print(tv.Prog), " /* unknown at compile time */", "", 1)
+	if want := ir.Print(known.Prog); got != want {
+		t.Fatalf("two-version program\n%s\nknown-N program\n%s", got, want)
 	}
 }
 

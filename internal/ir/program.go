@@ -214,13 +214,21 @@ func (p *Program) TotalBytes(pageSize int64) int64 {
 	return total
 }
 
+// Param returns the parameter in slot, or nil.
+func (p *Program) Param(slot int) *Param {
+	for _, prm := range p.Params {
+		if prm.Slot == slot {
+			return prm
+		}
+	}
+	return nil
+}
+
 // Binding returns the value of the parameter in slot: the bindings Resolve
 // evaluates extents under.
 func (p *Program) Binding(slot int) (int64, bool) {
-	for _, prm := range p.Params {
-		if prm.Slot == slot {
-			return prm.Val, true
-		}
+	if prm := p.Param(slot); prm != nil {
+		return prm.Val, true
 	}
 	return 0, false
 }

@@ -133,13 +133,12 @@ func Analyze(p *ir.Program, pageSize, defaultEstTrip int64) *Analysis {
 	return a
 }
 
-// known binds the parameters the compiler may see (Param.Known) to their
-// values.
+// known binds the parameters the compiler may see to their values. It
+// reads Param.Known when it is called, so a caller that marks parameters
+// known for an analysis keeps them marked for as long as it uses it.
 func (a *Analysis) known(slot int) (int64, bool) {
-	for _, prm := range a.Prog.Params {
-		if prm.Slot == slot && prm.Known {
-			return prm.Val, true
-		}
+	if prm := a.Prog.Param(slot); prm != nil && prm.Known {
+		return prm.Val, true
 	}
 	return 0, false
 }

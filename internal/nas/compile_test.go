@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -66,6 +67,46 @@ func TestPrintPinned(t *testing.T) {
 		for variant, p := range map[string]*ir.Program{"O": prog, "P": res.Prog} {
 			sum := sha256.Sum256([]byte(ir.Print(p)))
 			rec.Check(t, name+"/"+variant, hex.EncodeToString(sum[:]))
+		}
+	}
+}
+
+// TestTwoVersionCompilesAsIfKnown: a two-version compile of each input
+// plans and prints as a default compile of the same input with every
+// parameter known, and leaves the unknown parameters unknown. APPBT's
+// inner bounds are the parameters this moves.
+func TestTwoVersionCompilesAsIfKnown(t *testing.T) {
+	machine := hw.Default()
+	opt := compiler.DefaultOptions()
+	opt.TwoVersionLoops = true
+	for name, build := range compileInputs(t) {
+		prog, all := build(), build()
+		var unknown []*ir.Param
+		for i, prm := range prog.Params {
+			if !prm.Known {
+				unknown = append(unknown, prm)
+				all.Params[i].Known = true
+			}
+		}
+		tv, err := compiler.Compile(prog, machine, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		known, err := compiler.Compile(all, machine, compiler.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, prm := range unknown {
+			if prm.Known {
+				t.Fatalf("%s: %s is still known after the two-version compile", name, prm.Name)
+			}
+		}
+		if !reflect.DeepEqual(tv.Plan, known.Plan) {
+			t.Fatalf("%s: two-version plan\n%+v\nall-known plan\n%+v", name, tv.Plan, known.Plan)
+		}
+		got := strings.ReplaceAll(ir.Print(tv.Prog), " /* unknown at compile time */", "")
+		if want := ir.Print(known.Prog); got != want {
+			t.Fatalf("%s: two-version program\n%s\nall-known program\n%s", name, got, want)
 		}
 	}
 }
