@@ -74,13 +74,20 @@ test-benchmark:
 # process-wide recycler (every run and every server adopts from it; file
 # systems on all three tiers built, driven and recycled from several
 # goroutines) with the device engine under it, and the profile
-# recorder/artifact are the concurrent or process-wide surfaces; run them
+# recorder/artifact are the concurrent or process-wide surfaces, and so
+# are the compile stages' stashes (internal/stash: the front end's
+# parser, the printer's buffer, the analysis, the compiler's transform and
+# the executor's kcompiler are each kept for the next call, and four
+# goroutines compile at once in TestConcurrentCompiles); run them
 # (and the packages they drive) under the race detector. internal/exec
 # runs -short: its system-level differentials are one goroutine each and
 # run at full length in test-exec, so the race pass keeps their smoke
-# cells only.
+# cells only. Of internal/nas only the concurrent compiles run: the race
+# detector changes what the allocation budget counts.
 race:
 	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/tenant/ ./internal/vm/ ./internal/stripefs/ ./internal/disk/ ./internal/profile/ .
+	$(GO) test -race ./internal/stash/ ./internal/lang/ ./internal/ir/ ./internal/locality/ ./internal/compiler/
+	$(GO) test -race ./internal/nas/ -run TestConcurrentCompiles
 	$(GO) test -race -short ./internal/exec/
 
 # fuzz runs the five fuzzers briefly, each for FUZZTIME: arbitrary fault
@@ -125,7 +132,7 @@ RECORDS = internal/*/testdata internal/fault/harness/testdata
 repin:
 	$(GO) test ./internal/exec/ -run 'TestFastPathEquivalence|TestBytecodePinned' -count 1 -update
 	$(GO) test ./internal/fault/harness/ ./internal/nas/ ./internal/core/ ./internal/bench/ ./internal/tenant/ ./internal/locality/ ./internal/lang/ -count 1 -update \
-		-run 'TestFastPathEquivalence|TestRequeueGolden|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare|TestPrintPinned|TestTraceGolden|TestMetricsGolden|TestDepartureWithReadsInFlight|TestRefsGolden|TestParseRecord'
+		-run 'TestFastPathEquivalence|TestRequeueGolden|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare|TestPrintPinned|TestCompileAllocBudget|TestTraceGolden|TestMetricsGolden|TestDepartureWithReadsInFlight|TestRefsGolden|TestParseRecord'
 	$(GO) test -tags exectally ./internal/bench/ -run TestDispatchCorpus -count 1 -update
 	@git diff --stat -- $(RECORDS)
 	@git diff -U0 --word-diff -- $(RECORDS)
@@ -223,10 +230,14 @@ test-exec:
 # printer became append-style and value numbering moved onto an undo
 # trail; the append-style renderer against the fmt-based reference it
 # replaced, node kind by node kind; the trail itself (after every restore
-# the live facts equal a copy taken at the mark); the per-stage
-# allocation counts of lang.Parse, Clone, locality.Analyze,
-# compiler.Compile, exec.Compile and ir.Print, held exactly on the Go
-# minor they were measured on; a clone's independence from its original
+# the live facts equal a copy taken at the mark); the objects and bytes
+# a call of each stage allocates — lang.Parse, Resolve, Clone,
+# locality.Analyze, compiler.Compile, exec.Compile and ir.Print — held
+# exactly on the Go minor testdata/compile_allocs.golden was recorded on;
+# four goroutines compiling the 13 inputs at once, each getting what a
+# sequential run gets, and a compile that finds the executor's stash held
+# (internal/stash keeps each stage's working memory for the next call,
+# one set, the largest); a clone's independence from its original
 # and between its own lists; the compiler driver's usage errors and two
 # input kinds; the analysis both compilers rest on — all of
 # internal/ir (the affine decomposition asked the locality analysis's and
@@ -238,9 +249,9 @@ test-exec:
 # substitutions of the example kernels and the benchmark corpus) is the
 # record testdata/parse.golden.
 test-compile:
-	$(GO) test ./internal/nas/ -run 'TestPrintPinned|TestCompileAllocBudget|TestCloneIsIndependent' -count 1
-	$(GO) test ./internal/exec/ -run 'TestBytecodePinned|TestValueNumberingTrail' -count 1
-	$(GO) test ./internal/ir/ ./internal/locality/ ./internal/lang/ -count 1
+	$(GO) test ./internal/nas/ -run 'TestPrintPinned|TestCompileAllocBudget|TestConcurrentCompiles|TestCloneIsIndependent' -count 1
+	$(GO) test ./internal/exec/ -run 'TestBytecodePinned|TestValueNumberingTrail|TestCompileWhileStashHeld' -count 1
+	$(GO) test ./internal/stash/ ./internal/ir/ ./internal/locality/ ./internal/lang/ -count 1
 	$(GO) test ./cmd/ooccc/
 
 # test-harness runs the experiment-harness gate (DESIGN.md §4): both

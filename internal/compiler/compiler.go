@@ -21,6 +21,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/locality"
 	"repro/internal/profile"
+	"repro/internal/stash"
 )
 
 // Options configure the pass.
@@ -185,14 +186,11 @@ func Compile(p *ir.Program, machine hw.Params, opt Options) (*Result, error) {
 		}
 	}()
 	an := locality.Analyze(p, machine.PageSize, opt.DefaultEstTrip)
+	defer an.Release()
 
-	t := &transform{
-		an:      an,
-		machine: machine,
-		opt:     opt,
-		maxDist: maxDistPages,
-		out:     cloneProgram(p),
-	}
+	t := tstash.Take()
+	defer t.release()
+	*t = transform{an: an, machine: machine, opt: opt, maxDist: maxDistPages, out: cloneProgram(p), jobs: t.jobs}
 	res := &Result{Prog: t.out}
 	if opt.Profile != nil {
 		t.guide = newGuide(p, opt.Profile, an, machine)
@@ -226,9 +224,8 @@ func (t *transform) plan(res *Result) {
 	// subscripts — compared by their printed text, printed into one buffer
 	// each side when all else matches — and its strip length and self
 	// stride.
-	bufs := make([]byte, 256)
-	text, other := bufs[:0:128], bufs[128:128]
-	t.jobs = make([]job, 0, len(t.an.Groups))
+	text, other := t.bufs[:0:128], t.bufs[128:128]
+	t.jobs = stash.Grow(t.jobs, len(t.an.Groups))[:0]
 	res.Plan = make([]PlanEntry, 0, len(t.an.Groups))
 	for i := range t.an.Groups {
 		g := &t.an.Groups[i]
@@ -632,4 +629,15 @@ type transform struct {
 	stmts    []ir.Stmt
 	loops    []ir.Loop
 	err      error
+	bufs     [256]byte // plan's two subscript texts
+}
+
+// tstash keeps a transform between compiles for its jobs slice, the one
+// table of the pass that neither the result nor the program keeps.
+var tstash = stash.New(func(t *transform) int { return cap(t.jobs) })
+
+// release empties t, keeping its jobs slice, and puts it back in the stash.
+func (t *transform) release() {
+	*t = transform{jobs: t.jobs[:0]}
+	tstash.Put(t)
 }

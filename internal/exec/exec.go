@@ -178,6 +178,7 @@ func Compile(prog *ir.Program, pageSize int64, opts Options) (*Artifact, error) 
 	}
 	a := &Artifact{compiled: compiled{prog: prog}, pageSize: pageSize}
 	kc := newKcompiler(prog, int64(bits.TrailingZeros64(uint64(pageSize))), opts.Profile)
+	defer kc.release()
 	if err := kc.compile(prog.Body); err != nil {
 		return nil, err
 	}

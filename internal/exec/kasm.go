@@ -111,9 +111,9 @@ func otherOperand(in kinstr, r uint16) (uint16, bool) {
 
 // assemble strips opLabel markers, compacting code into itself, and
 // patches every jump's label id — the imm or imm2 kops marks lbl — to its
-// absolute pc as it goes: a first scan has numbered the survivors.
-func assemble(code []kinstr, nLabels int) []kinstr {
-	pos := make([]int, nLabels)
+// absolute pc as it goes: a first scan has numbered the survivors into
+// pos, which has room for every label.
+func assemble(code []kinstr, pos []int) []kinstr {
 	n := 0
 	for _, in := range code {
 		if in.op == opLabel {

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/profile"
+	"repro/internal/stash"
 )
 
 // kloop is the compile-time context of one bytecode loop being built. The
@@ -42,17 +43,8 @@ type hoistEnt struct {
 	cseEnt
 }
 
-// hoistRoom is a hoist table's room, made on first use: loops hoist 0 to 8
-// entries, most none, and a span walk's seed table at most 12.
-const hoistRoom = 16
-
 // emit appends one instruction of loop-invariant code.
-func (ctx *kloop) emit(in kinstr) {
-	if ctx.hoist == nil {
-		ctx.hoist = make([]kinstr, 0, hoistRoom)
-	}
-	ctx.hoist = append(ctx.hoist, in)
-}
+func (ctx *kloop) emit(in kinstr) { ctx.hoist = append(ctx.hoist, in) }
 
 // hoisted returns the hoist-table fact under k: the latest, which a hash
 // collision may have entered over an earlier one.
@@ -66,9 +58,6 @@ func (ctx *kloop) hoisted(k uint64) (cseEnt, bool) {
 }
 
 func (ctx *kloop) setHoist(k uint64, ent cseEnt) {
-	if ctx.hoistCse == nil {
-		ctx.hoistCse = make([]hoistEnt, 0, hoistRoom)
-	}
 	ctx.hoistCse = append(ctx.hoistCse, hoistEnt{k, ent})
 }
 
@@ -157,23 +146,22 @@ func (kc *kcompiler) split(set slotSet) (iw, fw slotSet) {
 // ---- sizing ----------------------------------------------------------------
 
 // sizes is what the sizing walk counts in a program body before it is
-// lowered, the cost walk (cost.go) its expressions: each table's size.
+// lowered, the cost walk (cost.go) its expressions: the size of each table
+// that is cut to fit the program.
 type sizes struct {
-	stmts, loops, depth int
-	ops                 int    // pure integer operations: the keys value numbering can enter
-	nodes, top          int    // integer nodes walked, and the most in one top-level statement
-	refs, dims          int    // array references and their subscripts, once for each copy a span body may make
-	consts              [2]int // int and float constants the pool can take
-	lits                [2][32]uint64
-	nlits               [2]int
+	loops, depth int
+	ops          int    // pure integer operations: the keys value numbering can enter
+	refs, dims   int    // array references and their subscripts, once for each copy a span body may make
+	consts       [2]int // int and float constants the pool can take
+	lits         [2][32]uint64
+	nlits        [2]int
 }
 
 // walk counts body, each of whose array references a span body may copy w
 // times, at loop depth depth.
 func (z *sizes) walk(body []ir.Stmt, depth, w int) {
 	for _, s := range body {
-		n0, cw := z.nodes, costWalk{z: z, w: w}
-		z.stmts++
+		cw := costWalk{z: z, w: w}
 		if x, ok := s.(*ir.Loop); ok {
 			z.loops++
 			z.depth = max(z.depth, depth+1)
@@ -192,16 +180,12 @@ func (z *sizes) walk(body []ir.Stmt, depth, w int) {
 			z.walk(x.Then, depth, w)
 			z.walk(x.Else, depth, w)
 		}
-		if depth == 0 {
-			z.top = max(z.top, z.nodes-n0)
-		}
 	}
 }
 
 // iexpr counts one integer node: a literal, a pure operation, a folded
 // constant.
 func (z *sizes) iexpr(x ir.IExpr) {
-	z.nodes++
 	switch e := x.(type) {
 	case ir.IConst:
 		z.literal(0, uint64(e.Val))
@@ -433,22 +417,39 @@ type kcompiler struct {
 	loops   []kloop // the open loops' contexts, outermost first: a prefix of ctxs
 	ctxs    []kloop // a context per depth, reused loop to loop
 	reports []LoopReport
+
+	// the blocks the compile's tables are cut from
+	tents  []tent  // cse, iconst, fconst, auxIdx
+	binds  []int32 // bind, fbind
+	sets   slotSet // joins, the body's, each loop's and each depth's write set
+	census []int32 // the peephole census, then laneLoops' scratch
+	pos    []int   // assemble's label positions
 }
 
-// newKcompiler sizes every table of the compile from one walk of the
-// program body, then computes the loops' write sets.
+// kstash keeps the working memory of one compile for the next: the
+// kcompiler with its code buffer, constant prelude, value-numbering facts
+// and trail, loop contexts and the blocks above — everything a compile
+// fills that install does not hand to the Artifact.
+var kstash = stash.New(func(kc *kcompiler) int { return cap(kc.code) })
+
+// release empties kc of this compile's program and results, keeping its
+// working memory, and puts it back in the stash.
+func (kc *kcompiler) release() {
+	*kc = kcompiler{code: kc.code[:0], prelude: kc.prelude[:0], written: kc.written[:0], ctxs: kc.ctxs,
+		kmaps: kmaps{vn: kc.vn[:0], trail: kc.trail[:0]}, walk: spanWalk{seeds: kc.walk.seeds, reads: kc.walk.reads},
+		form: kc.form, tents: kc.tents, binds: kc.binds, sets: kc.sets, census: kc.census, pos: kc.pos}
+	kstash.Put(kc)
+}
+
+// newKcompiler takes the stashed working memory, cuts every table of the
+// compile from it at the size one walk of the program body counts, and
+// computes the loops' write sets. Release it when the compile is done.
 func newKcompiler(prog *ir.Program, shift int64, rec *profile.Recorder) *kcompiler {
 	var z sizes
 	z.walk(prog.Body, 0, 1)
-	kc := &kcompiler{
-		shift: shift,
-		prog:  prog,
-		nRI:   1, nRF: 1, // ri[0]/rf[0] are permanent zeros
-		spanNext: -1,
-	}
-	kc.code = make([]kinstr, 0, codePerStmt*z.stmts)
+	kc := kstash.Take()
+	kc.shift, kc.prog, kc.nRI, kc.nRF, kc.spanNext = shift, prog, 1, 1, -1 // ri[0]/rf[0] are permanent zeros
 	kc.reports = make([]LoopReport, 0, z.loops)
-	kc.prelude = make([]kinstr, 0, z.consts[0]+z.consts[1])
 	kc.spans = make([]spanLoop, 0, z.loops)
 	kc.sites, kc.cds, kc.seed = make([]spanSite, 0, z.refs), make([]int64, 0, z.dims), make([]uint16, 0, z.dims)
 	kc.abs = make([]absVar, 0, z.loops)
@@ -457,28 +458,30 @@ func newKcompiler(prog *ir.Program, shift int64, rec *profile.Recorder) *kcompil
 		dims += len(a.Dims)
 	}
 	kc.aux = make([]auxDim, 0, dims)
-	tabs := [...]*table{&kc.cse, &kc.iconst, &kc.fconst, &kc.auxIdx} // cut from one block
+	tabs := [...]*table{&kc.cse, &kc.iconst, &kc.fconst, &kc.auxIdx}
 	ns := [...]int{tableSize(z.ops), tableSize(z.consts[0]), tableSize(z.consts[1]), tableSize(dims)}
-	block := make([]tent, ns[0]+ns[1]+ns[2]+ns[3])
-	for i, t := range tabs {
-		t.e, block = block[:ns[i]:ns[i]], block[ns[i]:]
+	kc.tents = stash.Grow(kc.tents, ns[0]+ns[1]+ns[2]+ns[3])
+	for i, block := 0, kc.tents; i < len(tabs); i++ {
+		tabs[i].e, block = block[:ns[i]:ns[i]], block[ns[i]:]
 	}
-	kc.vn, kc.trail = make([]cseFact, 0, z.ops), make([]undo, 0, z.top)
-	binds := make([]int32, prog.NInt+prog.NFloat)
-	for i := range binds {
-		binds[i] = -1
+	kc.binds = stash.Grow(kc.binds, prog.NInt+prog.NFloat)
+	for i := range kc.binds {
+		kc.binds[i] = -1
 	}
-	kc.bind, kc.fbind = binds[:prog.NInt:prog.NInt], binds[prog.NInt:]
+	kc.bind, kc.fbind = kc.binds[:prog.NInt:prog.NInt], kc.binds[prog.NInt:]
 
-	// One block holds the join set and the body's, each loop's and each depth's write set.
+	// The join set, the body's, each loop's and each depth's write set.
 	kc.iw = (prog.NInt + 63) >> 6
 	w := kc.iw + (prog.NFloat+63)>>6
-	sets := make(slotSet, (2+z.loops+z.depth)*w)
-	kc.joins, kc.written = sets[:w:w], make([]loopSet, 0, z.loops)
+	kc.sets = stash.Grow(kc.sets, (2+z.loops+z.depth)*w)
+	sets := kc.sets
+	kc.joins = sets[:w:w]
 	kc.collect(prog.Body, sets[w:2*w], sets[2*w:(2+z.loops)*w])
 	kc.pwritten, _ = kc.split(sets[w : 2*w])
-	kc.ctxs, sets = make([]kloop, z.depth), sets[(2+z.loops)*w:]
-	for i := range kc.ctxs {
+	if n := z.depth - len(kc.ctxs); n > 0 {
+		kc.ctxs = append(kc.ctxs, make([]kloop, n)...)
+	}
+	for i, sets := 0, sets[(2+z.loops)*w:]; i < z.depth; i++ {
 		kc.ctxs[i].written, kc.ctxs[i].fwritten = kc.split(sets[i*w : (i+1)*w : (i+1)*w])
 	}
 	if rec != nil {
@@ -493,13 +496,6 @@ func (kc *kcompiler) param(slot int) (int64, bool) {
 	return v, ok && !kc.pwritten.has(slot)
 }
 
-// codePerStmt sizes the instruction buffer from the statement count, so
-// that it is allocated once instead of by doubling: the NAS proxies, the
-// example kernels and the benchmark corpus lower to 6 to 17 instructions a
-// statement, labels and constant prelude included (unrolled span bodies
-// are the high end).
-const codePerStmt = 16
-
 // compile lowers body. An error is a statement cost.go rejected or a
 // *LimitError: the program exceeded one of the bytecode's tables.
 func (kc *kcompiler) compile(body []ir.Stmt) error {
@@ -511,15 +507,18 @@ func (kc *kcompiler) compile(body []ir.Stmt) error {
 	code := slices.Insert(kc.code, 0, kc.prelude...)
 	// Two passes: the second fuses across products of the first
 	// (opFMSub feeding opSetF becomes a single opFMSubS).
-	census := make([]int32, 2*(kc.nRI+kc.nRF))
-	code = kc.peephole(kc.peephole(code, census), census)
-	kc.code = assemble(code, kc.labels)
-	kc.laneLoops(census)
+	kc.census = stash.Grow(kc.census, 2*(kc.nRI+kc.nRF))
+	code = kc.peephole(kc.peephole(code, kc.census), kc.census)
+	kc.pos = stash.Grow(kc.pos, kc.labels)
+	kc.code = assemble(code, kc.pos)
+	kc.laneLoops(kc.census)
 	return nil
 }
 
+// install hands the compile's results to m, the code buffer as an exact
+// copy: the buffer itself stays with the compiler.
 func (kc *kcompiler) install(m *Artifact) {
-	m.code = kc.code
+	m.code = slices.Clone(kc.code)
 	m.aux = kc.aux
 	m.haux = kc.haux
 	m.spans = kc.spans

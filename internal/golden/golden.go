@@ -56,6 +56,13 @@ func (r *Record) Check(t testing.TB, cell string, vals ...any) {
 	}
 }
 
+// Want returns the value recorded for cell, for a test that holds a cell
+// to a bound of it instead of to it.
+func (r *Record) Want(cell string) (string, bool) {
+	v, ok := r.want[cell]
+	return v, ok
+}
+
 // Close fails a test that ran its whole matrix (no -short, no -run or -skip of
 // a subtest) on each recorded cell it did not produce; -update rewrites a
 // passing test's record, keeping the cells a partial run missed.

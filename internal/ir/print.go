@@ -3,6 +3,8 @@ package ir
 import (
 	"fmt"
 	"strconv"
+
+	"repro/internal/stash"
 )
 
 // One renderer serves Print and every String method: it appends to a
@@ -93,17 +95,16 @@ func AppendIndex(b []byte, idx []IExpr) []byte {
 	return b
 }
 
-// printBytesPerStmt sizes Print's buffer so it never regrows on the
-// programs measured: the NAS proxies, the example kernels and the
-// benchmark corpus, before and after the prefetching pass, print at most
-// 68 bytes a statement beyond 64 a declaration.
-const printBytesPerStmt = 80
+// printBuf keeps Print's buffer between calls: the largest one grown.
+var printBuf = stash.New(func(b *[]byte) int { return cap(*b) })
 
 // Print renders a program as C-like source, in the style of the paper's
 // Figure 2: loops, assignments, and the inserted prefetch/release calls.
+// It renders into the stashed buffer and allocates only the string.
 func Print(p *Program) string {
-	b := make([]byte, 0, 64*(1+len(p.Params)+len(p.Arrays))+printBytesPerStmt*CountStmts(p.Body))
-	b = append(append(append(b, "/* program "...), p.Name...), " */\n"...)
+	buf := printBuf.Take()
+	defer printBuf.Put(buf)
+	b := append(append(append((*buf)[:0], "/* program "...), p.Name...), " */\n"...)
 	for _, prm := range p.Params {
 		b = append(append(append(b, "param "...), prm.Name...), " = "...)
 		b = append(strconv.AppendInt(b, prm.Val, 10), ';')
@@ -119,8 +120,8 @@ func Print(p *Program) string {
 		}
 		b = append(appendRef(append(b, kind...), a, a.DimExprs), ";\n"...)
 	}
-	b = append(b, '\n')
-	return string(appendStmts(b, p.Body, 0))
+	*buf = appendStmts(append(b, '\n'), p.Body, 0)
+	return string(*buf)
 }
 
 func appendIndent(b []byte, depth int) []byte {

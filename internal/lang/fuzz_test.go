@@ -62,8 +62,10 @@ func TestConstantDivisionByZero(t *testing.T) {
 // 1 or later, and a program it accepts resolves, goes through the
 // prefetching pass and assembles to bytecode, before and after the pass,
 // without panicking. The compile stages run only on inputs up to 2 KB to
-// keep an execution cheap. The seeds are the checked-in programs and the
-// sources of the error tables.
+// keep an execution cheap. Every Parse, a syntax error's recovered panic
+// included, puts the parser it took, token buffer and all, back in the
+// stash, emptied. The seeds are the checked-in programs and the sources
+// of the error tables.
 func FuzzParse(f *testing.F) {
 	for _, c := range errorCases {
 		f.Add(c.src)
@@ -86,7 +88,14 @@ func FuzzParse(f *testing.F) {
 	}
 	machine := hw.Default()
 	f.Fuzz(func(t *testing.T, src string) {
+		kept := pstash.Take()
+		pstash.Put(kept)
 		prog, err := Parse(src)
+		if back := pstash.Take(); back != kept || len(back.toks) != 0 || len(back.syms) != 0 {
+			t.Fatalf("Parse did not put its parser back emptied: %p, was %p, %d tokens, %d symbols", back, kept, len(back.toks), len(back.syms))
+		} else {
+			pstash.Put(back)
+		}
 		if err != nil {
 			if le, ok := err.(*Error); !ok || le.Line < 1 || le.Col < 1 {
 				t.Fatalf("Parse error %v (%T) is not a positioned *Error", err, err)

@@ -297,6 +297,8 @@ func TestErrorsHavePositions(t *testing.T) {
 		// A bad literal is reported where it starts.
 		{"program p\nparam n = 99999999999999999999\n", 2, 11},
 		{"program p\nparam n = 1e999\n", 2, 11},
+		// An unterminated block comment is reported where it opens.
+		{"program p\n  /* open\n", 2, 3},
 	} {
 		_, err := Parse(c.src)
 		le, ok := err.(*Error)

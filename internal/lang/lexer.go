@@ -72,16 +72,15 @@ type lexer struct {
 
 var punct2 = []string{"<<", ">>", "<=", ">=", "==", "!=", "&&", "||", ".."}
 
-func lex(src string) ([]token, error) {
+// lex returns src's tokens, filling toks from its start: Parse hands in
+// the buffer of the parses before it, and takes back what this one grew.
+func lex(src string, toks []token) ([]token, error) {
 	lx := &lexer{src: src, line: 1, col: 1}
-	// Room for a token every two bytes of source (the example and
-	// benchmark kernels take 3 to 7), so the slice is allocated once
-	// instead of grown by doubling.
-	toks := make([]token, 0, len(src)/2+1)
+	toks = toks[:0]
 	for {
 		t, err := lx.next()
 		if err != nil {
-			return nil, err
+			return toks, err
 		}
 		toks = append(toks, t)
 		if t.kind == tEOF {
@@ -90,8 +89,8 @@ func lex(src string) ([]token, error) {
 	}
 }
 
-// errorf reports an error at the lexer's position; a literal's error is
-// at the literal's start instead (errorAt).
+// errorf reports an error at the lexer's position; a literal's or a block
+// comment's error is at its start instead (errorAt).
 func (l *lexer) errorf(format string, args ...interface{}) error {
 	return errorAt(l.line, l.col, format, args...)
 }
@@ -130,13 +129,14 @@ func (l *lexer) next() (token, error) {
 				l.advance()
 			}
 		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '*':
+			line, col := l.line, l.col
 			l.advance()
 			l.advance()
 			for l.pos+1 < len(l.src) && !(l.peekByte() == '*' && l.src[l.pos+1] == '/') {
 				l.advance()
 			}
 			if l.pos+1 >= len(l.src) {
-				return token{}, l.errorf("unterminated block comment")
+				return token{}, errorAt(line, col, "unterminated block comment")
 			}
 			l.advance()
 			l.advance()

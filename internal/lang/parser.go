@@ -4,17 +4,16 @@ import (
 	"fmt"
 
 	"repro/internal/ir"
+	"repro/internal/stash"
 )
 
 // Parse compiles source text to a loop-nest IR program.
 func Parse(src string) (prog *ir.Program, err error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, syms: map[string]symbol{}, ops: make([]operand, 0, 8)}
+	p := pstash.Take()
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		p.release()
+		if r != nil {
 			se, ok := r.(syntaxError)
 			if !ok {
 				panic(r)
@@ -22,11 +21,30 @@ func Parse(src string) (prog *ir.Program, err error) {
 			prog, err = nil, se.err
 		}
 	}()
+	if p.toks, err = lex(src, p.toks); err != nil {
+		return nil, err
+	}
+	if p.syms == nil {
+		p.syms = map[string]symbol{}
+	}
 	p.program()
 	if !p.fault.ok() {
 		return nil, p.fault.err()
 	}
 	return p.prog, nil
+}
+
+// pstash keeps a parse's working memory for the next: the parser with its
+// token buffer, symbol table and stacks. None of it is referenced once
+// Parse returns: a token is read by value, and what the IR keeps of one —
+// a name — is a substring of the source.
+var pstash = stash.New(func(p *parser) int { return cap(p.toks) })
+
+// release empties p, keeping its storage, and puts it back in the stash.
+func (p *parser) release() {
+	clear(p.syms)
+	*p = parser{toks: p.toks[:0], syms: p.syms, loops: p.loops[:0], ops: p.ops[:0]}
+	pstash.Put(p)
 }
 
 // MustParse is Parse for compiled-in kernel sources; it panics on error.

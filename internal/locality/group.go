@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/ir"
+	"repro/internal/stash"
 )
 
 // group clusters dense references with group locality. References belong
@@ -15,8 +16,9 @@ import (
 // first, in reference order; the dense groups follow, their buckets in
 // first-seen order. Every group's members are cut from one slice.
 func (a *Analysis) group() {
-	members := make([]*Ref, 0, len(a.Refs))
-	a.Groups = make([]Group, 0, len(a.Refs))
+	a.members = stash.Grow(a.members, len(a.Refs))[:0]
+	members := a.members
+	a.Groups = stash.Grow(a.Groups, len(a.Refs))[:0]
 	for i := range a.Refs {
 		if r := &a.Refs[i]; r.Kind != Dense {
 			members = append(members, r)

@@ -11,6 +11,7 @@ package locality
 
 import (
 	"repro/internal/ir"
+	"repro/internal/stash"
 )
 
 // RefKind classifies a reference for prefetch planning.
@@ -100,8 +101,9 @@ type Analysis struct {
 	// The arenas every Ref's Terms and IndirectSlots are cut from, each
 	// cut a full slice expression: an append that moves an arena leaves
 	// the cuts made earlier on the old array, which nothing writes again.
-	terms []ir.Term
-	slots []int
+	terms   []ir.Term
+	slots   []int
+	members []*Ref // every group's members, cut in group order
 }
 
 // Group is a set of references with group locality: same array, same
@@ -119,18 +121,29 @@ type Group struct {
 // Analyze runs the analysis over a program's body. The program must be
 // resolved (array layouts fixed). defaultEstTrip controls the assumed
 // trip count of loops with unknown bounds; pass 0 for the standard 1024.
+// The analysis is cut from the storage the last Release handed back, if
+// no other analysis has taken it since.
 func Analyze(p *ir.Program, pageSize, defaultEstTrip int64) *Analysis {
 	if defaultEstTrip <= 0 {
 		defaultEstTrip = 1024
 	}
-	a := &Analysis{
-		Prog:           p,
-		PageSize:       pageSize,
-		DefaultEstTrip: defaultEstTrip,
-	}
+	a := astash.Take()
+	a.Prog, a.PageSize, a.DefaultEstTrip = p, pageSize, defaultEstTrip
 	ir.WalkRefs(p.Body, a.addRef)
 	a.group()
 	return a
+}
+
+// astash keeps the storage of a released analysis for the next Analyze.
+var astash = stash.New(func(a *Analysis) int { return cap(a.Refs) })
+
+// Release empties a, keeping its storage, and hands it to a later Analyze:
+// the caller is done with a and with every Ref and Group it read from it.
+// A caller that keeps its analysis simply does not release it.
+func (a *Analysis) Release() {
+	*a = Analysis{Refs: a.Refs[:0], Groups: a.Groups[:0], lo: a.lo, hi: a.hi,
+		terms: a.terms[:0], slots: a.slots[:0], members: a.members[:0]}
+	astash.Put(a)
 }
 
 // known binds the parameters the compiler may see to their values. It

@@ -7,7 +7,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/compiler"
@@ -45,6 +48,35 @@ func compileInputs(t *testing.T) map[string]func() *ir.Program {
 		}
 	}
 	return progs
+}
+
+// compileSources returns the source text of every one of the 13 inputs, by
+// name: a NAS source is generated text private to its builder, so the
+// parse memo is emptied, the app built, and the one key left is its
+// source.
+func compileSources(t *testing.T) map[string]string {
+	srcs := map[string]string{}
+	for _, app := range Apps() {
+		parseMu.Lock()
+		clear(parseCache)
+		parseMu.Unlock()
+		app.Build(0.25)
+		for k := range parseCache {
+			srcs[app.Name] = k
+		}
+	}
+	files, err := filepath.Glob("../../examples/kernels/*.loop")
+	if err != nil || len(files) != 5 {
+		t.Fatalf("example kernel corpus: %d files, err %v", len(files), err)
+	}
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[filepath.Base(path)] = string(src)
+	}
+	return srcs
 }
 
 // TestPrintPinned: the printed program — Figure 2 regenerated, and the
@@ -111,56 +143,36 @@ func TestTwoVersionCompilesAsIfKnown(t *testing.T) {
 	}
 }
 
-// compileAllocBudget is, per input, the allocations of one call of each
-// compile stage — lang.Parse, Program.Resolve of a resolved program,
-// Program.Clone, locality.Analyze, compiler.Compile, exec.Compile,
-// ir.Print — as measured on budgetGo when the front end parsed straight
-// to IR, and the analysis and the executor's compile looked their
-// parameter bindings up in the program instead of copying them into maps
-// (before: FFT 2152, 0, 102, 34, 581, 50 and 2; APPBT 434, 0, 36, 26, 92,
-// 45 and 2).
-var compileAllocBudget = map[string][7]float64{
-	"FFT":         {713, 0, 102, 29, 576, 45, 2},
-	"APPBT":       {145, 0, 36, 24, 90, 43, 2},
-	"BUK":         {68, 0, 24, 21, 105, 28, 2},
-	"matmul.loop": {57, 0, 18, 19, 82, 26, 2},
-}
-
-// budgetGo is the Go minor the budgets were measured on. There every count
-// is held exactly; on another minor (CI's older leg) each stage may take a
-// tenth more, and ir.Print its buffer and its result.
+// budgetGo is the Go minor testdata/compile_allocs.golden was recorded
+// on. There every cell is held exactly; on another minor (CI's older leg)
+// each stage may take a tenth more objects and bytes, and ir.Print up to
+// four objects.
 const budgetGo = "go1.24"
 
-// TestCompileAllocBudget holds each compile stage to its measured
-// allocation count.
+// TestCompileAllocBudget holds each compile stage — lang.Parse,
+// Program.Resolve of a resolved program, Program.Clone, locality.Analyze
+// with the analysis released as compiler.Compile releases its own,
+// compiler.Compile, exec.Compile and ir.Print — to the objects and bytes
+// one call allocates, after a first call has grown the stage's stashed
+// working memory to what the input needs: cells <input>/<stage>/objects
+// and <input>/<stage>/bytes of testdata/compile_allocs.golden.
 func TestCompileAllocBudget(t *testing.T) {
 	// The first collection of the process starts the collector's worker
 	// goroutines, whose allocations would land in whichever stage it
 	// interrupts.
 	runtime.GC()
 	exact := strings.HasPrefix(runtime.Version()+".", budgetGo+".")
+	var rec *golden.Record
+	if exact {
+		rec = golden.Open(t, "testdata/compile_allocs.golden")
+		defer rec.Close()
+	} else {
+		rec = golden.Read(t, "testdata/compile_allocs.golden")
+	}
 	machine := hw.Default()
-	inputs := compileInputs(t)
+	inputs, srcs := compileInputs(t), compileSources(t)
 	for _, name := range []string{"FFT", "APPBT", "BUK", "matmul.loop"} {
-		var src string
-		if app := ByName(name); app != nil {
-			// A NAS source is generated text private to its builder: empty
-			// the parse memo, build, and the one key left is the source.
-			parseMu.Lock()
-			clear(parseCache)
-			parseMu.Unlock()
-			app.Build(0.25)
-			for k := range parseCache {
-				src = k
-			}
-		} else {
-			data, err := os.ReadFile("../../examples/kernels/" + name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src = string(data)
-		}
-		prog := inputs[name]()
+		src, prog := srcs[name], inputs[name]()
 		if err := prog.Resolve(machine.PageSize); err != nil {
 			t.Fatal(err)
 		}
@@ -175,26 +187,128 @@ func TestCompileAllocBudget(t *testing.T) {
 			{"lang.Parse", func() { lang.MustParse(src) }},
 			{"Program.Resolve", func() { prog.Resolve(machine.PageSize) }},
 			{"Clone", func() { prog.Clone() }},
-			{"locality.Analyze", func() { locality.Analyze(prog, machine.PageSize, 0) }},
+			{"locality.Analyze", func() { locality.Analyze(prog, machine.PageSize, 0).Release() }},
 			{"compiler.Compile", func() { compiler.Compile(prog, machine, compiler.DefaultOptions()) }},
 			{"exec.Compile", func() { exec.Compile(res.Prog, machine.PageSize, exec.Options{}) }},
 			{"ir.Print", func() { ir.Print(res.Prog) }},
 		}
-		var got [7]float64
-		for i, st := range stages {
-			got[i] = testing.AllocsPerRun(5, st.run)
-			want := compileAllocBudget[name][i]
-			switch {
-			case exact && got[i] != want:
-				t.Errorf("%s: %s allocates %.0f objects, measured %.0f on %s", name, st.name, got[i], want, budgetGo)
-			case !exact && st.name == "ir.Print" && got[i] > 4:
-				t.Errorf("%s: %s allocates %.0f objects, budget 4", name, st.name, got[i])
-			case !exact && st.name != "ir.Print" && got[i] > want*1.1:
-				t.Errorf("%s: %s allocates %.0f objects, budget %.0f", name, st.name, got[i], want*1.1)
+		for _, st := range stages {
+			objects, bytes := allocsPerCall(5, st.run)
+			for _, c := range []struct {
+				unit string
+				got  uint64
+			}{{"objects", objects}, {"bytes", bytes}} {
+				cell := name + "/" + st.name + "/" + c.unit
+				if exact {
+					rec.Check(t, cell, c.got)
+					continue
+				}
+				v, _ := rec.Want(cell)
+				want, err := strconv.ParseUint(v, 10, 64)
+				switch {
+				case err != nil:
+					t.Errorf("%s: recorded %q: %v", cell, v, err)
+				case st.name == "ir.Print" && c.unit == "objects" && c.got > 4:
+					t.Errorf("%s: %d, budget 4", cell, c.got)
+				case !(st.name == "ir.Print" && c.unit == "objects") && float64(c.got) > float64(want)*1.1:
+					t.Errorf("%s: %d, budget %.0f (%d on %s)", cell, c.got, float64(want)*1.1, want, budgetGo)
+				}
 			}
 		}
-		t.Logf("%q: {%.0f, %.0f, %.0f, %.0f, %.0f, %.0f, %.0f},", name, got[0], got[1], got[2], got[3], got[4], got[5], got[6])
 	}
+}
+
+// allocsPerCall is testing.AllocsPerRun for objects and bytes: after one
+// call of f, the objects and bytes the next runs calls allocate, per call.
+func allocsPerCall(runs int, f func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestConcurrentCompiles: four goroutines at once take the 13 inputs'
+// sources through the compile path — lang.Parse, Resolve,
+// compiler.Compile, exec.Compile, ir.Print — each from another input on,
+// and each gets what a sequential run got: the printed program, and the
+// artifact, bytecode, side tables and loop reports, deeply equal. Each
+// stage keeps its working memory in a one-slot stash, so here calls find
+// it held by another and work on their own; the locality stash is held by
+// the test throughout, so every analysis in the goroutines is of that kind.
+func TestConcurrentCompiles(t *testing.T) {
+	machine := hw.Default()
+	srcs := compileSources(t)
+	var names []string
+	for name := range srcs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	type output struct {
+		printed string
+		art     *exec.Artifact
+	}
+	compile := func(name string) (output, error) {
+		prog, err := lang.Parse(srcs[name])
+		if err != nil {
+			return output{}, err
+		}
+		if err := prog.Resolve(machine.PageSize); err != nil {
+			return output{}, err
+		}
+		res, err := compiler.Compile(prog, machine, compiler.DefaultOptions())
+		if err != nil {
+			return output{}, err
+		}
+		art, err := exec.Compile(res.Prog, machine.PageSize, exec.Options{})
+		if err != nil {
+			return output{}, err
+		}
+		return output{ir.Print(res.Prog), art}, nil
+	}
+	want := map[string]output{}
+	for _, name := range names {
+		out, err := compile(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want[name] = out
+	}
+
+	prog, err := lang.Parse(srcs["FFT"])
+	if err != nil || prog.Resolve(machine.PageSize) != nil {
+		t.Fatalf("FFT: %v", err)
+	}
+	held := locality.Analyze(prog, machine.PageSize, 0)
+	defer held.Release()
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := range names {
+				name := names[(i+3*g)%len(names)]
+				got, err := compile(name)
+				switch {
+				case err != nil:
+					t.Errorf("goroutine %d, %s: %v", g, name, err)
+				case got.printed != want[name].printed:
+					t.Errorf("goroutine %d, %s: printed\n%s\nsequentially\n%s", g, name, got.printed, want[name].printed)
+				case !reflect.DeepEqual(got.art, want[name].art):
+					t.Errorf("goroutine %d, %s: the artifact differs from the sequential run's (reports %+v, sequentially %+v)",
+						g, name, got.art.Reports(), want[name].art.Reports())
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }
 
 // TestCloneIsIndependent: a clone shares no list with its original, and
