@@ -3,32 +3,16 @@ GO ?= go
 # staticcheck is pinned so every machine runs the same analysis.
 STATICCHECK_VERSION ?= 2025.1.1
 
-# The benchmark gate covers the observability substrate, the VM hot
-# paths (per-element and page-run), the storage backends' fault-free
-# service cycle, the end-to-end kernel host-time figures (static and
-# profile-guided), the multi-tenant scheduler's steady-state step, a
-# tenant's departure (final write-back plus the output hash, itself
-# gated as BenchmarkHashPages) and a whole server's life on recycled
-# pages, and the profile recorder's observation step (steady-state
-# step, hash and recorder must stay zero-alloc) —
-# regressions here mean the tracer/registry layer, the device engine, the
-# executor fast path, the tenant scheduler, the output hash, or the
-# pass-1 recorder leaked cost into every simulated event.
-BENCH_PKGS = ./internal/obs ./internal/vm ./internal/disk ./internal/bench ./internal/tenant ./internal/profile
-# -count 3 with benchdiff keeping each benchmark's fastest run damps
-# allocator and scheduler noise enough for a 15% gate.
-BENCH_FLAGS = -bench=. -benchmem -benchtime 200ms -count 3 -run '^$$'
-
-.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz tally repin test-faults test-exec test-compile test-harness test-backends test-tenants test-profile loc loc-check bench bench-check bench-baseline
+.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz tally repin test-faults test-exec test-compile test-harness test-backends test-tenants test-profile loc loc-check doc-check bench-check
 
 # ci is the gate: formatting, static checks, the executor's line cap,
-# build, tests (the root module's and the benchmark module's), the
+# the documents' line caps, build, tests (the root module's and the benchmark module's), the
 # race-detector pass over the concurrent surfaces, and a short-budget fuzz
 # of the fault plane, the front end, the lane-wise span chunks, the two
 # executors and the VM's free list. The
 # focused test-* targets below are subsets of `test`, kept for quick
 # stand-alone runs and as separate workflow jobs.
-ci: fmt-check vet staticcheck loc-check build test test-benchmark race fuzz
+ci: fmt-check vet staticcheck loc-check doc-check build test test-benchmark race fuzz
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -131,8 +115,9 @@ tally:
 RECORDS = internal/*/testdata internal/fault/harness/testdata
 repin:
 	$(GO) test ./internal/exec/ -run 'TestFastPathEquivalence|TestBytecodePinned' -count 1 -update
-	$(GO) test ./internal/fault/harness/ ./internal/nas/ ./internal/core/ ./internal/bench/ ./internal/tenant/ ./internal/locality/ ./internal/lang/ -count 1 -update \
-		-run 'TestFastPathEquivalence|TestRequeueGolden|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare|TestPrintPinned|TestCompileAllocBudget|TestTraceGolden|TestMetricsGolden|TestDepartureWithReadsInFlight|TestRefsGolden|TestParseRecord'
+	$(GO) test ./internal/fault/harness/ ./internal/nas/ ./internal/core/ ./internal/bench/ ./internal/tenant/ ./internal/locality/ ./internal/lang/ \
+		./internal/obs/ ./internal/vm/ ./internal/disk/ ./internal/profile/ -count 1 -update \
+		-run 'TestFastPathEquivalence|TestRequeueGolden|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare|TestPrintPinned|TestCompileAllocBudget|TestTraceGolden|TestMetricsGolden|TestDepartureWithReadsInFlight|TestRefsGolden|TestParseRecord|TestBenchmarkAllocs|TestTenantAllocBudget|TestRunObservabilityAllocBudget'
 	$(GO) test -tags exectally ./internal/bench/ -run TestDispatchCorpus -count 1 -update
 	@git diff --stat -- $(RECORDS)
 	@git diff -U0 --word-diff -- $(RECORDS)
@@ -167,8 +152,9 @@ test-backends:
 # (residency-independent, sensitive to any bit, word swap or page swap,
 # equal to its word-at-a-time definition), and the page life cycle: a
 # departure with reads in flight pinned to the parent's ticks, a second
-# server allocating under 5 % of the first, a job's admission and
-# departure held to an allocation budget (TestTenantAllocBudget), a
+# server allocating under 5 % of the first, the objects a job's admission
+# and departure, a scheduler step, a departure and a server's life
+# allocate held exactly (TestTenantAllocBudget), a
 # write-back after retirement charged its time and carrying no bytes,
 # any other use after retirement loud, and the proof that recycled frames
 # and page buffers need no zeroing (a run on poisoned memory equals one
@@ -178,7 +164,6 @@ test-tenants:
 	$(GO) test ./internal/disk/ -run TestQoS
 	$(GO) test ./internal/vm/ -run 'TestReclaim|TestQuota|TestPool|TestHash|TestFingerprint|TestTouchEpisodeBothDrivers'
 	$(GO) test ./internal/stripefs/ -run 'TestDiscard|TestFSAdoptsDirtyPageBufs|TestPageBufSlab'
-	$(GO) test ./cmd/benchdiff/
 
 # test-profile runs the two-pass profile-guided gate: the artifact
 # round trip and typed error surface, recorder accounting, site-key
@@ -215,14 +200,15 @@ test-profile:
 # a default or recording compile), the structural property that no NAS
 # artifact carries a closure call, the compile-once plan cache
 # (hit/miss/cold tick-identical across NAS × tiers × fault profiles,
-# invalidation by key), and the benchdiff allocs/op gate that holds the
-# zero-alloc write-back path.
+# invalidation by key), and the exact HostTimeNAS/FFT cell of
+# internal/bench/testdata/allocs.golden, which holds the zero-alloc
+# write-back path.
 test-exec:
 	$(GO) test ./internal/fault/harness/ -run 'TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare'
 	$(GO) test ./internal/exec/ -run 'TestHint|TestFastPath|TestNest|TestNASAbsorbingLoops|TestArtifact|TestCompile|TestRecording|TestLane|TestOpcodeTable|TestProfileGuided|TestTrapText|FuzzSpanLanes|FuzzExecutors'
 	$(GO) test ./internal/nas/ -run TestNASHintSitesEmitNoClosureCalls -count 1
 	$(GO) test ./internal/core/ -run 'TestPlanCache|TestRunLimitReturnsTypedError' -count 1
-	$(GO) test ./cmd/benchdiff/
+	$(GO) test ./internal/bench/ -run TestBenchmarkAllocs -count 1
 
 # test-compile runs the compile-path gate (DESIGN.md §11): the printed
 # program and the assembled bytecode of the 8 NAS proxies and the 5
@@ -287,20 +273,23 @@ loc-check:
 	fi; \
 	echo "internal/exec: $$n lines of non-test Go (cap $(EXEC_LOC_MAX))"
 
-bench:
-	$(GO) test -bench=. -benchmem -run '^$$' .
+# doc-check fails when DESIGN.md or EXPERIMENTS.md is longer than its cap:
+# the ratchet of ROADMAP item 8. A change that cuts a document lowers its
+# cap; one that needs more room deletes it elsewhere.
+DESIGN_MAX = 1439
+EXPERIMENTS_MAX = 1608
+doc-check:
+	@fail=0; for d in DESIGN.md:$(DESIGN_MAX) EXPERIMENTS.md:$(EXPERIMENTS_MAX); do \
+		n=$$(wc -l < $${d%:*}); echo "$${d%:*}: $$n lines (cap $${d#*:})"; \
+		if [ $$n -gt $${d#*:} ]; then echo "$${d%:*}: over its cap"; fail=1; fi; \
+	done; exit $$fail
 
-# bench-check records the benchmark gate's current figures and fails on
-# any >15% ns/op regression against the committed baseline (exit 1), a
-# zero-alloc benchmark that now allocates (exit 1), or a baseline
-# benchmark missing from the run (exit 3 — refresh the baseline). The
-# Markdown summary feeds the CI job summary and artifact.
+# bench-check is CI's host-time gate: scripts/bench-pair.sh runs each
+# workload of the end-to-end benchmark on the base (the merge base with
+# origin/main, or HEAD~1 on main) and on this tree in three alternating
+# pairs, judges each pair with benchmark/'s -compare (IQR verdict,
+# BENCHMARK.json bounds) and fails a workload whose three pairs all fail.
+# Allocation counts are exact cells under internal/*/testdata, held by
+# `make test`.
 bench-check:
-	$(GO) test $(BENCH_FLAGS) $(BENCH_PKGS) | $(GO) run ./cmd/benchdiff -record BENCH_ci.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_ci.json -threshold 15 -summary BENCH_summary.md
-
-# bench-baseline refreshes the committed baseline; run it on the
-# reference machine after an intentional performance change and commit
-# the result.
-bench-baseline:
-	$(GO) test $(BENCH_FLAGS) $(BENCH_PKGS) | $(GO) run ./cmd/benchdiff -record BENCH_baseline.json
+	bash scripts/bench-pair.sh

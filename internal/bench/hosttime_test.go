@@ -1,77 +1,109 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/golden"
+	"repro/internal/hw"
 	"repro/internal/nas"
+	"repro/internal/sim"
+	"repro/internal/stripefs"
+	"repro/internal/vm"
 )
 
-// BenchmarkKernelHostTime measures the host (wall-clock) cost of one
-// complete end-to-end run — compile, simulate, validate nothing — of a
-// small CG proxy in the standard prefetching configuration. This is the
-// figure the executor's page-run fast path exists to improve; the other
-// benchmarks in the gate isolate its per-word components.
-func BenchmarkKernelHostTime(b *testing.B) {
-	benchHostTime(b, nas.CGM(), 0.1, 2)
+// hostTime is one complete end-to-end run of app — compile, simulate,
+// validate nothing — in its standard configuration at scale.
+func hostTime(tb testing.TB, app *nas.App, scale, ratio float64) func() {
+	cfg, _, err := ConfigFor(app, scale, ratio)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		if _, err := core.Run(app.Build(scale), cfg); err != nil {
+			tb.Fatal(err)
+		}
+	}
 }
 
-// BenchmarkKernelHostTimeProfileUse is BenchmarkKernelHostTime in the
-// two-pass mode: the profile is recorded once outside the timer, and
-// every timed iteration compiles and runs with it. Guiding the compiler
-// from a profile must cost no more on the host than the static
-// distance model it replaces — the lookup is one map probe per
+// kernelHostTime is hostTime of a small CG proxy in the standard
+// prefetching configuration: the figure the executor's page-run fast path
+// exists to improve; the substrate benchmarks isolate its per-word
+// components.
+func kernelHostTime(tb testing.TB) func() { return hostTime(tb, nas.CGM(), 0.1, 2) }
+
+// kernelHostTimeProfileUse is kernelHostTime in the two-pass mode: the
+// profile is recorded once, and every op compiles and runs with it.
+// Guiding the compiler from a profile must cost no more on the host than
+// the static distance model it replaces — the lookup is one map probe per
 // reference site at compile time and nothing at run time.
-func BenchmarkKernelHostTimeProfileUse(b *testing.B) {
+func kernelHostTimeProfileUse(tb testing.TB) func() {
 	app := nas.CGM()
 	const scale, ratio = 0.1, 2
 	cfg, _, err := ConfigFor(app, scale, ratio)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-
 	rcfg := cfg
 	rcfg.Prefetch = false
 	rcfg.Profile = &core.ProfileSpec{Record: true}
 	rec, err := core.Run(app.Build(scale), rcfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg.Profile = &core.ProfileSpec{Use: rec.Profile}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prog := app.Build(scale)
-		if _, err := core.Run(prog, cfg); err != nil {
-			b.Fatal(err)
+	return func() {
+		if _, err := core.Run(app.Build(scale), cfg); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }
+
+func bench(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+func BenchmarkKernelHostTime(b *testing.B)           { bench(b, kernelHostTime(b)) }
+func BenchmarkKernelHostTimeProfileUse(b *testing.B) { bench(b, kernelHostTimeProfileUse(b)) }
 
 // BenchmarkHostTimeNAS is the per-application host-time matrix: every
 // NAS proxy end-to-end at a reduced scale, so a regression localized to
 // one app's loop shapes (indirect gather, 2-D nests, branches, FFT's
-// non-affine stages) shows up under its own name in the bench gate.
+// non-affine stages) shows up under its own name.
 func BenchmarkHostTimeNAS(b *testing.B) {
 	for _, app := range nas.Apps() {
-		b.Run(app.Name, func(b *testing.B) {
-			benchHostTime(b, app, 0.05, 0)
-		})
+		b.Run(app.Name, func(b *testing.B) { bench(b, hostTime(b, app, 0.05, 0)) })
 	}
 }
 
-func benchHostTime(b *testing.B, app *nas.App, scale, ratio float64) {
-	cfg, _, err := ConfigFor(app, scale, ratio)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prog := app.Build(scale)
-		if _, err := core.Run(prog, cfg); err != nil {
-			b.Fatal(err)
+// TestBenchmarkAllocs holds what one op of each benchmark of this package
+// allocates to testdata/allocs.golden. A run's allocations depend on what
+// earlier runs left in the process-wide recyclers — stripefs's page buffers
+// and request objects, vm's frame slab — and on where the collector's
+// cycles fall, so each round of a count starts with the recyclers empty and
+// the heap collected.
+func TestBenchmarkAllocs(t *testing.T) {
+	rec := golden.OpenAllocs(t, "testdata/allocs.golden")
+	defer rec.Close()
+	fresh := func(build func(testing.TB) func()) func() func() {
+		return func() func() {
+			m := hw.Default()
+			m.MemoryBytes = 16 * m.PageSize
+			stripefs.New(sim.NewClock(), m, nil)
+			vm.NewPool(sim.NewClock(), m)
+			runtime.GC()
+			return build(t)
 		}
+	}
+	rec.Allocs(t, "CompileFlow", 2, fresh(compileFlow))
+	rec.Allocs(t, "KernelHostTime", 2, fresh(kernelHostTime))
+	rec.Allocs(t, "KernelHostTimeProfileUse", 2, fresh(kernelHostTimeProfileUse))
+	for _, app := range nas.Apps() {
+		rec.Allocs(t, "HostTimeNAS/"+app.Name, 2, fresh(func(tb testing.TB) func() { return hostTime(tb, app, 0.05, 0) }))
 	}
 }

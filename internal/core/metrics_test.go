@@ -3,11 +3,17 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/golden"
+	"repro/internal/hw"
 	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/stripefs"
+	"repro/internal/vm"
 )
 
 // streamRun is the stream program, parsed afresh (a run resolves its
@@ -22,21 +28,28 @@ func streamRun(t *testing.T) (*ir.Program, Config) {
 // TestRunObservabilityAllocBudget: a run's metrics cost it one source
 // per layer and device, registered at construction, not one counter and
 // map entry per metric name. A small warm run (plan cache hit, recycled
-// frame slab and page buffers) is held to its measured allocation count
-// plus a tenth; when each of its 103 metric names was a counter of its
-// own, the same run allocated 207.
+// frame slab and page buffers) is held to its count of objects, the cell
+// WarmRun of testdata/allocs.golden; when each of its 103 metric names
+// was a counter of its own, the same run allocated 207. A run's
+// allocations depend on what earlier runs left in the process-wide
+// recyclers and on where the collector's cycles fall, so each round starts
+// with the recyclers empty and the heap collected.
 func TestRunObservabilityAllocBudget(t *testing.T) {
-	prog, cfg := streamRun(t)
-	got := testing.AllocsPerRun(10, func() {
-		if _, err := Run(prog, cfg); err != nil {
-			t.Fatal(err)
+	rec := golden.OpenAllocs(t, "testdata/allocs.golden")
+	defer rec.Close()
+	rec.Allocs(t, "WarmRun", 10, func() func() {
+		m := hw.Default()
+		m.MemoryBytes = 16 * m.PageSize
+		stripefs.New(sim.NewClock(), m, nil)
+		vm.NewPool(sim.NewClock(), m)
+		runtime.GC()
+		prog, cfg := streamRun(t)
+		return func() {
+			if _, err := Run(prog, cfg); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
-	const measured = 112
-	t.Logf("a warm run allocates %.0f objects", got)
-	if got > measured*1.1 {
-		t.Errorf("a warm run allocates %.0f objects, budget %.0f", got, measured*1.1)
-	}
 }
 
 // TestConcurrentMergeMatchesSerial is the harness's pattern under the

@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -21,6 +24,7 @@ type Record struct {
 	t         testing.TB
 	path      string
 	write     bool
+	loose     bool // an allocation record off the build it was made on
 	want, got map[string]string
 }
 
@@ -56,18 +60,12 @@ func (r *Record) Check(t testing.TB, cell string, vals ...any) {
 	}
 }
 
-// Want returns the value recorded for cell, for a test that holds a cell
-// to a bound of it instead of to it.
-func (r *Record) Want(cell string) (string, bool) {
-	v, ok := r.want[cell]
-	return v, ok
-}
-
 // Close fails a test that ran its whole matrix (no -short, no -run or -skip of
-// a subtest) on each recorded cell it did not produce; -update rewrites a
-// passing test's record, keeping the cells a partial run missed.
+// a subtest) on each recorded cell it did not produce, unless the record is a
+// loose one; -update rewrites a passing test's record, keeping the cells a
+// partial run missed.
 func (r *Record) Close() {
-	whole := !testing.Short() && !strings.Contains(flag.Lookup("test.run").Value.String()+flag.Lookup("test.skip").Value.String(), "/")
+	whole := !r.loose && !testing.Short() && !strings.Contains(flag.Lookup("test.run").Value.String()+flag.Lookup("test.skip").Value.String(), "/")
 	for c, v := range r.want {
 		if _, ok := r.got[c]; !ok && !whole {
 			r.got[c] = v
@@ -85,6 +83,57 @@ func (r *Record) Close() {
 			r.t.Fatalf("golden: %v", err)
 		}
 	}
+}
+
+// allocGo is the Go minor allocation records are made on, without the race
+// detector. There a count is held to its cell exactly and -update rewrites
+// it; on any other build the record is only read, and a count may exceed
+// its cell by a tenth.
+const allocGo = "go1.24"
+
+// OpenAllocs opens a record of allocation counts, held by CheckAllocs.
+func OpenAllocs(t testing.TB, path string) *Record {
+	bi, _ := debug.ReadBuildInfo()
+	if strings.HasPrefix(runtime.Version()+".", allocGo+".") && (bi == nil || !slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})) {
+		return Open(t, path)
+	}
+	r := Read(t, path)
+	r.loose = true
+	return r
+}
+
+// Exact reports whether r holds its allocation counts exactly.
+func (r *Record) Exact() bool { return !r.loose }
+
+// CheckAllocs holds cell to counts, what one op allocated in each round of
+// a measurement: the rounds must agree and equal the cell, or on a loose
+// record each be at most a tenth above it. Zero stays zero.
+func (r *Record) CheckAllocs(t testing.TB, cell string, counts ...uint64) {
+	t.Helper()
+	n := slices.Max(counts)
+	if !r.loose {
+		if n != slices.Min(counts) {
+			t.Errorf("%s: cell %s: rounds allocated %v: the count does not repeat", r.path, cell, counts)
+		}
+		r.Check(t, cell, n)
+		return
+	}
+	want := r.want[cell]
+	if w, err := strconv.ParseUint(want, 10, 64); err != nil || float64(n) > float64(w)*1.1 {
+		t.Errorf("%s: cell %s: got %d, over a tenth above %s, recorded on %s", r.path, cell, n, cmp.Or(want, "(none)"), allocGo)
+	}
+}
+
+// Allocs holds cell to the objects one call of an op allocates, measured as
+// testing.AllocsPerRun(runs, op) in each of three rounds, each on a fresh
+// op from build.
+func (r *Record) Allocs(t testing.TB, cell string, runs int, build func() func()) {
+	t.Helper()
+	counts := make([]uint64, 3)
+	for i := range counts {
+		counts[i] = uint64(testing.AllocsPerRun(runs, build()))
+	}
+	r.CheckAllocs(t, cell, counts...)
 }
 
 // Fields prints the fields of each struct in vals as Name=%#v pairs: no String

@@ -166,6 +166,41 @@ func TestHandEditsAreRefused(t *testing.T) {
 	}
 }
 
+// TestAllocationRule: a count is held to its cell exactly, or on a loose
+// record (another Go minor, or -race) to its cell plus a tenth, and the
+// rounds of a measurement must agree. Zero stays zero either way.
+func TestAllocationRule(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r.golden")
+	pin(path, true, "a 100", "z 0")
+	for _, tc := range []struct {
+		loose  bool
+		cell   string
+		counts []uint64
+		fails  bool
+	}{
+		{false, "a", []uint64{100, 100, 100}, false},
+		{false, "a", []uint64{99}, true},
+		{false, "a", []uint64{100, 101, 100}, true},
+		{false, "z", []uint64{0}, false},
+		{false, "z", []uint64{1}, true},
+		{true, "a", []uint64{110}, false},
+		{true, "a", []uint64{111}, true},
+		{true, "a", []uint64{90, 100}, false},
+		{true, "a", []uint64{100, 111}, true},
+		{true, "z", []uint64{0}, false},
+		{true, "z", []uint64{1}, true},
+		{true, "b", []uint64{0}, true},
+	} {
+		f := &fakeT{}
+		r := Read(f, path)
+		r.loose = tc.loose
+		r.CheckAllocs(f, tc.cell, tc.counts...)
+		if failed := len(f.reports) > 0; failed != tc.fails {
+			t.Errorf("loose %v, cell %s, counts %v: reported %q", tc.loose, tc.cell, tc.counts, f.reports)
+		}
+	}
+}
+
 type tick int64
 
 func (tick) String() string { return "rounded" }

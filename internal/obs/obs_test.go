@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 // Reads and registrations through a nil registry are safe: a counter
@@ -250,18 +252,31 @@ func TestRunObsNilSafety(t *testing.T) {
 // Substrate micro-benchmarks: the per-event cost of tracing, on
 // (enabled) and off (a nil track).
 
+// trackSpan returns one span recorded on tr: BenchmarkTrackSpan's op on a
+// track, BenchmarkTrackSpanDisabled's on nil.
+func trackSpan(tr *Track) func() { return func() { tr.Span("user", "user", 0, 10) } }
+
 func BenchmarkTrackSpan(b *testing.B) {
-	tr := NewTrace().NewProcess("bench").Thread("cpu")
+	op := trackSpan(NewTrace().NewProcess("bench").Thread("cpu"))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Span("user", "user", 0, 10)
+		op()
 	}
 }
 
 func BenchmarkTrackSpanDisabled(b *testing.B) {
-	var tr *Track
+	op := trackSpan(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Span("user", "user", 0, 10)
+		op()
 	}
+}
+
+// TestBenchmarkAllocs holds what one op of each benchmark above allocates
+// to testdata/allocs.golden.
+func TestBenchmarkAllocs(t *testing.T) {
+	rec := golden.OpenAllocs(t, "testdata/allocs.golden")
+	defer rec.Close()
+	rec.Allocs(t, "TrackSpan", 100, func() func() { return trackSpan(NewTrace().NewProcess("bench").Thread("cpu")) })
+	rec.Allocs(t, "TrackSpanDisabled", 100, func() func() { return trackSpan(nil) })
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/hw"
 	"repro/internal/ir"
 )
@@ -221,20 +222,37 @@ func TestCrossKernelLookup(t *testing.T) {
 	}
 }
 
-// BenchmarkRecorderAccess gates the pass-1 hot path: observation must
-// not allocate, or profiling runs would diverge from the differential
+// recorderAccess is one observation on the pass-1 hot path. It must not
+// allocate, or profiling runs would diverge from the differential
 // contract's cost model on the host.
-func BenchmarkRecorderAccess(b *testing.B) {
+func recorderAccess(tb testing.TB) func() {
 	ps := hw.Default().PageSize
 	prog := sumProg()
 	if err := prog.Resolve(ps); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rec := NewRecorder(prog, ps)
+	i := int64(0)
+	return func() {
+		t := i * 100
+		rec.Access(0, i*8, t, t+10, 0, 0, 0)
+		i++
+	}
+}
+
+func BenchmarkRecorderAccess(b *testing.B) {
+	op := recorderAccess(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := int64(i) * 100
-		rec.Access(0, int64(i)*8, t, t+10, 0, 0, 0)
+		op()
 	}
+}
+
+// TestBenchmarkAllocs holds what one op of BenchmarkRecorderAccess
+// allocates to testdata/allocs.golden.
+func TestBenchmarkAllocs(t *testing.T) {
+	rec := golden.OpenAllocs(t, "testdata/allocs.golden")
+	defer rec.Close()
+	rec.Allocs(t, "RecorderAccess", 100, func() func() { return recorderAccess(t) })
 }

@@ -24,7 +24,7 @@ func testMachine(frames int64) hw.Params {
 	return p
 }
 
-func mustSubmit(t *testing.T, s *Server, spec JobSpec) *Tenant {
+func mustSubmit(t testing.TB, s *Server, spec JobSpec) *Tenant {
 	t.Helper()
 	tn, err := s.Submit(spec)
 	if err != nil {
@@ -415,14 +415,14 @@ func TestConcurrentServers(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkTenantSteadyState measures the scheduler's hot path — slice
-// dispatch, pool-contended touches, reclaim decisions — with three
-// tenants in steady state. The CI bench gate keeps it allocation-free:
-// the reclaim decision must not allocate per step.
-func BenchmarkTenantSteadyState(b *testing.B) {
+// steadyState is one step of the scheduler's hot path — slice dispatch,
+// pool-contended touches, reclaim decisions — with three tenants in steady
+// state. It is allocation-free: the reclaim decision must not allocate per
+// step.
+func steadyState(tb testing.TB) func() {
 	s, err := NewServer(Config{Machine: testMachine(96), Seed: 3, Sched: "qos"})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	// Effectively endless jobs so the set stays at three tenants.
 	huge := int64(1 << 40)
@@ -433,83 +433,107 @@ func BenchmarkTenantSteadyState(b *testing.B) {
 	} {
 		if _, err := s.Submit(JobSpec{Name: fmt.Sprintf("t%d", i), Kernel: k,
 			Class: Class(i), QuotaFrames: 28, Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	// Warm into steady state: all tenants faulting against a full pool.
 	for i := 0; i < 4096; i++ {
 		s.Step()
 	}
+	return func() { s.Step() }
+}
+
+func BenchmarkTenantSteadyState(b *testing.B) {
+	op := steadyState(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Step()
+		op()
 	}
 }
 
-// BenchmarkTenantDeparture measures what a finished job costs the
-// server: one 2048-page tenant (the end-to-end benchmark's size, on its
-// share of a contended pool) from its last access through finish — the
-// final write-back, the output fingerprint over the whole region, frame
-// release, handing the backing store back and the metrics merge. Running
-// the job up to that point is untimed, and done access by access rather
-// than through Step, whose slice would run on into finish.
+// departurePages is the size of the departing tenant: the end-to-end
+// benchmark's, on its share of a contended pool.
+const departurePages = 2048
+
+// departure runs one job up to its last access and returns what a finished
+// job costs the server — the final write-back, the output fingerprint over
+// the whole region, frame release, handing the backing store back and the
+// metrics merge — and the rest of the server's run, which checks the
+// departure and drains the trailing I/O. The job runs access by access
+// rather than through Step, whose slice would run on into finish.
+func departure(tb testing.TB) (leave, rest func()) {
+	s, err := NewServer(Config{Machine: testMachine(departurePages / 3), Seed: 5, Sched: "qos"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	t, err := s.Submit(JobSpec{Name: "leaver", Kernel: KernelSpec{Kind: "scan", Pages: departurePages}, Seed: 8})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for t.idx < t.kern.total {
+		if !t.step() {
+			s.clock.WaitFor(func() bool { return !t.vm.InTransit(t.waitPage) })
+		}
+	}
+	t.vm.FlushUser()
+	return func() { s.finish(t) }, func() {
+		if !t.Done() || t.Report().Fingerprint == 0 {
+			tb.Fatal("tenant did not depart with a fingerprint")
+		}
+		if err := s.Run(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTenantDeparture times departure's op; running the job up to
+// it is untimed.
 func BenchmarkTenantDeparture(b *testing.B) {
-	const pages = 2048
 	b.ReportAllocs()
-	b.SetBytes(pages * hw.Default().PageSize)
+	b.SetBytes(departurePages * hw.Default().PageSize)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s, err := NewServer(Config{Machine: testMachine(pages / 3), Seed: 5, Sched: "qos"})
+		leave, rest := departure(b)
+		b.StartTimer()
+		leave()
+		b.StopTimer()
+		rest()
+	}
+}
+
+// serverLife is a whole server: built, twelve contending jobs submitted and
+// run to completion, retired. From the second call on it runs on the
+// previous server's frame slab and page buffers, so B/op is what a server
+// costs the heap in steady state.
+func serverLife(tb testing.TB) func() {
+	machine, jobs := steadyMix()
+	return func() {
+		s, err := NewServer(Config{Machine: machine, Seed: 9, Sched: "qos"})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		t, err := s.Submit(JobSpec{Name: "leaver", Kernel: KernelSpec{Kind: "scan", Pages: pages}, Seed: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for t.idx < t.kern.total {
-			if !t.step() {
-				s.clock.WaitFor(func() bool { return !t.vm.InTransit(t.waitPage) })
+		for _, j := range jobs {
+			if _, err := s.Submit(j); err != nil {
+				tb.Fatal(err)
 			}
 		}
-		t.vm.FlushUser()
-		b.StartTimer()
-		s.finish(t)
-		b.StopTimer()
-		if !t.Done() || t.Report().Fingerprint == 0 {
-			b.Fatal("tenant did not depart with a fingerprint")
-		}
-		if err := s.Run(); err != nil { // drain the trailing I/O
-			b.Fatal(err)
+		if err := s.Run(); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkServerLife measures a whole server: built, twelve contending
-// jobs submitted and run to completion, retired. From the second
-// iteration on it runs on the previous server's frame slab and page
-// buffers, so B/op is what a server costs the heap in steady state.
 func BenchmarkServerLife(b *testing.B) {
 	machine, jobs := steadyMix()
 	var data int64
 	for _, j := range jobs {
 		data += j.Kernel.Pages * machine.PageSize
 	}
+	op := serverLife(b)
 	b.ReportAllocs()
 	b.SetBytes(data)
 	for i := 0; i < b.N; i++ {
-		s, err := NewServer(Config{Machine: machine, Seed: 9, Sched: "qos"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, j := range jobs {
-			if _, err := s.Submit(j); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
+		op()
 	}
 }
