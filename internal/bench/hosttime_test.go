@@ -10,7 +10,6 @@ import (
 	"repro/internal/nas"
 	"repro/internal/sim"
 	"repro/internal/stripefs"
-	"repro/internal/vm"
 )
 
 // hostTime is one complete end-to-end run of app — compile, simulate,
@@ -82,20 +81,20 @@ func BenchmarkHostTimeNAS(b *testing.B) {
 }
 
 // TestBenchmarkAllocs holds what one op of each benchmark of this package
-// allocates to testdata/allocs.golden. A run's allocations depend on what
-// earlier runs left in the process-wide recyclers — stripefs's page buffers
-// and request objects, vm's frame slab — and on where the collector's
-// cycles fall, so each round of a count starts with the recyclers empty and
-// the heap collected.
+// allocates to testdata/allocs.golden. A run takes its frame slab and its
+// file system's free lists from what the last run put back. The frame slab
+// comes back whole, but the page buffers that hold a run's output stay
+// with its result, so each run cuts new ones from 64-page slabs and hands
+// the next run a slab tail whose length cycles from run to run; each round
+// therefore starts with the kept free lists taken by a throw-away file
+// system, and with the heap collected, as a run allocates a little more
+// after a collection (core.Run, cause not traced).
 func TestBenchmarkAllocs(t *testing.T) {
 	rec := golden.OpenAllocs(t, "testdata/allocs.golden")
 	defer rec.Close()
 	fresh := func(build func(testing.TB) func()) func() func() {
 		return func() func() {
-			m := hw.Default()
-			m.MemoryBytes = 16 * m.PageSize
-			stripefs.New(sim.NewClock(), m, nil)
-			vm.NewPool(sim.NewClock(), m)
+			stripefs.New(sim.NewClock(), hw.Default(), nil)
 			runtime.GC()
 			return build(t)
 		}

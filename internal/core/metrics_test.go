@@ -8,12 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/golden"
-	"repro/internal/hw"
 	"repro/internal/ir"
 	"repro/internal/obs"
-	"repro/internal/sim"
-	"repro/internal/stripefs"
-	"repro/internal/vm"
 )
 
 // streamRun is the stream program, parsed afresh (a run resolves its
@@ -30,18 +26,13 @@ func streamRun(t *testing.T) (*ir.Program, Config) {
 // map entry per metric name. A small warm run (plan cache hit, recycled
 // frame slab and page buffers) is held to its count of objects, the cell
 // WarmRun of testdata/allocs.golden; when each of its 103 metric names
-// was a counter of its own, the same run allocated 207. A run's
-// allocations depend on what earlier runs left in the process-wide
-// recyclers and on where the collector's cycles fall, so each round starts
-// with the recyclers empty and the heap collected.
+// was a counter of its own, the same run allocated 207. A run allocates a
+// little more after a collection (cause not traced), so each round starts
+// with the heap collected.
 func TestRunObservabilityAllocBudget(t *testing.T) {
 	rec := golden.OpenAllocs(t, "testdata/allocs.golden")
 	defer rec.Close()
 	rec.Allocs(t, "WarmRun", 10, func() func() {
-		m := hw.Default()
-		m.MemoryBytes = 16 * m.PageSize
-		stripefs.New(sim.NewClock(), m, nil)
-		vm.NewPool(sim.NewClock(), m)
 		runtime.GC()
 		prog, cfg := streamRun(t)
 		return func() {

@@ -85,10 +85,10 @@ func panicOf(f func()) (msg string) {
 	return ""
 }
 
-// TestConcurrentRunsShareNoSlab: every run adopts from and donates to one
-// process-wide frame-slab stash. Four goroutines run proxies of mixed
-// memory sizes at once, and each run's output fingerprint must equal the
-// same run's fingerprint alone: no two live runs ever hold the same
+// TestConcurrentRunsShareNoSlab: every run takes its frames from and puts
+// them back in one process-wide stash slot. Four goroutines run proxies of
+// mixed memory sizes at once, and each run's output fingerprint must equal
+// the same run's fingerprint alone: no two live runs ever hold the same
 // frames. Run it under -race (make race).
 func TestConcurrentRunsShareNoSlab(t *testing.T) {
 	type job struct {

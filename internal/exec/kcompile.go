@@ -397,10 +397,10 @@ type kcompiler struct {
 	// page-run loops (kspan.go)
 	spans      []spanLoop
 	walk       spanWalk   // the page-run walk of the loop being lowered
-	sites      []spanSite // spare capacity the next walk appends to, and cds, seed and abs likewise
+	sites      []spanSite // the sites the walks kept, scratch kept with the compiler; cds and seed likewise
 	cds        []int64
 	seed       []uint16
-	abs        []absVar
+	abs        []absVar  // spare capacity the next walk appends to
 	form       ir.Affine // the spanWalk's subscript decomposition, reused site to site
 	spanNext   int       // next site id while lowering a span body, else -1
 	nSites     int       // access sites assigned so far
@@ -437,6 +437,7 @@ var kstash = stash.New(func(kc *kcompiler) int { return cap(kc.code) })
 func (kc *kcompiler) release() {
 	*kc = kcompiler{code: kc.code[:0], prelude: kc.prelude[:0], written: kc.written[:0], ctxs: kc.ctxs,
 		kmaps: kmaps{vn: kc.vn[:0], trail: kc.trail[:0]}, walk: spanWalk{seeds: kc.walk.seeds, reads: kc.walk.reads},
+		sites: kc.sites[:0], cds: kc.cds[:0], seed: kc.seed[:0],
 		form: kc.form, tents: kc.tents, binds: kc.binds, sets: kc.sets, census: kc.census, pos: kc.pos}
 	kstash.Put(kc)
 }
@@ -451,7 +452,7 @@ func newKcompiler(prog *ir.Program, shift int64, rec *profile.Recorder) *kcompil
 	kc.shift, kc.prog, kc.nRI, kc.nRF, kc.spanNext = shift, prog, 1, 1, -1 // ri[0]/rf[0] are permanent zeros
 	kc.reports = make([]LoopReport, 0, z.loops)
 	kc.spans = make([]spanLoop, 0, z.loops)
-	kc.sites, kc.cds, kc.seed = make([]spanSite, 0, z.refs), make([]int64, 0, z.dims), make([]uint16, 0, z.dims)
+	kc.sites, kc.cds, kc.seed = slices.Grow(kc.sites, z.refs), slices.Grow(kc.cds, z.dims), slices.Grow(kc.seed, z.dims)
 	kc.abs = make([]absVar, 0, z.loops)
 	dims := 0
 	for _, a := range prog.Arrays {
@@ -515,20 +516,24 @@ func (kc *kcompiler) compile(body []ir.Stmt) error {
 	return nil
 }
 
-// install hands the compile's results to m, the code buffer as an exact
-// copy: the buffer itself stays with the compiler.
+// install hands the compile's results to m, the code buffer and the span
+// sites with their coefficients and seeds as exact copies: the buffers
+// themselves stay with the compiler.
 func (kc *kcompiler) install(m *Artifact) {
-	m.code = slices.Clone(kc.code)
-	m.aux = kc.aux
-	m.haux = kc.haux
-	m.spans = kc.spans
-	m.nRI = kc.nRI
-	m.nRF = kc.nRF
-	m.nSites = kc.nSites
-	m.nSubs = kc.nSubs
-	m.lanes, m.laneNI, m.laneNF = kc.lanes, kc.laneNI, kc.laneNF
-	m.pageShift = kc.shift
-	m.reports = kc.reports
+	sites, cds, seed := make([]spanSite, 0, len(kc.sites)), make([]int64, 0, len(kc.cds)), make([]uint16, 0, len(kc.seed))
+	for i := range kc.spans {
+		sp, n := &kc.spans[i], len(sites)
+		for _, s := range sp.sites {
+			c, d := len(cds), len(seed)
+			cds, seed = append(cds, s.cds...), append(seed, s.seed...)
+			s.cds, s.seed = cds[c:len(cds):len(cds)], seed[d:len(seed):len(seed)]
+			sites = append(sites, s)
+		}
+		sp.sites = sites[n:len(sites):len(sites)]
+	}
+	m.code, m.aux, m.haux, m.spans, m.lanes = slices.Clone(kc.code), kc.aux, kc.haux, kc.spans, kc.lanes
+	m.nRI, m.nRF, m.nSites, m.nSubs, m.laneNI, m.laneNF = kc.nRI, kc.nRF, kc.nSites, kc.nSubs, kc.laneNI, kc.laneNF
+	m.pageShift, m.reports = kc.shift, kc.reports
 	if kc.prof != nil {
 		m.rec = kc.prof.rec
 	}

@@ -148,15 +148,15 @@ func (kc *kcompiler) spanSites(l *ir.Loop, ctx *kloop) (*spanWalk, FallbackReaso
 	case ctx.written.has(l.Slot):
 		return nil, ReasonInductionWrite
 	}
-	// The walk appends to the compile's spare site storage; what a page-run
-	// loop registers is cut off it for good, anything else is handed back.
-	// The walk itself, its seed table and its reads are the compile's: one
-	// walk is live at a time, as a page-run loop absorbs its inner loops,
-	// which walk nothing of their own.
+	// The walk appends past the sites the compile's walks kept; a page-run
+	// loop keeps what it registers, anything else is handed back. The walk
+	// itself, its seed table and its reads are the compile's: one walk is
+	// live at a time, as a page-run loop absorbs its inner loops, which walk
+	// nothing of their own.
 	w := &kc.walk
 	w.seeds.reset()
-	*w = spanWalk{kc: kc, l: l, written: ctx.written, mult: 1, unroll: 1,
-		sites: kc.sites, cds: kc.cds, seed: kc.seed, abs: kc.abs, seeds: w.seeds, reads: w.reads[:0]}
+	*w = spanWalk{kc: kc, l: l, written: ctx.written, mult: 1, unroll: 1, sites: kc.sites[len(kc.sites):],
+		cds: kc.cds[len(kc.cds):], seed: kc.seed[len(kc.seed):], abs: kc.abs, seeds: w.seeds, reads: w.reads[:0]}
 	nSites, nSubs := kc.nSites, kc.nSubs
 	w.stmts(l.Body)
 	if len(w.sites) == 0 {
@@ -169,9 +169,10 @@ func (kc *kcompiler) spanSites(l *ir.Loop, ctx *kloop) (*spanWalk, FallbackReaso
 		w.stop(ReasonRecording)
 	}
 	if w.reason == ReasonSpecialized {
-		kc.sites, kc.cds, kc.seed, kc.abs = w.sites[len(w.sites):], w.cds[len(w.cds):], w.seed[len(w.seed):], w.abs[len(w.abs):]
+		kc.sites, kc.cds, kc.seed = append(kc.sites, w.sites...), append(kc.cds, w.cds...), append(kc.seed, w.seed...)
+		kc.abs = w.abs[len(w.abs):]
 	} else {
-		kc.sites, kc.cds, kc.seed, kc.abs = w.sites[:0], w.cds[:0], w.seed[:0], w.abs[:0]
+		kc.abs = w.abs[:0]
 		kc.nSites, kc.nSubs = nSites, nSubs
 		if w.reason != ReasonRecording {
 			return nil, w.reason

@@ -114,10 +114,7 @@ type LoopReport struct {
 }
 
 func (r LoopReport) String() string {
-	pad := ""
-	for i := 0; i < r.Depth; i++ {
-		pad += "  "
-	}
+	pad := fmt.Sprintf("%*s", 2*r.Depth, "")
 	if r.Driver == "page-run" {
 		s := fmt.Sprintf("%sloop %-8s page-run (%d sites", pad, r.Var, r.Sites)
 		if r.Unroll > 1 {

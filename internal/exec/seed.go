@@ -26,14 +26,10 @@ func seed(file *stripefs.File, pageSize int64, arr *ir.Array, gen func(i int64) 
 	firstPage := arr.Base / pageSize
 	nPages := (arr.Elems*ir.ElemSize + pageSize - 1) / pageSize
 	for p := int64(0); p < nPages; p++ {
-		for k := int64(0); k < perPage; k++ {
-			i := p*perPage + k
-			var w uint64
-			if i < arr.Elems {
-				w = gen(i)
-			}
-			buf[k] = w
+		n := min(perPage, arr.Elems-p*perPage) // SetPageWords zeroes the rest of the page
+		for k := range buf[:n] {
+			buf[k] = gen(p*perPage + int64(k))
 		}
-		file.SetPageWords(firstPage+p, buf)
+		file.SetPageWords(firstPage+p, buf[:n])
 	}
 }

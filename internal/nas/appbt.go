@@ -92,7 +92,7 @@ func APPBT() *App {
 		Desc: "block tridiagonal: 5×5 block solves; block dimension symbolic at compile time",
 		Build: func(scale float64) *ir.Program {
 			n := scaleInt(24, cbrtScale(scale), 8)
-			return mustParse(fmt.Sprintf(appbtSrc, n, int64(appbtBM), int64(appbtIters)))
+			return mustParse(appbtSrc, n, int64(appbtBM), int64(appbtIters))
 		},
 		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
 			exec.SeedF64(file, pageSize, prog.ArrayByName("u"), appbtU0)

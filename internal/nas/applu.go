@@ -75,7 +75,7 @@ func APPLU() *App {
 		Desc: "LU/SSOR: forward and backward triangular sweeps over a 5-component 3-D grid",
 		Build: func(scale float64) *ir.Program {
 			n := scaleInt(32, cbrtScale(scale), 8)
-			return mustParse(fmt.Sprintf(appluSrc, n, int64(appluIters)))
+			return mustParse(appluSrc, n, int64(appluIters))
 		},
 		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
 			exec.SeedF64(file, pageSize, prog.ArrayByName("u"), appluInit)

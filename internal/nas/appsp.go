@@ -107,7 +107,7 @@ func APPSP() *App {
 		Desc: "scalar pentadiagonal: ADI line solves along all three dimensions of a 3-D grid",
 		Build: func(scale float64) *ir.Program {
 			n := scaleInt(32, cbrtScale(scale), 8)
-			return mustParse(fmt.Sprintf(appspSrc, n, int64(appspIters)))
+			return mustParse(appspSrc, n, int64(appspIters))
 		},
 		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
 			exec.SeedF64(file, pageSize, prog.ArrayByName("u"), appspU0)

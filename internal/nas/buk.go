@@ -48,7 +48,7 @@ func BUK() *App {
 		Desc: "integer bucket sort: ranks random keys with a counting sort (indirect references)",
 		Build: func(scale float64) *ir.Program {
 			n := scaleInt(768*1024, scale, 1<<12)
-			return mustParse(fmt.Sprintf(bukSrc, n, int64(bukMaxKey)))
+			return mustParse(bukSrc, n, int64(bukMaxKey))
 		},
 		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
 			exec.SeedI64(file, pageSize, prog.ArrayByName("key"), bukKey)

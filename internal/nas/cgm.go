@@ -63,7 +63,7 @@ func CGM() *App {
 		Desc: "conjugate gradient: sparse matrix-vector products with indirect column references",
 		Build: func(scale float64) *ir.Program {
 			rows := scaleInt(12*1024, scale, 512)
-			return mustParse(fmt.Sprintf(cgmSrc, rows, int64(cgmNzRow), int64(cgmIters)))
+			return mustParse(cgmSrc, rows, int64(cgmNzRow), int64(cgmIters))
 		},
 		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
 			rows, _ := prog.ParamValue("rows")

@@ -51,7 +51,7 @@ func compileInputs(t *testing.T) map[string]func() *ir.Program {
 
 // compileSources returns the source text of every one of the 13 inputs, by
 // name: a NAS source is generated text private to its builder, so the
-// parse memo is emptied, the app built, and the one key left is its
+// parse memo is emptied, the app built, and the one key left names its
 // source.
 func compileSources(t *testing.T) map[string]string {
 	srcs := map[string]string{}
@@ -61,7 +61,7 @@ func compileSources(t *testing.T) map[string]string {
 		parseMu.Unlock()
 		app.Build(0.25)
 		for k := range parseCache {
-			srcs[app.Name] = k
+			srcs[app.Name] = k.source()
 		}
 	}
 	files, err := filepath.Glob("../../examples/kernels/*.loop")

@@ -56,7 +56,7 @@ func EMBAR() *App {
 		Desc: "embarrassingly parallel: gaussian deviates via the polar method, tabulated",
 		Build: func(scale float64) *ir.Program {
 			n := scaleInt(1<<20, scale, 1<<12) &^ 1 // even
-			return mustParse(fmt.Sprintf(embarSrc, int64(embarSeed), n))
+			return mustParse(embarSrc, int64(embarSeed), n)
 		},
 		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
 			// Nothing to seed: EMBAR generates its own data.

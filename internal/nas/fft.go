@@ -35,7 +35,7 @@ for r = 0 .. ROWS {
         tmp = idx
         rev = 0
         for b = 0 .. LB {
-            rev = rev * 2 + tmp % 2
+            rev = rev * 2 + tmp %% 2
             tmp = tmp / 2
         }
         DR[r * LEN + rev] = SR[r * LEN + idx]
@@ -63,9 +63,13 @@ for r = 0 .. ROWS {
 `)
 }
 
-func fftSrc(n1, n2, n3, l1, l2, l3 int64) string {
+// fftSrc is the FFT source as a format whose verbs take n1, n2, n3 and
+// their base-2 logarithms.
+var fftSrc = fftFormat()
+
+func fftFormat() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, `
+	b.WriteString(`
 program fft
 param n1 = %d
 param n2 = %d
@@ -80,7 +84,7 @@ array double re[n1 * n2 * n3], im[n1 * n2 * n3]
 array double re2[n1 * n2 * n3], im2[n1 * n2 * n3]
 scalar long tmp, rev
 scalar double wre, wim, tre, tim, ure, uim, energy
-`, n1, n2, n3, l1, l2, l3)
+`)
 
 	// Pass 1: FFT along x (re,im → re2,im2); layout (z,y,x).
 	b.WriteString(fftPass("rows1", "n1", "l1", "re", "im", "re2", "im2"))
@@ -207,7 +211,7 @@ func FFT() *App {
 		Build: func(scale float64) *ir.Program {
 			edge := scalePow2(32, cbrtScale(scale), 8)
 			n1, n2, n3 := 2*edge, edge, edge
-			return mustParse(fftSrc(n1, n2, n3, log2of(n1), log2of(n2), log2of(n3)))
+			return mustParse(fftSrc, n1, n2, n3, log2of(n1), log2of(n2), log2of(n3))
 		},
 		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
 			exec.SeedF64(file, pageSize, prog.ArrayByName("re"), fftInRe)

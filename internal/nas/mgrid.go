@@ -78,7 +78,7 @@ func MGRID() *App {
 		StdRatio: 1.2,
 		Build: func(scale float64) *ir.Program {
 			n := scalePow2(48, cbrtScale(scale), 8)
-			return mustParse(fmt.Sprintf(mgridSrc, n, int64(mgridIters)))
+			return mustParse(mgridSrc, n, int64(mgridIters))
 		},
 		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
 			n, _ := prog.ParamValue("n")

@@ -88,29 +88,47 @@ func Names() []string {
 
 // ---- shared helpers ------------------------------------------------------
 
-// mustParse parses a kernel source, panicking on error (kernel sources are
-// compiled into the binary and covered by tests).
+// mustParse parses the kernel source format fills with args, panicking on
+// error (kernel sources are compiled into the binary and covered by tests).
 //
-// Parses are memoized by source text: Build is called once per benchmark
-// iteration, and front-end parsing plus semantic analysis dominated the
-// remaining per-run allocations once compilation itself was cached. The
-// cached template is never handed out — every call returns a deep
-// ir.Program.Clone, so callers keep the fresh-program contract (SetParam
-// and Resolve on one build never affect another).
-func mustParse(src string) *ir.Program {
+// Parses are memoized by format and arguments: Build is called once per
+// benchmark iteration, and front-end parsing dominated the remaining
+// per-run allocations once compilation itself was cached. A hit formats
+// nothing. The cached template is never handed out — every call returns a
+// deep ir.Program.Clone, so callers keep the fresh-program contract
+// (SetParam and Resolve on one build never affect another).
+func mustParse(format string, args ...int64) *ir.Program {
+	k := parseKey{format: format, n: len(args)}
+	copy(k.args[:], args)
 	parseMu.Lock()
-	tpl, ok := parseCache[src]
+	tpl, ok := parseCache[k]
 	if !ok {
-		tpl = lang.MustParse(src)
-		parseCache[src] = tpl
+		tpl = lang.MustParse(k.source())
+		parseCache[k] = tpl
 	}
 	parseMu.Unlock()
 	return tpl.Clone()
 }
 
+// parseKey names a kernel source: a format and the integers its verbs take.
+type parseKey struct {
+	format string
+	args   [6]int64
+	n      int
+}
+
+// source is the text k names.
+func (k parseKey) source() string {
+	args := make([]any, k.n)
+	for i := range args {
+		args[i] = k.args[i]
+	}
+	return fmt.Sprintf(k.format, args...)
+}
+
 var (
 	parseMu    sync.Mutex
-	parseCache = map[string]*ir.Program{}
+	parseCache = map[parseKey]*ir.Program{}
 )
 
 // scaleInt quantizes scale × base to at least min.

@@ -1,10 +1,12 @@
-// Package stash keeps a compile stage's working memory between calls: the
-// tables a call fills and drops before it returns, which the next call
-// would otherwise ask the allocator for again, zeroed. It follows the
-// idiom of vm's frame slab and stripefs's recycler, not sync.Pool, whose
-// contents depend on when the collector runs: a Slot is one mutex-guarded
-// variable that keeps the largest set seen, so what a call allocates
-// depends only on the calls before it.
+// Package stash is the one way memory outlives a call or a run: what a
+// call fills and drops before it returns, which the next call would
+// otherwise ask the allocator for again, zeroed. The compile stages keep
+// their working memory in a Slot each; on the run path, vm keeps a pool's
+// frame slab and stripefs a file system's free lists of request objects
+// and page buffers. It is not sync.Pool, whose contents depend on when the
+// collector runs: a Slot is one mutex-guarded variable that keeps the
+// largest set seen, so what a call allocates depends only on the calls
+// before it.
 package stash
 
 import "sync"

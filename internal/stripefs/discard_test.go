@@ -11,17 +11,13 @@ import (
 	"repro/internal/sim"
 )
 
-// stashPageBufs replaces the recycler's page-buffer stash.
+// stashPageBufs empties the kept slot and puts in it a set of no request
+// objects and bufs, unless bufs is nil.
 func stashPageBufs(bufs [][]uint64, pageWords int64) {
-	recycleMu.Lock()
-	recycled.pageBufs, recycled.pageWords = bufs, pageWords
-	recycleMu.Unlock()
-}
-
-func stashedPageBufs() int {
-	recycleMu.Lock()
-	defer recycleMu.Unlock()
-	return len(recycled.pageBufs)
+	keptSlot.Take()
+	if bufs != nil {
+		keptSlot.Put(&kept{pageBufs: bufs, pageWords: pageWords})
+	}
 }
 
 // TestDiscard: Discard moves every backing buffer of the file to the
@@ -158,8 +154,8 @@ func TestFSAdoptsDirtyPageBufs(t *testing.T) {
 
 	stashPageBufs(poisoned(2*pages, pw), pw)
 	got, fs := run()
-	if stashedPageBufs() != 0 || len(fs.slab) != 0 {
-		t.Fatalf("a stash of the FS's page size was not adopted: %d buffers left, %d slab words made", stashedPageBufs(), len(fs.slab))
+	if len(fs.kept.pageBufs) != 0 || len(fs.slab) != 0 {
+		t.Fatalf("a stash of the FS's page size was not adopted: %d buffers left, %d slab words made", len(fs.kept.pageBufs), len(fs.slab))
 	}
 	for pg := range want {
 		if !slices.Equal(got[pg], want[pg]) {
@@ -169,8 +165,8 @@ func TestFSAdoptsDirtyPageBufs(t *testing.T) {
 
 	stashPageBufs(poisoned(2*pages, 8), 8) // a 64-byte-page FS's buffers
 	got, fs = run()
-	if stashedPageBufs() != 2*pages || len(fs.slab) == 0 {
-		t.Fatalf("a stash of another page size was taken: %d of %d buffers left", stashedPageBufs(), 2*pages)
+	if len(fs.kept.pageBufs) != 2*pages || len(fs.slab) == 0 {
+		t.Fatalf("a stash of another page size was taken: %d of %d buffers left", len(fs.kept.pageBufs), 2*pages)
 	}
 	for pg := range want {
 		if !slices.Equal(got[pg], want[pg]) {

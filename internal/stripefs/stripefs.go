@@ -19,13 +19,13 @@ package stripefs
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/disk"
 	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/stash"
 )
 
 // FS is a striped file system over a fixed array of storage devices.
@@ -51,6 +51,8 @@ type FS struct {
 	// with the free list empty, a page buffer is a slice of it rather
 	// than its own allocation.
 	slab []uint64
+	// kept is the holder adopt took the kept set from; Recycle refills it.
+	kept *kept
 
 	abandonedPages int64 // prefetched pages abandoned to a later demand fault
 	metrics        obs.Source
@@ -116,82 +118,58 @@ func (fs *FS) Params() hw.Params { return fs.p }
 // ---- request-state pools ------------------------------------------------
 
 // The pools are per-FS free lists: single-threaded push/pop with no
-// locking on the I/O path. Each run builds a fresh FS, so without help
-// every run would re-allocate its peak working set of request objects
-// from scratch; the package-level recycler below carries retired free
-// lists across FS instances. Donation (Recycle) and adoption (adopt,
-// at construction) each take one mutex operation per run — the per-I/O
-// path stays lock-free. Pooled objects bake an fs pointer into their
+// locking on the I/O path. Pooled objects bake an fs pointer into their
 // bound callbacks' receiver, so every get rebinds .fs before use.
-var recycleMu sync.Mutex
-
-var recycled struct {
+//
+// Each run builds a fresh FS, so without help every run would allocate its
+// peak working set of request objects and page buffers anew. The kept
+// slot carries one FS's free lists to the next, under internal/stash's
+// rule: an FS takes the kept set at construction and puts its own back at
+// Recycle, and of two sets the one with more page buffers stays.
+type kept struct {
 	subReqs   *subReq
 	readOps   *readOp
 	writeOps  *writeOp
 	pageBufs  [][]uint64
-	pageWords int64 // element count of the recycled page buffers
+	pageWords int64 // element count of every buffer in pageBufs
 }
 
-// adopt moves everything in the recycler into this FS's free lists.
-// Page buffers are size-specific: a stash recorded for another page
-// size is left for an FS it fits.
+var keptSlot = stash.New(func(k *kept) int { return len(k.pageBufs) })
+
+// adopt takes the kept set into this FS's free lists. Page buffers are
+// size-specific: those of another page size stay in the holder, and
+// Recycle hands them back unless the FS has buffers of its own.
 func (fs *FS) adopt() {
-	pw := fs.p.PageSize / 8
-	recycleMu.Lock()
-	fs.freeSubReqs, recycled.subReqs = recycled.subReqs, nil
-	fs.freeReadOps, recycled.readOps = recycled.readOps, nil
-	fs.freeWriteOps, recycled.writeOps = recycled.writeOps, nil
-	if recycled.pageWords == pw {
-		fs.freePageBufs, recycled.pageBufs = recycled.pageBufs, nil
+	k := keptSlot.Take()
+	fs.kept = k
+	fs.freeSubReqs, fs.freeReadOps, fs.freeWriteOps = k.subReqs, k.readOps, k.writeOps
+	k.subReqs, k.readOps, k.writeOps = nil, nil, nil
+	if k.pageWords == fs.p.PageSize/8 {
+		fs.freePageBufs, k.pageBufs = k.pageBufs, nil
 	}
-	recycleMu.Unlock()
 }
 
-// Recycle donates the file system's request-object free lists, and the
-// unissued tail of its page-buffer slab, to a package-level stash for
-// the next FS to adopt. Call it when a run is over and all I/O has
-// drained; the FS remains usable afterwards (its pools are simply
-// empty). Live requests are never on a free list, so nothing shared
-// escapes.
+// Recycle hands the file system's free lists, with the unissued tail of
+// its page-buffer slab cut into page buffers, to the kept slot for the
+// next FS. Call it when a run is over and all I/O has drained; the FS
+// remains usable afterwards, its pools empty, and a second Recycle hands
+// over nothing. Live requests are never on a free list, so nothing
+// shared escapes.
 func (fs *FS) Recycle() {
-	recycleMu.Lock()
-	if fs.freeSubReqs != nil {
-		tail := fs.freeSubReqs
-		for tail.next != nil {
-			tail = tail.next
-		}
-		tail.next = recycled.subReqs
-		recycled.subReqs, fs.freeSubReqs = fs.freeSubReqs, nil
-	}
-	if fs.freeReadOps != nil {
-		tail := fs.freeReadOps
-		for tail.next != nil {
-			tail = tail.next
-		}
-		tail.next = recycled.readOps
-		recycled.readOps, fs.freeReadOps = fs.freeReadOps, nil
-	}
-	if fs.freeWriteOps != nil {
-		tail := fs.freeWriteOps
-		for tail.next != nil {
-			tail = tail.next
-		}
-		tail.next = recycled.writeOps
-		recycled.writeOps, fs.freeWriteOps = fs.freeWriteOps, nil
+	k := fs.kept
+	if k == nil {
+		return
 	}
 	pw := fs.p.PageSize / 8
 	for ; int64(len(fs.slab)) >= pw; fs.slab = fs.slab[pw:] {
 		fs.freePageBufs = append(fs.freePageBufs, fs.slab[:pw:pw])
 	}
+	k.subReqs, k.readOps, k.writeOps = fs.freeSubReqs, fs.freeReadOps, fs.freeWriteOps
 	if len(fs.freePageBufs) > 0 {
-		if recycled.pageWords != pw {
-			recycled.pageBufs, recycled.pageWords = nil, pw
-		}
-		recycled.pageBufs = append(recycled.pageBufs, fs.freePageBufs...)
-		fs.freePageBufs = nil
+		k.pageBufs, k.pageWords = fs.freePageBufs, pw
 	}
-	recycleMu.Unlock()
+	fs.freeSubReqs, fs.freeReadOps, fs.freeWriteOps, fs.freePageBufs, fs.kept = nil, nil, nil, nil, nil
+	keptSlot.Put(k)
 }
 
 func (fs *FS) getReadOp() *readOp {

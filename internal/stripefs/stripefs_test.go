@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/disk"
+	"repro/internal/golden"
 	"repro/internal/hw"
 	"repro/internal/sim"
 )
@@ -256,14 +257,10 @@ func TestWriteReadRoundTripProperty(t *testing.T) {
 // TestPageBufSlab: with the free list empty, page buffers are carved out
 // of 64-page slabs — first write-backs cost one allocation per slab, not
 // per page — and no buffer can reach its neighbour; Recycle hands the
-// slab's unissued tail to the next FS.
+// slab's unissued tail, cut into page buffers, to the next FS.
 func TestPageBufSlab(t *testing.T) {
+	stashPageBufs(nil, 0) // start from an empty kept slot, whatever earlier tests left
 	c, fs := newFS()
-	fs.Recycle() // start from an empty free list, whatever earlier tests left
-	fs.freePageBufs, fs.slab = nil, nil
-	recycleMu.Lock()
-	recycled.pageBufs = nil
-	recycleMu.Unlock()
 
 	const pages = 3*slabPages + 5
 	pw := fs.Params().PageSize / 8
@@ -309,6 +306,35 @@ func TestPageBufSlab(t *testing.T) {
 	if got := int64(len(next.freePageBufs)); got != onList+tail {
 		t.Errorf("next FS adopted %d page buffers, want the %d freed plus the %d-page slab tail", got, onList, tail)
 	}
+}
+
+// TestRecycleAllocs holds, in testdata/allocs.golden, the objects that
+// Recycle of an FS with free page buffers allocates: it refills the
+// holder the FS took its free lists from and puts it back, so none. It
+// counts on one P with collections held off, as TestPageBufSlab does.
+func TestRecycleAllocs(t *testing.T) {
+	rec := golden.OpenAllocs(t, "testdata/allocs.golden")
+	defer rec.Close()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const pages = 8
+	round := func() uint64 {
+		c, fs := newFS()
+		f, _ := fs.Create("f", pages)
+		for p := int64(0); p < pages; p++ {
+			f.Write(p, fillWords(fs.Params().PageSize/8, 1), nil)
+		}
+		c.Drain()
+		f.Discard()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fs.Recycle()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	stashPageBufs(nil, 0)
+	round() // the first FS makes a slab; from then on the kept set covers every write
+	rec.CheckAllocs(t, "Recycle", round(), round(), round())
 }
 
 // TestConcurrentFileSystemsShareRecycler: file systems on every storage

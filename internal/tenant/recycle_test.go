@@ -15,15 +15,6 @@ import (
 	"repro/internal/vm"
 )
 
-// drainRecyclers empties the process-wide stashes of whatever earlier
-// tests left there for machine — stripefs's page buffers, vm's frame
-// slab: a throw-away file system and pool adopt them and are never
-// recycled.
-func drainRecyclers(machine hw.Params) {
-	stripefs.New(sim.NewClock(), machine, nil)
-	vm.NewPool(sim.NewClock(), machine)
-}
-
 func totalAlloc() uint64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
@@ -64,7 +55,6 @@ func TestDepartureWithReadsInFlight(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			machine := testMachine(160)
-			drainRecyclers(machine)
 			s, err := NewServer(Config{Machine: machine, Seed: 17, Sched: "qos", Faults: tc.faults})
 			if err != nil {
 				t.Fatal(err)
@@ -231,7 +221,11 @@ func TestServerSteadyStateAlloc(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapAlloc)
 	}
-	drainRecyclers(machine)
+	// The first server starts from empty slots, so that it pays for its
+	// frames and page buffers: a throw-away file system and pool take
+	// whatever earlier servers put back.
+	stripefs.New(sim.NewClock(), machine, nil)
+	vm.NewPool(sim.NewClock(), machine)
 	floor := heap()
 	first := run()
 	second := run()
@@ -274,15 +268,18 @@ func jobLife(tb testing.TB) func() {
 }
 
 // TestTenantAllocBudget holds what one jobLife and one op of each of the
-// package's benchmarks allocate to testdata/allocs.golden. A server's
-// allocations depend on what earlier servers left in the process-wide
-// recyclers and on where the collector's cycles fall, so each round starts
-// with the recyclers empty and the heap collected.
+// package's benchmarks allocate to testdata/allocs.golden. A server takes
+// its frame slab and its file system's free lists from what the last one
+// put back. The frame slab comes back whole, but the page buffers a
+// server keeps (or, for jobLife's, never hands back) leave the next one a
+// slab tail whose length cycles from server to server; each round
+// therefore starts with the kept free lists taken by a throw-away file
+// system, and with the heap collected.
 func TestTenantAllocBudget(t *testing.T) {
 	rec := golden.OpenAllocs(t, "testdata/allocs.golden")
 	defer rec.Close()
 	settle := func() {
-		drainRecyclers(testMachine(16))
+		stripefs.New(sim.NewClock(), testMachine(16), nil)
 		runtime.GC()
 	}
 	fresh := func(build func(testing.TB) func()) func() func() {

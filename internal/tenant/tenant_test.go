@@ -347,12 +347,12 @@ func TestServerInvariants(t *testing.T) {
 	}
 }
 
-// TestConcurrentServers: servers share no state but the two process-wide
-// recyclers every NewServer adopts from — stripefs's request objects and
-// page buffers, vm's frame slab. Two different mixes run from two
-// goroutines, several servers each; every departure discards a job's
-// backing store and every Run ends by donating the file system's free
-// lists and the pool's slab, so later servers — on either goroutine — run
+// TestConcurrentServers: servers share no state but the two stash slots
+// every NewServer takes from — stripefs's request objects and page
+// buffers, vm's frame slab. Two different mixes run from two goroutines,
+// several servers each; every departure discards a job's backing store
+// and every Run ends by putting the file system's free lists and the
+// pool's slab back, so later servers — on either goroutine — run
 // on frames, page buffers and request objects another server retired,
 // none of it zeroed. Each must reproduce its sequential run exactly.
 // `make race` runs this under the race detector.

@@ -3,10 +3,10 @@ package vm
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/hw"
 	"repro/internal/sim"
+	"repro/internal/stash"
 )
 
 // Pool is the machine's physical memory: the frame table, frame storage,
@@ -25,7 +25,8 @@ type Pool struct {
 	p     hw.Params
 
 	frames []frameInfo
-	words  []uint64 // frame storage, Frames() × PageSize/8 words (maybe more capacity); nil once recycled
+	words  []uint64  // frame storage, Frames() × PageSize/8 words (maybe more capacity); nil once recycled
+	slab   *[]uint64 // the holder words came in, which Recycle puts back
 
 	// Free list: a doubly linked list threaded through the frames' prev
 	// and next, -1 ending it. Eviction links a frame in at the tail,
@@ -61,27 +62,13 @@ type Pool struct {
 }
 
 // Frame storage outlives its pool the way stripefs's page buffers outlive
-// their FS: Recycle donates it whole to this one-slot stash (the largest
-// slab seen stays) and NewPool adopts it whenever it is at least the size
-// needed — one mutex operation each, nothing on the I/O path. An adopted
-// slab is not re-zeroed: a frame is filled whole (the read's delivery
-// copies the page or zero-fills it; Preload does the same) before it is
-// mapped, and nothing reads an unmapped frame.
-var (
-	slabMu sync.Mutex
-	slab   []uint64
-)
-
-func adoptSlab(words int64) []uint64 {
-	slabMu.Lock()
-	if w := slab; int64(len(w)) >= words {
-		slab = nil
-		slabMu.Unlock()
-		return w[:words]
-	}
-	slabMu.Unlock()
-	return make([]uint64, words) // outside the lock: zeroing it takes milliseconds
-}
+// their FS: Recycle puts it back in this slot (internal/stash's rule: of
+// two slabs, the larger stays) and NewPool takes it whenever it is at
+// least the size needed — one mutex operation each, nothing on the I/O
+// path. A taken slab is not re-zeroed: a frame is filled whole (the read's
+// delivery copies the page or zero-fills it; Preload does the same) before
+// it is mapped, and nothing reads an unmapped frame.
+var frameSlab = stash.New(func(w *[]uint64) int { return len(*w) })
 
 // Recycle hands the pool's frame storage to the next pool that fits in it.
 // Call it when the run is over: every address space flushed (Finish) and
@@ -107,13 +94,11 @@ func (pl *Pool) Recycle() {
 		}
 		v.words = nil
 	}
-	w := pl.words[:cap(pl.words)]
-	pl.words = nil
-	slabMu.Lock()
-	if len(w) > len(slab) {
-		slab = w
+	if pl.slab != nil {
+		*pl.slab = pl.words[:cap(pl.words)]
+		frameSlab.Put(pl.slab)
 	}
-	slabMu.Unlock()
+	pl.words, pl.slab = nil, nil
 }
 
 // NewPool creates a frame pool of p.Frames() frames with every frame on
@@ -122,12 +107,19 @@ func NewPool(clock *sim.Clock, p hw.Params) *Pool {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	nf := p.Frames()
+	nf, words := p.Frames(), p.Frames()*(p.PageSize/8)
+	slab := frameSlab.Take()
+	if int64(len(*slab)) < words {
+		frameSlab.Put(slab)
+		w := make([]uint64, words)
+		slab = &w
+	}
 	pl := &Pool{
 		clock:    clock,
 		p:        p,
 		frames:   make([]frameInfo, nf),
-		words:    adoptSlab(nf * (p.PageSize / 8)),
+		words:    (*slab)[:words],
+		slab:     slab,
 		freeHead: -1,
 		freeTail: -1,
 	}

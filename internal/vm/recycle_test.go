@@ -24,17 +24,19 @@ func poisoned(words int64) []uint64 {
 	return w
 }
 
-// setStash replaces the package's one-slot frame-slab stash.
+// setStash empties the frame-slab slot and puts w in it, unless w is nil.
 func setStash(w []uint64) {
-	slabMu.Lock()
-	slab = w
-	slabMu.Unlock()
+	frameSlab.Take()
+	if w != nil {
+		frameSlab.Put(&w)
+	}
 }
 
+// stashLen is the length of the slab in the slot, 0 when it holds none.
 func stashLen() int {
-	slabMu.Lock()
-	defer slabMu.Unlock()
-	return len(slab)
+	w := frameSlab.Take()
+	defer frameSlab.Put(w)
+	return len(*w)
 }
 
 // mixOutcome is everything a two-tenant mix leaves behind that frame
