@@ -163,7 +163,7 @@ test-tenants:
 	$(GO) test ./internal/tenant/ -count 1
 	$(GO) test ./internal/disk/ -run TestQoS
 	$(GO) test ./internal/vm/ -run 'TestReclaim|TestQuota|TestPool|TestHash|TestFingerprint|TestTouchEpisodeBothDrivers'
-	$(GO) test ./internal/stripefs/ -run 'TestDiscard|TestFSAdoptsDirtyPageBufs|TestPageBufSlab'
+	$(GO) test ./internal/stripefs/ -run 'TestDiscard|TestFSAdoptsDirtyPageBufs|TestPageBufSlab|TestRecycleAllocs'
 
 # test-profile runs the two-pass profile-guided gate: the artifact
 # round trip and typed error surface, recorder accounting, site-key
