@@ -62,16 +62,18 @@ test-benchmark:
 # are the compile stages' stashes (the front end's parser, the printer's
 # buffer, the analysis, the compiler's transform and the executor's
 # kcompiler are each kept for the next call, and four goroutines compile
-# at once in TestConcurrentCompiles); run them
+# at once in TestConcurrentCompiles), and each NAS App's image of its
+# seeded data set, which concurrent runs share (four goroutines run FFT at
+# once in TestConcurrentSeeds); run them
 # (and the packages they drive) under the race detector. internal/exec
 # runs -short: its system-level differentials are one goroutine each and
 # run at full length in test-exec, so the race pass keeps their smoke
-# cells only. Of internal/nas only the concurrent compiles run: the race
+# cells only. Of internal/nas only the concurrent tests run: the race
 # detector changes what the allocation budget counts.
 race:
 	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/core/... ./internal/obs/... ./internal/tenant/ ./internal/vm/ ./internal/stripefs/ ./internal/disk/ ./internal/profile/ .
 	$(GO) test -race ./internal/stash/ ./internal/lang/ ./internal/ir/ ./internal/locality/ ./internal/compiler/
-	$(GO) test -race ./internal/nas/ -run TestConcurrentCompiles
+	$(GO) test -race ./internal/nas/ -run 'TestConcurrentCompiles|TestConcurrentSeeds'
 	$(GO) test -race -short ./internal/exec/
 
 # fuzz runs the five fuzzers briefly, each for FUZZTIME: arbitrary fault
@@ -117,7 +119,7 @@ repin:
 	$(GO) test ./internal/exec/ -run 'TestFastPathEquivalence|TestBytecodePinned' -count 1 -update
 	$(GO) test ./internal/fault/harness/ ./internal/nas/ ./internal/core/ ./internal/bench/ ./internal/tenant/ ./internal/locality/ ./internal/lang/ \
 		./internal/obs/ ./internal/vm/ ./internal/stripefs/ ./internal/disk/ ./internal/profile/ -count 1 -update \
-		-run 'TestFastPathEquivalence|TestRequeueGolden|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare|TestPrintPinned|TestCompileAllocBudget|TestTraceGolden|TestMetricsGolden|TestDepartureWithReadsInFlight|TestRefsGolden|TestParseRecord|TestBenchmarkAllocs|TestTenantAllocBudget|TestRunObservabilityAllocBudget|TestRecycleAllocs'
+		-run 'TestFastPathEquivalence|TestRequeueGolden|TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare|TestPrintPinned|TestCompileAllocBudget|TestTraceGolden|TestMetricsGolden|TestDepartureWithReadsInFlight|TestRefsGolden|TestParseRecord|TestBenchmarkAllocs|TestTenantAllocBudget|TestRunObservabilityAllocBudget|TestRecycleAllocs|TestSeedSharesImage'
 	$(GO) test -tags exectally ./internal/bench/ -run TestDispatchCorpus -count 1 -update
 	@git diff --stat -- $(RECORDS)
 	@git diff -U0 --word-diff -- $(RECORDS)
@@ -158,12 +160,13 @@ test-backends:
 # write-back after retirement charged its time and carrying no bytes,
 # any other use after retirement loud, and the proof that recycled frames
 # and page buffers need no zeroing (a run on poisoned memory equals one
-# on fresh memory).
+# on fresh memory), and the pages a file shares from a seeded image, which
+# no write-back, in-place write, Discard or Recycle writes or frees.
 test-tenants:
 	$(GO) test ./internal/tenant/ -count 1
 	$(GO) test ./internal/disk/ -run TestQoS
 	$(GO) test ./internal/vm/ -run 'TestReclaim|TestQuota|TestPool|TestHash|TestFingerprint|TestTouchEpisodeBothDrivers'
-	$(GO) test ./internal/stripefs/ -run 'TestDiscard|TestFSAdoptsDirtyPageBufs|TestPageBufSlab|TestRecycleAllocs'
+	$(GO) test ./internal/stripefs/ -run 'TestDiscard|TestFSAdoptsDirtyPageBufs|TestPageBufSlab|TestRecycleAllocs|TestImagePages'
 
 # test-profile runs the two-pass profile-guided gate: the artifact
 # round trip and typed error surface, recorder accounting, site-key

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/ir"
-	"repro/internal/stripefs"
 	"repro/internal/vm"
 )
 
@@ -94,11 +93,7 @@ func APPBT() *App {
 			n := scaleInt(24, cbrtScale(scale), 8)
 			return mustParse(appbtSrc, n, int64(appbtBM), int64(appbtIters))
 		},
-		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
-			exec.SeedF64(file, pageSize, prog.ArrayByName("u"), appbtU0)
-			exec.SeedF64(file, pageSize, prog.ArrayByName("rhs"), appbtRhs0)
-			exec.SeedF64(file, pageSize, prog.ArrayByName("blk"), appbtBlk)
-		},
+		Seed: seedAPPBT,
 		Check: func(prog *ir.Program, v *vm.VM, env *exec.Env) error {
 			n, _ := prog.ParamValue("n")
 			total := n * n * n * 5
@@ -156,3 +151,11 @@ func APPBT() *App {
 		},
 	}
 }
+
+// seedAPPBT writes APPBT's solution u, right-hand side rhs and block
+// coefficients blk.
+var seedAPPBT = seedOnce(func(prog *ir.Program, sink exec.PageSink, pageSize int64) {
+	exec.SeedF64(sink, pageSize, prog.ArrayByName("u"), appbtU0)
+	exec.SeedF64(sink, pageSize, prog.ArrayByName("rhs"), appbtRhs0)
+	exec.SeedF64(sink, pageSize, prog.ArrayByName("blk"), appbtBlk)
+})

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/ir"
-	"repro/internal/stripefs"
 	"repro/internal/vm"
 )
 
@@ -77,10 +76,7 @@ func APPLU() *App {
 			n := scaleInt(32, cbrtScale(scale), 8)
 			return mustParse(appluSrc, n, int64(appluIters))
 		},
-		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
-			exec.SeedF64(file, pageSize, prog.ArrayByName("u"), appluInit)
-			exec.SeedF64(file, pageSize, prog.ArrayByName("rsd"), appluRsd0)
-		},
+		Seed: seedAPPLU,
 		Check: func(prog *ir.Program, v *vm.VM, env *exec.Env) error {
 			n, _ := prog.ParamValue("n")
 			total := n * n * n * 5
@@ -150,3 +146,9 @@ func cbrtScale(scale float64) float64 {
 	}
 	return (lo + hi) / 2
 }
+
+// seedAPPLU writes APPLU's solution u and residual rsd.
+var seedAPPLU = seedOnce(func(prog *ir.Program, sink exec.PageSink, pageSize int64) {
+	exec.SeedF64(sink, pageSize, prog.ArrayByName("u"), appluInit)
+	exec.SeedF64(sink, pageSize, prog.ArrayByName("rsd"), appluRsd0)
+})

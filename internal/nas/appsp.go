@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/ir"
-	"repro/internal/stripefs"
 	"repro/internal/vm"
 )
 
@@ -109,10 +108,7 @@ func APPSP() *App {
 			n := scaleInt(32, cbrtScale(scale), 8)
 			return mustParse(appspSrc, n, int64(appspIters))
 		},
-		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
-			exec.SeedF64(file, pageSize, prog.ArrayByName("u"), appspU0)
-			exec.SeedF64(file, pageSize, prog.ArrayByName("rhs"), appspRhs0)
-		},
+		Seed: seedAPPSP,
 		Check: func(prog *ir.Program, v *vm.VM, env *exec.Env) error {
 			n, _ := prog.ParamValue("n")
 			total := n * n * n * 5
@@ -184,3 +180,9 @@ func APPSP() *App {
 		},
 	}
 }
+
+// seedAPPSP writes APPSP's solution u and right-hand side rhs.
+var seedAPPSP = seedOnce(func(prog *ir.Program, sink exec.PageSink, pageSize int64) {
+	exec.SeedF64(sink, pageSize, prog.ArrayByName("u"), appspU0)
+	exec.SeedF64(sink, pageSize, prog.ArrayByName("rhs"), appspRhs0)
+})

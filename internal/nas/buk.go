@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/ir"
-	"repro/internal/stripefs"
 	"repro/internal/vm"
 )
 
@@ -50,9 +49,7 @@ func BUK() *App {
 			n := scaleInt(768*1024, scale, 1<<12)
 			return mustParse(bukSrc, n, int64(bukMaxKey))
 		},
-		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
-			exec.SeedI64(file, pageSize, prog.ArrayByName("key"), bukKey)
-		},
+		Seed: seedBUK,
 		Check: func(prog *ir.Program, v *vm.VM, env *exec.Env) error {
 			n, _ := prog.ParamValue("n")
 			// Independent reference: counting sort in Go.
@@ -81,3 +78,8 @@ func BUK() *App {
 		},
 	}
 }
+
+// seedBUK writes BUK's key stream.
+var seedBUK = seedOnce(func(prog *ir.Program, sink exec.PageSink, pageSize int64) {
+	exec.SeedI64(sink, pageSize, prog.ArrayByName("key"), bukKey)
+})

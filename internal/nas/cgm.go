@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/ir"
-	"repro/internal/stripefs"
 	"repro/internal/vm"
 )
 
@@ -65,16 +64,7 @@ func CGM() *App {
 			rows := scaleInt(12*1024, scale, 512)
 			return mustParse(cgmSrc, rows, int64(cgmNzRow), int64(cgmIters))
 		},
-		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
-			rows, _ := prog.ParamValue("rows")
-			exec.SeedF64(file, pageSize, prog.ArrayByName("a"), cgmA)
-			exec.SeedI64(file, pageSize, prog.ArrayByName("col"), func(k int64) int64 {
-				return cgmColAt(k, rows)
-			})
-			exec.SeedF64(file, pageSize, prog.ArrayByName("x"), func(i int64) float64 {
-				return 1.0 / float64(i+1)
-			})
-		},
+		Seed: seedCGM,
 		Check: func(prog *ir.Program, v *vm.VM, env *exec.Env) error {
 			rows, _ := prog.ParamValue("rows")
 			x := make([]float64, rows)
@@ -115,3 +105,16 @@ func CGM() *App {
 		},
 	}
 }
+
+// seedCGM writes CGM's sparse matrix (values and column indices) and its
+// starting vector.
+var seedCGM = seedOnce(func(prog *ir.Program, sink exec.PageSink, pageSize int64) {
+	rows, _ := prog.ParamValue("rows")
+	exec.SeedF64(sink, pageSize, prog.ArrayByName("a"), cgmA)
+	exec.SeedI64(sink, pageSize, prog.ArrayByName("col"), func(k int64) int64 {
+		return cgmColAt(k, rows)
+	})
+	exec.SeedF64(sink, pageSize, prog.ArrayByName("x"), func(i int64) float64 {
+		return 1.0 / float64(i+1)
+	})
+})

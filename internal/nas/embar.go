@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/ir"
-	"repro/internal/stripefs"
 	"repro/internal/vm"
 )
 
@@ -58,9 +57,7 @@ func EMBAR() *App {
 			n := scaleInt(1<<20, scale, 1<<12) &^ 1 // even
 			return mustParse(embarSrc, int64(embarSeed), n)
 		},
-		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
-			// Nothing to seed: EMBAR generates its own data.
-		},
+		Seed: seedEMBAR,
 		Check: func(prog *ir.Program, v *vm.VM, env *exec.Env) error {
 			n, _ := prog.ParamValue("n")
 			rng := newRandlc(embarSeed)
@@ -103,3 +100,6 @@ func EMBAR() *App {
 		},
 	}
 }
+
+// seedEMBAR writes nothing: EMBAR generates its own data.
+var seedEMBAR = seedOnce(func(*ir.Program, exec.PageSink, int64) {})

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/ir"
-	"repro/internal/stripefs"
 	"repro/internal/vm"
 )
 
@@ -213,10 +212,7 @@ func FFT() *App {
 			n1, n2, n3 := 2*edge, edge, edge
 			return mustParse(fftSrc, n1, n2, n3, log2of(n1), log2of(n2), log2of(n3))
 		},
-		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
-			exec.SeedF64(file, pageSize, prog.ArrayByName("re"), fftInRe)
-			exec.SeedF64(file, pageSize, prog.ArrayByName("im"), fftInIm)
-		},
+		Seed: seedFFT,
 		Check: func(prog *ir.Program, v *vm.VM, env *exec.Env) error {
 			n1, _ := prog.ParamValue("n1")
 			n2, _ := prog.ParamValue("n2")
@@ -246,3 +242,9 @@ func FFT() *App {
 		},
 	}
 }
+
+// seedFFT writes FFT's input signal, real and imaginary parts.
+var seedFFT = seedOnce(func(prog *ir.Program, sink exec.PageSink, pageSize int64) {
+	exec.SeedF64(sink, pageSize, prog.ArrayByName("re"), fftInRe)
+	exec.SeedF64(sink, pageSize, prog.ArrayByName("im"), fftInIm)
+})

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/ir"
-	"repro/internal/stripefs"
 	"repro/internal/vm"
 )
 
@@ -80,10 +79,7 @@ func MGRID() *App {
 			n := scalePow2(48, cbrtScale(scale), 8)
 			return mustParse(mgridSrc, n, int64(mgridIters))
 		},
-		Seed: func(prog *ir.Program, file *stripefs.File, pageSize int64) {
-			n, _ := prog.ParamValue("n")
-			exec.SeedF64(file, pageSize, prog.ArrayByName("v"), mgridV(n))
-		},
+		Seed: seedMGRID,
 		Check: func(prog *ir.Program, v *vm.VM, env *exec.Env) error {
 			n, _ := prog.ParamValue("n")
 			nn := n * n * n
@@ -136,3 +132,9 @@ func MGRID() *App {
 		},
 	}
 }
+
+// seedMGRID writes MGRID's right-hand side v.
+var seedMGRID = seedOnce(func(prog *ir.Program, sink exec.PageSink, pageSize int64) {
+	n, _ := prog.ParamValue("n")
+	exec.SeedF64(sink, pageSize, prog.ArrayByName("v"), mgridV(n))
+})

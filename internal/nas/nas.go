@@ -18,6 +18,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/lang"
+	"repro/internal/stash"
 	"repro/internal/stripefs"
 	"repro/internal/vm"
 )
@@ -36,7 +37,8 @@ type App struct {
 	Build func(scale float64) *ir.Program
 
 	// Seed pre-initializes the program's input arrays in the backing
-	// file, with no simulated cost.
+	// file, with no simulated cost: it installs the App's image of the
+	// data set for the program (see seedOnce).
 	Seed func(prog *ir.Program, file *stripefs.File, pageSize int64)
 
 	// Check validates the finished run against an independent
@@ -130,6 +132,59 @@ var (
 	parseMu    sync.Mutex
 	parseCache = map[parseKey]*ir.Program{}
 )
+
+// image is one seeded data set: the words of each page the seed writes, by
+// file page (nil: never written, all-zero), cut from one allocation.
+// Nothing writes an image once it is filled, so any number of files share
+// its pages at once.
+type image struct {
+	fp       uint64 // the program's fingerprint, as the plan cache keys it
+	pageSize int64
+	pages    [][]uint64
+	block    []uint64 // while filling: the words not yet handed to a page
+}
+
+// SetPageWords makes the image an exec.PageSink, with a stripefs.File's
+// contract: the page's tail is zeroed.
+func (im *image) SetPageWords(page int64, data []uint64) {
+	buf := im.pages[page]
+	if buf == nil {
+		pw := im.pageSize / ir.ElemSize
+		buf, im.block = im.block[:pw:pw], im.block[pw:]
+		im.pages[page] = buf
+	}
+	clear(buf[copy(buf, data):])
+}
+
+// pageCount is an exec.PageSink that counts the pages a seed writes.
+type pageCount int64
+
+func (n *pageCount) SetPageWords(int64, []uint64) { *n++ }
+
+// seedOnce returns an App's Seed. A data set is a pure function of the
+// program, so fill seeds it once per program and page size into an
+// image, and every run installs the image's pages in its file by
+// reference (stripefs.File.SetImage): a page gets a buffer of its own
+// only when the run writes it. The App keeps its last image in a stash
+// slot, so a run of another program, or a concurrent run that finds the
+// slot empty, seeds a fresh one: fill runs twice, first to count the
+// pages, so that they are one allocation of exactly their size.
+func seedOnce(fill func(prog *ir.Program, sink exec.PageSink, pageSize int64)) func(*ir.Program, *stripefs.File, int64) {
+	slot := stash.New(func(im *image) int { return len(im.pages) })
+	return func(prog *ir.Program, file *stripefs.File, pageSize int64) {
+		fp := prog.Fingerprint()
+		im := slot.Take()
+		if im.pages == nil || im.fp != fp || im.pageSize != pageSize {
+			var n pageCount
+			fill(prog, &n, pageSize)
+			im = &image{fp: fp, pageSize: pageSize, pages: make([][]uint64, prog.TotalBytes(pageSize)/pageSize),
+				block: make([]uint64, int64(n)*pageSize/ir.ElemSize)}
+			fill(prog, im, pageSize)
+		}
+		file.SetImage(im.pages)
+		slot.Put(im)
+	}
+}
 
 // scaleInt quantizes scale × base to at least min.
 func scaleInt(base int64, scale float64, min int64) int64 {

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"io"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -202,4 +203,13 @@ func (o *RunObs) Thread(name string) *Track {
 		return nil
 	}
 	return o.Proc.Thread(name)
+}
+
+// ThreadN is Thread of the name prefix followed by n, formatted only when
+// tracing is enabled: an untraced run builds no track names.
+func (o *RunObs) ThreadN(prefix string, n int) *Track {
+	if o == nil || o.Proc == nil {
+		return nil
+	}
+	return o.Proc.Thread(prefix + strconv.Itoa(n))
 }

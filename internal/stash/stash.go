@@ -2,11 +2,12 @@
 // call fills and drops before it returns, which the next call would
 // otherwise ask the allocator for again, zeroed. The compile stages keep
 // their working memory in a Slot each; on the run path, vm keeps a pool's
-// frame slab and stripefs a file system's free lists of request objects
-// and page buffers. It is not sync.Pool, whose contents depend on when the
-// collector runs: a Slot is one mutex-guarded variable that keeps the
-// largest set seen, so what a call allocates depends only on the calls
-// before it.
+// frame slab, stripefs a file system's free lists of request objects and
+// page buffers, and nas each App's image of its seeded data set — the one
+// set that runs read after putting it back, since nothing writes it. It
+// is not sync.Pool, whose contents depend on when the collector runs: a
+// Slot is one mutex-guarded variable that keeps the largest set seen, so
+// what a call allocates depends only on the calls before it.
 package stash
 
 import "sync"

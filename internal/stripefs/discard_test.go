@@ -174,3 +174,71 @@ func TestFSAdoptsDirtyPageBufs(t *testing.T) {
 		}
 	}
 }
+
+// TestImagePages: a file shares an image's pages by reference, and no path
+// writes into one or frees one. PeekPage and a read return the image's
+// words until the page's first write; a write-back, an in-place
+// SetPageWords and Discard leave every image word as it was and no image
+// page on the free list, and Recycle hands the kept slot no image page.
+func TestImagePages(t *testing.T) {
+	stashPageBufs(nil, 0)
+	c, fs := newFS()
+	pw := fs.Params().PageSize / 8
+	img := make([][]uint64, 5) // pages 3 and 5 of the file are not in it
+	for _, p := range []int{0, 1, 2, 4} {
+		img[p] = fillWords(pw, 0x100+uint64(p))
+	}
+	want := make([][]uint64, len(img))
+	for p, words := range img {
+		want[p] = slices.Clone(words)
+	}
+	isImage := func(b []uint64) bool {
+		return slices.ContainsFunc(img, func(w []uint64) bool { return w != nil && &w[0] == &b[0] })
+	}
+	check := func(when string) {
+		t.Helper()
+		for p := range img {
+			if !slices.Equal(img[p], want[p]) {
+				t.Fatalf("%s: image page %d changed", when, p)
+			}
+		}
+		if slices.ContainsFunc(fs.freePageBufs, isImage) {
+			t.Fatalf("%s: an image page is on the free list", when)
+		}
+	}
+	f, _ := fs.Create("in", 6)
+	f.SetImage(img)
+	for p := int64(0); p < 6; p++ {
+		var got []uint64
+		f.Read(p, 1, disk.FaultRead, func(int64) []uint64 { got = fillWords(pw, 0xdead); return got }, nil, nil, nil)
+		c.Drain()
+		if p < int64(len(img)) && img[p] != nil {
+			if !slices.Equal(got, want[p]) || !slices.Equal(f.PeekPage(p), want[p]) {
+				t.Fatalf("page %d: read %#x, peeked %#x, want the image's %#x", p, got[0], f.PeekPage(p)[0], want[p][0])
+			}
+		} else if f.PeekPage(p) != nil || slices.ContainsFunc(got, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("page %d outside the image does not read as all-zero", p)
+		}
+	}
+
+	f.Write(0, fillWords(pw, 7), nil)
+	f.SetPageWords(1, []uint64{9})
+	c.Drain()
+	check("after a write-back and an in-place SetPageWords")
+	if f.PeekPage(0)[0] != 7 || f.PeekPage(1)[0] != 9 || f.PeekPage(1)[1] != 0 || f.PeekPage(2)[0] != want[2][0] {
+		t.Fatal("a written page does not read its own words, or an unwritten one not the image's")
+	}
+	f.Write(0, fillWords(pw, 8), nil) // displaces page 0's own buffer
+	c.Drain()
+	check("after a second write-back")
+	f.Discard()
+	check("after Discard")
+	if n := len(fs.freePageBufs); n != 3 {
+		t.Fatalf("%d page buffers free after Discard, want the file's own 3", n)
+	}
+	fs.Recycle()
+	k := keptSlot.Take()
+	if len(k.pageBufs) < 3 || slices.ContainsFunc(k.pageBufs, isImage) {
+		t.Fatalf("Recycle kept %d page buffers, an image page among them: %v", len(k.pageBufs), slices.ContainsFunc(k.pageBufs, isImage))
+	}
+}

@@ -30,19 +30,15 @@ import (
 
 // FS is a striped file system over a fixed array of storage devices.
 type FS struct {
-	clock *sim.Clock
-	p     hw.Params
-	devs  []*disk.Device
-	// next free device-local block on each device (bump allocation:
-	// extents).
-	nextBlock []int64
+	clock     *sim.Clock
+	p         hw.Params
+	devs      []*disk.Device
+	nextBlock []int64 // next free block on each device (bump allocation: extents)
 	files     []*File
 
-	// Free lists of request-state objects and page buffers. Every I/O
-	// used to allocate its completion closures and (for writes) a page
-	// copy; recycling them makes the steady-state read and write paths
-	// allocation-free. Single-threaded like everything else here: the
-	// run's one simulator goroutine is the only pusher and popper.
+	// Free lists of request-state objects and page buffers, which make
+	// the steady-state read and write paths allocation-free. The run's
+	// one simulator goroutine is the only pusher and popper.
 	freeReadOps  *readOp
 	freeSubReqs  *subReq
 	freeWriteOps *writeOp
@@ -95,8 +91,7 @@ func NewObserved(clock *sim.Clock, p hw.Params, mkSched func() disk.Scheduler, o
 		if mkSched != nil {
 			s = mkSched()
 		}
-		track := o.Thread(fmt.Sprintf("disk %d", i))
-		fs.devs = append(fs.devs, disk.NewBackend(clock, p, i, s, reg, track))
+		fs.devs = append(fs.devs, disk.NewBackend(clock, p, i, s, reg, o.ThreadN("disk ", i)))
 	}
 	fs.adopt()
 	return fs
@@ -117,9 +112,9 @@ func (fs *FS) Params() hw.Params { return fs.p }
 
 // ---- request-state pools ------------------------------------------------
 
-// The pools are per-FS free lists: single-threaded push/pop with no
-// locking on the I/O path. Pooled objects bake an fs pointer into their
-// bound callbacks' receiver, so every get rebinds .fs before use.
+// The pools are per-FS free lists with no locking on the I/O path. Pooled
+// objects bake an fs pointer into their bound callbacks' receiver, so
+// every get rebinds .fs before use.
 //
 // Each run builds a fresh FS, so without help every run would allocate its
 // peak working set of request objects and page buffers anew. The kept
@@ -261,10 +256,11 @@ type File struct {
 	pages int64
 	base  []int64 // starting block on each disk
 
-	// Backing contents, one word slice per file page; nil means all-zero.
-	// This is the "data on disk": reads copy out of it, writes copy in.
+	// Backing contents, one word slice per file page, over the image's
+	// (nil in both: all-zero). The "data on disk": reads copy out, writes in.
 	store     [][]uint64
-	discarded bool // Discard handed the contents back; see checkLive
+	image     [][]uint64 // shared, never written or freed here; see SetImage
+	discarded bool       // Discard handed the contents back; see checkLive
 
 	// Request tag for multi-tenant QoS: the issuing tenant's
 	// prefetch-priority class, stamped onto every request for this file.
@@ -309,12 +305,6 @@ func (f *File) locate(page int64) (diskID int, block int64) {
 	return
 }
 
-// DiskOf returns the disk a file page is striped onto.
-func (f *File) DiskOf(page int64) int {
-	d, _ := f.locate(page)
-	return d
-}
-
 // QueueLenOf returns the current request-queue depth of the disk a page
 // is striped onto. The OS consults it to drop prefetches when the disk
 // subsystem is overloaded.
@@ -337,7 +327,7 @@ func (f *File) Discard() {
 			f.store[p] = nil
 		}
 	}
-	f.discarded = true
+	f.image, f.discarded = nil, true
 }
 
 func (f *File) checkLive() {
@@ -367,10 +357,25 @@ func (f *File) SetPageWords(page int64, data []uint64) {
 		panic(fmt.Sprintf("stripefs: page data %d words exceeds page size %d", len(data), f.fs.p.PageSize))
 	}
 	buf := f.storeBufFor(page)
-	n := copy(buf, data)
-	for i := n; i < len(buf); i++ {
-		buf[i] = 0
+	clear(buf[copy(buf, data):])
+}
+
+// SetImage installs pages (by file page, nil: all-zero) by reference as the
+// contents of every page not yet written, as runs share one seeded data
+// set. A page's first write gives it a buffer of its own over the image's
+// (writers set every word), so no file writes or frees an image page.
+func (f *File) SetImage(pages [][]uint64) {
+	f.check(0, int64(len(pages)))
+	f.checkLive()
+	f.image = pages
+}
+
+// words is a page's contents: its own buffer once written, else the image's.
+func (f *File) words(page int64) []uint64 {
+	if f.store[page] == nil && page < int64(len(f.image)) {
+		return f.image[page]
 	}
+	return f.store[page]
 }
 
 // PeekPage returns the current backing contents of a page as words (nil
@@ -379,7 +384,7 @@ func (f *File) SetPageWords(page int64, data []uint64) {
 func (f *File) PeekPage(page int64) []uint64 {
 	f.check(page, 1)
 	f.checkLive()
-	return f.store[page]
+	return f.words(page)
 }
 
 func (f *File) check(page, n int64) {
@@ -442,13 +447,7 @@ func (s *subReq) deliver() {
 	for i := int64(0); i < s.count; i++ {
 		p := s.first + i*s.step
 		buf := op.dst(p)
-		if src := f.store[p]; src != nil {
-			copy(buf, src)
-		} else {
-			for j := range buf {
-				buf[j] = 0
-			}
-		}
+		clear(buf[copy(buf, f.words(p)):])
 		if op.arrived != nil {
 			op.arrived(p)
 		}
@@ -583,10 +582,7 @@ func (f *File) Write(page int64, src []uint64, done func(page int64)) {
 	var buf []uint64
 	if !f.discarded {
 		buf = fs.getPageBuf()
-		n := copy(buf, src)
-		for i := n; i < len(buf); i++ {
-			buf[i] = 0
-		}
+		clear(buf[copy(buf, src):])
 	}
 	w.file, w.page, w.buf, w.done = f, page, buf, done
 	dev, block := f.locate(page)

@@ -48,7 +48,7 @@ func TestRoundRobinStriping(t *testing.T) {
 	f, _ := fs.Create("f", 100)
 	d := fs.Params().NumDisks
 	for p := int64(0); p < 100; p++ {
-		if got := f.DiskOf(p); got != int(p)%d {
+		if got, _ := f.locate(p); got != int(p)%d {
 			t.Fatalf("page %d on disk %d, want %d", p, got, int(p)%d)
 		}
 	}
@@ -207,7 +207,7 @@ func TestWritePersists(t *testing.T) {
 	if got == nil || got[0] != 0xAB {
 		t.Fatal("write did not persist captured data")
 	}
-	if fs.Backends()[f.DiskOf(3)].Stats().Requests[disk.Write] != 1 {
+	if fs.Backends()[3%fs.Params().NumDisks].Stats().Requests[disk.Write] != 1 {
 		t.Fatal("write request not accounted on the right disk")
 	}
 }
