@@ -3,15 +3,13 @@ GO ?= go
 # staticcheck is pinned so every machine runs the same analysis.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz tally repin test-faults test-exec test-compile test-harness test-backends test-tenants test-profile loc loc-check doc-check bench-check
+.PHONY: ci fmt-check vet staticcheck build test test-benchmark race fuzz tally repin loc loc-check doc-check bench-check
 
 # ci is the gate: formatting, static checks, the executor's line cap,
 # the documents' line caps, build, tests (the root module's and the benchmark module's), the
 # race-detector pass over the concurrent surfaces, and a short-budget fuzz
 # of the fault plane, the front end, the lane-wise span chunks, the two
-# executors and the VM's free list. The
-# focused test-* targets below are subsets of `test`, kept for quick
-# stand-alone runs and as separate workflow jobs.
+# executors and the VM's free list.
 ci: fmt-check vet staticcheck loc-check doc-check build test test-benchmark race fuzz
 
 fmt-check:
@@ -67,7 +65,7 @@ test-benchmark:
 # once in TestConcurrentSeeds); run them
 # (and the packages they drive) under the race detector. internal/exec
 # runs -short: its system-level differentials are one goroutine each and
-# run at full length in test-exec, so the race pass keeps their smoke
+# run at full length in test, so the race pass keeps their smoke
 # cells only. Of internal/nas only the concurrent tests run: the race
 # detector changes what the allocation budget counts.
 race:
@@ -124,138 +122,6 @@ repin:
 	@git diff --stat -- $(RECORDS)
 	@git diff -U0 --word-diff -- $(RECORDS)
 
-# test-faults runs the fault-injection property matrix: the harness
-# (NAS proxies × profiles, example kernels, byte-identical output) plus
-# every layer's fault-path tests.
-test-faults:
-	$(GO) test ./internal/fault/... ./internal/disk ./internal/stripefs ./internal/vm ./internal/rt
-
-# test-backends runs the storage-backend suite: the one device engine's
-# conformance contract under each tier's cost model (delivery, submits
-# from callbacks, faults, an exhausted must-not-fail request requeued at
-# the tail with its class, stats, zero-alloc fast path; batched and
-# unbatched far memory deliver in the same order), the tier
-# parameter/spec plumbing, and the cross-tier property that every NAS
-# proxy fingerprints identically on disks, NVMe, and far memory.
-test-backends:
-	$(GO) test ./internal/disk -run 'TestConformance|TestNVMe|TestFarMemory|TestNewBackend'
-	$(GO) test ./internal/hw ./internal/core -run 'Tier|Backend'
-	$(GO) test ./internal/fault/harness/ -run 'TestNASBackendsByteIdentical|TestBackendsFaultedByteIdentical'
-
-# test-tenants runs the multi-tenant service gate: scheduler determinism
-# (same mix and seed, byte-identical output), tenant isolation (a
-# tenant's final memory image is identical solo and contended), QoS
-# class ordering (and the scheduler's early stop at the first demand read
-# against a full scan), quota fair-share reclaim, admission control, the
-# solo-server tick-for-tick equivalence with a directly driven VM, the
-# touch-episode table (every entry state of a fault through the blocking
-# and the non-blocking driver of the one fault path, same ticks), the
-# contract of the output hash every one of those equalities rests on
-# (residency-independent, sensitive to any bit, word swap or page swap,
-# equal to its word-at-a-time definition), and the page life cycle: a
-# departure with reads in flight pinned to the parent's ticks, a second
-# server allocating under 5 % of the first, the objects a job's admission
-# and departure, a scheduler step, a departure and a server's life
-# allocate held exactly (TestTenantAllocBudget), a
-# write-back after retirement charged its time and carrying no bytes,
-# any other use after retirement loud, and the proof that recycled frames
-# and page buffers need no zeroing (a run on poisoned memory equals one
-# on fresh memory), and the pages a file shares from a seeded image, which
-# no write-back, in-place write, Discard or Recycle writes or frees.
-test-tenants:
-	$(GO) test ./internal/tenant/ -count 1
-	$(GO) test ./internal/disk/ -run TestQoS
-	$(GO) test ./internal/vm/ -run 'TestReclaim|TestQuota|TestPool|TestHash|TestFingerprint|TestTouchEpisodeBothDrivers'
-	$(GO) test ./internal/stripefs/ -run 'TestDiscard|TestFSAdoptsDirtyPageBufs|TestPageBufSlab|TestRecycleAllocs|TestImagePages'
-
-# test-profile runs the two-pass profile-guided gate: the artifact
-# round trip and typed error surface, recorder accounting, site-key
-# alignment with the locality analysis, the compiler's profile
-# decisions and cross-kernel mismatch degradation, and the harness
-# property matrix (recording is tick-identical to the original run;
-# static/record/use all fingerprint identically across storage tiers;
-# profile-guided coverage strictly above static on the indirect
-# kernels and never a regression on the dense ones).
-test-profile:
-	$(GO) test ./internal/profile/ -count 1
-	$(GO) test ./internal/compiler/ -run TestProfile
-	$(GO) test ./internal/fault/harness/ -run 'TestProfileModesByteIdentical|TestProfileCoverageDifferential'
-
-# test-exec runs the executor gate (DESIGN.md §9, §11, §14): the
-# bytecode-vs-oracle differential property (every NAS proxy and example
-# kernel tick-identical on the bytecode and on the oracle, which lives in
-# internal/exec's tests, fault-free and under fault profiles, on every
-# tier, the profile-guided programs, the trap texts, FuzzExecutors' seed
-# corpus, plus the exec-level unit differentials on page-run
-# loops, nest edge cases — absorbed constant-trip inner loops among them —
-# and hints whose subscripts load, fault or draw random numbers, each
-# evaluated once: TestHintSubscriptEvaluatedOnce; lane-wise chunks against
-# recurrences, butterfly offsets, carried scalars, two draws, a zero
-# divisor, NaN min/max and FuzzSpanLanes' seed corpus; the opcode table,
-# every lane handler against runK under its field roles), the structural and
-# run-time proof that absorption engaged (no page-run layout inside a
-# per-element body; the share of APPLU/APPSP/APPBT user time charged
-# through span chunks), the compile-time rejection table (same error text
-# from both executors) and the bytecode's table limits as a typed
-# *exec.LimitError — from exec.Compile and through core.Run, with and
-# without a recorder — recording on the bytecode (the 8 pinned NAS profile
-# artifacts, per-site counts against a plain-Go replay, no closure tree in
-# a default or recording compile), the structural property that no NAS
-# artifact carries a closure call, the compile-once plan cache
-# (hit/miss/cold tick-identical across NAS × tiers × fault profiles,
-# invalidation by key), and the exact HostTimeNAS/FFT cell of
-# internal/bench/testdata/allocs.golden, which holds the zero-alloc
-# write-back path.
-test-exec:
-	$(GO) test ./internal/fault/harness/ -run 'TestProfileRecordingPinnedArtifacts|TestSpanUserOpsShare'
-	$(GO) test ./internal/exec/ -run 'TestHint|TestFastPath|TestNest|TestNASAbsorbingLoops|TestArtifact|TestCompile|TestRecording|TestLane|TestOpcodeTable|TestProfileGuided|TestTrapText|FuzzSpanLanes|FuzzExecutors'
-	$(GO) test ./internal/nas/ -run TestNASHintSitesEmitNoClosureCalls -count 1
-	$(GO) test ./internal/core/ -run 'TestPlanCache|TestRunLimitReturnsTypedError' -count 1
-	$(GO) test ./internal/bench/ -run TestBenchmarkAllocs -count 1
-
-# test-compile runs the compile-path gate (DESIGN.md §11): the printed
-# program and the assembled bytecode of the 8 NAS proxies and the 5
-# example kernels, O and P, pinned to the hashes recorded before the
-# printer became append-style and value numbering moved onto an undo
-# trail; the append-style renderer against the fmt-based reference it
-# replaced, node kind by node kind; the trail itself (after every restore
-# the live facts equal a copy taken at the mark); the objects and bytes
-# a call of each stage allocates — lang.Parse, Resolve, Clone,
-# locality.Analyze, compiler.Compile, exec.Compile and ir.Print — held
-# exactly on the Go minor testdata/compile_allocs.golden was recorded on;
-# four goroutines compiling the 13 inputs at once, each getting what a
-# sequential run gets, and a compile that finds the executor's stash held
-# (internal/stash keeps each stage's working memory for the next call,
-# one set, the largest); a clone's independence from its original
-# and between its own lists; the compiler driver's usage errors and two
-# input kinds; the analysis both compilers rest on — all of
-# internal/ir (the affine decomposition asked the locality analysis's and
-# the executor's questions, trip counts, the reference walk) and
-# internal/locality, whose answer for every reference of the 13 inputs is
-# the record testdata/refs.golden; and all of the front end, internal/lang,
-# whose answer for every source of its corpus (the checked-in programs,
-# the error tables, and one-token deletions and type-changing
-# substitutions of the example kernels and the benchmark corpus) is the
-# record testdata/parse.golden.
-test-compile:
-	$(GO) test ./internal/nas/ -run 'TestPrintPinned|TestCompileAllocBudget|TestConcurrentCompiles|TestCloneIsIndependent' -count 1
-	$(GO) test ./internal/exec/ -run 'TestBytecodePinned|TestValueNumberingTrail|TestCompileWhileStashHeld' -count 1
-	$(GO) test ./internal/stash/ ./internal/ir/ ./internal/locality/ ./internal/lang/ -count 1
-	$(GO) test ./cmd/ooccc/
-
-# test-harness runs the experiment-harness gate (DESIGN.md §4): both
-# drivers through their run() entry points — oocbench's usage-error
-# table, -exp all byte-identical on a pool of one and of eight, the
-# tenant service and the two-pass profile mode end to end, one pool job
-# per simulated run; oocsim's clean failure on kernels that trap or do
-# not resolve — the case matrix itself (labels, overlay-then-variant
-# order, sizing, suite cancellation and timeouts, the pool's counters),
-# and the front end's constant-division regressions.
-test-harness:
-	$(GO) test ./cmd/oocbench/ ./cmd/oocsim/ -count 1
-	$(GO) test ./internal/bench/ -run 'TestSuite|TestRunner|TestCase' -count 1
-	$(GO) test ./internal/lang/ -run TestConstantDivisionByZero -count 1
-
 # loc prints the two numbers every simplicity PR reports: lines of
 # non-test Go outside benchmark/, per internal/* package and in total.
 loc:
@@ -281,8 +147,8 @@ loc-check:
 # doc-check fails when DESIGN.md or EXPERIMENTS.md is longer than its cap:
 # the ratchet of ROADMAP item 8. A change that cuts a document lowers its
 # cap; one that needs more room deletes it elsewhere.
-DESIGN_MAX = 1428
-EXPERIMENTS_MAX = 1607
+DESIGN_MAX = 1427
+EXPERIMENTS_MAX = 1606
 doc-check:
 	@fail=0; for d in DESIGN.md:$(DESIGN_MAX) EXPERIMENTS.md:$(EXPERIMENTS_MAX); do \
 		n=$$(wc -l < $${d%:*}); echo "$${d%:*}: $$n lines (cap $${d#*:})"; \

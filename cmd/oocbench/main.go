@@ -93,7 +93,13 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	oocp "repro"
+	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/disk"
+	"repro/internal/fault"
+	"repro/internal/hw"
+	"repro/internal/obs"
+	"repro/internal/profile"
 )
 
 // expAlias maps sub-figure names (as DESIGN.md's experiment index uses)
@@ -234,25 +240,25 @@ func execute(ctx context.Context, args []string, w, stderr io.Writer) (err error
 	// The record pass is a suite run matrix too.
 	suite := *profileRecord != "" || is("fig3") || is("fig4") || is("fig5") || is("table3")
 
-	var backend *oocp.BackendSpec
+	var backend *core.BackendSpec
 	if *backendSpec != "" {
-		spec, err := oocp.ParseBackendSpec(*backendSpec)
+		spec, err := core.ParseBackendSpec(*backendSpec)
 		if err != nil {
 			return usageError(err.Error())
 		}
 		backend = &spec
 	}
-	var faults *oocp.FaultProfile
+	var faults *fault.Profile
 	if *faultSpec != "" {
-		prof, err := oocp.ParseFaultSpec(*faultSpec)
+		prof, err := fault.ParseSpec(*faultSpec)
 		if err != nil {
 			return usageError(err.Error())
 		}
 		faults = &prof
 	}
-	var classes []oocp.QoSClass
+	var classes []disk.Class
 	if *qosSpec != "" {
-		if classes, err = oocp.ParseQoSClasses(*qosSpec); err != nil {
+		if classes, err = bench.ParseClasses(*qosSpec); err != nil {
 			return usageError(err.Error())
 		}
 	}
@@ -289,20 +295,20 @@ func execute(ctx context.Context, args []string, w, stderr io.Writer) (err error
 	}
 
 	if *explain {
-		return oocp.ExplainFastPath(w, *scale)
+		return bench.ExplainFastPath(w, *scale)
 	}
 
-	var trace *oocp.Trace
+	var trace *obs.Trace
 	if *tracePath != "" {
-		trace = oocp.NewTrace()
+		trace = obs.NewTrace()
 	}
-	var metrics *oocp.Metrics
+	var metrics *obs.Registry
 	if *metricsPath != "" {
-		metrics = oocp.NewMetrics()
+		metrics = obs.NewRegistry()
 	}
-	runner := oocp.Runner{Parallelism: *parallel, Timeout: *timeout, Trace: trace, Metrics: metrics}
+	runner := bench.Runner{Parallelism: *parallel, Timeout: *timeout, Trace: trace, Metrics: metrics}
 	if *progress {
-		runner.Progress = func(p oocp.Progress) {
+		runner.Progress = func(p bench.Progress) {
 			status := "ok"
 			switch {
 			case p.Job.TimedOut:
@@ -315,12 +321,12 @@ func execute(ctx context.Context, args []string, w, stderr io.Writer) (err error
 		}
 	}
 	// A backend or a fault profile is an overlay on every suite run.
-	opts := oocp.SuiteOptions{Scale: *scale, Ratio: *ratio, WithNoRT: true,
-		ConfigMutator: func(c *oocp.Config) { c.Backend, c.Faults = backend, faults }}
+	opts := bench.SuiteOptions{Scale: *scale, Ratio: *ratio, WithNoRT: true,
+		ConfigMutator: func(c *core.Config) { c.Backend, c.Faults = backend, faults }}
 
 	switch {
 	case *tenants > 0:
-		err = oocp.Tenants(w, oocp.TenantOptions{Tenants: *tenants, Classes: classes, Scale: *scale, Seed: *seed,
+		err = bench.Tenants(w, bench.TenantOptions{Tenants: *tenants, Classes: classes, Scale: *scale, Seed: *seed,
 			Backend: backend, Faults: faults, Trace: trace, Metrics: metrics})
 	case *profileRecord != "":
 		err = recordProfiles(ctx, w, *profileRecord, runner, opts)
@@ -330,7 +336,7 @@ func execute(ctx context.Context, args []string, w, stderr io.Writer) (err error
 			if err != nil {
 				return err
 			}
-			if opts.ProfileUse, err = oocp.UnmarshalProfiles(data); err != nil {
+			if opts.ProfileUse, err = profile.Unmarshal(data); err != nil {
 				return err
 			}
 		}
@@ -347,13 +353,13 @@ func execute(ctx context.Context, args []string, w, stderr io.Writer) (err error
 
 // recordProfiles is pass 1 of the two-pass mode: it records every NAS
 // app once and writes the artifact to path.
-func recordProfiles(ctx context.Context, w io.Writer, path string, r oocp.Runner, opts oocp.SuiteOptions) error {
+func recordProfiles(ctx context.Context, w io.Writer, path string, r bench.Runner, opts bench.SuiteOptions) error {
 	fmt.Fprintln(w, "recording NAS execution profiles (pass 1, original configuration)...")
-	profs, err := oocp.RecordProfiles(ctx, r, opts)
+	profs, err := bench.RecordProfiles(ctx, r, opts)
 	if err != nil {
 		return err
 	}
-	data, err := oocp.MarshalProfiles(profs)
+	data, err := profile.Marshal(profs)
 	if err != nil {
 		return err
 	}
@@ -367,26 +373,26 @@ func recordProfiles(ctx context.Context, w io.Writer, path string, r oocp.Runner
 // experiments prints the selected tables and figures in the paper's
 // order; is reports whether an experiment is selected and suite whether
 // any selected one needs the NAS suite results.
-func experiments(ctx context.Context, w io.Writer, is func(string) bool, suite bool, memBytes int64, r oocp.Runner, opts oocp.SuiteOptions) error {
+func experiments(ctx context.Context, w io.Writer, is func(string) bool, suite bool, memBytes int64, r bench.Runner, opts bench.SuiteOptions) error {
 	if is("table1") {
-		oocp.Table1(w)
+		bench.Table1(w, hw.Default())
 		fmt.Fprintln(w)
 	}
 	if is("table2") {
-		oocp.Table2(w, opts.Scale)
+		bench.Table2(w, opts.Scale)
 		fmt.Fprintln(w)
 	}
 	if suite {
 		fmt.Fprintln(w, "running the NAS suite (original, prefetching, and no-run-time-layer)...")
-		rs, err := oocp.RunSuiteContext(ctx, r, opts)
+		rs, err := bench.RunSuiteContext(ctx, r, opts)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w)
 		for _, fig := range []struct {
 			name  string
-			print func(io.Writer, []*oocp.AppResult)
-		}{{"fig3", oocp.Fig3}, {"fig4", oocp.Fig4}, {"fig5", oocp.Fig5}, {"table3", oocp.Table3}} {
+			print func(io.Writer, []*bench.AppResult)
+		}{{"fig3", bench.Fig3}, {"fig4", bench.Fig4}, {"fig5", bench.Fig5}, {"table3", bench.Table3}} {
 			if is(fig.name) {
 				fig.print(w, rs)
 				fmt.Fprintln(w)
@@ -397,9 +403,9 @@ func experiments(ctx context.Context, w io.Writer, is func(string) bool, suite b
 		name string
 		run  func() error
 	}{
-		{"fig6", func() error { return oocp.Fig6Context(ctx, w, opts.Scale, r) }},
-		{"fig7", func() error { return oocp.Fig7Context(ctx, w, opts.Scale, r) }},
-		{"fig8", func() error { return oocp.Fig8Context(ctx, w, memBytes, r) }},
+		{"fig6", func() error { return bench.Fig6Context(ctx, w, opts.Scale, r) }},
+		{"fig7", func() error { return bench.Fig7Context(ctx, w, opts.Scale, r) }},
+		{"fig8", func() error { return bench.Fig8Context(ctx, w, memBytes, r) }},
 	} {
 		if is(fig.name) {
 			if err := fig.run(); err != nil {
@@ -409,7 +415,7 @@ func experiments(ctx context.Context, w io.Writer, is func(string) bool, suite b
 		}
 	}
 	if is("ablate") {
-		return oocp.AblateAllContext(ctx, w, opts.Scale, r)
+		return bench.AblateAllContext(ctx, w, opts.Scale, r)
 	}
 	return nil
 }

@@ -11,18 +11,18 @@ import (
 	"testing"
 )
 
-// bench runs the harness with args and returns its exit status and both
+// oocbench runs the harness with args and returns its exit status and both
 // streams.
-func bench(args ...string) (code int, stdout, stderr string) {
+func oocbench(args ...string) (code int, stdout, stderr string) {
 	var out, errw bytes.Buffer
 	code = run(context.Background(), args, &out, &errw)
 	return code, out.String(), errw.String()
 }
 
-// mustRun is bench for a command line that has to succeed.
+// mustRun is oocbench for a command line that has to succeed.
 func mustRun(t *testing.T, args ...string) string {
 	t.Helper()
-	code, out, errs := bench(args...)
+	code, out, errs := oocbench(args...)
 	if code != 0 {
 		t.Fatalf("oocbench %v: exit %d\n%s", args, code, errs)
 	}
@@ -85,7 +85,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-tenants 2 -qos platinum", "platinum"},
 		{"-no-such-flag", "flag provided but not defined"},
 	} {
-		code, out, errs := bench(strings.Fields(c.args)...)
+		code, out, errs := oocbench(strings.Fields(c.args)...)
 		if code != 2 || out != "" {
 			t.Errorf("oocbench %s: exit %d, stdout %q; want exit 2 and no output", c.args, code, out)
 		}
@@ -98,10 +98,10 @@ func TestUsageErrors(t *testing.T) {
 	}
 	// A run that fails after its flags parsed exits 1, still with no
 	// figure on stdout: 16 KB is under the VM's 8-page minimum.
-	if code, out, errs := bench("-exp", "fig8", "-mem", "0.015"); code != 1 || out != "" || !strings.Contains(errs, "under 8 pages") {
+	if code, out, errs := oocbench("-exp", "fig8", "-mem", "0.015"); code != 1 || out != "" || !strings.Contains(errs, "under 8 pages") {
 		t.Errorf("-mem 0.015: exit %d, stdout %q, stderr %q", code, out, errs)
 	}
-	if code, _, errs := bench("-exp", "fig3", "-profile-use", filepath.Join(t.TempDir(), "missing.json")); code != 1 || !strings.Contains(errs, "missing.json") {
+	if code, _, errs := oocbench("-exp", "fig3", "-profile-use", filepath.Join(t.TempDir(), "missing.json")); code != 1 || !strings.Contains(errs, "missing.json") {
 		t.Errorf("missing artifact: exit %d, stderr %q", code, errs)
 	}
 }
@@ -197,7 +197,7 @@ func TestProfileRecordThenUse(t *testing.T) {
 	if seen != 16 { // 8 apps × (P, no-rt)
 		t.Errorf("%d profile.mismatch counters, want 16", seen)
 	}
-	if code, _, errs := bench("-exp", "fig3", "-profile-use", metrics); code != 1 || !strings.Contains(errs, "profile:") {
+	if code, _, errs := oocbench("-exp", "fig3", "-profile-use", metrics); code != 1 || !strings.Contains(errs, "profile:") {
 		t.Errorf("a non-artifact as -profile-use: exit %d, stderr %q", code, errs)
 	}
 }
@@ -207,7 +207,7 @@ func TestProfileRecordThenUse(t *testing.T) {
 func TestOneJobPerRun(t *testing.T) {
 	dir := t.TempDir()
 	metrics, trace := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
-	code, out, errs := bench("-exp", "fig6", "-scale", "0.05", "-parallel", "2", "-progress", "-metrics", metrics, "-trace", trace)
+	code, out, errs := oocbench("-exp", "fig6", "-scale", "0.05", "-parallel", "2", "-progress", "-metrics", metrics, "-trace", trace)
 	if code != 0 || !strings.Contains(out, "Figure 6") {
 		t.Fatalf("exit %d\n%s%s", code, out, errs)
 	}
@@ -230,7 +230,7 @@ func TestOneJobPerRun(t *testing.T) {
 
 // A per-run timeout fails the run it bounds, with exit 1 and no figure.
 func TestTimeoutAndDiagnostics(t *testing.T) {
-	code, out, errs := bench("-exp", "fig7", "-scale", "0.3", "-timeout", "1ms")
+	code, out, errs := oocbench("-exp", "fig7", "-scale", "0.3", "-timeout", "1ms")
 	if code != 1 || out != "" || !strings.Contains(errs, "run exceeded 1ms") {
 		t.Errorf("-timeout 1ms: exit %d, stdout %q, stderr %q", code, out, errs)
 	}

@@ -91,6 +91,26 @@ func TestSuiteCancellationMidRun(t *testing.T) {
 	}
 }
 
+// A suite without the no-run-time-layer variant is two pool jobs per app,
+// each reported once, on a pool of four.
+func TestRunSuiteContextOptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("not short")
+	}
+	var events int
+	r := Runner{Parallelism: 4, Progress: func(Progress) { events++ }}
+	rs, err := RunSuiteContext(context.Background(), r, SuiteOptions{Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 8 {
+		t.Fatalf("suite returned %d apps", len(rs))
+	}
+	if events != 16 { // 8 apps × (O, P)
+		t.Fatalf("progress events = %d, want 16", events)
+	}
+}
+
 // A pre-cancelled context returns immediately with ctx.Err() and runs
 // nothing.
 func TestSuitePreCancelled(t *testing.T) {
@@ -375,6 +395,11 @@ func TestCaseMatrix(t *testing.T) {
 			t.Errorf("%s: prefetch calls O %d, no-rt %d; P inserted %d pages", a.Name,
 				a.O.Mem.PrefetchCalls, a.NoRT.Mem.PrefetchCalls, a.P.RT.InsertedPages)
 		}
+	}
+	// EMBAR's standard ratio is 2: the standard case is the one-app pair
+	// at scale 0.05, and prefetching wins it.
+	if std.Speedup() <= 1 {
+		t.Errorf("EMBAR pair speedup %.2f, want > 1", std.Speedup())
 	}
 	if warm.O.Mem.MajorFaults >= std.O.Mem.MajorFaults {
 		t.Errorf("warm in-core run faulted %d times, the out-of-core run %d", warm.O.Mem.MajorFaults, std.O.Mem.MajorFaults)

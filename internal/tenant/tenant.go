@@ -311,7 +311,7 @@ func (s *Server) Submit(spec JobSpec) (*Tenant, error) {
 func (s *Server) admit(t *Tenant) {
 	spec := &t.Spec
 	var err error
-	t.file, err = s.fs.Create(fmt.Sprintf("%d-%s", t.ID, spec.Name), spec.Kernel.Pages)
+	t.file, err = s.fs.Create(strconv.Itoa(t.ID)+"-"+spec.Name, spec.Kernel.Pages)
 	if err != nil {
 		// Names are made unique above, and sizes were validated; a
 		// create failure is a programming error, not load.

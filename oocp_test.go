@@ -86,13 +86,6 @@ func TestSuiteAccessors(t *testing.T) {
 	if oocp.AppByName("FFT") == nil {
 		t.Fatal("AppByName")
 	}
-	r, err := oocp.RunAppPair(oocp.AppByName("EMBAR"), 0.05, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Speedup() <= 1 {
-		t.Fatalf("EMBAR pair speedup %.2f", r.Speedup())
-	}
 }
 
 func TestRunContextCancelled(t *testing.T) {
@@ -143,22 +136,4 @@ func TestPeekE(t *testing.T) {
 		}()
 		oocp.Peek(res, "nosuch", 0)
 	}()
-}
-
-func TestRunSuiteContextOptions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("not short")
-	}
-	var events int
-	r := oocp.Runner{Parallelism: 4, Progress: func(oocp.Progress) { events++ }}
-	rs, err := oocp.RunSuiteContext(context.Background(), r, oocp.SuiteOptions{Scale: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 8 {
-		t.Fatalf("suite returned %d apps", len(rs))
-	}
-	if events != 16 { // 8 apps × (O, P)
-		t.Fatalf("progress events = %d, want 16", events)
-	}
 }
